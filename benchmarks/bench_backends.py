@@ -37,9 +37,9 @@ def make_workloads():
         return acc
 
     def triangle(mod):
-        products = [1]
+        row = [1]
         for n in range(1, 41):
-            _, products = mod.stirling_row_update(2, 2, n, products)
+            row, _ = mod.stirling_row_update(2, 2, n, row)
 
     def graphs(mod):
         blocks = [(0, 1, 2), (1, 2, 1), (2, 2, 1)]

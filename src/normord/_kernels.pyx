@@ -89,38 +89,17 @@ def nf_mul(a, b):
     return out
 
 
-def stirling_row_update(r, M, n, products):
-    """Row n of the generalized Stirling triangle, from row n-1 products."""
-    cdef Py_ssize_t width = M * n + 1
-    cdef Py_ssize_t j, k, i
-    cdef list newp = []
-    cdef list row = []
-    for j in range(width):
-        if j < len(products):
-            newp.append(products[j] * (j + n * r))
-        else:
-            p = 1
-            for i in range(1, n + 1):
-                p *= j + i * r
-            newp.append(p)
-    fact_k = 1
-    cdef int sign
-    for k in range(width):
-        if k:
-            fact_k *= k
-        total = 0
-        sign = -1 if k & 1 else 1
-        binom = 1
-        for j in range(k + 1):
-            total += sign * binom * newp[j] ** M
-            sign = -sign
-            binom = binom * (k - j) // (j + 1)
-        q, rem = divmod(total, fact_k)
-        if rem:
-            raise ArithmeticError(
-                f"non-integral generalized Stirling value at r={r} M={M} n={n} k={k}")
-        row.append(q)
-    return row, newp
+def stirling_row_update(r, M, n, prev):
+    """Row n of the generalized Stirling triangle, from row n-1."""
+    cdef Py_ssize_t m, k, steps = M
+    cdef list row = list(prev)
+    c = n * r
+    for m in range(steps):
+        row.append(0)
+        for k in range(len(row) - 1, 0, -1):
+            row[k] = row[k - 1] + (k + c) * row[k]
+        row[0] = c * row[0]
+    return row, row
 
 
 def graph_step(state, blocks):

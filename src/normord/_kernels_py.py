@@ -6,6 +6,12 @@ attachment steps.  `backend.py` swaps in the compiled versions when the
 extension built; this module is the reference and must stay dependency
 free.  Coefficients are plain ints or Fractions (callers decide); loop
 bookkeeping is exact integer arithmetic throughout.
+
+Stirling rows are built by the three-term normal-ordering recurrence,
+O(M * width) small-by-big multiply-adds per row.  The alternating sum
+that defines the triangle is not used here: it is the independent oracle
+`stirling.alternating_sum_row`, which `verify stirling-expansion` checks
+every built row against.
 """
 
 from __future__ import annotations
@@ -95,43 +101,22 @@ def nf_mul(a, b):
     return out
 
 
-def stirling_row_update(r, M, n, products):
-    """Row n of the generalized Stirling triangle, from row n-1 products.
+def stirling_row_update(r, M, n, prev):
+    """Row n of the generalized Stirling triangle, from row n-1.
 
-    products: P[j] = prod_{i=1}^{n-1} (j + i*r) for j = 0..M*(n-1); pass
-    [1] for n = 1 (row 0 is the single entry 1).  Returns (row, new_products)
-    where row[k] = (1/k!) sum_j C(k,j) (-1)^{k-j} P'[j]^M for k = 0..M*n and
-    P'[j] = P[j]*(j + n*r) extended out to j = M*n.  The k! division must be
-    exact; a remainder raises ArithmeticError.
+    prev is row n-1 ([1] for n = 1).  Row n holds the coefficients of
+    prod_{i=1}^n (N + i*r)^M on the falling factorials N^(k), so it is
+    row n-1 times (N + n*r), M times over, and
+    N^(k) (N + c) = N^(k+1) + (k + c) N^(k) makes each factor the
+    three-term step new[k] = old[k-1] + (k + c) old[k].  Returns
+    (row, carry); the carry is the row itself.
     """
-    width = M * n + 1
-    newp = []
-    for j in range(width):
-        if j < len(products):
-            newp.append(products[j] * (j + n * r))
-        else:
-            p = 1
-            for i in range(1, n + 1):
-                p *= j + i * r
-            newp.append(p)
-    row = []
-    fact_k = 1
-    for k in range(width):
-        if k:
-            fact_k *= k
-        total = 0
-        sign = -1 if k & 1 else 1
-        binom = 1
-        for j in range(k + 1):
-            total += sign * binom * newp[j] ** M
-            sign = -sign
-            binom = binom * (k - j) // (j + 1)
-        q, rem = divmod(total, fact_k)
-        if rem:
-            raise ArithmeticError(
-                f"non-integral generalized Stirling value at r={r} M={M} n={n} k={k}")
-        row.append(q)
-    return row, newp
+    c = n * r
+    row = list(prev)
+    for _ in range(M):
+        middle = [a + k * b for k, a, b in zip(range(c + 1, c + len(row)), row, row[1:])]
+        row = [c * row[0], *middle, row[-1]]
+    return row, row
 
 
 def graph_step(state, blocks):

@@ -10,9 +10,10 @@ deterministic, so a cache hit is byte-identical to a fresh computation.
 from __future__ import annotations
 
 import os
+from math import factorial
 from pathlib import Path
 
-from .stirling import gen_stirling
+from .stirling import gen_stirling, gen_stirling_rows
 
 __all__ = [
     "CACHE_VERSION",
@@ -42,11 +43,18 @@ def triangle_path(cache_dir: Path, r: int, M: int, n_max: int) -> Path:
 
 
 def compute_triangle(r: int, M: int, n_max: int) -> list:
-    """Rows n = 0..n_max; row n holds S(n, k) for k = 0..M*n."""
-    return [
-        [gen_stirling(r, M, n, k) for k in range(M * n + 1)]
-        for n in range(n_max + 1)
-    ]
+    """Rows n = 0..n_max; row n holds S(n, k) for k = 0..M*n.
+
+    The shared triangle is grown to n_max once and each row copied once.
+    A cache hit is never recomputed, so before the rows can reach disk the
+    last row's constant term is held to its closed form
+    S(n, 0) = prod_{i<=n} (i*r)^M = (n! r^n)^M.
+    """
+    rows = gen_stirling_rows(r, M, n_max)
+    if gen_stirling(r, M, n_max, 0) != (factorial(n_max) * r**n_max) ** M:
+        raise ArithmeticError(
+            f"S(n={n_max}, k=0) at r={r} M={M} differs from (n! r^n)^M")
+    return rows
 
 
 def render_triangle(r: int, M: int, rows) -> str:
@@ -108,9 +116,16 @@ def load_triangle(r: int, M: int, n_max: int, cache_dir: Path | None = None):
     rows = compute_triangle(r, M, n_max)
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(render_triangle(r, M, rows))
-        os.replace(tmp, path)
+        # a temp name of this writer's own, hidden from cache_clear's glob,
+        # so concurrent writers of one key never share a file
+        tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(6).hex()}.tmp")
+        try:
+            with open(tmp, "x") as fh:
+                fh.write(render_triangle(r, M, rows))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     except OSError as exc:
         extra = f"cache write failed ({exc})"
         warning = f"{warning}; {extra}" if warning else extra

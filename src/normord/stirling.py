@@ -1,15 +1,20 @@
 """Generalized Stirling numbers, Bell polynomials, and their classical limits.
 
-The central object is the triangle S_r^(M)(n,k) defined by the finite
+The central object is the triangle S_r^(M)(n,k), defined by the finite
 alternating sum
 
     S_r^(M)(n,k) = (1/k!) sum_{j=0}^{k} C(k,j) (-1)^{k-j} [prod_{i=1}^n (j+ir)]^M
 
 whose row sums (and x=1 Bell-polynomial values) are the integer sequences
-this package reproduces.  Every value is an exact integer; the k! division
-is asserted, not assumed.  The classical second-kind triangle and Bell
-numbers are implemented independently through the textbook recurrence and
-serve as a cross-check at r=0, M=1.
+this package reproduces.  The rows are *built* another way: row n is the
+normal form of D(r,M)^n, i.e. row n-1 times (N + n*r)^M on the falling
+factorials N^(k), which the kernel applies by the three-term recurrence
+new[k] = old[k-1] + (k + n*r) old[k].  The defining sum stays here as
+`alternating_sum_row`, an independent oracle whose k! division is
+asserted, not assumed; `verify stirling-expansion` compares it, the
+triangle, and the operator-power fold row by row.  The classical
+second-kind triangle and Bell numbers are implemented independently
+through the textbook recurrence and serve as a cross-check at r=0, M=1.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from .weyl import NormalForm
 __all__ = [
     "StirlingTriangle",
     "gen_stirling",
+    "gen_stirling_rows",
+    "alternating_sum_row",
     "gen_bell_poly",
     "gen_bell_number",
     "bell_sequence",
@@ -50,13 +57,13 @@ OEIS_ASSOCIATIONS = {
 class StirlingTriangle:
     """Rows 0..n of S_r^(M) for fixed r >= 0, M >= 0, grown on demand.
 
-    Row n has width M*n + 1.  The inner products prod_{i<=n}(j+ir) are
-    carried across rows so each extension costs one multiply per entry.
-    Extension is serialized by a lock; reads of already-built rows are
-    safe without it (lists only ever grow).
+    Row n has width M*n + 1 and is built from row n-1 by the kernel's
+    recurrence, so the previous row is all that is carried.  Extension
+    is serialized by a lock; reads of already-built rows are safe without
+    it (lists only ever grow, and a built row is never mutated).
     """
 
-    __slots__ = ("r", "M", "rows", "_products", "_lock")
+    __slots__ = ("r", "M", "rows", "_lock")
 
     def __init__(self, r: int, M: int):
         if r < 0 or M < 0:
@@ -64,7 +71,6 @@ class StirlingTriangle:
         self.r = r
         self.M = M
         self.rows: list[list[int]] = [[1]]
-        self._products: list[int] = [1]
         self._lock = threading.Lock()
 
     def extend_to(self, n_max: int) -> None:
@@ -72,11 +78,9 @@ class StirlingTriangle:
             return
         with self._lock:
             while len(self.rows) <= n_max:
-                n = len(self.rows)
-                row, prods = backend.stirling_row_update(
-                    self.r, self.M, n, self._products
+                row, _ = backend.stirling_row_update(
+                    self.r, self.M, len(self.rows), self.rows[-1]
                 )
-                self._products = prods
                 self.rows.append(row)
 
     def row(self, n: int) -> list[int]:
@@ -86,9 +90,12 @@ class StirlingTriangle:
         return list(self.rows[n])
 
     def value(self, n: int, k: int) -> int:
+        if n < 0:
+            raise ValueError("row index must be nonnegative")
         if k < 0:
             raise ValueError(f"k={k} out of range")
-        row = self.row(n)
+        self.extend_to(n)
+        row = self.rows[n]
         if k >= len(row):
             return 0  # the k-th difference of a lower-degree polynomial
         return row[k]
@@ -112,6 +119,55 @@ def gen_stirling(r: int, M: int, n: int, k: int) -> int:
     if n < 0:
         raise ValueError("n must be nonnegative")
     return _triangle(r, M).value(n, k)
+
+
+def gen_stirling_rows(r: int, M: int, n_max: int) -> list[list[int]]:
+    """Rows 0..n_max of S_r^(M), each a fresh list."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    tri = _triangle(r, M)
+    tri.extend_to(n_max)
+    return [list(row) for row in tri.rows[: n_max + 1]]
+
+
+def alternating_sum_row(r: int, M: int, n: int, products: list[int]):
+    """Row n of S_r^(M) by the defining alternating sum: the oracle path.
+
+    products: P[j] = prod_{i=1}^{n-1} (j + i*r) for j = 0..M*(n-1); pass
+    [1] for n = 1 (row 0 is the single entry 1).  Returns (row, new_products)
+    where row[k] = (1/k!) sum_j C(k,j) (-1)^{k-j} P'[j]^M for k = 0..M*n and
+    P'[j] = P[j]*(j + n*r) extended out to j = M*n.  The k! division must be
+    exact; a remainder raises ArithmeticError.  O(width^2) big-integer
+    terms per row, so it checks the triangle rather than builds it.
+    """
+    width = M * n + 1
+    newp = []
+    for j in range(width):
+        if j < len(products):
+            newp.append(products[j] * (j + n * r))
+        else:
+            p = 1
+            for i in range(1, n + 1):
+                p *= j + i * r
+            newp.append(p)
+    row = []
+    fact_k = 1
+    for k in range(width):
+        if k:
+            fact_k *= k
+        total = 0
+        sign = -1 if k & 1 else 1
+        binom = 1
+        for j in range(k + 1):
+            total += sign * binom * newp[j] ** M
+            sign = -sign
+            binom = binom * (k - j) // (j + 1)
+        q, rem = divmod(total, fact_k)
+        if rem:
+            raise ArithmeticError(
+                f"non-integral generalized Stirling value at r={r} M={M} n={n} k={k}")
+        row.append(q)
+    return row, newp
 
 
 def gen_bell_poly(r: int, M: int, n: int) -> PolyQ:

@@ -41,6 +41,7 @@ from .series import (
     pochhammer,
 )
 from .stirling import (
+    alternating_sum_row,
     b_pp,
     classical_bell,
     gen_bell_number,
@@ -215,26 +216,42 @@ def verify_commutator(r: int, M: int) -> IdentityReport:
 def verify_stirling_expansion(r: int, M: int, n_max: int) -> IdentityReport:
     """[D(r,M)]^n normal-ordered from scratch against the triangle row.
 
-    Coefficient of (ad)^k a^(k+rn) must be S_r^(M)(n, k); the weight-one
-    expectation of each power must then be the Bell number.
+    Three paths per row n: the operator-power fold, the triangle (built
+    by the kernel recurrence), and the defining alternating sum with its
+    exact k! division.  Coefficient of (ad)^k a^(k+rn) in the fold must
+    be S_r^(M)(n, k), the alternating sum must give the same row, and the
+    weight-one expectation of each power must be the Bell number.
     """
     t0 = time.perf_counter()
     params = {"r": r, "M": M, "n_max": n_max}
     d = laguerre_derivative_nf(r, M)
     power = NormalForm.one()
+    products = [1]
     bells = []
     mismatch = None
     for n in range(1, n_max + 1):
         power = power * d
+        row = [gen_stirling(r, M, n, k) for k in range(M * n + 1)]
         ref = NormalForm(
-            {
-                (k, k + r * n): Fraction(gen_stirling(r, M, n, k))
-                for k in range(M * n + 1)
-                if gen_stirling(r, M, n, k)
-            }
+            {(k, k + r * n): Fraction(v) for k, v in enumerate(row) if v}
         )
         mismatch = _nf_mismatch(power, ref, n=n)
         if mismatch is not None:
+            break
+        try:
+            oracle, products = alternating_sum_row(r, M, n, products)
+        except ArithmeticError as exc:
+            mismatch = {"n": n, "where": "alternating sum", "error": str(exc)}
+            break
+        if oracle != row:
+            k = next(k for k, (a, b) in enumerate(zip(row, oracle)) if a != b)
+            mismatch = {
+                "n": n,
+                "k": k,
+                "left": str(row[k]),
+                "right": str(oracle[k]),
+                "where": "triangle vs alternating sum",
+            }
             break
         bell = power.expectation_at_one()
         if bell != gen_bell_number(r, M, n):
@@ -247,7 +264,13 @@ def verify_stirling_expansion(r: int, M: int, n_max: int) -> IdentityReport:
             break
         bells.append(int(bell))
     return _finish(
-        "stirling-expansion", params, "exact", t0, mismatch, {"bell_values": bells}
+        "stirling-expansion",
+        params,
+        "exact",
+        t0,
+        mismatch,
+        {"bell_values": bells,
+         "paths": ["power fold", "triangle", "alternating sum"]},
     )
 
 

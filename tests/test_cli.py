@@ -1,9 +1,12 @@
 """End-to-end CLI contract: output formats, exit codes, cache behavior."""
 
 import json
+import os
+import threading
 
 import pytest
 
+from normord import cache
 from normord.cli import main
 from normord.parser import parse_expr
 from normord.serialize import normal_form_from_json
@@ -202,6 +205,37 @@ def test_cache_clear_counts(capsys, tmp_path):
     assert code == 0
     assert out.strip() == "removed 2 cache file(s)"
     assert not list(tmp_path.glob("triangle-v1-*.txt"))
+
+
+def test_cache_concurrent_writers(tmp_path, monkeypatch):
+    # both writers miss, then both reach os.replace before either moves
+    # its file into place, so a shared temp name would lose one replace
+    real_replace = os.replace
+    barrier = threading.Barrier(2, timeout=30)
+
+    def replace_together(src, dst):
+        barrier.wait()
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cache.os, "replace", replace_together)
+    results = [None, None]
+
+    def writer(i):
+        results[i] = cache.load_triangle(2, 2, 9, tmp_path)
+
+    threads = [threading.Thread(target=writer, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    (rows_a, hit_a, warn_a), (rows_b, hit_b, warn_b) = results
+    assert rows_a == rows_b
+    assert not hit_a and not hit_b
+    assert warn_a is None and warn_b is None
+    path = cache.triangle_path(tmp_path, 2, 2, 9)
+    assert cache.parse_triangle(path.read_text(), 2, 2, 9) == rows_a
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):

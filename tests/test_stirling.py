@@ -1,4 +1,5 @@
 """Generalized Stirling/Bell numbers: frozen sequences, classical anchors,
+the recurrence-built triangle against its defining alternating sum,
 first-kind identities, and the Dobinski sums."""
 
 from fractions import Fraction
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normord.cache import compute_triangle, render_triangle
 from normord.series import PolyQ, binomial, factorial
 from normord.stirling import (
     StirlingTriangle,
+    alternating_sum_row,
     b_pp,
     bell_sequence,
     classical_bell,
@@ -78,6 +81,54 @@ def test_triangle_object_matches_function():
     tri.extend_to(5)
     for n in range(6):
         assert tri.rows[n] == [gen_stirling(2, 2, n, k) for k in range(2 * n + 1)]
+
+
+def test_recurrence_rows_match_alternating_sum():
+    # M = 0 makes every row [1]; r = 0 drops the i*r shifts
+    for r in range(5):
+        for M in range(5):
+            tri = StirlingTriangle(r, M)
+            tri.extend_to(25)
+            products = [1]
+            for n in range(1, 26):
+                row, products = alternating_sum_row(r, M, n, products)
+                assert tri.rows[n] == row, (r, M, n)
+            if M == 0:
+                assert tri.rows == [[1]] * 26
+
+
+def test_recurrence_r0_m1_is_classical_stirling2():
+    tri = StirlingTriangle(0, 1)
+    tri.extend_to(30)
+    for n in range(31):
+        assert tri.rows[n] == [classical_stirling2(n, k) for k in range(n + 1)]
+
+
+def test_alternating_sum_rejects_perturbed_products():
+    products = [1]
+    for n in (1, 2):
+        _, products = alternating_sum_row(1, 1, n, products)
+    assert products == [2, 6, 12]
+    products[2] += 1
+    with pytest.raises(ArithmeticError, match="non-integral"):
+        alternating_sum_row(1, 1, 3, products)
+
+
+def test_compute_triangle_matches_gen_stirling():
+    for r, M, n_max in ((0, 1, 12), (1, 1, 15), (2, 3, 8), (3, 0, 4)):
+        rows = compute_triangle(r, M, n_max)
+        assert len(rows) == n_max + 1
+        for n, row in enumerate(rows):
+            assert row == [gen_stirling(r, M, n, k) for k in range(M * n + 1)]
+
+
+def test_render_triangle_pinned():
+    # rendered by the alternating-sum build before rows came from the
+    # recurrence; the cache format must not change with the builder
+    assert render_triangle(2, 2, compute_triangle(2, 2, 3)) == (
+        "normord-triangle-cache 1\nr 2\nM 2\nrows 4\n1\n4 5 1\n"
+        "64 161 95 18 1\n2304 8721 8559 3234 537 39 1\n"
+    )
 
 
 def test_gen_bell_poly_structure():

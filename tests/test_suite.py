@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from normord import suite
 from normord.suite import (
     SUITE_IDS,
     IdentityReport,
@@ -16,6 +17,7 @@ from normord.suite import (
     verify_commutator,
     verify_exp_on_kummer,
     verify_exp_on_monomial,
+    verify_stirling_expansion,
 )
 
 
@@ -40,6 +42,35 @@ def test_suite_deterministic_and_sorted():
     keys = [(r.identity, json.dumps(r.parameters, sort_keys=True, default=str))
             for r in a]
     assert keys == sorted(keys)
+
+
+def test_stirling_expansion_compares_three_paths(monkeypatch):
+    rep = verify_stirling_expansion(2, 3, 6)
+    assert rep.status == "pass"
+    assert rep.details["paths"] == ["power fold", "triangle", "alternating sum"]
+
+    # the alternating sum is a path of its own: a fault in it alone fails
+    real = suite.alternating_sum_row
+
+    def off_by_one(r, M, n, products):
+        row, products = real(r, M, n, products)
+        if n == 4:
+            row[2] += 1
+        return row, products
+
+    monkeypatch.setattr(suite, "alternating_sum_row", off_by_one)
+    rep = verify_stirling_expansion(2, 3, 6)
+    assert rep.status == "fail"
+    assert rep.details["first_mismatch"]["where"] == "triangle vs alternating sum"
+    assert (rep.details["first_mismatch"]["n"], rep.details["first_mismatch"]["k"]) == (4, 2)
+
+    def inexact(r, M, n, products):
+        raise ArithmeticError("non-integral generalized Stirling value")
+
+    monkeypatch.setattr(suite, "alternating_sum_row", inexact)
+    rep = verify_stirling_expansion(1, 1, 3)
+    assert rep.status == "fail"
+    assert rep.details["first_mismatch"]["where"] == "alternating sum"
 
 
 def test_exact_mode_never_carries_tolerance():
