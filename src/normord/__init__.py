@@ -6,12 +6,8 @@ Bell objects attached to operators of the form a^r (ad a)^M, and checks
 every closed-form identity it ships against independent oracles: a
 rewriting system, single-contraction products, weighted-graph counting,
 and high-precision numerics for the transcendental closed forms.
-
-The compiled kernels are used automatically when the extension built;
-`normord.backend.BACKEND` says which implementation is live.
 """
 
-from .backend import BACKEND
 from .hyperreal import HighPrecReal
 from .parser import ParseError, parse_expr
 from .series import (
@@ -78,7 +74,6 @@ from .cache import load_triangle
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "HighPrecReal",
     "ParseError",
     "parse_expr",

@@ -9,7 +9,9 @@ Grammar (loosest binding first):
 
 `n` is sugar for the two-letter word ad*a, expanded at parse time.  The
 result is a BosonExpr (free-algebra element); powers expand to word
-repetition, so nothing here consults the commutator.
+repetition, so nothing here consults the commutator.  Parentheses nest at
+most MAX_NESTING deep: the parser recurses once per level, and a deeper
+input is a ParseError rather than a RecursionError.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from fractions import Fraction
 
 from .weyl import ANNIHILATOR, CREATOR, BosonExpr
 
-__all__ = ["ParseError", "parse_expr", "tokenize"]
+__all__ = ["MAX_NESTING", "ParseError", "parse_expr", "tokenize"]
+
+MAX_NESTING = 200
 
 
 class ParseError(ValueError):
@@ -84,6 +88,7 @@ class _Parser:
         self.text = text
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         if self.pos < len(self.tokens):
@@ -159,8 +164,13 @@ class _Parser:
         if kind == "name":
             return {"a": _A, "ad": _AD, "n": _N}[value]
         if kind == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", pos)
             out = self.expression()
             self.expect(")")
+            self.depth -= 1
             return out
         raise ParseError(f"unexpected '{value}'", pos)
 

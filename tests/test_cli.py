@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import threading
 
 import pytest
@@ -71,6 +73,17 @@ def test_order_parse_error_exits_2(capsys):
     code, out, err = run(capsys, "order", "a*)(")
     assert code == 2
     assert "position 2" in out + err
+
+
+def test_order_deep_nesting_exits_2():
+    # A subprocess, because an uncaught RecursionError would exit with 1.
+    text = "(" * 1500 + "a" + ")" * 1500
+    proc = subprocess.run([sys.executable, "-m", "normord.cli", "order", text],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: parentheses nested deeper than")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_order_rejects_bad_power_and_bfile(capsys):

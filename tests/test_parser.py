@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from normord.parser import ParseError, parse_expr, tokenize
+from normord.parser import MAX_NESTING, ParseError, parse_expr, tokenize
 from normord.weyl import BosonExpr
 
 
@@ -84,3 +84,11 @@ def test_tokenizer_reports_bad_character():
 
 def test_whitespace_insensitive():
     assert parse_expr(" a * ad ").terms == parse_expr("a*ad").terms
+
+
+def test_nesting_limit():
+    deep = "(" * MAX_NESTING + "a" + ")" * MAX_NESTING
+    assert word_of(parse_expr(deep)) == ((0,), 1)
+    with pytest.raises(ParseError) as ei:
+        parse_expr("(" + deep + ")")
+    assert ei.value.position == MAX_NESTING
