@@ -62,7 +62,8 @@ from .closedform import (
     hyp_closed_form_check,
     hyp_generating_function_check,
 )
-from .suite import IdentityReport, run_identity, run_suite, suite_passed
+from .report import IdentityReport
+from .suite import run_identity, run_suite, suite_passed
 from .serialize import (
     normal_form_from_json,
     normal_form_to_json,

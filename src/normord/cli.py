@@ -37,7 +37,6 @@ DEFAULT_TOLERANCE = Fraction(1, 10**30)
 
 @dataclass(frozen=True)
 class Config:
-    series_order: int = 32
     lambda_order: int = 8
     precision: int = 50
     tolerance: Fraction = DEFAULT_TOLERANCE
@@ -47,8 +46,6 @@ class Config:
     def __post_init__(self):
         if self.fmt not in ("json", "table", "bfile"):
             raise ValueError(f"unknown output format {self.fmt!r}")
-        if self.series_order < 1:
-            raise ValueError("series order must be >= 1")
         if self.lambda_order < 0:
             raise ValueError("lambda order must be >= 0")
         if self.precision < 30:
@@ -95,8 +92,6 @@ def _add_global_flags(p: argparse.ArgumentParser):
     g.add_argument("--format", choices=("json", "table", "bfile"),
                    default=argparse.SUPPRESS,
                    help="output format (default json)")
-    g.add_argument("--order", type=int, default=argparse.SUPPRESS,
-                   help="series truncation order (default 32)")
     g.add_argument("--lambda-order", dest="lambda_order", type=int,
                    default=argparse.SUPPRESS,
                    help="highest retained power of the expansion parameter")
@@ -152,8 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from_namespace(ns: argparse.Namespace) -> Config:
     kwargs = {}
-    if hasattr(ns, "order"):
-        kwargs["series_order"] = ns.order
     if hasattr(ns, "lambda_order"):
         kwargs["lambda_order"] = ns.lambda_order
     if hasattr(ns, "precision"):

@@ -1,18 +1,23 @@
 """Hypergeometric closed forms and assembled normally ordered identities.
 
-Every function here cross-checks two independently computed objects:
+Every check here cross-checks two independently computed objects:
 one side comes from the exact combinatorial machinery (operator rewrite
 oracle, Stirling rows, Bell polynomials), the other from a closed form
 assembled out of hypergeometric series, Bessel/Laguerre/Kummer pieces,
 or double-dot series. Integer/rational cases compare Fractions; cases
 with half- or third-integer gamma prefactors go through HighPrecReal
-and report the worst relative deviation.
+and report the worst relative deviation. Each public check times itself
+and returns an IdentityReport whose parameters include the orders it ran
+to (n_max or lambda_order); the conjecture probe's report is
+informational and records only its precision.
 """
 
+import time
 from fractions import Fraction
 
 from .hyperreal import HighPrecReal
 from .laguerre import DotSeries
+from .report import IdentityReport, _finish, _nf_mismatch
 from .series import (
     SeriesQ,
     factorial,
@@ -28,7 +33,14 @@ from .weyl import NormalForm, laguerre_derivative_nf
 DEFAULT_PRECISION = 50
 DEFAULT_TOLERANCE = Fraction(1, 10**30)
 
-CLOSED_FORM_KINDS = ("stirling-hyp", "bell-hyp-r1", "bell-hyp-r2", "bell-hyp-r3")
+# kind -> (r of its operator family, default highest row n_max)
+CLOSED_FORMS = {
+    "stirling-hyp": (1, 5),
+    "bell-hyp-r1": (1, 5),
+    "bell-hyp-r2": (2, 3),
+    "bell-hyp-r3": (3, 2),
+}
+CLOSED_FORM_KINDS = tuple(CLOSED_FORMS)
 
 EXAMPLE_IDS = (
     "laguerre-ogf",
@@ -40,19 +52,6 @@ EXAMPLE_IDS = (
     "eigen-operator",
     "hyp-compact",
 )
-
-
-def _report(identity, parameters, orders, mode, status, **extra):
-    rep = {
-        "identity": identity,
-        "parameters": parameters,
-        "orders": orders,
-        "mode": mode,
-        "status": status,
-        "first_mismatch": None,
-    }
-    rep.update(extra)
-    return rep
 
 
 def hyp_sum_adaptive(
@@ -149,7 +148,7 @@ def _oracle_powers(r: int, M: int, n_max: int) -> list:
 # Stirling / Bell closed forms
 
 
-def _check_stirling_hyp(M: int, n_max: int) -> dict:
+def _check_stirling_hyp(M: int, n_max: int, t0: float) -> IdentityReport:
     checks = 0
     first = None
     for n in range(n_max + 1):
@@ -162,18 +161,11 @@ def _check_stirling_hyp(M: int, n_max: int) -> dict:
             checks += 1
             if val != ref and first is None:
                 first = {"n": n, "k": k, "closed_form": str(val), "reference": str(ref)}
-    return _report(
-        "stirling-hyp",
-        {"r": 1, "M": M},
-        {"n_max": n_max},
-        "exact",
-        "pass" if first is None else "fail",
-        first_mismatch=first,
-        checks=checks,
-    )
+    return _finish("stirling-hyp", {"r": 1, "M": M, "n_max": n_max}, "exact", t0,
+                   first, {"first_mismatch": first, "checks": checks})
 
 
-def _check_bell_hyp_r1(M: int, n_max: int) -> dict:
+def _check_bell_hyp_r1(M: int, n_max: int, t0: float) -> IdentityReport:
     # e^x * B(n,x) has the same series coefficients as the bare mFm,
     # so the comparison stays rational.
     checks = 0
@@ -194,15 +186,8 @@ def _check_bell_hyp_r1(M: int, n_max: int) -> dict:
                     "scaled_bell": str(lhs.coeff(i)),
                     "closed_form": str(rhs.coeff(i)),
                 }
-    return _report(
-        "bell-hyp-r1",
-        {"r": 1, "M": M},
-        {"n_max": n_max},
-        "exact",
-        "pass" if first is None else "fail",
-        first_mismatch=first,
-        checks=checks,
-    )
+    return _finish("bell-hyp-r1", {"r": 1, "M": M, "n_max": n_max}, "exact", t0,
+                   first, {"first_mismatch": first, "checks": checks})
 
 
 def _bell_r2_closed_value(M: int, n: int, x: Fraction, prec: int) -> HighPrecReal:
@@ -273,7 +258,9 @@ def _bell_r3_closed_value(M: int, n: int, x: Fraction, prec: int) -> HighPrecRea
     return HighPrecReal.exp_of(-x, prec) * (t1 + t2 + t3) / denom
 
 
-def _check_bell_hyp_numeric(r: int, M: int, n_max: int, x_samples, prec, tol) -> dict:
+def _check_bell_hyp_numeric(
+    r: int, M: int, n_max: int, x_samples, prec, tol, t0: float
+) -> IdentityReport:
     closed = _bell_r2_closed_value if r == 2 else _bell_r3_closed_value
     checks = 0
     worst_rel = None
@@ -299,51 +286,49 @@ def _check_bell_hyp_numeric(r: int, M: int, n_max: int, x_samples, prec, tol) ->
                     "closed_form": str(val),
                     "reference": str(ref),
                 }
-    return _report(
-        f"bell-hyp-r{r}",
-        {"r": r, "M": M, "x_samples": [str(Fraction(x)) for x in x_samples]},
-        {"n_max": n_max},
-        "numeric",
-        "pass" if first is None else "fail",
-        first_mismatch=first,
-        checks=checks,
-        max_rel_dev=str(worst_rel),
-        max_abs_dev=str(worst_abs),
-        precision=prec,
-        tolerance=str(tol),
-    )
+    params = {"r": r, "M": M, "x_samples": [str(Fraction(x)) for x in x_samples],
+              "n_max": n_max}
+    details = {"first_mismatch": first, "checks": checks,
+               "max_rel_dev": str(worst_rel), "max_abs_dev": str(worst_abs)}
+    return _finish(f"bell-hyp-r{r}", params, "numeric", t0, first, details,
+                   precision=prec, tolerance=str(tol))
 
 
 def hyp_closed_form_check(
     kind: str,
-    r: int,
-    M: int,
-    n: int,
+    r: int | None = None,
+    M: int = 1,
+    n_max: int | None = None,
     x_samples=None,
     precision: int = DEFAULT_PRECISION,
     tolerance=DEFAULT_TOLERANCE,
-) -> dict:
+) -> IdentityReport:
     """Check one hypergeometric closed form against the exact machinery.
 
-    kind selects the identity; r must match the kind's operator family
-    (1 for stirling-hyp and bell-hyp-r1, 2 for bell-hyp-r2, 3 for
-    bell-hyp-r3). n is the highest row checked. x_samples matter only
-    for the numeric kinds.
+    kind selects the identity (a key of CLOSED_FORMS); r, when given,
+    must match the kind's operator family (1 for stirling-hyp and
+    bell-hyp-r1, 2 for bell-hyp-r2, 3 for bell-hyp-r3). n_max is the
+    highest row checked, by default the kind's own. x_samples matter
+    only for the numeric kinds.
     """
-    expected_r = {"stirling-hyp": 1, "bell-hyp-r1": 1, "bell-hyp-r2": 2, "bell-hyp-r3": 3}
-    if kind not in expected_r:
+    t0 = time.perf_counter()
+    if kind not in CLOSED_FORMS:
         raise ValueError(f"unknown closed-form kind {kind!r}")
-    if r != expected_r[kind]:
-        raise ValueError(f"kind {kind} is the r={expected_r[kind]} closed form, got r={r}")
-    if M < 1 or n < 0:
-        raise ValueError("need M >= 1 and n >= 0")
+    family_r, default_n_max = CLOSED_FORMS[kind]
+    if r is not None and r != family_r:
+        raise ValueError(f"kind {kind} is the r={family_r} closed form, got r={r}")
+    if n_max is None:
+        n_max = default_n_max
+    if M < 1 or n_max < 0:
+        raise ValueError("need M >= 1 and n_max >= 0")
     if kind == "stirling-hyp":
-        return _check_stirling_hyp(M, n)
+        return _check_stirling_hyp(M, n_max, t0)
     if kind == "bell-hyp-r1":
-        return _check_bell_hyp_r1(M, n)
+        return _check_bell_hyp_r1(M, n_max, t0)
     if x_samples is None:
         x_samples = (Fraction(1, 2), Fraction(1), Fraction(2))
-    return _check_bell_hyp_numeric(r, M, n, x_samples, precision, tolerance)
+    return _check_bell_hyp_numeric(family_r, M, n_max, x_samples, precision,
+                                   tolerance, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +338,12 @@ def hyp_closed_form_check(
 def hyp_generating_function_check(
     r: int,
     M: int,
-    x,
-    lambda_order: int,
+    x=1,
+    lambda_order: int = 6,
     precision: int = DEFAULT_PRECISION,
     tolerance=DEFAULT_TOLERANCE,
     max_terms: int = 200000,
-) -> dict:
+) -> IdentityReport:
     """exp(-x) sum_l x^l/l! mFm([l/r+1 x M],[1 x M], r^M t) against the
     Bell column t^n -> B(n,x)/(n!)^(M+1), coefficientwise through
     t^lambda_order.
@@ -368,11 +353,14 @@ def hyp_generating_function_check(
     cap cannot be certified within the term budget the report says so
     instead of passing.
     """
+    t0 = time.perf_counter()
     if r < 1 or M < 0 or lambda_order < 0:
         raise ValueError("need r >= 1, M >= 0, lambda_order >= 0")
     x = Fraction(x)
     if x < 0:
         raise ValueError("x must be >= 0")
+    params = {"r": r, "M": M, "x": str(x), "lambda_order": lambda_order}
+    numctx = {"precision": precision, "tolerance": str(tolerance)}
     n_top = lambda_order
     refs = [gen_bell_poly(r, M, n).eval(x) for n in range(n_top + 1)]
     totals = [Fraction(0)] * (n_top + 1)
@@ -399,17 +387,9 @@ def hyp_generating_function_check(
         weight = nxt_weight
         l += 1
     if not truncated_ok:
-        return _report(
-            "hyp-generating-function",
-            {"r": r, "M": M, "x": str(x)},
-            {"lambda_order": lambda_order},
-            "numeric",
-            "fail",
-            first_mismatch={"reason": "tail bound not certified within term budget"},
-            outer_terms=l,
-            precision=precision,
-            tolerance=str(tolerance),
-        )
+        first = {"reason": "tail bound not certified within term budget"}
+        return _finish("hyp-generating-function", params, "numeric", t0, first,
+                       {"first_mismatch": first, "outer_terms": l}, **numctx)
     emx = HighPrecReal.exp_of(-x, precision)
     worst_rel = None
     worst_abs = None
@@ -425,19 +405,10 @@ def hyp_generating_function_check(
             worst_abs = absdev
         if not val.agrees_with(ref, tolerance) and first is None:
             first = {"n": n, "left": str(val), "right": str(ref)}
-    return _report(
-        "hyp-generating-function",
-        {"r": r, "M": M, "x": str(x)},
-        {"lambda_order": lambda_order},
-        "numeric",
-        "pass" if first is None else "fail",
-        first_mismatch=first,
-        outer_terms=l + 1,
-        max_rel_dev=str(worst_rel),
-        max_abs_dev=str(worst_abs),
-        precision=precision,
-        tolerance=str(tolerance),
-    )
+    details = {"first_mismatch": first, "outer_terms": l + 1,
+               "max_rel_dev": str(worst_rel), "max_abs_dev": str(worst_abs)}
+    return _finish("hyp-generating-function", params, "numeric", t0, first,
+                   details, **numctx)
 
 
 # ---------------------------------------------------------------------------
@@ -448,28 +419,11 @@ def _dot_nf_list(ds: DotSeries, n_max: int) -> list:
     return [ds.lambda_coefficient(n) for n in range(n_max + 1)]
 
 
-def _first_nf_mismatch(n, lhs: NormalForm, rhs: NormalForm):
-    if lhs == rhs:
-        return None
-    for key in sorted(set(lhs.terms) | set(rhs.terms)):
-        cl = lhs.terms.get(key, Fraction(0))
-        cr = rhs.terms.get(key, Fraction(0))
-        if cl != cr:
-            return {
-                "lambda": n,
-                "dag": key[0],
-                "ann": key[1],
-                "left": str(cl),
-                "right": str(cr),
-            }
-    return None
-
-
 def _compare_nf_lists(lhs_list, rhs_list):
     checks = 0
     for n, (lhs, rhs) in enumerate(zip(lhs_list, rhs_list)):
         checks += 1
-        miss = _first_nf_mismatch(n, lhs, rhs)
+        miss = _nf_mismatch(lhs, rhs, "lambda", n)
         if miss is not None:
             return checks, miss
     return checks, None
@@ -487,7 +441,7 @@ def _kummer_sides(b: Fraction, lambda_order: int):
     return lhs, rhs, arg
 
 
-def _example_laguerre_ogf(lambda_order: int) -> dict:
+def _example_laguerre_ogf(lambda_order: int, t0: float) -> IdentityReport:
     order = lambda_order + 1
     powers = _oracle_powers(1, 1, lambda_order)
     lhs = [powers[n].scale(Fraction(1, factorial(n))) for n in range(order)]
@@ -507,25 +461,18 @@ def _example_laguerre_ogf(lambda_order: int) -> dict:
                 }
             )
             checks += 1
-            miss = _first_nf_mismatch(n, lhs[n], nf)
+            miss = _nf_mismatch(lhs[n], nf, "lambda", n)
             if miss is not None:
                 first = miss
                 break
         else:
             notes.append("Laguerre-polynomial rows agree with both sides")
-    return _report(
-        "laguerre-ogf",
-        {"r": 1, "M": 1},
-        {"lambda_order": lambda_order},
-        "exact",
-        "pass" if first is None else "fail",
-        first_mismatch=first,
-        checks=checks,
-        notes=notes,
-    )
+    return _finish("laguerre-ogf", {"r": 1, "M": 1, "lambda_order": lambda_order},
+                   "exact", t0, first,
+                   {"first_mismatch": first, "checks": checks, "notes": notes})
 
 
-def _example_kummer_b3(lambda_order: int) -> dict:
+def _example_kummer_b3(lambda_order: int, t0: float) -> IdentityReport:
     order = lambda_order + 1
     lhs, rhs_generic, arg = _kummer_sides(Fraction(3), lambda_order)
     inv_cubed = DotSeries.binpow(order, -1, 1, -3)
@@ -542,16 +489,10 @@ def _example_kummer_b3(lambda_order: int) -> dict:
         checks += more
         if first is None:
             notes.append("generic Kummer dot form agrees as well")
-    return _report(
-        "kummer-b3",
-        {"r": 1, "M": 1, "b": "3"},
-        {"lambda_order": lambda_order},
-        "exact",
-        "pass" if first is None else "fail",
-        first_mismatch=first,
-        checks=checks,
-        notes=notes,
-    )
+    return _finish("kummer-b3",
+                   {"r": 1, "M": 1, "b": "3", "lambda_order": lambda_order},
+                   "exact", t0, first,
+                   {"first_mismatch": first, "checks": checks, "notes": notes})
 
 
 def _nf_rel_deviation(lhs: NormalForm, rhs: NormalForm, prec: int):
@@ -565,7 +506,8 @@ def _nf_rel_deviation(lhs: NormalForm, rhs: NormalForm, prec: int):
     return worst
 
 
-def _example_kummer_b3half(lambda_order: int, prec: int, tol) -> dict:
+def _example_kummer_b3half(lambda_order: int, prec: int, tol,
+                           t0: float) -> IdentityReport:
     b = Fraction(3, 2)
     order = lambda_order + 1
     lhs, rhs_generic, arg = _kummer_sides(b, lambda_order)
@@ -584,33 +526,31 @@ def _example_kummer_b3half(lambda_order: int, prec: int, tol) -> dict:
             if rel is not None and (worst is None or rel > worst):
                 worst = rel
             if first is None:
-                miss = _first_nf_mismatch(n, lhs[n], cand)
+                miss = _nf_mismatch(lhs[n], cand, "lambda", n)
                 if miss is not None:
                     cl = HighPrecReal(Fraction(miss["left"]), prec)
                     cr = HighPrecReal(Fraction(miss["right"]), prec)
                     if not cl.agrees_with(cr, tol):
                         first = miss
-    return _report(
-        "kummer-b3half",
-        {"r": 1, "M": 1, "b": "3/2"},
-        {"lambda_order": lambda_order},
-        "numeric",
-        "pass" if first is None else "fail",
-        first_mismatch=first,
-        checks=checks,
-        max_abs_dev="0" if worst is None else str(worst),
-        max_rel_dev="0" if worst is None else str(worst),
-        precision=prec,
-        tolerance=str(tol),
-        notes=[
+    details = {
+        "first_mismatch": first,
+        "checks": checks,
+        "max_abs_dev": "0" if worst is None else str(worst),
+        "max_rel_dev": "0" if worst is None else str(worst),
+        "notes": [
             "Bessel assembly uses the prefactor (1-ta)^(-3/2) and the factor"
             " u multiplying I1, both required for the bracket to reduce the"
             " generic Kummer form"
         ],
-    )
+    }
+    return _finish("kummer-b3half",
+                   {"r": 1, "M": 1, "b": "3/2", "lambda_order": lambda_order},
+                   "numeric", t0, first, details,
+                   precision=prec, tolerance=str(tol))
 
 
-def _example_laguerre_shifted(lambda_order: int, p: int) -> dict:
+def _example_laguerre_shifted(lambda_order: int, p: int,
+                              t0: float) -> IdentityReport:
     if p < 1:
         raise ValueError("p must be >= 1")
     order = lambda_order + 1
@@ -637,18 +577,13 @@ def _example_laguerre_shifted(lambda_order: int, p: int) -> dict:
     shift = DotSeries.monomial(order, p, 0, p)
     rhs = _dot_nf_list(pref * arg.exp() * lp * shift, lambda_order)
     checks, first = _compare_nf_lists(lhs, rhs)
-    return _report(
-        "laguerre-shifted",
-        {"r": 1, "M": 1, "p": p},
-        {"lambda_order": lambda_order},
-        "exact",
-        "pass" if first is None else "fail",
-        first_mismatch=first,
-        checks=checks,
-    )
+    return _finish("laguerre-shifted",
+                   {"r": 1, "M": 1, "p": p, "lambda_order": lambda_order},
+                   "exact", t0, first, {"first_mismatch": first, "checks": checks})
 
 
-def _example_bessel(example_id: str, lambda_order: int) -> dict:
+def _example_bessel(example_id: str, lambda_order: int,
+                    t0: float) -> IdentityReport:
     order = lambda_order + 1
     powers = _oracle_powers(1, 1, lambda_order)
     sign = 1 if example_id == "bessel-i0" else -1
@@ -662,9 +597,10 @@ def _example_bessel(example_id: str, lambda_order: int) -> dict:
     rhs = _dot_nf_list(rhs_ds, lambda_order)
     checks, first = _compare_nf_lists(lhs, rhs)
     notes = []
-    if example_id == "bessel-j0" and first is None:
+    if example_id == "bessel-j0" and first is None and lambda_order >= 1:
         # Same series with the inner sign dropped: that variant must break
         # at t^1, which pins the corrected inner argument as the real form.
+        # At lambda_order 0 the two agree by construction: nothing to test.
         wrong = outer * body.apply_function(
             [Fraction(1, factorial(m) ** 2) for m in range(order)]
         )
@@ -676,20 +612,14 @@ def _example_bessel(example_id: str, lambda_order: int) -> dict:
                 "inner argument needs the global sign flip; the variant without"
                 f" it first differs at lambda^{wrong_first['lambda']}"
             )
-    return _report(
-        example_id,
-        {"r": 1, "M": 1},
-        {"lambda_order": lambda_order},
-        "exact",
-        "pass" if first is None else "fail",
-        first_mismatch=first,
-        checks=checks,
-        notes=notes,
-    )
+    return _finish(example_id, {"r": 1, "M": 1, "lambda_order": lambda_order},
+                   "exact", t0, first,
+                   {"first_mismatch": first, "checks": checks, "notes": notes})
 
 
-def bessel_parity_check(lambda_order: int) -> dict:
+def bessel_parity_check(lambda_order: int) -> IdentityReport:
     """The two Bessel expansions are global t -> -t images of each other."""
+    t0 = time.perf_counter()
     order = lambda_order + 1
     body = DotSeries.monomial(order, 1, 1, 2)
     i0 = DotSeries.monomial(order, 1, 0, 1).exp() * body.apply_function(
@@ -703,19 +633,11 @@ def bessel_parity_check(lambda_order: int) -> dict:
     for n in range(order):
         checks += 1
         flipped = i0.lambda_coefficient(n).scale((-1) ** n)
-        miss = _first_nf_mismatch(n, j0.lambda_coefficient(n), flipped)
-        if miss is not None:
-            first = miss
+        first = _nf_mismatch(j0.lambda_coefficient(n), flipped, "lambda", n)
+        if first is not None:
             break
-    return _report(
-        "bessel-parity",
-        {"r": 1, "M": 1},
-        {"lambda_order": lambda_order},
-        "exact",
-        "pass" if first is None else "fail",
-        first_mismatch=first,
-        checks=checks,
-    )
+    return _finish("bessel-parity", {"r": 1, "M": 1, "lambda_order": lambda_order},
+                   "exact", t0, first, {"first_mismatch": first, "checks": checks})
 
 
 def _alternating_row_nf(n: int, M: int, k_max: int, scaled_by_n_fact: bool) -> NormalForm:
@@ -737,7 +659,8 @@ def _alternating_row_nf(n: int, M: int, k_max: int, scaled_by_n_fact: bool) -> N
     return NormalForm(terms)
 
 
-def _example_eigen_operator(lambda_order: int, M: int) -> dict:
+def _example_eigen_operator(lambda_order: int, M: int,
+                            t0: float) -> IdentityReport:
     powers = _oracle_powers(1, M, lambda_order)
     checks = 0
     first = None
@@ -748,7 +671,7 @@ def _example_eigen_operator(lambda_order: int, M: int) -> dict:
             Fraction(1, factorial(n))
         )
         checks += 1
-        miss = _first_nf_mismatch(n, lhs, rhs)
+        miss = _nf_mismatch(lhs, rhs, "lambda", n)
         if miss is not None and first is None:
             first = miss
         if powers[n].expectation_at_one() != gen_bell_number(1, M, n):
@@ -756,19 +679,12 @@ def _example_eigen_operator(lambda_order: int, M: int) -> dict:
     notes = ["weight-one expectations match the Bell numbers"] if bell_ok else []
     if not bell_ok and first is None:
         first = {"lambda": None, "note": "Bell cross-check failed"}
-    return _report(
-        "eigen-operator",
-        {"r": 1, "M": M},
-        {"lambda_order": lambda_order},
-        "exact",
-        "pass" if first is None else "fail",
-        first_mismatch=first,
-        checks=checks,
-        notes=notes,
-    )
+    return _finish("eigen-operator", {"r": 1, "M": M, "lambda_order": lambda_order},
+                   "exact", t0, first,
+                   {"first_mismatch": first, "checks": checks, "notes": notes})
 
 
-def _example_hyp_compact(lambda_order: int, M: int) -> dict:
+def _example_hyp_compact(lambda_order: int, M: int, t0: float) -> IdentityReport:
     powers = _oracle_powers(1, M, lambda_order)
     checks = 0
     first = None
@@ -788,18 +704,11 @@ def _example_hyp_compact(lambda_order: int, M: int) -> dict:
                 terms[(k, k + n)] = total * factorial(n) ** M
         rhs = NormalForm(terms)
         checks += 1
-        miss = _first_nf_mismatch(n, powers[n], rhs)
+        miss = _nf_mismatch(powers[n], rhs, "lambda", n)
         if miss is not None and first is None:
             first = miss
-    return _report(
-        "hyp-compact",
-        {"r": 1, "M": M},
-        {"lambda_order": lambda_order},
-        "exact",
-        "pass" if first is None else "fail",
-        first_mismatch=first,
-        checks=checks,
-    )
+    return _finish("hyp-compact", {"r": 1, "M": M, "lambda_order": lambda_order},
+                   "exact", t0, first, {"first_mismatch": first, "checks": checks})
 
 
 def example_normal_forms(
@@ -809,7 +718,7 @@ def example_normal_forms(
     M: int = 2,
     precision: int = DEFAULT_PRECISION,
     tolerance=DEFAULT_TOLERANCE,
-) -> dict:
+) -> IdentityReport:
     """Verify one assembled normally ordered expansion per lambda power.
 
     The left side is always Taylor coefficients applied to oracle powers
@@ -817,22 +726,23 @@ def example_normal_forms(
     double-dot series. p feeds laguerre-shifted, M the two family-wide
     identities.
     """
+    t0 = time.perf_counter()
     if lambda_order < 0:
         raise ValueError("lambda_order must be >= 0")
     if example_id == "laguerre-ogf":
-        return _example_laguerre_ogf(lambda_order)
+        return _example_laguerre_ogf(lambda_order, t0)
     if example_id == "kummer-b3":
-        return _example_kummer_b3(lambda_order)
+        return _example_kummer_b3(lambda_order, t0)
     if example_id == "kummer-b3half":
-        return _example_kummer_b3half(lambda_order, precision, tolerance)
+        return _example_kummer_b3half(lambda_order, precision, tolerance, t0)
     if example_id == "laguerre-shifted":
-        return _example_laguerre_shifted(lambda_order, p)
+        return _example_laguerre_shifted(lambda_order, p, t0)
     if example_id in ("bessel-i0", "bessel-j0"):
-        return _example_bessel(example_id, lambda_order)
+        return _example_bessel(example_id, lambda_order, t0)
     if example_id == "eigen-operator":
-        return _example_eigen_operator(lambda_order, M)
+        return _example_eigen_operator(lambda_order, M, t0)
     if example_id == "hyp-compact":
-        return _example_hyp_compact(lambda_order, M)
+        return _example_hyp_compact(lambda_order, M, t0)
     raise ValueError(f"unknown example id {example_id!r}")
 
 
@@ -875,12 +785,18 @@ def _solve_linear(matrix, rhs, prec):
 
 
 def conjecture_probe(
-    r: int, M: int, n: int, x_samples, precision: int = DEFAULT_PRECISION
-) -> dict:
+    r: int,
+    M: int,
+    n: int,
+    x_samples=(Fraction(1, 2), 1, 2, 3, 4),
+    precision: int = DEFAULT_PRECISION,
+) -> IdentityReport:
     """Fit exp(x)*B(n,x) against the conjectured r-term hypergeometric
     combination sum_t c_t x^t pFq(..., x^r/r^r) and report the residuals
-    at the sample points beyond the fit. Informational only.
+    at the sample points beyond the fit. Informational only: the report
+    records its precision and no tolerance, since nothing is compared.
     """
+    t0 = time.perf_counter()
     if r < 1 or r > 4:
         raise ValueError("probe covers r <= 4")
     xs = [Fraction(x) for x in x_samples]
@@ -914,14 +830,16 @@ def conjecture_probe(
         residuals.append({"x": str(x), "rel_residual": str(rel)})
         if worst is None or rel > worst:
             worst = rel
-    return {
-        "identity": "conjecture-probe",
-        "parameters": {"r": r, "M": M, "n": n, "x_samples": [str(x) for x in xs]},
-        "orders": {},
-        "mode": "numeric",
-        "status": "informational",
-        "fitted_coefficients": [str(c) for c in coeffs],
-        "residuals": residuals,
-        "max_rel_residual": str(worst),
-        "precision": precision,
-    }
+    return IdentityReport(
+        "conjecture-probe",
+        {"r": r, "M": M, "n": n, "x_samples": [str(x) for x in xs]},
+        "informational",
+        "informational",
+        {
+            "fitted_coefficients": [str(c) for c in coeffs],
+            "residuals": residuals,
+            "max_rel_residual": str(worst),
+        },
+        time.perf_counter() - t0,
+        precision,
+    )

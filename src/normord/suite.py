@@ -1,25 +1,31 @@
 """Named verification drivers binding each operational identity to oracles.
 
-Every driver returns an IdentityReport.  Exact-mode drivers compare
-rationals or integer tables with no tolerance at all; numeric-mode
-drivers always record the working precision and tolerance they used.
-`run_suite` walks a fixed default grid, `run_identity` dispatches a
-single named check with optional parameter overrides (the CLI entry).
+Every check returns an IdentityReport (see `normord.report`): the
+drivers here, and the closed-form checks of `normord.closedform`, which
+`run_identity` calls directly.  Exact-mode checks compare rationals or
+integer tables with no tolerance at all; numeric-mode checks always
+record the working precision and tolerance they used; the conjecture
+probe is informational and records only its precision.  `run_suite`
+walks a fixed default grid, `run_identity` dispatches a single named
+check with optional parameter overrides (the CLI entry).
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import closedform
 from .closedform import (
     CLOSED_FORM_KINDS,
     DEFAULT_PRECISION,
     DEFAULT_TOLERANCE,
     EXAMPLE_IDS,
+    bessel_parity_check,
+    conjecture_probe,
+    example_normal_forms,
+    hyp_closed_form_check,
+    hyp_generating_function_check,
 )
 from .graphs import enumerate_graphs
 from .laguerre import (
@@ -31,6 +37,7 @@ from .laguerre import (
     exp_lambda_Dx,
     exp_lambda_Dx_columns,
 )
+from .report import IdentityReport, _finish, _nf_mismatch
 from .series import (
     PolyQ,
     SeriesQ,
@@ -63,8 +70,6 @@ __all__ = [
     "verify_sheffer",
     "verify_egf",
     "verify_eigenfunction",
-    "verify_example",
-    "verify_bessel_parity",
     "verify_hyp_closed_form",
     "verify_hyp_generating_function",
     "verify_graph_enumeration",
@@ -75,92 +80,6 @@ __all__ = [
     "reports_to_json",
     "SUITE_IDS",
 ]
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """Outcome of one identity check over one parameter set.
-
-    mode is "exact" (rational/integer comparison, no tolerance exists),
-    "numeric" (high-precision reals; precision and tolerance are always
-    recorded), or "informational" (probes that cannot fail the suite).
-    """
-
-    identity: str
-    parameters: dict
-    mode: str
-    status: str
-    details: dict = field(default_factory=dict)
-    elapsed: float = 0.0
-    precision: int | None = None
-    tolerance: str | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "numeric", "informational"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.status not in ("pass", "fail", "informational"):
-            raise ValueError(f"unknown status {self.status!r}")
-        if self.mode == "numeric" and (
-            self.precision is None or self.tolerance is None
-        ):
-            raise ValueError("numeric reports must record precision and tolerance")
-
-    @property
-    def ok(self) -> bool:
-        return self.status != "fail"
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "identity": self.identity,
-            "parameters": self.parameters,
-            "mode": self.mode,
-            "status": self.status,
-            "details": _jsonable(self.details),
-            "elapsed": round(self.elapsed, 6),
-        }
-        if self.precision is not None:
-            out["precision"] = self.precision
-        if self.tolerance is not None:
-            out["tolerance"] = self.tolerance
-        return out
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (int, str, float, bool)) or value is None:
-        return value
-    return str(value)
-
-
-def _finish(identity, parameters, mode, t0, mismatch, details=None, **numctx):
-    details = dict(details or {})
-    details.setdefault("first_mismatch", mismatch)
-    return IdentityReport(
-        identity,
-        parameters,
-        mode,
-        "fail" if mismatch is not None else "pass",
-        details,
-        time.perf_counter() - t0,
-        numctx.get("precision"),
-        numctx.get("tolerance"),
-    )
-
-
-def _nf_mismatch(lhs: NormalForm, rhs: NormalForm, **tags):
-    """First differing (dag, ann) entry between two normal forms, or None."""
-    keys = sorted(set(lhs.terms) | set(rhs.terms), reverse=True)
-    for key in keys:
-        lv = lhs.terms.get(key, Fraction(0))
-        rv = rhs.terms.get(key, Fraction(0))
-        if lv != rv:
-            out = {"dag": key[0], "ann": key[1], "left": str(lv), "right": str(rv)}
-            out.update(tags)
-            return out
-    return None
 
 
 def _poly_from_signless_rising(r: int) -> PolyQ:
@@ -235,7 +154,7 @@ def verify_stirling_expansion(r: int, M: int, n_max: int) -> IdentityReport:
         ref = NormalForm(
             {(k, k + r * n): Fraction(v) for k, v in enumerate(row) if v}
         )
-        mismatch = _nf_mismatch(power, ref, n=n)
+        mismatch = _nf_mismatch(power, ref, "n", n)
         if mismatch is not None:
             break
         try:
@@ -329,7 +248,7 @@ def verify_laguerre_normal_form(n_max: int) -> IdentityReport:
                 for j in range(n + 1)
             }
         )
-        mismatch = _nf_mismatch(power, ref, n=n)
+        mismatch = _nf_mismatch(power, ref, "n", n)
         if mismatch is not None:
             break
     return _finish("laguerre-normal-form", params, "exact", t0, mismatch)
@@ -492,7 +411,7 @@ def verify_sheffer(r: int, n_max: int) -> IdentityReport:
     power = NormalForm.one()
     mismatch = None
     for n in range(n_max + 1):
-        mismatch = _nf_mismatch(rows[n], power, n=n)
+        mismatch = _nf_mismatch(rows[n], power, "n", n)
         if mismatch is not None:
             break
         power = power * d
@@ -533,28 +452,6 @@ def verify_eigenfunction(r: int, M: int, order: int | None = None) -> IdentityRe
     return _finish("eigenfunction", params, "exact", t0, mismatch)
 
 
-def verify_example(
-    example_id: str,
-    lambda_order: int = 6,
-    p: int = 2,
-    M: int = 2,
-    precision: int = DEFAULT_PRECISION,
-    tolerance=DEFAULT_TOLERANCE,
-) -> IdentityReport:
-    """One worked operator-function expansion, wrapped as a suite report."""
-    t0 = time.perf_counter()
-    rep = closedform.example_normal_forms(
-        example_id, lambda_order, p=p, M=M, precision=precision, tolerance=tolerance
-    )
-    return _wrap_closedform(rep, t0)
-
-
-def verify_bessel_parity(lambda_order: int = 8) -> IdentityReport:
-    """The two Bessel-type expansions are t -> -t images of each other."""
-    t0 = time.perf_counter()
-    return _wrap_closedform(closedform.bessel_parity_check(lambda_order), t0)
-
-
 def verify_hyp_closed_form(
     kind: str,
     M: int = 1,
@@ -563,41 +460,13 @@ def verify_hyp_closed_form(
     precision: int = DEFAULT_PRECISION,
     tolerance=DEFAULT_TOLERANCE,
 ) -> IdentityReport:
-    """Hypergeometric closed form for a triangle row or Bell polynomial."""
-    t0 = time.perf_counter()
-    expected_r = {"stirling-hyp": 1, "bell-hyp-r1": 1, "bell-hyp-r2": 2,
-                  "bell-hyp-r3": 3}
-    if kind not in expected_r:
-        raise ValueError(f"unknown closed-form kind {kind!r}")
-    if n_max is None:
-        n_max = {"stirling-hyp": 5, "bell-hyp-r1": 5, "bell-hyp-r2": 3,
-                 "bell-hyp-r3": 2}[kind]
-    rep = closedform.hyp_closed_form_check(
-        kind,
-        expected_r[kind],
-        M,
-        n_max,
-        x_samples=x_samples,
-        precision=precision,
-        tolerance=tolerance,
+    """Hypergeometric closed form of one kind, at the kind's own r."""
+    return hyp_closed_form_check(
+        kind, None, M, n_max, x_samples, precision, tolerance
     )
-    return _wrap_closedform(rep, t0)
 
 
-def verify_hyp_generating_function(
-    r: int,
-    M: int,
-    x=1,
-    lambda_order: int = 6,
-    precision: int = DEFAULT_PRECISION,
-    tolerance=DEFAULT_TOLERANCE,
-) -> IdentityReport:
-    """Dobinski-type generating function against the Bell polynomials."""
-    t0 = time.perf_counter()
-    rep = closedform.hyp_generating_function_check(
-        r, M, Fraction(x), lambda_order, precision=precision, tolerance=tolerance
-    )
-    return _wrap_closedform(rep, t0)
+verify_hyp_generating_function = hyp_generating_function_check
 
 
 def verify_graph_enumeration(r: int, M: int, n_max: int) -> IdentityReport:
@@ -616,56 +485,11 @@ def verify_graph_enumeration(r: int, M: int, n_max: int) -> IdentityReport:
     for n in range(1, n_max + 1):
         power = power * d
         table = enumerate_graphs(d, n)
-        mismatch = _nf_mismatch(table.to_normal_form(), power, n=n)
+        mismatch = _nf_mismatch(table.to_normal_form(), power, "n", n)
         if mismatch is not None:
             break
         totals.append(int(table.total_weight))
     return _finish("graphs", params, "exact", t0, mismatch, {"totals": totals})
-
-
-def conjecture_probe(
-    r: int,
-    M: int,
-    n: int,
-    x_samples=(Fraction(1, 2), 1, 2, 3, 4),
-    precision: int = DEFAULT_PRECISION,
-) -> IdentityReport:
-    """Informational fit of the conjectured higher-order closed-form shape."""
-    t0 = time.perf_counter()
-    rep = closedform.conjecture_probe(r, M, n, x_samples, precision=precision)
-    return _wrap_closedform(rep, t0)
-
-
-def _wrap_closedform(rep: dict, t0: float) -> IdentityReport:
-    details = {
-        k: v
-        for k, v in rep.items()
-        if k not in ("identity", "parameters", "mode", "status", "precision",
-                     "tolerance")
-    }
-    params = dict(rep.get("parameters", {}))
-    orders = rep.get("orders")
-    if isinstance(orders, dict):
-        params.update(orders)
-        details.pop("orders", None)
-    mode = rep["mode"]
-    status = rep["status"]
-    precision = rep.get("precision")
-    tolerance = rep.get("tolerance")
-    if mode == "numeric" and precision is None:
-        precision = DEFAULT_PRECISION
-    if mode == "numeric" and tolerance is None:
-        tolerance = str(DEFAULT_TOLERANCE)
-    return IdentityReport(
-        rep["identity"],
-        _jsonable(params),
-        mode,
-        status,
-        _jsonable(details),
-        time.perf_counter() - t0,
-        precision,
-        str(tolerance) if tolerance is not None else None,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -701,6 +525,10 @@ def _pick(value, default_list):
     return default_list if value is None else (value,)
 
 
+def _size(value, default):
+    return default if value is None else value
+
+
 def run_identity(
     identity: str,
     r: int | None = None,
@@ -714,8 +542,13 @@ def run_identity(
 
     Unspecified parameters fall back to the identity's default grid, so
     e.g. the bare commutator id sweeps r in 1..3 and M in 0..3 while
-    passing r=2 pins the sweep to that single r.
+    passing r=2 pins the sweep to that single r.  Sizes are taken as
+    given (0 included); a negative n or lambda_order raises ValueError.
     """
+    if n is not None and n < 0:
+        raise ValueError("n must be >= 0")
+    if lambda_order is not None and lambda_order < 0:
+        raise ValueError("lambda_order must be >= 0")
     identity = _ALIASES.get(identity, identity)
     reports: list[IdentityReport] = []
     if identity == "commutator":
@@ -725,36 +558,37 @@ def run_identity(
     elif identity == "stirling-expansion":
         for rr in _pick(r, (1, 2, 3)):
             for mm in _pick(M, (1, 2, 3)):
-                reports.append(verify_stirling_expansion(rr, mm, n or 5))
+                reports.append(verify_stirling_expansion(rr, mm, _size(n, 5)))
     elif identity == "bell-first-kind":
         for rr in _pick(r, (1, 2, 3, 4)):
-            reports.append(verify_bell_first_kind(rr, n or 8))
+            reports.append(verify_bell_first_kind(rr, _size(n, 8)))
     elif identity == "bell-diagonal-powers":
         for mm in _pick(M, (1, 2, 3)):
-            reports.append(verify_bell_diagonal_powers(mm, n or 4))
+            reports.append(verify_bell_diagonal_powers(mm, _size(n, 4)))
     elif identity == "laguerre-normal-form":
-        reports.append(verify_laguerre_normal_form(n or 6))
+        reports.append(verify_laguerre_normal_form(_size(n, 6)))
     elif identity == "exp-exponential":
         for b in (1, 2, Fraction(1, 3)):
-            reports.append(verify_exp_on_exponential(b, lambda_order=lambda_order or 8))
+            reports.append(verify_exp_on_exponential(
+                b, lambda_order=_size(lambda_order, 8)))
     elif identity == "exp-kummer":
         for b in (1, 2, 3, Fraction(3, 2)):
             reports.append(
                 verify_exp_on_kummer(
                     b,
-                    lambda_order=lambda_order or 8,
+                    lambda_order=_size(lambda_order, 8),
                     precision=precision,
                     tolerance=tolerance,
                 )
             )
     elif identity == "exp-monomial":
-        reports.append(verify_exp_on_monomial(n or 6))
+        reports.append(verify_exp_on_monomial(_size(n, 6)))
     elif identity == "sheffer":
         for rr in _pick(r, (1, 2, 3)):
-            reports.append(verify_sheffer(rr, n or 5))
+            reports.append(verify_sheffer(rr, _size(n, 5)))
     elif identity == "egf":
         for rr in _pick(r, (1, 2, 3, 4)):
-            reports.append(verify_egf(rr, n or 8))
+            reports.append(verify_egf(rr, _size(n, 8)))
     elif identity == "eigenfunction":
         pairs = ((1, 1), (1, 2), (2, 1), (2, 2), (3, 3))
         if r is not None or M is not None:
@@ -777,34 +611,28 @@ def run_identity(
                 )
             )
     elif identity in EXAMPLE_IDS:
-        lam = lambda_order or 6
         if identity == "laguerre-shifted":
             for p in _pick(n, (1, 2, 3)):
-                reports.append(
-                    verify_example(identity, lam, p=p, precision=precision,
-                                   tolerance=tolerance)
-                )
+                reports.append(example_normal_forms(
+                    identity, _size(lambda_order, 6), p=p))
         elif identity in ("eigen-operator", "hyp-compact"):
             for mm in _pick(M, (1, 2, 3)):
-                reports.append(
-                    verify_example(identity, min(lam, 5) if lambda_order is None
-                                   else lam,
-                                   M=mm, precision=precision, tolerance=tolerance)
-                )
+                reports.append(example_normal_forms(
+                    identity, _size(lambda_order, 5), M=mm))
         else:
             reports.append(
-                verify_example(identity, lam, precision=precision,
-                               tolerance=tolerance)
+                example_normal_forms(identity, _size(lambda_order, 6),
+                                     precision=precision, tolerance=tolerance)
             )
     elif identity == "bessel-parity":
-        reports.append(verify_bessel_parity(lambda_order or 8))
+        reports.append(bessel_parity_check(_size(lambda_order, 8)))
     elif identity in CLOSED_FORM_KINDS:
         default_M = {"stirling-hyp": (1, 2, 3), "bell-hyp-r1": (1, 2, 3),
                      "bell-hyp-r2": (1, 2), "bell-hyp-r3": (1,)}[identity]
         for mm in _pick(M, default_M):
             reports.append(
-                verify_hyp_closed_form(identity, mm, n, precision=precision,
-                                       tolerance=tolerance)
+                hyp_closed_form_check(identity, None, mm, n, precision=precision,
+                                      tolerance=tolerance)
             )
     elif identity == "hyp-generating-function":
         grid = ((1, 1), (1, 2), (2, 2))
@@ -814,19 +642,19 @@ def run_identity(
             )
         for rr, mm in grid:
             reports.append(
-                verify_hyp_generating_function(
-                    rr, mm, 1, lambda_order or 6, precision=precision,
+                hyp_generating_function_check(
+                    rr, mm, 1, _size(lambda_order, 6), precision=precision,
                     tolerance=tolerance
                 )
             )
     elif identity == "graphs":
         for rr in _pick(r, (1, 2)):
             for mm in _pick(M, (1, 2)):
-                reports.append(verify_graph_enumeration(rr, mm, n or 4))
+                reports.append(verify_graph_enumeration(rr, mm, _size(n, 4)))
     elif identity == "conjecture":
         probes = ((1, 1, 3), (2, 1, 2), (2, 2, 2), (3, 1, 1), (4, 1, 1))
         if r is not None:
-            probes = tuple((r, mm, n or 1) for mm in _pick(M, (1,)))
+            probes = tuple((r, mm, _size(n, 1)) for mm in _pick(M, (1,)))
         for rr, mm, nn in probes:
             reports.append(conjecture_probe(rr, mm, nn, precision=precision))
     else:

@@ -177,6 +177,42 @@ def test_verify_rejects_bfile(capsys):
     assert run(capsys, "verify", "sheffer", "--format", "bfile")[0] == 2
 
 
+def test_probe_reports_record_only_what_they_used(capsys):
+    code, out, _ = run(capsys, "verify", "conjecture", "--r", "2",
+                       "--precision", "60", "--tolerance", "1e-20")
+    assert code == 0
+    reports = json.loads(out)
+    assert reports
+    for rep in reports:
+        assert rep["mode"] == "informational"
+        assert rep["precision"] == 60
+        assert "tolerance" not in rep
+
+
+@pytest.mark.parametrize("argv,param", [
+    (("graphs", "--r", "1", "--M", "1", "--n", "0"), "n_max"),
+    (("hyp-generating-function", "--r", "1", "--M", "1",
+      "--lambda-order", "0"), "lambda_order"),
+])
+def test_verify_takes_zero_size_as_given(capsys, argv, param):
+    code, out, _ = run(capsys, "verify", *argv)
+    assert code == 0
+    assert [rep["parameters"][param] for rep in json.loads(out)] == [0]
+
+
+@pytest.mark.parametrize("argv", [
+    ("bell-first-kind", "--r", "1", "--n", "-1"),
+    ("laguerre-normal-form", "--n", "-5"),
+    ("exp-monomial", "--n", "-1"),
+    ("stirling-expansion", "--r", "1", "--M", "1", "--n", "-3"),
+])
+def test_verify_negative_size_exits_2(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 # --- cache ---------------------------------------------------------------
 
 def test_cache_cold_then_warm_identical(capsys, tmp_path):
@@ -265,7 +301,6 @@ def test_config_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "--precision", "20", *base)[0] == 2
     assert run(capsys, "--tolerance", "1e-100", *base)[0] == 2
     assert run(capsys, "--tolerance", "zero", *base)[0] == 2
-    assert run(capsys, "--order", "0", *base)[0] == 2
 
 
 def test_loose_tolerance_with_high_precision_ok(capsys, tmp_path):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from normord import closedform
 from normord.closedform import (
     CLOSED_FORM_KINDS,
     EXAMPLE_IDS,
@@ -15,6 +16,7 @@ from normord.closedform import (
     hyp_sum_adaptive,
     kummer_taylor,
 )
+from normord.weyl import NormalForm
 
 
 def test_hyp_sum_adaptive_exponential():
@@ -56,22 +58,22 @@ def test_kummer_taylor():
 def test_exact_closed_forms(kind, M):
     rep = hyp_closed_form_check(kind, {"stirling-hyp": 1, "bell-hyp-r1": 1}[kind],
                                 M, 4)
-    assert rep["status"] == "pass"
-    assert rep["mode"] == "exact"
-    assert "tolerance" not in rep or rep.get("tolerance") is None
+    assert rep.status == "pass"
+    assert rep.mode == "exact"
+    assert rep.tolerance is None
 
 
 @pytest.mark.parametrize("kind,r,M,n", [("bell-hyp-r2", 2, 1, 3),
                                         ("bell-hyp-r3", 3, 1, 2)])
 def test_numeric_closed_forms(kind, r, M, n):
     rep = hyp_closed_form_check(kind, r, M, n)
-    assert rep["status"] == "pass"
-    assert rep["mode"] == "numeric"
-    assert rep["precision"] == 50
-    assert rep["tolerance"] is not None
+    assert rep.status == "pass"
+    assert rep.mode == "numeric"
+    assert rep.precision == 50
+    assert rep.tolerance is not None
     from decimal import Decimal
 
-    assert Decimal(rep["max_rel_dev"]) < Decimal("1e-30")
+    assert Decimal(rep.details["max_rel_dev"]) < Decimal("1e-30")
 
 
 def test_closed_form_kind_and_r_must_agree():
@@ -83,22 +85,22 @@ def test_closed_form_kind_and_r_must_agree():
 
 def test_generating_function_check_passes():
     rep = hyp_generating_function_check(1, 1, Fraction(1), 5)
-    assert rep["status"] == "pass"
-    assert rep["mode"] == "numeric"
-    assert rep["first_mismatch"] is None
+    assert rep.status == "pass"
+    assert rep.mode == "numeric"
+    assert rep.details["first_mismatch"] is None
 
 
 def test_generating_function_budget_report():
     rep = hyp_generating_function_check(1, 1, Fraction(1), 5, max_terms=3)
-    assert rep["status"] == "fail"
-    assert "tail bound" in rep["first_mismatch"]["reason"]
+    assert rep.status == "fail"
+    assert "tail bound" in rep.details["first_mismatch"]["reason"]
 
 
 @pytest.mark.parametrize("example_id", EXAMPLE_IDS)
 def test_examples_pass(example_id):
     rep = example_normal_forms(example_id, 5)
-    assert rep["status"] == "pass", rep
-    assert rep["first_mismatch"] is None
+    assert rep.status == "pass", rep
+    assert rep.details["first_mismatch"] is None
 
 
 def test_example_unknown_id():
@@ -110,26 +112,46 @@ def test_example_mismatch_reporting_shape():
     # shrink the truncation to still-consistent orders; reports carry the
     # identity id and parameter block in every case
     rep = example_normal_forms("bessel-j0", 3)
-    assert rep["identity"] == "bessel-j0"
-    assert rep["status"] == "pass"
-    assert "parameters" in rep and "orders" in rep
+    assert rep.identity == "bessel-j0"
+    assert rep.status == "pass"
+    assert rep.parameters == {"r": 1, "M": 1, "lambda_order": 3}
+
+
+def test_example_failure_reports_first_mismatch(monkeypatch):
+    real = closedform._oracle_powers
+
+    def planted(r, M, n_max):
+        powers = real(r, M, n_max)
+        terms = dict(powers[2].terms)
+        terms[(2, 4)] += 1
+        terms[(0, 2)] += 1
+        powers[2] = NormalForm(terms)
+        return powers
+
+    monkeypatch.setattr(closedform, "_oracle_powers", planted)
+    rep = example_normal_forms("laguerre-ogf", 4)
+    assert rep.status == "fail"
+    # entries are scanned from the highest (dag, ann) down; the row leads
+    first = rep.details["first_mismatch"]
+    assert list(first) == ["lambda", "dag", "ann", "left", "right"]
+    assert first == {"lambda": 2, "dag": 2, "ann": 4, "left": "1", "right": "1/2"}
 
 
 def test_bessel_parity():
     rep = bessel_parity_check(8)
-    assert rep["status"] == "pass"
+    assert rep.status == "pass"
 
 
 def test_conjecture_probe_shape():
     rep = conjecture_probe(2, 1, 2, (Fraction(1, 2), 1, 2, 3))
-    assert rep["status"] == "informational"
-    assert rep["identity"] == "conjecture-probe"
-    assert len(rep["fitted_coefficients"]) == 2
-    assert rep["residuals"]
+    assert rep.status == "informational"
+    assert rep.identity == "conjecture-probe"
+    assert len(rep.details["fitted_coefficients"]) == 2
+    assert rep.details["residuals"]
     # residuals are tiny for the shapes the fit actually takes
     from decimal import Decimal
 
-    assert Decimal(rep["max_rel_residual"]) < Decimal("1e-40")
+    assert Decimal(rep.details["max_rel_residual"]) < Decimal("1e-40")
 
 
 def test_conjecture_probe_needs_enough_samples():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import normord
 from normord import suite
 from normord.suite import (
     SUITE_IDS,
@@ -116,6 +117,15 @@ def test_unknown_identity_raises():
         run_identity("not-an-identity")
 
 
+@pytest.mark.parametrize("identity,sizes", [
+    ("graphs", {"n": -1}),
+    ("exp-kummer", {"lambda_order": -1}),
+])
+def test_negative_sizes_raise(identity, sizes):
+    with pytest.raises(ValueError):
+        run_identity(identity, **sizes)
+
+
 def test_alias_dispatch():
     reps = run_identity("shef", r=2, n=4)
     assert len(reps) == 1
@@ -166,3 +176,5 @@ def test_probe_is_informational_only():
     rep = conjecture_probe(1, 1, 2)
     assert rep.status == "informational"
     assert rep.ok
+    assert (rep.mode, rep.precision, rep.tolerance) == ("informational", 50, None)
+    assert conjecture_probe is normord.conjecture_probe
