@@ -42,6 +42,8 @@ from .weyl import (
     laguerre_derivative_nf,
     laguerre_derivative_word,
     normal_order_rewrite,
+    normal_order_rook,
+    row_power,
     word_product_normal_form,
     word_to_normal_form,
 )
@@ -105,6 +107,8 @@ __all__ = [
     "laguerre_derivative_nf",
     "laguerre_derivative_word",
     "normal_order_rewrite",
+    "normal_order_rook",
+    "row_power",
     "word_product_normal_form",
     "word_to_normal_form",
     "CoeffTable",

@@ -1,24 +1,45 @@
 """Compute kernels.
 
-These four functions are the inner loops of the whole package: word
-rewriting, contraction products, generalized Stirling rows, and graph
-attachment steps.  This module is their reference implementation and
-must stay dependency free.  Coefficients are plain ints or Fractions
-(callers decide); loop bookkeeping is exact integer arithmetic
-throughout.
+These are the inner loops of the whole package: word rewriting,
+contraction products, falling-factorial rows, and graph attachment
+steps.  This module is their reference implementation and must stay
+dependency free.  Coefficients are plain ints or Fractions (callers
+decide); loop bookkeeping is exact integer arithmetic throughout.
 
-Stirling rows are built by the three-term normal-ordering recurrence,
-O(M * width) small-by-big multiply-adds per row.  The alternating sum
-that defines the triangle is not used here: it is the independent oracle
-`stirling.alternating_sum_row`, which `verify stirling-expansion` checks
-every built row against.
+One primitive carries the row kernels.  `ff_step(row, c)` multiplies a
+polynomial in the number operator N = a†a, held as its coefficients on
+the falling factorials N^(k) = N(N-1)...(N-k+1), by (N + c):
+N^(k) (N + c) = N^(k+1) + (k + c) N^(k), so new[k] = old[k-1] +
+(k + c) old[k].  On it are built:
+
+- `stirling_row_update`: row n of the generalized Stirling triangle is
+  row n-1 times (N + n*r)^M.  The alternating sum that defines the
+  triangle is not used here: it is the independent oracle
+  `stirling.alternating_sum_row`, which `verify stirling-expansion`
+  checks every built row against.
+- `rook_normal_order_word`: the normal form of one word.  Its
+  coefficients are the rook numbers of the word's Ferrers board, and the
+  Goldman-Joichi-White factorization makes the rook polynomial a product
+  of (N + c) factors, one per creator (Varvak, "Rook numbers and the
+  normal ordering problem", JCTA 112, 2005).
+
+`normal_order_word` rewrites a a† = a† a + 1 until the word is ordered.
+It is far slower on long words and is kept as the rewriting oracle the
+rook kernel is tested against; `nf_mul` is the contraction product.
 """
 
 from __future__ import annotations
 
 from math import comb, factorial
 
-__all__ = ["normal_order_word", "nf_mul", "stirling_row_update", "graph_step"]
+__all__ = [
+    "ff_step",
+    "normal_order_word",
+    "rook_normal_order_word",
+    "nf_mul",
+    "stirling_row_update",
+    "graph_step",
+]
 
 # `perfbench/run.py` records this in every run and `perfbench/compare.py`
 # refuses to compare runs whose values differ, so the name and value stay.
@@ -105,21 +126,52 @@ def nf_mul(a, b):
     return out
 
 
+def ff_step(row, c):
+    """A row on falling factorials times (N + c); one entry longer.
+
+    row[k] is the coefficient of N^(k), and row must not be empty.
+    new[k] = old[k-1] + (k + c) old[k].
+    """
+    middle = [a + k * b for k, a, b in zip(range(c + 1, c + len(row)), row, row[1:])]
+    return [c * row[0], *middle, row[-1]]
+
+
+def rook_normal_order_word(word):
+    """Normal-order a product word over {0: annihilator, 1: creator}.
+
+    With m creators and n annihilators, the coefficient of
+    (a†)^j a^(n-m+j) is the (m-j)-rook number of the word's Ferrers
+    board, whose i-th column (the i-th creator from the left) has height
+    h_i = the number of annihilators to its left.  The rook numbers are
+    the falling-factorial coefficients of prod_i (N + h_i - i + 1), so
+    the row is built left to right by one `ff_step` per creator.
+    Returns {(dag, ann): coefficient} with positive integer coefficients,
+    equal to `normal_order_word(word)`.
+    """
+    row = [1]
+    ann = dag = 0
+    for s in word:
+        if s:
+            dag += 1
+            row = ff_step(row, ann - dag + 1)
+        else:
+            ann += 1
+    shift = ann - dag
+    return {(j, j + shift): c for j, c in enumerate(row) if c}
+
+
 def stirling_row_update(r, M, n, prev):
     """Row n of the generalized Stirling triangle, from row n-1.
 
     prev is row n-1 ([1] for n = 1).  Row n holds the coefficients of
     prod_{i=1}^n (N + i*r)^M on the falling factorials N^(k), so it is
-    row n-1 times (N + n*r), M times over, and
-    N^(k) (N + c) = N^(k+1) + (k + c) N^(k) makes each factor the
-    three-term step new[k] = old[k-1] + (k + c) old[k].  Returns
-    (row, carry); the carry is the row itself.
+    row n-1 times (N + n*r), M times over: M calls of `ff_step`.
+    Returns (row, carry); the carry is the row itself.
     """
     c = n * r
     row = list(prev)
     for _ in range(M):
-        middle = [a + k * b for k, a, b in zip(range(c + 1, c + len(row)), row, row[1:])]
-        row = [c * row[0], *middle, row[-1]]
+        row = ff_step(row, c)
     return row, row
 
 

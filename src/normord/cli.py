@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Four subcommands: `order` normal-orders an operator expression, `seq`
-exports Bell numbers or polynomial coefficient rows (through the disk
-cache), `verify` runs identity checks, `cache` manages the disk cache.
+Four subcommands: `order` normal-orders an operator expression (by rook
+numbers; a power by falling-factorial rows when the base has one shift,
+else by the contraction fold), `seq` exports Bell numbers or polynomial
+coefficient rows (through the disk cache), `verify` runs identity
+checks, `cache` manages the disk cache.
 Global flags may appear before or after the subcommand.  Exit codes:
 0 ok, 1 verification failure, 2 usage or parse error.
 """
@@ -17,6 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .cache import cache_clear, default_cache_dir, load_triangle
+from .closedform import DEFAULT_PRECISION, DEFAULT_TOLERANCE
 from .parser import ParseError, parse_expr
 from .serialize import (
     normal_form_table,
@@ -28,17 +31,15 @@ from .serialize import (
     sequence_to_json,
 )
 from .suite import reports_to_json, run_identity, run_suite, suite_passed
-from .weyl import NormalForm, normal_order_rewrite
+from .weyl import normal_order_rook, row_power
 
 __all__ = ["Config", "main", "build_parser"]
-
-DEFAULT_TOLERANCE = Fraction(1, 10**30)
 
 
 @dataclass(frozen=True)
 class Config:
     lambda_order: int = 8
-    precision: int = 50
+    precision: int = DEFAULT_PRECISION
     tolerance: Fraction = DEFAULT_TOLERANCE
     cache_dir: Path = field(default_factory=default_cache_dir)
     fmt: str = "json"
@@ -169,10 +170,12 @@ def cmd_order(cfg: Config, ns: argparse.Namespace) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    base = normal_order_rewrite(expr)
-    result = NormalForm.one()
-    for _ in range(ns.power):
-        result = result * base
+    result = normal_order_rook(expr)
+    if ns.power > 1:
+        base = result
+        result = row_power(base, ns.power)
+        if result is None:  # terms of more than one shift
+            result = base**ns.power
     if ns.expectation is not None:
         try:
             re_part, im_part = _parse_expectation(ns.expectation)
@@ -263,6 +266,11 @@ _DISPATCH = {"order": cmd_order, "seq": cmd_seq, "verify": cmd_verify,
 
 
 def main(argv=None) -> int:
+    # The interpreter refuses to print ints past 4300 digits, a guard for
+    # parsing untrusted decimals; normord's exact results pass it routinely.
+    # (Python before 3.10.7 has no such limit and no setter.)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)

@@ -495,17 +495,6 @@ def _example_kummer_b3(lambda_order: int, t0: float) -> IdentityReport:
                    {"first_mismatch": first, "checks": checks, "notes": notes})
 
 
-def _nf_rel_deviation(lhs: NormalForm, rhs: NormalForm, prec: int):
-    worst = None
-    for key in set(lhs.terms) | set(rhs.terms):
-        cl = HighPrecReal(lhs.terms.get(key, Fraction(0)), prec)
-        cr = HighPrecReal(rhs.terms.get(key, Fraction(0)), prec)
-        rel = cl.rel_deviation(cr)
-        if worst is None or rel > worst:
-            worst = rel
-    return worst
-
-
 def _example_kummer_b3half(lambda_order: int, prec: int, tol,
                            t0: float) -> IdentityReport:
     b = Fraction(3, 2)
@@ -522,16 +511,21 @@ def _example_kummer_b3half(lambda_order: int, prec: int, tol,
     for n in range(order):
         for cand in (rhs_generic.lambda_coefficient(n), rhs.lambda_coefficient(n)):
             checks += 1
-            rel = _nf_rel_deviation(lhs[n], cand, prec)
-            if rel is not None and (worst is None or rel > worst):
-                worst = rel
-            if first is None:
-                miss = _nf_mismatch(lhs[n], cand, "lambda", n)
-                if miss is not None:
-                    cl = HighPrecReal(Fraction(miss["left"]), prec)
-                    cr = HighPrecReal(Fraction(miss["right"]), prec)
-                    if not cl.agrees_with(cr, tol):
-                        first = miss
+            # every entry that differs exactly must agree within tol;
+            # entries are scanned from the highest (dag, ann) down
+            for key in sorted(set(lhs[n].terms) | set(cand.terms), reverse=True):
+                lv = lhs[n].terms.get(key, Fraction(0))
+                rv = cand.terms.get(key, Fraction(0))
+                if lv == rv:
+                    continue
+                cl = HighPrecReal(lv, prec)
+                cr = HighPrecReal(rv, prec)
+                rel = cl.rel_deviation(cr)
+                if worst is None or rel > worst:
+                    worst = rel
+                if first is None and not cl.agrees_with(cr, tol):
+                    first = {"lambda": n, "dag": key[0], "ann": key[1],
+                             "left": str(lv), "right": str(rv)}
     details = {
         "first_mismatch": first,
         "checks": checks,

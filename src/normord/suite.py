@@ -95,6 +95,13 @@ def _poly_from_signed_falling(r: int) -> PolyQ:
     return PolyQ(coeffs)
 
 
+def _nonnegative(**sizes) -> None:
+    """Raise ValueError naming the first negative order or size."""
+    for name, value in sizes.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0")
+
+
 def verify_commutator(r: int, M: int) -> IdentityReport:
     """[D, D-dagger] reduced to a polynomial in the number operator.
 
@@ -103,6 +110,7 @@ def verify_commutator(r: int, M: int) -> IdentityReport:
     assembled purely from signless first-kind numbers.  At (r, M) = (1, 1)
     this is the 3n^2 + 3n + 1 difference of consecutive odd cubes.
     """
+    _nonnegative(r=r, M=M)
     t0 = time.perf_counter()
     params = {"r": r, "M": M}
     d = laguerre_derivative_nf(r, M)
@@ -141,6 +149,7 @@ def verify_stirling_expansion(r: int, M: int, n_max: int) -> IdentityReport:
     be S_r^(M)(n, k), the alternating sum must give the same row, and the
     weight-one expectation of each power must be the Bell number.
     """
+    _nonnegative(r=r, M=M, n_max=n_max)
     t0 = time.perf_counter()
     params = {"r": r, "M": M, "n_max": n_max}
     d = laguerre_derivative_nf(r, M)
@@ -195,6 +204,7 @@ def verify_stirling_expansion(r: int, M: int, n_max: int) -> IdentityReport:
 
 def verify_bell_first_kind(r: int, n_max: int) -> IdentityReport:
     """B_r(n) as a signless-first-kind transform of the classical Bells."""
+    _nonnegative(r=r, n_max=n_max)
     t0 = time.perf_counter()
     params = {"r": r, "n_max": n_max}
     mismatch = None
@@ -216,6 +226,7 @@ def verify_bell_first_kind(r: int, n_max: int) -> IdentityReport:
 
 def verify_bell_diagonal_powers(M: int, n_max: int) -> IdentityReport:
     """B_1^(M)(n) equals the weight-one expectation of ((ad)^n a^n)^(M+1)."""
+    _nonnegative(M=M, n_max=n_max)
     t0 = time.perf_counter()
     params = {"M": M, "n_max": n_max}
     mismatch = None
@@ -234,6 +245,7 @@ def verify_bell_diagonal_powers(M: int, n_max: int) -> IdentityReport:
 
 def verify_laguerre_normal_form(n_max: int) -> IdentityReport:
     """[D(1,1)]^n = n! sum_j L_n-coefficients (ad)^j a^(j+n), sign-adjusted."""
+    _nonnegative(n_max=n_max)
     t0 = time.perf_counter()
     params = {"n_max": n_max}
     d = laguerre_derivative_nf(1, 1)
@@ -263,6 +275,7 @@ def verify_exp_on_exponential(
     retains (a staircase wider than the rectangular bivariate truncation),
     and the rectangular object is cross-checked against its own columns.
     """
+    _nonnegative(x_order=x_order, lambda_order=lambda_order)
     t0 = time.perf_counter()
     b = Fraction(b)
     params = {"b": str(b), "x_order": x_order, "lambda_order": lambda_order}
@@ -311,6 +324,7 @@ def verify_exp_on_kummer(
     the rational-inputs-exact / otherwise-tracked-precision contract,
     although the underlying arithmetic here is still rational.
     """
+    _nonnegative(x_order=x_order, lambda_order=lambda_order)
     t0 = time.perf_counter()
     b = Fraction(b)
     params = {"b": str(b), "x_order": x_order, "lambda_order": lambda_order}
@@ -365,6 +379,7 @@ def verify_exp_on_monomial(n_max: int = 6) -> IdentityReport:
     the right side expands the Laguerre polynomial at -x/y and scales by
     n! y^n, landing on the same (x, y) grid.
     """
+    _nonnegative(n_max=n_max)
     t0 = time.perf_counter()
     params = {"n_max": n_max}
     op = DxOperator(1, 1)
@@ -404,6 +419,7 @@ def verify_sheffer(r: int, n_max: int) -> IdentityReport:
     at a time; n! times the t^n coefficient must be the normal form of
     [D(r,1)]^n produced by the contraction oracle.
     """
+    _nonnegative(r=r, n_max=n_max)
     t0 = time.perf_counter()
     params = {"r": r, "n_max": n_max}
     rows = exp_D_r1_normal_form(r, n_max)
@@ -420,6 +436,7 @@ def verify_sheffer(r: int, n_max: int) -> IdentityReport:
 
 def verify_egf(r: int, n_max: int) -> IdentityReport:
     """(1-rt)^(-1) exp((1-rt)^(-1/r) - 1) as the Bell-number EGF."""
+    _nonnegative(r=r, n_max=n_max)
     t0 = time.perf_counter()
     params = {"r": r, "n_max": n_max}
     series = egf_bell_r1(r, n_max + 1)
@@ -440,6 +457,7 @@ def verify_eigenfunction(r: int, M: int, order: int | None = None) -> IdentityRe
     t0 = time.perf_counter()
     if order is None:
         order = 32 - r
+    _nonnegative(r=r, M=M, order=order)
     params = {"r": r, "M": M, "order": order}
     e = eigenfunction_series(r, M, order)
     image = apply_Dx(DxOperator(r, M), e)
@@ -476,6 +494,7 @@ def verify_graph_enumeration(r: int, M: int, n_max: int) -> IdentityReport:
     by entry, and the total weights are recorded (they are the Bell
     numbers, restating the weight-one expectation).
     """
+    _nonnegative(r=r, M=M, n_max=n_max)
     t0 = time.perf_counter()
     params = {"r": r, "M": M, "n_max": n_max}
     d = laguerre_derivative_nf(r, M)

@@ -5,14 +5,30 @@ Words over the two-letter alphabet are encoded as tuples of 0/1 where
 right as an operator product.  `BosonExpr` is a free-algebra element
 (coefficient-weighted words, no relations applied); `NormalForm` is the
 fully ordered object, a map (dag, ann) -> coefficient standing for
-sum c * ad^dag a^ann.  The rewriter and the contraction product are two
-independent routes from one to the other and are tested against each
-other.
+sum c * ad^dag a^ann.
+
+There are three independent routes from a word to its normal form, and
+they are tested against each other:
+
+- `normal_order_rook`: rook numbers of the word's Ferrers board, built
+  by the falling-factorial row step `backend.ff_step`.  The CLI uses it.
+- `normal_order_rewrite` / `word_to_normal_form`: the rewriter
+  a a† = a† a + 1, kept as the oracle (the criteria and the weyl tests
+  call it), with `normal_order_word_rightmost` as its confluence check.
+- `word_product_normal_form`: a fold of single-letter contraction
+  products.
+
+Powers have two routes as well.  `row_power` applies when every term
+has the same shift s = ann - dag: then X = G(N) a^s with N = a†a, and
+X^p = prod_{i<p} G(N + i*s) a^(s*p) (Blasiak, Penson and Solomon, Phys.
+Lett. A 309, 2003) is one falling-factorial row.  `NormalForm.__pow__`
+is the `nf_mul` fold, which works for any operator and is the oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import backend
 from .series import PolyQ
@@ -26,6 +42,8 @@ __all__ = [
     "BosonExpr",
     "NormalForm",
     "normal_order_rewrite",
+    "normal_order_rook",
+    "row_power",
     "word_to_normal_form",
     "normal_order_word_rightmost",
     "word_product_normal_form",
@@ -297,6 +315,57 @@ def normal_order_rewrite(expr: BosonExpr) -> NormalForm:
     for w, c in expr.terms.items():
         out = out + word_to_normal_form(w).scale(c)
     return out
+
+
+def normal_order_rook(expr: BosonExpr) -> NormalForm:
+    """Normal-order a free-algebra element term by term via rook numbers."""
+    out: dict = {}
+    for w, c in expr.terms.items():
+        for key, v in backend.rook_normal_order_word(w).items():
+            out[key] = out.get(key, 0) + c * v
+    return NormalForm(out)
+
+
+def row_power(nf: NormalForm, p: int) -> NormalForm | None:
+    """nf^p as one falling-factorial row, or None if nf mixes shifts.
+
+    Needs every term ad^d a^(d+s) to have the same shift s >= 0 (s < 0
+    goes through the dagger).  Since ad^d a^(d+s) = N^(d) a^s, the base
+    is G(N) a^s with g_d its coefficient on N^(d), and a^s G(N) =
+    G(N+s) a^s gives nf^p = prod_{i<p} G(N + i*s) a^(s*p).  Each factor
+    is Horner in the falling basis, G(N+t) = g_0 + (N+t)(g_1 +
+    (N+t-1)(g_2 + ...)), one `ff_step` per coefficient.  The arithmetic
+    is in ints: G is scaled by the common denominator L of its
+    coefficients, and the final row is divided by L^p.
+    """
+    if p < 0:
+        raise ValueError("negative operator powers are not defined")
+    shifts = {l - k for k, l in nf.terms}
+    if len(shifts) > 1:
+        return None
+    if p == 0:
+        return NormalForm.one()
+    if not shifts:
+        return NormalForm()
+    s = shifts.pop()
+    if s < 0:
+        return row_power(nf.dagger(), p).dagger()
+    g = [nf.terms.get((d, d + s), Fraction(0)) for d in range(max(nf.terms)[0] + 1)]
+    den = lcm(*(c.denominator for c in g))
+    g = [int(c * den) for c in g]
+    row = [1]
+    for i in range(p):
+        acc = [g[-1] * x for x in row]
+        for j in range(len(g) - 2, -1, -1):
+            acc = backend.ff_step(acc, i * s - j)
+            if g[j]:
+                for k, x in enumerate(row):
+                    acc[k] += g[j] * x
+        row = acc
+    den **= p
+    return NormalForm(
+        {(k, k + s * p): Fraction(c, den) for k, c in enumerate(row) if c}
+    )
 
 
 def normal_order_word_rightmost(word) -> NormalForm:

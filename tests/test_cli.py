@@ -1,6 +1,7 @@
 """End-to-end CLI contract: output formats, exit codes, cache behavior."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -89,6 +90,44 @@ def test_order_deep_nesting_exits_2():
 def test_order_rejects_bad_power_and_bfile(capsys):
     assert run(capsys, "order", "a", "--power", "0")[0] == 2
     assert run(capsys, "order", "a", "--format", "bfile")[0] == 2
+
+
+def test_order_power_routes_agree_with_the_fold(capsys):
+    # a negative shift goes through the dagger; mixed shifts keep the fold
+    for text in ("ad (ad a)^2 + 1/2 ad", "a + ad"):
+        code, out, _ = run(capsys, "order", text, "--power", "5")
+        assert code == 0
+        assert normal_form_from_json(out) == ordered(text) ** 5
+
+
+@pytest.fixture
+def no_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def order_subprocess(*argv):
+    # a fresh interpreter starts with the default 4300-digit str/int limit
+    proc = subprocess.run([sys.executable, "-m", "normord.cli", "order", *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    terms = json.loads(proc.stdout)["terms"]
+    return {(t["dag"], t["ann"]): t["coeff"] for t in terms}
+
+
+def test_order_prints_a_coefficient_past_the_digit_limit(no_digit_limit):
+    assert order_subprocess("2^15000 ad") == {(1, 0): str(2**15000)}
+
+
+def test_order_row_power_past_the_digit_limit(no_digit_limit):
+    # D(1,3)^600: the a^600 coefficient is (600!)^3, the top one is 1
+    terms = order_subprocess("a (ad a)^3", "--power", "600")
+    assert len(terms) == 1801
+    assert max(len(c) for c in terms.values()) > 4300
+    assert int(terms[(0, 600)]) == math.factorial(600) ** 3
+    assert terms[(1800, 2400)] == "1"
 
 
 # --- seq -----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Hypergeometric closed forms, worked expansions, and probe plumbing."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -71,8 +72,6 @@ def test_numeric_closed_forms(kind, r, M, n):
     assert rep.mode == "numeric"
     assert rep.precision == 50
     assert rep.tolerance is not None
-    from decimal import Decimal
-
     assert Decimal(rep.details["max_rel_dev"]) < Decimal("1e-30")
 
 
@@ -137,6 +136,28 @@ def test_example_failure_reports_first_mismatch(monkeypatch):
     assert first == {"lambda": 2, "dag": 2, "ann": 4, "left": "1", "right": "1/2"}
 
 
+def test_kummer_b3half_judges_every_differing_entry(monkeypatch):
+    # a fault within tolerance on the highest entry must not hide a gross
+    # one on the lowest entry of the same lambda power
+    real = closedform._kummer_sides
+
+    def planted(b, lambda_order):
+        lhs, rhs, arg = real(b, lambda_order)
+        terms = dict(lhs[2].terms)
+        keys = sorted(terms)
+        terms[keys[-1]] += Fraction(1, 10**40)
+        terms[keys[0]] += 1
+        lhs[2] = NormalForm(terms)
+        return lhs, rhs, arg
+
+    monkeypatch.setattr(closedform, "_kummer_sides", planted)
+    rep = example_normal_forms("kummer-b3half", 4)
+    assert rep.status == "fail"
+    first = rep.details["first_mismatch"]
+    assert (first["lambda"], first["dag"], first["ann"]) == (2, 0, 2)
+    assert Decimal(rep.details["max_rel_dev"]) > Decimal("0.5")
+
+
 def test_bessel_parity():
     rep = bessel_parity_check(8)
     assert rep.status == "pass"
@@ -149,8 +170,6 @@ def test_conjecture_probe_shape():
     assert len(rep.details["fitted_coefficients"]) == 2
     assert rep.details["residuals"]
     # residuals are tiny for the shapes the fit actually takes
-    from decimal import Decimal
-
     assert Decimal(rep.details["max_rel_residual"]) < Decimal("1e-40")
 
 

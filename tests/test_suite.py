@@ -126,6 +126,17 @@ def test_negative_sizes_raise(identity, sizes):
         run_identity(identity, **sizes)
 
 
+def test_drivers_reject_negative_sizes():
+    with pytest.raises(ValueError, match="lambda_order"):
+        verify_exp_on_kummer(1, lambda_order=-1)
+    with pytest.raises(ValueError, match="n_max"):
+        verify_stirling_expansion(1, 1, -3)
+    with pytest.raises(ValueError, match="x_order"):
+        suite.verify_exp_on_exponential(1, x_order=-2)
+    with pytest.raises(ValueError, match="order"):
+        suite.verify_eigenfunction(1, 1, order=-1)
+
+
 def test_alias_dispatch():
     reps = run_identity("shef", r=2, n=4)
     assert len(reps) == 1
