@@ -9,7 +9,7 @@ and high-precision numerics for the transcendental closed forms.
 """
 
 from .hyperreal import HighPrecReal
-from .parser import ParseError, parse_expr
+from .parser import LimitError, ParseError, parse_expr
 from .series import (
     BiSeriesQ,
     PolyQ,
@@ -78,6 +78,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HighPrecReal",
+    "LimitError",
     "ParseError",
     "parse_expr",
     "BiSeriesQ",

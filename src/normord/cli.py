@@ -6,7 +6,8 @@ else by the contraction fold), `seq` exports Bell numbers or polynomial
 coefficient rows (through the disk cache), `verify` runs identity
 checks, `cache` manages the disk cache.
 Global flags may appear before or after the subcommand.  Exit codes:
-0 ok, 1 verification failure, 2 usage or parse error.
+0 ok, 1 verification failure, 2 usage or parse error, or an input past
+a size limit (`parser.LimitError`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from .cache import cache_clear, default_cache_dir, load_triangle
 from .closedform import DEFAULT_PRECISION, DEFAULT_TOLERANCE
-from .parser import ParseError, parse_expr
+from .parser import LimitError, ParseError, check_letters, parse_expr
 from .serialize import (
     normal_form_table,
     normal_form_to_json,
@@ -166,11 +167,13 @@ def cmd_order(cfg: Config, ns: argparse.Namespace) -> int:
         print("error: --power must be >= 1", file=sys.stderr)
         return 2
     try:
-        expr = parse_expr(ns.expr)
-    except ParseError as exc:
+        result = normal_order_rook(parse_expr(ns.expr))
+        if ns.power > 1:
+            degree = max((k + l for k, l in result.terms), default=0)
+            check_letters(ns.power * max(degree, 1), "the --power result")
+    except (ParseError, LimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = normal_order_rook(expr)
     if ns.power > 1:
         base = result
         result = row_power(base, ns.power)

@@ -13,6 +13,7 @@ informational and records only its precision.
 """
 
 import time
+from decimal import ROUND_CEILING, Context, Decimal, localcontext
 from fractions import Fraction
 
 from .hyperreal import HighPrecReal
@@ -20,6 +21,7 @@ from .laguerre import DotSeries
 from .report import IdentityReport, _finish, _nf_mismatch
 from .series import (
     SeriesQ,
+    certified_sum,
     factorial,
     laguerre_poly,
     phyperq_partial,
@@ -54,16 +56,56 @@ EXAMPLE_IDS = (
 )
 
 
+def _pfq_ratio(upper, lower, x):
+    """certified_sum's ratio functions and ratio cap for pFq(upper; lower; x).
+
+    The term ratio x * prod(u+k) / ((k+1) * prod(l+k)) with every
+    parameter denominator cleared: u + k = (u.num + k*u.den) / u.den.
+    """
+    c = x
+    for l in lower:
+        c *= l.denominator
+    for u in upper:
+        c /= u.denominator
+    c_num, c_den = c.numerator, c.denominator
+    ups = [(u.numerator, u.denominator) for u in upper]
+    lows = [(l.numerator, l.denominator) for l in lower]
+
+    def ratio_num(k):
+        out = c_num
+        for n, d in ups:
+            out *= n + k * d
+        return out
+
+    def ratio_den(k):
+        out = c_den * (k + 1)
+        for n, d in lows:
+            out *= n + k * d
+        return out
+
+    def ratio_cap(k):
+        # Each paired (u+j)/(l+j) factor moves monotonically toward 1 as
+        # j grows, unpaired 1/(l+j) and x/(j+1) shrink, so every ratio at
+        # j > k is at most this, and it does not increase with k.
+        cap = x / (k + 2)
+        for u, l in zip(upper, lower):
+            cap *= max(Fraction(1), (u + k + 1) / (l + k + 1))
+        for l in lower[len(upper):]:
+            cap /= l + k + 1
+        return cap
+
+    return ratio_num, ratio_den, ratio_cap
+
+
 def hyp_sum_adaptive(
     upper, lower, x, prec: int = DEFAULT_PRECISION, max_terms: int = 200000
 ) -> Fraction:
     """Exact partial sum of pFq with positive parameters, x >= 0, p <= q.
 
-    Truncated so the discarded tail is provably below 10^-(prec+10)
-    relative to the returned total (all terms positive, so the partial
-    sum is a lower bound and the geometric cap an upper one).  Exhausting
-    max_terms before the bound certifies raises RuntimeError; precision
-    is never silently degraded.
+    Truncated by `certified_sum` so the discarded tail is provably below
+    10^-(prec+10) relative to the returned total (all terms are positive
+    and the first is 1).  Exhausting max_terms before the bound certifies
+    raises RuntimeError; precision is never silently degraded.
     """
     upper = [Fraction(u) for u in upper]
     lower = [Fraction(l) for l in lower]
@@ -72,37 +114,15 @@ def hyp_sum_adaptive(
         raise ValueError("adaptive evaluation needs p <= q")
     if x < 0 or any(u <= 0 for u in upper) or any(l <= 0 for l in lower):
         raise ValueError("adaptive evaluation needs positive parameters and x >= 0")
-    if x == 0:
-        return Fraction(1)
-    cutoff = Fraction(1, 10 ** (prec + 10))
-    half = Fraction(1, 2)
-    total = Fraction(0)
-    term = Fraction(1)
-    k = 0
-    while True:
-        total += term
-        num = Fraction(1)
-        for u in upper:
-            num *= u + k
-        den = Fraction(k + 1)
-        for l in lower:
-            den *= l + k
-        nxt = term * num / den * x
-        # Cap on every later term ratio: each paired (u+j)/(l+j) factor
-        # moves monotonically toward 1 as j grows, unpaired 1/(l+j) and
-        # x/(j+1) shrink, so ratio(j) <= ratio_cap for all j > k. With
-        # ratio_cap <= 1/2 the whole tail is below 2*nxt.
-        ratio_cap = x / (k + 2)
-        for u, l in zip(upper, lower):
-            ratio_cap *= max(Fraction(1), (u + k + 1) / (l + k + 1))
-        for l in lower[len(upper):]:
-            ratio_cap /= l + k + 1
-        if ratio_cap <= half and 2 * nxt <= cutoff * total:
-            return total
-        term = nxt
-        k += 1
-        if k > max_terms:
-            raise RuntimeError("hypergeometric sum failed to reach its tail bound")
+    (total,), _ = certified_sum(*_pfq_ratio(upper, lower, x),
+                                Fraction(1, 10 ** (prec + 10)), max_terms)
+    return total
+
+
+def _bound_str(q: Fraction) -> str:
+    """q as a 6-digit decimal rounded up, so that a bound stays a bound."""
+    with localcontext(Context(prec=6, rounding=ROUND_CEILING)):
+        return str(Decimal(q.numerator) / Decimal(q.denominator))
 
 
 def _half_power(base: HighPrecReal, m: int) -> HighPrecReal:
@@ -348,10 +368,13 @@ def hyp_generating_function_check(
     Bell column t^n -> B(n,x)/(n!)^(M+1), coefficientwise through
     t^lambda_order.
 
-    The common 1/(n!)^(M+1) is cancelled before comparing. The outer l
-    sum is truncated adaptively with a proven geometric tail cap; if the
-    cap cannot be certified within the term budget the report says so
-    instead of passing.
+    The common 1/(n!)^(M+1) is cancelled before comparing. Row n's
+    coefficient is the outer sum over l of x^l/l! * W(n,l), W(n,l) =
+    prod_{i<=n} (l+ir)^M, truncated by `certified_sum` on the top row; if
+    the tail cannot be certified within the term budget the report says
+    so instead of passing. Passing reports record the certificate:
+    outer_terms, ratio_cap and tail_bound (both rounded up; the bound is
+    on the top row's l-sum, before the e^-x factor).
     """
     t0 = time.perf_counter()
     if r < 1 or M < 0 or lambda_order < 0:
@@ -363,33 +386,32 @@ def hyp_generating_function_check(
     numctx = {"precision": precision, "tolerance": str(tolerance)}
     n_top = lambda_order
     refs = [gen_bell_poly(r, M, n).eval(x) for n in range(n_top + 1)]
-    totals = [Fraction(0)] * (n_top + 1)
-    cutoff = Fraction(1, 10 ** (precision + 10))
-    half = Fraction(1, 2)
-    weight = Fraction(1)
-    l = 0
-    truncated_ok = False
-    while l <= max_terms:
-        row_top = weight * pochhammer(Fraction(l, r) + 1, n_top) ** M * r ** (M * n_top)
-        for n in range(n_top + 1):
-            totals[n] += weight * pochhammer(Fraction(l, r) + 1, n) ** M * r ** (M * n)
-        nxt_weight = weight * x / (l + 1)
-        nxt_top = (
-            nxt_weight * pochhammer(Fraction(l + 1, r) + 1, n_top) ** M * r ** (M * n_top)
+
+    def row_weights(l):
+        out = [1]
+        prod = 1
+        for i in range(1, n_top + 1):
+            prod *= l + i * r
+            out.append(prod**M)
+        return out
+
+    def ratio_cap(l):
+        # The top row's ratio at l is x/(l+1) * prod_i (1 + 1/(l+ir))^M,
+        # at most x/(l+1) * (1 + 1/(l+r))^(n_top*M), which falls with l.
+        return x / (l + 2) * (1 + Fraction(1, l + 1 + r)) ** (n_top * M)
+
+    # The lower rows stop with the top row: W(n_top,l)/W(n,l) increases
+    # in l, so no lower row's relative tail exceeds the top row's.
+    try:
+        totals, cert = certified_sum(
+            lambda l: x.numerator, lambda l: x.denominator * (l + 1), ratio_cap,
+            Fraction(1, 10 ** (precision + 10)), max_terms, row_weights,
         )
-        # Later ratios in l are capped by x/(l+2) * (1 + 1/(l+1+r))^(n*M),
-        # decreasing in l; terms grow with n, so the top row's tail bound
-        # covers every smaller n as well.
-        ratio_cap = x / (l + 2) * (1 + Fraction(1, l + 1 + r)) ** (n_top * M)
-        if ratio_cap <= half and 2 * nxt_top <= cutoff * max(totals[n_top], Fraction(1)):
-            truncated_ok = True
-            break
-        weight = nxt_weight
-        l += 1
-    if not truncated_ok:
+    except RuntimeError:
         first = {"reason": "tail bound not certified within term budget"}
         return _finish("hyp-generating-function", params, "numeric", t0, first,
-                       {"first_mismatch": first, "outer_terms": l}, **numctx)
+                       {"first_mismatch": first, "outer_terms": max_terms + 1},
+                       **numctx)
     emx = HighPrecReal.exp_of(-x, precision)
     worst_rel = None
     worst_abs = None
@@ -405,7 +427,9 @@ def hyp_generating_function_check(
             worst_abs = absdev
         if not val.agrees_with(ref, tolerance) and first is None:
             first = {"n": n, "left": str(val), "right": str(ref)}
-    details = {"first_mismatch": first, "outer_terms": l + 1,
+    details = {"first_mismatch": first, "outer_terms": cert.terms,
+               "ratio_cap": _bound_str(cert.ratio_cap),
+               "tail_bound": _bound_str(cert.tail_bound),
                "max_rel_dev": str(worst_rel), "max_abs_dev": str(worst_abs)}
     return _finish("hyp-generating-function", params, "numeric", t0, first,
                    details, **numctx)

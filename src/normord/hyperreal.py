@@ -13,6 +13,8 @@ the lower incomplete gamma series
 with R large enough that the discarded upper tail Gamma(s,R) ~ e^{-R} is
 below the working precision.  All series terms are positive, so there is
 no cancellation and the working precision only needs a fixed guard.
+pi and the core gamma values are memoised per (argument, precision) in
+bounded caches; Decimals are immutable, so sharing them is safe.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import decimal
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 
 __all__ = ["HighPrecReal", "pi_decimal", "gamma_fraction", "sqrt_decimal"]
 
@@ -35,14 +38,15 @@ def fraction_to_decimal(q: Fraction, prec: int) -> Decimal:
         return +(Decimal(q.numerator) / Decimal(q.denominator))
 
 
-_PI_CACHE: dict[int, Decimal] = {}
-
-
 def pi_decimal(prec: int) -> Decimal:
     """pi to `prec` significant digits (the classic decimal recipe)."""
-    hit = _PI_CACHE.get(prec)
-    if hit is not None:
-        return hit
+    # a plain function over the cached core, so span tracers that wrap
+    # module functions still see every call
+    return _pi_core(prec)
+
+
+@lru_cache(maxsize=64)
+def _pi_core(prec: int) -> Decimal:
     with localcontext(_ctx(prec + _GUARD)):
         three = Decimal(3)
         lasts, t, s, n, na, d, da = Decimal(0), three, Decimal(3), 1, 0, 0, 24
@@ -53,9 +57,7 @@ def pi_decimal(prec: int) -> Decimal:
             t = (t * n) / d
             s += t
     with localcontext(_ctx(prec)):
-        s = +s
-    _PI_CACHE[prec] = s
-    return s
+        return +s
 
 
 def sqrt_decimal(x: Decimal, prec: int) -> Decimal:
@@ -101,6 +103,7 @@ def _sin_pi_fraction(q: Fraction, prec: int) -> Decimal:
         return +(sign * total)
 
 
+@lru_cache(maxsize=256)
 def _gamma_core(s: Fraction, prec: int) -> Decimal:
     """Gamma(s) for s in [1,2), via the lower incomplete gamma series."""
     assert 1 <= s < 2

@@ -11,7 +11,9 @@ Grammar (loosest binding first):
 result is a BosonExpr (free-algebra element); powers expand to word
 repetition, so nothing here consults the commutator.  Parentheses nest at
 most MAX_NESTING deep: the parser recurses once per level, and a deeper
-input is a ParseError rather than a RecursionError.
+input is a ParseError rather than a RecursionError.  No word may grow
+past MAX_LETTERS letters: a power or product that would exceed it raises
+LimitError before any word is built.
 """
 
 from __future__ import annotations
@@ -20,9 +22,13 @@ from fractions import Fraction
 
 from .weyl import ANNIHILATOR, CREATOR, BosonExpr
 
-__all__ = ["MAX_NESTING", "ParseError", "parse_expr", "tokenize"]
+__all__ = ["MAX_LETTERS", "MAX_NESTING", "LimitError", "ParseError",
+           "check_letters", "parse_expr", "tokenize"]
 
 MAX_NESTING = 200
+# Ten times and more the sizes the package is built to handle fast
+# (1000-letter words, D(r,M)^p with p >= 300 and r + 2M <= 9).
+MAX_LETTERS = 30_000
 
 
 class ParseError(ValueError):
@@ -31,6 +37,25 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class LimitError(ValueError):
+    """An input whose size is past a module limit."""
+
+
+def check_letters(letters: int, what: str) -> None:
+    """Raise LimitError if `letters` exceeds MAX_LETTERS.
+
+    A power counts its exponent times the base's longest word, a scalar
+    base counting as one letter: the power is built one factor at a time.
+    """
+    if letters > MAX_LETTERS:
+        raise LimitError(
+            f"{what} would reach {letters} letters, past the limit of {MAX_LETTERS}")
+
+
+def _letters(expr: BosonExpr) -> int:
+    return max(map(len, expr.terms), default=0)
 
 
 _PUNCT = set("+-*^()/")
@@ -132,11 +157,11 @@ class _Parser:
             kind, _, _ = self.peek()
             if kind == "*":
                 self.take()
-                out = out * self.factor()
-            elif kind in _ATOM_STARTS:
-                out = out * self.factor()
-            else:
+            elif kind not in _ATOM_STARTS:
                 return out
+            rhs = self.factor()
+            check_letters(_letters(out) + _letters(rhs), "a product")
+            out = out * rhs
 
     def factor(self) -> BosonExpr:
         out = self.atom()
@@ -147,6 +172,8 @@ class _Parser:
             if k2 == "-":
                 raise ParseError("negative exponents are not allowed", p2)
             tok = self.expect("int")
+            # a scalar's power costs one step per unit of exponent too
+            check_letters(tok[1] * max(_letters(out), 1), "a power")
             out = out ** tok[1]
         return out
 

@@ -4,14 +4,19 @@ Everything here is dense and immutable: degrees and truncation orders stay
 small (a few hundred at most), so dense storage wins on simplicity and is
 fast enough.  Coefficients are `fractions.Fraction` throughout; no floats
 enter at any point.
+
+`certified_sum` is the one place that truncates an infinite series of
+positive terms with a proven tail bound; it runs in unreduced integers
+(see its docstring).
 """
 
 from __future__ import annotations
 
-import threading
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial as _factorial
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "PolyQ",
@@ -26,22 +31,17 @@ __all__ = [
     "phyperq_partial",
     "phyperq_series",
     "pochhammer",
+    "SumCertificate",
+    "certified_sum",
 ]
 
-_FACT_CACHE: dict[int, int] = {}
-_FACT_LOCK = threading.Lock()
 
-
+@lru_cache(maxsize=1024)
 def factorial(n: int) -> int:
-    """n! with a process-local memo (safe for concurrent use)."""
+    """n! with a bounded process-local memo."""
     if n < 0:
         raise ValueError("factorial of negative argument")
-    hit = _FACT_CACHE.get(n)
-    if hit is None:
-        hit = _factorial(n)
-        with _FACT_LOCK:
-            _FACT_CACHE[n] = hit
-    return hit
+    return _factorial(n)
 
 
 def binomial(n: int, k: int) -> int:
@@ -450,3 +450,80 @@ def phyperq_series(upper: Sequence, lower: Sequence, order: int) -> SeriesQ:
             num *= u + k
         term = term * num / den / (k + 1)
     return SeriesQ(order, out)
+
+
+@dataclass(frozen=True)
+class SumCertificate:
+    """Why a `certified_sum` total can be trusted.
+
+    terms: how many terms were summed (t_0 .. t_{terms-1});
+    ratio_cap: a bound on every term ratio t_{j+1}/t_j with j >= terms;
+    tail_bound: 2 * t_terms, which bounds the discarded tail
+    t_terms + t_{terms+1} + ... because ratio_cap <= 1/2.
+    """
+
+    terms: int
+    ratio_cap: Fraction
+    tail_bound: Fraction
+
+
+def _unit_weight(k: int) -> tuple:
+    return (1,)
+
+
+def certified_sum(
+    ratio_num: Callable[[int], int],
+    ratio_den: Callable[[int], int],
+    ratio_cap: Callable[[int], Fraction],
+    cutoff: Fraction,
+    max_terms: int = 200000,
+    weights: Callable[[int], Sequence[int]] = _unit_weight,
+) -> tuple[list[Fraction], SumCertificate]:
+    """Sum rows of positive terms t_k = w(k) c_k with a proven tail bound.
+
+    The chain c_0 = 1, c_{k+1} = c_k * ratio_num(k) / ratio_den(k) has
+    int-valued ratio functions (ratio_num >= 0, ratio_den > 0), and row
+    j's term k is weights(k)[j] * c_k with int weights >= 0.  The default
+    is one row of 1s, whose term ratio is ratio_num/ratio_den.  The last row
+    governs the stop: ratio_cap(k) must bound every ratio t_{j+1}/t_j of
+    that row for j > k and must not increase with k.  After term k the
+    sum stops once ratio_cap(k) <= 1/2 and 2 * t_{k+1} <= cutoff *
+    max(S_k, 1), S_k being the last row's partial sum.  All later ratios
+    are then at most 1/2, so the discarded tail t_{k+1} + t_{k+2} + ...
+    is below 2 * t_{k+1}: within cutoff of S_k relative to it, or
+    absolutely when S_k < 1.  This is the only place that argument is
+    made.  Other rows need their own reason to share the stop.
+
+    c_k is kept as num/den and each row's partial sum as sums[j]/den in
+    unreduced ints (num <- num*a, sums[j] <- sums[j]*b + num*w[j],
+    den <- den*b for a/b the ratio at k), every stopping test is an exact
+    integer cross-multiplication, and the only gcds are those of the
+    returned Fractions.  The cap is evaluated only until it first
+    certifies <= 1/2 (it cannot rise again), and once more at the stop for
+    the certificate.  Returns (one exact partial sum per row, certificate);
+    raises RuntimeError if terms t_0 .. t_{max_terms} do not certify.
+    """
+    cut_num, cut_den = cutoff.numerator, cutoff.denominator
+    num = den = 1
+    sums = list(weights(0))
+    capped = False
+    for k in range(max_terms + 1):
+        a = ratio_num(k)
+        b = ratio_den(k)
+        num *= a
+        den_next = den * b
+        w = weights(k + 1)
+        nxt = num * w[-1]
+        if not capped:
+            capped = 2 * ratio_cap(k) <= 1
+        if capped:
+            scale = sums[-1] * b
+            if scale < den_next:
+                scale = den_next
+            if 2 * nxt * cut_den <= cut_num * scale:
+                return [Fraction(s, den) for s in sums], SumCertificate(
+                    k + 1, ratio_cap(k), Fraction(2 * nxt, den_next)
+                )
+        sums = [s * b + num * wj for s, wj in zip(sums, w)]
+        den = den_next
+    raise RuntimeError("certified sum failed to reach its tail bound")

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import backend
 from .hyperreal import HighPrecReal
-from .series import PolyQ
+from .series import PolyQ, certified_sum
 from .weyl import NormalForm
 
 __all__ = [
@@ -273,47 +273,37 @@ def dobinski_partial(r: int, M: int, n: int, x, L: int) -> Fraction:
 
 
 def dobinski_adaptive(r: int, M: int, n: int, x, tol, prec: int = 50):
-    """Adaptive exponentially weighted sum: e^{-x} * sum_l w_l x^l / l!.
+    """Adaptive exponentially weighted sum: e^{-x} * sum_l w_l x^l / l!,
+    w_l = [prod_{i=1}^n (l+ir)]^M.
 
-    Stops once e^{-x} times the last increment falls below tol AND the
-    term ratio has dropped to <= 1/2 (the ratio is eventually monotone
-    decreasing, so from that point the whole remaining tail is bounded by
-    twice the next term, making the reported value rigorously within tol).
+    The term ratio x/(l+1) * prod_i (1 + 1/(l+ir))^M falls with l for
+    every l >= 0 (for r = 0, every l >= 1, after the zero term t_0), so
+    the ratio at l+1 caps every later one and `certified_sum` stops once
+    that cap is <= 1/2 and its tail bound is at most tol * max(partial
+    sum, 1).  As e^{-x} <= 1, the reported value is then within
+    tol * max(value, 1) of the full sum: the scale at which
+    `HighPrecReal.agrees_with` compares.
     Returns (value: HighPrecReal, terms_used: int, exact_partial: Fraction).
     """
+    if r < 0 or M < 0 or n < 0:
+        raise ValueError("need r, M, n >= 0")
     x = Fraction(x)
     if x < 0:
         raise ValueError("x must be >= 0")
     tol = Fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    ex = HighPrecReal.exp_of(-x, prec)
-    if x == 0:
-        w0 = Fraction(_dobinski_term_factor(r, M, n, 0))
-        return HighPrecReal(w0, prec), 1, w0
-    total = Fraction(0)
-    prev_term = None
-    xpow = Fraction(1)
-    fact = 1
-    l = 0
-    while True:
-        if l:
-            xpow *= x
-            fact *= l
-        term = Fraction(_dobinski_term_factor(r, M, n, l) * xpow.numerator,
-                        fact * xpow.denominator)
-        total += term
-        l += 1
-        if prev_term is not None and 2 * term <= prev_term:
-            # ratio <= 1/2 and decreasing from here on: tail < 2*next term
-            gate = (ex * (2 * term)).value
-            bound = HighPrecReal(tol, prec).value
-            if gate < bound:
-                break
-        prev_term = term
-        if l > 100000:
-            raise RuntimeError("adaptive sum failed to converge")
-    return ex * total, l, total
+    p, q = x.numerator, x.denominator
+
+    def ratio_cap(l):
+        return Fraction(p * _dobinski_term_factor(r, M, n, l + 2),
+                        q * (l + 2) * _dobinski_term_factor(r, M, n, l + 1))
+
+    (total,), cert = certified_sum(
+        lambda l: p, lambda l: q * (l + 1), ratio_cap, tol, 100000,
+        lambda l: (_dobinski_term_factor(r, M, n, l),),
+    )
+    return HighPrecReal.exp_of(-x, prec) * total, cert.terms, total
 
 
 def b_pp(p: int, n: int) -> int:

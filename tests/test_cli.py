@@ -87,6 +87,20 @@ def test_order_deep_nesting_exits_2():
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [("a^99999999999",),
+                                  ("a† a", "--power", "100000"),
+                                  ("2", "--power", "100000")])
+def test_order_size_limits_exit_2(argv):
+    # Subprocesses with a timeout: without the limits these run until killed.
+    proc = subprocess.run([sys.executable, "-m", "normord.cli", "order", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "past the limit of" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
 def test_order_rejects_bad_power_and_bfile(capsys):
     assert run(capsys, "order", "a", "--power", "0")[0] == 2
     assert run(capsys, "order", "a", "--format", "bfile")[0] == 2

@@ -3,9 +3,12 @@
 from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from normord import closedform
+from normord import closedform, hyperreal
 from normord.closedform import (
     CLOSED_FORM_KINDS,
     EXAMPLE_IDS,
@@ -17,6 +20,7 @@ from normord.closedform import (
     hyp_sum_adaptive,
     kummer_taylor,
 )
+from normord.series import certified_sum
 from normord.weyl import NormalForm
 
 
@@ -46,6 +50,121 @@ def test_hyp_sum_adaptive_guards():
 def test_hyp_sum_adaptive_budget_exhaustion_is_loud():
     with pytest.raises(RuntimeError):
         hyp_sum_adaptive([1], [1], Fraction(50), max_terms=10)
+
+
+def _fraction_loop_hyp_sum(upper, lower, x, prec, max_terms=200000):
+    """The Fraction loop hyp_sum_adaptive ran before `certified_sum`."""
+    upper = [Fraction(u) for u in upper]
+    lower = [Fraction(l) for l in lower]
+    x = Fraction(x)
+    if x == 0:
+        return Fraction(1)
+    cutoff = Fraction(1, 10 ** (prec + 10))
+    total = Fraction(0)
+    term = Fraction(1)
+    k = 0
+    while True:
+        total += term
+        num = Fraction(1)
+        for u in upper:
+            num *= u + k
+        den = Fraction(k + 1)
+        for l in lower:
+            den *= l + k
+        nxt = term * num / den * x
+        ratio_cap = x / (k + 2)
+        for u, l in zip(upper, lower):
+            ratio_cap *= max(Fraction(1), (u + k + 1) / (l + k + 1))
+        for l in lower[len(upper):]:
+            ratio_cap /= l + k + 1
+        if ratio_cap <= Fraction(1, 2) and 2 * nxt <= cutoff * total:
+            return total
+        term = nxt
+        k += 1
+        assert k <= max_terms
+
+
+def _plain_partial_sum(upper, lower, x, terms):
+    total = Fraction(0)
+    term = Fraction(1)
+    for k in range(terms):
+        total += term
+        for u in upper:
+            term *= u + k
+        for l in lower:
+            term /= l + k
+        term *= x / (k + 1)
+    return total
+
+
+def _mpf(q):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+params = st.fractions(min_value=Fraction(1, 8), max_value=4, max_denominator=8)
+
+
+@st.composite
+def pfq_cases(draw):
+    q = draw(st.integers(min_value=0, max_value=3))
+    p = draw(st.integers(min_value=0, max_value=q))
+    upper = draw(st.lists(params, min_size=p, max_size=p))
+    lower = draw(st.lists(params, min_size=q, max_size=q))
+    x = draw(st.fractions(min_value=0, max_value=4, max_denominator=10))
+    return upper, lower, x
+
+
+@settings(max_examples=60, deadline=None)
+@given(pfq_cases())
+def test_certified_hyp_sum_matches_plain_sum_and_mpmath(case):
+    upper, lower, x = case
+    prec = 20
+    value = hyp_sum_adaptive(upper, lower, x, prec)
+    (total,), cert = certified_sum(*closedform._pfq_ratio(upper, lower, x),
+                                   Fraction(1, 10 ** (prec + 10)))
+    assert value == total
+    assert value == _plain_partial_sum(upper, lower, x, cert.terms)
+    assert value == _fraction_loop_hyp_sum(upper, lower, x, prec)
+    assert cert.ratio_cap <= Fraction(1, 2)
+    assert cert.tail_bound <= Fraction(1, 10 ** (prec + 10)) * value
+    # the full sum lies in [value, value + tail_bound]
+    with mpmath.workdps(prec + 20):
+        full = mpmath.hyper([_mpf(u) for u in upper], [_mpf(l) for l in lower],
+                            _mpf(x))
+        slack = full * mpmath.mpf(10) ** -(prec + 15)
+        assert _mpf(value) - slack <= full <= _mpf(value + cert.tail_bound) + slack
+
+
+def test_suite_hyp_sums_equal_the_fraction_loop(monkeypatch):
+    # every pFq the numeric closed forms and the probe evaluate
+    calls = []
+
+    def recording(upper, lower, x, prec=closedform.DEFAULT_PRECISION, max_terms=200000):
+        out = hyp_sum_adaptive(upper, lower, x, prec, max_terms)
+        calls.append((upper, lower, x, prec, out))
+        return out
+
+    monkeypatch.setattr(closedform, "hyp_sum_adaptive", recording)
+    assert hyp_closed_form_check("bell-hyp-r2", None, 2, 2).status == "pass"
+    assert hyp_closed_form_check("bell-hyp-r3", None, 1, 1).status == "pass"
+    conjecture_probe(2, 1, 2, precision=60)
+    assert len(calls) > 20
+    for upper, lower, x, prec, out in calls:
+        assert out == _fraction_loop_hyp_sum(upper, lower, x, prec)
+
+
+def test_gamma_core_memo_is_bounded():
+    core = hyperreal._gamma_core
+    core.cache_clear()
+    cold = hyperreal.gamma_fraction(Fraction(7, 3), 40)
+    assert core.cache_info().misses == 1
+    warm = hyperreal.gamma_fraction(Fraction(7, 3), 40)
+    assert core.cache_info().hits == 1
+    assert warm == cold and str(warm) == str(cold)
+    maxsize = core.cache_info().maxsize
+    for i in range(maxsize + 4):
+        core(1 + Fraction(i, maxsize + 4), 5)
+    assert core.cache_info().currsize == maxsize
 
 
 def test_kummer_taylor():
@@ -87,6 +206,15 @@ def test_generating_function_check_passes():
     assert rep.status == "pass"
     assert rep.mode == "numeric"
     assert rep.details["first_mismatch"] is None
+
+
+def test_generating_function_records_its_certificate():
+    rep = hyp_generating_function_check(1, 1, Fraction(1), 6)
+    details = rep.details
+    assert details["outer_terms"] == 51
+    assert Decimal(details["ratio_cap"]) <= Decimal("0.5")
+    # the cutoff 10^-60 relative to the top row's sum e * B(6, 1) < 3 * 130922
+    assert 0 < Decimal(details["tail_bound"]) <= Decimal("1e-60") * 3 * 130922
 
 
 def test_generating_function_budget_report():

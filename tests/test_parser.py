@@ -4,7 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from normord.parser import MAX_NESTING, ParseError, parse_expr, tokenize
+from normord.parser import (
+    MAX_LETTERS,
+    MAX_NESTING,
+    LimitError,
+    ParseError,
+    parse_expr,
+    tokenize,
+)
 from normord.weyl import BosonExpr
 
 
@@ -92,3 +99,16 @@ def test_nesting_limit():
     with pytest.raises(ParseError) as ei:
         parse_expr("(" + deep + ")")
     assert ei.value.position == MAX_NESTING
+
+
+def test_letter_limit():
+    assert MAX_LETTERS >= 10_000  # ten times a 1000-letter word
+    w, _ = word_of(parse_expr(f"(a^100)^{MAX_LETTERS // 100}"))
+    assert len(w) == MAX_LETTERS
+    for text in (f"(a^100)^{MAX_LETTERS // 100 + 1}",  # a power
+                 f"a^{MAX_LETTERS} ad",                  # a product
+                 "a^99999999999",
+                 f"2^{MAX_LETTERS + 1}"):                # a scalar's power
+        with pytest.raises(LimitError):
+            parse_expr(text)
+    assert issubclass(LimitError, ValueError)

@@ -11,6 +11,7 @@ from normord.series import (
     PolyQ,
     SeriesQ,
     binomial,
+    certified_sum,
     factorial,
     falling_factorial,
     laguerre_poly,
@@ -157,3 +158,36 @@ def test_series_coeff_out_of_range():
     s = SeriesQ(3, [1, 2, 3])
     with pytest.raises(IndexError):
         s.coeff(3)
+
+
+def test_certified_sum_rows_stop_with_the_last_row():
+    # rows k^0, k^1, k^2 times 3^k/k!: e^3 * (1, 3, 12); the last row's
+    # ratio 3(j+1)/j^2 falls with j, so its value at j = k+1 is the cap
+    cutoff = Fraction(1, 10**30)
+    cap = lambda k: Fraction(3 * (k + 2), (k + 1) ** 2)
+    totals, cert = certified_sum(lambda k: 3, lambda k: k + 1, cap, cutoff,
+                                 weights=lambda k: (1, k, k * k))
+    plain = [sum(Fraction(k**j * 3**k, factorial(k)) for k in range(cert.terms))
+             for j in range(3)]
+    assert totals == plain
+    assert cert.ratio_cap == cap(cert.terms - 1) <= Fraction(1, 2)
+    nxt = Fraction(cert.terms**2 * 3**cert.terms, factorial(cert.terms))
+    assert cert.tail_bound == 2 * nxt <= cutoff * totals[-1]
+    long = sum(Fraction(k * k * 3**k, factorial(k)) for k in range(cert.terms + 80))
+    assert 0 < long - totals[-1] <= cert.tail_bound
+    # and it stops at the first term where the rule holds
+    partial = Fraction(0)
+    for k in range(cert.terms - 1):
+        partial += Fraction(k * k * 3**k, factorial(k))
+        nxt_k = Fraction((k + 1) ** 2 * 3 ** (k + 1), factorial(k + 1))
+        assert 2 * cap(k) > 1 or 2 * nxt_k > cutoff * max(partial, 1)
+
+
+def test_certified_sum_budget_is_loud():
+    # the cap never reaches 1/2
+    with pytest.raises(RuntimeError):
+        certified_sum(lambda k: 1, lambda k: 1, lambda k: Fraction(1),
+                      Fraction(1, 10), max_terms=50)
+    with pytest.raises(RuntimeError):
+        certified_sum(lambda k: 50, lambda k: k + 1, lambda k: Fraction(50, k + 2),
+                      Fraction(1, 10**30), max_terms=10)

@@ -194,7 +194,9 @@ def test_dobinski_adaptive_hits_bell_values():
     from normord.hyperreal import HighPrecReal
 
     tol = Fraction(1, 10**30)
-    for (r, M), ref in SEQUENCES.items():
+    # r = 0 gives the classical Bell numbers and a zero first term
+    cases = {**SEQUENCES, (0, 1): [classical_bell(n) for n in range(8)]}
+    for (r, M), ref in cases.items():
         for n, bell in enumerate(ref):
             val, terms, _ = dobinski_adaptive(r, M, n, 1, tol)
             assert terms >= 1
