@@ -11,7 +11,6 @@ and high-precision numerics for the transcendental closed forms.
 from .hyperreal import HighPrecReal
 from .parser import LimitError, ParseError, parse_expr
 from .series import (
-    BiSeriesQ,
     PolyQ,
     SeriesQ,
     binomial,
@@ -55,8 +54,6 @@ from .laguerre import (
     egf_bell_r1,
     eigenfunction_series,
     exp_D_r1_normal_form,
-    exp_lambda_Dx,
-    sheffer_forms,
 )
 from .closedform import (
     conjecture_probe,
@@ -81,7 +78,6 @@ __all__ = [
     "LimitError",
     "ParseError",
     "parse_expr",
-    "BiSeriesQ",
     "PolyQ",
     "SeriesQ",
     "binomial",
@@ -121,8 +117,6 @@ __all__ = [
     "egf_bell_r1",
     "eigenfunction_series",
     "exp_D_r1_normal_form",
-    "exp_lambda_Dx",
-    "sheffer_forms",
     "conjecture_probe",
     "example_normal_forms",
     "hyp_closed_form_check",

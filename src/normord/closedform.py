@@ -21,11 +21,13 @@ from .laguerre import DotSeries
 from .report import IdentityReport, _finish, _nf_mismatch
 from .series import (
     SeriesQ,
+    binomial,
     certified_sum,
     factorial,
     laguerre_poly,
     phyperq_partial,
     phyperq_series,
+    pfq_ratio,
     pochhammer,
     series_exp,
 )
@@ -56,32 +58,8 @@ EXAMPLE_IDS = (
 )
 
 
-def _pfq_ratio(upper, lower, x):
-    """certified_sum's ratio functions and ratio cap for pFq(upper; lower; x).
-
-    The term ratio x * prod(u+k) / ((k+1) * prod(l+k)) with every
-    parameter denominator cleared: u + k = (u.num + k*u.den) / u.den.
-    """
-    c = x
-    for l in lower:
-        c *= l.denominator
-    for u in upper:
-        c /= u.denominator
-    c_num, c_den = c.numerator, c.denominator
-    ups = [(u.numerator, u.denominator) for u in upper]
-    lows = [(l.numerator, l.denominator) for l in lower]
-
-    def ratio_num(k):
-        out = c_num
-        for n, d in ups:
-            out *= n + k * d
-        return out
-
-    def ratio_den(k):
-        out = c_den * (k + 1)
-        for n, d in lows:
-            out *= n + k * d
-        return out
+def _pfq_cap(upper, lower, x):
+    """certified_sum's ratio cap for pFq(upper; lower; x) with positive parameters."""
 
     def ratio_cap(k):
         # Each paired (u+j)/(l+j) factor moves monotonically toward 1 as
@@ -94,7 +72,7 @@ def _pfq_ratio(upper, lower, x):
             cap /= l + k + 1
         return cap
 
-    return ratio_num, ratio_den, ratio_cap
+    return ratio_cap
 
 
 def hyp_sum_adaptive(
@@ -105,7 +83,9 @@ def hyp_sum_adaptive(
     Truncated by `certified_sum` so the discarded tail is provably below
     10^-(prec+10) relative to the returned total (all terms are positive
     and the first is 1).  Exhausting max_terms before the bound certifies
-    raises RuntimeError; precision is never silently degraded.
+    raises RuntimeError; precision is never silently degraded.  The terms
+    come from `series.pfq_ratio`; the ratio cap needs the positive
+    parameters checked here.
     """
     upper = [Fraction(u) for u in upper]
     lower = [Fraction(l) for l in lower]
@@ -114,7 +94,8 @@ def hyp_sum_adaptive(
         raise ValueError("adaptive evaluation needs p <= q")
     if x < 0 or any(u <= 0 for u in upper) or any(l <= 0 for l in lower):
         raise ValueError("adaptive evaluation needs positive parameters and x >= 0")
-    (total,), _ = certified_sum(*_pfq_ratio(upper, lower, x),
+    (total,), _ = certified_sum(*pfq_ratio(upper, lower, x),
+                                _pfq_cap(upper, lower, x),
                                 Fraction(1, 10 ** (prec + 10)), max_terms)
     return total
 
@@ -131,12 +112,6 @@ def _half_power(base: HighPrecReal, m: int) -> HighPrecReal:
     if m % 2:
         out = out * base.sqrt()
     return out
-
-
-def kummer_taylor(b, n_terms: int) -> list:
-    """Taylor coefficients of 1F1([b],[1],y): (b)_k / (k!)^2."""
-    b = Fraction(b)
-    return [pochhammer(b, k) / factorial(k) ** 2 for k in range(n_terms)]
 
 
 def _bessel_half_taylor(kind: int, n_terms: int) -> list:
@@ -457,7 +432,7 @@ def _kummer_sides(b: Fraction, lambda_order: int):
     """Left oracle list and generic dot-form right side for 1F1([b],[1], t*D)."""
     order = lambda_order + 1
     powers = _oracle_powers(1, 1, lambda_order)
-    taylor = kummer_taylor(b, order)
+    taylor = phyperq_series([b], [1], order).coeffs
     lhs = [powers[n].scale(taylor[n]) for n in range(order)]
     inv = DotSeries.binpow(order, -1, 1, -1)
     arg = DotSeries.monomial(order, 1, 1, 2) * inv
@@ -658,18 +633,24 @@ def bessel_parity_check(lambda_order: int) -> IdentityReport:
                    "exact", t0, first, {"first_mismatch": first, "checks": checks})
 
 
+def _exp_minus_times(weights: list) -> list:
+    """y^k coefficients of e^(-y) * sum_l weights[l] y^l / l!, for int weights.
+
+    sum_{j+l=k} (-1)^j/j! * weights[l]/l!, using 1/(j! l!) = C(k,j)/k!.
+    """
+    return [
+        Fraction(sum((-1) ** j * binomial(k, j) * weights[k - j] for j in range(k + 1)),
+                 factorial(k))
+        for k in range(len(weights))
+    ]
+
+
 def _alternating_row_nf(n: int, M: int, k_max: int, scaled_by_n_fact: bool) -> NormalForm:
     # Coefficient of (ad)^k a^(k+n): sum_{j+l=k} (-1)^j/j! * ((l+1)_n)^M / l!,
     # divided by (n!)^M when the 1/(n!)^M normalization sits outside.
+    rising = [pochhammer(l + 1, n).numerator ** M for l in range(k_max + 1)]
     terms = {}
-    for k in range(k_max + 1):
-        total = Fraction(0)
-        for j in range(k + 1):
-            l = k - j
-            total += (
-                Fraction((-1) ** j, factorial(j) * factorial(l))
-                * pochhammer(Fraction(l + 1), n) ** M
-            )
+    for k, total in enumerate(_exp_minus_times(rising)):
         if not scaled_by_n_fact:
             total /= Fraction(factorial(n)) ** M
         if total:
@@ -708,16 +689,11 @@ def _example_hyp_compact(lambda_order: int, M: int, t0: float) -> IdentityReport
     first = None
     for n in range(lambda_order + 1):
         # (n!)^M : e^{-ad a} mFm([n+1 x M],[1 x M], ad a) a^n :
+        # the y^l weight ((n+1)_l)^M / (l!)^M = C(n+l,l)^M is an int
+        weights = [(pochhammer(n + 1, l) / factorial(l)).numerator ** M
+                   for l in range(M * n + 4)]
         terms = {}
-        for k in range(M * n + 4):
-            total = Fraction(0)
-            for j in range(k + 1):
-                l = k - j
-                total += (
-                    Fraction((-1) ** j, factorial(j))
-                    * pochhammer(Fraction(n + 1), l) ** M
-                    / Fraction(factorial(l)) ** (M + 1)
-                )
+        for k, total in enumerate(_exp_minus_times(weights)):
             if total:
                 terms[(k, k + n)] = total * factorial(n) ** M
         rhs = NormalForm(terms)

@@ -1,9 +1,10 @@
 """Operational calculus for D_x(r,M) = (d/dx)^r (x d/dx)^M on exact series.
 
 The monomial action is x^p -> p(p-1)...(p-r+1) * p^M * x^{p-r}.  On top of
-that sit the exponential map exp(lambda D_x), the eigenfunction series, the
-Sheffer-type closed form of exp(lambda D(r,1)) in normally ordered form,
-and the exponential generating function of the r-row Bell numbers.
+that sit the columns Dx^m(s)/m! of exp(lambda D_x) s, the eigenfunction
+series, the Sheffer-type closed form of exp(lambda D(r,1)) in normally
+ordered form, and the exponential generating function of the r-row Bell
+numbers.
 
 `DotSeries` is the engine for double-dot expressions: a series in lambda
 whose coefficients are words in which the creator and annihilator are
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .series import (
-    BiSeriesQ,
     SeriesQ,
     factorial,
     falling_factorial,
@@ -31,11 +31,8 @@ from .weyl import NormalForm
 __all__ = [
     "DxOperator",
     "apply_Dx",
-    "exp_lambda_Dx",
     "exp_lambda_Dx_columns",
     "eigenfunction_series",
-    "ShefferPair",
-    "sheffer_forms",
     "exp_D_r1_normal_form",
     "egf_bell_r1",
     "DotSeries",
@@ -74,25 +71,6 @@ def exp_lambda_Dx_columns(op: DxOperator, s: SeriesQ, m_max: int) -> list:
     return cols
 
 
-def exp_lambda_Dx(op: DxOperator, s: SeriesQ, lambda_order: int) -> BiSeriesQ:
-    """exp(lambda D_x) s = sum_m lambda^m/m! Dx^m s, bivariate in (x, lambda).
-
-    `lambda_order` is the highest retained power of lambda (so 0 returns s
-    itself in bivariate clothing).  Rectangular truncation: the x-order of
-    the result is s.order - r*lambda_order, dictated by the deepest column.
-    """
-    if lambda_order < 0:
-        raise ValueError("lambda_order must be nonnegative")
-    if op.r * lambda_order > s.order:
-        raise ValueError(
-            f"insufficient truncation order: need x-order >= {op.r * lambda_order}"
-        )
-    nx = s.order - op.r * lambda_order
-    cols = exp_lambda_Dx_columns(op, s, lambda_order)
-    mat = [[cols[m].coeffs[i] for m in range(lambda_order + 1)] for i in range(nx)]
-    return BiSeriesQ(nx, lambda_order + 1, mat)
-
-
 def eigenfunction_series(r: int, M: int, order: int) -> SeriesQ:
     """The eigenfunction of D_x(r,M) with eigenvalue 1 and E(0)=1.
 
@@ -115,37 +93,6 @@ def eigenfunction_series(r: int, M: int, order: int) -> SeriesQ:
         out[r * m] = f.coeffs[m] * scale
         scale /= denom
     return SeriesQ(order, out)
-
-
-@dataclass(frozen=True)
-class ShefferPair:
-    """Substitution kernel T and prefactor g of exp(lambda D(r,1))."""
-
-    r: int
-    T: BiSeriesQ  # x(1 - lambda r x^r)^(-1/r)
-    g: BiSeriesQ  # (1 - lambda r x^r)^(-1)
-
-
-def sheffer_forms(r: int, lambda_order: int, x_order: int) -> ShefferPair:
-    """Build T and g as bivariate (x, lambda) truncations."""
-    if r < 1:
-        raise ValueError("need r >= 1")
-    if lambda_order < 1 or x_order < 1:
-        raise ValueError("orders must be >= 1")
-    bt = series_binpow(-r, Fraction(-1, r), lambda_order)
-    bg = series_binpow(-r, Fraction(-1), lambda_order)
-    tmat = [[Fraction(0)] * lambda_order for _ in range(x_order)]
-    gmat = [[Fraction(0)] * lambda_order for _ in range(x_order)]
-    for k in range(lambda_order):
-        if r * k + 1 < x_order:
-            tmat[r * k + 1][k] = bt.coeffs[k]
-        if r * k < x_order:
-            gmat[r * k][k] = bg.coeffs[k]
-    return ShefferPair(
-        r,
-        BiSeriesQ(x_order, lambda_order, tmat),
-        BiSeriesQ(x_order, lambda_order, gmat),
-    )
 
 
 class DotSeries:

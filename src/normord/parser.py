@@ -12,8 +12,10 @@ result is a BosonExpr (free-algebra element); powers expand to word
 repetition, so nothing here consults the commutator.  Parentheses nest at
 most MAX_NESTING deep: the parser recurses once per level, and a deeper
 input is a ParseError rather than a RecursionError.  No word may grow
-past MAX_LETTERS letters: a power or product that would exceed it raises
-LimitError before any word is built.
+past MAX_LETTERS letters, and no product may pair more than MAX_WORDS
+words: a power or product that would exceed either raises LimitError
+before it is built.  A power multiplies one factor at a time, so its
+word count is checked before each factor.
 """
 
 from __future__ import annotations
@@ -22,13 +24,16 @@ from fractions import Fraction
 
 from .weyl import ANNIHILATOR, CREATOR, BosonExpr
 
-__all__ = ["MAX_LETTERS", "MAX_NESTING", "LimitError", "ParseError",
+__all__ = ["MAX_LETTERS", "MAX_NESTING", "MAX_WORDS", "LimitError", "ParseError",
            "check_letters", "parse_expr", "tokenize"]
 
 MAX_NESTING = 200
 # Ten times and more the sizes the package is built to handle fast
 # (1000-letter words, D(r,M)^p with p >= 300 and r + 2M <= 9).
 MAX_LETTERS = 30_000
+# Word pairs one free-algebra product may form: (a + ad)^16 (2^16 words)
+# parses, (a + ad)^18 would take 2^18.
+MAX_WORDS = 100_000
 
 
 class ParseError(ValueError):
@@ -52,6 +57,14 @@ def check_letters(letters: int, what: str) -> None:
     if letters > MAX_LETTERS:
         raise LimitError(
             f"{what} would reach {letters} letters, past the limit of {MAX_LETTERS}")
+
+
+def _check_words(lhs: BosonExpr, rhs: BosonExpr) -> None:
+    pairs = len(lhs.terms) * len(rhs.terms)
+    if pairs > MAX_WORDS:
+        raise LimitError(
+            f"a product would pair {pairs} words, past the limit of {MAX_WORDS}; "
+            "raise a sum to a power with --power instead")
 
 
 def _letters(expr: BosonExpr) -> int:
@@ -161,6 +174,7 @@ class _Parser:
                 return out
             rhs = self.factor()
             check_letters(_letters(out) + _letters(rhs), "a product")
+            _check_words(out, rhs)
             out = out * rhs
 
     def factor(self) -> BosonExpr:
@@ -174,7 +188,10 @@ class _Parser:
             tok = self.expect("int")
             # a scalar's power costs one step per unit of exponent too
             check_letters(tok[1] * max(_letters(out), 1), "a power")
-            out = out ** tok[1]
+            base, out = out, BosonExpr.scalar(1)
+            for _ in range(tok[1]):
+                _check_words(out, base)
+                out = out * base
         return out
 
     def atom(self) -> BosonExpr:

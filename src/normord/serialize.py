@@ -38,17 +38,9 @@ OEIS_ANNOTATIONS = {(1, 1): "A002720", (1, 2): "A069948", (2, 1): "A121629"}
 _BFILE_LINE = re.compile(r"^\d+ \d+$")
 
 
-def _frac_str(c: Fraction) -> str:
-    return str(c)
-
-
-def _frac_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def normal_form_to_dict(nf: NormalForm) -> dict:
     terms = [
-        {"dag": dag, "ann": ann, "coeff": _frac_str(coeff)}
+        {"dag": dag, "ann": ann, "coeff": str(coeff)}
         for (dag, ann), coeff in sorted(nf.terms.items(), reverse=True)
     ]
     return {"terms": terms, "order": "dag desc, ann desc"}
@@ -64,7 +56,7 @@ def normal_form_from_dict(data: dict) -> NormalForm:
         key = (int(entry["dag"]), int(entry["ann"]))
         if key in terms:
             raise ValueError(f"duplicate term {key}")
-        terms[key] = _frac_from_str(entry["coeff"])
+        terms[key] = Fraction(entry["coeff"])
     return NormalForm(terms)
 
 
@@ -76,7 +68,7 @@ def normal_form_table(nf: NormalForm) -> str:
     """Aligned three-column text rendering, same order as the JSON."""
     rows = [("dag", "ann", "coeff")]
     for (dag, ann), coeff in sorted(nf.terms.items(), reverse=True):
-        rows.append((str(dag), str(ann), _frac_str(coeff)))
+        rows.append((str(dag), str(ann), str(coeff)))
     widths = [max(len(row[i]) for row in rows) for i in range(3)]
     return "\n".join(
         "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row))

@@ -5,9 +5,11 @@ small (a few hundred at most), so dense storage wins on simplicity and is
 fast enough.  Coefficients are `fractions.Fraction` throughout; no floats
 enter at any point.
 
-`certified_sum` is the one place that truncates an infinite series of
-positive terms with a proven tail bound; it runs in unreduced integers
-(see its docstring).
+`pfq_ratio` is the one place the pFq term ratio is written, and
+`phyperq_series` the one loop over pFq terms (`phyperq_partial` sums its
+coefficients).  `certified_sum` is the one place that truncates an
+infinite series of positive terms with a proven tail bound.  Both run in
+unreduced integers (see their docstrings).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import Callable, Iterable, Sequence
 __all__ = [
     "PolyQ",
     "SeriesQ",
-    "BiSeriesQ",
     "factorial",
     "binomial",
     "falling_factorial",
@@ -30,6 +31,7 @@ __all__ = [
     "series_binpow",
     "phyperq_partial",
     "phyperq_series",
+    "pfq_ratio",
     "pochhammer",
     "SumCertificate",
     "certified_sum",
@@ -58,12 +60,14 @@ def falling_factorial(p, r: int):
     return out
 
 
-def pochhammer(a: Fraction, k: int) -> Fraction:
-    """Rising factorial (a)_k = a(a+1)...(a+k-1)."""
-    out = Fraction(1)
+def pochhammer(a, k: int) -> Fraction:
+    """Rising factorial (a)_k = a(a+1)...(a+k-1), as int products over a's denominator."""
+    a = _as_fraction(a)
+    num, den = a.numerator, a.denominator
+    out = 1
     for i in range(k):
-        out *= a + i
-    return out
+        out *= num + i * den
+    return Fraction(out, den**k)
 
 
 def _as_fraction(x) -> Fraction:
@@ -223,137 +227,6 @@ class SeriesQ:
         return f"SeriesQ(order={self.order}, coeffs={list(self.coeffs)!r})"
 
 
-class BiSeriesQ:
-    """Series in two variables, truncated independently: orders (nx, ny).
-
-    Stored as a dense row-major matrix c[i][j] for x^i y^j.  The same
-    minimum-order clamping discipline as SeriesQ, applied per variable.
-    """
-
-    __slots__ = ("nx", "ny", "coeffs")
-
-    def __init__(self, nx: int, ny: int, coeffs=None):
-        if nx < 0 or ny < 0:
-            raise ValueError("orders must be >= 0")
-        self.nx = nx
-        self.ny = ny
-        mat = [[Fraction(0)] * ny for _ in range(nx)]
-        if coeffs is not None:
-            for i in range(min(nx, len(coeffs))):
-                row = coeffs[i]
-                for j in range(min(ny, len(row))):
-                    mat[i][j] = _as_fraction(row[j])
-        self.coeffs = tuple(tuple(row) for row in mat)
-
-    @classmethod
-    def one(cls, nx: int, ny: int) -> "BiSeriesQ":
-        return cls(nx, ny, [[1]])
-
-    @classmethod
-    def from_x_series(cls, s: SeriesQ, ny: int) -> "BiSeriesQ":
-        return cls(s.order, ny, [[c] for c in s.coeffs])
-
-    @classmethod
-    def from_y_series(cls, s: SeriesQ, nx: int) -> "BiSeriesQ":
-        return cls(nx, s.order, [list(s.coeffs)])
-
-    def coeff(self, i: int, j: int) -> Fraction:
-        if not (0 <= i < self.nx and 0 <= j < self.ny):
-            raise IndexError(
-                f"coefficient ({i},{j}) beyond truncation orders ({self.nx},{self.ny})"
-            )
-        return self.coeffs[i][j]
-
-    def truncate(self, nx: int, ny: int) -> "BiSeriesQ":
-        if nx > self.nx or ny > self.ny:
-            raise ValueError("cannot extend a truncated series")
-        return BiSeriesQ(nx, ny, self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BiSeriesQ)
-            and (self.nx, self.ny) == (other.nx, other.ny)
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.nx, self.ny, self.coeffs))
-
-    def __add__(self, other: "BiSeriesQ") -> "BiSeriesQ":
-        nx, ny = min(self.nx, other.nx), min(self.ny, other.ny)
-        return BiSeriesQ(
-            nx, ny,
-            [
-                [self.coeffs[i][j] + other.coeffs[i][j] for j in range(ny)]
-                for i in range(nx)
-            ],
-        )
-
-    def __sub__(self, other: "BiSeriesQ") -> "BiSeriesQ":
-        nx, ny = min(self.nx, other.nx), min(self.ny, other.ny)
-        return BiSeriesQ(
-            nx, ny,
-            [
-                [self.coeffs[i][j] - other.coeffs[i][j] for j in range(ny)]
-                for i in range(nx)
-            ],
-        )
-
-    def __mul__(self, other: "BiSeriesQ") -> "BiSeriesQ":
-        nx, ny = min(self.nx, other.nx), min(self.ny, other.ny)
-        out = [[Fraction(0)] * ny for _ in range(nx)]
-        for i in range(nx):
-            for j in range(ny):
-                a = self.coeffs[i][j]
-                if not a:
-                    continue
-                for p in range(nx - i):
-                    for q in range(ny - j):
-                        b = other.coeffs[p][q]
-                        if b:
-                            out[i + p][j + q] += a * b
-        return BiSeriesQ(nx, ny, out)
-
-    def scale(self, c) -> "BiSeriesQ":
-        c = _as_fraction(c)
-        return BiSeriesQ(
-            self.nx, self.ny,
-            [[a * c for a in row] for row in self.coeffs],
-        )
-
-    def min_total_order(self) -> int:
-        """Smallest i+j with a nonzero coefficient (nx+ny if identically zero)."""
-        best = self.nx + self.ny
-        for i, row in enumerate(self.coeffs):
-            for j, c in enumerate(row):
-                if c and i + j < best:
-                    best = i + j
-        return best
-
-    def exp(self) -> "BiSeriesQ":
-        """exp of a series with zero constant term and no pure-constant part.
-
-        Requires min_total_order() >= 1 so the power sum terminates within
-        the truncation orders.
-        """
-        if self.nx > 0 and self.ny > 0 and self.coeffs[0][0] != 0:
-            raise ValueError("exp needs a zero constant term")
-        m = self.min_total_order()
-        if m == 0:
-            raise ValueError("exp needs a zero constant term")
-        acc = BiSeriesQ.one(self.nx, self.ny)
-        term = BiSeriesQ.one(self.nx, self.ny)
-        # arg^k has total order >= k*m, so k caps at (nx-1 + ny-1)//m
-        kmax = (self.nx - 1 + self.ny - 1) // m if (self.nx and self.ny) else 0
-        for k in range(1, kmax + 1):
-            term = (term * self).scale(Fraction(1, k))
-            acc = acc + term
-        return acc
-
-    def __repr__(self) -> str:
-        return f"BiSeriesQ(nx={self.nx}, ny={self.ny})"
-
-
 def laguerre_poly(n: int) -> PolyQ:
     """Laguerre polynomial L_n(y) = sum_k C(n,k) (-y)^k / k!."""
     if n < 0:
@@ -397,59 +270,79 @@ def series_binpow(c, alpha, order: int) -> SeriesQ:
     return SeriesQ(order, out)
 
 
-def phyperq_partial(
-    upper: Sequence, lower: Sequence, x, terms: int
-) -> Fraction:
-    """Exact partial sum of pFq: sum_{k<terms} prod(upper)_k/prod(lower)_k x^k/k!."""
+def pfq_ratio(upper: Sequence, lower: Sequence, x):
+    """The pFq term ratio t_{k+1}/t_k as two int-valued functions of k.
+
+    t_{k+1}/t_k = x * prod(u+k) / ((k+1) * prod(l+k)) = ratio_num(k) /
+    ratio_den(k), with every parameter denominator cleared:
+    u + k = (u.num + k*u.den) / u.den.  ratio_den(k) is 0 exactly when a
+    lower parameter l = -k is a pole.  This is the only place the ratio
+    is written; `phyperq_series` and `certified_sum` run on it.
+    """
     upper = [_as_fraction(u) for u in upper]
     lower = [_as_fraction(l) for l in lower]
-    x = _as_fraction(x)
-    total = Fraction(0)
-    term = Fraction(1)
-    for k in range(terms):
-        total += term
-        # a zero term means a terminating upper parameter (or x = 0) cut
-        # the series off; later pole checks would be spurious
-        if k + 1 == terms or term == 0:
-            break
-        num = Fraction(1)
-        for u in upper:
-            num *= u + k
-        den = Fraction(1)
-        for l in lower:
-            d = l + k
-            if d == 0:
-                raise ZeroDivisionError(
-                    f"lower parameter {l} hits a pole at term {k + 1}"
-                )
-            den *= d
-        term = term * num / den * x / (k + 1)
-    return total
+    c = _as_fraction(x)
+    for l in lower:
+        c *= l.denominator
+    for u in upper:
+        c /= u.denominator
+    c_num, c_den = c.numerator, c.denominator
+    ups = [(u.numerator, u.denominator) for u in upper]
+    lows = [(l.numerator, l.denominator) for l in lower]
+
+    def ratio_num(k):
+        out = c_num
+        for n, d in ups:
+            out *= n + k * d
+        return out
+
+    def ratio_den(k):
+        out = c_den * (k + 1)
+        for n, d in lows:
+            out *= n + k * d
+        return out
+
+    return ratio_num, ratio_den
 
 
 def phyperq_series(upper: Sequence, lower: Sequence, order: int) -> SeriesQ:
-    """pFq as a series in its argument, to the given truncation order."""
-    upper = [_as_fraction(u) for u in upper]
-    lower = [_as_fraction(l) for l in lower]
-    out = [Fraction(0)] * order
-    term = Fraction(1)
+    """pFq as a series in its argument: c_k = prod(u)_k / (prod(l)_k k!), k < order.
+
+    The one pFq term loop.  It runs the `pfq_ratio` chain in unreduced
+    ints (one gcd per coefficient) and stops at the first zero
+    coefficient: a nonpositive-integer upper parameter ends the series
+    there, and every later coefficient is 0.  A pole (l + k = 0 for a
+    lower parameter l) reached before that raises ZeroDivisionError.
+    """
+    ratio_num, ratio_den = pfq_ratio(upper, lower, 1)
+    out = []
+    num = den = 1
     for k in range(order):
-        out[k] = term
+        out.append(Fraction(num, den))
         if k + 1 == order:
             break
-        den = Fraction(1)
-        for l in lower:
-            d = l + k
-            if d == 0:
-                raise ZeroDivisionError(
-                    f"lower parameter {l} hits a pole at term {k + 1}"
-                )
-            den *= d
-        num = Fraction(1)
-        for u in upper:
-            num *= u + k
-        term = term * num / den / (k + 1)
+        b = ratio_den(k)
+        if b == 0:
+            raise ZeroDivisionError(
+                f"lower parameter {-k} hits a pole at term {k + 1}")
+        num *= ratio_num(k)
+        if num == 0:
+            break
+        den *= b
     return SeriesQ(order, out)
+
+
+def phyperq_partial(
+    upper: Sequence, lower: Sequence, x, terms: int
+) -> Fraction:
+    """Exact partial sum of pFq: sum_{k<terms} c_k x^k, c_k from `phyperq_series`.
+
+    At x = 0 only c_0 survives, but the chain still takes its first step,
+    so a lower parameter 0 raises as it does for any other x.
+    """
+    x = _as_fraction(x)
+    series = phyperq_series(upper, lower, terms if x else min(terms, 2))
+    return PolyQ(series.coeffs).eval(x)
 
 
 @dataclass(frozen=True)

@@ -43,15 +43,7 @@ __all__ = [
     "dobinski_partial",
     "dobinski_adaptive",
     "b_pp",
-    "OEIS_ASSOCIATIONS",
 ]
-
-# static catalogue entries only; nothing here performs lookups
-OEIS_ASSOCIATIONS = {
-    (1, 1): "A002720",
-    (1, 2): "A069948",
-    (2, 1): "A121629",
-}
 
 
 class StirlingTriangle:

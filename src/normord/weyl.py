@@ -109,14 +109,6 @@ class BosonExpr:
                 out[w] = out.get(w, Fraction(0)) + c1 * c2
         return BosonExpr(out)
 
-    def __pow__(self, n: int) -> "BosonExpr":
-        if n < 0:
-            raise ValueError("negative operator powers are not defined")
-        out = BosonExpr.scalar(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other) -> bool:
         return isinstance(other, BosonExpr) and self.terms == other.terms
 

@@ -89,7 +89,9 @@ def test_order_deep_nesting_exits_2():
 
 @pytest.mark.parametrize("argv", [("a^99999999999",),
                                   ("a† a", "--power", "100000"),
-                                  ("2", "--power", "100000")])
+                                  ("2", "--power", "100000"),
+                                  ("(a + ad)^40",),
+                                  ("(a + ad)" * 40,)])
 def test_order_size_limits_exit_2(argv):
     # Subprocesses with a timeout: without the limits these run until killed.
     proc = subprocess.run([sys.executable, "-m", "normord.cli", "order", *argv],

@@ -18,9 +18,8 @@ from normord.closedform import (
     hyp_closed_form_check,
     hyp_generating_function_check,
     hyp_sum_adaptive,
-    kummer_taylor,
 )
-from normord.series import certified_sum
+from normord.series import certified_sum, pfq_ratio, phyperq_series
 from normord.weyl import NormalForm
 
 
@@ -120,7 +119,8 @@ def test_certified_hyp_sum_matches_plain_sum_and_mpmath(case):
     upper, lower, x = case
     prec = 20
     value = hyp_sum_adaptive(upper, lower, x, prec)
-    (total,), cert = certified_sum(*closedform._pfq_ratio(upper, lower, x),
+    (total,), cert = certified_sum(*pfq_ratio(upper, lower, x),
+                                   closedform._pfq_cap(upper, lower, x),
                                    Fraction(1, 10 ** (prec + 10)))
     assert value == total
     assert value == _plain_partial_sum(upper, lower, x, cert.terms)
@@ -169,8 +169,8 @@ def test_gamma_core_memo_is_bounded():
 
 def test_kummer_taylor():
     # 1F1(b;1;x) coefficients (b)_k / (k!)^2 at b = 3
-    taylor = kummer_taylor(Fraction(3), 4)
-    assert taylor == [1, 3, 3, Fraction(5, 3)]
+    taylor = phyperq_series([Fraction(3)], [Fraction(1)], 4).coeffs
+    assert taylor == (1, 3, 3, Fraction(5, 3))
 
 
 @pytest.mark.parametrize("kind,M", [("stirling-hyp", 1), ("stirling-hyp", 3),

@@ -1,5 +1,5 @@
 """Differential-operator calculus: eigenfunctions, Sheffer closed form,
-EGF, bivariate exponentials, and the double-dot series algebra."""
+EGF, the columns of exp(lambda D_x), and the double-dot series algebra."""
 
 from fractions import Fraction
 
@@ -12,9 +12,7 @@ from normord.laguerre import (
     egf_bell_r1,
     eigenfunction_series,
     exp_D_r1_normal_form,
-    exp_lambda_Dx,
     exp_lambda_Dx_columns,
-    sheffer_forms,
 )
 from normord.series import SeriesQ, factorial, laguerre_poly
 from normord.stirling import gen_bell_number
@@ -28,21 +26,6 @@ def test_apply_dx_monomial():
     # (x d/dx) x^5 = 5 x^5, then d^2/dx^2: 5 * 5*4 x^3 = 100 x^3
     assert out.order == 4
     assert out.coeffs == (0, 0, 0, 100)
-
-
-def test_exp_lambda_dx_zero_order_is_input():
-    op = DxOperator(1, 1)
-    s = SeriesQ(5, [1, 1, 1, 1, 1])
-    bi = exp_lambda_Dx(op, s, 0)
-    assert bi.ny == 1
-    assert [bi.coeff(i, 0) for i in range(5)] == [1, 1, 1, 1, 1]
-
-
-def test_exp_lambda_dx_order_guard():
-    op = DxOperator(3, 1)
-    s = SeriesQ(5, [1, 0, 0, 0, 0])
-    with pytest.raises(ValueError):
-        exp_lambda_Dx(op, s, 2)  # needs x-order >= 6
 
 
 def test_columns_shrink_by_r():
@@ -75,15 +58,6 @@ def test_sheffer_matches_oracle(r):
     for n in range(6):
         assert rows[n] == power, (r, n)
         power = power * d
-
-
-def test_sheffer_forms_shapes():
-    pair = sheffer_forms(2, 4, 12)
-    # T = x (1 - 2 lambda x^2)^(-1/2): lambda^1 coefficient sits on x^3
-    assert pair.T.coeff(1, 0) == 1
-    assert pair.T.coeff(3, 1) == 1
-    assert pair.g.coeff(0, 0) == 1
-    assert pair.g.coeff(2, 1) == 2  # (1 - 2 lambda x^2)^(-1) -> 2 x^2 lambda
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])

@@ -7,6 +7,7 @@ import pytest
 from normord.parser import (
     MAX_LETTERS,
     MAX_NESTING,
+    MAX_WORDS,
     LimitError,
     ParseError,
     parse_expr,
@@ -112,3 +113,12 @@ def test_letter_limit():
         with pytest.raises(LimitError):
             parse_expr(text)
     assert issubclass(LimitError, ValueError)
+
+
+def test_word_limit():
+    # terms that merge stay small; the check counts the words formed
+    assert len(parse_expr("(1 + a)^40").terms) == 41
+    assert len(parse_expr("(a + ad)^12").terms) == 2**12
+    assert MAX_WORDS < 512 * 512
+    with pytest.raises(LimitError, match="--power"):
+        parse_expr("(a + ad)^9 (a + ad)^9")  # a product of two 512-word sums

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normord.series import (
-    BiSeriesQ,
     PolyQ,
     SeriesQ,
     binomial,
@@ -103,6 +102,60 @@ def test_phyperq_series_matches_partial():
         )
 
 
+def test_phyperq_series_stops_at_a_zero_term():
+    # 1F1(-1; -2; x) ends at term 2, before the pole of (-2)_k at k = 3
+    assert phyperq_series([-1], [-2], 5).coeffs == (1, Fraction(1, 2), 0, 0, 0)
+
+
+def _plain_pfq_terms(upper, lower, x, count):
+    """t_0 .. t_{count-1} of pFq(upper; lower; x) by the Fraction recurrence
+    t_{k+1} = t_k x prod(u+k) / ((k+1) prod(l+k)), stopping at a zero term."""
+    out = []
+    term = Fraction(1)
+    for k in range(count):
+        out.append(term)
+        if k + 1 == count:
+            break
+        if any(l + k == 0 for l in lower):
+            raise ZeroDivisionError(f"pole at term {k + 1}")
+        for u in upper:
+            term *= u + k
+        for l in lower:
+            term /= l + k
+        term = term * x / (k + 1)
+        if term == 0:
+            break
+    return out + [Fraction(0)] * (count - len(out))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+# nonpositive integers make upper parameters terminate and lower ones poles
+pfq_params = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.integers(min_value=-4, max_value=0).map(Fraction),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(pfq_params, max_size=3), st.lists(pfq_params, max_size=3),
+       st.fractions(min_value=-3, max_value=3, max_denominator=5),
+       st.integers(min_value=0, max_value=10))
+def test_phyperq_equals_the_plain_recurrence(upper, lower, x, count):
+    series = _outcome(lambda: phyperq_series(upper, lower, count).coeffs)
+    plain = _outcome(lambda: tuple(_plain_pfq_terms(upper, lower, 1, count)))
+    assert series == plain
+    partial = _outcome(phyperq_partial, upper, lower, x, count)
+    plain = _outcome(lambda: sum(_plain_pfq_terms(upper, lower, x, count),
+                                 Fraction(0)))
+    assert partial == plain
+
+
 @settings(max_examples=60)
 @given(st.lists(fractions, min_size=0, max_size=5),
        st.lists(fractions, min_size=0, max_size=5))
@@ -139,19 +192,6 @@ def test_results_reproducible():
     x = phyperq_partial([Fraction(5, 2)], [1, 1], Fraction(2, 3), 20)
     y = phyperq_partial([Fraction(5, 2)], [1, 1], Fraction(2, 3), 20)
     assert x == y
-
-
-def test_biseries_basics():
-    one = BiSeriesQ.one(3, 3)
-    s = BiSeriesQ.from_x_series(SeriesQ(3, [0, 1, 0]), 3)
-    t = BiSeriesQ.from_y_series(SeriesQ(3, [0, 1, 0]), 3)
-    prod = (one + s) * (one + t)
-    assert prod.coeff(0, 0) == 1
-    assert prod.coeff(1, 1) == 1
-    assert prod.coeff(1, 0) == 1
-    e = (s + t).exp()
-    assert e.coeff(1, 1) == 1  # x*y term of e^(x+y)
-    assert e.coeff(2, 0) == Fraction(1, 2)
 
 
 def test_series_coeff_out_of_range():

@@ -133,6 +133,8 @@ def test_drivers_reject_negative_sizes():
         verify_stirling_expansion(1, 1, -3)
     with pytest.raises(ValueError, match="x_order"):
         suite.verify_exp_on_exponential(1, x_order=-2)
+    with pytest.raises(ValueError, match="truncation order"):
+        suite.verify_exp_on_exponential(1, x_order=4, lambda_order=5)
     with pytest.raises(ValueError, match="order"):
         suite.verify_eigenfunction(1, 1, order=-1)
 
