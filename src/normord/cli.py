@@ -7,12 +7,14 @@ coefficient rows (through the disk cache), `verify` runs identity
 checks, `cache` manages the disk cache.
 Global flags may appear before or after the subcommand.  Exit codes:
 0 ok, 1 verification failure, 2 usage or parse error, or an input past
-a size limit (`parser.LimitError`).
+a size limit (`parser.LimitError`), 141 (128 + SIGPIPE) when the reader
+closes stdout before the output is written (`normord ... | head`).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
@@ -285,7 +287,16 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return _DISPATCH[ns.command](cfg, ns)
+    try:
+        code = _DISPATCH[ns.command](cfg, ns)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Not a verification failure: the reader stopped reading.  Send
+        # what is still buffered to devnull, so the interpreter's flush
+        # at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

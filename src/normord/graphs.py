@@ -7,7 +7,9 @@ vertex and wiring some of its in-lines to previously free out-lines; the
 number of distinct wirings of j in-lines to k free out-lines is
 C(s,j) * k(k-1)...(k-j+1).  Aggregating partial diagrams by their free
 line counts makes the count polynomial; an explicit mode materializes
-every labeled diagram for very small vertex counts.
+every labeled diagram for very small vertex counts.  Weights follow the
+coefficients of `weyl.NormalForm`: ints for integer blocks (the diagram
+counts are integers), a Fraction only when a block weight is one.
 
 This route never consults the commutator or the contraction formula, so
 agreement with those two is a genuine three-way check.
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import backend
-from .weyl import NormalForm
+from .weyl import NormalForm, _canonical
 
 __all__ = [
     "BuildingBlock",
@@ -36,7 +38,7 @@ __all__ = [
 class BuildingBlock:
     out_lines: int
     in_lines: int
-    weight: Fraction
+    weight: int | Fraction
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,7 @@ class CoeffTable:
     @classmethod
     def from_dict(cls, n: int, d: dict) -> "CoeffTable":
         items = tuple(
-            sorted(((k, Fraction(v)) for k, v in d.items() if v),
+            sorted(((k, _canonical(v)) for k, v in d.items() if v),
                    key=lambda kv: (-kv[0][0], -kv[0][1]))
         )
         return cls(n, items)
@@ -58,8 +60,8 @@ class CoeffTable:
         return {k: v for k, v in self.table}
 
     @property
-    def total_weight(self) -> Fraction:
-        return sum((v for _, v in self.table), Fraction(0))
+    def total_weight(self) -> int | Fraction:
+        return _canonical(sum(v for _, v in self.table))
 
     def to_normal_form(self) -> NormalForm:
         return NormalForm(self.as_dict())
@@ -86,7 +88,7 @@ def enumerate_graphs(nf: NormalForm, n: int) -> CoeffTable:
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
     blocks = blocks_from(nf)
-    states = {(0, 0): Fraction(1)}
+    states = {(0, 0): 1}
     for _ in range(n):
         states = enumerate_step(states, blocks)
     return CoeffTable.from_dict(n, states)
@@ -97,7 +99,7 @@ class ExplicitGraph:
     """One fully labeled diagram: per-vertex (block index, in-slots, out-line ids)."""
 
     steps: tuple
-    weight: Fraction
+    weight: int | Fraction
     free_out: tuple
     free_in: int
 
@@ -143,7 +145,7 @@ def explicit_graphs(nf: NormalForm, n: int) -> list:
                             next_id + b.out_lines,
                         )
 
-    expand([], Fraction(1), [], 0, 0, 0)
+    expand([], 1, [], 0, 0, 0)
     return out
 
 
@@ -173,5 +175,5 @@ def explicit_table(nf: NormalForm, n: int) -> CoeffTable:
     agg: dict = {}
     for g in explicit_graphs(nf, n):
         key = (len(g.free_out), g.free_in)
-        agg[key] = agg.get(key, Fraction(0)) + g.weight
+        agg[key] = agg.get(key, 0) + g.weight
     return CoeffTable.from_dict(n, agg)

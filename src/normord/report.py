@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 __all__ = ["IdentityReport"]
 
@@ -102,8 +101,8 @@ def _nf_mismatch(lhs, rhs, tag: str, row: int):
     the row being compared (e.g. "n" or "lambda").
     """
     for key in sorted(set(lhs.terms) | set(rhs.terms), reverse=True):
-        lv = lhs.terms.get(key, Fraction(0))
-        rv = rhs.terms.get(key, Fraction(0))
+        lv = lhs.terms.get(key, 0)
+        rv = rhs.terms.get(key, 0)
         if lv != rv:
             return {tag: row, "dag": key[0], "ann": key[1],
                     "left": str(lv), "right": str(rv)}

@@ -27,7 +27,7 @@ from .closedform import (
     hyp_closed_form_check,
     hyp_generating_function_check,
 )
-from .graphs import enumerate_graphs
+from .graphs import CoeffTable, blocks_from, enumerate_step
 from .laguerre import (
     DxOperator,
     apply_Dx,
@@ -101,6 +101,14 @@ def _nonnegative(**sizes) -> None:
             raise ValueError(f"{name} must be >= 0")
 
 
+def _columns_fit(x_order: int, lambda_order: int) -> None:
+    """Raise ValueError on a negative size or a lambda_order past x_order."""
+    _nonnegative(x_order=x_order, lambda_order=lambda_order)
+    if lambda_order > x_order:  # column m keeps x_order - m powers
+        raise ValueError(
+            f"insufficient truncation order: need x-order >= {lambda_order}")
+
+
 def verify_commutator(r: int, M: int) -> IdentityReport:
     """[D, D-dagger] reduced to a polynomial in the number operator.
 
@@ -160,7 +168,7 @@ def verify_stirling_expansion(r: int, M: int, n_max: int) -> IdentityReport:
         power = power * d
         row = [gen_stirling(r, M, n, k) for k in range(M * n + 1)]
         ref = NormalForm(
-            {(k, k + r * n): Fraction(v) for k, v in enumerate(row) if v}
+            {(k, k + r * n): v for k, v in enumerate(row) if v}
         )
         mismatch = _nf_mismatch(power, ref, "n", n)
         if mismatch is not None:
@@ -274,10 +282,7 @@ def verify_exp_on_exponential(
     power each column retains (a staircase, not a rectangle) against
     (-b)^i/i! * (-1)^m C(i+m, m) b^m.
     """
-    _nonnegative(x_order=x_order, lambda_order=lambda_order)
-    if lambda_order > x_order:  # column m keeps x_order - m powers
-        raise ValueError(
-            f"insufficient truncation order: need x-order >= {lambda_order}")
+    _columns_fit(x_order, lambda_order)
     t0 = time.perf_counter()
     b = Fraction(b)
     params = {"b": str(b), "x_order": x_order, "lambda_order": lambda_order}
@@ -313,9 +318,10 @@ def verify_exp_on_kummer(
     Expanded right side: x^i t^m carries (b)_i/(i!)^2 * (b+i)_m / m!.
     Integer b is checked exactly; fractional b runs in numeric mode per
     the rational-inputs-exact / otherwise-tracked-precision contract,
-    although the underlying arithmetic here is still rational.
+    although the underlying arithmetic here is still rational.  As in
+    `verify_exp_on_exponential`, lambda_order may not pass x_order.
     """
-    _nonnegative(x_order=x_order, lambda_order=lambda_order)
+    _columns_fit(x_order, lambda_order)
     t0 = time.perf_counter()
     b = Fraction(b)
     params = {"b": str(b), "x_order": x_order, "lambda_order": lambda_order}
@@ -483,23 +489,30 @@ def verify_graph_enumeration(r: int, M: int, n_max: int) -> IdentityReport:
 
     Every multiplicity table must reproduce the oracle normal form entry
     by entry, and the total weights are recorded (they are the Bell
-    numbers, restating the weight-one expectation).
+    numbers, restating the weight-one expectation).  The diagram states
+    after n vertices are carried to n + 1 by one more vertex-adding step,
+    so row n costs one step, not n (`enumerate_graphs(d, n)` starts over
+    from the empty diagram and gives the same table).
     """
     _nonnegative(r=r, M=M, n_max=n_max)
     t0 = time.perf_counter()
     params = {"r": r, "M": M, "n_max": n_max}
     d = laguerre_derivative_nf(r, M)
+    blocks = blocks_from(d)
+    states = {(0, 0): 1}
     power = NormalForm.one()
     totals = []
     mismatch = None
     for n in range(1, n_max + 1):
         power = power * d
-        table = enumerate_graphs(d, n)
+        states = enumerate_step(states, blocks)
+        table = CoeffTable.from_dict(n, states)
         mismatch = _nf_mismatch(table.to_normal_form(), power, "n", n)
         if mismatch is not None:
             break
         totals.append(int(table.total_weight))
-    return _finish("graphs", params, "exact", t0, mismatch, {"totals": totals})
+    return _finish("graphs", params, "exact", t0, mismatch,
+                   {"totals": totals, "paths": ["power fold", "graph count"]})
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Boson operator algebra with exact rational coefficients.
+"""Boson operator algebra with exact coefficients.
 
 Words over the two-letter alphabet are encoded as tuples of 0/1 where
 0 is the annihilator a and 1 is the creator ad (a-dagger), read left to
@@ -6,6 +6,14 @@ right as an operator product.  `BosonExpr` is a free-algebra element
 (coefficient-weighted words, no relations applied); `NormalForm` is the
 fully ordered object, a map (dag, ann) -> coefficient standing for
 sum c * ad^dag a^ann.
+
+Coefficients are canonical: an int when integral, a Fraction (with
+denominator > 1) only when not.  The normal forms of words (rook
+numbers) and of powers of D(r,M) (generalized Stirling numbers) have
+integer coefficients, so their arithmetic stays in ints; a Fraction
+appears only when a rational scalar brings one in.  `Fraction(3) == 3` and both hash
+alike, so equality and hashing do not depend on the type, and both
+print the same with `str`.
 
 There are three independent routes from a word to its normal form, and
 they are tested against each other:
@@ -55,11 +63,14 @@ __all__ = [
 ]
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _canonical(c):
+    """c as an int when it is integral, else as a Fraction (denominator > 1)."""
+    if type(c) is int:
         return c
-    if isinstance(c, int):
-        return Fraction(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):  # bool and other int subclasses
+        return int(c)
     raise TypeError(f"coefficient must be rational, got {type(c).__name__}")
 
 
@@ -72,7 +83,7 @@ class BosonExpr:
         clean: dict = {}
         if terms:
             for w, c in terms.items():
-                c = _as_fraction(c)
+                c = _canonical(c)
                 if c:
                     clean[tuple(w)] = c
         self.terms = clean
@@ -88,7 +99,7 @@ class BosonExpr:
     def __add__(self, other: "BosonExpr") -> "BosonExpr":
         out = dict(self.terms)
         for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
+            out[w] = out.get(w, 0) + c
         return BosonExpr(out)
 
     def __sub__(self, other: "BosonExpr") -> "BosonExpr":
@@ -98,7 +109,7 @@ class BosonExpr:
         return BosonExpr({w: -c for w, c in self.terms.items()})
 
     def scale(self, c) -> "BosonExpr":
-        c = _as_fraction(c)
+        c = _canonical(c)
         return BosonExpr({w: c * v for w, v in self.terms.items()})
 
     def __mul__(self, other: "BosonExpr") -> "BosonExpr":
@@ -106,7 +117,7 @@ class BosonExpr:
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 w = w1 + w2
-                out[w] = out.get(w, Fraction(0)) + c1 * c2
+                out[w] = out.get(w, 0) + c1 * c2
         return BosonExpr(out)
 
     def __eq__(self, other) -> bool:
@@ -128,7 +139,7 @@ class NormalForm:
         clean: dict = {}
         if terms:
             for (k, l), c in terms.items():
-                c = _as_fraction(c)
+                c = _canonical(c)
                 if c:
                     if k < 0 or l < 0:
                         raise ValueError(f"negative operator power in key ({k},{l})")
@@ -165,7 +176,7 @@ class NormalForm:
     def __add__(self, other: "NormalForm") -> "NormalForm":
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
+            out[k] = out.get(k, 0) + c
         return NormalForm(out)
 
     def __sub__(self, other: "NormalForm") -> "NormalForm":
@@ -175,7 +186,7 @@ class NormalForm:
         return NormalForm({k: -c for k, c in self.terms.items()})
 
     def scale(self, c) -> "NormalForm":
-        c = _as_fraction(c)
+        c = _canonical(c)
         if not c:
             return NormalForm()
         return NormalForm({k: c * v for k, v in self.terms.items()})
@@ -215,12 +226,13 @@ class NormalForm:
         """<z| self |z> = sum c * conj(z)^dag * z^ann, exactly.
 
         z is given by rational real and imaginary parts; returns a pair
-        (real, imag) of Fractions.
+        (real, imag), each canonical: an int when integral, else a
+        Fraction.
         """
-        zr = _as_fraction(z)
-        zi = _as_fraction(z_imag)
-        out_r = Fraction(0)
-        out_i = Fraction(0)
+        zr = _canonical(z)
+        zi = _canonical(z_imag)
+        out_r = 0
+        out_i = 0
         pow_cache: dict = {}
 
         def cpow(re, im, n):
@@ -228,7 +240,7 @@ class NormalForm:
             hit = pow_cache.get(key)
             if hit is not None:
                 return hit
-            r, i = Fraction(1), Fraction(0)
+            r, i = 1, 0
             for _ in range(n):
                 r, i = r * re - i * im, r * im + i * re
             pow_cache[key] = (r, i)
@@ -241,11 +253,15 @@ class NormalForm:
             ti = ar * bi + ai * br
             out_r += c * tr
             out_i += c * ti
-        return out_r, out_i
+        return _canonical(out_r), _canonical(out_i)
 
-    def expectation_at_one(self) -> Fraction:
-        """Shorthand for the z=1 coherent expectation (sum of coefficients)."""
-        return sum(self.terms.values(), Fraction(0))
+    def expectation_at_one(self):
+        """Shorthand for the z=1 coherent expectation (sum of coefficients).
+
+        An int when the sum is integral (always, for integer
+        coefficients), else a Fraction.
+        """
+        return _canonical(sum(self.terms.values()))
 
     def diagonal_polynomial(self) -> PolyQ:
         """Rewrite a number-conserving operator as a polynomial in n = ad*a.
@@ -278,7 +294,7 @@ class NormalForm:
             for i in range(l):
                 f *= p - i
             q = p - l + k
-            v = out.get(q, Fraction(0)) + f
+            v = out.get(q, 0) + f
             if v:
                 out[q] = v
             elif q in out:
@@ -342,7 +358,7 @@ def row_power(nf: NormalForm, p: int) -> NormalForm | None:
     s = shifts.pop()
     if s < 0:
         return row_power(nf.dagger(), p).dagger()
-    g = [nf.terms.get((d, d + s), Fraction(0)) for d in range(max(nf.terms)[0] + 1)]
+    g = [nf.terms.get((d, d + s), 0) for d in range(max(nf.terms)[0] + 1)]
     den = lcm(*(c.denominator for c in g))
     g = [int(c * den) for c in g]
     row = [1]
@@ -356,7 +372,8 @@ def row_power(nf: NormalForm, p: int) -> NormalForm | None:
         row = acc
     den **= p
     return NormalForm(
-        {(k, k + s * p): Fraction(c, den) for k, c in enumerate(row) if c}
+        {(k, k + s * p): Fraction(c, den) if den > 1 else c
+         for k, c in enumerate(row) if c}
     )
 
 
@@ -366,7 +383,7 @@ def normal_order_word_rightmost(word) -> NormalForm:
     Exists only to exercise the confluence property in tests; the result
     must equal word_to_normal_form on every input.
     """
-    pending = {tuple(word): Fraction(1)}
+    pending = {tuple(word): 1}
     done: dict = {}
     while pending:
         w, c = pending.popitem()
@@ -378,10 +395,10 @@ def normal_order_word_rightmost(word) -> NormalForm:
         if pos < 0:
             dag = sum(w)
             key = (dag, len(w) - dag)
-            done[key] = done.get(key, Fraction(0)) + c
+            done[key] = done.get(key, 0) + c
             continue
         for nw in (w[:pos] + (1, 0) + w[pos + 2:], w[:pos] + w[pos + 2:]):
-            pending[nw] = pending.get(nw, Fraction(0)) + c
+            pending[nw] = pending.get(nw, 0) + c
     return NormalForm(done)
 
 
@@ -415,13 +432,13 @@ def diagonal_reduce(nf: NormalForm) -> PolyQ:
 
 def apply_word_to_monomial(word, p: int) -> dict:
     """Apply an operator word to x^p (a -> d/dx, ad -> x), rightmost first."""
-    state = {p: Fraction(1)}
+    state = {p: 1}
     for s in reversed(tuple(word)):
         nxt: dict = {}
         for q, c in state.items():
             if s == CREATOR:
-                nxt[q + 1] = nxt.get(q + 1, Fraction(0)) + c
+                nxt[q + 1] = nxt.get(q + 1, 0) + c
             elif q > 0:
-                nxt[q - 1] = nxt.get(q - 1, Fraction(0)) + c * q
+                nxt[q - 1] = nxt.get(q - 1, 0) + c * q
         state = {q: c for q, c in nxt.items() if c}
     return state

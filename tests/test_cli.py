@@ -116,6 +116,22 @@ def test_order_power_routes_agree_with_the_fold(capsys):
         assert normal_form_from_json(out) == ordered(text) ** 5
 
 
+def test_order_broken_pipe_exits_141():
+    # The reader closes the pipe after 10 bytes of a 0.5 MB answer: the
+    # next write fails with EPIPE.  That is not a verification failure
+    # (exit 1), so the exit code is 128 + SIGPIPE and stderr stays empty.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "normord.cli", "order", "a (ad a)^3",
+         "--power", "200"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 @pytest.fixture
 def no_digit_limit():
     limit = sys.get_int_max_str_digits()
@@ -266,6 +282,14 @@ def test_verify_negative_size_exits_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_verify_exp_kummer_past_x_order_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "exp-kummer", "--lambda-order", "17")
+    assert code == 2
+    assert out == ""
+    assert err == "error: insufficient truncation order: need x-order >= 17\n"
+    assert run(capsys, "verify", "exp-kummer", "--lambda-order", "16")[0] == 0
 
 
 # --- cache ---------------------------------------------------------------

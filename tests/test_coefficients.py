@@ -1,0 +1,106 @@
+"""Canonical coefficients: an int when integral, a Fraction only when not.
+
+Every operation on `NormalForm` and `BosonExpr`, and every route that
+builds one, must hand back coefficients of that form, and never a float.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from normord import backend
+from normord.graphs import enumerate_graphs, explicit_table
+from normord.serialize import normal_form_from_json, normal_form_to_json
+from normord.weyl import (
+    BosonExpr,
+    NormalForm,
+    laguerre_derivative_nf,
+    normal_order_rewrite,
+    normal_order_rook,
+    normal_order_word_rightmost,
+    row_power,
+    word_product_normal_form,
+    word_to_normal_form,
+)
+
+
+def canonical(c) -> bool:
+    return type(c) is int or (type(c) is Fraction and c.denominator > 1)
+
+
+def all_canonical(x) -> bool:
+    return all(canonical(c) for c in x.terms.values())
+
+
+words = st.lists(st.integers(min_value=0, max_value=1), max_size=8).map(tuple)
+# integral values drawn as Fractions too (Fraction(4, 2) and the like)
+scalars = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+exprs = st.dictionaries(words, scalars, max_size=3).map(BosonExpr)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exprs, exprs, scalars, st.integers(min_value=0, max_value=3))
+def test_every_operation_returns_canonical_coefficients(x, y, c, p):
+    assert all_canonical(x)
+    for e in (x + y, x - y, x * y, x.scale(c), -x):
+        assert all_canonical(e)
+    f = normal_order_rook(x)
+    g = normal_order_rewrite(y)
+    for nf in (f, g, f + g, f - g, f * g, f.scale(c), c * f, f**p, f.dagger(),
+               normal_form_from_json(normal_form_to_json(f))):
+        assert all_canonical(nf)
+        assert canonical(nf.expectation_at_one())
+    rows = row_power(f, p)
+    if rows is not None:
+        assert all_canonical(rows)
+    if f:
+        assert all(canonical(w) for _, w in enumerate_graphs(f, p).table)
+
+
+@settings(max_examples=100, deadline=None)
+@given(words)
+def test_integer_words_give_int_coefficients(w):
+    for nf in (NormalForm(backend.rook_normal_order_word(w)),
+               normal_order_rook(BosonExpr.from_word(w)),
+               word_to_normal_form(w),
+               normal_order_word_rightmost(w),
+               word_product_normal_form(w)):
+        assert nf.terms
+        assert all(type(c) is int for c in nf.terms.values())
+
+
+def test_powers_and_graph_counts_stay_int():
+    d = laguerre_derivative_nf(2, 2)
+    for nf in (d**6, row_power(d, 6), enumerate_graphs(d, 6).to_normal_form(),
+               explicit_table(d, 2).to_normal_form()):
+        assert all(type(c) is int for c in nf.terms.values())
+    assert type((d**6).expectation_at_one()) is int
+    assert type(enumerate_graphs(d, 6).total_weight) is int
+    assert all(type(c) is int for c in (d**3).coherent_expectation(2, 1))
+
+
+def test_integral_fractions_collapse_to_int():
+    half = NormalForm({(1, 0): Fraction(1, 2), (0, 0): Fraction(6, 3)})
+    assert half.terms == {(1, 0): Fraction(1, 2), (0, 0): 2}
+    assert type(half.terms[(0, 0)]) is int
+    doubled = half.scale(2)
+    assert doubled.terms == {(1, 0): 1, (0, 0): 4}
+    assert all(type(c) is int for c in doubled.terms.values())
+    assert type((half + half).terms[(1, 0)]) is int
+    # equality and hashing do not depend on the type
+    assert NormalForm({(0, 0): Fraction(3)}) == NormalForm({(0, 0): 3})
+    assert hash(NormalForm({(0, 0): Fraction(3)})) == hash(NormalForm({(0, 0): 3}))
+    assert half.coherent_expectation(2) == (3, 0)
+    assert all(type(c) is int for c in half.coherent_expectation(2))
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, "1"])
+def test_non_rational_coefficients_are_refused(bad):
+    with pytest.raises(TypeError):
+        NormalForm({(0, 0): bad})
+    with pytest.raises(TypeError):
+        BosonExpr({(): bad})
+    with pytest.raises(TypeError):
+        NormalForm.one().scale(bad)

@@ -139,6 +139,31 @@ def test_drivers_reject_negative_sizes():
         suite.verify_eigenfunction(1, 1, order=-1)
 
 
+def test_exp_kummer_rejects_columns_without_x_powers():
+    # column m keeps x_order - m powers: past x_order it checks nothing
+    with pytest.raises(ValueError, match="truncation order"):
+        verify_exp_on_kummer(1, x_order=4, lambda_order=5)
+    with pytest.raises(ValueError, match="truncation order"):
+        run_identity("exp-kummer", lambda_order=17)
+    assert verify_exp_on_kummer(2, x_order=4, lambda_order=4).status == "pass"
+
+
+def test_graphs_report_steps_once_per_row(monkeypatch):
+    calls = []
+    step = normord.backend.graph_step
+
+    def counted(states, blocks):
+        calls.append(len(states))
+        return step(states, blocks)
+
+    monkeypatch.setattr(normord.backend, "graph_step", counted)
+    rep = suite.verify_graph_enumeration(1, 1, 12)
+    assert rep.status == "pass"
+    assert len(calls) == 12
+    assert rep.details["totals"][:4] == [2, 7, 34, 209]
+    assert rep.details["paths"] == ["power fold", "graph count"]
+
+
 def test_alias_dispatch():
     reps = run_identity("shef", r=2, n=4)
     assert len(reps) == 1
