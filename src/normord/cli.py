@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .cache import cache_clear, default_cache_dir, load_triangle
 from .closedform import DEFAULT_PRECISION, DEFAULT_TOLERANCE
-from .parser import LimitError, ParseError, check_letters, parse_expr
+from .parser import LimitError, ParseError, check_letters, check_triangle, parse_expr
 from .serialize import (
     normal_form_table,
     normal_form_to_json,
@@ -203,6 +203,11 @@ def cmd_order(cfg: Config, ns: argparse.Namespace) -> int:
 def cmd_seq(cfg: Config, ns: argparse.Namespace) -> int:
     if ns.r < 0 or ns.M < 0 or ns.n_max < 0:
         print("error: r, M, n_max must be nonnegative", file=sys.stderr)
+        return 2
+    try:
+        check_triangle(ns.r, ns.M, ns.n_max)
+    except LimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     rows, _, warning = load_triangle(ns.r, ns.M, ns.n_max, cfg.cache_dir)
     if warning:

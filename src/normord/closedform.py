@@ -4,9 +4,12 @@ Every check here cross-checks two independently computed objects:
 one side comes from the exact combinatorial machinery (operator rewrite
 oracle, Stirling rows, Bell polynomials), the other from a closed form
 assembled out of hypergeometric series, Bessel/Laguerre/Kummer pieces,
-or double-dot series. Integer/rational cases compare Fractions; cases
+or double-dot series. The comparison itself lives in `normord.report`:
+integer/rational cases go through its exact scan, row by row; cases
 with half- or third-integer gamma prefactors go through HighPrecReal
-and report the worst relative deviation. Each public check times itself
+and its `DeviationTally`, which reports the worst relative and absolute
+deviation. Operator powers come from `_oracle_powers`, the one fold of
+D(r,M)^0..n that the suite drivers use too. Each public check times itself
 and returns an IdentityReport whose parameters include the orders it ran
 to (n_max or lambda_order); the conjecture probe's report is
 informational and records only its precision.
@@ -18,7 +21,7 @@ from fractions import Fraction
 
 from .hyperreal import HighPrecReal
 from .laguerre import DotSeries
-from .report import IdentityReport, _finish, _nf_mismatch
+from .report import DeviationTally, IdentityReport, _finish, _rows_mismatch
 from .series import (
     SeriesQ,
     binomial,
@@ -31,7 +34,7 @@ from .series import (
     pochhammer,
     series_exp,
 )
-from .stirling import gen_bell_number, gen_bell_poly, gen_stirling
+from .stirling import gen_bell_number, gen_bell_poly, gen_stirling_rows
 from .weyl import NormalForm, laguerre_derivative_nf
 
 DEFAULT_PRECISION = 50
@@ -144,45 +147,38 @@ def _oracle_powers(r: int, M: int, n_max: int) -> list:
 
 
 def _check_stirling_hyp(M: int, n_max: int, t0: float) -> IdentityReport:
-    checks = 0
-    first = None
-    for n in range(n_max + 1):
-        for k in range(M * n + 3):
-            upper = [Fraction(-k)] + [Fraction(n + 1)] * M
-            lower = [Fraction(1)] * M
-            hyp = phyperq_partial(upper, lower, 1, k + 1)
-            val = Fraction((-1) ** k * factorial(n) ** M, factorial(k)) * hyp
-            ref = gen_stirling(1, M, n, k)
-            checks += 1
-            if val != ref and first is None:
-                first = {"n": n, "k": k, "closed_form": str(val), "reference": str(ref)}
+    # two k past each row's width, where the triangle holds 0
+    closed = [
+        {k: Fraction((-1) ** k * factorial(n) ** M, factorial(k))
+         * phyperq_partial([Fraction(-k)] + [Fraction(n + 1)] * M,
+                           [Fraction(1)] * M, 1, k + 1)
+         for k in range(M * n + 3)}
+        for n in range(n_max + 1)
+    ]
+    rows = [dict(enumerate(row)) for row in gen_stirling_rows(1, M, n_max)]
+    _, first = _rows_mismatch(closed, rows, "n", ("k",))
     return _finish("stirling-hyp", {"r": 1, "M": M, "n_max": n_max}, "exact", t0,
-                   first, {"first_mismatch": first, "checks": checks})
+                   first, {"first_mismatch": first,
+                           "checks": sum(len(row) for row in closed)})
 
 
 def _check_bell_hyp_r1(M: int, n_max: int, t0: float) -> IdentityReport:
     # e^x * B(n,x) has the same series coefficients as the bare mFm,
     # so the comparison stays rational.
-    checks = 0
-    first = None
+    lhs, rhs = [], []
     for n in range(n_max + 1):
         order = M * n + 6
         bell = gen_bell_poly(1, M, n)
-        lhs = series_exp(SeriesQ.x(order)) * SeriesQ.from_poly(bell, order)
-        rhs = phyperq_series(
+        scaled = series_exp(SeriesQ.x(order)) * SeriesQ.from_poly(bell, order)
+        closed = phyperq_series(
             [Fraction(n + 1)] * M, [Fraction(1)] * M, order
         ).scale(factorial(n) ** M)
-        for i in range(order):
-            checks += 1
-            if lhs.coeff(i) != rhs.coeff(i) and first is None:
-                first = {
-                    "n": n,
-                    "power": i,
-                    "scaled_bell": str(lhs.coeff(i)),
-                    "closed_form": str(rhs.coeff(i)),
-                }
+        lhs.append(dict(enumerate(scaled.coeffs)))
+        rhs.append(dict(enumerate(closed.coeffs)))
+    _, first = _rows_mismatch(lhs, rhs, "n", ("power",))
     return _finish("bell-hyp-r1", {"r": 1, "M": M, "n_max": n_max}, "exact", t0,
-                   first, {"first_mismatch": first, "checks": checks})
+                   first, {"first_mismatch": first,
+                           "checks": sum(len(row) for row in lhs)})
 
 
 def _bell_r2_closed_value(M: int, n: int, x: Fraction, prec: int) -> HighPrecReal:
@@ -257,35 +253,17 @@ def _check_bell_hyp_numeric(
     r: int, M: int, n_max: int, x_samples, prec, tol, t0: float
 ) -> IdentityReport:
     closed = _bell_r2_closed_value if r == 2 else _bell_r3_closed_value
-    checks = 0
-    worst_rel = None
-    worst_abs = None
-    first = None
+    xs = [Fraction(x) for x in x_samples]
+    tally = DeviationTally(prec, tol)
     for n in range(n_max + 1):
         bell = gen_bell_poly(r, M, n)
-        for x in x_samples:
-            x = Fraction(x)
-            val = closed(M, n, x, prec)
-            ref = HighPrecReal(bell.eval(x), prec)
-            rel = val.rel_deviation(ref)
-            absdev = abs(val - ref).value
-            checks += 1
-            if worst_rel is None or rel > worst_rel:
-                worst_rel = rel
-            if worst_abs is None or absdev > worst_abs:
-                worst_abs = absdev
-            if not val.agrees_with(ref, tol) and first is None:
-                first = {
-                    "n": n,
-                    "x": str(x),
-                    "closed_form": str(val),
-                    "reference": str(ref),
-                }
-    params = {"r": r, "M": M, "x_samples": [str(Fraction(x)) for x in x_samples],
-              "n_max": n_max}
-    details = {"first_mismatch": first, "checks": checks,
-               "max_rel_dev": str(worst_rel), "max_abs_dev": str(worst_abs)}
-    return _finish(f"bell-hyp-r{r}", params, "numeric", t0, first, details,
+        for x in xs:
+            tally.add(closed(M, n, x, prec), HighPrecReal(bell.eval(x), prec),
+                      {"n": n, "x": str(x)})
+    params = {"r": r, "M": M, "x_samples": [str(x) for x in xs], "n_max": n_max}
+    details = {"first_mismatch": tally.first, "checks": (n_max + 1) * len(xs),
+               "max_rel_dev": tally.max_rel_dev, "max_abs_dev": tally.max_abs_dev}
+    return _finish(f"bell-hyp-r{r}", params, "numeric", t0, tally.first, details,
                    precision=prec, tolerance=str(tol))
 
 
@@ -388,25 +366,15 @@ def hyp_generating_function_check(
                        {"first_mismatch": first, "outer_terms": max_terms + 1},
                        **numctx)
     emx = HighPrecReal.exp_of(-x, precision)
-    worst_rel = None
-    worst_abs = None
-    first = None
+    tally = DeviationTally(precision, tolerance)
     for n in range(n_top + 1):
-        val = emx * HighPrecReal(totals[n], precision)
-        ref = HighPrecReal(refs[n], precision)
-        rel = val.rel_deviation(ref)
-        absdev = abs(val - ref).value
-        if worst_rel is None or rel > worst_rel:
-            worst_rel = rel
-        if worst_abs is None or absdev > worst_abs:
-            worst_abs = absdev
-        if not val.agrees_with(ref, tolerance) and first is None:
-            first = {"n": n, "left": str(val), "right": str(ref)}
-    details = {"first_mismatch": first, "outer_terms": cert.terms,
+        tally.add(emx * HighPrecReal(totals[n], precision),
+                  HighPrecReal(refs[n], precision), {"n": n})
+    details = {"first_mismatch": tally.first, "outer_terms": cert.terms,
                "ratio_cap": _bound_str(cert.ratio_cap),
                "tail_bound": _bound_str(cert.tail_bound),
-               "max_rel_dev": str(worst_rel), "max_abs_dev": str(worst_abs)}
-    return _finish("hyp-generating-function", params, "numeric", t0, first,
+               "max_rel_dev": tally.max_rel_dev, "max_abs_dev": tally.max_abs_dev}
+    return _finish("hyp-generating-function", params, "numeric", t0, tally.first,
                    details, **numctx)
 
 
@@ -416,16 +384,6 @@ def hyp_generating_function_check(
 
 def _dot_nf_list(ds: DotSeries, n_max: int) -> list:
     return [ds.lambda_coefficient(n) for n in range(n_max + 1)]
-
-
-def _compare_nf_lists(lhs_list, rhs_list):
-    checks = 0
-    for n, (lhs, rhs) in enumerate(zip(lhs_list, rhs_list)):
-        checks += 1
-        miss = _nf_mismatch(lhs, rhs, "lambda", n)
-        if miss is not None:
-            return checks, miss
-    return checks, None
 
 
 def _kummer_sides(b: Fraction, lambda_order: int):
@@ -447,24 +405,17 @@ def _example_laguerre_ogf(lambda_order: int, t0: float) -> IdentityReport:
     inv = DotSeries.binpow(order, -1, 1, -1)
     arg = DotSeries.monomial(order, 1, 1, 2) * inv
     rhs = _dot_nf_list(inv * arg.exp(), lambda_order)
-    checks, first = _compare_nf_lists(lhs, rhs)
+    checks, first = _rows_mismatch(lhs, rhs, "lambda")
     notes = []
     if first is None:
         # Same coefficients again via the Laguerre polynomial form.
-        for n in range(order):
-            lag = laguerre_poly(n)
-            nf = NormalForm(
-                {
-                    (j, j + n): lag.coeff(j) * (-1) ** j
-                    for j in range(lag.degree + 1)
-                }
-            )
-            checks += 1
-            miss = _nf_mismatch(lhs[n], nf, "lambda", n)
-            if miss is not None:
-                first = miss
-                break
-        else:
+        lag_rows = [
+            {(j, j + n): lag.coeff(j) * (-1) ** j for j in range(lag.degree + 1)}
+            for n, lag in enumerate(map(laguerre_poly, range(order)))
+        ]
+        more, first = _rows_mismatch(lhs, lag_rows, "lambda")
+        checks += more
+        if first is None:
             notes.append("Laguerre-polynomial rows agree with both sides")
     return _finish("laguerre-ogf", {"r": 1, "M": 1, "lambda_order": lambda_order},
                    "exact", t0, first,
@@ -481,10 +432,11 @@ def _example_kummer_b3(lambda_order: int, t0: float) -> IdentityReport:
         + (arg * arg).scale(Fraction(1, 2))
     )
     rhs = _dot_nf_list(inv_cubed * l2 * arg.exp(), lambda_order)
-    checks, first = _compare_nf_lists(lhs, rhs)
+    checks, first = _rows_mismatch(lhs, rhs, "lambda")
     notes = []
     if first is None:
-        more, first = _compare_nf_lists(lhs, _dot_nf_list(rhs_generic, lambda_order))
+        more, first = _rows_mismatch(lhs, _dot_nf_list(rhs_generic, lambda_order),
+                                     "lambda")
         checks += more
         if first is None:
             notes.append("generic Kummer dot form agrees as well")
@@ -504,32 +456,16 @@ def _example_kummer_b3half(lambda_order: int, prec: int, tol,
     i1 = arg.apply_function(_bessel_half_taylor(1, order))
     bracket = (DotSeries.one(order) + arg) * i0 + arg * i1
     rhs = DotSeries.binpow(order, -1, 1, -b) * half_arg.exp() * bracket
-    checks = 0
-    worst = None
-    first = None
+    # every entry that differs exactly must agree within tol
+    tally = DeviationTally(prec, tol)
     for n in range(order):
         for cand in (rhs_generic.lambda_coefficient(n), rhs.lambda_coefficient(n)):
-            checks += 1
-            # every entry that differs exactly must agree within tol;
-            # entries are scanned from the highest (dag, ann) down
-            for key in sorted(set(lhs[n].terms) | set(cand.terms), reverse=True):
-                lv = lhs[n].terms.get(key, Fraction(0))
-                rv = cand.terms.get(key, Fraction(0))
-                if lv == rv:
-                    continue
-                cl = HighPrecReal(lv, prec)
-                cr = HighPrecReal(rv, prec)
-                rel = cl.rel_deviation(cr)
-                if worst is None or rel > worst:
-                    worst = rel
-                if first is None and not cl.agrees_with(cr, tol):
-                    first = {"lambda": n, "dag": key[0], "ann": key[1],
-                             "left": str(lv), "right": str(rv)}
+            tally.compare(lhs[n], cand, {"lambda": n})
     details = {
-        "first_mismatch": first,
-        "checks": checks,
-        "max_abs_dev": "0" if worst is None else str(worst),
-        "max_rel_dev": "0" if worst is None else str(worst),
+        "first_mismatch": tally.first,
+        "checks": 2 * order,
+        "max_abs_dev": tally.max_abs_dev,
+        "max_rel_dev": tally.max_rel_dev,
         "notes": [
             "Bessel assembly uses the prefactor (1-ta)^(-3/2) and the factor"
             " u multiplying I1, both required for the bracket to reduce the"
@@ -538,7 +474,7 @@ def _example_kummer_b3half(lambda_order: int, prec: int, tol,
     }
     return _finish("kummer-b3half",
                    {"r": 1, "M": 1, "b": "3/2", "lambda_order": lambda_order},
-                   "numeric", t0, first, details,
+                   "numeric", t0, tally.first, details,
                    precision=prec, tolerance=str(tol))
 
 
@@ -569,7 +505,7 @@ def _example_laguerre_shifted(lambda_order: int, p: int,
     pref = DotSeries.binpow(order, -1, 1, -(p + 1))
     shift = DotSeries.monomial(order, p, 0, p)
     rhs = _dot_nf_list(pref * arg.exp() * lp * shift, lambda_order)
-    checks, first = _compare_nf_lists(lhs, rhs)
+    checks, first = _rows_mismatch(lhs, rhs, "lambda")
     return _finish("laguerre-shifted",
                    {"r": 1, "M": 1, "p": p, "lambda_order": lambda_order},
                    "exact", t0, first, {"first_mismatch": first, "checks": checks})
@@ -588,7 +524,7 @@ def _example_bessel(example_id: str, lambda_order: int,
     taylor = [Fraction(sign**m, factorial(m) ** 2) for m in range(order)]
     rhs_ds = outer * body.apply_function(taylor)
     rhs = _dot_nf_list(rhs_ds, lambda_order)
-    checks, first = _compare_nf_lists(lhs, rhs)
+    checks, first = _rows_mismatch(lhs, rhs, "lambda")
     notes = []
     if example_id == "bessel-j0" and first is None and lambda_order >= 1:
         # Same series with the inner sign dropped: that variant must break
@@ -597,7 +533,8 @@ def _example_bessel(example_id: str, lambda_order: int,
         wrong = outer * body.apply_function(
             [Fraction(1, factorial(m) ** 2) for m in range(order)]
         )
-        _, wrong_first = _compare_nf_lists(lhs, _dot_nf_list(wrong, lambda_order))
+        _, wrong_first = _rows_mismatch(lhs, _dot_nf_list(wrong, lambda_order),
+                                        "lambda")
         if wrong_first is None:
             first = {"lambda": None, "note": "sign-dropped variant unexpectedly agreed"}
         else:
@@ -621,14 +558,11 @@ def bessel_parity_check(lambda_order: int) -> IdentityReport:
     j0 = DotSeries.monomial(order, 1, 0, 1).scale(-1).exp() * body.apply_function(
         [Fraction((-1) ** m, factorial(m) ** 2) for m in range(order)]
     )
-    checks = 0
-    first = None
-    for n in range(order):
-        checks += 1
-        flipped = i0.lambda_coefficient(n).scale((-1) ** n)
-        first = _nf_mismatch(j0.lambda_coefficient(n), flipped, "lambda", n)
-        if first is not None:
-            break
+    checks, first = _rows_mismatch(
+        _dot_nf_list(j0, lambda_order),
+        [i0.lambda_coefficient(n).scale((-1) ** n) for n in range(order)],
+        "lambda",
+    )
     return _finish("bessel-parity", {"r": 1, "M": 1, "lambda_order": lambda_order},
                    "exact", t0, first, {"first_mismatch": first, "checks": checks})
 
@@ -645,36 +579,25 @@ def _exp_minus_times(weights: list) -> list:
     ]
 
 
-def _alternating_row_nf(n: int, M: int, k_max: int, scaled_by_n_fact: bool) -> NormalForm:
-    # Coefficient of (ad)^k a^(k+n): sum_{j+l=k} (-1)^j/j! * ((l+1)_n)^M / l!,
-    # divided by (n!)^M when the 1/(n!)^M normalization sits outside.
+def _alternating_row_nf(n: int, M: int, k_max: int) -> NormalForm:
+    # Coefficient of (ad)^k a^(k+n):
+    # sum_{j+l=k} (-1)^j/j! * ((l+1)_n)^M / l!, divided by (n!)^M.
     rising = [pochhammer(l + 1, n).numerator ** M for l in range(k_max + 1)]
-    terms = {}
-    for k, total in enumerate(_exp_minus_times(rising)):
-        if not scaled_by_n_fact:
-            total /= Fraction(factorial(n)) ** M
-        if total:
-            terms[(k, k + n)] = total
-    return NormalForm(terms)
+    scale = Fraction(factorial(n)) ** M
+    return NormalForm({(k, k + n): total / scale
+                       for k, total in enumerate(_exp_minus_times(rising))
+                       if total})
 
 
 def _example_eigen_operator(lambda_order: int, M: int,
                             t0: float) -> IdentityReport:
     powers = _oracle_powers(1, M, lambda_order)
-    checks = 0
-    first = None
-    bell_ok = True
-    for n in range(lambda_order + 1):
-        lhs = powers[n].scale(Fraction(1, factorial(n) ** (M + 1)))
-        rhs = _alternating_row_nf(n, M, M * n + 3, scaled_by_n_fact=False).scale(
-            Fraction(1, factorial(n))
-        )
-        checks += 1
-        miss = _nf_mismatch(lhs, rhs, "lambda", n)
-        if miss is not None and first is None:
-            first = miss
-        if powers[n].expectation_at_one() != gen_bell_number(1, M, n):
-            bell_ok = False
+    lhs = [p.scale(Fraction(1, factorial(n) ** (M + 1))) for n, p in enumerate(powers)]
+    rhs = [_alternating_row_nf(n, M, M * n + 3).scale(Fraction(1, factorial(n)))
+           for n in range(lambda_order + 1)]
+    checks, first = _rows_mismatch(lhs, rhs, "lambda")
+    bell_ok = all(p.expectation_at_one() == gen_bell_number(1, M, n)
+                  for n, p in enumerate(powers))
     notes = ["weight-one expectations match the Bell numbers"] if bell_ok else []
     if not bell_ok and first is None:
         first = {"lambda": None, "note": "Bell cross-check failed"}
@@ -684,23 +607,15 @@ def _example_eigen_operator(lambda_order: int, M: int,
 
 
 def _example_hyp_compact(lambda_order: int, M: int, t0: float) -> IdentityReport:
-    powers = _oracle_powers(1, M, lambda_order)
-    checks = 0
-    first = None
+    rhs = []
     for n in range(lambda_order + 1):
         # (n!)^M : e^{-ad a} mFm([n+1 x M],[1 x M], ad a) a^n :
         # the y^l weight ((n+1)_l)^M / (l!)^M = C(n+l,l)^M is an int
         weights = [(pochhammer(n + 1, l) / factorial(l)).numerator ** M
                    for l in range(M * n + 4)]
-        terms = {}
-        for k, total in enumerate(_exp_minus_times(weights)):
-            if total:
-                terms[(k, k + n)] = total * factorial(n) ** M
-        rhs = NormalForm(terms)
-        checks += 1
-        miss = _nf_mismatch(powers[n], rhs, "lambda", n)
-        if miss is not None and first is None:
-            first = miss
+        rhs.append({(k, k + n): total * factorial(n) ** M
+                    for k, total in enumerate(_exp_minus_times(weights)) if total})
+    checks, first = _rows_mismatch(_oracle_powers(1, M, lambda_order), rhs, "lambda")
     return _finish("hyp-compact", {"r": 1, "M": M, "lambda_order": lambda_order},
                    "exact", t0, first, {"first_mismatch": first, "checks": checks})
 

@@ -15,17 +15,20 @@ input is a ParseError rather than a RecursionError.  No word may grow
 past MAX_LETTERS letters, and no product may pair more than MAX_WORDS
 words: a power or product that would exceed either raises LimitError
 before it is built.  A power multiplies one factor at a time, so its
-word count is checked before each factor.
+word count is checked before each factor.  The coefficient triangle
+that `normord seq` builds is bounded the same way, by `check_triangle`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lgamma, log
 
 from .weyl import ANNIHILATOR, CREATOR, BosonExpr
 
-__all__ = ["MAX_LETTERS", "MAX_NESTING", "MAX_WORDS", "LimitError", "ParseError",
-           "check_letters", "parse_expr", "tokenize"]
+__all__ = ["MAX_LETTERS", "MAX_NESTING", "MAX_TRIANGLE_BYTES", "MAX_WORDS",
+           "LimitError", "ParseError", "check_letters", "check_triangle",
+           "parse_expr", "tokenize"]
 
 MAX_NESTING = 200
 # Ten times and more the sizes the package is built to handle fast
@@ -34,6 +37,10 @@ MAX_LETTERS = 30_000
 # Word pairs one free-algebra product may form: (a + ad)^16 (2^16 words)
 # parses, (a + ad)^18 would take 2^18.
 MAX_WORDS = 100_000
+# Estimated bytes of the rows 0..n of S_r^(M) (see check_triangle).  By
+# this count (1,1,400) holds 32 MB; its `seq` run, cache write included,
+# peaks at 115 MB of RSS.  The limit is twice that estimate.
+MAX_TRIANGLE_BYTES = 64 * 2**20
 
 
 class ParseError(ValueError):
@@ -57,6 +64,23 @@ def check_letters(letters: int, what: str) -> None:
     if letters > MAX_LETTERS:
         raise LimitError(
             f"{what} would reach {letters} letters, past the limit of {MAX_LETTERS}")
+
+
+def check_triangle(r: int, M: int, n_max: int) -> None:
+    """Raise LimitError if rows 0..n_max of S_r^(M) would pass MAX_TRIANGLE_BYTES.
+
+    Row m is a list, counted at 128 bytes, of M*m + 1 ints, each counted
+    at 36 bytes plus the size of the top row's first entry
+    (n_max! r^n_max)^M (r = 0 counted as 1).  At the limit this reads
+    about twice the rows' measured memory for every M from 1 to 6.
+    """
+    entries = (n_max + 1) * (M * n_max + 2) // 2
+    top_bits = M * (lgamma(n_max + 1) + n_max * log(max(r, 1))) / log(2)
+    size = (n_max + 1) * 128 + entries * (36 + top_bits / 8)
+    if size > MAX_TRIANGLE_BYTES:
+        raise LimitError(
+            f"seq {r} {M} {n_max} would hold about {size / 2**20:.1f} MB of rows, "
+            f"past the limit of {MAX_TRIANGLE_BYTES // 2**20} MB")
 
 
 def _check_words(lhs: BosonExpr, rhs: BosonExpr) -> None:

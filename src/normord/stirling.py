@@ -37,7 +37,6 @@ __all__ = [
     "bell_sequence",
     "classical_stirling2",
     "classical_bell",
-    "classical_bell_poly",
     "stirling1_signless",
     "product_poly",
     "dobinski_partial",
@@ -209,10 +208,6 @@ def classical_stirling2(n: int, k: int) -> int:
 
 def classical_bell(n: int) -> int:
     return sum(classical_stirling2(n, k) for k in range(n + 1))
-
-
-def classical_bell_poly(n: int) -> PolyQ:
-    return PolyQ([classical_stirling2(n, k) for k in range(n + 1)])
 
 
 def stirling1_signless(n: int, k: int) -> int:

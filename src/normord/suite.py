@@ -2,10 +2,13 @@
 
 Every check returns an IdentityReport (see `normord.report`): the
 drivers here, and the closed-form checks of `normord.closedform`, which
-`run_identity` calls directly.  Exact-mode checks compare rationals or
-integer tables with no tolerance at all; numeric-mode checks always
-record the working precision and tolerance they used; the conjecture
-probe is informational and records only its precision.  `run_suite`
+`run_identity` calls directly.  Each driver builds its two (or three)
+sides independently and hands them to `normord.report` to compare:
+exact-mode checks go through its one exact scan with no tolerance at
+all, numeric-mode checks through `DeviationTally` and always record the
+working precision and tolerance they used; the conjecture probe is
+informational and records only its precision.  Operator powers
+D(r,M)^0..n come from one fold, `closedform._oracle_powers`.  `run_suite`
 walks a fixed default grid, `run_identity` dispatches a single named
 check with optional parameter overrides (the CLI entry).
 """
@@ -21,6 +24,7 @@ from .closedform import (
     DEFAULT_PRECISION,
     DEFAULT_TOLERANCE,
     EXAMPLE_IDS,
+    _oracle_powers,
     bessel_parity_check,
     conjecture_probe,
     example_normal_forms,
@@ -36,7 +40,13 @@ from .laguerre import (
     exp_D_r1_normal_form,
     exp_lambda_Dx_columns,
 )
-from .report import IdentityReport, _finish, _nf_mismatch
+from .report import (
+    DeviationTally,
+    IdentityReport,
+    _finish,
+    _nf_mismatch,
+    _rows_mismatch,
+)
 from .series import (
     PolyQ,
     SeriesQ,
@@ -51,10 +61,10 @@ from .stirling import (
     b_pp,
     classical_bell,
     gen_bell_number,
-    gen_stirling,
+    gen_stirling_rows,
     stirling1_signless,
 )
-from .weyl import NormalForm, diagonal_reduce, laguerre_derivative_nf
+from .weyl import diagonal_reduce, laguerre_derivative_nf
 
 __all__ = [
     "IdentityReport",
@@ -69,8 +79,6 @@ __all__ = [
     "verify_sheffer",
     "verify_egf",
     "verify_eigenfunction",
-    "verify_hyp_closed_form",
-    "verify_hyp_generating_function",
     "verify_graph_enumeration",
     "conjecture_probe",
     "run_identity",
@@ -147,6 +155,22 @@ def verify_commutator(r: int, M: int) -> IdentityReport:
     )
 
 
+def _alternating_mismatch(r: int, M: int, rows) -> dict | None:
+    """First entry where triangle rows 1, 2, ... differ from the alternating sum."""
+    alternating, products = [], [1]
+    for n in range(1, len(rows) + 1):
+        try:
+            oracle, products = alternating_sum_row(r, M, n, products)
+        except ArithmeticError as exc:
+            return {"n": n, "where": "alternating sum", "error": str(exc)}
+        alternating.append(dict(enumerate(oracle)))
+    _, mismatch = _rows_mismatch([dict(enumerate(row)) for row in rows],
+                                 alternating, "n", ("k",), start=1)
+    if mismatch is not None:
+        mismatch["where"] = "triangle vs alternating sum"
+    return mismatch
+
+
 def verify_stirling_expansion(r: int, M: int, n_max: int) -> IdentityReport:
     """[D(r,M)]^n normal-ordered from scratch against the triangle row.
 
@@ -154,50 +178,26 @@ def verify_stirling_expansion(r: int, M: int, n_max: int) -> IdentityReport:
     by the kernel recurrence), and the defining alternating sum with its
     exact k! division.  Coefficient of (ad)^k a^(k+rn) in the fold must
     be S_r^(M)(n, k), the alternating sum must give the same row, and the
-    weight-one expectation of each power must be the Bell number.
+    weight-one expectation of each power must be the Bell number.  The
+    powers come from `closedform._oracle_powers` and the rows from one
+    `gen_stirling_rows` call; each path is compared in full before the next.
     """
     _nonnegative(r=r, M=M, n_max=n_max)
     t0 = time.perf_counter()
     params = {"r": r, "M": M, "n_max": n_max}
-    d = laguerre_derivative_nf(r, M)
-    power = NormalForm.one()
-    products = [1]
-    bells = []
-    mismatch = None
-    for n in range(1, n_max + 1):
-        power = power * d
-        row = [gen_stirling(r, M, n, k) for k in range(M * n + 1)]
-        ref = NormalForm(
-            {(k, k + r * n): v for k, v in enumerate(row) if v}
-        )
-        mismatch = _nf_mismatch(power, ref, "n", n)
+    powers = _oracle_powers(r, M, n_max)[1:]
+    rows = gen_stirling_rows(r, M, n_max)[1:]
+    triangle = [{(k, k + r * n): v for k, v in enumerate(row)}
+                for n, row in enumerate(rows, 1)]
+    _, mismatch = _rows_mismatch(powers, triangle, "n", start=1)
+    if mismatch is None:
+        mismatch = _alternating_mismatch(r, M, rows)
+    bells = [int(p.expectation_at_one()) for p in powers]
+    if mismatch is None:
+        mismatch = _nf_mismatch(dict(enumerate(bells, 1)),
+                                dict(enumerate(map(sum, rows), 1)), {}, ("n",))
         if mismatch is not None:
-            break
-        try:
-            oracle, products = alternating_sum_row(r, M, n, products)
-        except ArithmeticError as exc:
-            mismatch = {"n": n, "where": "alternating sum", "error": str(exc)}
-            break
-        if oracle != row:
-            k = next(k for k, (a, b) in enumerate(zip(row, oracle)) if a != b)
-            mismatch = {
-                "n": n,
-                "k": k,
-                "left": str(row[k]),
-                "right": str(oracle[k]),
-                "where": "triangle vs alternating sum",
-            }
-            break
-        bell = power.expectation_at_one()
-        if bell != gen_bell_number(r, M, n):
-            mismatch = {
-                "n": n,
-                "left": str(bell),
-                "right": str(gen_bell_number(r, M, n)),
-                "where": "weight-one expectation",
-            }
-            break
-        bells.append(int(bell))
+            mismatch["where"] = "weight-one expectation"
     return _finish(
         "stirling-expansion",
         params,
@@ -214,18 +214,14 @@ def verify_bell_first_kind(r: int, n_max: int) -> IdentityReport:
     _nonnegative(r=r, n_max=n_max)
     t0 = time.perf_counter()
     params = {"r": r, "n_max": n_max}
-    mismatch = None
-    values = []
-    for n in range(n_max + 1):
-        lhs = gen_bell_number(r, 1, n)
-        rhs = sum(
-            stirling1_signless(n + 1, p) * r ** (n - p + 1) * classical_bell(p - 1)
-            for p in range(1, n + 2)
-        )
-        if lhs != rhs:
-            mismatch = {"n": n, "left": str(lhs), "right": str(rhs)}
-            break
-        values.append(int(lhs))
+    values = [gen_bell_number(r, 1, n) for n in range(n_max + 1)]
+    transform = [
+        sum(stirling1_signless(n + 1, p) * r ** (n - p + 1) * classical_bell(p - 1)
+            for p in range(1, n + 2))
+        for n in range(n_max + 1)
+    ]
+    mismatch = _nf_mismatch(dict(enumerate(values)), dict(enumerate(transform)),
+                            {}, ("n",))
     return _finish(
         "bell-first-kind", params, "exact", t0, mismatch, {"values": values}
     )
@@ -236,15 +232,10 @@ def verify_bell_diagonal_powers(M: int, n_max: int) -> IdentityReport:
     _nonnegative(M=M, n_max=n_max)
     t0 = time.perf_counter()
     params = {"M": M, "n_max": n_max}
-    mismatch = None
-    values = []
-    for n in range(1, n_max + 1):
-        lhs = gen_bell_number(1, M, n)
-        rhs = b_pp(n, M + 1)
-        if lhs != rhs:
-            mismatch = {"n": n, "left": str(lhs), "right": str(rhs)}
-            break
-        values.append(int(lhs))
+    values = [gen_bell_number(1, M, n) for n in range(1, n_max + 1)]
+    mismatch = _nf_mismatch(dict(enumerate(values, 1)),
+                            {n: b_pp(n, M + 1) for n in range(1, n_max + 1)},
+                            {}, ("n",))
     return _finish(
         "bell-diagonal-powers", params, "exact", t0, mismatch, {"values": values}
     )
@@ -255,21 +246,11 @@ def verify_laguerre_normal_form(n_max: int) -> IdentityReport:
     _nonnegative(n_max=n_max)
     t0 = time.perf_counter()
     params = {"n_max": n_max}
-    d = laguerre_derivative_nf(1, 1)
-    power = NormalForm.one()
-    mismatch = None
-    for n in range(1, n_max + 1):
-        power = power * d
-        lag = laguerre_poly(n)
-        ref = NormalForm(
-            {
-                (j, j + n): factorial(n) * lag.coeff(j) * (-1) ** j
-                for j in range(n + 1)
-            }
-        )
-        mismatch = _nf_mismatch(power, ref, "n", n)
-        if mismatch is not None:
-            break
+    refs = [
+        {(j, j + n): factorial(n) * lag.coeff(j) * (-1) ** j for j in range(n + 1)}
+        for n, lag in enumerate(map(laguerre_poly, range(n_max + 1)))
+    ]
+    _, mismatch = _rows_mismatch(_oracle_powers(1, 1, n_max), refs, "n")
     return _finish("laguerre-normal-form", params, "exact", t0, mismatch)
 
 
@@ -288,21 +269,13 @@ def verify_exp_on_exponential(
     params = {"b": str(b), "x_order": x_order, "lambda_order": lambda_order}
     s = SeriesQ(x_order, [(-b) ** i / factorial(i) for i in range(x_order)])
     cols = exp_lambda_Dx_columns(DxOperator(1, 1), s, lambda_order)
-    mismatch = None
-    for m, col in enumerate(cols):
-        for i in range(col.order):
-            ref = (
-                (-b) ** i
-                / factorial(i)
-                * Fraction((-1) ** m * binomial(i + m, m))
-                * b**m
-            )
-            if col.coeffs[i] != ref:
-                mismatch = {"x_power": i, "lambda_power": m,
-                            "left": str(col.coeffs[i]), "right": str(ref)}
-                break
-        if mismatch is not None:
-            break
+    refs = [
+        {i: (-b) ** i / factorial(i) * Fraction((-1) ** m * binomial(i + m, m)) * b**m
+         for i in range(col.order)}
+        for m, col in enumerate(cols)
+    ]
+    _, mismatch = _rows_mismatch([dict(enumerate(col.coeffs)) for col in cols],
+                                 refs, "lambda_power", ("x_power",))
     return _finish("exp-exponential", params, "exact", t0, mismatch)
 
 
@@ -317,8 +290,9 @@ def verify_exp_on_kummer(
 
     Expanded right side: x^i t^m carries (b)_i/(i!)^2 * (b+i)_m / m!.
     Integer b is checked exactly; fractional b runs in numeric mode per
-    the rational-inputs-exact / otherwise-tracked-precision contract,
-    although the underlying arithmetic here is still rational.  As in
+    the rational-inputs-exact / otherwise-tracked-precision contract: the
+    sides stay rational, and each entry where they differ is judged by
+    `DeviationTally` at the given precision and tolerance.  As in
     `verify_exp_on_exponential`, lambda_order may not pass x_order.
     """
     _columns_fit(x_order, lambda_order)
@@ -328,42 +302,25 @@ def verify_exp_on_kummer(
     exact = b.denominator == 1
     s = phyperq_series([b], [Fraction(1)], x_order)
     cols = exp_lambda_Dx_columns(DxOperator(1, 1), s, lambda_order)
-    mismatch = None
-    worst = Fraction(0)
-    for m, col in enumerate(cols):
-        for i in range(col.order):
-            ref = (
-                pochhammer(b, i)
-                / factorial(i) ** 2
-                * pochhammer(b + i, m)
-                / factorial(m)
-            )
-            got = col.coeffs[i]
-            if exact:
-                if got != ref:
-                    mismatch = {"x_power": i, "lambda_power": m,
-                                "left": str(got), "right": str(ref)}
-                    break
-            else:
-                dev = abs(got - ref)
-                scale = max(abs(ref), Fraction(1))
-                if dev / scale > worst:
-                    worst = dev / scale
-                if dev / scale > tolerance:
-                    mismatch = {"x_power": i, "lambda_power": m,
-                                "left": str(got), "right": str(ref)}
-                    break
-        if mismatch is not None:
-            break
+    grid = [dict(enumerate(col.coeffs)) for col in cols]
+    refs = [
+        {i: pochhammer(b, i) / factorial(i) ** 2 * pochhammer(b + i, m) / factorial(m)
+         for i in range(col.order)}
+        for m, col in enumerate(cols)
+    ]
     if exact:
+        _, mismatch = _rows_mismatch(grid, refs, "lambda_power", ("x_power",))
         return _finish("exp-kummer", params, "exact", t0, mismatch)
+    tally = DeviationTally(precision, tolerance)
+    for m, (col, ref) in enumerate(zip(grid, refs)):
+        tally.compare(col, ref, {"lambda_power": m}, ("x_power",))
     return _finish(
         "exp-kummer",
         params,
         "numeric",
         t0,
-        mismatch,
-        {"max_rel_dev": str(worst)},
+        tally.first,
+        {"max_rel_dev": tally.max_rel_dev},
         precision=precision,
         tolerance=str(tolerance),
     )
@@ -380,32 +337,16 @@ def verify_exp_on_monomial(n_max: int = 6) -> IdentityReport:
     t0 = time.perf_counter()
     params = {"n_max": n_max}
     op = DxOperator(1, 1)
-    mismatch = None
+    lhs, rhs = [], []
     for n in range(n_max + 1):
         mono = SeriesQ(n + 1, [Fraction(0)] * n + [Fraction(1)])
-        lhs = {}
-        for m, col in enumerate(exp_lambda_Dx_columns(op, mono, n)):
-            for i in range(col.order):
-                if col.coeffs[i]:
-                    lhs[(i, m)] = col.coeffs[i]
+        lhs.append({(i, m): c
+                    for m, col in enumerate(exp_lambda_Dx_columns(op, mono, n))
+                    for i, c in enumerate(col.coeffs)})
         lag = laguerre_poly(n)
-        rhs = {}
-        for k in range(n + 1):
-            c = factorial(n) * lag.coeff(k) * (-1) ** k
-            if c:
-                rhs[(k, n - k)] = c
-        if lhs != rhs:
-            for key in sorted(set(lhs) | set(rhs)):
-                if lhs.get(key, Fraction(0)) != rhs.get(key, Fraction(0)):
-                    mismatch = {
-                        "n": n,
-                        "x_power": key[0],
-                        "y_power": key[1],
-                        "left": str(lhs.get(key, Fraction(0))),
-                        "right": str(rhs.get(key, Fraction(0))),
-                    }
-                    break
-            break
+        rhs.append({(k, n - k): factorial(n) * lag.coeff(k) * (-1) ** k
+                    for k in range(n + 1)})
+    _, mismatch = _rows_mismatch(lhs, rhs, "n", ("x_power", "y_power"))
     return _finish("exp-monomial", params, "exact", t0, mismatch)
 
 
@@ -419,15 +360,8 @@ def verify_sheffer(r: int, n_max: int) -> IdentityReport:
     _nonnegative(r=r, n_max=n_max)
     t0 = time.perf_counter()
     params = {"r": r, "n_max": n_max}
-    rows = exp_D_r1_normal_form(r, n_max)
-    d = laguerre_derivative_nf(r, 1)
-    power = NormalForm.one()
-    mismatch = None
-    for n in range(n_max + 1):
-        mismatch = _nf_mismatch(rows[n], power, "n", n)
-        if mismatch is not None:
-            break
-        power = power * d
+    _, mismatch = _rows_mismatch(exp_D_r1_normal_form(r, n_max),
+                                 _oracle_powers(r, 1, n_max), "n")
     return _finish("sheffer", params, "exact", t0, mismatch)
 
 
@@ -437,15 +371,10 @@ def verify_egf(r: int, n_max: int) -> IdentityReport:
     t0 = time.perf_counter()
     params = {"r": r, "n_max": n_max}
     series = egf_bell_r1(r, n_max + 1)
-    mismatch = None
-    values = []
-    for n in range(n_max + 1):
-        lhs = factorial(n) * series.coeffs[n]
-        rhs = gen_bell_number(r, 1, n)
-        if lhs != rhs:
-            mismatch = {"n": n, "left": str(lhs), "right": str(rhs)}
-            break
-        values.append(int(lhs))
+    egf = {n: factorial(n) * series.coeffs[n] for n in range(n_max + 1)}
+    mismatch = _nf_mismatch(egf, {n: gen_bell_number(r, 1, n) for n in egf},
+                            {}, ("n",))
+    values = [int(v) for v in egf.values()]
     return _finish("egf", params, "exact", t0, mismatch, {"values": values})
 
 
@@ -458,30 +387,9 @@ def verify_eigenfunction(r: int, M: int, order: int | None = None) -> IdentityRe
     params = {"r": r, "M": M, "order": order}
     e = eigenfunction_series(r, M, order)
     image = apply_Dx(DxOperator(r, M), e)
-    mismatch = None
-    for i in range(image.order):
-        if image.coeffs[i] != e.coeffs[i]:
-            mismatch = {"x_power": i, "left": str(image.coeffs[i]),
-                        "right": str(e.coeffs[i])}
-            break
+    mismatch = _nf_mismatch(dict(enumerate(image.coeffs)),
+                            dict(enumerate(e.coeffs[:image.order])), {}, ("x_power",))
     return _finish("eigenfunction", params, "exact", t0, mismatch)
-
-
-def verify_hyp_closed_form(
-    kind: str,
-    M: int = 1,
-    n_max: int | None = None,
-    x_samples=None,
-    precision: int = DEFAULT_PRECISION,
-    tolerance=DEFAULT_TOLERANCE,
-) -> IdentityReport:
-    """Hypergeometric closed form of one kind, at the kind's own r."""
-    return hyp_closed_form_check(
-        kind, None, M, n_max, x_samples, precision, tolerance
-    )
-
-
-verify_hyp_generating_function = hyp_generating_function_check
 
 
 def verify_graph_enumeration(r: int, M: int, n_max: int) -> IdentityReport:
@@ -497,20 +405,15 @@ def verify_graph_enumeration(r: int, M: int, n_max: int) -> IdentityReport:
     _nonnegative(r=r, M=M, n_max=n_max)
     t0 = time.perf_counter()
     params = {"r": r, "M": M, "n_max": n_max}
-    d = laguerre_derivative_nf(r, M)
-    blocks = blocks_from(d)
+    blocks = blocks_from(laguerre_derivative_nf(r, M))
     states = {(0, 0): 1}
-    power = NormalForm.one()
-    totals = []
-    mismatch = None
+    tables = []
     for n in range(1, n_max + 1):
-        power = power * d
         states = enumerate_step(states, blocks)
-        table = CoeffTable.from_dict(n, states)
-        mismatch = _nf_mismatch(table.to_normal_form(), power, "n", n)
-        if mismatch is not None:
-            break
-        totals.append(int(table.total_weight))
+        tables.append(CoeffTable.from_dict(n, states))
+    _, mismatch = _rows_mismatch([t.to_normal_form() for t in tables],
+                                 _oracle_powers(r, M, n_max)[1:], "n", start=1)
+    totals = [int(t.total_weight) for t in tables]
     return _finish("graphs", params, "exact", t0, mismatch,
                    {"totals": totals, "paths": ["power fold", "graph count"]})
 

@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from normord.cache import load_triangle, render_triangle, triangle_path
+from normord.closedform import hyp_closed_form_check, hyp_generating_function_check
 from normord.graphs import enumerate_graphs
 from normord.hyperreal import HighPrecReal
 from normord.laguerre import exp_D_r1_normal_form
@@ -43,8 +44,6 @@ from normord.suite import (
     verify_eigenfunction,
     verify_exp_on_exponential,
     verify_exp_on_monomial,
-    verify_hyp_closed_form,
-    verify_hyp_generating_function,
 )
 from normord.weyl import (
     NormalForm,
@@ -315,15 +314,15 @@ def test_criterion_8_hypergeometric_closed_forms():
     bad = []
     for kind in ("stirling-hyp", "bell-hyp-r1"):
         for M in (1, 2, 3):
-            rep = verify_hyp_closed_form(kind, M, 5)
+            rep = hyp_closed_form_check(kind, M=M, n_max=5)
             if rep.status != "pass" or rep.mode != "exact":
                 bad.append((kind, M))
     from decimal import Decimal
 
     for kind, n_max in (("bell-hyp-r2", 3), ("bell-hyp-r3", 2)):
         for M in (1, 2, 3):
-            rep = verify_hyp_closed_form(
-                kind, M, n_max,
+            rep = hyp_closed_form_check(
+                kind, M=M, n_max=n_max,
                 x_samples=(Fraction(1, 2), Fraction(1), Fraction(2)),
                 precision=50, tolerance=TOL)
             dev = Decimal(rep.details["max_rel_dev"])
@@ -332,8 +331,8 @@ def test_criterion_8_hypergeometric_closed_forms():
                     or dev >= Decimal("1e-30")):
                 bad.append((kind, M))
     for r, M in ((1, 1), (1, 2), (2, 2)):
-        rep = verify_hyp_generating_function(r, M, 1, 6,
-                                             precision=50, tolerance=TOL)
+        rep = hyp_generating_function_check(r, M, 1, 6,
+                                            precision=50, tolerance=TOL)
         if rep.status != "pass":
             bad.append(("generating-function", r, M))
     elapsed = time.perf_counter() - t0

@@ -11,7 +11,7 @@ import pytest
 
 from normord import cache
 from normord.cli import main
-from normord.parser import parse_expr
+from normord.parser import LimitError, check_triangle, parse_expr
 from normord.serialize import normal_form_from_json
 from normord.stirling import gen_stirling
 from normord.weyl import normal_order_rewrite
@@ -204,6 +204,33 @@ def test_seq_rejects_negative_args(capsys, tmp_path):
                "--cache-dir", str(tmp_path))[0] == 2
     assert run(capsys, "seq", "1", "1", "-3",
                "--cache-dir", str(tmp_path))[0] == 2
+
+
+@pytest.mark.parametrize("argv", [("1", "1", "509"), ("1", "3", "258"),
+                                  ("1", "0", "409200"), ("2", "2", "10000000000")])
+def test_seq_size_limit_exits_2(argv, tmp_path):
+    # Subprocesses with a timeout: past the limit no row may be built, and
+    # the cache directory stays empty.
+    proc = subprocess.run([sys.executable, "-m", "normord.cli", "seq", *argv,
+                           "--cache-dir", str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "past the limit of" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_seq_size_limit_counts_m():
+    # the largest n inside the limit falls as M grows; (1,1,400) and the
+    # widest triangle keys of the benchmark (width 240 at M = 1, 2, 3) stay inside
+    for r, M, n in ((1, 1, 400), (1, 1, 243), (2, 2, 122), (3, 3, 82)):
+        check_triangle(r, M, n)
+    for M, n in ((1, 508), (2, 330), (3, 257), (0, 409199)):
+        check_triangle(1, M, n)
+        with pytest.raises(LimitError):
+            check_triangle(1, M, n + 1)
 
 
 def test_global_flags_before_or_after_subcommand(capsys, tmp_path):

@@ -284,6 +284,8 @@ def test_kummer_b3half_judges_every_differing_entry(monkeypatch):
     first = rep.details["first_mismatch"]
     assert (first["lambda"], first["dag"], first["ann"]) == (2, 0, 2)
     assert Decimal(rep.details["max_rel_dev"]) > Decimal("0.5")
+    # the planted +1 is the largest absolute deviation, reported as such
+    assert Decimal(rep.details["max_abs_dev"]) == 1
 
 
 def test_bessel_parity():

@@ -2,8 +2,8 @@
 
 The rook kernel normal-orders a word by one falling-factorial step per
 creator; `row_power` raises a one-shift operator to a power as one row.
-Each is compared with the rewriters, the contraction fold and the
-`nf_mul` power fold, none of which uses `backend.ff_step`.
+Each is compared with the rewriters, the contraction fold, the action
+on x^p and the `nf_mul` power fold, none of which uses `backend.ff_step`.
 """
 
 import random
@@ -17,6 +17,7 @@ from normord.parser import parse_expr
 from normord.weyl import (
     BosonExpr,
     NormalForm,
+    apply_word_to_monomial,
     normal_order_rewrite,
     normal_order_rook,
     normal_order_word_rightmost,
@@ -46,12 +47,14 @@ def test_rook_kernel_elementary_words():
 
 
 @settings(max_examples=300, deadline=None)
-@given(words)
-def test_rook_kernel_matches_rewriters_and_fold(w):
+@given(words, st.integers(min_value=0, max_value=8))
+def test_rook_kernel_matches_rewriters_and_fold(w, p):
     got = rook(w)
     assert got == word_to_normal_form(w)
     assert got == normal_order_word_rightmost(w)
     assert got == word_product_normal_form(w)
+    # the action on x^p (a -> d/dx, ad -> x), applied letter by letter
+    assert got.apply_to_monomial(p) == apply_word_to_monomial(w, p)
 
 
 def test_rook_kernel_on_a_balanced_300_letter_word():

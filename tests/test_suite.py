@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +44,15 @@ def test_suite_deterministic_and_sorted():
     keys = [(r.identity, json.dumps(r.parameters, sort_keys=True, default=str))
             for r in a]
     assert keys == sorted(keys)
+
+
+def test_suite_matches_the_golden_report():
+    # verify all --precision 50 as JSON, elapsed removed, byte for byte
+    golden = Path(__file__).parent / "data" / "verify_all_precision50.json"
+    reports = [rep.to_json_dict() for rep in run_suite(precision=50)]
+    for rep in reports:
+        rep.pop("elapsed")
+    assert json.dumps(reports, indent=2) + "\n" == golden.read_text()
 
 
 def test_stirling_expansion_compares_three_paths(monkeypatch):
