@@ -33,7 +33,15 @@ from .serialize import (
     sequence_table,
     sequence_to_json,
 )
-from .suite import reports_to_json, run_identity, run_suite, suite_passed
+from .suite import (
+    IDENTITIES,
+    SUITE_IDS,
+    overrides_read,
+    reports_to_json,
+    run_identity,
+    run_suite,
+    suite_passed,
+)
 from .weyl import normal_order_rook, row_power
 
 __all__ = ["Config", "main", "build_parser"]
@@ -107,6 +115,17 @@ def _add_global_flags(p: argparse.ArgumentParser):
                    help="cache directory (default $NORMORD_CACHE_DIR)")
 
 
+def _identity_list() -> str:
+    """Every identity id and the options that change what it runs."""
+    lines = ["identities, each with the options it reads (others are ignored):"]
+    for identity in IDENTITIES:
+        flags = " ".join("--" + name.replace("_", "-")
+                         for name in overrides_read(identity))
+        lines.append(f"  {identity:<24} {flags}")
+    lines.append(f"  {'all':<24} the suite: {SUITE_IDS[0]} through {SUITE_IDS[-1]}")
+    return "\n".join(lines)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="normord",
@@ -135,8 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="coefficient rows instead of values")
     _add_global_flags(p_seq)
 
-    p_verify = sub.add_parser("verify", help="run identity checks")
-    p_verify.add_argument("identity", help='an identity id or "all"')
+    p_verify = sub.add_parser(
+        "verify", help="run identity checks", epilog=_identity_list(),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    p_verify.add_argument("identity", help='an identity id (listed below) or "all"')
     p_verify.add_argument("--r", type=int, default=None)
     p_verify.add_argument("--M", type=int, default=None)
     p_verify.add_argument("--n", type=int, default=None)

@@ -11,13 +11,18 @@ and its `DeviationTally`, which reports the worst relative and absolute
 deviation. Operator powers come from `_oracle_powers`, the one fold of
 D(r,M)^0..n that the suite drivers use too. Each public check times itself
 and returns an IdentityReport whose parameters include the orders it ran
-to (n_max or lambda_order); the conjecture probe's report is
-informational and records only its precision.
+to (n_max or lambda_order) and whose details name the paths it compared;
+the conjecture probe's report is informational and records only its
+precision. `hyp_closed_form_check` finds a kind's family and default
+n_max in `CLOSED_FORMS`, and `example_normal_forms` finds an example's
+builder in `EXAMPLES`; which of them `verify` runs, and over what grid,
+is `normord.suite.IDENTITIES`.
 """
 
 import time
 from decimal import ROUND_CEILING, Context, Decimal, localcontext
 from fractions import Fraction
+from functools import partial
 
 from .hyperreal import HighPrecReal
 from .laguerre import DotSeries
@@ -48,17 +53,6 @@ CLOSED_FORMS = {
     "bell-hyp-r3": (3, 2),
 }
 CLOSED_FORM_KINDS = tuple(CLOSED_FORMS)
-
-EXAMPLE_IDS = (
-    "laguerre-ogf",
-    "kummer-b3",
-    "kummer-b3half",
-    "laguerre-shifted",
-    "bessel-i0",
-    "bessel-j0",
-    "eigen-operator",
-    "hyp-compact",
-)
 
 
 def _pfq_cap(upper, lower, x):
@@ -159,7 +153,8 @@ def _check_stirling_hyp(M: int, n_max: int, t0: float) -> IdentityReport:
     _, first = _rows_mismatch(closed, rows, "n", ("k",))
     return _finish("stirling-hyp", {"r": 1, "M": M, "n_max": n_max}, "exact", t0,
                    first, {"first_mismatch": first,
-                           "checks": sum(len(row) for row in closed)})
+                           "checks": sum(len(row) for row in closed)},
+                   paths=("pFq closed form", "triangle"))
 
 
 def _check_bell_hyp_r1(M: int, n_max: int, t0: float) -> IdentityReport:
@@ -178,7 +173,8 @@ def _check_bell_hyp_r1(M: int, n_max: int, t0: float) -> IdentityReport:
     _, first = _rows_mismatch(lhs, rhs, "n", ("power",))
     return _finish("bell-hyp-r1", {"r": 1, "M": M, "n_max": n_max}, "exact", t0,
                    first, {"first_mismatch": first,
-                           "checks": sum(len(row) for row in lhs)})
+                           "checks": sum(len(row) for row in lhs)},
+                   paths=("e^x Bell polynomial", "mFm series"))
 
 
 def _bell_r2_closed_value(M: int, n: int, x: Fraction, prec: int) -> HighPrecReal:
@@ -264,6 +260,7 @@ def _check_bell_hyp_numeric(
     details = {"first_mismatch": tally.first, "checks": (n_max + 1) * len(xs),
                "max_rel_dev": tally.max_rel_dev, "max_abs_dev": tally.max_abs_dev}
     return _finish(f"bell-hyp-r{r}", params, "numeric", t0, tally.first, details,
+                   paths=("pFq closed form", "Bell polynomial"),
                    precision=prec, tolerance=str(tol))
 
 
@@ -337,6 +334,7 @@ def hyp_generating_function_check(
         raise ValueError("x must be >= 0")
     params = {"r": r, "M": M, "x": str(x), "lambda_order": lambda_order}
     numctx = {"precision": precision, "tolerance": str(tolerance)}
+    paths = ("certified l-sum", "Bell polynomial")
     n_top = lambda_order
     refs = [gen_bell_poly(r, M, n).eval(x) for n in range(n_top + 1)]
 
@@ -364,7 +362,7 @@ def hyp_generating_function_check(
         first = {"reason": "tail bound not certified within term budget"}
         return _finish("hyp-generating-function", params, "numeric", t0, first,
                        {"first_mismatch": first, "outer_terms": max_terms + 1},
-                       **numctx)
+                       paths=paths, **numctx)
     emx = HighPrecReal.exp_of(-x, precision)
     tally = DeviationTally(precision, tolerance)
     for n in range(n_top + 1):
@@ -375,7 +373,7 @@ def hyp_generating_function_check(
                "tail_bound": _bound_str(cert.tail_bound),
                "max_rel_dev": tally.max_rel_dev, "max_abs_dev": tally.max_abs_dev}
     return _finish("hyp-generating-function", params, "numeric", t0, tally.first,
-                   details, **numctx)
+                   details, paths=paths, **numctx)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +396,7 @@ def _kummer_sides(b: Fraction, lambda_order: int):
     return lhs, rhs, arg
 
 
-def _example_laguerre_ogf(lambda_order: int, t0: float) -> IdentityReport:
+def _example_laguerre_ogf(lambda_order: int, t0: float, **_) -> IdentityReport:
     order = lambda_order + 1
     powers = _oracle_powers(1, 1, lambda_order)
     lhs = [powers[n].scale(Fraction(1, factorial(n))) for n in range(order)]
@@ -419,10 +417,11 @@ def _example_laguerre_ogf(lambda_order: int, t0: float) -> IdentityReport:
             notes.append("Laguerre-polynomial rows agree with both sides")
     return _finish("laguerre-ogf", {"r": 1, "M": 1, "lambda_order": lambda_order},
                    "exact", t0, first,
-                   {"first_mismatch": first, "checks": checks, "notes": notes})
+                   {"first_mismatch": first, "checks": checks, "notes": notes},
+                   paths=("power fold", "dot series", "Laguerre polynomial"))
 
 
-def _example_kummer_b3(lambda_order: int, t0: float) -> IdentityReport:
+def _example_kummer_b3(lambda_order: int, t0: float, **_) -> IdentityReport:
     order = lambda_order + 1
     lhs, rhs_generic, arg = _kummer_sides(Fraction(3), lambda_order)
     inv_cubed = DotSeries.binpow(order, -1, 1, -3)
@@ -443,11 +442,12 @@ def _example_kummer_b3(lambda_order: int, t0: float) -> IdentityReport:
     return _finish("kummer-b3",
                    {"r": 1, "M": 1, "b": "3", "lambda_order": lambda_order},
                    "exact", t0, first,
-                   {"first_mismatch": first, "checks": checks, "notes": notes})
+                   {"first_mismatch": first, "checks": checks, "notes": notes},
+                   paths=("power fold", "b=3 dot form", "generic Kummer dot form"))
 
 
-def _example_kummer_b3half(lambda_order: int, prec: int, tol,
-                           t0: float) -> IdentityReport:
+def _example_kummer_b3half(lambda_order: int, t0: float, precision: int,
+                           tolerance, **_) -> IdentityReport:
     b = Fraction(3, 2)
     order = lambda_order + 1
     lhs, rhs_generic, arg = _kummer_sides(b, lambda_order)
@@ -456,8 +456,8 @@ def _example_kummer_b3half(lambda_order: int, prec: int, tol,
     i1 = arg.apply_function(_bessel_half_taylor(1, order))
     bracket = (DotSeries.one(order) + arg) * i0 + arg * i1
     rhs = DotSeries.binpow(order, -1, 1, -b) * half_arg.exp() * bracket
-    # every entry that differs exactly must agree within tol
-    tally = DeviationTally(prec, tol)
+    # every entry that differs exactly must agree within tolerance
+    tally = DeviationTally(precision, tolerance)
     for n in range(order):
         for cand in (rhs_generic.lambda_coefficient(n), rhs.lambda_coefficient(n)):
             tally.compare(lhs[n], cand, {"lambda": n})
@@ -475,11 +475,12 @@ def _example_kummer_b3half(lambda_order: int, prec: int, tol,
     return _finish("kummer-b3half",
                    {"r": 1, "M": 1, "b": "3/2", "lambda_order": lambda_order},
                    "numeric", t0, tally.first, details,
-                   precision=prec, tolerance=str(tol))
+                   paths=("power fold", "generic Kummer dot form", "Bessel dot form"),
+                   precision=precision, tolerance=str(tolerance))
 
 
-def _example_laguerre_shifted(lambda_order: int, p: int,
-                              t0: float) -> IdentityReport:
+def _example_laguerre_shifted(lambda_order: int, t0: float, p: int,
+                              **_) -> IdentityReport:
     if p < 1:
         raise ValueError("p must be >= 1")
     order = lambda_order + 1
@@ -508,11 +509,12 @@ def _example_laguerre_shifted(lambda_order: int, p: int,
     checks, first = _rows_mismatch(lhs, rhs, "lambda")
     return _finish("laguerre-shifted",
                    {"r": 1, "M": 1, "p": p, "lambda_order": lambda_order},
-                   "exact", t0, first, {"first_mismatch": first, "checks": checks})
+                   "exact", t0, first, {"first_mismatch": first, "checks": checks},
+                   paths=("power fold", "dot series"))
 
 
-def _example_bessel(example_id: str, lambda_order: int,
-                    t0: float) -> IdentityReport:
+def _example_bessel(example_id: str, lambda_order: int, t0: float,
+                    **_) -> IdentityReport:
     order = lambda_order + 1
     powers = _oracle_powers(1, 1, lambda_order)
     sign = 1 if example_id == "bessel-i0" else -1
@@ -544,7 +546,8 @@ def _example_bessel(example_id: str, lambda_order: int,
             )
     return _finish(example_id, {"r": 1, "M": 1, "lambda_order": lambda_order},
                    "exact", t0, first,
-                   {"first_mismatch": first, "checks": checks, "notes": notes})
+                   {"first_mismatch": first, "checks": checks, "notes": notes},
+                   paths=("power fold", "dot series"))
 
 
 def bessel_parity_check(lambda_order: int) -> IdentityReport:
@@ -564,7 +567,8 @@ def bessel_parity_check(lambda_order: int) -> IdentityReport:
         "lambda",
     )
     return _finish("bessel-parity", {"r": 1, "M": 1, "lambda_order": lambda_order},
-                   "exact", t0, first, {"first_mismatch": first, "checks": checks})
+                   "exact", t0, first, {"first_mismatch": first, "checks": checks},
+                   paths=("J0 dot series", "I0 dot series at -t"))
 
 
 def _exp_minus_times(weights: list) -> list:
@@ -589,8 +593,8 @@ def _alternating_row_nf(n: int, M: int, k_max: int) -> NormalForm:
                        if total})
 
 
-def _example_eigen_operator(lambda_order: int, M: int,
-                            t0: float) -> IdentityReport:
+def _example_eigen_operator(lambda_order: int, t0: float, M: int,
+                            **_) -> IdentityReport:
     powers = _oracle_powers(1, M, lambda_order)
     lhs = [p.scale(Fraction(1, factorial(n) ** (M + 1))) for n, p in enumerate(powers)]
     rhs = [_alternating_row_nf(n, M, M * n + 3).scale(Fraction(1, factorial(n)))
@@ -603,10 +607,11 @@ def _example_eigen_operator(lambda_order: int, M: int,
         first = {"lambda": None, "note": "Bell cross-check failed"}
     return _finish("eigen-operator", {"r": 1, "M": M, "lambda_order": lambda_order},
                    "exact", t0, first,
-                   {"first_mismatch": first, "checks": checks, "notes": notes})
+                   {"first_mismatch": first, "checks": checks, "notes": notes},
+                   paths=("power fold", "alternating sum", "triangle row sum"))
 
 
-def _example_hyp_compact(lambda_order: int, M: int, t0: float) -> IdentityReport:
+def _example_hyp_compact(lambda_order: int, t0: float, M: int, **_) -> IdentityReport:
     rhs = []
     for n in range(lambda_order + 1):
         # (n!)^M : e^{-ad a} mFm([n+1 x M],[1 x M], ad a) a^n :
@@ -617,7 +622,23 @@ def _example_hyp_compact(lambda_order: int, M: int, t0: float) -> IdentityReport
                     for k, total in enumerate(_exp_minus_times(weights)) if total})
     checks, first = _rows_mismatch(_oracle_powers(1, M, lambda_order), rhs, "lambda")
     return _finish("hyp-compact", {"r": 1, "M": M, "lambda_order": lambda_order},
-                   "exact", t0, first, {"first_mismatch": first, "checks": checks})
+                   "exact", t0, first, {"first_mismatch": first, "checks": checks},
+                   paths=("power fold", "mFm weights"))
+
+
+# example id -> builder(lambda_order, t0, **options): each builder takes
+# the options of example_normal_forms it names and ignores the rest
+EXAMPLES = {
+    "laguerre-ogf": _example_laguerre_ogf,
+    "kummer-b3": _example_kummer_b3,
+    "kummer-b3half": _example_kummer_b3half,
+    "laguerre-shifted": _example_laguerre_shifted,
+    "bessel-i0": partial(_example_bessel, "bessel-i0"),
+    "bessel-j0": partial(_example_bessel, "bessel-j0"),
+    "eigen-operator": _example_eigen_operator,
+    "hyp-compact": _example_hyp_compact,
+}
+EXAMPLE_IDS = tuple(EXAMPLES)
 
 
 def example_normal_forms(
@@ -638,21 +659,10 @@ def example_normal_forms(
     t0 = time.perf_counter()
     if lambda_order < 0:
         raise ValueError("lambda_order must be >= 0")
-    if example_id == "laguerre-ogf":
-        return _example_laguerre_ogf(lambda_order, t0)
-    if example_id == "kummer-b3":
-        return _example_kummer_b3(lambda_order, t0)
-    if example_id == "kummer-b3half":
-        return _example_kummer_b3half(lambda_order, precision, tolerance, t0)
-    if example_id == "laguerre-shifted":
-        return _example_laguerre_shifted(lambda_order, p, t0)
-    if example_id in ("bessel-i0", "bessel-j0"):
-        return _example_bessel(example_id, lambda_order, t0)
-    if example_id == "eigen-operator":
-        return _example_eigen_operator(lambda_order, M, t0)
-    if example_id == "hyp-compact":
-        return _example_hyp_compact(lambda_order, M, t0)
-    raise ValueError(f"unknown example id {example_id!r}")
+    if example_id not in EXAMPLES:
+        raise ValueError(f"unknown example id {example_id!r}")
+    return EXAMPLES[example_id](lambda_order, t0, p=p, M=M, precision=precision,
+                                tolerance=tolerance)
 
 
 # ---------------------------------------------------------------------------

@@ -80,13 +80,16 @@ def _jsonable(value):
     return str(value)
 
 
-def _finish(identity, parameters, mode, t0, mismatch, details=None, **numctx):
+def _finish(identity, parameters, mode, t0, mismatch, details=None, *, paths,
+            **numctx):
     """Close a check started at perf_counter() t0: it fails iff mismatch is set.
 
-    details gain a trailing "first_mismatch" unless they already hold one;
-    numctx carries the precision and tolerance of a numeric check.
+    details open with "paths", the names of the independent paths the
+    check compared, and gain a trailing "first_mismatch" unless they
+    already hold one; numctx carries the precision and tolerance of a
+    numeric check.
     """
-    details = dict(details or {})
+    details = {"paths": list(paths), **(details or {})}
     details.setdefault("first_mismatch", mismatch)
     return IdentityReport(
         identity,

@@ -210,17 +210,26 @@ def classical_bell(n: int) -> int:
     return sum(classical_stirling2(n, k) for k in range(n + 1))
 
 
+_FIRST_KIND_ROWS: list[list[int]] = [[1]]
+_FIRST_KIND_LOCK = threading.Lock()
+
+
 def stirling1_signless(n: int, k: int) -> int:
-    """Signless first-kind |sigma(n,k)|: |sigma(n+1,k)| = |sigma(n,k-1)| + n|sigma(n,k)|."""
+    """Signless first-kind |sigma(n,k)| for 1 <= k <= n.
+
+    By |sigma(n+1,k)| = |sigma(n,k-1)| + n|sigma(n,k)|; the rows are grown
+    once and kept, as in classical_stirling2, row m holding k = 0..m.
+    """
     if n < 1 or k < 1 or k > n:
         raise ValueError(f"stirling1_signless({n},{k}) out of range")
-    row = [1]  # row for n=1: |sigma(1,1)|
-    for m in range(1, n):
-        row = [
-            (row[j - 1] if 1 <= j <= m else 0) + m * (row[j] if j < m else 0)
-            for j in range(m + 1)
-        ]
-    return row[k - 1]
+    with _FIRST_KIND_LOCK:
+        while len(_FIRST_KIND_ROWS) <= n:
+            prev = _FIRST_KIND_ROWS[-1]
+            m = len(prev) - 1
+            _FIRST_KIND_ROWS.append(
+                [(prev[j - 1] if j else 0) + (m * prev[j] if j <= m else 0)
+                 for j in range(m + 2)])
+        return _FIRST_KIND_ROWS[n][k]
 
 
 def product_poly(r: int) -> PolyQ:

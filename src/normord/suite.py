@@ -7,20 +7,28 @@ sides independently and hands them to `normord.report` to compare:
 exact-mode checks go through its one exact scan with no tolerance at
 all, numeric-mode checks through `DeviationTally` and always record the
 working precision and tolerance they used; the conjecture probe is
-informational and records only its precision.  Operator powers
-D(r,M)^0..n come from one fold, `closedform._oracle_powers`.  `run_suite`
-walks a fixed default grid, `run_identity` dispatches a single named
-check with optional parameter overrides (the CLI entry).
+informational and records only its precision.  Every compared report
+names its paths in `details.paths`.  Operator powers D(r,M)^0..n come
+from one fold, `closedform._oracle_powers`.  `IDENTITIES` is the one
+table of what `verify` runs: for every id it holds the driver, the
+default grid, the overrides it reads and the default size.
+`run_identity` runs one id over its grid with optional overrides (the
+CLI entry), `run_suite` runs every suite id at its defaults, and the
+CLI help lists the table.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections.abc import Callable
 from fractions import Fraction
+from functools import partial
+from itertools import product
+from typing import NamedTuple
 
 from .closedform import (
-    CLOSED_FORM_KINDS,
+    CLOSED_FORMS,
     DEFAULT_PRECISION,
     DEFAULT_TOLERANCE,
     EXAMPLE_IDS,
@@ -152,6 +160,7 @@ def verify_commutator(r: int, M: int) -> IdentityReport:
         t0,
         mismatch,
         {"polynomial": [str(c) for c in oracle.coeffs]},
+        paths=("rewritten commutator", "first-kind polynomial"),
     )
 
 
@@ -204,8 +213,8 @@ def verify_stirling_expansion(r: int, M: int, n_max: int) -> IdentityReport:
         "exact",
         t0,
         mismatch,
-        {"bell_values": bells,
-         "paths": ["power fold", "triangle", "alternating sum"]},
+        {"bell_values": bells},
+        paths=("power fold", "triangle", "alternating sum"),
     )
 
 
@@ -215,16 +224,17 @@ def verify_bell_first_kind(r: int, n_max: int) -> IdentityReport:
     t0 = time.perf_counter()
     params = {"r": r, "n_max": n_max}
     values = [gen_bell_number(r, 1, n) for n in range(n_max + 1)]
+    bells = [classical_bell(p) for p in range(n_max + 1)]
     transform = [
-        sum(stirling1_signless(n + 1, p) * r ** (n - p + 1) * classical_bell(p - 1)
+        sum(stirling1_signless(n + 1, p) * r ** (n - p + 1) * bells[p - 1]
             for p in range(1, n + 2))
         for n in range(n_max + 1)
     ]
     mismatch = _nf_mismatch(dict(enumerate(values)), dict(enumerate(transform)),
                             {}, ("n",))
     return _finish(
-        "bell-first-kind", params, "exact", t0, mismatch, {"values": values}
-    )
+        "bell-first-kind", params, "exact", t0, mismatch, {"values": values},
+        paths=("triangle row sum", "first-kind transform"))
 
 
 def verify_bell_diagonal_powers(M: int, n_max: int) -> IdentityReport:
@@ -237,8 +247,8 @@ def verify_bell_diagonal_powers(M: int, n_max: int) -> IdentityReport:
                             {n: b_pp(n, M + 1) for n in range(1, n_max + 1)},
                             {}, ("n",))
     return _finish(
-        "bell-diagonal-powers", params, "exact", t0, mismatch, {"values": values}
-    )
+        "bell-diagonal-powers", params, "exact", t0, mismatch, {"values": values},
+        paths=("triangle row sum", "diagonal power expectation"))
 
 
 def verify_laguerre_normal_form(n_max: int) -> IdentityReport:
@@ -251,7 +261,8 @@ def verify_laguerre_normal_form(n_max: int) -> IdentityReport:
         for n, lag in enumerate(map(laguerre_poly, range(n_max + 1)))
     ]
     _, mismatch = _rows_mismatch(_oracle_powers(1, 1, n_max), refs, "n")
-    return _finish("laguerre-normal-form", params, "exact", t0, mismatch)
+    return _finish("laguerre-normal-form", params, "exact", t0, mismatch,
+                   paths=("power fold", "Laguerre polynomial"))
 
 
 def verify_exp_on_exponential(
@@ -276,7 +287,8 @@ def verify_exp_on_exponential(
     ]
     _, mismatch = _rows_mismatch([dict(enumerate(col.coeffs)) for col in cols],
                                  refs, "lambda_power", ("x_power",))
-    return _finish("exp-exponential", params, "exact", t0, mismatch)
+    return _finish("exp-exponential", params, "exact", t0, mismatch,
+                   paths=("Dx columns", "closed grid"))
 
 
 def verify_exp_on_kummer(
@@ -308,9 +320,10 @@ def verify_exp_on_kummer(
          for i in range(col.order)}
         for m, col in enumerate(cols)
     ]
+    paths = ("Dx columns", "Kummer expansion")
     if exact:
         _, mismatch = _rows_mismatch(grid, refs, "lambda_power", ("x_power",))
-        return _finish("exp-kummer", params, "exact", t0, mismatch)
+        return _finish("exp-kummer", params, "exact", t0, mismatch, paths=paths)
     tally = DeviationTally(precision, tolerance)
     for m, (col, ref) in enumerate(zip(grid, refs)):
         tally.compare(col, ref, {"lambda_power": m}, ("x_power",))
@@ -321,6 +334,7 @@ def verify_exp_on_kummer(
         t0,
         tally.first,
         {"max_rel_dev": tally.max_rel_dev},
+        paths=paths,
         precision=precision,
         tolerance=str(tolerance),
     )
@@ -347,7 +361,8 @@ def verify_exp_on_monomial(n_max: int = 6) -> IdentityReport:
         rhs.append({(k, n - k): factorial(n) * lag.coeff(k) * (-1) ** k
                     for k in range(n + 1)})
     _, mismatch = _rows_mismatch(lhs, rhs, "n", ("x_power", "y_power"))
-    return _finish("exp-monomial", params, "exact", t0, mismatch)
+    return _finish("exp-monomial", params, "exact", t0, mismatch,
+                   paths=("Dx columns", "Laguerre polynomial"))
 
 
 def verify_sheffer(r: int, n_max: int) -> IdentityReport:
@@ -362,7 +377,8 @@ def verify_sheffer(r: int, n_max: int) -> IdentityReport:
     params = {"r": r, "n_max": n_max}
     _, mismatch = _rows_mismatch(exp_D_r1_normal_form(r, n_max),
                                  _oracle_powers(r, 1, n_max), "n")
-    return _finish("sheffer", params, "exact", t0, mismatch)
+    return _finish("sheffer", params, "exact", t0, mismatch,
+                   paths=("substitution kernel", "power fold"))
 
 
 def verify_egf(r: int, n_max: int) -> IdentityReport:
@@ -375,7 +391,8 @@ def verify_egf(r: int, n_max: int) -> IdentityReport:
     mismatch = _nf_mismatch(egf, {n: gen_bell_number(r, 1, n) for n in egf},
                             {}, ("n",))
     values = [int(v) for v in egf.values()]
-    return _finish("egf", params, "exact", t0, mismatch, {"values": values})
+    return _finish("egf", params, "exact", t0, mismatch, {"values": values},
+                   paths=("EGF series", "triangle row sum"))
 
 
 def verify_eigenfunction(r: int, M: int, order: int | None = None) -> IdentityReport:
@@ -389,7 +406,8 @@ def verify_eigenfunction(r: int, M: int, order: int | None = None) -> IdentityRe
     image = apply_Dx(DxOperator(r, M), e)
     mismatch = _nf_mismatch(dict(enumerate(image.coeffs)),
                             dict(enumerate(e.coeffs[:image.order])), {}, ("x_power",))
-    return _finish("eigenfunction", params, "exact", t0, mismatch)
+    return _finish("eigenfunction", params, "exact", t0, mismatch,
+                   paths=("Dx image", "eigenfunction series"))
 
 
 def verify_graph_enumeration(r: int, M: int, n_max: int) -> IdentityReport:
@@ -415,44 +433,110 @@ def verify_graph_enumeration(r: int, M: int, n_max: int) -> IdentityReport:
                                  _oracle_powers(r, M, n_max)[1:], "n", start=1)
     totals = [int(t.total_weight) for t in tables]
     return _finish("graphs", params, "exact", t0, mismatch,
-                   {"totals": totals, "paths": ["power fold", "graph count"]})
+                   {"totals": totals}, paths=("power fold", "graph count"))
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# the identity table
 
-SUITE_IDS = (
-    "commutator",
-    "stirling-expansion",
-    "bell-first-kind",
-    "bell-diagonal-powers",
-    "laguerre-normal-form",
-    "exp-exponential",
-    "exp-kummer",
-    "exp-monomial",
-    "sheffer",
-    "egf",
-    "eigenfunction",
-    "examples",
-    "bessel-parity",
-    "stirling-hyp",
-    "bell-hyp-r1",
-    "bell-hyp-r2",
-    "bell-hyp-r3",
-    "hyp-generating-function",
-    "graphs",
-    "conjecture",
-)
-
-_ALIASES = {"shef": "sheffer"}
+# every override run_identity takes, in the order help text lists them
+OVERRIDES = ("r", "M", "n", "lambda_order", "precision", "tolerance")
 
 
-def _pick(value, default_list):
-    return default_list if value is None else (value,)
+class Check(NamedTuple):
+    """How `run_identity` runs one id: a driver over a default grid.
+
+    The grid is the product of `axes`, each (name, default values), where
+    an override of that name pins its axis to the one value given; while
+    no override named in `switch` is given, `points` (value tuples over
+    the axes) stand in for the product.  The driver is called once per
+    point with the point's values, the size and the numeric settings
+    (`numeric`, names from OVERRIDES) as keywords.  `size` is (override,
+    default): an n is passed as n_max, a lambda_order as itself.  An
+    entry with `parts` runs each of those ids with the same overrides;
+    `run_suite` walks only the entries marked `in_suite`.
+    """
+
+    driver: Callable | None = None
+    axes: tuple = ()
+    size: tuple | None = None
+    numeric: tuple = ()
+    points: tuple | None = None
+    switch: tuple = ("r", "M")
+    parts: tuple = ()
+    in_suite: bool = True
 
 
-def _size(value, default):
-    return default if value is None else value
+_R3 = ("r", (1, 2, 3))
+_M3 = ("M", (1, 2, 3))
+_R4 = ("r", (1, 2, 3, 4))
+_NUMERIC = ("precision", "tolerance")
+_SHEFFER = Check(verify_sheffer, (_R3,), ("n", 5))
+
+
+def _closed_form(kind: str, Ms: tuple, numeric=()) -> Check:
+    return Check(partial(hyp_closed_form_check, kind), (("M", Ms),),
+                 ("n", CLOSED_FORMS[kind][1]), numeric)
+
+
+def _example(example_id: str, lambda_order: int, axes=(), numeric=()) -> Check:
+    return Check(partial(example_normal_forms, example_id), axes,
+                 ("lambda_order", lambda_order), numeric, in_suite=False)
+
+
+IDENTITIES = {
+    "commutator": Check(verify_commutator, (_R3, ("M", (0, 1, 2, 3)))),
+    "stirling-expansion": Check(verify_stirling_expansion, (_R3, _M3), ("n", 5)),
+    "bell-first-kind": Check(verify_bell_first_kind, (_R4,), ("n", 8)),
+    "bell-diagonal-powers": Check(verify_bell_diagonal_powers, (_M3,), ("n", 4)),
+    "laguerre-normal-form": Check(verify_laguerre_normal_form, size=("n", 6)),
+    "exp-exponential": Check(verify_exp_on_exponential,
+                             (("b", (1, 2, Fraction(1, 3))),), ("lambda_order", 8)),
+    "exp-kummer": Check(verify_exp_on_kummer, (("b", (1, 2, 3, Fraction(3, 2))),),
+                        ("lambda_order", 8), _NUMERIC),
+    "exp-monomial": Check(verify_exp_on_monomial, size=("n", 6)),
+    "sheffer": _SHEFFER,
+    "egf": Check(verify_egf, (_R4,), ("n", 8)),
+    "eigenfunction": Check(verify_eigenfunction, (_R3, _M3),
+                           points=((1, 1), (1, 2), (2, 1), (2, 2), (3, 3))),
+    "examples": Check(parts=EXAMPLE_IDS),
+    "bessel-parity": Check(bessel_parity_check, size=("lambda_order", 8)),
+    "stirling-hyp": _closed_form("stirling-hyp", (1, 2, 3)),
+    "bell-hyp-r1": _closed_form("bell-hyp-r1", (1, 2, 3)),
+    "bell-hyp-r2": _closed_form("bell-hyp-r2", (1, 2), _NUMERIC),
+    "bell-hyp-r3": _closed_form("bell-hyp-r3", (1,), _NUMERIC),
+    "hyp-generating-function": Check(
+        hyp_generating_function_check, (("r", (1, 2)), ("M", (1, 2))),
+        ("lambda_order", 6), _NUMERIC, points=((1, 1), (1, 2), (2, 2))),
+    "graphs": Check(verify_graph_enumeration, (("r", (1, 2)), ("M", (1, 2))), ("n", 4)),
+    # r has no default of its own: the probes hold until r is given
+    "conjecture": Check(conjecture_probe, (("r", ()), ("M", (1,)), ("n", (1,))),
+                        numeric=("precision",), switch=("r",),
+                        points=((1, 1, 3), (2, 1, 2), (2, 2, 2), (3, 1, 1), (4, 1, 1))),
+    "laguerre-ogf": _example("laguerre-ogf", 6),
+    "kummer-b3": _example("kummer-b3", 6),
+    "kummer-b3half": _example("kummer-b3half", 6, numeric=_NUMERIC),
+    # its p is read from n
+    "laguerre-shifted": Check(
+        lambda n, **kw: example_normal_forms("laguerre-shifted", p=n, **kw),
+        (("n", (1, 2, 3)),), ("lambda_order", 6), in_suite=False),
+    "bessel-i0": _example("bessel-i0", 6),
+    "bessel-j0": _example("bessel-j0", 6),
+    "eigen-operator": _example("eigen-operator", 5, (_M3,)),
+    "hyp-compact": _example("hyp-compact", 5, (_M3,)),
+    "shef": _SHEFFER._replace(in_suite=False),  # alias
+}
+SUITE_IDS = tuple(name for name, check in IDENTITIES.items() if check.in_suite)
+
+
+def overrides_read(identity: str) -> tuple:
+    """The `run_identity` overrides that change what `identity` runs."""
+    check = IDENTITIES[identity]
+    names = {name for name, _ in check.axes} | set(check.numeric)
+    names.update(*map(overrides_read, check.parts))
+    if check.size:
+        names.add(check.size[0])
+    return tuple(name for name in OVERRIDES if name in names)
 
 
 def run_identity(
@@ -466,126 +550,37 @@ def run_identity(
 ) -> list[IdentityReport]:
     """Run one named identity (or one worked example) with overrides.
 
-    Unspecified parameters fall back to the identity's default grid, so
-    e.g. the bare commutator id sweeps r in 1..3 and M in 0..3 while
-    passing r=2 pins the sweep to that single r.  Sizes are taken as
-    given (0 included); a negative n or lambda_order raises ValueError.
+    Unspecified parameters fall back to the id's default grid in
+    `IDENTITIES`, so e.g. the bare commutator id sweeps r in 1..3 and M in
+    0..3 while passing r=2 pins the sweep to that single r; an override
+    the id does not read is ignored.  Sizes are taken as given (0
+    included); a negative n or lambda_order raises ValueError.
     """
     if n is not None and n < 0:
         raise ValueError("n must be >= 0")
     if lambda_order is not None and lambda_order < 0:
         raise ValueError("lambda_order must be >= 0")
-    identity = _ALIASES.get(identity, identity)
-    reports: list[IdentityReport] = []
-    if identity == "commutator":
-        for rr in _pick(r, (1, 2, 3)):
-            for mm in _pick(M, (0, 1, 2, 3)):
-                reports.append(verify_commutator(rr, mm))
-    elif identity == "stirling-expansion":
-        for rr in _pick(r, (1, 2, 3)):
-            for mm in _pick(M, (1, 2, 3)):
-                reports.append(verify_stirling_expansion(rr, mm, _size(n, 5)))
-    elif identity == "bell-first-kind":
-        for rr in _pick(r, (1, 2, 3, 4)):
-            reports.append(verify_bell_first_kind(rr, _size(n, 8)))
-    elif identity == "bell-diagonal-powers":
-        for mm in _pick(M, (1, 2, 3)):
-            reports.append(verify_bell_diagonal_powers(mm, _size(n, 4)))
-    elif identity == "laguerre-normal-form":
-        reports.append(verify_laguerre_normal_form(_size(n, 6)))
-    elif identity == "exp-exponential":
-        for b in (1, 2, Fraction(1, 3)):
-            reports.append(verify_exp_on_exponential(
-                b, lambda_order=_size(lambda_order, 8)))
-    elif identity == "exp-kummer":
-        for b in (1, 2, 3, Fraction(3, 2)):
-            reports.append(
-                verify_exp_on_kummer(
-                    b,
-                    lambda_order=_size(lambda_order, 8),
-                    precision=precision,
-                    tolerance=tolerance,
-                )
-            )
-    elif identity == "exp-monomial":
-        reports.append(verify_exp_on_monomial(_size(n, 6)))
-    elif identity == "sheffer":
-        for rr in _pick(r, (1, 2, 3)):
-            reports.append(verify_sheffer(rr, _size(n, 5)))
-    elif identity == "egf":
-        for rr in _pick(r, (1, 2, 3, 4)):
-            reports.append(verify_egf(rr, _size(n, 8)))
-    elif identity == "eigenfunction":
-        pairs = ((1, 1), (1, 2), (2, 1), (2, 2), (3, 3))
-        if r is not None or M is not None:
-            pairs = tuple(
-                (rr, mm) for rr in _pick(r, (1, 2, 3)) for mm in _pick(M, (1, 2, 3))
-            )
-        for rr, mm in pairs:
-            reports.append(verify_eigenfunction(rr, mm))
-    elif identity == "examples":
-        for ex in EXAMPLE_IDS:
-            reports.extend(
-                run_identity(
-                    ex,
-                    r=r,
-                    M=M,
-                    n=n,
-                    lambda_order=lambda_order,
-                    precision=precision,
-                    tolerance=tolerance,
-                )
-            )
-    elif identity in EXAMPLE_IDS:
-        if identity == "laguerre-shifted":
-            for p in _pick(n, (1, 2, 3)):
-                reports.append(example_normal_forms(
-                    identity, _size(lambda_order, 6), p=p))
-        elif identity in ("eigen-operator", "hyp-compact"):
-            for mm in _pick(M, (1, 2, 3)):
-                reports.append(example_normal_forms(
-                    identity, _size(lambda_order, 5), M=mm))
-        else:
-            reports.append(
-                example_normal_forms(identity, _size(lambda_order, 6),
-                                     precision=precision, tolerance=tolerance)
-            )
-    elif identity == "bessel-parity":
-        reports.append(bessel_parity_check(_size(lambda_order, 8)))
-    elif identity in CLOSED_FORM_KINDS:
-        default_M = {"stirling-hyp": (1, 2, 3), "bell-hyp-r1": (1, 2, 3),
-                     "bell-hyp-r2": (1, 2), "bell-hyp-r3": (1,)}[identity]
-        for mm in _pick(M, default_M):
-            reports.append(
-                hyp_closed_form_check(identity, None, mm, n, precision=precision,
-                                      tolerance=tolerance)
-            )
-    elif identity == "hyp-generating-function":
-        grid = ((1, 1), (1, 2), (2, 2))
-        if r is not None or M is not None:
-            grid = tuple(
-                (rr, mm) for rr in _pick(r, (1, 2)) for mm in _pick(M, (1, 2))
-            )
-        for rr, mm in grid:
-            reports.append(
-                hyp_generating_function_check(
-                    rr, mm, 1, _size(lambda_order, 6), precision=precision,
-                    tolerance=tolerance
-                )
-            )
-    elif identity == "graphs":
-        for rr in _pick(r, (1, 2)):
-            for mm in _pick(M, (1, 2)):
-                reports.append(verify_graph_enumeration(rr, mm, _size(n, 4)))
-    elif identity == "conjecture":
-        probes = ((1, 1, 3), (2, 1, 2), (2, 2, 2), (3, 1, 1), (4, 1, 1))
-        if r is not None:
-            probes = tuple((r, mm, _size(n, 1)) for mm in _pick(M, (1,)))
-        for rr, mm, nn in probes:
-            reports.append(conjecture_probe(rr, mm, nn, precision=precision))
-    else:
+    if identity not in IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}")
-    return reports
+    check = IDENTITIES[identity]
+    if check.parts:
+        return [rep for part in check.parts
+                for rep in run_identity(part, r, M, n, lambda_order, precision,
+                                        tolerance)]
+    given = {name: value for name, value in
+             (("r", r), ("M", M), ("n", n), ("lambda_order", lambda_order))
+             if value is not None}
+    settings = {"precision": precision, "tolerance": tolerance}
+    kwargs = {name: settings[name] for name in check.numeric}
+    if check.size:
+        name, default = check.size
+        kwargs["n_max" if name == "n" else name] = given.get(name, default)
+    grid = check.points
+    if grid is None or given.keys() & set(check.switch):
+        grid = product(*((given[name],) if name in given else values
+                         for name, values in check.axes))
+    names = [name for name, _ in check.axes]
+    return [check.driver(**dict(zip(names, point)), **kwargs) for point in grid]
 
 
 def run_suite(
@@ -594,14 +589,10 @@ def run_suite(
     tolerance=DEFAULT_TOLERANCE,
 ) -> list[IdentityReport]:
     """Default verification sweep; deterministic report order."""
-    reports: list[IdentityReport] = []
-    ids = list(SUITE_IDS)
-    if not include_probes:
-        ids.remove("conjecture")
-    for identity in ids:
-        reports.extend(
-            run_identity(identity, precision=precision, tolerance=tolerance)
-        )
+    reports = [rep for identity in SUITE_IDS
+               if include_probes or identity != "conjecture"
+               for rep in run_identity(identity, precision=precision,
+                                       tolerance=tolerance)]
     reports.sort(
         key=lambda rep: (
             rep.identity,

@@ -11,9 +11,11 @@ import pytest
 
 from normord import cache
 from normord.cli import main
+from normord.closedform import EXAMPLE_IDS
 from normord.parser import LimitError, check_triangle, parse_expr
 from normord.serialize import normal_form_from_json
 from normord.stirling import gen_stirling
+from normord.suite import SUITE_IDS
 from normord.weyl import normal_order_rewrite
 
 
@@ -265,6 +267,17 @@ def test_verify_all(capsys):
     reports = json.loads(out)
     assert len(reports) > 50
     assert all(r["status"] in ("pass", "informational") for r in reports)
+
+
+def test_verify_help_lists_every_id(capsys):
+    code, out, _ = run(capsys, "verify", "--help")
+    assert code == 0
+    listed = {line.split()[0]: line.split()[1:] for line in out.splitlines()
+              if line.startswith("  ") and line.split()}
+    for identity in (*SUITE_IDS, *EXAMPLE_IDS):
+        assert identity in listed, identity
+    assert listed["commutator"] == ["--r", "--M"]
+    assert listed["laguerre-shifted"] == ["--n", "--lambda-order"]
 
 
 def test_verify_unknown_identity_exits_2(capsys):

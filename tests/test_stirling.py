@@ -150,6 +150,18 @@ def test_first_kind_signless():
         )
 
 
+def test_first_kind_rows_are_kept():
+    # rows grown once for a large n serve every smaller n unchanged
+    assert sum(stirling1_signless(60, k) for k in range(1, 61)) == factorial(60)
+    for r in (1, 5, 20):
+        assert product_poly(r) == PolyQ(
+            stirling1_signless(r + 1, k) for k in range(1, r + 2)
+        )
+    for n, k in ((0, 0), (3, 0), (3, 4), (-1, 1)):
+        with pytest.raises(ValueError, match="out of range"):
+            stirling1_signless(n, k)
+
+
 def test_rising_product_three_ways():
     # oracle a^r ad^r reduced to a diagonal polynomial, the product
     # (n+1)...(n+r), and the signless first-kind sum, for r <= 8

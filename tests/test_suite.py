@@ -8,6 +8,7 @@ import pytest
 
 import normord
 from normord import suite
+from normord.closedform import EXAMPLE_IDS
 from normord.suite import (
     SUITE_IDS,
     IdentityReport,
@@ -82,6 +83,15 @@ def test_stirling_expansion_compares_three_paths(monkeypatch):
     rep = verify_stirling_expansion(1, 1, 3)
     assert rep.status == "fail"
     assert rep.details["first_mismatch"]["where"] == "alternating sum"
+
+
+def test_every_compared_report_names_its_paths():
+    for rep in run_suite():
+        if rep.mode == "informational":
+            assert "paths" not in rep.details
+        else:
+            paths = rep.details["paths"]
+            assert len(paths) >= 2 and len(set(paths)) == len(paths), rep.identity
 
 
 def test_exact_mode_never_carries_tolerance():
@@ -187,6 +197,27 @@ def test_example_id_dispatch():
     assert len(reps) == 1
     assert reps[0].identity == "bessel-j0"
     assert reps[0].status == "pass"
+
+
+# For every id run_identity accepts and six override shapes, the
+# (identity, parameters) of each report it returns, recorded before the
+# identity table replaced the per-id dispatch branches.
+_DISPATCH_GRID = json.loads(
+    (Path(__file__).parent / "data" / "dispatch_grid.json").read_text())
+
+
+def test_dispatch_grid_covers_every_id():
+    assert {entry["id"] for entry in _DISPATCH_GRID} == {
+        *SUITE_IDS, *EXAMPLE_IDS, "shef"}
+
+
+@pytest.mark.parametrize("identity", sorted({e["id"] for e in _DISPATCH_GRID}))
+def test_dispatch_grid_is_pinned(identity):
+    for entry in _DISPATCH_GRID:
+        if entry["id"] == identity:
+            reps = run_identity(identity, **entry["overrides"])
+            got = [[rep.identity, rep.parameters] for rep in reps]
+            assert got == entry["reports"], entry["overrides"]
 
 
 def test_every_listed_id_dispatches():
