@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
@@ -47,29 +47,32 @@ from .weyl import normal_order_rook, row_power
 __all__ = ["Config", "main", "build_parser"]
 
 
-@dataclass(frozen=True)
-class Config:
-    lambda_order: int = 8
-    precision: int = DEFAULT_PRECISION
-    tolerance: Fraction = DEFAULT_TOLERANCE
-    cache_dir: Path = field(default_factory=default_cache_dir)
-    fmt: str = "json"
+class Config(namedtuple("Config", "lambda_order precision tolerance cache_dir fmt")):
+    """The global options, checked; cache_dir defaults to `default_cache_dir()`."""
 
-    def __post_init__(self):
-        if self.fmt not in ("json", "table", "bfile"):
-            raise ValueError(f"unknown output format {self.fmt!r}")
-        if self.lambda_order < 0:
+    __slots__ = ()
+
+    def __new__(cls, lambda_order: int = 8, precision: int = DEFAULT_PRECISION,
+                tolerance: Fraction = DEFAULT_TOLERANCE,
+                cache_dir: Path | None = None, fmt: str = "json"):
+        if fmt not in ("json", "table", "bfile"):
+            raise ValueError(f"unknown output format {fmt!r}")
+        if lambda_order < 0:
             raise ValueError("lambda order must be >= 0")
-        if self.precision < 30:
+        if precision < 30:
             raise ValueError("precision must be at least 30 digits")
-        if self.tolerance <= 0:
+        if tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        floor = Fraction(1, 10 ** (self.precision - 10))
-        if self.tolerance < floor:
+        floor = Fraction(1, 10 ** (precision - 10))
+        if tolerance < floor:
             raise ValueError(
                 "tolerance tighter than the precision supports "
                 "(need tolerance >= 10^-(precision-10))"
             )
+        if cache_dir is None:
+            cache_dir = default_cache_dir()
+        return super().__new__(cls, lambda_order, precision, tolerance,
+                               cache_dir, fmt)
 
 
 def _parse_tolerance(text: str) -> Fraction:
@@ -115,15 +118,37 @@ def _add_global_flags(p: argparse.ArgumentParser):
                    help="cache directory (default $NORMORD_CACHE_DIR)")
 
 
+def _flags(names) -> str:
+    return " ".join("--" + name.replace("_", "-") for name in names)
+
+
 def _identity_list() -> str:
     """Every identity id and the options that change what it runs."""
-    lines = ["identities, each with the options it reads (others are ignored):"]
+    lines = ["identities, each with the options it reads (an --r, --M or --n",
+             "that an identity does not read is an error):"]
     for identity in IDENTITIES:
-        flags = " ".join("--" + name.replace("_", "-")
-                         for name in overrides_read(identity))
-        lines.append(f"  {identity:<24} {flags}")
+        lines.append(f"  {identity:<24} {_flags(overrides_read(identity))}")
     lines.append(f"  {'all':<24} the suite: {SUITE_IDS[0]} through {SUITE_IDS[-1]}")
     return "\n".join(lines)
+
+
+def _override_error(ns: argparse.Namespace) -> str | None:
+    """Why `verify`'s --r/--M/--n do not fit its identity, or None.
+
+    `all` reads none of them; an unknown id is left to `run_identity`.
+    """
+    if ns.identity != "all" and ns.identity not in IDENTITIES:
+        return None
+    read = () if ns.identity == "all" else overrides_read(ns.identity)
+    for name in ("r", "M", "n"):
+        if getattr(ns, name) is not None and name not in read:
+            return (f"{ns.identity} does not read --{name}; it reads "
+                    f"{_flags(read) or 'none of --r, --M, --n'}")
+    if ns.n is not None and ns.n < 1 and "laguerre-shifted" in (
+            ns.identity, *IDENTITIES[ns.identity].parts):
+        return (f"{ns.identity} needs --n >= 1 (laguerre-shifted takes it "
+                "as its p)")
+    return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,6 +284,10 @@ def cmd_verify(cfg: Config, ns: argparse.Namespace) -> int:
     if cfg.fmt == "bfile":
         print("error: b-file output applies to `seq --number` only",
               file=sys.stderr)
+        return 2
+    problem = _override_error(ns)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
         return 2
     lam = ns.lambda_order if hasattr(ns, "lambda_order") else None
     try:

@@ -17,8 +17,8 @@ agreement with those two is a genuine three-way check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import backend
 from .weyl import NormalForm, _canonical
@@ -34,15 +34,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BuildingBlock:
+class BuildingBlock(NamedTuple):
     out_lines: int
     in_lines: int
     weight: int | Fraction
 
 
-@dataclass(frozen=True)
-class CoeffTable:
+class CoeffTable(NamedTuple):
     """Free-line-count table after n vertices; same shape as a NormalForm."""
 
     n: int
@@ -94,8 +92,7 @@ def enumerate_graphs(nf: NormalForm, n: int) -> CoeffTable:
     return CoeffTable.from_dict(n, states)
 
 
-@dataclass(frozen=True)
-class ExplicitGraph:
+class ExplicitGraph(NamedTuple):
     """One fully labeled diagram: per-vertex (block index, in-slots, out-line ids)."""
 
     steps: tuple

@@ -15,7 +15,7 @@ is what lets the closed forms be compared against the rewriting oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .series import (
@@ -39,14 +39,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DxOperator:
-    r: int
-    M: int
+class DxOperator(namedtuple("DxOperator", "r M")):
+    """D_x(r, M) for r >= 1, M >= 0; an immutable (r, M) record."""
 
-    def __post_init__(self):
-        if self.r < 1 or self.M < 0:
+    __slots__ = ()
+
+    def __new__(cls, r: int, M: int):
+        if r < 1 or M < 0:
             raise ValueError("need r >= 1 and M >= 0")
+        return super().__new__(cls, r, M)
 
 
 def apply_Dx(op: DxOperator, s: SeriesQ) -> SeriesQ:

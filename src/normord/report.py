@@ -15,40 +15,38 @@ the closed-form checks build their reports here and nowhere else.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .hyperreal import HighPrecReal
 
 __all__ = ["IdentityReport"]
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(namedtuple(
+        "IdentityReport",
+        "identity parameters mode status details elapsed precision tolerance")):
     """Outcome of one identity check over one parameter set.
 
     mode is "exact" (rational/integer comparison, no tolerance exists),
     "numeric" (high-precision reals; precision and tolerance are always
     recorded), or "informational" (probes that cannot fail the suite).
+    An immutable record; details default to a fresh empty dict.
     """
 
-    identity: str
-    parameters: dict
-    mode: str
-    status: str
-    details: dict = field(default_factory=dict)
-    elapsed: float = 0.0
-    precision: int | None = None
-    tolerance: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mode not in ("exact", "numeric", "informational"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.status not in ("pass", "fail", "informational"):
-            raise ValueError(f"unknown status {self.status!r}")
-        if self.mode == "numeric" and (
-            self.precision is None or self.tolerance is None
-        ):
+    def __new__(cls, identity: str, parameters: dict, mode: str, status: str,
+                details: dict | None = None, elapsed: float = 0.0,
+                precision: int | None = None, tolerance: str | None = None):
+        if mode not in ("exact", "numeric", "informational"):
+            raise ValueError(f"unknown mode {mode!r}")
+        if status not in ("pass", "fail", "informational"):
+            raise ValueError(f"unknown status {status!r}")
+        if mode == "numeric" and (precision is None or tolerance is None):
             raise ValueError("numeric reports must record precision and tolerance")
+        return super().__new__(cls, identity, parameters, mode, status,
+                               {} if details is None else details, elapsed,
+                               precision, tolerance)
 
     @property
     def ok(self) -> bool:

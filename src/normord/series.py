@@ -14,11 +14,10 @@ unreduced integers (see their docstrings).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial as _factorial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 __all__ = [
     "PolyQ",
@@ -345,8 +344,7 @@ def phyperq_partial(
     return PolyQ(series.coeffs).eval(x)
 
 
-@dataclass(frozen=True)
-class SumCertificate:
+class SumCertificate(NamedTuple):
     """Why a `certified_sum` total can be trusted.
 
     terms: how many terms were summed (t_0 .. t_{terms-1});

@@ -553,8 +553,10 @@ def run_identity(
     Unspecified parameters fall back to the id's default grid in
     `IDENTITIES`, so e.g. the bare commutator id sweeps r in 1..3 and M in
     0..3 while passing r=2 pins the sweep to that single r; an override
-    the id does not read is ignored.  Sizes are taken as given (0
-    included); a negative n or lambda_order raises ValueError.
+    the id does not read is ignored here (the `verify` command rejects an
+    --r, --M or --n that `overrides_read` does not list).  Sizes are
+    taken as given (0 included); a negative n or lambda_order raises
+    ValueError.
     """
     if n is not None and n < 0:
         raise ValueError("n must be >= 0")

@@ -332,6 +332,62 @@ def test_verify_exp_kummer_past_x_order_exits_2(capsys):
     assert run(capsys, "verify", "exp-kummer", "--lambda-order", "16")[0] == 0
 
 
+@pytest.mark.parametrize("identity", ["examples", "laguerre-shifted"])
+def test_verify_n_below_one_for_the_shifted_example_exits_2(capsys, identity):
+    code, out, err = run(capsys, "verify", identity, "--n", "0")
+    assert code == 2
+    assert out == ""
+    assert err == (f"error: {identity} needs --n >= 1 "
+                   "(laguerre-shifted takes it as its p)\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("eigenfunction", "--n", "50"),
+     "eigenfunction does not read --n; it reads --r --M"),
+    (("bell-hyp-r2", "--r", "3"),
+     "bell-hyp-r2 does not read --r; it reads --M --n --precision --tolerance"),
+    (("commutator", "--r", "1", "--n", "2"),
+     "commutator does not read --n; it reads --r --M"),
+    (("laguerre-ogf", "--M", "1"),
+     "laguerre-ogf does not read --M; it reads --lambda-order"),
+    (("all", "--r", "2"), "all does not read --r; it reads none of --r, --M, --n"),
+])
+def test_verify_rejects_an_override_the_id_does_not_read(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_verify_accepts_every_override_the_id_reads(capsys):
+    # the benchmark's verify requests, and an example id through `examples`
+    assert run(capsys, "verify", "stirling-expansion", "--n", "2")[0] == 0
+    assert run(capsys, "verify", "eigen-operator", "--M", "1")[0] == 0
+    code, out, _ = run(capsys, "verify", "examples", "--n", "2", "--M", "1",
+                       "--format", "table")
+    assert code == 0
+    assert "laguerre-shifted r=1 M=1 p=2 " in out
+
+
+# --- startup -------------------------------------------------------------
+
+# The layers the benchmark's tracer wraps (perfbench/spans.py LAYERS); it
+# reads each from sys.modules right after `import normord.cli`.
+LAYERS = ("backend", "parser", "weyl", "stirling", "graphs", "laguerre",
+          "closedform", "hyperreal", "suite", "cache", "serialize", "cli")
+
+
+def test_import_loads_every_layer_and_no_dataclasses():
+    probe = ("import json, sys, normord.cli; "
+             "print(json.dumps(sorted(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert not loaded & {"dataclasses", "inspect", "dis", "ast"}
+    assert {f"normord.{layer}" for layer in LAYERS} <= loaded
+
+
 # --- cache ---------------------------------------------------------------
 
 def test_cache_cold_then_warm_identical(capsys, tmp_path):
