@@ -3,8 +3,10 @@
 These are the inner loops of the whole package: word rewriting,
 contraction products, falling-factorial rows, and graph attachment
 steps.  This module is their reference implementation and must stay
-dependency free.  Coefficients are plain ints or Fractions (callers
-decide); loop bookkeeping is exact integer arithmetic throughout.
+dependency free.  Coefficients come in canonical (`series._canonical`:
+an int when integral, a Fraction only when not), so integer inputs stay
+in ints; the containers built from the results canonicalize them again.
+Loop bookkeeping is exact integer arithmetic throughout.
 
 One primitive carries the row kernels.  `ff_step(row, c)` multiplies a
 polynomial in the number operator N = a†a, held as its coefficients on

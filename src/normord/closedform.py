@@ -64,7 +64,7 @@ def _pfq_cap(upper, lower, x):
         # j > k is at most this, and it does not increase with k.
         cap = x / (k + 2)
         for u, l in zip(upper, lower):
-            cap *= max(Fraction(1), (u + k + 1) / (l + k + 1))
+            cap *= max(1, (u + k + 1) / (l + k + 1))
         for l in lower[len(upper):]:
             cap /= l + k + 1
         return cap
@@ -123,7 +123,7 @@ def _bessel_half_taylor(kind: int, n_terms: int) -> list:
             m = (k - 1) // 2
             out.append(Fraction(1, 4**k * factorial(m) * factorial(m + 1)))
         else:
-            out.append(Fraction(0))
+            out.append(0)
     return out
 
 
@@ -144,8 +144,7 @@ def _check_stirling_hyp(M: int, n_max: int, t0: float) -> IdentityReport:
     # two k past each row's width, where the triangle holds 0
     closed = [
         {k: Fraction((-1) ** k * factorial(n) ** M, factorial(k))
-         * phyperq_partial([Fraction(-k)] + [Fraction(n + 1)] * M,
-                           [Fraction(1)] * M, 1, k + 1)
+         * phyperq_partial([-k] + [n + 1] * M, [1] * M, 1, k + 1)
          for k in range(M * n + 3)}
         for n in range(n_max + 1)
     ]
@@ -165,9 +164,7 @@ def _check_bell_hyp_r1(M: int, n_max: int, t0: float) -> IdentityReport:
         order = M * n + 6
         bell = gen_bell_poly(1, M, n)
         scaled = series_exp(SeriesQ.x(order)) * SeriesQ.from_poly(bell, order)
-        closed = phyperq_series(
-            [Fraction(n + 1)] * M, [Fraction(1)] * M, order
-        ).scale(factorial(n) ** M)
+        closed = phyperq_series([n + 1] * M, [1] * M, order).scale(factorial(n) ** M)
         lhs.append(dict(enumerate(scaled.coeffs)))
         rhs.append(dict(enumerate(closed.coeffs)))
     _, first = _rows_mismatch(lhs, rhs, "n", ("power",))
@@ -179,33 +176,28 @@ def _check_bell_hyp_r1(M: int, n_max: int, t0: float) -> IdentityReport:
 
 def _bell_r2_closed_value(M: int, n: int, x: Fraction, prec: int) -> HighPrecReal:
     arg = x * x / 4
-    fa = hyp_sum_adaptive(
-        [Fraction(n + 1)] * M, [Fraction(1)] * M + [Fraction(1, 2)], arg, prec
-    )
+    fa = hyp_sum_adaptive([n + 1] * M, [1] * M + [Fraction(1, 2)], arg, prec)
     fb = hyp_sum_adaptive(
         [Fraction(2 * n + 3, 2)] * M, [Fraction(3, 2)] * (M + 1), arg, prec
     )
     pi = HighPrecReal.pi(prec)
     pi_m_half = _half_power(pi, M)
     g = HighPrecReal.gamma(Fraction(2 * n + 3, 2), prec)
-    term1 = HighPrecReal(Fraction(factorial(n) ** M), prec) * fa * pi_m_half
+    term1 = HighPrecReal(factorial(n) ** M, prec) * fa * pi_m_half
     term2 = (
-        HighPrecReal(Fraction(2**M), prec)
+        HighPrecReal(2**M, prec)
         * g.pow_int(M)
         * HighPrecReal(x, prec)
         * HighPrecReal(fb, prec)
     )
-    scale = HighPrecReal(Fraction(2 ** (M * n)), prec) * HighPrecReal.exp_of(-x, prec)
+    scale = HighPrecReal(2 ** (M * n), prec) * HighPrecReal.exp_of(-x, prec)
     return scale * (term1 + term2) / pi_m_half
 
 
 def _bell_r3_closed_value(M: int, n: int, x: Fraction, prec: int) -> HighPrecReal:
     arg = x**3 / 27
     f1 = hyp_sum_adaptive(
-        [Fraction(n + 1)] * M,
-        [Fraction(1)] * M + [Fraction(1, 3), Fraction(2, 3)],
-        arg,
-        prec,
+        [n + 1] * M, [1] * M + [Fraction(1, 3), Fraction(2, 3)], arg, prec
     )
     f2 = hyp_sum_adaptive(
         [n + Fraction(4, 3)] * M,
@@ -223,25 +215,25 @@ def _bell_r3_closed_value(M: int, n: int, x: Fraction, prec: int) -> HighPrecRea
     g23 = HighPrecReal.gamma(Fraction(2, 3), prec)
     xr = HighPrecReal(x, prec)
     t1 = (
-        HighPrecReal(Fraction(2 ** (M + 1) * 3 ** (M * n)), prec)
-        * (pi * HighPrecReal(Fraction(factorial(n)), prec) * g23).pow_int(M)
+        HighPrecReal(2 ** (M + 1) * 3 ** (M * n), prec)
+        * (pi * HighPrecReal(factorial(n), prec) * g23).pow_int(M)
         * HighPrecReal(f1, prec)
     )
     t2 = (
         HighPrecReal(2, prec)
-        * HighPrecReal(Fraction(3 ** (M * n + M)), prec)
+        * HighPrecReal(3 ** (M * n + M), prec)
         * _half_power(HighPrecReal(3, prec), M)
         * (g23.pow_int(2) * HighPrecReal.gamma(n + Fraction(4, 3), prec)).pow_int(M)
         * xr
         * HighPrecReal(f2, prec)
     )
     t3 = (
-        HighPrecReal(Fraction(3 ** (M * (n + 1))), prec)
+        HighPrecReal(3 ** (M * (n + 1)), prec)
         * (pi * HighPrecReal.gamma(n + Fraction(5, 3), prec)).pow_int(M)
         * xr.pow_int(2)
         * HighPrecReal(f3, prec)
     )
-    denom = HighPrecReal(Fraction(2 ** (M + 1)), prec) * (pi * g23).pow_int(M)
+    denom = HighPrecReal(2 ** (M + 1), prec) * (pi * g23).pow_int(M)
     return HighPrecReal.exp_of(-x, prec) * (t1 + t2 + t3) / denom
 
 
@@ -296,7 +288,7 @@ def hyp_closed_form_check(
     if kind == "bell-hyp-r1":
         return _check_bell_hyp_r1(M, n_max, t0)
     if x_samples is None:
-        x_samples = (Fraction(1, 2), Fraction(1), Fraction(2))
+        x_samples = (Fraction(1, 2), 1, 2)
     return _check_bell_hyp_numeric(family_r, M, n_max, x_samples, precision,
                                    tolerance, t0)
 
@@ -423,7 +415,7 @@ def _example_laguerre_ogf(lambda_order: int, t0: float, **_) -> IdentityReport:
 
 def _example_kummer_b3(lambda_order: int, t0: float, **_) -> IdentityReport:
     order = lambda_order + 1
-    lhs, rhs_generic, arg = _kummer_sides(Fraction(3), lambda_order)
+    lhs, rhs_generic, arg = _kummer_sides(3, lambda_order)
     inv_cubed = DotSeries.binpow(order, -1, 1, -3)
     l2 = (
         DotSeries.one(order)
@@ -586,9 +578,9 @@ def _exp_minus_times(weights: list) -> list:
 def _alternating_row_nf(n: int, M: int, k_max: int) -> NormalForm:
     # Coefficient of (ad)^k a^(k+n):
     # sum_{j+l=k} (-1)^j/j! * ((l+1)_n)^M / l!, divided by (n!)^M.
-    rising = [pochhammer(l + 1, n).numerator ** M for l in range(k_max + 1)]
-    scale = Fraction(factorial(n)) ** M
-    return NormalForm({(k, k + n): total / scale
+    rising = [pochhammer(l + 1, n) ** M for l in range(k_max + 1)]
+    scale = factorial(n) ** M
+    return NormalForm({(k, k + n): Fraction(total, scale)
                        for k, total in enumerate(_exp_minus_times(rising))
                        if total})
 
@@ -616,7 +608,7 @@ def _example_hyp_compact(lambda_order: int, t0: float, M: int, **_) -> IdentityR
     for n in range(lambda_order + 1):
         # (n!)^M : e^{-ad a} mFm([n+1 x M],[1 x M], ad a) a^n :
         # the y^l weight ((n+1)_l)^M / (l!)^M = C(n+l,l)^M is an int
-        weights = [(pochhammer(n + 1, l) / factorial(l)).numerator ** M
+        weights = [Fraction(pochhammer(n + 1, l), factorial(l)).numerator ** M
                    for l in range(M * n + 4)]
         rhs.append({(k, k + n): total * factorial(n) ** M
                     for k, total in enumerate(_exp_minus_times(weights)) if total})
@@ -671,7 +663,7 @@ def example_normal_forms(
 
 def _conjecture_lower_params(r: int, M: int, t: int) -> list:
     if t == 0:
-        return [Fraction(1)] * M + [Fraction(j, r) for j in range(1, r)]
+        return [1] * M + [Fraction(j, r) for j in range(1, r)]
     out = [1 + Fraction(t, r)] * (M + 1)
     out += [1 + Fraction(t - j, r) for j in range(1, r) if j != t]
     return out
@@ -728,7 +720,7 @@ def conjecture_probe(
 
     def basis_value(t, x):
         f = hyp_sum_adaptive(
-            upper(t), _conjecture_lower_params(r, M, t), x**r / Fraction(r) ** r, precision
+            upper(t), _conjecture_lower_params(r, M, t), x**r / r**r, precision
         )
         return HighPrecReal(x**t * f, precision)
 

@@ -21,7 +21,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import backend
-from .weyl import NormalForm, _canonical
+from .series import _canonical
+from .weyl import NormalForm
 
 __all__ = [
     "BuildingBlock",

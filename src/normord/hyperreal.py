@@ -187,10 +187,9 @@ class HighPrecReal:
             raise ValueError("precision must be positive")
         if isinstance(value, HighPrecReal):
             value = value.value
-        if isinstance(value, Fraction):
+        if isinstance(value, (int, Fraction)):
+            # an int is rounded exactly as the equal Fraction is
             value = fraction_to_decimal(value, prec)
-        elif isinstance(value, int):
-            value = Decimal(value)
         elif isinstance(value, str):
             value = Decimal(value)
         elif not isinstance(value, Decimal):

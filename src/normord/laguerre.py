@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .series import (
     SeriesQ,
+    _canonical,
     factorial,
     falling_factorial,
     phyperq_series,
@@ -54,7 +55,7 @@ def apply_Dx(op: DxOperator, s: SeriesQ) -> SeriesQ:
     """One application; the truncation order drops by r."""
     r, M = op.r, op.M
     n_out = max(s.order - r, 0)
-    out = [Fraction(0)] * n_out
+    out = [0] * n_out
     for p in range(r, s.order):
         c = s.coeffs[p]
         if c:
@@ -82,24 +83,25 @@ def eigenfunction_series(r: int, M: int, order: int) -> SeriesQ:
         raise ValueError("need r >= 1 and M >= 0")
     if order < 1:
         raise ValueError("order must be >= 1")
-    lower = [Fraction(j, r) for j in range(1, r)] + [Fraction(1)] * M
+    lower = [Fraction(j, r) for j in range(1, r)] + [1] * M
     m_max = (order + r - 1) // r
     f = phyperq_series([], lower, m_max)
-    out = [Fraction(0)] * order
-    scale = Fraction(1)
+    out = [0] * order
+    scale = 1
     denom = r ** (r + M)
     for m in range(m_max):
         if r * m >= order:
             break
         out[r * m] = f.coeffs[m] * scale
-        scale /= denom
+        scale = Fraction(scale, denom)
     return SeriesQ(order, out)
 
 
 class DotSeries:
     """lambda-series with double-dot word coefficients.
 
-    terms: {(n, dag, ann): Fraction} standing for lambda^n :ad^dag a^ann:.
+    terms: {(n, dag, ann): coefficient} standing for lambda^n :ad^dag a^ann:,
+    each coefficient canonical (`series._canonical`) as in NormalForm.
     Inside double dots the two symbols commute, so products just add
     exponents; `order` is exclusive in lambda.
     """
@@ -114,7 +116,7 @@ class DotSeries:
         if terms:
             for (n, k, l), c in terms.items():
                 if n < order:
-                    c = Fraction(c)
+                    c = _canonical(c)
                     if c:
                         clean[(n, k, l)] = c
         self.terms = clean
@@ -138,14 +140,14 @@ class DotSeries:
         out = {k: v for k, v in self.terms.items() if k[0] < n}
         for k, v in other.terms.items():
             if k[0] < n:
-                out[k] = out.get(k, Fraction(0)) + v
+                out[k] = out.get(k, 0) + v
         return DotSeries(n, out)
 
     def __sub__(self, other: "DotSeries") -> "DotSeries":
         return self + other.scale(-1)
 
     def scale(self, c) -> "DotSeries":
-        c = Fraction(c)
+        c = _canonical(c)
         return DotSeries(self.order, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other: "DotSeries") -> "DotSeries":
@@ -158,7 +160,7 @@ class DotSeries:
                 if n1 + n2 >= n:
                     continue
                 key = (n1 + n2, k1 + k2, l1 + l2)
-                v = out.get(key, Fraction(0)) + c1 * c2
+                v = out.get(key, 0) + c1 * c2
                 if v:
                     out[key] = v
                 elif key in out:
@@ -217,7 +219,7 @@ def exp_D_r1_normal_form(r: int, n_max: int) -> list:
     if r < 1 or n_max < 0:
         raise ValueError("need r >= 1 and n_max >= 0")
     order = n_max + 1
-    g = DotSeries.binpow(order, -r, r, Fraction(-1))
+    g = DotSeries.binpow(order, -r, r, -1)
     bt = series_binpow(-r, Fraction(-1, r), order)
     arg = DotSeries(
         order,
@@ -235,6 +237,6 @@ def egf_bell_r1(r: int, order: int) -> SeriesQ:
         raise ValueError("need r >= 1")
     if order < 1:
         raise ValueError("order must be >= 1")
-    pref = series_binpow(-r, Fraction(-1), order)
+    pref = series_binpow(-r, -1, order)
     inner = series_binpow(-r, Fraction(-1, r), order) - SeriesQ.one(order)
     return pref * series_exp(inner)

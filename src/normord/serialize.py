@@ -11,7 +11,6 @@ import json
 import re
 from fractions import Fraction
 
-from .series import PolyQ
 from .weyl import NormalForm
 
 __all__ = [

@@ -2,8 +2,13 @@
 
 Everything here is dense and immutable: degrees and truncation orders stay
 small (a few hundred at most), so dense storage wins on simplicity and is
-fast enough.  Coefficients are `fractions.Fraction` throughout; no floats
-enter at any point.
+fast enough.  Coefficients are canonical (`_canonical`): an int when
+integral, a `fractions.Fraction` with denominator > 1 only when not, and
+never a float.  This is the one coefficient rule of the package: the
+normal forms in `normord.weyl`, the graph tables in `normord.graphs` and
+the double-dot series in `normord.laguerre` all store what it returns.
+A true rational division is written `Fraction(a, b)`, since two ints
+would give a float.
 
 `pfq_ratio` is the one place the pFq term ratio is written, and
 `phyperq_series` the one loop over pFq terms (`phyperq_partial` sums its
@@ -59,32 +64,37 @@ def falling_factorial(p, r: int):
     return out
 
 
-def pochhammer(a, k: int) -> Fraction:
+def _canonical(c):
+    """c as an int when it is integral, else as a Fraction (denominator > 1)."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):  # bool and other int subclasses
+        return int(c)
+    raise TypeError(f"coefficient must be rational, got {type(c).__name__}")
+
+
+def pochhammer(a, k: int):
     """Rising factorial (a)_k = a(a+1)...(a+k-1), as int products over a's denominator."""
-    a = _as_fraction(a)
+    a = _canonical(a)
     num, den = a.numerator, a.denominator
     out = 1
     for i in range(k):
         out *= num + i * den
-    return Fraction(out, den**k)
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+    return _canonical(Fraction(out, den**k))
 
 
 class PolyQ:
-    """Dense polynomial over Fraction; trailing zeros stripped, zero = ()."""
+    """Dense polynomial, canonical coefficients; trailing zeros stripped, zero = ()."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [(_as_fraction(c)) for c in coeffs]
+        cs = [_canonical(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple = tuple(cs)
 
     @classmethod
     def zero(cls) -> "PolyQ":
@@ -98,10 +108,10 @@ class PolyQ:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def coeff(self, i: int) -> Fraction:
+    def coeff(self, i: int):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return Fraction(0)
+        return 0
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -123,7 +133,7 @@ class PolyQ:
     def __mul__(self, other: "PolyQ") -> "PolyQ":
         if not self.coeffs or not other.coeffs:
             return PolyQ()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
@@ -131,15 +141,15 @@ class PolyQ:
         return PolyQ(out)
 
     def scale(self, c) -> "PolyQ":
-        c = _as_fraction(c)
+        c = _canonical(c)
         return PolyQ(a * c for a in self.coeffs)
 
-    def eval(self, x) -> Fraction:
-        x = _as_fraction(x)
-        out = Fraction(0)
+    def eval(self, x):
+        x = _canonical(x)
+        out = 0
         for c in reversed(self.coeffs):
             out = out * x + c
-        return out
+        return _canonical(out)
 
     def __repr__(self) -> str:
         return f"PolyQ({list(self.coeffs)!r})"
@@ -158,10 +168,10 @@ class SeriesQ:
     def __init__(self, order: int, coeffs: Sequence = ()):
         if order < 0:
             raise ValueError("order must be >= 0")
-        cs = [_as_fraction(c) for c in coeffs[:order]]
-        cs.extend([Fraction(0)] * (order - len(cs)))
+        cs = [_canonical(c) for c in coeffs[:order]]
+        cs.extend([0] * (order - len(cs)))
         self.order = order
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: tuple = tuple(cs)
 
     @classmethod
     def zero(cls, order: int) -> "SeriesQ":
@@ -179,7 +189,7 @@ class SeriesQ:
     def from_poly(cls, p: PolyQ, order: int) -> "SeriesQ":
         return cls(order, p.coeffs)
 
-    def coeff(self, i: int) -> Fraction:
+    def coeff(self, i: int):
         if not (0 <= i < self.order):
             raise IndexError(f"coefficient {i} beyond truncation order {self.order}")
         return self.coeffs[i]
@@ -209,7 +219,7 @@ class SeriesQ:
 
     def __mul__(self, other: "SeriesQ") -> "SeriesQ":
         n = min(self.order, other.order)
-        out = [Fraction(0)] * n
+        out = [0] * n
         for i, a in enumerate(self.coeffs[:n]):
             if a:
                 for j in range(n - i):
@@ -219,7 +229,7 @@ class SeriesQ:
         return SeriesQ(n, out)
 
     def scale(self, c) -> "SeriesQ":
-        c = _as_fraction(c)
+        c = _canonical(c)
         return SeriesQ(self.order, [a * c for a in self.coeffs])
 
     def __repr__(self) -> str:
@@ -240,16 +250,16 @@ def series_exp(s: SeriesQ) -> SeriesQ:
     if s.order > 0 and s.coeffs[0] != 0:
         raise ValueError("series_exp needs a zero constant term")
     n = s.order
-    out = [Fraction(0)] * n
+    out = [0] * n
     if n == 0:
         return SeriesQ(0)
-    out[0] = Fraction(1)
+    out[0] = 1
     for m in range(1, n):
-        acc = Fraction(0)
+        acc = 0
         for j in range(1, m + 1):
             if s.coeffs[j]:
                 acc += j * s.coeffs[j] * out[m - j]
-        out[m] = acc / m
+        out[m] = Fraction(acc, m)
     return SeriesQ(n, out)
 
 
@@ -257,14 +267,14 @@ def series_binpow(c, alpha, order: int) -> SeriesQ:
     """(1 + c·t)^alpha as a series in t, generalized binomial coefficients."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    c = _as_fraction(c)
-    alpha = _as_fraction(alpha)
-    out = [Fraction(0)] * order
-    coeff = Fraction(1)
-    ck = Fraction(1)
+    c = _canonical(c)
+    alpha = _canonical(alpha)
+    out = [0] * order
+    coeff = 1
+    ck = 1
     for k in range(order):
         out[k] = coeff * ck
-        coeff = coeff * (alpha - k) / (k + 1)
+        coeff = Fraction(coeff * (alpha - k), k + 1)
         ck *= c
     return SeriesQ(order, out)
 
@@ -278,13 +288,13 @@ def pfq_ratio(upper: Sequence, lower: Sequence, x):
     lower parameter l = -k is a pole.  This is the only place the ratio
     is written; `phyperq_series` and `certified_sum` run on it.
     """
-    upper = [_as_fraction(u) for u in upper]
-    lower = [_as_fraction(l) for l in lower]
-    c = _as_fraction(x)
+    upper = [_canonical(u) for u in upper]
+    lower = [_canonical(l) for l in lower]
+    c = _canonical(x)
     for l in lower:
         c *= l.denominator
     for u in upper:
-        c /= u.denominator
+        c = Fraction(c, u.denominator)
     c_num, c_den = c.numerator, c.denominator
     ups = [(u.numerator, u.denominator) for u in upper]
     lows = [(l.numerator, l.denominator) for l in lower]
@@ -331,15 +341,13 @@ def phyperq_series(upper: Sequence, lower: Sequence, order: int) -> SeriesQ:
     return SeriesQ(order, out)
 
 
-def phyperq_partial(
-    upper: Sequence, lower: Sequence, x, terms: int
-) -> Fraction:
+def phyperq_partial(upper: Sequence, lower: Sequence, x, terms: int):
     """Exact partial sum of pFq: sum_{k<terms} c_k x^k, c_k from `phyperq_series`.
 
     At x = 0 only c_0 survives, but the chain still takes its first step,
     so a lower parameter 0 raises as it does for any other x.
     """
-    x = _as_fraction(x)
+    x = _canonical(x)
     series = phyperq_series(upper, lower, terms if x else min(terms, 2))
     return PolyQ(series.coeffs).eval(x)
 

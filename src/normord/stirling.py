@@ -256,8 +256,8 @@ def dobinski_partial(r: int, M: int, n: int, x, L: int) -> Fraction:
     x = Fraction(x)
     if x < 0:
         raise ValueError("x must be >= 0")
-    total = Fraction(0)
-    xpow = Fraction(1)
+    total = 0
+    xpow = 1
     fact = 1
     for l in range(L):
         if l:

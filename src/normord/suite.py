@@ -104,9 +104,9 @@ def _poly_from_signless_rising(r: int) -> PolyQ:
 
 def _poly_from_signed_falling(r: int) -> PolyQ:
     """n(n-1)...(n-r+1) as the signed first-kind sum; zero constant term."""
-    coeffs = [Fraction(0)] * (r + 1)
+    coeffs = [0] * (r + 1)
     for k in range(1, r + 1):
-        coeffs[k] = Fraction((-1) ** (r - k) * stirling1_signless(r, k))
+        coeffs[k] = (-1) ** (r - k) * stirling1_signless(r, k)
     return PolyQ(coeffs)
 
 
@@ -281,7 +281,7 @@ def verify_exp_on_exponential(
     s = SeriesQ(x_order, [(-b) ** i / factorial(i) for i in range(x_order)])
     cols = exp_lambda_Dx_columns(DxOperator(1, 1), s, lambda_order)
     refs = [
-        {i: (-b) ** i / factorial(i) * Fraction((-1) ** m * binomial(i + m, m)) * b**m
+        {i: (-b) ** i / factorial(i) * (-1) ** m * binomial(i + m, m) * b**m
          for i in range(col.order)}
         for m, col in enumerate(cols)
     ]
@@ -312,11 +312,12 @@ def verify_exp_on_kummer(
     b = Fraction(b)
     params = {"b": str(b), "x_order": x_order, "lambda_order": lambda_order}
     exact = b.denominator == 1
-    s = phyperq_series([b], [Fraction(1)], x_order)
+    s = phyperq_series([b], [1], x_order)
     cols = exp_lambda_Dx_columns(DxOperator(1, 1), s, lambda_order)
     grid = [dict(enumerate(col.coeffs)) for col in cols]
     refs = [
-        {i: pochhammer(b, i) / factorial(i) ** 2 * pochhammer(b + i, m) / factorial(m)
+        {i: Fraction(pochhammer(b, i) * pochhammer(b + i, m),
+                     factorial(i) ** 2 * factorial(m))
          for i in range(col.order)}
         for m, col in enumerate(cols)
     ]
@@ -353,7 +354,7 @@ def verify_exp_on_monomial(n_max: int = 6) -> IdentityReport:
     op = DxOperator(1, 1)
     lhs, rhs = [], []
     for n in range(n_max + 1):
-        mono = SeriesQ(n + 1, [Fraction(0)] * n + [Fraction(1)])
+        mono = SeriesQ(n + 1, [0] * n + [1])
         lhs.append({(i, m): c
                     for m, col in enumerate(exp_lambda_Dx_columns(op, mono, n))
                     for i, c in enumerate(col.coeffs)})
@@ -509,9 +510,9 @@ IDENTITIES = {
         hyp_generating_function_check, (("r", (1, 2)), ("M", (1, 2))),
         ("lambda_order", 6), _NUMERIC, points=((1, 1), (1, 2), (2, 2))),
     "graphs": Check(verify_graph_enumeration, (("r", (1, 2)), ("M", (1, 2))), ("n", 4)),
-    # r has no default of its own: the probes hold until r is given
-    "conjecture": Check(conjecture_probe, (("r", ()), ("M", (1,)), ("n", (1,))),
-                        numeric=("precision",), switch=("r",),
+    # the probes hold until r, M or n is given
+    "conjecture": Check(conjecture_probe, (_R4, ("M", (1,)), ("n", (1,))),
+                        numeric=("precision",), switch=("r", "M", "n"),
                         points=((1, 1, 3), (2, 1, 2), (2, 2, 2), (3, 1, 1), (4, 1, 1))),
     "laguerre-ogf": _example("laguerre-ogf", 6),
     "kummer-b3": _example("kummer-b3", 6),
@@ -586,13 +587,11 @@ def run_identity(
 
 
 def run_suite(
-    include_probes: bool = True,
     precision: int = DEFAULT_PRECISION,
     tolerance=DEFAULT_TOLERANCE,
 ) -> list[IdentityReport]:
     """Default verification sweep; deterministic report order."""
     reports = [rep for identity in SUITE_IDS
-               if include_probes or identity != "conjecture"
                for rep in run_identity(identity, precision=precision,
                                        tolerance=tolerance)]
     reports.sort(

@@ -7,11 +7,12 @@ right as an operator product.  `BosonExpr` is a free-algebra element
 fully ordered object, a map (dag, ann) -> coefficient standing for
 sum c * ad^dag a^ann.
 
-Coefficients are canonical: an int when integral, a Fraction (with
-denominator > 1) only when not.  The normal forms of words (rook
-numbers) and of powers of D(r,M) (generalized Stirling numbers) have
-integer coefficients, so their arithmetic stays in ints; a Fraction
-appears only when a rational scalar brings one in.  `Fraction(3) == 3` and both hash
+Coefficients are canonical by `series._canonical`, the package's one
+coefficient rule: an int when integral, a Fraction (with denominator
+> 1) only when not.  The normal forms of words (rook numbers) and of
+powers of D(r,M) (generalized Stirling numbers) have integer
+coefficients, so their arithmetic stays in ints; a Fraction appears only
+when a rational scalar brings one in.  `Fraction(3) == 3` and both hash
 alike, so equality and hashing do not depend on the type, and both
 print the same with `str`.
 
@@ -39,7 +40,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import backend
-from .series import PolyQ
+from .series import PolyQ, _canonical
 
 ANNIHILATOR = 0
 CREATOR = 1
@@ -61,17 +62,6 @@ __all__ = [
     "diagonal_reduce",
     "apply_word_to_monomial",
 ]
-
-
-def _canonical(c):
-    """c as an int when it is integral, else as a Fraction (denominator > 1)."""
-    if type(c) is int:
-        return c
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
-    if isinstance(c, int):  # bool and other int subclasses
-        return int(c)
-    raise TypeError(f"coefficient must be rational, got {type(c).__name__}")
 
 
 class BosonExpr:
@@ -276,7 +266,7 @@ class NormalForm:
         for (k, _), c in self.terms.items():
             ff = PolyQ.one()
             for i in range(k):
-                ff = ff * PolyQ((Fraction(-i), Fraction(1)))
+                ff = ff * PolyQ((-i, 1))
             out = out + ff.scale(c)
         return out
 

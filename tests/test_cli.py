@@ -300,6 +300,14 @@ def test_probe_reports_record_only_what_they_used(capsys):
         assert "tolerance" not in rep
 
 
+def test_probe_grid_follows_m_and_n_without_r(capsys):
+    code, out, _ = run(capsys, "verify", "conjecture", "--M", "2", "--n", "5")
+    assert code == 0
+    got = [(rep["parameters"]["r"], rep["parameters"]["M"], rep["parameters"]["n"])
+           for rep in json.loads(out)]
+    assert got == [(1, 2, 5), (2, 2, 5), (3, 2, 5), (4, 2, 5)]
+
+
 @pytest.mark.parametrize("argv,param", [
     (("graphs", "--r", "1", "--M", "1", "--n", "0"), "n_max"),
     (("hyp-generating-function", "--r", "1", "--M", "1",

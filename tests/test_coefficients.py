@@ -1,7 +1,9 @@
 """Canonical coefficients: an int when integral, a Fraction only when not.
 
-Every operation on `NormalForm` and `BosonExpr`, and every route that
-builds one, must hand back coefficients of that form, and never a float.
+Every operation on `NormalForm` and `BosonExpr`, every route that
+builds one, and every exact series container (`PolyQ`, `SeriesQ`,
+`DotSeries`) and its builders must hand back coefficients of that form,
+and never a float.
 """
 
 from fractions import Fraction
@@ -12,6 +14,23 @@ from hypothesis import strategies as st
 
 from normord import backend
 from normord.graphs import enumerate_graphs, explicit_table
+from normord.laguerre import (
+    DotSeries,
+    DxOperator,
+    apply_Dx,
+    eigenfunction_series,
+    exp_D_r1_normal_form,
+)
+from normord.series import (
+    PolyQ,
+    SeriesQ,
+    laguerre_poly,
+    phyperq_series,
+    pochhammer,
+    series_binpow,
+    series_exp,
+)
+from normord.stirling import gen_bell_poly
 from normord.serialize import normal_form_from_json, normal_form_to_json
 from normord.weyl import (
     BosonExpr,
@@ -104,3 +123,40 @@ def test_non_rational_coefficients_are_refused(bad):
         BosonExpr({(): bad})
     with pytest.raises(TypeError):
         NormalForm.one().scale(bad)
+
+
+def test_series_containers_hold_ints_and_refuse_floats():
+    p = PolyQ((Fraction(4, 2), 3, Fraction(1, 2)))
+    assert p.coeffs == (2, 3, Fraction(1, 2)) and type(p.coeffs[0]) is int
+    bell = gen_bell_poly(2, 2, 3)
+    ints = [bell, bell * bell, bell.scale(Fraction(6, 3)), (bell + bell) - bell,
+            SeriesQ(6, [Fraction(2), 1, 0]), SeriesQ.one(5) * SeriesQ.x(5),
+            series_binpow(-2, -1, 8), phyperq_series([3], [], 8),
+            apply_Dx(DxOperator(1, 1), SeriesQ(6, [1, 2, 3, 4, 5, 6]))]
+    for x in ints:
+        assert all(type(c) is int for c in x.coeffs), x
+    assert type(bell.eval(Fraction(2))) is int
+    assert type(pochhammer(Fraction(3), 4)) is int
+    assert type(pochhammer(Fraction(1, 2), 0)) is int
+    # rational ones stay canonical: the integral entries are ints
+    for x in (laguerre_poly(5), series_exp(SeriesQ.x(8)),
+              series_binpow(-2, Fraction(-1, 2), 8), eigenfunction_series(2, 1, 9)):
+        assert all(canonical(c) or c == 0 for c in x.coeffs), x
+        assert type(x.coeffs[0]) is int
+    ds = DotSeries(4, {(0, 0, 0): Fraction(3, 3), (1, 1, 2): 2})
+    for d in (ds, ds * ds, ds.scale(Fraction(2, 2)), ds + ds, ds - ds.scale(2),
+              DotSeries.binpow(4, -1, 1, -1)):
+        assert all(type(c) is int for c in d.terms.values())
+    for nf in exp_D_r1_normal_form(2, 4):
+        assert all(type(c) is int for c in nf.terms.values())
+
+    # a float is refused, not stored as its binary expansion
+    for build in (lambda bad: PolyQ((bad,)), lambda bad: PolyQ.one().scale(bad),
+                  lambda bad: PolyQ((1, 1)).eval(bad), lambda bad: SeriesQ(2, [bad]),
+                  lambda bad: SeriesQ.one(2).scale(bad),
+                  lambda bad: DotSeries(2, {(0, 0, 0): bad}),
+                  lambda bad: DotSeries.one(2).scale(bad),
+                  lambda bad: pochhammer(bad, 2), lambda bad: series_binpow(bad, 1, 3),
+                  lambda bad: phyperq_series([bad], [1], 3)):
+        with pytest.raises(TypeError):
+            build(0.1)

@@ -106,3 +106,13 @@ def test_constructor_accepts_strings_and_decimals():
     a = HighPrecReal("1.25", 40)
     b = HighPrecReal(Fraction(5, 4), 40)
     assert a.agrees_with(b, Fraction(1, 10**30))
+
+
+def test_int_is_rounded_as_the_equal_fraction():
+    # an exact rational value reads the same whatever its type
+    big = 3**150 + 1
+    a = HighPrecReal(big, 50)
+    b = HighPrecReal(Fraction(big), 50)
+    assert a.value == b.value
+    assert len(a.value.as_tuple().digits) == 65
+    assert a.rel_deviation(b) == 0

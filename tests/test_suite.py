@@ -47,10 +47,19 @@ def test_suite_deterministic_and_sorted():
     assert keys == sorted(keys)
 
 
-def test_suite_matches_the_golden_report():
-    # verify all --precision 50 as JSON, elapsed removed, byte for byte
-    golden = Path(__file__).parent / "data" / "verify_all_precision50.json"
-    reports = [rep.to_json_dict() for rep in run_suite(precision=50)]
+@pytest.mark.parametrize("golden, run", [
+    pytest.param("verify_all_precision50.json", lambda: run_suite(precision=50),
+                 id="all-precision50"),
+    pytest.param("verify_all_precision100.json", lambda: run_suite(precision=100),
+                 id="all-precision100"),
+    # verify all never runs the worked examples, the DotSeries side
+    pytest.param("verify_examples.json", lambda: run_identity("examples"),
+                 id="examples"),
+])
+def test_suite_matches_the_golden_report(golden, run):
+    # the reports as JSON, elapsed removed, byte for byte
+    golden = Path(__file__).parent / "data" / golden
+    reports = [rep.to_json_dict() for rep in run()]
     for rep in reports:
         rep.pop("elapsed")
     assert json.dumps(reports, indent=2) + "\n" == golden.read_text()
@@ -95,7 +104,7 @@ def test_every_compared_report_names_its_paths():
 
 
 def test_exact_mode_never_carries_tolerance():
-    for rep in run_suite(include_probes=False):
+    for rep in run_suite():
         if rep.mode == "exact":
             assert rep.precision is None
             assert rep.tolerance is None
