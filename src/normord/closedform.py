@@ -9,8 +9,12 @@ integer/rational cases go through its exact scan, row by row; cases
 with half- or third-integer gamma prefactors go through HighPrecReal
 and its `DeviationTally`, which reports the worst relative and absolute
 deviation. Operator powers come from `_oracle_powers`, the one fold of
-D(r,M)^0..n that the suite drivers use too. Each public check times itself
-and returns an IdentityReport whose parameters include the orders it ran
+D(r,M)^0..n that the suite drivers use too. The Bell generating
+function's outer l-sum is `stirling.dobinski_sums`, and pFq values are
+summed by `hyp_sum_adaptive`: the two users of `series.certified_sum`.
+Sample points and pFq parameters go through `series._canonical`, so a
+float raises TypeError. Each public check times itself and returns an
+IdentityReport whose parameters include the orders it ran
 to (n_max or lambda_order) and whose details name the paths it compared;
 the conjecture probe's report is informational and records only its
 precision. `hyp_closed_form_check` finds a kind's family and default
@@ -29,6 +33,7 @@ from .laguerre import DotSeries
 from .report import DeviationTally, IdentityReport, _finish, _rows_mismatch
 from .series import (
     SeriesQ,
+    _canonical,
     binomial,
     certified_sum,
     factorial,
@@ -39,7 +44,7 @@ from .series import (
     pochhammer,
     series_exp,
 )
-from .stirling import gen_bell_number, gen_bell_poly, gen_stirling_rows
+from .stirling import dobinski_sums, gen_bell_number, gen_bell_poly, gen_stirling_rows
 from .weyl import NormalForm, laguerre_derivative_nf
 
 DEFAULT_PRECISION = 50
@@ -62,9 +67,9 @@ def _pfq_cap(upper, lower, x):
         # Each paired (u+j)/(l+j) factor moves monotonically toward 1 as
         # j grows, unpaired 1/(l+j) and x/(j+1) shrink, so every ratio at
         # j > k is at most this, and it does not increase with k.
-        cap = x / (k + 2)
+        cap = Fraction(x, k + 2)
         for u, l in zip(upper, lower):
-            cap *= max(1, (u + k + 1) / (l + k + 1))
+            cap *= max(1, Fraction(u + k + 1, l + k + 1))
         for l in lower[len(upper):]:
             cap /= l + k + 1
         return cap
@@ -84,9 +89,9 @@ def hyp_sum_adaptive(
     come from `series.pfq_ratio`; the ratio cap needs the positive
     parameters checked here.
     """
-    upper = [Fraction(u) for u in upper]
-    lower = [Fraction(l) for l in lower]
-    x = Fraction(x)
+    upper = [_canonical(u) for u in upper]
+    lower = [_canonical(l) for l in lower]
+    x = _canonical(x)
     if len(upper) > len(lower):
         raise ValueError("adaptive evaluation needs p <= q")
     if x < 0 or any(u <= 0 for u in upper) or any(l <= 0 for l in lower):
@@ -174,8 +179,8 @@ def _check_bell_hyp_r1(M: int, n_max: int, t0: float) -> IdentityReport:
                    paths=("e^x Bell polynomial", "mFm series"))
 
 
-def _bell_r2_closed_value(M: int, n: int, x: Fraction, prec: int) -> HighPrecReal:
-    arg = x * x / 4
+def _bell_r2_closed_value(M: int, n: int, x: int | Fraction, prec: int) -> HighPrecReal:
+    arg = Fraction(x * x, 4)
     fa = hyp_sum_adaptive([n + 1] * M, [1] * M + [Fraction(1, 2)], arg, prec)
     fb = hyp_sum_adaptive(
         [Fraction(2 * n + 3, 2)] * M, [Fraction(3, 2)] * (M + 1), arg, prec
@@ -194,8 +199,8 @@ def _bell_r2_closed_value(M: int, n: int, x: Fraction, prec: int) -> HighPrecRea
     return scale * (term1 + term2) / pi_m_half
 
 
-def _bell_r3_closed_value(M: int, n: int, x: Fraction, prec: int) -> HighPrecReal:
-    arg = x**3 / 27
+def _bell_r3_closed_value(M: int, n: int, x: int | Fraction, prec: int) -> HighPrecReal:
+    arg = Fraction(x**3, 27)
     f1 = hyp_sum_adaptive(
         [n + 1] * M, [1] * M + [Fraction(1, 3), Fraction(2, 3)], arg, prec
     )
@@ -241,7 +246,7 @@ def _check_bell_hyp_numeric(
     r: int, M: int, n_max: int, x_samples, prec, tol, t0: float
 ) -> IdentityReport:
     closed = _bell_r2_closed_value if r == 2 else _bell_r3_closed_value
-    xs = [Fraction(x) for x in x_samples]
+    xs = [_canonical(x) for x in x_samples]
     tally = DeviationTally(prec, tol)
     for n in range(n_max + 1):
         bell = gen_bell_poly(r, M, n)
@@ -312,7 +317,7 @@ def hyp_generating_function_check(
 
     The common 1/(n!)^(M+1) is cancelled before comparing. Row n's
     coefficient is the outer sum over l of x^l/l! * W(n,l), W(n,l) =
-    prod_{i<=n} (l+ir)^M, truncated by `certified_sum` on the top row; if
+    prod_{i<=n} (l+ir)^M, summed by `stirling.dobinski_sums`; if
     the tail cannot be certified within the term budget the report says
     so instead of passing. Passing reports record the certificate:
     outer_terms, ratio_cap and tail_bound (both rounded up; the bound is
@@ -321,35 +326,13 @@ def hyp_generating_function_check(
     t0 = time.perf_counter()
     if r < 1 or M < 0 or lambda_order < 0:
         raise ValueError("need r >= 1, M >= 0, lambda_order >= 0")
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("x must be >= 0")
+    x = _canonical(x)
     params = {"r": r, "M": M, "x": str(x), "lambda_order": lambda_order}
     numctx = {"precision": precision, "tolerance": str(tolerance)}
     paths = ("certified l-sum", "Bell polynomial")
-    n_top = lambda_order
-    refs = [gen_bell_poly(r, M, n).eval(x) for n in range(n_top + 1)]
-
-    def row_weights(l):
-        out = [1]
-        prod = 1
-        for i in range(1, n_top + 1):
-            prod *= l + i * r
-            out.append(prod**M)
-        return out
-
-    def ratio_cap(l):
-        # The top row's ratio at l is x/(l+1) * prod_i (1 + 1/(l+ir))^M,
-        # at most x/(l+1) * (1 + 1/(l+r))^(n_top*M), which falls with l.
-        return x / (l + 2) * (1 + Fraction(1, l + 1 + r)) ** (n_top * M)
-
-    # The lower rows stop with the top row: W(n_top,l)/W(n,l) increases
-    # in l, so no lower row's relative tail exceeds the top row's.
     try:
-        totals, cert = certified_sum(
-            lambda l: x.numerator, lambda l: x.denominator * (l + 1), ratio_cap,
-            Fraction(1, 10 ** (precision + 10)), max_terms, row_weights,
-        )
+        totals, cert = dobinski_sums(r, M, lambda_order, x,
+                                     Fraction(1, 10 ** (precision + 10)), max_terms)
     except RuntimeError:
         first = {"reason": "tail bound not certified within term budget"}
         return _finish("hyp-generating-function", params, "numeric", t0, first,
@@ -357,9 +340,9 @@ def hyp_generating_function_check(
                        paths=paths, **numctx)
     emx = HighPrecReal.exp_of(-x, precision)
     tally = DeviationTally(precision, tolerance)
-    for n in range(n_top + 1):
-        tally.add(emx * HighPrecReal(totals[n], precision),
-                  HighPrecReal(refs[n], precision), {"n": n})
+    for n, total in enumerate(totals):
+        tally.add(emx * HighPrecReal(total, precision),
+                  HighPrecReal(gen_bell_poly(r, M, n).eval(x), precision), {"n": n})
     details = {"first_mismatch": tally.first, "outer_terms": cert.terms,
                "ratio_cap": _bound_str(cert.ratio_cap),
                "tail_bound": _bound_str(cert.tail_bound),
@@ -710,7 +693,7 @@ def conjecture_probe(
     t0 = time.perf_counter()
     if r < 1 or r > 4:
         raise ValueError("probe covers r <= 4")
-    xs = [Fraction(x) for x in x_samples]
+    xs = [_canonical(x) for x in x_samples]
     if len(xs) <= r:
         raise ValueError(f"need more than {r} sample points to report residuals")
     if any(x <= 0 for x in xs):
@@ -720,7 +703,7 @@ def conjecture_probe(
 
     def basis_value(t, x):
         f = hyp_sum_adaptive(
-            upper(t), _conjecture_lower_params(r, M, t), x**r / r**r, precision
+            upper(t), _conjecture_lower_params(r, M, t), Fraction(x**r, r**r), precision
         )
         return HighPrecReal(x**t * f, precision)
 

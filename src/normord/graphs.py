@@ -18,6 +18,7 @@ agreement with those two is a genuine three-way check.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, permutations
 from typing import NamedTuple
 
 from . import backend
@@ -131,8 +132,8 @@ def explicit_graphs(nf: NormalForm, n: int) -> list:
             new_ids = tuple(next_id + i for i in range(b.out_lines))
             max_j = min(s, len(free_out))
             for j in range(max_j + 1):
-                for slots in _combinations(range(s), j):
-                    for targets in _injections(free_out, j):
+                for slots in combinations(range(s), j):
+                    for targets in permutations(free_out, j):
                         remaining = [x for x in free_out if x not in targets]
                         expand(
                             steps + [(bi, slots, targets)],
@@ -145,27 +146,6 @@ def explicit_graphs(nf: NormalForm, n: int) -> list:
 
     expand([], 1, [], 0, 0, 0)
     return out
-
-
-def _combinations(pool, j):
-    pool = tuple(pool)
-    if j == 0:
-        yield ()
-        return
-    for i in range(len(pool) - j + 1):
-        for rest in _combinations(pool[i + 1:], j - 1):
-            yield (pool[i],) + rest
-
-
-def _injections(pool, j):
-    """Ordered selections of j distinct elements."""
-    pool = tuple(pool)
-    if j == 0:
-        yield ()
-        return
-    for i, x in enumerate(pool):
-        for rest in _injections(pool[:i] + pool[i + 1:], j - 1):
-            yield (x,) + rest
 
 
 def explicit_table(nf: NormalForm, n: int) -> CoeffTable:

@@ -24,6 +24,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
+from .series import _canonical
+
 __all__ = ["HighPrecReal", "pi_decimal", "gamma_fraction", "sqrt_decimal"]
 
 _GUARD = 15  # extra working digits inside every kernel
@@ -203,11 +205,11 @@ class HighPrecReal:
 
     @classmethod
     def gamma(cls, q, prec: int = 50) -> "HighPrecReal":
-        return cls(gamma_fraction(Fraction(q), prec), prec)
+        return cls(gamma_fraction(_canonical(q), prec), prec)
 
     @classmethod
     def exp_of(cls, q, prec: int = 50) -> "HighPrecReal":
-        x = fraction_to_decimal(Fraction(q), prec)
+        x = fraction_to_decimal(_canonical(q), prec)
         return cls(exp_decimal(x, prec), prec)
 
     def _binop(self, other, fn) -> "HighPrecReal":

@@ -9,7 +9,9 @@ from high to low, tagged with the row it belongs to, and
 `_rows_mismatch` is its row-by-row form; `DeviationTally` is the one
 numeric comparison, which keeps the worst relative and absolute
 deviation and the first pair outside tolerance.  The suite drivers and
-the closed-form checks build their reports here and nowhere else.
+the closed-form checks build their reports here and nowhere else, with
+one exception: `closedform.conjecture_probe` compares nothing, so it
+builds its informational `IdentityReport` directly.
 """
 
 from __future__ import annotations

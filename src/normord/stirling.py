@@ -15,6 +15,12 @@ asserted, not assumed; `verify stirling-expansion` compares it, the
 triangle, and the operator-power fold row by row.  The classical
 second-kind triangle and Bell numbers are implemented independently
 through the textbook recurrence and serve as a cross-check at r=0, M=1.
+
+The generalized Dobinski relation B_r^(M)(n,x) = e^{-x} sum_l x^l/l!
+[prod_{i<=n} (l+ir)]^M is summed in one place, `dobinski_sums`, for rows
+0..n at once with a `certified_sum` tail bound; `dobinski_adaptive` is
+its last row times e^{-x}, and `hyp-generating-function` checks its rows
+against the Bell polynomials.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from fractions import Fraction
 
 from . import backend
 from .hyperreal import HighPrecReal
-from .series import PolyQ, certified_sum
+from .series import PolyQ, _canonical, certified_sum
 from .weyl import NormalForm
 
 __all__ = [
@@ -39,7 +45,7 @@ __all__ = [
     "classical_bell",
     "stirling1_signless",
     "product_poly",
-    "dobinski_partial",
+    "dobinski_sums",
     "dobinski_adaptive",
     "b_pp",
 ]
@@ -242,64 +248,57 @@ def product_poly(r: int) -> PolyQ:
     return out
 
 
-def _dobinski_term_factor(r: int, M: int, n: int, l: int) -> int:
-    p = 1
-    for i in range(1, n + 1):
-        p *= l + i * r
-    return p ** M
+def dobinski_sums(r: int, M: int, n_max: int, x, cutoff, max_terms: int):
+    """The Dobinski l-sums sum_l x^l/l! W(n,l), W(n,l) = [prod_{i<=n} (l+ir)]^M,
+    for n = 0..n_max, exactly and without the e^{-x} factor.
 
-
-def dobinski_partial(r: int, M: int, n: int, x, L: int) -> Fraction:
-    """sum_{l<L} [prod_{i=1}^n (l+ir)]^M x^l / l!, exactly (no e^{-x} factor)."""
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("x must be >= 0")
-    total = 0
-    xpow = 1
-    fact = 1
-    for l in range(L):
-        if l:
-            xpow *= x
-            fact *= l
-        total += Fraction(_dobinski_term_factor(r, M, n, l) * xpow.numerator,
-                          fact * xpow.denominator)
-    return total
-
-
-def dobinski_adaptive(r: int, M: int, n: int, x, tol, prec: int = 50):
-    """Adaptive exponentially weighted sum: e^{-x} * sum_l w_l x^l / l!,
-    w_l = [prod_{i=1}^n (l+ir)]^M.
-
-    The term ratio x/(l+1) * prod_i (1 + 1/(l+ir))^M falls with l for
-    every l >= 0 (for r = 0, every l >= 1, after the zero term t_0), so
-    the ratio at l+1 caps every later one and `certified_sum` stops once
-    that cap is <= 1/2 and its tail bound is at most tol * max(partial
-    sum, 1).  As e^{-x} <= 1, the reported value is then within
-    tol * max(value, 1) of the full sum: the scale at which
-    `HighPrecReal.agrees_with` compares.
-    Returns (value: HighPrecReal, terms_used: int, exact_partial: Fraction).
+    e^{-x} times row n is B_r^(M)(n,x).  This is the one place the
+    weights, the tail cap and the stop of the lower rows are written.
+    For l >= 1, row n's term ratio t_{l+1}/t_l is x/(l+1) *
+    prod_i (1 + 1/(l+ir))^M <= x/(l+1) * (1 + 1/(l+r))^(n_max*M), which
+    falls with l; so ratio_cap(l) = x/(l+2) * (1 + 1/(l+1+r))^(n_max*M)
+    bounds every ratio past l, for r = 0 too (where t_0 may be 0).  The
+    lower rows stop with the top one: W(n_max,l)/W(n,l) =
+    prod_{n<i<=n_max} (l+ir)^M is >= 1 and does not fall for l >= 1, so
+    no lower row's tail exceeds the top row's, absolutely or relative to
+    its partial sum.
+    Returns (one exact partial sum per row, SumCertificate of the top row);
+    raises RuntimeError if max_terms terms do not certify.
     """
-    if r < 0 or M < 0 or n < 0:
-        raise ValueError("need r, M, n >= 0")
-    x = Fraction(x)
+    if r < 0 or M < 0 or n_max < 0:
+        raise ValueError("need r, M, n_max >= 0")
+    x, cutoff = _canonical(x), _canonical(cutoff)
     if x < 0:
         raise ValueError("x must be >= 0")
-    tol = Fraction(tol)
-    if tol <= 0:
+    if cutoff <= 0:
         raise ValueError("tolerance must be positive")
     p, q = x.numerator, x.denominator
 
-    def ratio_cap(l):
-        return Fraction(p * _dobinski_term_factor(r, M, n, l + 2),
-                        q * (l + 2) * _dobinski_term_factor(r, M, n, l + 1))
+    def weights(l):
+        out = [1]
+        prod = 1
+        for i in range(1, n_max + 1):
+            prod *= l + i * r
+            out.append(prod**M)
+        return out
 
-    (total,), cert = certified_sum(
-        lambda l: p, lambda l: q * (l + 1), ratio_cap, tol, 100000,
-        lambda l: (_dobinski_term_factor(r, M, n, l),),
-    )
-    return HighPrecReal.exp_of(-x, prec) * total, cert.terms, total
+    def ratio_cap(l):
+        return Fraction(p, q * (l + 2)) * (1 + Fraction(1, l + 1 + r)) ** (n_max * M)
+
+    return certified_sum(lambda l: p, lambda l: q * (l + 1), ratio_cap,
+                         cutoff, max_terms, weights)
+
+
+def dobinski_adaptive(r: int, M: int, n: int, x, tol, prec: int = 50):
+    """B_r^(M)(n,x) = e^{-x} times the last row of `dobinski_sums`.
+
+    The sum stops once its tail is at most tol * max(partial sum, 1); as
+    e^{-x} <= 1, the reported value is then within tol * max(value, 1) of
+    the full sum: the scale at which `HighPrecReal.agrees_with` compares.
+    Returns (value: HighPrecReal, terms_used: int, exact_partial: Fraction).
+    """
+    sums, cert = dobinski_sums(r, M, n, x, tol, 100000)
+    return HighPrecReal.exp_of(-x, prec) * sums[-1], cert.terms, sums[-1]
 
 
 def b_pp(p: int, n: int) -> int:

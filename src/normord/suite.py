@@ -58,6 +58,7 @@ from .report import (
 from .series import (
     PolyQ,
     SeriesQ,
+    _canonical,
     binomial,
     factorial,
     laguerre_poly,
@@ -276,12 +277,12 @@ def verify_exp_on_exponential(
     """
     _columns_fit(x_order, lambda_order)
     t0 = time.perf_counter()
-    b = Fraction(b)
+    b = _canonical(b)
     params = {"b": str(b), "x_order": x_order, "lambda_order": lambda_order}
-    s = SeriesQ(x_order, [(-b) ** i / factorial(i) for i in range(x_order)])
+    s = SeriesQ(x_order, [Fraction((-b) ** i, factorial(i)) for i in range(x_order)])
     cols = exp_lambda_Dx_columns(DxOperator(1, 1), s, lambda_order)
     refs = [
-        {i: (-b) ** i / factorial(i) * (-1) ** m * binomial(i + m, m) * b**m
+        {i: Fraction((-b) ** i * (-1) ** m * binomial(i + m, m) * b**m, factorial(i))
          for i in range(col.order)}
         for m, col in enumerate(cols)
     ]
@@ -309,7 +310,7 @@ def verify_exp_on_kummer(
     """
     _columns_fit(x_order, lambda_order)
     t0 = time.perf_counter()
-    b = Fraction(b)
+    b = _canonical(b)
     params = {"b": str(b), "x_order": x_order, "lambda_order": lambda_order}
     exact = b.denominator == 1
     s = phyperq_series([b], [1], x_order)

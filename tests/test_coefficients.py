@@ -13,6 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normord import backend
+from normord.closedform import (
+    conjecture_probe,
+    hyp_closed_form_check,
+    hyp_generating_function_check,
+    hyp_sum_adaptive,
+)
 from normord.graphs import enumerate_graphs, explicit_table
 from normord.laguerre import (
     DotSeries,
@@ -30,7 +36,10 @@ from normord.series import (
     series_binpow,
     series_exp,
 )
-from normord.stirling import gen_bell_poly
+from normord.hyperreal import HighPrecReal
+from normord.report import IdentityReport
+from normord.stirling import dobinski_adaptive, dobinski_sums, gen_bell_poly
+from normord.suite import verify_exp_on_exponential, verify_exp_on_kummer
 from normord.serialize import normal_form_from_json, normal_form_to_json
 from normord.weyl import (
     BosonExpr,
@@ -160,3 +169,40 @@ def test_series_containers_hold_ints_and_refuse_floats():
                   lambda bad: phyperq_series([bad], [1], 3)):
         with pytest.raises(TypeError):
             build(0.1)
+
+
+TOL = Fraction(1, 10**30)
+NUMERIC_ENTRIES = {
+    "dobinski_sums": lambda v: dobinski_sums(1, 1, 2, v, TOL, 1000),
+    "dobinski_sums cutoff": lambda v: dobinski_sums(1, 1, 2, 1, v, 1000),
+    "dobinski_adaptive": lambda v: dobinski_adaptive(1, 1, 2, v, TOL),
+    "dobinski_adaptive tol": lambda v: dobinski_adaptive(1, 1, 2, 1, v),
+    "bell-hyp-r2": lambda v: hyp_closed_form_check("bell-hyp-r2", M=1, n_max=1,
+                                                   x_samples=(v,)),
+    "hyp-generating-function": lambda v: hyp_generating_function_check(1, 1, v, 3),
+    "hyp_sum_adaptive": lambda v: hyp_sum_adaptive([1], [2], v),
+    "conjecture_probe": lambda v: conjecture_probe(1, 1, 2, (Fraction(1, 2), v)),
+    "exp-exponential": lambda v: verify_exp_on_exponential(v, 6, 4),
+    "exp-kummer": lambda v: verify_exp_on_kummer(v, 6, 4),
+    "gamma": lambda v: HighPrecReal.gamma(v),
+    "exp_of": lambda v: HighPrecReal.exp_of(v),
+}
+
+
+def _timeless(out):
+    """out with report timings dropped and reals spelled out, for ==."""
+    if isinstance(out, IdentityReport):
+        return out._replace(elapsed=None)
+    if isinstance(out, HighPrecReal):
+        return (out.value, out.prec)
+    if isinstance(out, tuple):
+        return tuple(map(_timeless, out))
+    return out
+
+
+@pytest.mark.parametrize("entry", NUMERIC_ENTRIES)
+def test_numeric_entries_refuse_floats(entry):
+    call = NUMERIC_ENTRIES[entry]
+    with pytest.raises(TypeError):
+        call(0.1)
+    assert _timeless(call(1)) == _timeless(call(Fraction(1)))

@@ -18,7 +18,7 @@ from normord.stirling import (
     classical_bell,
     classical_stirling2,
     dobinski_adaptive,
-    dobinski_partial,
+    dobinski_sums,
     gen_bell_number,
     gen_bell_poly,
     gen_stirling,
@@ -189,17 +189,27 @@ def test_b_pp_frozen():
         b_pp(0, 2)
 
 
-@settings(max_examples=30)
-@given(st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=2),
-       st.integers(min_value=0, max_value=4),
-       st.fractions(min_value=Fraction(1, 4), max_value=3, max_denominator=4))
-def test_dobinski_partial_monotone(r, M, n, x):
-    prev = None
-    for L in range(1, 12):
-        val = dobinski_partial(r, M, n, x, L)
-        if prev is not None:
-            assert val >= prev
-        prev = val
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3),
+       st.integers(min_value=0, max_value=6),
+       st.fractions(min_value=0, max_value=3, max_denominator=6))
+def test_dobinski_sums_rows_are_bell_polynomials(r, M, n_max, x):
+    from normord.hyperreal import HighPrecReal
+
+    cutoff = Fraction(1, 10**30)
+    sums, cert = dobinski_sums(r, M, n_max, x, cutoff, 100000)
+    assert len(sums) == n_max + 1
+    emx = HighPrecReal.exp_of(-x, 50)
+    for n, total in enumerate(sums):
+        ref = gen_bell_poly(r, M, n).eval(x)
+        assert (emx * total).agrees_with(HighPrecReal(ref, 50), cutoff), (r, M, n, x)
+        if x == 0:
+            assert total == (factorial(n) * r**n) ** M
+        if (r, M) == (0, 1):  # Touchard polynomials, from the classical triangle
+            touchard = sum(classical_stirling2(n, k) * x**k for k in range(n + 1))
+            assert (emx * total).agrees_with(HighPrecReal(touchard, 50), cutoff)
+    assert cert.ratio_cap <= Fraction(1, 2)
+    assert cert.tail_bound <= cutoff * max(sums[-1], 1)
 
 
 def test_dobinski_adaptive_hits_bell_values():
