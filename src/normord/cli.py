@@ -237,12 +237,8 @@ def cmd_order(cfg: Config, ns: argparse.Namespace) -> int:
         return 0
     if cfg.fmt == "json":
         print(normal_form_to_json(result))
-    elif cfg.fmt == "table":
-        print(normal_form_table(result))
     else:
-        print("error: b-file output applies to `seq --number` only",
-              file=sys.stderr)
-        return 2
+        print(normal_form_table(result))
     return 0
 
 
@@ -263,12 +259,8 @@ def cmd_seq(cfg: Config, ns: argparse.Namespace) -> int:
             import json as _json
 
             print(_json.dumps(poly_rows_to_dict(ns.r, ns.M, rows), indent=2))
-        elif cfg.fmt == "table":
-            print(poly_rows_table(ns.r, ns.M, rows))
         else:
-            print("error: b-file output applies to `seq --number` only",
-                  file=sys.stderr)
-            return 2
+            print(poly_rows_table(ns.r, ns.M, rows))
         return 0
     values = [sum(row) for row in rows]
     if cfg.fmt == "json":
@@ -281,10 +273,6 @@ def cmd_seq(cfg: Config, ns: argparse.Namespace) -> int:
 
 
 def cmd_verify(cfg: Config, ns: argparse.Namespace) -> int:
-    if cfg.fmt == "bfile":
-        print("error: b-file output applies to `seq --number` only",
-              file=sys.stderr)
-        return 2
     problem = _override_error(ns)
     if problem:
         print(f"error: {problem}", file=sys.stderr)
@@ -341,6 +329,12 @@ def main(argv=None) -> int:
         cfg = _config_from_namespace(ns)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    # b-file holds one integer sequence: `seq --number` (`cache` prints none)
+    if cfg.fmt == "bfile" and ns.command != "cache" and (
+            ns.command != "seq" or ns.poly):
+        print("error: b-file output applies to `seq --number` only",
+              file=sys.stderr)
         return 2
     try:
         code = _DISPATCH[ns.command](cfg, ns)

@@ -12,10 +12,17 @@ deviation. Operator powers come from `_oracle_powers`, the one fold of
 D(r,M)^0..n that the suite drivers use too. The Bell generating
 function's outer l-sum is `stirling.dobinski_sums`, and pFq values are
 summed by `hyp_sum_adaptive`: the two users of `series.certified_sum`.
-Sample points and pFq parameters go through `series._canonical`, so a
-float raises TypeError. Each public check times itself and returns an
-IdentityReport whose parameters include the orders it ran
-to (n_max or lambda_order) and whose details name the paths it compared;
+Sample points, pFq parameters and tolerances go through
+`series._canonical`, so a float raises TypeError. The worked examples
+read one implementation of each formula: left sides are
+`_scaled_powers` (Taylor coefficients times oracle powers);
+`eigen-operator`'s rows are `stirling.alternating_sum_row` and
+`hyp-compact`'s are e^-y times `series.phyperq_series`; the dot series
+share `_resolvent` ((1-t·a)^-1 and t·a†a²(1-t·a)^-1) and `_bessel_dot`;
+`_laguerre_rows` also serves `suite.verify_laguerre_normal_form`. Each
+public check times itself and returns an IdentityReport whose
+parameters include the orders it ran to (n_max or lambda_order) and
+whose details name the paths it compared;
 the conjecture probe's report is informational and records only its
 precision. `hyp_closed_form_check` finds a kind's family and default
 n_max in `CLOSED_FORMS`, and `example_normal_forms` finds an example's
@@ -34,17 +41,21 @@ from .report import DeviationTally, IdentityReport, _finish, _rows_mismatch
 from .series import (
     SeriesQ,
     _canonical,
-    binomial,
     certified_sum,
     factorial,
     laguerre_poly,
     phyperq_partial,
     phyperq_series,
     pfq_ratio,
-    pochhammer,
     series_exp,
 )
-from .stirling import dobinski_sums, gen_bell_number, gen_bell_poly, gen_stirling_rows
+from .stirling import (
+    alternating_sum_row,
+    dobinski_sums,
+    gen_bell_number,
+    gen_bell_poly,
+    gen_stirling_rows,
+)
 from .weyl import NormalForm, laguerre_derivative_nf
 
 DEFAULT_PRECISION = 50
@@ -139,6 +150,18 @@ def _oracle_powers(r: int, M: int, n_max: int) -> list:
     for _ in range(n_max):
         out.append(out[-1] * d)
     return out
+
+
+def _scaled_powers(M: int, taylor) -> list:
+    """taylor[n] times the oracle power D(1,M)^n, for n < len(taylor)."""
+    powers = _oracle_powers(1, M, len(taylor) - 1)
+    return [p.scale(c) for p, c in zip(powers, taylor)]
+
+
+def _laguerre_rows(n_max: int) -> list:
+    """Rows {(j, j+n): (-1)^j L_n[j]}, n = 0..n_max: D(1,1)^n / n! in normal order."""
+    return [{(j, j + n): lag.coeff(j) * (-1) ** j for j in range(n + 1)}
+            for n, lag in enumerate(map(laguerre_poly, range(n_max + 1)))]
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +349,7 @@ def hyp_generating_function_check(
     t0 = time.perf_counter()
     if r < 1 or M < 0 or lambda_order < 0:
         raise ValueError("need r >= 1, M >= 0, lambda_order >= 0")
-    x = _canonical(x)
+    x, tolerance = _canonical(x), _canonical(tolerance)
     params = {"r": r, "M": M, "x": str(x), "lambda_order": lambda_order}
     numctx = {"precision": precision, "tolerance": str(tolerance)}
     paths = ("certified l-sum", "Bell polynomial")
@@ -359,34 +382,38 @@ def _dot_nf_list(ds: DotSeries, n_max: int) -> list:
     return [ds.lambda_coefficient(n) for n in range(n_max + 1)]
 
 
+def _resolvent(order: int):
+    """(1-t·a)^-1 and the argument t·a†a²(1-t·a)^-1, as dot series."""
+    inv = DotSeries.binpow(order, -1, 1, -1)
+    return inv, DotSeries.monomial(order, 1, 1, 2) * inv
+
+
+def _bessel_dot(order: int, s: int, sigma: int) -> DotSeries:
+    """:exp(s·t·a) sum_m sigma^m/(m!)^2 (t·a†a²)^m:; I0 is (1, 1), J0 (-1, -1)."""
+    taylor = [Fraction(sigma**m, factorial(m) ** 2) for m in range(order)]
+    return (DotSeries.monomial(order, 1, 0, 1, s).exp()
+            * DotSeries.monomial(order, 1, 1, 2).apply_function(taylor))
+
+
 def _kummer_sides(b: Fraction, lambda_order: int):
     """Left oracle list and generic dot-form right side for 1F1([b],[1], t*D)."""
     order = lambda_order + 1
-    powers = _oracle_powers(1, 1, lambda_order)
     taylor = phyperq_series([b], [1], order).coeffs
-    lhs = [powers[n].scale(taylor[n]) for n in range(order)]
-    inv = DotSeries.binpow(order, -1, 1, -1)
-    arg = DotSeries.monomial(order, 1, 1, 2) * inv
+    _, arg = _resolvent(order)
     rhs = DotSeries.binpow(order, -1, 1, -b) * arg.apply_function(taylor)
-    return lhs, rhs, arg
+    return _scaled_powers(1, taylor), rhs, arg
 
 
 def _example_laguerre_ogf(lambda_order: int, t0: float, **_) -> IdentityReport:
     order = lambda_order + 1
-    powers = _oracle_powers(1, 1, lambda_order)
-    lhs = [powers[n].scale(Fraction(1, factorial(n))) for n in range(order)]
-    inv = DotSeries.binpow(order, -1, 1, -1)
-    arg = DotSeries.monomial(order, 1, 1, 2) * inv
+    lhs = _scaled_powers(1, [Fraction(1, factorial(n)) for n in range(order)])
+    inv, arg = _resolvent(order)
     rhs = _dot_nf_list(inv * arg.exp(), lambda_order)
     checks, first = _rows_mismatch(lhs, rhs, "lambda")
     notes = []
     if first is None:
         # Same coefficients again via the Laguerre polynomial form.
-        lag_rows = [
-            {(j, j + n): lag.coeff(j) * (-1) ** j for j in range(lag.degree + 1)}
-            for n, lag in enumerate(map(laguerre_poly, range(order)))
-        ]
-        more, first = _rows_mismatch(lhs, lag_rows, "lambda")
+        more, first = _rows_mismatch(lhs, _laguerre_rows(lambda_order), "lambda")
         checks += more
         if first is None:
             notes.append("Laguerre-polynomial rows agree with both sides")
@@ -459,25 +486,14 @@ def _example_laguerre_shifted(lambda_order: int, t0: float, p: int,
     if p < 1:
         raise ValueError("p must be >= 1")
     order = lambda_order + 1
-    powers = _oracle_powers(1, 1, lambda_order)
-    lhs = [
-        powers[m].scale(Fraction(1, factorial(m - p) * factorial(p)))
-        if m >= p
-        else NormalForm.zero()
-        for m in range(order)
-    ]
-    inv = DotSeries.binpow(order, -1, 1, -1)
-    arg = DotSeries.monomial(order, 1, 1, 2) * inv
+    lhs = _scaled_powers(1, [Fraction(1, factorial(m - p) * factorial(p)) if m >= p
+                             else 0 for m in range(order)])
+    inv, arg = _resolvent(order)
     w = DotSeries.monomial(order, 0, 1, 1) * inv
     lag = laguerre_poly(p)
     lp = DotSeries(order)
-    wpow = DotSeries.one(order)
-    for j in range(lag.degree + 1):
-        if j:
-            wpow = wpow * w
-        c = lag.coeff(j) * (-1) ** j
-        if c:
-            lp = lp + wpow.scale(c)
+    for j in reversed(range(p + 1)):  # L_p(-w) by Horner's rule
+        lp = lp * w + DotSeries.monomial(order, 0, 0, 0, lag.coeff(j) * (-1) ** j)
     pref = DotSeries.binpow(order, -1, 1, -(p + 1))
     shift = DotSeries.monomial(order, p, 0, p)
     rhs = _dot_nf_list(pref * arg.exp() * lp * shift, lambda_order)
@@ -491,25 +507,17 @@ def _example_laguerre_shifted(lambda_order: int, t0: float, p: int,
 def _example_bessel(example_id: str, lambda_order: int, t0: float,
                     **_) -> IdentityReport:
     order = lambda_order + 1
-    powers = _oracle_powers(1, 1, lambda_order)
     sign = 1 if example_id == "bessel-i0" else -1
-    lhs = [
-        powers[n].scale(Fraction(sign**n, factorial(n) ** 2)) for n in range(order)
-    ]
-    body = DotSeries.monomial(order, 1, 1, 2)
-    outer = DotSeries.monomial(order, 1, 0, 1).scale(sign).exp()
-    taylor = [Fraction(sign**m, factorial(m) ** 2) for m in range(order)]
-    rhs_ds = outer * body.apply_function(taylor)
-    rhs = _dot_nf_list(rhs_ds, lambda_order)
+    lhs = _scaled_powers(1, [Fraction(sign**n, factorial(n) ** 2)
+                             for n in range(order)])
+    rhs = _dot_nf_list(_bessel_dot(order, sign, sign), lambda_order)
     checks, first = _rows_mismatch(lhs, rhs, "lambda")
     notes = []
     if example_id == "bessel-j0" and first is None and lambda_order >= 1:
         # Same series with the inner sign dropped: that variant must break
         # at t^1, which pins the corrected inner argument as the real form.
         # At lambda_order 0 the two agree by construction: nothing to test.
-        wrong = outer * body.apply_function(
-            [Fraction(1, factorial(m) ** 2) for m in range(order)]
-        )
+        wrong = _bessel_dot(order, -1, 1)
         _, wrong_first = _rows_mismatch(lhs, _dot_nf_list(wrong, lambda_order),
                                         "lambda")
         if wrong_first is None:
@@ -529,15 +537,9 @@ def bessel_parity_check(lambda_order: int) -> IdentityReport:
     """The two Bessel expansions are global t -> -t images of each other."""
     t0 = time.perf_counter()
     order = lambda_order + 1
-    body = DotSeries.monomial(order, 1, 1, 2)
-    i0 = DotSeries.monomial(order, 1, 0, 1).exp() * body.apply_function(
-        [Fraction(1, factorial(m) ** 2) for m in range(order)]
-    )
-    j0 = DotSeries.monomial(order, 1, 0, 1).scale(-1).exp() * body.apply_function(
-        [Fraction((-1) ** m, factorial(m) ** 2) for m in range(order)]
-    )
+    i0 = _bessel_dot(order, 1, 1)
     checks, first = _rows_mismatch(
-        _dot_nf_list(j0, lambda_order),
+        _dot_nf_list(_bessel_dot(order, -1, -1), lambda_order),
         [i0.lambda_coefficient(n).scale((-1) ** n) for n in range(order)],
         "lambda",
     )
@@ -546,37 +548,27 @@ def bessel_parity_check(lambda_order: int) -> IdentityReport:
                    paths=("J0 dot series", "I0 dot series at -t"))
 
 
-def _exp_minus_times(weights: list) -> list:
-    """y^k coefficients of e^(-y) * sum_l weights[l] y^l / l!, for int weights.
-
-    sum_{j+l=k} (-1)^j/j! * weights[l]/l!, using 1/(j! l!) = C(k,j)/k!.
-    """
-    return [
-        Fraction(sum((-1) ** j * binomial(k, j) * weights[k - j] for j in range(k + 1)),
-                 factorial(k))
-        for k in range(len(weights))
-    ]
-
-
-def _alternating_row_nf(n: int, M: int, k_max: int) -> NormalForm:
-    # Coefficient of (ad)^k a^(k+n):
-    # sum_{j+l=k} (-1)^j/j! * ((l+1)_n)^M / l!, divided by (n!)^M.
-    rising = [pochhammer(l + 1, n) ** M for l in range(k_max + 1)]
-    scale = factorial(n) ** M
-    return NormalForm({(k, k + n): Fraction(total, scale)
-                       for k, total in enumerate(_exp_minus_times(rising))
-                       if total})
-
-
 def _example_eigen_operator(lambda_order: int, t0: float, M: int,
                             **_) -> IdentityReport:
-    powers = _oracle_powers(1, M, lambda_order)
-    lhs = [p.scale(Fraction(1, factorial(n) ** (M + 1))) for n, p in enumerate(powers)]
-    rhs = [_alternating_row_nf(n, M, M * n + 3).scale(Fraction(1, factorial(n)))
-           for n in range(lambda_order + 1)]
+    scales = [Fraction(1, factorial(n) ** (M + 1)) for n in range(lambda_order + 1)]
+    lhs = _scaled_powers(M, scales)
+    # The alternating sum gives row n of S_1^(M), the coefficients of
+    # (ad)^k a^(k+n) in D(1,M)^n; row 0 is [1].
+    rows, products, error = [[1]], [1], None
+    for n in range(1, lambda_order + 1):
+        try:
+            row, products = alternating_sum_row(1, M, n, products)
+        except ArithmeticError as exc:
+            error = {"lambda": n, "where": "alternating sum", "error": str(exc)}
+            break
+        rows.append(row)
+    rhs = [{(k, k + n): c * scales[n] for k, c in enumerate(row)}
+           for n, row in enumerate(rows)]
     checks, first = _rows_mismatch(lhs, rhs, "lambda")
-    bell_ok = all(p.expectation_at_one() == gen_bell_number(1, M, n)
-                  for n, p in enumerate(powers))
+    if first is None:
+        first = error
+    bell_ok = all(p.expectation_at_one() == gen_bell_number(1, M, n) * scales[n]
+                  for n, p in enumerate(lhs))
     notes = ["weight-one expectations match the Bell numbers"] if bell_ok else []
     if not bell_ok and first is None:
         first = {"lambda": None, "note": "Bell cross-check failed"}
@@ -589,12 +581,11 @@ def _example_eigen_operator(lambda_order: int, t0: float, M: int,
 def _example_hyp_compact(lambda_order: int, t0: float, M: int, **_) -> IdentityReport:
     rhs = []
     for n in range(lambda_order + 1):
-        # (n!)^M : e^{-ad a} mFm([n+1 x M],[1 x M], ad a) a^n :
-        # the y^l weight ((n+1)_l)^M / (l!)^M = C(n+l,l)^M is an int
-        weights = [Fraction(pochhammer(n + 1, l), factorial(l)).numerator ** M
-                   for l in range(M * n + 4)]
-        rhs.append({(k, k + n): total * factorial(n) ** M
-                    for k, total in enumerate(_exp_minus_times(weights)) if total})
+        # (n!)^M : e^{-y} mFm([n+1 x M],[1 x M], y) a^n : with y = ad a
+        order = M * n + 4
+        row = (series_exp(SeriesQ(order, [0, -1]))
+               * phyperq_series([n + 1] * M, [1] * M, order)).scale(factorial(n) ** M)
+        rhs.append({(k, k + n): c for k, c in enumerate(row.coeffs)})
     checks, first = _rows_mismatch(_oracle_powers(1, M, lambda_order), rhs, "lambda")
     return _finish("hyp-compact", {"r": 1, "M": M, "lambda_order": lambda_order},
                    "exact", t0, first, {"first_mismatch": first, "checks": checks},

@@ -135,7 +135,7 @@ def _gamma_core(s: Fraction, prec: int) -> Decimal:
 
 def gamma_fraction(q: Fraction, prec: int) -> Decimal:
     """Gamma at an exact rational argument, to `prec` significant digits."""
-    q = Fraction(q)
+    q = _canonical(q)
     if q.denominator == 1:
         n = q.numerator
         if n <= 0:
@@ -262,13 +262,13 @@ class HighPrecReal:
         return HighPrecReal(exp_decimal(self.value, self.prec), self.prec)
 
     def is_zero_within(self, tol) -> bool:
-        return abs(self.value) <= fraction_to_decimal(Fraction(tol), self.prec)
+        return abs(self.value) <= fraction_to_decimal(_canonical(tol), self.prec)
 
     def agrees_with(self, other, rel_tol) -> bool:
         """Relative agreement within rel_tol (absolute when other is ~0)."""
         if not isinstance(other, HighPrecReal):
             other = HighPrecReal(other, self.prec)
-        tol = fraction_to_decimal(Fraction(rel_tol), self.prec)
+        tol = fraction_to_decimal(_canonical(rel_tol), self.prec)
         with localcontext(_ctx(min(self.prec, other.prec) + _GUARD)):
             diff = abs(self.value - other.value)
             scale = max(abs(other.value), Decimal(1))

@@ -20,6 +20,7 @@ import time
 from collections import namedtuple
 
 from .hyperreal import HighPrecReal
+from .series import _canonical
 
 __all__ = ["IdentityReport"]
 
@@ -164,7 +165,7 @@ class DeviationTally:
 
     def __init__(self, precision: int, tolerance):
         self.precision = precision
-        self.tolerance = tolerance
+        self.tolerance = _canonical(tolerance)
         self.first = None
         self._rel = None
         self._abs = None

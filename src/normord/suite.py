@@ -32,6 +32,7 @@ from .closedform import (
     DEFAULT_PRECISION,
     DEFAULT_TOLERANCE,
     EXAMPLE_IDS,
+    _laguerre_rows,
     _oracle_powers,
     bessel_parity_check,
     conjecture_probe,
@@ -257,10 +258,8 @@ def verify_laguerre_normal_form(n_max: int) -> IdentityReport:
     _nonnegative(n_max=n_max)
     t0 = time.perf_counter()
     params = {"n_max": n_max}
-    refs = [
-        {(j, j + n): factorial(n) * lag.coeff(j) * (-1) ** j for j in range(n + 1)}
-        for n, lag in enumerate(map(laguerre_poly, range(n_max + 1)))
-    ]
+    refs = [{key: factorial(n) * c for key, c in row.items()}
+            for n, row in enumerate(_laguerre_rows(n_max))]
     _, mismatch = _rows_mismatch(_oracle_powers(1, 1, n_max), refs, "n")
     return _finish("laguerre-normal-form", params, "exact", t0, mismatch,
                    paths=("power fold", "Laguerre polynomial"))

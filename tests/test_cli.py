@@ -173,6 +173,14 @@ def test_seq_bfile_known_values(capsys, tmp_path):
     assert out == "0 1\n1 2\n2 7\n3 34\n4 209\n5 1546\n6 13327\n"
 
 
+def test_seq_poly_bfile_exits_2_before_building_rows(capsys, tmp_path):
+    code, out, err = run(capsys, "seq", "1", "1", "5", "--poly",
+                         "--format", "bfile", "--cache-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == "error: b-file output applies to `seq --number` only\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_seq_json_fields(capsys, tmp_path):
     code, out, _ = run(capsys, "seq", "2", "3", "3",
                        "--cache-dir", str(tmp_path))

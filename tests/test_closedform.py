@@ -19,7 +19,7 @@ from normord.closedform import (
     hyp_generating_function_check,
     hyp_sum_adaptive,
 )
-from normord.series import certified_sum, pfq_ratio, phyperq_series
+from normord.series import SeriesQ, certified_sum, pfq_ratio, phyperq_series
 from normord.weyl import NormalForm
 
 
@@ -286,6 +286,59 @@ def test_kummer_b3half_judges_every_differing_entry(monkeypatch):
     assert Decimal(rep.details["max_rel_dev"]) > Decimal("0.5")
     # the planted +1 is the largest absolute deviation, reported as such
     assert Decimal(rep.details["max_abs_dev"]) == 1
+
+
+# eigen-operator's right side is the alternating sum, hyp-compact's is
+# e^-y times the mFm series: a fault planted in one fails that example only
+
+
+def test_alternating_sum_fault_fails_eigen_operator_only(monkeypatch):
+    real = closedform.alternating_sum_row
+
+    def off_by_one(r, M, n, products):
+        row, products = real(r, M, n, products)
+        if n == 3:
+            row[1] += 1
+        return row, products
+
+    monkeypatch.setattr(closedform, "alternating_sum_row", off_by_one)
+    rep = example_normal_forms("eigen-operator", 5, M=2)
+    assert rep.status == "fail"
+    first = rep.details["first_mismatch"]
+    assert (first["lambda"], first["dag"], first["ann"]) == (3, 1, 4)
+    assert example_normal_forms("hyp-compact", 5, M=2).status == "pass"
+
+
+def test_pfq_series_fault_fails_hyp_compact_only(monkeypatch):
+    real = closedform.phyperq_series
+
+    def planted(upper, lower, order):
+        coeffs = list(real(upper, lower, order).coeffs)
+        if upper == [4, 4]:  # row n = 3 at M = 2
+            coeffs[2] += 1
+        return SeriesQ(order, coeffs)
+
+    monkeypatch.setattr(closedform, "phyperq_series", planted)
+    rep = example_normal_forms("hyp-compact", 5, M=2)
+    assert rep.status == "fail"
+    assert rep.details["first_mismatch"]["lambda"] == 3
+    assert example_normal_forms("eigen-operator", 5, M=2).status == "pass"
+
+
+def test_inexact_alternating_sum_is_a_failing_report(monkeypatch):
+    real = closedform.alternating_sum_row
+
+    def inexact(r, M, n, products):
+        if n == 2:
+            raise ArithmeticError("non-integral generalized Stirling value")
+        return real(r, M, n, products)
+
+    monkeypatch.setattr(closedform, "alternating_sum_row", inexact)
+    rep = example_normal_forms("eigen-operator", 4, M=1)
+    assert rep.status == "fail"
+    assert rep.details["first_mismatch"] == {
+        "lambda": 2, "where": "alternating sum",
+        "error": "non-integral generalized Stirling value"}
 
 
 def test_bessel_parity():

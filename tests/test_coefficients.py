@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from normord import backend
 from normord.closedform import (
     conjecture_probe,
+    example_normal_forms,
     hyp_closed_form_check,
     hyp_generating_function_check,
     hyp_sum_adaptive,
@@ -36,8 +37,8 @@ from normord.series import (
     series_binpow,
     series_exp,
 )
-from normord.hyperreal import HighPrecReal
-from normord.report import IdentityReport
+from normord.hyperreal import HighPrecReal, gamma_fraction
+from normord.report import DeviationTally, IdentityReport
 from normord.stirling import dobinski_adaptive, dobinski_sums, gen_bell_poly
 from normord.suite import verify_exp_on_exponential, verify_exp_on_kummer
 from normord.serialize import normal_form_from_json, normal_form_to_json
@@ -187,6 +188,33 @@ NUMERIC_ENTRIES = {
     "gamma": lambda v: HighPrecReal.gamma(v),
     "exp_of": lambda v: HighPrecReal.exp_of(v),
 }
+
+
+# entry -> (call, a float it must refuse)
+TOLERANCE_ENTRIES = {
+    "DeviationTally": (lambda tol: DeviationTally(50, tol), 1e-30),
+    "hyp-generating-function": (
+        lambda tol: hyp_generating_function_check(1, 1, 1, 3, tolerance=tol), 1e-30),
+    "bell-hyp-r2": (lambda tol: hyp_closed_form_check("bell-hyp-r2", M=1, n_max=1,
+                                                      tolerance=tol), 1e-30),
+    "exp-kummer": (lambda tol: verify_exp_on_kummer(Fraction(3, 2), tolerance=tol),
+                   1e-30),
+    "kummer-b3half": (lambda tol: example_normal_forms("kummer-b3half", 2,
+                                                       tolerance=tol), 1e-30),
+    "agrees_with": (lambda tol: HighPrecReal(1, 40).agrees_with(1, tol), 1e-30),
+    "is_zero_within": (lambda tol: HighPrecReal(0, 40).is_zero_within(tol), 1e-30),
+    "gamma_fraction": (lambda q: gamma_fraction(q, 20), 0.5),
+}
+
+
+@pytest.mark.parametrize("entry", TOLERANCE_ENTRIES)
+def test_tolerances_refuse_floats(entry):
+    # a float tolerance would be judged by its binary expansion while the
+    # report records its decimal spelling; the equal Fraction is taken
+    call, bad = TOLERANCE_ENTRIES[entry]
+    with pytest.raises(TypeError):
+        call(bad)
+    call(Fraction(bad))
 
 
 def _timeless(out):

@@ -52,7 +52,7 @@ def test_suite_deterministic_and_sorted():
                  id="all-precision50"),
     pytest.param("verify_all_precision100.json", lambda: run_suite(precision=100),
                  id="all-precision100"),
-    # verify all never runs the worked examples, the DotSeries side
+    # the worked examples alone; verify all runs them too (14 of its 85 reports)
     pytest.param("verify_examples.json", lambda: run_identity("examples"),
                  id="examples"),
 ])
