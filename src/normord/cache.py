@@ -5,11 +5,18 @@ header followed by one row of decimal strings per n; anything that does
 not parse back exactly is treated as corrupt, reported through the
 returned warning, and silently recomputed (and rewritten).  Rendering is
 deterministic, so a cache hit is byte-identical to a fresh computation.
+
+Rows leave this module as decimal tokens, the text `str(int)` gives, so
+a caller that prints them converts nothing: a miss renders each entry
+once, into the tokens that the file is joined from; a hit checks
+the file's text and splits it, with no int() or str() at all.
 """
 
 from __future__ import annotations
 
 import os
+import re
+from itertools import chain, repeat
 from math import factorial
 from pathlib import Path
 
@@ -29,6 +36,14 @@ __all__ = [
 CACHE_VERSION = 1
 _MAGIC = "normord-triangle-cache"
 ENV_CACHE_DIR = "NORMORD_CACHE_DIR"
+
+# One body line: tokens exactly as str(int) renders them (ASCII digits, no
+# sign on zero, no leading zero, no "+" or "_"), one space apart.
+_ROW_LINE = re.compile(r"(?:0|-?[1-9][0-9]*)(?: (?:0|-?[1-9][0-9]*))*")
+_SPACES = repeat(" ")
+# The file is written in slices of this many characters, so the encoded
+# copy of a large text is never held whole.
+_WRITE_CHUNK = 1 << 20
 
 
 def default_cache_dir() -> Path:
@@ -58,19 +73,25 @@ def compute_triangle(r: int, M: int, n_max: int) -> list:
 
 
 def render_triangle(r: int, M: int, rows) -> str:
-    lines = [
-        f"{_MAGIC} {CACHE_VERSION}",
-        f"r {r}",
-        f"M {M}",
-        f"rows {len(rows)}",
-    ]
+    """The file text; rows hold ints or their decimal tokens.
+
+    One join over every token and separator: no line of the text is built
+    as a string of its own, so the text is the only copy made.
+    """
+    parts = [f"{_MAGIC} {CACHE_VERSION}\nr {r}\nM {M}\nrows {len(rows)}\n"]
     for row in rows:
-        lines.append(" ".join(str(int(v)) for v in row))
-    return "\n".join(lines) + "\n"
+        # "", t0, " ", t1, " ", t2, ..., then the newline
+        parts += chain.from_iterable(zip(chain(("",), _SPACES), map(str, row)))
+        parts.append("\n")
+    return "".join(parts)
 
 
 def parse_triangle(text: str, r: int, M: int, n_max: int) -> list:
-    """Strict inverse of render_triangle; raises ValueError on any defect."""
+    """Strict inverse of render_triangle, as decimal tokens.
+
+    Raises ValueError on any defect, a token that is not canonical
+    included, so the rows returned are exactly the rendered text.
+    """
     lines = text.splitlines()
     if len(lines) < 4:
         raise ValueError("truncated header")
@@ -80,30 +101,27 @@ def parse_triangle(text: str, r: int, M: int, n_max: int) -> list:
         raise ValueError("key mismatch")
     if lines[3] != f"rows {n_max + 1}":
         raise ValueError("row-count mismatch")
-    body = lines[4:]
-    if len(body) != n_max + 1:
+    rows = lines[4:]
+    del text, lines  # from here rows holds the only reference to each line
+    if len(rows) != n_max + 1:
         raise ValueError("body length mismatch")
-    rows = []
-    for n, line in enumerate(body):
-        parts = line.split(" ")
-        if len(parts) != M * n + 1:
-            raise ValueError(f"row {n} has wrong width")
-        try:
-            row = [int(p) for p in parts]
-        except ValueError:
-            raise ValueError(f"row {n} holds a non-integer token") from None
-        if any(p != str(v) for p, v in zip(parts, row)):
+    for n, line in enumerate(rows):
+        if not _ROW_LINE.fullmatch(line):
             raise ValueError(f"row {n} is not canonically rendered")
-        rows.append(row)
+        # each line gives way to its tokens, so the two are never all held
+        rows[n] = line.split(" ")
+        if len(rows[n]) != M * n + 1:
+            raise ValueError(f"row {n} has wrong width")
     return rows
 
 
 def load_triangle(r: int, M: int, n_max: int, cache_dir: Path | None = None):
-    """Return (rows, hit, warning).
+    """Return (rows, hit, warning); row n lists S(n, k) as decimal tokens.
 
     hit is True when the rows came from a valid cache file.  A missing
     file is a plain miss; an unreadable or corrupt file additionally
     sets a warning string, and the recomputed rows are written back.
+    On a miss the file is written from the very tokens returned.
     """
     cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     path = triangle_path(cache_dir, r, M, n_max)
@@ -113,7 +131,9 @@ def load_triangle(r: int, M: int, n_max: int, cache_dir: Path | None = None):
             return parse_triangle(path.read_text(), r, M, n_max), True, None
         except (OSError, ValueError) as exc:
             warning = f"corrupt cache file {path.name} ({exc}); recomputing"
-    rows = compute_triangle(r, M, n_max)
+    # each entry becomes its decimal token once; the file is those tokens
+    rows = [list(map(str, row)) for row in compute_triangle(r, M, n_max)]
+    text = render_triangle(r, M, rows)
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
         # a temp name of this writer's own, hidden from cache_clear's glob,
@@ -121,7 +141,8 @@ def load_triangle(r: int, M: int, n_max: int, cache_dir: Path | None = None):
         tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(6).hex()}.tmp")
         try:
             with open(tmp, "x") as fh:
-                fh.write(render_triangle(r, M, rows))
+                for start in range(0, len(text), _WRITE_CHUNK):
+                    fh.write(text[start:start + _WRITE_CHUNK])
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)

@@ -3,8 +3,9 @@
 Four subcommands: `order` normal-orders an operator expression (by rook
 numbers; a power by falling-factorial rows when the base has one shift,
 else by the contraction fold), `seq` exports Bell numbers or polynomial
-coefficient rows (through the disk cache), `verify` runs identity
-checks, `cache` manages the disk cache.
+coefficient rows (through the disk cache, whose decimal tokens it prints
+as they are, one row at a time), `verify` runs identity checks, `cache`
+manages the disk cache.
 Global flags may appear before or after the subcommand.  Exit codes:
 0 ok, 1 verification failure, 2 usage or parse error, or an input past
 a size limit (`parser.LimitError`), 141 (128 + SIGPIPE) when the reader
@@ -25,14 +26,15 @@ from .cache import cache_clear, default_cache_dir, load_triangle
 from .closedform import DEFAULT_PRECISION, DEFAULT_TOLERANCE
 from .parser import LimitError, ParseError, check_letters, check_triangle, parse_expr
 from .serialize import (
+    iter_poly_rows_json,
+    iter_poly_rows_table,
     normal_form_table,
     normal_form_to_json,
-    poly_rows_table,
-    poly_rows_to_dict,
     sequence_bfile,
     sequence_table,
     sequence_to_json,
 )
+from .stirling import bell_sequence
 from .suite import (
     IDENTITIES,
     SUITE_IDS,
@@ -251,18 +253,20 @@ def cmd_seq(cfg: Config, ns: argparse.Namespace) -> int:
     except LimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rows, _, warning = load_triangle(ns.r, ns.M, ns.n_max, cfg.cache_dir)
+    rows, hit, warning = load_triangle(ns.r, ns.M, ns.n_max, cfg.cache_dir)
     if warning:
         print(f"warning: {warning}", file=sys.stderr)
     if ns.poly:
-        if cfg.fmt == "json":
-            import json as _json
-
-            print(_json.dumps(poly_rows_to_dict(ns.r, ns.M, rows), indent=2))
-        else:
-            print(poly_rows_table(ns.r, ns.M, rows))
+        pieces = iter_poly_rows_json if cfg.fmt == "json" else iter_poly_rows_table
+        sys.stdout.writelines(pieces(ns.r, ns.M, rows))
+        sys.stdout.write("\n")
         return 0
-    values = [sum(row) for row in rows]
+    # The row sums: a miss reads the int rows it just built, a hit turns
+    # each token into an int once.
+    if hit:
+        values = [sum(map(int, row)) for row in rows]
+    else:
+        values = bell_sequence(ns.r, ns.M, ns.n_max)
     if cfg.fmt == "json":
         print(sequence_to_json(ns.r, ns.M, values))
     elif cfg.fmt == "table":

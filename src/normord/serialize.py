@@ -3,6 +3,9 @@
 All integer payloads are emitted as decimal strings so arbitrarily large
 values survive any JSON reader; term lists are sorted by (dag desc,
 ann desc) so equal normal forms always serialize to identical bytes.
+Polynomial rows take ints or their decimal tokens (as the triangle cache
+returns them) and are written in pieces, one per row, by
+`iter_poly_rows_json` and `iter_poly_rows_table`.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ __all__ = [
     "sequence_table",
     "poly_rows_to_dict",
     "poly_rows_from_dict",
-    "poly_rows_table",
+    "iter_poly_rows_json",
+    "iter_poly_rows_table",
 ]
 
 # Static catalogue associations for the weight-one expectation sequences;
@@ -141,9 +145,34 @@ def poly_rows_from_dict(data: dict) -> dict:
     return data
 
 
-def poly_rows_table(r: int, M: int, rows) -> str:
-    header = f"# r={r} M={M} coefficient rows (x^0 .. x^(M*n))"
-    lines = [header]
+def iter_poly_rows_json(r: int, M: int, rows):
+    """The text of json.dumps(poly_rows_to_dict(r, M, rows), indent=2), in pieces.
+
+    Entries are ints or canonical decimal tokens, which need no escaping;
+    each token is quoted as it is, so a token row is written with no
+    conversion.  One piece per row keeps a large triangle's output from
+    being held as one string.
+    """
+    head = _metadata(r, M)
+    head["kind"] = "poly"
+    # the metadata object, reopened after its last member for "rows"
+    yield json.dumps(head, indent=2)[:-2] + ',\n  "rows": ['
+    sep = "\n    "
+    for row in rows:
+        if row:
+            yield sep + '[\n      "' + '",\n      "'.join(map(str, row)) + '"\n    ]'
+        else:
+            yield sep + "[]"
+        sep = ",\n    "
+    yield "\n  ]\n}" if rows else "]\n}"
+
+
+def iter_poly_rows_table(r: int, M: int, rows):
+    """The coefficient rows as text, in pieces: the header, then one per row.
+
+    Row n reads "n: " and its entries, one space apart; pieces after the
+    header begin with their newline, and the text ends without one.
+    """
+    yield f"# r={r} M={M} coefficient rows (x^0 .. x^(M*n))"
     for n, row in enumerate(rows):
-        lines.append(f"{n}: " + " ".join(str(int(c)) for c in row))
-    return "\n".join(lines)
+        yield f"\n{n}: " + " ".join(map(str, row))

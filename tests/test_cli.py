@@ -8,6 +8,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from normord import cache
 from normord.cli import main
@@ -418,10 +420,23 @@ def test_cache_cold_then_warm_identical(capsys, tmp_path):
     assert len(files) == 1
 
 
+def _row_1(line: str):
+    """Replace row 1 of the (1,1) file, "1 1", with line."""
+    return lambda b: b.replace(b"\n1 1\n", f"\n{line}\n".encode(), 1)
+
+
 @pytest.mark.parametrize("mangle", [
     lambda b: b"X" + b[1:],          # broken magic line
     lambda b: b[: len(b) // 2],      # truncated mid-file
     lambda b: b + b"17 17 17\n",     # extra trailing row
+    # tokens that int() reads but str(int) never writes
+    _row_1("01 1"),
+    _row_1("1 +1"),
+    _row_1("1_0 1"),
+    _row_1("-0 1"),
+    _row_1("1 \u0661"),               # ARABIC-INDIC DIGIT ONE
+    _row_1("1  1"),                  # double space
+    _row_1("1 1 "),                  # trailing space
 ])
 def test_cache_corruption_recovers(capsys, tmp_path, mangle):
     _, clean_out, _ = run(capsys, "seq", "1", "1", "6",
@@ -430,12 +445,61 @@ def test_cache_corruption_recovers(capsys, tmp_path, mangle):
     good = cache_file.read_bytes()
 
     cache_file.write_bytes(mangle(good))
+    assert cache_file.read_bytes() != good
     code, out, err = run(capsys, "seq", "1", "1", "6",
                          "--cache-dir", str(tmp_path))
     assert code == 0
     assert out == clean_out
     assert "cache" in err.lower()
     assert cache_file.read_bytes() == good
+
+
+def _canonical(token: str) -> bool:
+    try:
+        return str(int(token)) == token
+    except ValueError:
+        return False
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    st.lists(st.integers(-10**30, 10**30).map(str), max_size=4).map(" ".join),
+    st.text(alphabet="0123456789-+_ \t\u0661\u0966\uff11", max_size=8),
+    st.text(max_size=6)))
+@example("-0")
+@example("0 -0")
+@example("01")
+@example("+1")
+@example("1_0")
+@example("\u0661")
+@example("1  1")
+@example("1 1 ")
+@example("-12 0 7")
+def test_row_regex_accepts_exactly_canonical_tokens(line):
+    # a line passes when every space-separated token is what str(int)
+    # writes for it, with an int() error counted as a reject
+    assert bool(cache._ROW_LINE.fullmatch(line)) == all(
+        map(_canonical, line.split(" ")))
+
+
+def test_load_triangle_returns_the_file_tokens(tmp_path):
+    want = [[str(c) for c in row] for row in cache.compute_triangle(0, 2, 6)]
+    rows, hit, warning = cache.load_triangle(0, 2, 6, tmp_path)
+    assert (rows, hit, warning) == (want, False, None)
+    assert cache.load_triangle(0, 2, 6, tmp_path) == (want, True, None)
+
+
+@pytest.mark.parametrize("fmt", [
+    ("--poly",), ("--poly", "--format", "table"),
+    (), ("--format", "table"), ("--format", "bfile")])
+@pytest.mark.parametrize("key", [("0", "2", "6"), ("3", "1", "7")])
+def test_seq_hit_prints_its_miss(capsys, tmp_path, fmt, key):
+    path = cache.triangle_path(tmp_path, *map(int, key))
+    miss = run(capsys, "seq", *key, *fmt, "--cache-dir", str(tmp_path))
+    assert path.is_file()
+    hit = run(capsys, "seq", *key, *fmt, "--cache-dir", str(tmp_path))
+    assert miss == hit
+    assert miss[0] == 0 and miss[2] == ""
 
 
 def test_cache_clear_counts(capsys, tmp_path):

@@ -1,15 +1,20 @@
 """JSON, table, and b-file renderings round-trip without loss."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
+from normord.cache import compute_triangle
 from normord.serialize import (
     OEIS_ANNOTATIONS,
+    iter_poly_rows_json,
+    iter_poly_rows_table,
     normal_form_from_json,
     normal_form_table,
     normal_form_to_dict,
     normal_form_to_json,
+    poly_rows_to_dict,
     sequence_bfile,
     sequence_from_json,
     sequence_table,
@@ -109,3 +114,32 @@ def test_sequence_table_header():
     assert "A002720" in head
     text = sequence_table(2, 3, [1, 37])
     assert "(" not in text.splitlines()[0]
+
+
+def _table_reference(r, M, rows):
+    """The table as poly_rows_table wrote it from int rows."""
+    lines = [f"# r={r} M={M} coefficient rows (x^0 .. x^(M*n))"]
+    for n, row in enumerate(rows):
+        lines.append(f"{n}: " + " ".join(str(int(c)) for c in row))
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+@pytest.mark.parametrize("M", [0, 1, 3])
+@pytest.mark.parametrize("n_max", [0, 1, 7])
+def test_poly_writers_match_json_dumps_and_table(r, M, n_max):
+    rows = compute_triangle(r, M, n_max)
+    want_json = json.dumps(poly_rows_to_dict(r, M, rows), indent=2)
+    want_table = _table_reference(r, M, rows)
+    tokens = [[str(c) for c in row] for row in rows]
+    for given in (rows, tokens):
+        assert "".join(iter_poly_rows_json(r, M, given)) == want_json
+        assert "".join(iter_poly_rows_table(r, M, given)) == want_table
+    # one piece for the head and the tail, one per row between
+    assert len(list(iter_poly_rows_json(r, M, tokens))) == n_max + 3
+
+
+@pytest.mark.parametrize("rows", [[], [[]], [["1"], [], ["-2", "0"]]])
+def test_poly_json_writer_empty_rows(rows):
+    assert "".join(iter_poly_rows_json(1, 1, rows)) == json.dumps(
+        poly_rows_to_dict(1, 1, rows), indent=2)
