@@ -40,7 +40,6 @@ ENV_CACHE_DIR = "NORMORD_CACHE_DIR"
 # One body line: tokens exactly as str(int) renders them (ASCII digits, no
 # sign on zero, no leading zero, no "+" or "_"), one space apart.
 _ROW_LINE = re.compile(r"(?:0|-?[1-9][0-9]*)(?: (?:0|-?[1-9][0-9]*))*")
-_SPACES = repeat(" ")
 # The file is written in slices of this many characters, so the encoded
 # copy of a large text is never held whole.
 _WRITE_CHUNK = 1 << 20
@@ -76,13 +75,15 @@ def render_triangle(r: int, M: int, rows) -> str:
     """The file text; rows hold ints or their decimal tokens.
 
     One join over every token and separator: no line of the text is built
-    as a string of its own, so the text is the only copy made.
+    as a string of its own, so the text is the only copy made.  With the
+    sliced write in load_triangle this holds a miss's peak memory to the
+    tokens and one text; either one alone leaves a second copy at some
+    point and the peak as it was.
     """
     parts = [f"{_MAGIC} {CACHE_VERSION}\nr {r}\nM {M}\nrows {len(rows)}\n"]
     for row in rows:
-        # "", t0, " ", t1, " ", t2, ..., then the newline
-        parts += chain.from_iterable(zip(chain(("",), _SPACES), map(str, row)))
-        parts.append("\n")
+        parts += chain.from_iterable(zip(map(str, row), repeat(" ")))
+        parts[-1] = "\n"  # rows are non-empty; the last space ends the line
     return "".join(parts)
 
 

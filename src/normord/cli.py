@@ -3,9 +3,10 @@
 Four subcommands: `order` normal-orders an operator expression (by rook
 numbers; a power by falling-factorial rows when the base has one shift,
 else by the contraction fold), `seq` exports Bell numbers or polynomial
-coefficient rows (through the disk cache, whose decimal tokens it prints
-as they are, one row at a time), `verify` runs identity checks, `cache`
-manages the disk cache.
+coefficient rows (through the disk cache, whose decimal tokens `--poly`
+prints as they are, one row at a time; the Bell numbers are the row sums
+of `stirling`'s int rows), `verify` runs identity checks, `cache` manages
+the disk cache.
 Global flags may appear before or after the subcommand.  Exit codes:
 0 ok, 1 verification failure, 2 usage or parse error, or an input past
 a size limit (`parser.LimitError`), 141 (128 + SIGPIPE) when the reader
@@ -253,7 +254,7 @@ def cmd_seq(cfg: Config, ns: argparse.Namespace) -> int:
     except LimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rows, hit, warning = load_triangle(ns.r, ns.M, ns.n_max, cfg.cache_dir)
+    rows, _, warning = load_triangle(ns.r, ns.M, ns.n_max, cfg.cache_dir)
     if warning:
         print(f"warning: {warning}", file=sys.stderr)
     if ns.poly:
@@ -261,12 +262,8 @@ def cmd_seq(cfg: Config, ns: argparse.Namespace) -> int:
         sys.stdout.writelines(pieces(ns.r, ns.M, rows))
         sys.stdout.write("\n")
         return 0
-    # The row sums: a miss reads the int rows it just built, a hit turns
-    # each token into an int once.
-    if hit:
-        values = [sum(map(int, row)) for row in rows]
-    else:
-        values = bell_sequence(ns.r, ns.M, ns.n_max)
+    # the row sums, from the int rows in stirling's memo, not the tokens
+    values = bell_sequence(ns.r, ns.M, ns.n_max)
     if cfg.fmt == "json":
         print(sequence_to_json(ns.r, ns.M, values))
     elif cfg.fmt == "table":

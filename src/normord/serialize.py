@@ -148,6 +148,7 @@ def poly_rows_from_dict(data: dict) -> dict:
 def iter_poly_rows_json(r: int, M: int, rows):
     """The text of json.dumps(poly_rows_to_dict(r, M, rows), indent=2), in pieces.
 
+    rows and each row are non-empty, as load_triangle returns them.
     Entries are ints or canonical decimal tokens, which need no escaping;
     each token is quoted as it is, so a token row is written with no
     conversion.  One piece per row keeps a large triangle's output from
@@ -159,12 +160,9 @@ def iter_poly_rows_json(r: int, M: int, rows):
     yield json.dumps(head, indent=2)[:-2] + ',\n  "rows": ['
     sep = "\n    "
     for row in rows:
-        if row:
-            yield sep + '[\n      "' + '",\n      "'.join(map(str, row)) + '"\n    ]'
-        else:
-            yield sep + "[]"
+        yield sep + '[\n      "' + '",\n      "'.join(map(str, row)) + '"\n    ]'
         sep = ",\n    "
-    yield "\n  ]\n}" if rows else "]\n}"
+    yield "\n  ]\n}"
 
 
 def iter_poly_rows_table(r: int, M: int, rows):

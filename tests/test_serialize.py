@@ -137,9 +137,3 @@ def test_poly_writers_match_json_dumps_and_table(r, M, n_max):
         assert "".join(iter_poly_rows_table(r, M, given)) == want_table
     # one piece for the head and the tail, one per row between
     assert len(list(iter_poly_rows_json(r, M, tokens))) == n_max + 3
-
-
-@pytest.mark.parametrize("rows", [[], [[]], [["1"], [], ["-2", "0"]]])
-def test_poly_json_writer_empty_rows(rows):
-    assert "".join(iter_poly_rows_json(1, 1, rows)) == json.dumps(
-        poly_rows_to_dict(1, 1, rows), indent=2)
