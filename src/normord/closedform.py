@@ -5,13 +5,17 @@ one side comes from the exact combinatorial machinery (operator rewrite
 oracle, Stirling rows, Bell polynomials), the other from a closed form
 assembled out of hypergeometric series, Bessel/Laguerre/Kummer pieces,
 or double-dot series. The comparison itself lives in `normord.report`:
-integer/rational cases go through its exact scan, row by row; cases
-with half- or third-integer gamma prefactors go through HighPrecReal
-and its `DeviationTally`, which reports the worst relative and absolute
-deviation. Operator powers come from `_oracle_powers`, the one fold of
+rational cases go through its exact scan, row by row; the Bell
+generating function and `kummer-b3half` go through HighPrecReal and
+its `DeviationTally`, which reports the worst relative and absolute
+deviation. The Bell closed forms for r = 1, 2, 3 are one exact check,
+`_check_bell_hyp`: the √π, Γ(1/3) and Γ(2/3) prefactors of the
+paper's form cancel, leaving r rational pFq series in x^r/r^r.
+Operator powers come from `_oracle_powers`, the one fold of
 D(r,M)^0..n that the suite drivers use too. The Bell generating
-function's outer l-sum is `stirling.dobinski_sums`, and pFq values are
-summed by `hyp_sum_adaptive`: the two users of `series.certified_sum`.
+function's outer l-sum is `stirling.dobinski_sums`, and the conjecture
+probe's pFq values are summed by `hyp_sum_adaptive`: the two users of
+`series.certified_sum`.
 Sample points, pFq parameters and tolerances go through
 `series._canonical`, so a float raises TypeError. The worked examples
 read one implementation of each formula: left sides are
@@ -47,6 +51,7 @@ from .series import (
     phyperq_partial,
     phyperq_series,
     pfq_ratio,
+    pochhammer,
     series_exp,
 )
 from .stirling import (
@@ -119,14 +124,6 @@ def _bound_str(q: Fraction) -> str:
         return str(Decimal(q.numerator) / Decimal(q.denominator))
 
 
-def _half_power(base: HighPrecReal, m: int) -> HighPrecReal:
-    """base^(m/2) for integer m >= 0."""
-    out = base.pow_int(m // 2)
-    if m % 2:
-        out = out * base.sqrt()
-    return out
-
-
 def _bessel_half_taylor(kind: int, n_terms: int) -> list:
     # Coefficients of I_kind(y/2) as a series in y; only every other
     # power appears.
@@ -184,104 +181,34 @@ def _check_stirling_hyp(M: int, n_max: int, t0: float) -> IdentityReport:
                    paths=("pFq closed form", "triangle"))
 
 
-def _check_bell_hyp_r1(M: int, n_max: int, t0: float) -> IdentityReport:
-    # e^x * B(n,x) has the same series coefficients as the bare mFm,
-    # so the comparison stays rational.
+def _check_bell_hyp(r: int, M: int, n_max: int, t0: float) -> IdentityReport:
+    # Dobinski: [x^l] e^x B(n,x) = prod_{i<=n} (l+ir)^M / l!.  Split l = rk + j:
+    # the k-sum for each j is x^j r^(Mn) ((a)_n)^M / j! times
+    # pFq([a+n] x M; [a] x M + [(j+1+i)/r, i < r, save the one equal to 1];
+    # x^r/r^r), a = j/r + 1, so the comparison stays rational.  At r = 1
+    # this is n!^M mFm([n+1] x M; [1] x M; x).
     lhs, rhs = [], []
     for n in range(n_max + 1):
         order = M * n + 6
-        bell = gen_bell_poly(1, M, n)
+        bell = gen_bell_poly(r, M, n)
         scaled = series_exp(SeriesQ.x(order)) * SeriesQ.from_poly(bell, order)
-        closed = phyperq_series([n + 1] * M, [1] * M, order).scale(factorial(n) ** M)
+        closed = [0] * order
+        for j in range(r):
+            a = 1 + Fraction(j, r)
+            lower = [a] * M + [Fraction(i, r) for i in range(j + 1, j + r + 1)
+                               if i != r]
+            series = phyperq_series([a + n] * M, lower, (order - j + r - 1) // r)
+            scale = Fraction(r ** (M * n) * pochhammer(a, n) ** M, factorial(j))
+            for k, c in enumerate(series.coeffs):
+                closed[j + r * k] = scale * c / r ** (r * k)
         lhs.append(dict(enumerate(scaled.coeffs)))
-        rhs.append(dict(enumerate(closed.coeffs)))
+        rhs.append(dict(enumerate(SeriesQ(order, closed).coeffs)))
     _, first = _rows_mismatch(lhs, rhs, "n", ("power",))
-    return _finish("bell-hyp-r1", {"r": 1, "M": M, "n_max": n_max}, "exact", t0,
+    return _finish(f"bell-hyp-r{r}", {"r": r, "M": M, "n_max": n_max}, "exact", t0,
                    first, {"first_mismatch": first,
                            "checks": sum(len(row) for row in lhs)},
-                   paths=("e^x Bell polynomial", "mFm series"))
-
-
-def _bell_r2_closed_value(M: int, n: int, x: int | Fraction, prec: int) -> HighPrecReal:
-    arg = Fraction(x * x, 4)
-    fa = hyp_sum_adaptive([n + 1] * M, [1] * M + [Fraction(1, 2)], arg, prec)
-    fb = hyp_sum_adaptive(
-        [Fraction(2 * n + 3, 2)] * M, [Fraction(3, 2)] * (M + 1), arg, prec
-    )
-    pi = HighPrecReal.pi(prec)
-    pi_m_half = _half_power(pi, M)
-    g = HighPrecReal.gamma(Fraction(2 * n + 3, 2), prec)
-    term1 = HighPrecReal(factorial(n) ** M, prec) * fa * pi_m_half
-    term2 = (
-        HighPrecReal(2**M, prec)
-        * g.pow_int(M)
-        * HighPrecReal(x, prec)
-        * HighPrecReal(fb, prec)
-    )
-    scale = HighPrecReal(2 ** (M * n), prec) * HighPrecReal.exp_of(-x, prec)
-    return scale * (term1 + term2) / pi_m_half
-
-
-def _bell_r3_closed_value(M: int, n: int, x: int | Fraction, prec: int) -> HighPrecReal:
-    arg = Fraction(x**3, 27)
-    f1 = hyp_sum_adaptive(
-        [n + 1] * M, [1] * M + [Fraction(1, 3), Fraction(2, 3)], arg, prec
-    )
-    f2 = hyp_sum_adaptive(
-        [n + Fraction(4, 3)] * M,
-        [Fraction(4, 3)] * (M + 1) + [Fraction(2, 3)],
-        arg,
-        prec,
-    )
-    f3 = hyp_sum_adaptive(
-        [n + Fraction(5, 3)] * M,
-        [Fraction(5, 3)] * (M + 1) + [Fraction(4, 3)],
-        arg,
-        prec,
-    )
-    pi = HighPrecReal.pi(prec)
-    g23 = HighPrecReal.gamma(Fraction(2, 3), prec)
-    xr = HighPrecReal(x, prec)
-    t1 = (
-        HighPrecReal(2 ** (M + 1) * 3 ** (M * n), prec)
-        * (pi * HighPrecReal(factorial(n), prec) * g23).pow_int(M)
-        * HighPrecReal(f1, prec)
-    )
-    t2 = (
-        HighPrecReal(2, prec)
-        * HighPrecReal(3 ** (M * n + M), prec)
-        * _half_power(HighPrecReal(3, prec), M)
-        * (g23.pow_int(2) * HighPrecReal.gamma(n + Fraction(4, 3), prec)).pow_int(M)
-        * xr
-        * HighPrecReal(f2, prec)
-    )
-    t3 = (
-        HighPrecReal(3 ** (M * (n + 1)), prec)
-        * (pi * HighPrecReal.gamma(n + Fraction(5, 3), prec)).pow_int(M)
-        * xr.pow_int(2)
-        * HighPrecReal(f3, prec)
-    )
-    denom = HighPrecReal(2 ** (M + 1), prec) * (pi * g23).pow_int(M)
-    return HighPrecReal.exp_of(-x, prec) * (t1 + t2 + t3) / denom
-
-
-def _check_bell_hyp_numeric(
-    r: int, M: int, n_max: int, x_samples, prec, tol, t0: float
-) -> IdentityReport:
-    closed = _bell_r2_closed_value if r == 2 else _bell_r3_closed_value
-    xs = [_canonical(x) for x in x_samples]
-    tally = DeviationTally(prec, tol)
-    for n in range(n_max + 1):
-        bell = gen_bell_poly(r, M, n)
-        for x in xs:
-            tally.add(closed(M, n, x, prec), HighPrecReal(bell.eval(x), prec),
-                      {"n": n, "x": str(x)})
-    params = {"r": r, "M": M, "x_samples": [str(x) for x in xs], "n_max": n_max}
-    details = {"first_mismatch": tally.first, "checks": (n_max + 1) * len(xs),
-               "max_rel_dev": tally.max_rel_dev, "max_abs_dev": tally.max_abs_dev}
-    return _finish(f"bell-hyp-r{r}", params, "numeric", t0, tally.first, details,
-                   paths=("pFq closed form", "Bell polynomial"),
-                   precision=prec, tolerance=str(tol))
+                   paths=("e^x Bell polynomial",
+                          "mFm series" if r == 1 else "pFq closed form"))
 
 
 def hyp_closed_form_check(
@@ -289,17 +216,16 @@ def hyp_closed_form_check(
     r: int | None = None,
     M: int = 1,
     n_max: int | None = None,
-    x_samples=None,
-    precision: int = DEFAULT_PRECISION,
-    tolerance=DEFAULT_TOLERANCE,
 ) -> IdentityReport:
-    """Check one hypergeometric closed form against the exact machinery.
+    """Check one hypergeometric closed form exactly against the triangle rows.
 
     kind selects the identity (a key of CLOSED_FORMS); r, when given,
     must match the kind's operator family (1 for stirling-hyp and
     bell-hyp-r1, 2 for bell-hyp-r2, 3 for bell-hyp-r3). n_max is the
-    highest row checked, by default the kind's own. x_samples matter
-    only for the numeric kinds.
+    highest row checked, by default the kind's own. stirling-hyp
+    compares the rows of S with their terminating pFq sums; the Bell
+    kinds compare e^x B(n,x) with the sum of r pFq series in x^r/r^r,
+    coefficient by coefficient through x^(Mn+5).
     """
     t0 = time.perf_counter()
     if kind not in CLOSED_FORMS:
@@ -313,12 +239,7 @@ def hyp_closed_form_check(
         raise ValueError("need M >= 1 and n_max >= 0")
     if kind == "stirling-hyp":
         return _check_stirling_hyp(M, n_max, t0)
-    if kind == "bell-hyp-r1":
-        return _check_bell_hyp_r1(M, n_max, t0)
-    if x_samples is None:
-        x_samples = (Fraction(1, 2), 1, 2)
-    return _check_bell_hyp_numeric(family_r, M, n_max, x_samples, precision,
-                                   tolerance, t0)
+    return _check_bell_hyp(family_r, M, n_max, t0)
 
 
 # ---------------------------------------------------------------------------

@@ -475,9 +475,9 @@ _NUMERIC = ("precision", "tolerance")
 _SHEFFER = Check(verify_sheffer, (_R3,), ("n", 5))
 
 
-def _closed_form(kind: str, Ms: tuple, numeric=()) -> Check:
+def _closed_form(kind: str, Ms: tuple) -> Check:
     return Check(partial(hyp_closed_form_check, kind), (("M", Ms),),
-                 ("n", CLOSED_FORMS[kind][1]), numeric)
+                 ("n", CLOSED_FORMS[kind][1]))
 
 
 def _example(example_id: str, lambda_order: int, axes=(), numeric=()) -> Check:
@@ -504,8 +504,8 @@ IDENTITIES = {
     "bessel-parity": Check(bessel_parity_check, size=("lambda_order", 8)),
     "stirling-hyp": _closed_form("stirling-hyp", (1, 2, 3)),
     "bell-hyp-r1": _closed_form("bell-hyp-r1", (1, 2, 3)),
-    "bell-hyp-r2": _closed_form("bell-hyp-r2", (1, 2), _NUMERIC),
-    "bell-hyp-r3": _closed_form("bell-hyp-r3", (1,), _NUMERIC),
+    "bell-hyp-r2": _closed_form("bell-hyp-r2", (1, 2)),
+    "bell-hyp-r3": _closed_form("bell-hyp-r3", (1,)),
     "hyp-generating-function": Check(
         hyp_generating_function_check, (("r", (1, 2)), ("M", (1, 2))),
         ("lambda_order", 6), _NUMERIC, points=((1, 1), (1, 2), (2, 2))),

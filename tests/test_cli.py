@@ -363,7 +363,7 @@ def test_verify_n_below_one_for_the_shifted_example_exits_2(capsys, identity):
     (("eigenfunction", "--n", "50"),
      "eigenfunction does not read --n; it reads --r --M"),
     (("bell-hyp-r2", "--r", "3"),
-     "bell-hyp-r2 does not read --r; it reads --M --n --precision --tolerance"),
+     "bell-hyp-r2 does not read --r; it reads --M --n"),
     (("commutator", "--r", "1", "--n", "2"),
      "commutator does not read --n; it reads --r --M"),
     (("laguerre-ogf", "--M", "1"),

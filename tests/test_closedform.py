@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normord import closedform, hyperreal
+from normord import closedform
 from normord.closedform import (
     CLOSED_FORM_KINDS,
     EXAMPLE_IDS,
@@ -20,6 +20,8 @@ from normord.closedform import (
     hyp_sum_adaptive,
 )
 from normord.series import SeriesQ, certified_sum, pfq_ratio, phyperq_series
+from normord.stirling import gen_bell_poly
+from normord.suite import run_identity
 from normord.weyl import NormalForm
 
 
@@ -136,7 +138,7 @@ def test_certified_hyp_sum_matches_plain_sum_and_mpmath(case):
 
 
 def test_suite_hyp_sums_equal_the_fraction_loop(monkeypatch):
-    # every pFq the numeric closed forms and the probe evaluate
+    # every pFq the suite's five conjecture probes evaluate
     calls = []
 
     def recording(upper, lower, x, prec=closedform.DEFAULT_PRECISION, max_terms=200000):
@@ -145,26 +147,10 @@ def test_suite_hyp_sums_equal_the_fraction_loop(monkeypatch):
         return out
 
     monkeypatch.setattr(closedform, "hyp_sum_adaptive", recording)
-    assert hyp_closed_form_check("bell-hyp-r2", None, 2, 2).status == "pass"
-    assert hyp_closed_form_check("bell-hyp-r3", None, 1, 1).status == "pass"
-    conjecture_probe(2, 1, 2, precision=60)
+    assert len(run_identity("conjecture", precision=60)) == 5
     assert len(calls) > 20
     for upper, lower, x, prec, out in calls:
         assert out == _fraction_loop_hyp_sum(upper, lower, x, prec)
-
-
-def test_gamma_core_memo_is_bounded():
-    core = hyperreal._gamma_core
-    core.cache_clear()
-    cold = hyperreal.gamma_fraction(Fraction(7, 3), 40)
-    assert core.cache_info().misses == 1
-    warm = hyperreal.gamma_fraction(Fraction(7, 3), 40)
-    assert core.cache_info().hits == 1
-    assert warm == cold and str(warm) == str(cold)
-    maxsize = core.cache_info().maxsize
-    for i in range(maxsize + 4):
-        core(1 + Fraction(i, maxsize + 4), 5)
-    assert core.cache_info().currsize == maxsize
 
 
 def test_kummer_taylor():
@@ -174,24 +160,51 @@ def test_kummer_taylor():
 
 
 @pytest.mark.parametrize("kind,M", [("stirling-hyp", 1), ("stirling-hyp", 3),
-                                    ("bell-hyp-r1", 2)])
+                                    ("bell-hyp-r1", 2), ("bell-hyp-r2", 1),
+                                    ("bell-hyp-r3", 1)])
 def test_exact_closed_forms(kind, M):
-    rep = hyp_closed_form_check(kind, {"stirling-hyp": 1, "bell-hyp-r1": 1}[kind],
-                                M, 4)
+    rep = hyp_closed_form_check(kind, closedform.CLOSED_FORMS[kind][0], M, 4)
     assert rep.status == "pass"
     assert rep.mode == "exact"
     assert rep.tolerance is None
 
 
-@pytest.mark.parametrize("kind,r,M,n", [("bell-hyp-r2", 2, 1, 3),
-                                        ("bell-hyp-r3", 3, 1, 2)])
-def test_numeric_closed_forms(kind, r, M, n):
-    rep = hyp_closed_form_check(kind, r, M, n)
-    assert rep.status == "pass"
-    assert rep.mode == "numeric"
-    assert rep.precision == 50
-    assert rep.tolerance is not None
-    assert Decimal(rep.details["max_rel_dev"]) < Decimal("1e-30")
+def _paper_gamma_form(r, M, n, x):
+    """e^-x times the paper's Dobinski closed form for r = 2 or 3, in mpmath."""
+    g, pi, hyp = mpmath.gamma, mpmath.pi, mpmath.hyper
+    third, half = mpmath.mpf(1) / 3, mpmath.mpf(1) / 2
+    fact = mpmath.factorial(n)
+    if r == 2:
+        z = x * x / 4
+        fa = hyp([n + 1] * M, [1] * M + [half], z)
+        fb = hyp([n + 1 + half] * M, [1 + half] * (M + 1), z)
+        sum_ = (fact**M * fa * pi ** (M * half)
+                + 2**M * g(n + 1 + half) ** M * x * fb)
+        return 2 ** (M * n) * mpmath.exp(-x) * sum_ / pi ** (M * half)
+    z = x**3 / 27
+    f1 = hyp([n + 1] * M, [1] * M + [third, 2 * third], z)
+    f2 = hyp([n + 1 + third] * M, [1 + third] * (M + 1) + [2 * third], z)
+    f3 = hyp([n + 1 + 2 * third] * M, [1 + 2 * third] * (M + 1) + [1 + third], z)
+    g23 = g(2 * third)
+    t1 = 2 ** (M + 1) * 3 ** (M * n) * (pi * fact * g23) ** M * f1
+    t2 = (2 * 3 ** (M * n + M) * mpmath.sqrt(3) ** M
+          * (g23**2 * g(n + 1 + third)) ** M * x * f2)
+    t3 = 3 ** (M * (n + 1)) * (pi * g(n + 1 + 2 * third)) ** M * x**2 * f3
+    return mpmath.exp(-x) * (t1 + t2 + t3) / (2 ** (M + 1) * (pi * g23) ** M)
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_paper_gamma_form_is_the_bell_polynomial(r):
+    # the paper's r = 2, 3 right sides, gamma prefactors and all, that the
+    # exact check reduces to rational pFq series
+    with mpmath.workdps(60):
+        for M in (1, 2):
+            for n in range(4):
+                bell = gen_bell_poly(r, M, n)
+                for x in (Fraction(1, 2), Fraction(2)):
+                    got = _paper_gamma_form(r, M, n, _mpf(x))
+                    want = _mpf(bell.eval(x))
+                    assert abs(got - want) <= mpmath.mpf(10) ** -40 * abs(want)
 
 
 def test_closed_form_kind_and_r_must_agree():

@@ -16,7 +16,6 @@ from normord import backend
 from normord.closedform import (
     conjecture_probe,
     example_normal_forms,
-    hyp_closed_form_check,
     hyp_generating_function_check,
     hyp_sum_adaptive,
 )
@@ -37,7 +36,7 @@ from normord.series import (
     series_binpow,
     series_exp,
 )
-from normord.hyperreal import HighPrecReal, gamma_fraction
+from normord.hyperreal import HighPrecReal
 from normord.report import DeviationTally, IdentityReport
 from normord.stirling import dobinski_adaptive, dobinski_sums, gen_bell_poly
 from normord.suite import verify_exp_on_exponential, verify_exp_on_kummer
@@ -178,14 +177,11 @@ NUMERIC_ENTRIES = {
     "dobinski_sums cutoff": lambda v: dobinski_sums(1, 1, 2, 1, v, 1000),
     "dobinski_adaptive": lambda v: dobinski_adaptive(1, 1, 2, v, TOL),
     "dobinski_adaptive tol": lambda v: dobinski_adaptive(1, 1, 2, 1, v),
-    "bell-hyp-r2": lambda v: hyp_closed_form_check("bell-hyp-r2", M=1, n_max=1,
-                                                   x_samples=(v,)),
     "hyp-generating-function": lambda v: hyp_generating_function_check(1, 1, v, 3),
     "hyp_sum_adaptive": lambda v: hyp_sum_adaptive([1], [2], v),
     "conjecture_probe": lambda v: conjecture_probe(1, 1, 2, (Fraction(1, 2), v)),
     "exp-exponential": lambda v: verify_exp_on_exponential(v, 6, 4),
     "exp-kummer": lambda v: verify_exp_on_kummer(v, 6, 4),
-    "gamma": lambda v: HighPrecReal.gamma(v),
     "exp_of": lambda v: HighPrecReal.exp_of(v),
 }
 
@@ -195,15 +191,12 @@ TOLERANCE_ENTRIES = {
     "DeviationTally": (lambda tol: DeviationTally(50, tol), 1e-30),
     "hyp-generating-function": (
         lambda tol: hyp_generating_function_check(1, 1, 1, 3, tolerance=tol), 1e-30),
-    "bell-hyp-r2": (lambda tol: hyp_closed_form_check("bell-hyp-r2", M=1, n_max=1,
-                                                      tolerance=tol), 1e-30),
     "exp-kummer": (lambda tol: verify_exp_on_kummer(Fraction(3, 2), tolerance=tol),
                    1e-30),
     "kummer-b3half": (lambda tol: example_normal_forms("kummer-b3half", 2,
                                                        tolerance=tol), 1e-30),
     "agrees_with": (lambda tol: HighPrecReal(1, 40).agrees_with(1, tol), 1e-30),
     "is_zero_within": (lambda tol: HighPrecReal(0, 40).is_zero_within(tol), 1e-30),
-    "gamma_fraction": (lambda q: gamma_fraction(q, 20), 0.5),
 }
 
 
