@@ -22,7 +22,6 @@ from .series import (
     pochhammer,
 )
 from .stirling import (
-    StirlingTriangle,
     bell_sequence,
     classical_bell,
     classical_stirling2,
@@ -32,6 +31,7 @@ from .stirling import (
     gen_stirling,
     product_poly,
     stirling1_signless,
+    stirling_rows,
 )
 from .weyl import (
     BosonExpr,
@@ -87,7 +87,6 @@ __all__ = [
     "phyperq_partial",
     "phyperq_series",
     "pochhammer",
-    "StirlingTriangle",
     "bell_sequence",
     "classical_bell",
     "classical_stirling2",
@@ -97,6 +96,7 @@ __all__ = [
     "gen_stirling",
     "product_poly",
     "stirling1_signless",
+    "stirling_rows",
     "BosonExpr",
     "NormalForm",
     "dagger_word",

@@ -17,7 +17,7 @@ N^(k) (N + c) = N^(k+1) + (k + c) N^(k), so new[k] = old[k-1] +
 - `stirling_row_update`: row n of the generalized Stirling triangle is
   row n-1 times (N + n*r)^M.  The alternating sum that defines the
   triangle is not used here: it is the independent oracle
-  `stirling.alternating_sum_row`, which `verify stirling-expansion`
+  `stirling.alternating_sum_rows`, which `verify stirling-expansion`
   checks every built row against.
 - `rook_normal_order_word`: the normal form of one word.  Its
   coefficients are the rook numbers of the word's Ferrers board, and the

@@ -1,15 +1,18 @@
 """On-disk cache of triangle rows: versioned, diffable plain text.
 
-One file per (r, M, n_max) key.  A file is a short self-describing
-header followed by one row of decimal strings per n; anything that does
-not parse back exactly is treated as corrupt, reported through the
-returned warning, and silently recomputed (and rewritten).  Rendering is
-deterministic, so a cache hit is byte-identical to a fresh computation.
+Only `seq --poly` uses it: `seq --number` sums the rows of
+`stirling.stirling_rows` and never reads or writes a file.  One file per
+(r, M, n_max) key.  A file is a short self-describing header followed by
+one row of decimal strings per n; anything that does not parse back
+exactly is treated as corrupt, reported through the returned warning,
+and silently recomputed (and rewritten).  Rendering is deterministic, so
+a cache hit is byte-identical to a fresh computation.
 
 Rows leave this module as decimal tokens, the text `str(int)` gives, so
-a caller that prints them converts nothing: a miss renders each entry
-once, into the tokens that the file is joined from; a hit checks
-the file's text and splits it, with no int() or str() at all.
+a caller that prints them converts nothing: a miss renders each row to
+tokens as `stirling_rows` yields it, and the file is joined from those
+tokens; a hit checks the file's text and splits it, with no int() or
+str() at all.
 """
 
 from __future__ import annotations
@@ -17,16 +20,14 @@ from __future__ import annotations
 import os
 import re
 from itertools import chain, repeat
-from math import factorial
 from pathlib import Path
 
-from .stirling import gen_stirling, gen_stirling_rows
+from .stirling import stirling_rows
 
 __all__ = [
     "CACHE_VERSION",
     "default_cache_dir",
     "triangle_path",
-    "compute_triangle",
     "render_triangle",
     "parse_triangle",
     "load_triangle",
@@ -54,21 +55,6 @@ def default_cache_dir() -> Path:
 
 def triangle_path(cache_dir: Path, r: int, M: int, n_max: int) -> Path:
     return Path(cache_dir) / f"triangle-v{CACHE_VERSION}-r{r}-M{M}-n{n_max}.txt"
-
-
-def compute_triangle(r: int, M: int, n_max: int) -> list:
-    """Rows n = 0..n_max; row n holds S(n, k) for k = 0..M*n.
-
-    The shared triangle is grown to n_max once and each row copied once.
-    A cache hit is never recomputed, so before the rows can reach disk the
-    last row's constant term is held to its closed form
-    S(n, 0) = prod_{i<=n} (i*r)^M = (n! r^n)^M.
-    """
-    rows = gen_stirling_rows(r, M, n_max)
-    if gen_stirling(r, M, n_max, 0) != (factorial(n_max) * r**n_max) ** M:
-        raise ArithmeticError(
-            f"S(n={n_max}, k=0) at r={r} M={M} differs from (n! r^n)^M")
-    return rows
 
 
 def render_triangle(r: int, M: int, rows) -> str:
@@ -132,8 +118,10 @@ def load_triangle(r: int, M: int, n_max: int, cache_dir: Path | None = None):
             return parse_triangle(path.read_text(), r, M, n_max), True, None
         except (OSError, ValueError) as exc:
             warning = f"corrupt cache file {path.name} ({exc}); recomputing"
-    # each entry becomes its decimal token once; the file is those tokens
-    rows = [list(map(str, row)) for row in compute_triangle(r, M, n_max)]
+    # each row becomes decimal tokens as it is built, so the int triangle
+    # is never held whole; the file is those tokens.  Drawing every row
+    # runs stirling_rows' S(n, 0) check before anything is written.
+    rows = [list(map(str, row)) for row in stirling_rows(r, M, n_max)]
     text = render_triangle(r, M, rows)
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)

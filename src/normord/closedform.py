@@ -20,7 +20,7 @@ Sample points, pFq parameters and tolerances go through
 `series._canonical`, so a float raises TypeError. The worked examples
 read one implementation of each formula: left sides are
 `_scaled_powers` (Taylor coefficients times oracle powers);
-`eigen-operator`'s rows are `stirling.alternating_sum_row` and
+`eigen-operator`'s rows are `stirling.alternating_sum_rows` and
 `hyp-compact`'s are e^-y times `series.phyperq_series`; the dot series
 share `_resolvent` ((1-t·a)^-1 and t·a†a²(1-t·a)^-1) and `_bessel_dot`;
 `_laguerre_rows` also serves `suite.verify_laguerre_normal_form`. Each
@@ -43,6 +43,7 @@ from .hyperreal import HighPrecReal
 from .laguerre import DotSeries
 from .report import DeviationTally, IdentityReport, _finish, _rows_mismatch
 from .series import (
+    PolyQ,
     SeriesQ,
     _canonical,
     certified_sum,
@@ -55,11 +56,11 @@ from .series import (
     series_exp,
 )
 from .stirling import (
-    alternating_sum_row,
+    alternating_sum_rows,
+    bell_sequence,
     dobinski_sums,
-    gen_bell_number,
     gen_bell_poly,
-    gen_stirling_rows,
+    stirling_rows,
 )
 from .weyl import NormalForm, laguerre_derivative_nf
 
@@ -173,7 +174,7 @@ def _check_stirling_hyp(M: int, n_max: int, t0: float) -> IdentityReport:
          for k in range(M * n + 3)}
         for n in range(n_max + 1)
     ]
-    rows = [dict(enumerate(row)) for row in gen_stirling_rows(1, M, n_max)]
+    rows = [dict(enumerate(row)) for row in stirling_rows(1, M, n_max)]
     _, first = _rows_mismatch(closed, rows, "n", ("k",))
     return _finish("stirling-hyp", {"r": 1, "M": M, "n_max": n_max}, "exact", t0,
                    first, {"first_mismatch": first,
@@ -188,10 +189,9 @@ def _check_bell_hyp(r: int, M: int, n_max: int, t0: float) -> IdentityReport:
     # x^r/r^r), a = j/r + 1, so the comparison stays rational.  At r = 1
     # this is n!^M mFm([n+1] x M; [1] x M; x).
     lhs, rhs = [], []
-    for n in range(n_max + 1):
+    for n, row in enumerate(stirling_rows(r, M, n_max)):
         order = M * n + 6
-        bell = gen_bell_poly(r, M, n)
-        scaled = series_exp(SeriesQ.x(order)) * SeriesQ.from_poly(bell, order)
+        scaled = series_exp(SeriesQ.x(order)) * SeriesQ(order, row)
         closed = [0] * order
         for j in range(r):
             a = 1 + Fraction(j, r)
@@ -284,9 +284,9 @@ def hyp_generating_function_check(
                        paths=paths, **numctx)
     emx = HighPrecReal.exp_of(-x, precision)
     tally = DeviationTally(precision, tolerance)
-    for n, total in enumerate(totals):
+    for n, (total, row) in enumerate(zip(totals, stirling_rows(r, M, lambda_order))):
         tally.add(emx * HighPrecReal(total, precision),
-                  HighPrecReal(gen_bell_poly(r, M, n).eval(x), precision), {"n": n})
+                  HighPrecReal(PolyQ(row).eval(x), precision), {"n": n})
     details = {"first_mismatch": tally.first, "outer_terms": cert.terms,
                "ratio_cap": _bound_str(cert.ratio_cap),
                "tail_bound": _bound_str(cert.tail_bound),
@@ -474,21 +474,20 @@ def _example_eigen_operator(lambda_order: int, t0: float, M: int,
     scales = [Fraction(1, factorial(n) ** (M + 1)) for n in range(lambda_order + 1)]
     lhs = _scaled_powers(M, scales)
     # The alternating sum gives row n of S_1^(M), the coefficients of
-    # (ad)^k a^(k+n) in D(1,M)^n; row 0 is [1].
-    rows, products, error = [[1]], [1], None
-    for n in range(1, lambda_order + 1):
-        try:
-            row, products = alternating_sum_row(1, M, n, products)
-        except ArithmeticError as exc:
-            error = {"lambda": n, "where": "alternating sum", "error": str(exc)}
-            break
-        rows.append(row)
+    # (ad)^k a^(k+n) in D(1,M)^n.
+    rows, error = [], None
+    try:
+        for row in alternating_sum_rows(1, M, lambda_order):
+            rows.append(row)
+    except ArithmeticError as exc:
+        error = {"lambda": len(rows), "where": "alternating sum", "error": str(exc)}
     rhs = [{(k, k + n): c * scales[n] for k, c in enumerate(row)}
            for n, row in enumerate(rows)]
     checks, first = _rows_mismatch(lhs, rhs, "lambda")
     if first is None:
         first = error
-    bell_ok = all(p.expectation_at_one() == gen_bell_number(1, M, n) * scales[n]
+    bells = bell_sequence(1, M, lambda_order)
+    bell_ok = all(p.expectation_at_one() == bells[n] * scales[n]
                   for n, p in enumerate(lhs))
     notes = ["weight-one expectations match the Bell numbers"] if bell_ok else []
     if not bell_ok and first is None:

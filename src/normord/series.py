@@ -174,10 +174,6 @@ class SeriesQ:
         self.coeffs: tuple = tuple(cs)
 
     @classmethod
-    def zero(cls, order: int) -> "SeriesQ":
-        return cls(order)
-
-    @classmethod
     def one(cls, order: int) -> "SeriesQ":
         return cls(order, [1])
 
@@ -185,19 +181,10 @@ class SeriesQ:
     def x(cls, order: int) -> "SeriesQ":
         return cls(order, [0, 1])
 
-    @classmethod
-    def from_poly(cls, p: PolyQ, order: int) -> "SeriesQ":
-        return cls(order, p.coeffs)
-
     def coeff(self, i: int):
         if not (0 <= i < self.order):
             raise IndexError(f"coefficient {i} beyond truncation order {self.order}")
         return self.coeffs[i]
-
-    def truncate(self, order: int) -> "SeriesQ":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return SeriesQ(order, self.coeffs[:order])
 
     def __eq__(self, other) -> bool:
         return (

@@ -9,12 +9,16 @@ whose row sums (and x=1 Bell-polynomial values) are the integer sequences
 this package reproduces.  The rows are *built* another way: row n is the
 normal form of D(r,M)^n, i.e. row n-1 times (N + n*r)^M on the falling
 factorials N^(k), which the kernel applies by the three-term recurrence
-new[k] = old[k-1] + (k + n*r) old[k].  The defining sum stays here as
-`alternating_sum_row`, an independent oracle whose k! division is
-asserted, not assumed; `verify stirling-expansion` compares it, the
-triangle, and the operator-power fold row by row.  The classical
-second-kind triangle and Bell numbers are implemented independently
-through the textbook recurrence and serve as a cross-check at r=0, M=1.
+new[k] = old[k-1] + (k + n*r) old[k].  Two generators yield rows 0..n
+in order, each keeping only what its next row needs.  `stirling_rows`
+builds them by the kernel and, once the last row is drawn, holds its
+constant term to (n! r^n)^M; every reader of the triangle takes one
+pass of it.  `alternating_sum_rows` is the defining sum, an independent
+oracle whose k! division is asserted, not assumed; `verify
+stirling-expansion` compares it, the triangle, and the operator-power
+fold row by row.  The classical second-kind triangle and Bell numbers
+are implemented independently through the textbook recurrence and serve
+as a cross-check at r=0, M=1.
 
 The generalized Dobinski relation B_r^(M)(n,x) = e^{-x} sum_l x^l/l!
 [prod_{i<=n} (l+ir)]^M is summed in one place, `dobinski_sums`, for rows
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from math import factorial, prod
 
 from . import backend
 from .hyperreal import HighPrecReal
@@ -34,10 +39,9 @@ from .series import PolyQ, _canonical, certified_sum
 from .weyl import NormalForm
 
 __all__ = [
-    "StirlingTriangle",
+    "stirling_rows",
     "gen_stirling",
-    "gen_stirling_rows",
-    "alternating_sum_row",
+    "alternating_sum_rows",
     "gen_bell_poly",
     "gen_bell_number",
     "bell_sequence",
@@ -51,136 +55,85 @@ __all__ = [
 ]
 
 
-class StirlingTriangle:
-    """Rows 0..n of S_r^(M) for fixed r >= 0, M >= 0, grown on demand.
+def stirling_rows(r: int, M: int, n_max: int):
+    """Yield rows 0..n_max of S_r^(M); row n lists S(n, k) for k = 0..M*n.
 
-    Row n has width M*n + 1 and is built from row n-1 by the kernel's
-    recurrence, so the previous row is all that is carried.  Extension
-    is serialized by a lock; reads of already-built rows are safe without
-    it (lists only ever grow, and a built row is never mutated).
+    Row n is built from row n-1 by `backend.stirling_row_update`, so only
+    the current row is kept.  Once the last row has been drawn, its
+    constant term is held to its closed form S(n, 0) = prod_{i<=n}
+    (i*r)^M = (n! r^n)^M, and a kernel fault raises ArithmeticError: a
+    caller that reads every row (`seq`) prints and caches nothing then.
     """
-
-    __slots__ = ("r", "M", "rows", "_lock")
-
-    def __init__(self, r: int, M: int):
-        if r < 0 or M < 0:
-            raise ValueError("r and M must be nonnegative")
-        self.r = r
-        self.M = M
-        self.rows: list[list[int]] = [[1]]
-        self._lock = threading.Lock()
-
-    def extend_to(self, n_max: int) -> None:
-        if n_max < len(self.rows):
-            return
-        with self._lock:
-            while len(self.rows) <= n_max:
-                row, _ = backend.stirling_row_update(
-                    self.r, self.M, len(self.rows), self.rows[-1]
-                )
-                self.rows.append(row)
-
-    def row(self, n: int) -> list[int]:
-        if n < 0:
-            raise ValueError("row index must be nonnegative")
-        self.extend_to(n)
-        return list(self.rows[n])
-
-    def value(self, n: int, k: int) -> int:
-        if n < 0:
-            raise ValueError("row index must be nonnegative")
-        if k < 0:
-            raise ValueError(f"k={k} out of range")
-        self.extend_to(n)
-        row = self.rows[n]
-        if k >= len(row):
-            return 0  # the k-th difference of a lower-degree polynomial
-        return row[k]
+    if r < 0 or M < 0 or n_max < 0:
+        raise ValueError("r, M and n_max must be nonnegative")
+    row = [1]
+    yield row
+    for n in range(1, n_max + 1):
+        row, _ = backend.stirling_row_update(r, M, n, row)
+        yield row
+    if row[0] != (factorial(n_max) * r**n_max) ** M:
+        raise ArithmeticError(
+            f"S(n={n_max}, k=0) at r={r} M={M} differs from (n! r^n)^M")
 
 
-_TRIANGLES: dict = {}
-_TRIANGLES_LOCK = threading.Lock()
-
-
-def _triangle(r: int, M: int) -> StirlingTriangle:
-    key = (r, M)
-    tri = _TRIANGLES.get(key)
-    if tri is None:
-        with _TRIANGLES_LOCK:
-            tri = _TRIANGLES.setdefault(key, StirlingTriangle(r, M))
-    return tri
+def _row(r: int, M: int, n: int) -> list[int]:
+    for row in stirling_rows(r, M, n):
+        pass
+    return row
 
 
 def gen_stirling(r: int, M: int, n: int, k: int) -> int:
     """S_r^(M)(n,k), exact; 0 for k beyond the row width M*n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _triangle(r, M).value(n, k)
+    if k < 0:
+        raise ValueError(f"k={k} out of range")
+    row = _row(r, M, n)
+    # past the width: the k-th difference of a lower-degree polynomial
+    return row[k] if k < len(row) else 0
 
 
-def gen_stirling_rows(r: int, M: int, n_max: int) -> list[list[int]]:
-    """Rows 0..n_max of S_r^(M), each a fresh list."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    tri = _triangle(r, M)
-    tri.extend_to(n_max)
-    return [list(row) for row in tri.rows[: n_max + 1]]
+def alternating_sum_rows(r: int, M: int, n_max: int):
+    """Yield rows 0..n_max of S_r^(M) by the defining sum: the oracle path.
 
-
-def alternating_sum_row(r: int, M: int, n: int, products: list[int]):
-    """Row n of S_r^(M) by the defining alternating sum: the oracle path.
-
-    products: P[j] = prod_{i=1}^{n-1} (j + i*r) for j = 0..M*(n-1); pass
-    [1] for n = 1 (row 0 is the single entry 1).  Returns (row, new_products)
-    where row[k] = (1/k!) sum_j C(k,j) (-1)^{k-j} P'[j]^M for k = 0..M*n and
-    P'[j] = P[j]*(j + n*r) extended out to j = M*n.  The k! division must be
-    exact; a remainder raises ArithmeticError.  O(width^2) big-integer
-    terms per row, so it checks the triangle rather than builds it.
+    Row n is row[k] = (1/k!) sum_j C(k,j) (-1)^{k-j} P(j)^M for k = 0..M*n,
+    P(j) = prod_{i=1}^n (j + i*r), taken as the k-th forward difference
+    of P^M at 0 (one difference table, no binomials or powers in the
+    loop).  P is carried from row to row; the triangle and its kernel are
+    never read.  The k! division must be exact; a remainder raises
+    ArithmeticError.  O(width^2) big-integer terms per row, so it checks
+    the triangle rather than builds it.
     """
-    width = M * n + 1
-    newp = []
-    for j in range(width):
-        if j < len(products):
-            newp.append(products[j] * (j + n * r))
-        else:
-            p = 1
-            for i in range(1, n + 1):
-                p *= j + i * r
-            newp.append(p)
-    row = []
-    fact_k = 1
-    for k in range(width):
-        if k:
-            fact_k *= k
-        total = 0
-        sign = -1 if k & 1 else 1
-        binom = 1
-        for j in range(k + 1):
-            total += sign * binom * newp[j] ** M
-            sign = -sign
-            binom = binom * (k - j) // (j + 1)
-        q, rem = divmod(total, fact_k)
-        if rem:
-            raise ArithmeticError(
-                f"non-integral generalized Stirling value at r={r} M={M} n={n} k={k}")
-        row.append(q)
-    return row, newp
+    products = [1]
+    yield [1]
+    for n in range(1, n_max + 1):
+        products = [p * (j + n * r) for j, p in enumerate(products)]
+        products += [prod(j + i * r for i in range(1, n + 1))
+                     for j in range(len(products), M * n + 1)]
+        diffs = [p**M for p in products]
+        row, fact_k = [], 1
+        for k in range(M * n + 1):
+            fact_k *= k or 1
+            q, rem = divmod(diffs[0], fact_k)
+            if rem:
+                raise ArithmeticError(
+                    f"non-integral generalized Stirling value at r={r} M={M} n={n} k={k}")
+            row.append(q)
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        yield row
 
 
 def gen_bell_poly(r: int, M: int, n: int) -> PolyQ:
     """B_r^(M)(n,x) = sum_k S_r^(M)(n,k) x^k."""
-    return PolyQ(_triangle(r, M).row(n))
+    return PolyQ(_row(r, M, n))
 
 
 def gen_bell_number(r: int, M: int, n: int) -> int:
     """B_r^(M)(n) = B_r^(M)(n,1), the row sum."""
-    return sum(_triangle(r, M).row(n))
+    return sum(_row(r, M, n))
 
 
 def bell_sequence(r: int, M: int, n_max: int) -> list[int]:
-    tri = _triangle(r, M)
-    tri.extend_to(n_max)
-    return [sum(tri.rows[n]) for n in range(n_max + 1)]
+    """B_r^(M)(n) for n = 0..n_max: the sums of one pass of `stirling_rows`."""
+    return list(map(sum, stirling_rows(r, M, n_max)))
 
 
 _CLASSICAL_ROWS: list[list[int]] = [[1]]

@@ -67,12 +67,12 @@ from .series import (
     pochhammer,
 )
 from .stirling import (
-    alternating_sum_row,
+    alternating_sum_rows,
     b_pp,
+    bell_sequence,
     classical_bell,
-    gen_bell_number,
-    gen_stirling_rows,
     stirling1_signless,
+    stirling_rows,
 )
 from .weyl import diagonal_reduce, laguerre_derivative_nf
 
@@ -168,15 +168,14 @@ def verify_commutator(r: int, M: int) -> IdentityReport:
 
 def _alternating_mismatch(r: int, M: int, rows) -> dict | None:
     """First entry where triangle rows 1, 2, ... differ from the alternating sum."""
-    alternating, products = [], [1]
-    for n in range(1, len(rows) + 1):
-        try:
-            oracle, products = alternating_sum_row(r, M, n, products)
-        except ArithmeticError as exc:
-            return {"n": n, "where": "alternating sum", "error": str(exc)}
-        alternating.append(dict(enumerate(oracle)))
+    alternating = []
+    try:
+        for oracle in alternating_sum_rows(r, M, len(rows)):
+            alternating.append(dict(enumerate(oracle)))
+    except ArithmeticError as exc:
+        return {"n": len(alternating), "where": "alternating sum", "error": str(exc)}
     _, mismatch = _rows_mismatch([dict(enumerate(row)) for row in rows],
-                                 alternating, "n", ("k",), start=1)
+                                 alternating[1:], "n", ("k",), start=1)
     if mismatch is not None:
         mismatch["where"] = "triangle vs alternating sum"
     return mismatch
@@ -191,13 +190,13 @@ def verify_stirling_expansion(r: int, M: int, n_max: int) -> IdentityReport:
     be S_r^(M)(n, k), the alternating sum must give the same row, and the
     weight-one expectation of each power must be the Bell number.  The
     powers come from `closedform._oracle_powers` and the rows from one
-    `gen_stirling_rows` call; each path is compared in full before the next.
+    pass of `stirling_rows`; each path is compared in full before the next.
     """
     _nonnegative(r=r, M=M, n_max=n_max)
     t0 = time.perf_counter()
     params = {"r": r, "M": M, "n_max": n_max}
     powers = _oracle_powers(r, M, n_max)[1:]
-    rows = gen_stirling_rows(r, M, n_max)[1:]
+    rows = list(stirling_rows(r, M, n_max))[1:]
     triangle = [{(k, k + r * n): v for k, v in enumerate(row)}
                 for n, row in enumerate(rows, 1)]
     _, mismatch = _rows_mismatch(powers, triangle, "n", start=1)
@@ -225,7 +224,7 @@ def verify_bell_first_kind(r: int, n_max: int) -> IdentityReport:
     _nonnegative(r=r, n_max=n_max)
     t0 = time.perf_counter()
     params = {"r": r, "n_max": n_max}
-    values = [gen_bell_number(r, 1, n) for n in range(n_max + 1)]
+    values = bell_sequence(r, 1, n_max)
     bells = [classical_bell(p) for p in range(n_max + 1)]
     transform = [
         sum(stirling1_signless(n + 1, p) * r ** (n - p + 1) * bells[p - 1]
@@ -244,7 +243,7 @@ def verify_bell_diagonal_powers(M: int, n_max: int) -> IdentityReport:
     _nonnegative(M=M, n_max=n_max)
     t0 = time.perf_counter()
     params = {"M": M, "n_max": n_max}
-    values = [gen_bell_number(1, M, n) for n in range(1, n_max + 1)]
+    values = bell_sequence(1, M, n_max)[1:]
     mismatch = _nf_mismatch(dict(enumerate(values, 1)),
                             {n: b_pp(n, M + 1) for n in range(1, n_max + 1)},
                             {}, ("n",))
@@ -389,7 +388,7 @@ def verify_egf(r: int, n_max: int) -> IdentityReport:
     params = {"r": r, "n_max": n_max}
     series = egf_bell_r1(r, n_max + 1)
     egf = {n: factorial(n) * series.coeffs[n] for n in range(n_max + 1)}
-    mismatch = _nf_mismatch(egf, {n: gen_bell_number(r, 1, n) for n in egf},
+    mismatch = _nf_mismatch(egf, dict(enumerate(bell_sequence(r, 1, n_max))),
                             {}, ("n",))
     values = [int(v) for v in egf.values()]
     return _finish("egf", params, "exact", t0, mismatch, {"values": values},

@@ -153,10 +153,6 @@ class NormalForm:
         return cls({(1, 0): 1})
 
     @classmethod
-    def number(cls) -> "NormalForm":
-        return cls({(1, 1): 1})
-
-    @classmethod
     def monomial(cls, dag: int, ann: int, coeff=1) -> "NormalForm":
         return cls({(dag, ann): coeff})
 

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from normord import cache
+from normord import backend, cache
 from normord.cli import main
 from normord.closedform import EXAMPLE_IDS
 from normord.parser import LimitError, check_triangle, parse_expr
 from normord.serialize import normal_form_from_json
-from normord.stirling import gen_stirling
+from normord.stirling import gen_stirling, stirling_rows
 from normord.suite import SUITE_IDS
 from normord.weyl import normal_order_rewrite
 
@@ -409,9 +409,9 @@ def test_import_loads_every_layer_and_no_dataclasses():
 # --- cache ---------------------------------------------------------------
 
 def test_cache_cold_then_warm_identical(capsys, tmp_path):
-    code1, out1, err1 = run(capsys, "seq", "2", "2", "6",
+    code1, out1, err1 = run(capsys, "seq", "2", "2", "6", "--poly",
                             "--cache-dir", str(tmp_path))
-    code2, out2, err2 = run(capsys, "seq", "2", "2", "6",
+    code2, out2, err2 = run(capsys, "seq", "2", "2", "6", "--poly",
                             "--cache-dir", str(tmp_path))
     assert code1 == code2 == 0
     assert out1 == out2
@@ -439,14 +439,14 @@ def _row_1(line: str):
     _row_1("1 1 "),                  # trailing space
 ])
 def test_cache_corruption_recovers(capsys, tmp_path, mangle):
-    _, clean_out, _ = run(capsys, "seq", "1", "1", "6",
+    _, clean_out, _ = run(capsys, "seq", "1", "1", "6", "--poly",
                           "--cache-dir", str(tmp_path))
     (cache_file,) = tmp_path.glob("triangle-v1-*.txt")
     good = cache_file.read_bytes()
 
     cache_file.write_bytes(mangle(good))
     assert cache_file.read_bytes() != good
-    code, out, err = run(capsys, "seq", "1", "1", "6",
+    code, out, err = run(capsys, "seq", "1", "1", "6", "--poly",
                          "--cache-dir", str(tmp_path))
     assert code == 0
     assert out == clean_out
@@ -483,7 +483,7 @@ def test_row_regex_accepts_exactly_canonical_tokens(line):
 
 
 def test_load_triangle_returns_the_file_tokens(tmp_path):
-    want = [[str(c) for c in row] for row in cache.compute_triangle(0, 2, 6)]
+    want = [[str(c) for c in row] for row in stirling_rows(0, 2, 6)]
     rows, hit, warning = cache.load_triangle(0, 2, 6, tmp_path)
     assert (rows, hit, warning) == (want, False, None)
     assert cache.load_triangle(0, 2, 6, tmp_path) == (want, True, None)
@@ -494,17 +494,56 @@ def test_load_triangle_returns_the_file_tokens(tmp_path):
     (), ("--format", "table"), ("--format", "bfile")])
 @pytest.mark.parametrize("key", [("0", "2", "6"), ("3", "1", "7")])
 def test_seq_hit_prints_its_miss(capsys, tmp_path, fmt, key):
+    # only --poly goes through the cache; the numbers write no file
     path = cache.triangle_path(tmp_path, *map(int, key))
+    files = [path.name] if "--poly" in fmt else []
     miss = run(capsys, "seq", *key, *fmt, "--cache-dir", str(tmp_path))
-    assert path.is_file()
+    assert [p.name for p in tmp_path.iterdir()] == files
     hit = run(capsys, "seq", *key, *fmt, "--cache-dir", str(tmp_path))
+    assert [p.name for p in tmp_path.iterdir()] == files
     assert miss == hit
     assert miss[0] == 0 and miss[2] == ""
 
 
+def test_seq_number_leaves_the_cache_alone(capsys, tmp_path):
+    for fmt in ((), ("--format", "table"), ("--format", "bfile")):
+        code, _, err = run(capsys, "seq", "1", "1", "6", *fmt,
+                           "--cache-dir", str(tmp_path))
+        assert (code, err) == (0, "")
+    assert list(tmp_path.iterdir()) == []
+    # a corrupt file of the same key is neither read nor rewritten
+    path = cache.triangle_path(tmp_path, 1, 1, 6)
+    path.write_bytes(b"X corrupt\n1 1\n")
+    code, out, err = run(capsys, "seq", "1", "1", "6", "--format", "bfile",
+                         "--cache-dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    assert out == "0 1\n1 2\n2 7\n3 34\n4 209\n5 1546\n6 13327\n"
+    assert path.read_bytes() == b"X corrupt\n1 1\n"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+@pytest.mark.parametrize("kind", [(), ("--poly",)])
+def test_seq_refuses_a_wrong_last_constant_term(capsys, tmp_path, monkeypatch, kind):
+    # a kernel fault in S(n_max, 0) stops both routes before any output
+    # or cache file
+    real = backend.stirling_row_update
+
+    def faulty(r, M, n, prev):
+        row, carry = real(r, M, n, prev)
+        if n == 6:
+            row[0] += 1
+        return row, carry
+
+    monkeypatch.setattr(backend, "stirling_row_update", faulty)
+    with pytest.raises(ArithmeticError, match=r"S\(n=6, k=0\)"):
+        main(["seq", "2", "1", "6", *kind, "--cache-dir", str(tmp_path)])
+    assert capsys.readouterr().out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cache_clear_counts(capsys, tmp_path):
-    run(capsys, "seq", "1", "1", "3", "--cache-dir", str(tmp_path))
-    run(capsys, "seq", "2", "1", "3", "--cache-dir", str(tmp_path))
+    run(capsys, "seq", "1", "1", "3", "--poly", "--cache-dir", str(tmp_path))
+    run(capsys, "seq", "2", "1", "3", "--poly", "--cache-dir", str(tmp_path))
     code, out, _ = run(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
     assert code == 0
     assert out.strip() == "removed 2 cache file(s)"
@@ -544,7 +583,7 @@ def test_cache_concurrent_writers(tmp_path, monkeypatch):
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("NORMORD_CACHE_DIR", str(tmp_path))
-    code, _, _ = run(capsys, "seq", "3", "1", "2")
+    code, _, _ = run(capsys, "seq", "3", "1", "2", "--poly")
     assert code == 0
     assert list(tmp_path.glob("triangle-v1-r3-M1-n2.txt"))
 

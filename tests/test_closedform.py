@@ -306,15 +306,15 @@ def test_kummer_b3half_judges_every_differing_entry(monkeypatch):
 
 
 def test_alternating_sum_fault_fails_eigen_operator_only(monkeypatch):
-    real = closedform.alternating_sum_row
+    real = closedform.alternating_sum_rows
 
-    def off_by_one(r, M, n, products):
-        row, products = real(r, M, n, products)
-        if n == 3:
-            row[1] += 1
-        return row, products
+    def off_by_one(r, M, n_max):
+        for n, row in enumerate(real(r, M, n_max)):
+            if n == 3:
+                row[1] += 1
+            yield row
 
-    monkeypatch.setattr(closedform, "alternating_sum_row", off_by_one)
+    monkeypatch.setattr(closedform, "alternating_sum_rows", off_by_one)
     rep = example_normal_forms("eigen-operator", 5, M=2)
     assert rep.status == "fail"
     first = rep.details["first_mismatch"]
@@ -339,14 +339,15 @@ def test_pfq_series_fault_fails_hyp_compact_only(monkeypatch):
 
 
 def test_inexact_alternating_sum_is_a_failing_report(monkeypatch):
-    real = closedform.alternating_sum_row
+    real = closedform.alternating_sum_rows
 
-    def inexact(r, M, n, products):
-        if n == 2:
-            raise ArithmeticError("non-integral generalized Stirling value")
-        return real(r, M, n, products)
+    def inexact(r, M, n_max):
+        for n, row in enumerate(real(r, M, n_max)):
+            if n == 2:
+                raise ArithmeticError("non-integral generalized Stirling value")
+            yield row
 
-    monkeypatch.setattr(closedform, "alternating_sum_row", inexact)
+    monkeypatch.setattr(closedform, "alternating_sum_rows", inexact)
     rep = example_normal_forms("eigen-operator", 4, M=1)
     assert rep.status == "fail"
     assert rep.details["first_mismatch"] == {

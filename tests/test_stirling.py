@@ -3,16 +3,16 @@ the recurrence-built triangle against its defining alternating sum,
 first-kind identities, and the Dobinski sums."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normord.cache import compute_triangle, render_triangle
+from normord.cache import render_triangle
 from normord.series import PolyQ, binomial, factorial
 from normord.stirling import (
-    StirlingTriangle,
-    alternating_sum_row,
+    alternating_sum_rows,
     b_pp,
     bell_sequence,
     classical_bell,
@@ -24,6 +24,7 @@ from normord.stirling import (
     gen_stirling,
     product_poly,
     stirling1_signless,
+    stirling_rows,
 )
 from normord.weyl import diagonal_reduce, word_to_normal_form
 
@@ -76,47 +77,46 @@ def test_row_edges():
                 assert gen_stirling(r, M, n, M * n + 7) == 0
 
 
-def test_triangle_object_matches_function():
-    tri = StirlingTriangle(2, 2)
-    tri.extend_to(5)
-    for n in range(6):
-        assert tri.rows[n] == [gen_stirling(2, 2, n, k) for k in range(2 * n + 1)]
-
-
 def test_recurrence_rows_match_alternating_sum():
     # M = 0 makes every row [1]; r = 0 drops the i*r shifts
     for r in range(5):
         for M in range(5):
-            tri = StirlingTriangle(r, M)
-            tri.extend_to(25)
-            products = [1]
-            for n in range(1, 26):
-                row, products = alternating_sum_row(r, M, n, products)
-                assert tri.rows[n] == row, (r, M, n)
+            rows = list(stirling_rows(r, M, 25))
+            assert rows == list(alternating_sum_rows(r, M, 25)), (r, M)
             if M == 0:
-                assert tri.rows == [[1]] * 26
+                assert rows == [[1]] * 26
 
 
 def test_recurrence_r0_m1_is_classical_stirling2():
-    tri = StirlingTriangle(0, 1)
-    tri.extend_to(30)
-    for n in range(31):
-        assert tri.rows[n] == [classical_stirling2(n, k) for k in range(n + 1)]
+    for n, row in enumerate(stirling_rows(0, 1, 30)):
+        assert row == [classical_stirling2(n, k) for k in range(n + 1)]
 
 
-def test_alternating_sum_rejects_perturbed_products():
-    products = [1]
-    for n in (1, 2):
-        _, products = alternating_sum_row(1, 1, n, products)
-    assert products == [2, 6, 12]
-    products[2] += 1
-    with pytest.raises(ArithmeticError, match="non-integral"):
-        alternating_sum_row(1, 1, 3, products)
+def _defining_sum(r, M, n):
+    """Row n by (1/k!) sum_j C(k,j) (-1)^(k-j) P(j)^M, P(j) = prod_i (j + i*r)."""
+    P = [prod(j + i * r for i in range(1, n + 1)) for j in range(M * n + 1)]
+    return [Fraction(sum(binomial(k, j) * (-1) ** (k - j) * P[j] ** M
+                         for j in range(k + 1)), factorial(k))
+            for k in range(M * n + 1)]
 
 
-def test_compute_triangle_matches_gen_stirling():
-    for r, M, n_max in ((0, 1, 12), (1, 1, 15), (2, 3, 8), (3, 0, 4)):
-        rows = compute_triangle(r, M, n_max)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=4),
+       st.integers(min_value=0, max_value=10))
+def test_alternating_sum_rows_are_the_defining_sum(r, M, n_max):
+    rows = list(alternating_sum_rows(r, M, n_max))
+    assert rows == [_defining_sum(r, M, n) for n in range(n_max + 1)]
+
+
+def test_alternating_sum_rejects_a_non_integral_row():
+    # r = 1/2 makes P(0) = 1/2 at n = 1, so the k = 0 division leaves a remainder
+    with pytest.raises(ArithmeticError, match="non-integral .* n=1 k=0"):
+        list(alternating_sum_rows(Fraction(1, 2), 1, 3))
+
+
+def test_stirling_rows_match_gen_stirling():
+    for r, M, n_max in ((0, 1, 12), (1, 1, 15), (2, 2, 5), (2, 3, 8), (3, 0, 4)):
+        rows = list(stirling_rows(r, M, n_max))
         assert len(rows) == n_max + 1
         for n, row in enumerate(rows):
             assert row == [gen_stirling(r, M, n, k) for k in range(M * n + 1)]
@@ -125,7 +125,7 @@ def test_compute_triangle_matches_gen_stirling():
 def test_render_triangle_pinned():
     # rendered by the alternating-sum build before rows came from the
     # recurrence; the cache format must not change with the builder
-    assert render_triangle(2, 2, compute_triangle(2, 2, 3)) == (
+    assert render_triangle(2, 2, list(stirling_rows(2, 2, 3))) == (
         "normord-triangle-cache 1\nr 2\nM 2\nrows 4\n1\n4 5 1\n"
         "64 161 95 18 1\n2304 8721 8559 3234 537 39 1\n"
     )

@@ -71,24 +71,24 @@ def test_stirling_expansion_compares_three_paths(monkeypatch):
     assert rep.details["paths"] == ["power fold", "triangle", "alternating sum"]
 
     # the alternating sum is a path of its own: a fault in it alone fails
-    real = suite.alternating_sum_row
+    real = suite.alternating_sum_rows
 
-    def off_by_one(r, M, n, products):
-        row, products = real(r, M, n, products)
-        if n == 4:
-            row[2] += 1
-        return row, products
+    def off_by_one(r, M, n_max):
+        for n, row in enumerate(real(r, M, n_max)):
+            if n == 4:
+                row[2] += 1
+            yield row
 
-    monkeypatch.setattr(suite, "alternating_sum_row", off_by_one)
+    monkeypatch.setattr(suite, "alternating_sum_rows", off_by_one)
     rep = verify_stirling_expansion(2, 3, 6)
     assert rep.status == "fail"
     assert rep.details["first_mismatch"]["where"] == "triangle vs alternating sum"
     assert (rep.details["first_mismatch"]["n"], rep.details["first_mismatch"]["k"]) == (4, 2)
 
-    def inexact(r, M, n, products):
+    def inexact(r, M, n_max):
         raise ArithmeticError("non-integral generalized Stirling value")
 
-    monkeypatch.setattr(suite, "alternating_sum_row", inexact)
+    monkeypatch.setattr(suite, "alternating_sum_rows", inexact)
     rep = verify_stirling_expansion(1, 1, 3)
     assert rep.status == "fail"
     assert rep.details["first_mismatch"]["where"] == "alternating sum"
