@@ -114,8 +114,15 @@ def test_alternating_sum_rejects_a_non_integral_row():
         list(alternating_sum_rows(Fraction(1, 2), 1, 3))
 
 
-def test_stirling_rows_match_gen_stirling():
-    for r, M, n_max in ((0, 1, 12), (1, 1, 15), (2, 2, 5), (2, 3, 8), (3, 0, 4)):
+def test_triangle_object_matches_function():
+    rows = list(stirling_rows(2, 2, 5))
+    assert len(rows) == 6
+    for n in range(6):
+        assert rows[n] == [gen_stirling(2, 2, n, k) for k in range(2 * n + 1)]
+
+
+def test_compute_triangle_matches_gen_stirling():
+    for r, M, n_max in ((0, 1, 12), (1, 1, 15), (2, 3, 8), (3, 0, 4)):
         rows = list(stirling_rows(r, M, n_max))
         assert len(rows) == n_max + 1
         for n, row in enumerate(rows):
