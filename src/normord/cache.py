@@ -8,18 +8,20 @@ exactly is treated as corrupt, reported through the returned warning,
 and silently recomputed (and rewritten).  Rendering is deterministic, so
 a cache hit is byte-identical to a fresh computation.
 
-Rows leave this module as decimal tokens, the text `str(int)` gives, so
-a caller that prints them converts nothing: a miss renders each row to
-tokens as `stirling_rows` yields it, and the file is joined from those
-tokens; a hit checks the file's text and splits it, with no int() or
-str() at all.
+The file is the only place a triangle is staged: `load_triangle` hands
+back an iterator that reads the rows, as decimal tokens, one line at a
+time from a file it holds open.  A miss writes each row to a temp file
+as `stirling_rows` yields it, moves the file into place once the last
+row has passed its S(n, 0) check, and reads it back; a hit checks every
+line of the file before the first row is read.  So peak memory is one
+row, whatever n_max is, and a row's entries are turned into text once.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from itertools import chain, repeat
+from contextlib import suppress
 from pathlib import Path
 
 from .stirling import stirling_rows
@@ -29,7 +31,6 @@ __all__ = [
     "default_cache_dir",
     "triangle_path",
     "render_triangle",
-    "parse_triangle",
     "load_triangle",
     "cache_clear",
 ]
@@ -41,9 +42,6 @@ ENV_CACHE_DIR = "NORMORD_CACHE_DIR"
 # One body line: tokens exactly as str(int) renders them (ASCII digits, no
 # sign on zero, no leading zero, no "+" or "_"), one space apart.
 _ROW_LINE = re.compile(r"(?:0|-?[1-9][0-9]*)(?: (?:0|-?[1-9][0-9]*))*")
-# The file is written in slices of this many characters, so the encoded
-# copy of a large text is never held whole.
-_WRITE_CHUNK = 1 << 20
 
 
 def default_cache_dir() -> Path:
@@ -57,89 +55,124 @@ def triangle_path(cache_dir: Path, r: int, M: int, n_max: int) -> Path:
     return Path(cache_dir) / f"triangle-v{CACHE_VERSION}-r{r}-M{M}-n{n_max}.txt"
 
 
-def render_triangle(r: int, M: int, rows) -> str:
-    """The file text; rows hold ints or their decimal tokens.
+def _header(r: int, M: int, count: int) -> str:
+    return f"{_MAGIC} {CACHE_VERSION}\nr {r}\nM {M}\nrows {count}\n"
 
-    One join over every token and separator: no line of the text is built
-    as a string of its own, so the text is the only copy made.  With the
-    sliced write in load_triangle this holds a miss's peak memory to the
-    tokens and one text; either one alone leaves a second copy at some
-    point and the peak as it was.
-    """
-    parts = [f"{_MAGIC} {CACHE_VERSION}\nr {r}\nM {M}\nrows {len(rows)}\n"]
+
+def _lines(rows):
+    """One line of the file per row; rows hold ints or their decimal tokens."""
     for row in rows:
-        parts += chain.from_iterable(zip(map(str, row), repeat(" ")))
-        parts[-1] = "\n"  # rows are non-empty; the last space ends the line
-    return "".join(parts)
+        yield " ".join(map(str, row)) + "\n"
 
 
-def parse_triangle(text: str, r: int, M: int, n_max: int) -> list:
-    """Strict inverse of render_triangle, as decimal tokens.
+def render_triangle(r: int, M: int, rows) -> str:
+    """The file text; rows hold ints or their decimal tokens."""
+    return _header(r, M, len(rows)) + "".join(_lines(rows))
 
-    Raises ValueError on any defect, a token that is not canonical
-    included, so the rows returned are exactly the rendered text.
+
+def _open(path: Path, mode: str):
+    # newline="\n": no line-end translation, so a line is checked as the
+    # bytes hold it
+    return open(path, mode, encoding="ascii", newline="\n")
+
+
+def _open_checked(path: Path, r: int, M: int, n_max: int):
+    """Open path, check all of it, and return it positioned at row 0.
+
+    Raises OSError, or ValueError on any defect, a token that is not
+    canonical included, so the rows read afterwards are exactly the ones
+    render_triangle would write.
     """
-    lines = text.splitlines()
-    if len(lines) < 4:
-        raise ValueError("truncated header")
-    if lines[0] != f"{_MAGIC} {CACHE_VERSION}":
-        raise ValueError("bad magic or version")
-    if lines[1] != f"r {r}" or lines[2] != f"M {M}":
-        raise ValueError("key mismatch")
-    if lines[3] != f"rows {n_max + 1}":
-        raise ValueError("row-count mismatch")
-    rows = lines[4:]
-    del text, lines  # from here rows holds the only reference to each line
-    if len(rows) != n_max + 1:
-        raise ValueError("body length mismatch")
-    for n, line in enumerate(rows):
-        if not _ROW_LINE.fullmatch(line):
-            raise ValueError(f"row {n} is not canonically rendered")
-        # each line gives way to its tokens, so the two are never all held
-        rows[n] = line.split(" ")
-        if len(rows[n]) != M * n + 1:
-            raise ValueError(f"row {n} has wrong width")
-    return rows
+    fh = _open(path, "r")
+    try:
+        if "".join(fh.readline() for _ in range(4)) != _header(r, M, n_max + 1):
+            raise ValueError("bad header: magic, version, key or row count")
+        start = fh.tell()
+        n = -1
+        for n, line in enumerate(fh):
+            if n > n_max:
+                break
+            if line[-1:] != "\n" or not _ROW_LINE.fullmatch(line, 0, len(line) - 1):
+                raise ValueError(f"row {n} is not canonically rendered")
+            if line.count(" ") != M * n:
+                raise ValueError(f"row {n} has wrong width")
+        if n != n_max:
+            raise ValueError("body length mismatch")
+        fh.seek(start)
+    except BaseException:
+        fh.close()
+        raise
+    return fh
+
+
+def _token_rows(fh):
+    """Yield the rows of a checked file from its position on, then close it."""
+    with fh:
+        yield from map(str.split, fh)
+
+
+def _write_failed(warning: str | None, exc: OSError) -> str:
+    extra = f"cache write failed ({exc})"
+    return f"{warning}; {extra}" if warning else extra
 
 
 def load_triangle(r: int, M: int, n_max: int, cache_dir: Path | None = None):
     """Return (rows, hit, warning); row n lists S(n, k) as decimal tokens.
 
-    hit is True when the rows came from a valid cache file.  A missing
-    file is a plain miss; an unreadable or corrupt file additionally
-    sets a warning string, and the recomputed rows are written back.
-    On a miss the file is written from the very tokens returned.
+    rows is a one-pass iterator that holds the cache file open until it
+    is drawn to the end or closed, so a concurrent `cache clear` or
+    rewrite cannot change the bytes it checked.  hit is True when the
+    rows come from a valid cache file.  A missing file is a plain miss;
+    an unreadable or corrupt file additionally sets a warning string, and
+    the recomputed rows are written back.  A miss returns only after
+    every row has been built and has passed stirling_rows' S(n, 0)
+    check, and reads the rows back from the file it wrote; if the file
+    cannot be written, the rows come from a second pass of stirling_rows.
     """
     cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     path = triangle_path(cache_dir, r, M, n_max)
     warning = None
-    if path.exists():
-        try:
-            return parse_triangle(path.read_text(), r, M, n_max), True, None
-        except (OSError, ValueError) as exc:
-            warning = f"corrupt cache file {path.name} ({exc}); recomputing"
-    # each row becomes decimal tokens as it is built, so the int triangle
-    # is never held whole; the file is those tokens.  Drawing every row
-    # runs stirling_rows' S(n, 0) check before anything is written.
-    rows = [list(map(str, row)) for row in stirling_rows(r, M, n_max)]
-    text = render_triangle(r, M, rows)
+    try:
+        return _token_rows(_open_checked(path, r, M, n_max)), True, None
+    except (FileNotFoundError, NotADirectoryError):
+        pass
+    except (OSError, ValueError) as exc:
+        warning = f"corrupt cache file {path.name} ({exc}); recomputing"
+    rows = stirling_rows(r, M, n_max)
+    tmp = fh = None
     try:
         cache_dir.mkdir(parents=True, exist_ok=True)
         # a temp name of this writer's own, hidden from cache_clear's glob,
         # so concurrent writers of one key never share a file
         tmp = path.with_name(f".{path.name}.{os.getpid()}-{os.urandom(6).hex()}.tmp")
-        try:
-            with open(tmp, "x") as fh:
-                for start in range(0, len(text), _WRITE_CHUNK):
-                    fh.write(text[start:start + _WRITE_CHUNK])
-            os.replace(tmp, path)
-        except BaseException:
+        fh = _open(tmp, "x+")
+        fh.write(_header(r, M, n_max + 1))
+        start = fh.tell()
+        # drawing the last row runs the S(n, 0) check, so a file that
+        # fails it is never moved into place
+        fh.writelines(_lines(rows))
+        fh.flush()
+        fh.seek(start)
+    except BaseException as exc:
+        if fh is not None:
+            with suppress(OSError):
+                fh.close()
+        if tmp is not None:
             tmp.unlink(missing_ok=True)
+        if not isinstance(exc, OSError):
             raise
+        # finish the first pass, and with it the S(n, 0) check, before
+        # any row is handed out
+        for _ in rows:
+            pass
+        rows = (list(map(str, row)) for row in stirling_rows(r, M, n_max))
+        return rows, False, _write_failed(warning, exc)
+    try:
+        os.replace(tmp, path)
     except OSError as exc:
-        extra = f"cache write failed ({exc})"
-        warning = f"{warning}; {extra}" if warning else extra
-    return rows, False, warning
+        tmp.unlink(missing_ok=True)
+        warning = _write_failed(warning, exc)
+    return _token_rows(fh), False, warning
 
 
 def cache_clear(cache_dir: Path | None = None) -> int:

@@ -3,10 +3,10 @@
 Four subcommands: `order` normal-orders an operator expression (by rook
 numbers; a power by falling-factorial rows when the base has one shift,
 else by the contraction fold), `seq` exports Bell numbers or polynomial
-coefficient rows (`--poly` goes through the disk cache and prints its
-decimal tokens as they are, one row at a time; the Bell numbers are the
-sums of one pass of `stirling.stirling_rows`, with no cache), `verify`
-runs identity checks, `cache` manages the disk cache.
+coefficient rows (`--poly` reads its decimal tokens from the disk
+cache file one row at a time and prints them as they are; the Bell
+numbers are the sums of one pass of `stirling.stirling_rows`, with no
+cache), `verify` runs identity checks, `cache` manages the disk cache.
 Global flags may appear before or after the subcommand.  Exit codes:
 0 ok, 1 verification failure, 2 usage or parse error, or an input past
 a size limit (`parser.LimitError`), 141 (128 + SIGPIPE) when the reader
@@ -19,6 +19,7 @@ import argparse
 import os
 import sys
 from collections import namedtuple
+from contextlib import closing
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 from pathlib import Path
@@ -259,7 +260,8 @@ def cmd_seq(cfg: Config, ns: argparse.Namespace) -> int:
         if warning:
             print(f"warning: {warning}", file=sys.stderr)
         pieces = iter_poly_rows_json if cfg.fmt == "json" else iter_poly_rows_table
-        sys.stdout.writelines(pieces(ns.r, ns.M, rows))
+        with closing(rows):  # releases the cache file if the write stops early
+            sys.stdout.writelines(pieces(ns.r, ns.M, rows))
         sys.stdout.write("\n")
         return 0
     values = bell_sequence(ns.r, ns.M, ns.n_max)

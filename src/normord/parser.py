@@ -38,8 +38,9 @@ MAX_LETTERS = 30_000
 # parses, (a + ad)^18 would take 2^18.
 MAX_WORDS = 100_000
 # Estimated bytes of the rows 0..n of S_r^(M) (see check_triangle).  By
-# this count (1,1,400) holds 32 MB; its `seq` run, cache write included,
-# peaks at 115 MB of RSS.  The limit is twice that estimate.
+# this count (1,1,400) is 32 MB, near the 29 MB of its cache file and of
+# its JSON output.  `seq` keeps one row at a time, so the limit bounds
+# output, disk and work, not memory.  It is twice (1,1,400)'s estimate.
 MAX_TRIANGLE_BYTES = 64 * 2**20
 
 
@@ -71,8 +72,9 @@ def check_triangle(r: int, M: int, n_max: int) -> None:
 
     Row m is a list, counted at 128 bytes, of M*m + 1 ints, each counted
     at 36 bytes plus the size of the top row's first entry
-    (n_max! r^n_max)^M (r = 0 counted as 1).  At the limit this reads
-    about twice the rows' measured memory for every M from 1 to 6.
+    (n_max! r^n_max)^M (r = 0 counted as 1).  The rows are built and
+    printed one at a time, so this bounds the output, the cache file and
+    the work, not memory: (1,1,400) counts 32 MB and writes a 29 MB file.
     """
     entries = (n_max + 1) * (M * n_max + 2) // 2
     top_bits = M * (lgamma(n_max + 1) + n_max * log(max(r, 1))) / log(2)

@@ -148,11 +148,12 @@ def poly_rows_from_dict(data: dict) -> dict:
 def iter_poly_rows_json(r: int, M: int, rows):
     """The text of json.dumps(poly_rows_to_dict(r, M, rows), indent=2), in pieces.
 
-    rows and each row are non-empty, as load_triangle returns them.
-    Entries are ints or canonical decimal tokens, which need no escaping;
-    each token is quoted as it is, so a token row is written with no
-    conversion.  One piece per row keeps a large triangle's output from
-    being held as one string.
+    rows is read once, one row per piece, so it may be an iterator such
+    as load_triangle's rows; it and each row are non-empty.  Entries are
+    ints or canonical decimal tokens, which need no escaping; each token
+    is quoted as it is, so a token row is written with no conversion.
+    One piece per row keeps a large triangle's output from being held as
+    one string.
     """
     head = _metadata(r, M)
     head["kind"] = "poly"

@@ -360,8 +360,10 @@ def test_criterion_9_property_suites(tmp_path):
         bad.append(("json-sequence",))
 
     rows_cold, hit_cold, warn_cold = load_triangle(2, 2, 6, tmp_path)
+    rows_cold = list(rows_cold)
     blob = triangle_path(tmp_path, 2, 2, 6).read_bytes()
     rows_warm, hit_warm, warn_warm = load_triangle(2, 2, 6, tmp_path)
+    rows_warm = list(rows_warm)
     if (hit_cold or not hit_warm or warn_cold or warn_warm
             or rows_cold != rows_warm
             or blob != triangle_path(tmp_path, 2, 2, 6).read_bytes()

@@ -437,6 +437,7 @@ def _row_1(line: str):
     _row_1("1 \u0661"),               # ARABIC-INDIC DIGIT ONE
     _row_1("1  1"),                  # double space
     _row_1("1 1 "),                  # trailing space
+    lambda b: b[:-1] + b" \n",       # trailing space on the last row only
 ])
 def test_cache_corruption_recovers(capsys, tmp_path, mangle):
     _, clean_out, _ = run(capsys, "seq", "1", "1", "6", "--poly",
@@ -485,8 +486,72 @@ def test_row_regex_accepts_exactly_canonical_tokens(line):
 def test_load_triangle_returns_the_file_tokens(tmp_path):
     want = [[str(c) for c in row] for row in stirling_rows(0, 2, 6)]
     rows, hit, warning = cache.load_triangle(0, 2, 6, tmp_path)
-    assert (rows, hit, warning) == (want, False, None)
-    assert cache.load_triangle(0, 2, 6, tmp_path) == (want, True, None)
+    assert (list(rows), hit, warning) == (want, False, None)
+    rows, hit, warning = cache.load_triangle(0, 2, 6, tmp_path)
+    assert (list(rows), hit, warning) == (want, True, None)
+
+
+@pytest.mark.parametrize("change", ["clear", "rewrite"])
+@pytest.mark.parametrize("hit", [False, True])
+def test_load_triangle_rows_outlive_a_change_to_the_file(tmp_path, hit, change):
+    # the rows hold the file they checked or wrote, so neither a cache
+    # clear nor another writer's replace changes what they read
+    want = [[str(c) for c in row] for row in stirling_rows(1, 1, 8)]
+    if hit:
+        list(cache.load_triangle(1, 1, 8, tmp_path)[0])
+    rows, was_hit, _ = cache.load_triangle(1, 1, 8, tmp_path)
+    assert was_hit == hit
+    path = cache.triangle_path(tmp_path, 1, 1, 8)
+    if change == "clear":
+        assert cache.cache_clear(tmp_path) == 1
+    else:
+        other = tmp_path / "other.tmp"
+        other.write_text(cache.render_triangle(2, 2, list(stirling_rows(2, 2, 8))))
+        os.replace(other, path)
+    assert list(rows) == want
+
+
+def _write_fails_midway(monkeypatch):
+    real = cache._lines
+
+    def lines(rows):
+        for n, line in enumerate(real(rows)):
+            if n == 3:
+                raise OSError(28, "No space left on device")
+            yield line
+
+    monkeypatch.setattr(cache, "_lines", lines)
+
+
+def _replace_fails(monkeypatch):
+    def replace(src, dst):
+        raise OSError(13, "Permission denied")
+
+    monkeypatch.setattr(cache.os, "replace", replace)
+
+
+@pytest.mark.parametrize("fault", [None, _write_fails_midway, _replace_fails])
+def test_seq_poly_prints_its_rows_when_the_cache_write_fails(
+        capsys, tmp_path, monkeypatch, fault):
+    # None: the cache directory is a regular file, so no temp file opens
+    _, want, _ = run(capsys, "seq", "2", "2", "9", "--poly",
+                     "--cache-dir", str(tmp_path / "clean"))
+    cache_dir = tmp_path / "cache"
+    if fault is None:
+        cache_dir.write_bytes(b"")
+    else:
+        cache_dir.mkdir()
+        fault(monkeypatch)
+    code, out, err = run(capsys, "seq", "2", "2", "9", "--poly",
+                         "--cache-dir", str(cache_dir))
+    assert (code, out) == (0, want)
+    assert err.startswith("warning: cache write failed (")
+    assert err.count("\n") == 1
+    # no temp file is left behind
+    if fault is None:
+        assert cache_dir.read_bytes() == b""
+    else:
+        assert list(cache_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize("fmt", [
@@ -522,10 +587,15 @@ def test_seq_number_leaves_the_cache_alone(capsys, tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
-@pytest.mark.parametrize("kind", [(), ("--poly",)])
+@pytest.mark.parametrize("kind", [(), ("--poly",), ("--poly", "unwritable")])
 def test_seq_refuses_a_wrong_last_constant_term(capsys, tmp_path, monkeypatch, kind):
-    # a kernel fault in S(n_max, 0) stops both routes before any output
-    # or cache file
+    # a kernel fault in S(n_max, 0) stops every route before any output
+    # or cache file; "unwritable" is --poly with a regular file for its
+    # cache directory, which takes its rows from a second pass
+    cache_dir = tmp_path
+    if kind[1:] == ("unwritable",):
+        kind, cache_dir = kind[:1], tmp_path / "file"
+        cache_dir.write_bytes(b"")
     real = backend.stirling_row_update
 
     def faulty(r, M, n, prev):
@@ -536,9 +606,9 @@ def test_seq_refuses_a_wrong_last_constant_term(capsys, tmp_path, monkeypatch, k
 
     monkeypatch.setattr(backend, "stirling_row_update", faulty)
     with pytest.raises(ArithmeticError, match=r"S\(n=6, k=0\)"):
-        main(["seq", "2", "1", "6", *kind, "--cache-dir", str(tmp_path)])
+        main(["seq", "2", "1", "6", *kind, "--cache-dir", str(cache_dir)])
     assert capsys.readouterr().out == ""
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == ([] if cache_dir == tmp_path else [cache_dir])
 
 
 def test_cache_clear_counts(capsys, tmp_path):
@@ -564,7 +634,8 @@ def test_cache_concurrent_writers(tmp_path, monkeypatch):
     results = [None, None]
 
     def writer(i):
-        results[i] = cache.load_triangle(2, 2, 9, tmp_path)
+        rows, hit, warning = cache.load_triangle(2, 2, 9, tmp_path)
+        results[i] = list(rows), hit, warning
 
     threads = [threading.Thread(target=writer, args=(i,)) for i in range(2)]
     for t in threads:
@@ -577,8 +648,54 @@ def test_cache_concurrent_writers(tmp_path, monkeypatch):
     assert not hit_a and not hit_b
     assert warn_a is None and warn_b is None
     path = cache.triangle_path(tmp_path, 2, 2, 9)
-    assert cache.parse_triangle(path.read_text(), 2, 2, 9) == rows_a
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+    rows, hit, warning = cache.load_triangle(2, 2, 9, tmp_path)
+    assert (list(rows), hit, warning) == (rows_a, True, None)
+
+
+# Runs the CLI and, at exit, writes the process's own peak RSS (VmHWM) to
+# stderr.  Not RUSAGE_CHILDREN: a child's ru_maxrss counts the peak of the
+# process it was started from, here pytest's.
+_PEAK_PROBE = """
+import atexit, runpy, sys
+
+def report():
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    sys.stderr.write(line)
+    except OSError:
+        pass
+
+atexit.register(report)
+sys.argv[0] = "normord"
+runpy.run_module("normord.cli", run_name="__main__")
+"""
+
+
+def _seq_poly_peak_kb(n_max, cache_dir):
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_PROBE, "seq", "1", "1", str(n_max),
+         "--poly", "--cache-dir", str(cache_dir)],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    peak = [line.split()[1] for line in proc.stderr.splitlines()
+            if line.startswith("VmHWM:")]
+    if not peak:
+        pytest.skip("no VmHWM in /proc/self/status")
+    return int(peak[0])
+
+
+def test_seq_poly_peak_memory_does_not_grow_with_n(tmp_path):
+    # the rows pass through the cache file one at a time, as a miss and
+    # as a hit; (1,1,400) prints 29 MB, (1,1,40) 28 kB
+    for hit in (False, True):
+        small = _seq_poly_peak_kb(40, tmp_path)
+        large = _seq_poly_peak_kb(400, tmp_path)
+        assert large - small <= 5 * 1024, (hit, small, large)
+    assert len(list(tmp_path.iterdir())) == 2
 
 
 def test_cache_env_var(capsys, tmp_path, monkeypatch):
