@@ -56,7 +56,6 @@ from .laguerre import (
     exp_D_r1_normal_form,
 )
 from .closedform import (
-    conjecture_probe,
     example_normal_forms,
     hyp_closed_form_check,
     hyp_generating_function_check,
@@ -117,7 +116,6 @@ __all__ = [
     "egf_bell_r1",
     "eigenfunction_series",
     "exp_D_r1_normal_form",
-    "conjecture_probe",
     "example_normal_forms",
     "hyp_closed_form_check",
     "hyp_generating_function_check",

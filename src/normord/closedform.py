@@ -11,10 +11,11 @@ its `DeviationTally`, which reports the worst relative and absolute
 deviation. The Bell closed forms for r = 1, 2, 3 are one exact check,
 `_check_bell_hyp`: the √π, Γ(1/3) and Γ(2/3) prefactors of the
 paper's form cancel, leaving r rational pFq series in x^r/r^r.
+`conjecture_check` runs the same check at any r >= 1, where the
+generalized Dobinski relation gives the same r-term form.
 Operator powers come from `_oracle_powers`, the one fold of
 D(r,M)^0..n that the suite drivers use too. The Bell generating
-function's outer l-sum is `stirling.dobinski_sums`, and the conjecture
-probe's pFq values are summed by `hyp_sum_adaptive`: the two users of
+function's outer l-sum is `stirling.dobinski_sums`, the one user of
 `series.certified_sum`.
 Sample points, pFq parameters and tolerances go through
 `series._canonical`, so a float raises TypeError. The worked examples
@@ -26,9 +27,8 @@ share `_resolvent` ((1-t·a)^-1 and t·a†a²(1-t·a)^-1) and `_bessel_dot`;
 `_laguerre_rows` also serves `suite.verify_laguerre_normal_form`. Each
 public check times itself and returns an IdentityReport whose
 parameters include the orders it ran to (n_max or lambda_order) and
-whose details name the paths it compared;
-the conjecture probe's report is informational and records only its
-precision. `hyp_closed_form_check` finds a kind's family and default
+whose details name the paths it compared.
+`hyp_closed_form_check` finds a kind's family and default
 n_max in `CLOSED_FORMS`, and `example_normal_forms` finds an example's
 builder in `EXAMPLES`; which of them `verify` runs, and over what grid,
 is `normord.suite.IDENTITIES`.
@@ -46,12 +46,10 @@ from .series import (
     PolyQ,
     SeriesQ,
     _canonical,
-    certified_sum,
     factorial,
     laguerre_poly,
     phyperq_partial,
     phyperq_series,
-    pfq_ratio,
     pochhammer,
     series_exp,
 )
@@ -59,7 +57,6 @@ from .stirling import (
     alternating_sum_rows,
     bell_sequence,
     dobinski_sums,
-    gen_bell_poly,
     stirling_rows,
 )
 from .weyl import NormalForm, laguerre_derivative_nf
@@ -75,48 +72,6 @@ CLOSED_FORMS = {
     "bell-hyp-r3": (3, 2),
 }
 CLOSED_FORM_KINDS = tuple(CLOSED_FORMS)
-
-
-def _pfq_cap(upper, lower, x):
-    """certified_sum's ratio cap for pFq(upper; lower; x) with positive parameters."""
-
-    def ratio_cap(k):
-        # Each paired (u+j)/(l+j) factor moves monotonically toward 1 as
-        # j grows, unpaired 1/(l+j) and x/(j+1) shrink, so every ratio at
-        # j > k is at most this, and it does not increase with k.
-        cap = Fraction(x, k + 2)
-        for u, l in zip(upper, lower):
-            cap *= max(1, Fraction(u + k + 1, l + k + 1))
-        for l in lower[len(upper):]:
-            cap /= l + k + 1
-        return cap
-
-    return ratio_cap
-
-
-def hyp_sum_adaptive(
-    upper, lower, x, prec: int = DEFAULT_PRECISION, max_terms: int = 200000
-) -> Fraction:
-    """Exact partial sum of pFq with positive parameters, x >= 0, p <= q.
-
-    Truncated by `certified_sum` so the discarded tail is provably below
-    10^-(prec+10) relative to the returned total (all terms are positive
-    and the first is 1).  Exhausting max_terms before the bound certifies
-    raises RuntimeError; precision is never silently degraded.  The terms
-    come from `series.pfq_ratio`; the ratio cap needs the positive
-    parameters checked here.
-    """
-    upper = [_canonical(u) for u in upper]
-    lower = [_canonical(l) for l in lower]
-    x = _canonical(x)
-    if len(upper) > len(lower):
-        raise ValueError("adaptive evaluation needs p <= q")
-    if x < 0 or any(u <= 0 for u in upper) or any(l <= 0 for l in lower):
-        raise ValueError("adaptive evaluation needs positive parameters and x >= 0")
-    (total,), _ = certified_sum(*pfq_ratio(upper, lower, x),
-                                _pfq_cap(upper, lower, x),
-                                Fraction(1, 10 ** (prec + 10)), max_terms)
-    return total
 
 
 def _bound_str(q: Fraction) -> str:
@@ -182,7 +137,8 @@ def _check_stirling_hyp(M: int, n_max: int, t0: float) -> IdentityReport:
                    paths=("pFq closed form", "triangle"))
 
 
-def _check_bell_hyp(r: int, M: int, n_max: int, t0: float) -> IdentityReport:
+def _check_bell_hyp(r: int, M: int, n_max: int, t0: float,
+                    identity: str | None = None) -> IdentityReport:
     # Dobinski: [x^l] e^x B(n,x) = prod_{i<=n} (l+ir)^M / l!.  Split l = rk + j:
     # the k-sum for each j is x^j r^(Mn) ((a)_n)^M / j! times
     # pFq([a+n] x M; [a] x M + [(j+1+i)/r, i < r, save the one equal to 1];
@@ -204,8 +160,8 @@ def _check_bell_hyp(r: int, M: int, n_max: int, t0: float) -> IdentityReport:
         lhs.append(dict(enumerate(scaled.coeffs)))
         rhs.append(dict(enumerate(SeriesQ(order, closed).coeffs)))
     _, first = _rows_mismatch(lhs, rhs, "n", ("power",))
-    return _finish(f"bell-hyp-r{r}", {"r": r, "M": M, "n_max": n_max}, "exact", t0,
-                   first, {"first_mismatch": first,
+    return _finish(identity or f"bell-hyp-r{r}", {"r": r, "M": M, "n_max": n_max},
+                   "exact", t0, first, {"first_mismatch": first,
                            "checks": sum(len(row) for row in lhs)},
                    paths=("e^x Bell polynomial",
                           "mFm series" if r == 1 else "pFq closed form"))
@@ -240,6 +196,19 @@ def hyp_closed_form_check(
     if kind == "stirling-hyp":
         return _check_stirling_hyp(M, n_max, t0)
     return _check_bell_hyp(family_r, M, n_max, t0)
+
+
+def conjecture_check(r: int, M: int, n_max: int) -> IdentityReport:
+    """The Bell closed form of `bell-hyp-r1/2/3` at any r >= 1 and M >= 0.
+
+    The paper writes e^x B(n,x) as r pFq series in x^r/r^r for r = 1, 2, 3;
+    splitting the Dobinski sum's l = rk + j gives the same r-term form at
+    every r.  The check is `_check_bell_hyp`'s, reported as "conjecture".
+    """
+    t0 = time.perf_counter()
+    if r < 1 or M < 0 or n_max < 0:
+        raise ValueError("need r >= 1, M >= 0 and n_max >= 0")
+    return _check_bell_hyp(r, M, n_max, t0, "conjecture")
 
 
 # ---------------------------------------------------------------------------
@@ -549,102 +518,3 @@ def example_normal_forms(
         raise ValueError(f"unknown example id {example_id!r}")
     return EXAMPLES[example_id](lambda_order, t0, p=p, M=M, precision=precision,
                                 tolerance=tolerance)
-
-
-# ---------------------------------------------------------------------------
-# Conjectured r-term structure for general r
-
-
-def _conjecture_lower_params(r: int, M: int, t: int) -> list:
-    if t == 0:
-        return [1] * M + [Fraction(j, r) for j in range(1, r)]
-    out = [1 + Fraction(t, r)] * (M + 1)
-    out += [1 + Fraction(t - j, r) for j in range(1, r) if j != t]
-    return out
-
-
-def _solve_linear(matrix, rhs, prec):
-    # Gaussian elimination with partial pivoting over HighPrecReal;
-    # dimensions here are at most 4x4.
-    m = [row[:] for row in matrix]
-    b = rhs[:]
-    size = len(b)
-    for col in range(size):
-        pivot = max(range(col, size), key=lambda i: abs(m[i][col]).value)
-        if abs(m[pivot][col]).value == 0:
-            raise ArithmeticError("singular fit system")
-        m[col], m[pivot] = m[pivot], m[col]
-        b[col], b[pivot] = b[pivot], b[col]
-        for i in range(col + 1, size):
-            f = m[i][col] / m[col][col]
-            for j in range(col, size):
-                m[i][j] = m[i][j] - f * m[col][j]
-            b[i] = b[i] - f * b[col]
-    out = [HighPrecReal(0, prec)] * size
-    for i in reversed(range(size)):
-        acc = b[i]
-        for j in range(i + 1, size):
-            acc = acc - m[i][j] * out[j]
-        out[i] = acc / m[i][i]
-    return out
-
-
-def conjecture_probe(
-    r: int,
-    M: int,
-    n: int,
-    x_samples=(Fraction(1, 2), 1, 2, 3, 4),
-    precision: int = DEFAULT_PRECISION,
-) -> IdentityReport:
-    """Fit exp(x)*B(n,x) against the conjectured r-term hypergeometric
-    combination sum_t c_t x^t pFq(..., x^r/r^r) and report the residuals
-    at the sample points beyond the fit. Informational only: the report
-    records its precision and no tolerance, since nothing is compared.
-    """
-    t0 = time.perf_counter()
-    if r < 1 or r > 4:
-        raise ValueError("probe covers r <= 4")
-    xs = [_canonical(x) for x in x_samples]
-    if len(xs) <= r:
-        raise ValueError(f"need more than {r} sample points to report residuals")
-    if any(x <= 0 for x in xs):
-        raise ValueError("sample points must be positive")
-    bell = gen_bell_poly(r, M, n)
-    upper = lambda t: [n + 1 + Fraction(t, r)] * M
-
-    def basis_value(t, x):
-        f = hyp_sum_adaptive(
-            upper(t), _conjecture_lower_params(r, M, t), Fraction(x**r, r**r), precision
-        )
-        return HighPrecReal(x**t * f, precision)
-
-    def target(x):
-        return HighPrecReal.exp_of(x, precision) * HighPrecReal(bell.eval(x), precision)
-
-    fit_xs, rest_xs = xs[:r], xs[r:]
-    matrix = [[basis_value(t, x) for t in range(r)] for x in fit_xs]
-    rhs = [target(x) for x in fit_xs]
-    coeffs = _solve_linear(matrix, rhs, precision)
-    worst = None
-    residuals = []
-    for x in rest_xs:
-        pred = HighPrecReal(0, precision)
-        for t in range(r):
-            pred = pred + coeffs[t] * basis_value(t, x)
-        rel = pred.rel_deviation(target(x))
-        residuals.append({"x": str(x), "rel_residual": str(rel)})
-        if worst is None or rel > worst:
-            worst = rel
-    return IdentityReport(
-        "conjecture-probe",
-        {"r": r, "M": M, "n": n, "x_samples": [str(x) for x in xs]},
-        "informational",
-        "informational",
-        {
-            "fitted_coefficients": [str(c) for c in coeffs],
-            "residuals": residuals,
-            "max_rel_residual": str(worst),
-        },
-        time.perf_counter() - t0,
-        precision,
-    )

@@ -1,8 +1,9 @@
 """Arbitrary-precision decimal reals on top of the stdlib `decimal` module.
 
 Provides what the numeric checks need: exact rationals rounded to a
-working precision, exp at a rational argument, arithmetic, and
-comparisons that always go through an explicit tolerance.  There is no
+working precision, exp at a rational argument, products and
+differences, and comparisons that always go through an explicit
+tolerance.  There is no
 float anywhere.
 """
 
@@ -72,41 +73,14 @@ class HighPrecReal:
             out = fn(self.value, other.value)
         return HighPrecReal(out, prec)
 
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    def __radd__(self, other):
-        return HighPrecReal(other, self.prec) + self
-
     def __sub__(self, other):
         return self._binop(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return HighPrecReal(other, self.prec) - self
 
     def __mul__(self, other):
         return self._binop(other, lambda a, b: a * b)
 
-    def __rmul__(self, other):
-        return HighPrecReal(other, self.prec) * self
-
-    def __truediv__(self, other):
-        return self._binop(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return HighPrecReal(other, self.prec) / self
-
-    def __neg__(self):
-        return HighPrecReal(-self.value, self.prec)
-
     def __abs__(self):
         return HighPrecReal(abs(self.value), self.prec)
-
-    def exp(self) -> "HighPrecReal":
-        return HighPrecReal(exp_decimal(self.value, self.prec), self.prec)
-
-    def is_zero_within(self, tol) -> bool:
-        return abs(self.value) <= fraction_to_decimal(_canonical(tol), self.prec)
 
     def agrees_with(self, other, rel_tol) -> bool:
         """Relative agreement within rel_tol (absolute when other is ~0)."""

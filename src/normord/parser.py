@@ -81,7 +81,8 @@ def check_triangle(r: int, M: int, n_max: int) -> None:
     size = (n_max + 1) * 128 + entries * (36 + top_bits / 8)
     if size > MAX_TRIANGLE_BYTES:
         raise LimitError(
-            f"seq {r} {M} {n_max} would hold about {size / 2**20:.1f} MB of rows, "
+            f"seq {r} {M} {n_max} would print or write about "
+            f"{size / 2**20:.1f} MB of rows, "
             f"past the limit of {MAX_TRIANGLE_BYTES // 2**20} MB")
 
 

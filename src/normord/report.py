@@ -9,9 +9,8 @@ from high to low, tagged with the row it belongs to, and
 `_rows_mismatch` is its row-by-row form; `DeviationTally` is the one
 numeric comparison, which keeps the worst relative and absolute
 deviation and the first pair outside tolerance.  The suite drivers and
-the closed-form checks build their reports here and nowhere else, with
-one exception: `closedform.conjecture_probe` compares nothing, so it
-builds its informational `IdentityReport` directly.
+the closed-form checks build their reports here, through `_finish`, and
+nowhere else.
 """
 
 from __future__ import annotations
@@ -30,9 +29,9 @@ class IdentityReport(namedtuple(
         "identity parameters mode status details elapsed precision tolerance")):
     """Outcome of one identity check over one parameter set.
 
-    mode is "exact" (rational/integer comparison, no tolerance exists),
-    "numeric" (high-precision reals; precision and tolerance are always
-    recorded), or "informational" (probes that cannot fail the suite).
+    mode is "exact" (rational/integer comparison, no tolerance exists)
+    or "numeric" (high-precision reals; precision and tolerance are
+    always recorded); status is "pass" or "fail".
     An immutable record; details default to a fresh empty dict.
     """
 
@@ -41,9 +40,9 @@ class IdentityReport(namedtuple(
     def __new__(cls, identity: str, parameters: dict, mode: str, status: str,
                 details: dict | None = None, elapsed: float = 0.0,
                 precision: int | None = None, tolerance: str | None = None):
-        if mode not in ("exact", "numeric", "informational"):
+        if mode not in ("exact", "numeric"):
             raise ValueError(f"unknown mode {mode!r}")
-        if status not in ("pass", "fail", "informational"):
+        if status not in ("pass", "fail"):
             raise ValueError(f"unknown status {status!r}")
         if mode == "numeric" and (precision is None or tolerance is None):
             raise ValueError("numeric reports must record precision and tolerance")
@@ -53,7 +52,7 @@ class IdentityReport(namedtuple(
 
     @property
     def ok(self) -> bool:
-        return self.status != "fail"
+        return self.status == "pass"
 
     def to_json_dict(self) -> dict:
         out = {

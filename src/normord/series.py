@@ -11,9 +11,10 @@ A true rational division is written `Fraction(a, b)`, since two ints
 would give a float.
 
 `pfq_ratio` is the one place the pFq term ratio is written, and
-`phyperq_series` the one loop over pFq terms (`phyperq_partial` sums its
-coefficients).  `certified_sum` is the one place that truncates an
-infinite series of positive terms with a proven tail bound.  Both run in
+`phyperq_series`, its one caller, the one loop over pFq terms
+(`phyperq_partial` sums its coefficients).  `certified_sum` is the one
+place that truncates an infinite series of positive terms with a proven
+tail bound; `stirling.dobinski_sums` is its caller.  Both loops run in
 unreduced integers (see their docstrings).
 """
 
@@ -273,7 +274,7 @@ def pfq_ratio(upper: Sequence, lower: Sequence, x):
     ratio_den(k), with every parameter denominator cleared:
     u + k = (u.num + k*u.den) / u.den.  ratio_den(k) is 0 exactly when a
     lower parameter l = -k is a pole.  This is the only place the ratio
-    is written; `phyperq_series` and `certified_sum` run on it.
+    is written; `phyperq_series` runs on it.
     """
     upper = [_canonical(u) for u in upper]
     lower = [_canonical(l) for l in lower]
@@ -353,25 +354,20 @@ class SumCertificate(NamedTuple):
     tail_bound: Fraction
 
 
-def _unit_weight(k: int) -> tuple:
-    return (1,)
-
-
 def certified_sum(
     ratio_num: Callable[[int], int],
     ratio_den: Callable[[int], int],
     ratio_cap: Callable[[int], Fraction],
     cutoff: Fraction,
+    weights: Callable[[int], Sequence[int]],
     max_terms: int = 200000,
-    weights: Callable[[int], Sequence[int]] = _unit_weight,
 ) -> tuple[list[Fraction], SumCertificate]:
     """Sum rows of positive terms t_k = w(k) c_k with a proven tail bound.
 
     The chain c_0 = 1, c_{k+1} = c_k * ratio_num(k) / ratio_den(k) has
     int-valued ratio functions (ratio_num >= 0, ratio_den > 0), and row
-    j's term k is weights(k)[j] * c_k with int weights >= 0.  The default
-    is one row of 1s, whose term ratio is ratio_num/ratio_den.  The last row
-    governs the stop: ratio_cap(k) must bound every ratio t_{j+1}/t_j of
+    j's term k is weights(k)[j] * c_k with int weights >= 0.  The last
+    row governs the stop: ratio_cap(k) must bound every ratio t_{j+1}/t_j of
     that row for j > k and must not increase with k.  After term k the
     sum stops once ratio_cap(k) <= 1/2 and 2 * t_{k+1} <= cutoff *
     max(S_k, 1), S_k being the last row's partial sum.  All later ratios

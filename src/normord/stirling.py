@@ -239,7 +239,7 @@ def dobinski_sums(r: int, M: int, n_max: int, x, cutoff, max_terms: int):
         return Fraction(p, q * (l + 2)) * (1 + Fraction(1, l + 1 + r)) ** (n_max * M)
 
     return certified_sum(lambda l: p, lambda l: q * (l + 1), ratio_cap,
-                         cutoff, max_terms, weights)
+                         cutoff, weights, max_terms)
 
 
 def dobinski_adaptive(r: int, M: int, n: int, x, tol, prec: int = 50):

@@ -6,9 +6,8 @@ drivers here, and the closed-form checks of `normord.closedform`, which
 sides independently and hands them to `normord.report` to compare:
 exact-mode checks go through its one exact scan with no tolerance at
 all, numeric-mode checks through `DeviationTally` and always record the
-working precision and tolerance they used; the conjecture probe is
-informational and records only its precision.  Every compared report
-names its paths in `details.paths`.  Operator powers D(r,M)^0..n come
+working precision and tolerance they used.  Every report names its
+paths in `details.paths`.  Operator powers D(r,M)^0..n come
 from one fold, `closedform._oracle_powers`.  `IDENTITIES` is the one
 table of what `verify` runs: for every id it holds the driver, the
 default grid, the overrides it reads and the default size.
@@ -35,7 +34,7 @@ from .closedform import (
     _laguerre_rows,
     _oracle_powers,
     bessel_parity_check,
-    conjecture_probe,
+    conjecture_check,
     example_normal_forms,
     hyp_closed_form_check,
     hyp_generating_function_check,
@@ -90,7 +89,6 @@ __all__ = [
     "verify_egf",
     "verify_eigenfunction",
     "verify_graph_enumeration",
-    "conjecture_probe",
     "run_identity",
     "run_suite",
     "suite_passed",
@@ -448,8 +446,8 @@ class Check(NamedTuple):
 
     The grid is the product of `axes`, each (name, default values), where
     an override of that name pins its axis to the one value given; while
-    no override named in `switch` is given, `points` (value tuples over
-    the axes) stand in for the product.  The driver is called once per
+    neither r nor M is given, `points` (value tuples over the axes) stand
+    in for the product.  The driver is called once per
     point with the point's values, the size and the numeric settings
     (`numeric`, names from OVERRIDES) as keywords.  `size` is (override,
     default): an n is passed as n_max, a lambda_order as itself.  An
@@ -462,7 +460,6 @@ class Check(NamedTuple):
     size: tuple | None = None
     numeric: tuple = ()
     points: tuple | None = None
-    switch: tuple = ("r", "M")
     parts: tuple = ()
     in_suite: bool = True
 
@@ -509,10 +506,8 @@ IDENTITIES = {
         hyp_generating_function_check, (("r", (1, 2)), ("M", (1, 2))),
         ("lambda_order", 6), _NUMERIC, points=((1, 1), (1, 2), (2, 2))),
     "graphs": Check(verify_graph_enumeration, (("r", (1, 2)), ("M", (1, 2))), ("n", 4)),
-    # the probes hold until r, M or n is given
-    "conjecture": Check(conjecture_probe, (_R4, ("M", (1,)), ("n", (1,))),
-                        numeric=("precision",), switch=("r", "M", "n"),
-                        points=((1, 1, 3), (2, 1, 2), (2, 2, 2), (3, 1, 1), (4, 1, 1))),
+    "conjecture": Check(conjecture_check, (("r", (4, 5, 6)), ("M", (1, 2))),
+                        ("n", 3), points=((4, 1), (4, 2), (5, 1), (5, 2), (6, 1))),
     "laguerre-ogf": _example("laguerre-ogf", 6),
     "kummer-b3": _example("kummer-b3", 6),
     "kummer-b3half": _example("kummer-b3half", 6, numeric=_NUMERIC),
@@ -578,7 +573,7 @@ def run_identity(
         name, default = check.size
         kwargs["n_max" if name == "n" else name] = given.get(name, default)
     grid = check.points
-    if grid is None or given.keys() & set(check.switch):
+    if grid is None or given.keys() & {"r", "M"}:
         grid = product(*((given[name],) if name in given else values
                          for name, values in check.axes))
     names = [name for name, _ in check.axes]
@@ -603,7 +598,7 @@ def run_suite(
 
 
 def suite_passed(reports) -> bool:
-    return all(rep.status != "fail" for rep in reports)
+    return all(rep.ok for rep in reports)
 
 
 def reports_to_json(reports) -> str:

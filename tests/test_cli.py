@@ -276,7 +276,7 @@ def test_verify_all(capsys):
     assert code == 0
     reports = json.loads(out)
     assert len(reports) > 50
-    assert all(r["status"] in ("pass", "informational") for r in reports)
+    assert all(r["status"] == "pass" for r in reports)
 
 
 def test_verify_help_lists_every_id(capsys):
@@ -299,23 +299,45 @@ def test_verify_rejects_bfile(capsys):
 
 
 def test_probe_reports_record_only_what_they_used(capsys):
-    code, out, _ = run(capsys, "verify", "conjecture", "--r", "2",
+    # the conjecture check is exact: it records no precision or tolerance
+    code, out, _ = run(capsys, "verify", "conjecture", "--r", "5",
                        "--precision", "60", "--tolerance", "1e-20")
     assert code == 0
     reports = json.loads(out)
-    assert reports
+    assert len(reports) == 2
     for rep in reports:
-        assert rep["mode"] == "informational"
-        assert rep["precision"] == 60
+        assert rep["mode"] == "exact"
+        assert "precision" not in rep
         assert "tolerance" not in rep
 
 
 def test_probe_grid_follows_m_and_n_without_r(capsys):
     code, out, _ = run(capsys, "verify", "conjecture", "--M", "2", "--n", "5")
     assert code == 0
-    got = [(rep["parameters"]["r"], rep["parameters"]["M"], rep["parameters"]["n"])
-           for rep in json.loads(out)]
-    assert got == [(1, 2, 5), (2, 2, 5), (3, 2, 5), (4, 2, 5)]
+    got = [(rep["parameters"]["r"], rep["parameters"]["M"],
+            rep["parameters"]["n_max"]) for rep in json.loads(out)]
+    assert got == [(4, 2, 5), (5, 2, 5), (6, 2, 5)]
+
+
+@pytest.mark.parametrize("flag,value", [("--r", "0"), ("--M", "-1")])
+def test_verify_conjecture_rejects_r_below_1_and_negative_m(capsys, flag, value):
+    code, out, err = run(capsys, "verify", "conjecture", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_verify_conjecture_runs_at_any_r(capsys):
+    code, out, _ = run(capsys, "verify", "conjecture", "--r", "7", "--M", "3",
+                       "--n", "6")
+    assert code == 0
+    (rep,) = json.loads(out)
+    assert (rep["identity"], rep["mode"], rep["status"]) == (
+        "conjecture", "exact", "pass")
+    assert rep["parameters"] == {"r": 7, "M": 3, "n_max": 6}
+    code, out, _ = run(capsys, "verify", "conjecture", "--r", "4", "--M", "0")
+    assert code == 0
+    assert json.loads(out)[0]["parameters"] == {"r": 4, "M": 0, "n_max": 3}
 
 
 @pytest.mark.parametrize("argv,param", [

@@ -1,156 +1,29 @@
-"""Hypergeometric closed forms, worked expansions, and probe plumbing."""
+"""Hypergeometric closed forms and worked expansions."""
 
 from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from normord import closedform
 from normord.closedform import (
     CLOSED_FORM_KINDS,
     EXAMPLE_IDS,
     bessel_parity_check,
-    conjecture_probe,
+    conjecture_check,
     example_normal_forms,
     hyp_closed_form_check,
     hyp_generating_function_check,
-    hyp_sum_adaptive,
 )
-from normord.series import SeriesQ, certified_sum, pfq_ratio, phyperq_series
+from normord.series import SeriesQ, phyperq_series
 from normord.stirling import gen_bell_poly
 from normord.suite import run_identity
 from normord.weyl import NormalForm
 
 
-def test_hyp_sum_adaptive_exponential():
-    # upper = lower cancels to e^x
-    val = hyp_sum_adaptive([Fraction(2)], [Fraction(2)], Fraction(1), prec=40)
-    e_partial = sum(Fraction(1, _fact(k)) for k in range(60))
-    assert abs(val - e_partial) < Fraction(1, 10**40)
-
-
-def _fact(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
-def test_hyp_sum_adaptive_guards():
-    with pytest.raises(ValueError):
-        hyp_sum_adaptive([1, 2], [1], Fraction(1))  # p > q
-    with pytest.raises(ValueError):
-        hyp_sum_adaptive([-1], [1], Fraction(1))  # nonpositive parameter
-    with pytest.raises(ValueError):
-        hyp_sum_adaptive([1], [1], Fraction(-1))  # negative argument
-
-
-def test_hyp_sum_adaptive_budget_exhaustion_is_loud():
-    with pytest.raises(RuntimeError):
-        hyp_sum_adaptive([1], [1], Fraction(50), max_terms=10)
-
-
-def _fraction_loop_hyp_sum(upper, lower, x, prec, max_terms=200000):
-    """The Fraction loop hyp_sum_adaptive ran before `certified_sum`."""
-    upper = [Fraction(u) for u in upper]
-    lower = [Fraction(l) for l in lower]
-    x = Fraction(x)
-    if x == 0:
-        return Fraction(1)
-    cutoff = Fraction(1, 10 ** (prec + 10))
-    total = Fraction(0)
-    term = Fraction(1)
-    k = 0
-    while True:
-        total += term
-        num = Fraction(1)
-        for u in upper:
-            num *= u + k
-        den = Fraction(k + 1)
-        for l in lower:
-            den *= l + k
-        nxt = term * num / den * x
-        ratio_cap = x / (k + 2)
-        for u, l in zip(upper, lower):
-            ratio_cap *= max(Fraction(1), (u + k + 1) / (l + k + 1))
-        for l in lower[len(upper):]:
-            ratio_cap /= l + k + 1
-        if ratio_cap <= Fraction(1, 2) and 2 * nxt <= cutoff * total:
-            return total
-        term = nxt
-        k += 1
-        assert k <= max_terms
-
-
-def _plain_partial_sum(upper, lower, x, terms):
-    total = Fraction(0)
-    term = Fraction(1)
-    for k in range(terms):
-        total += term
-        for u in upper:
-            term *= u + k
-        for l in lower:
-            term /= l + k
-        term *= x / (k + 1)
-    return total
-
-
 def _mpf(q):
     return mpmath.mpf(q.numerator) / q.denominator
-
-
-params = st.fractions(min_value=Fraction(1, 8), max_value=4, max_denominator=8)
-
-
-@st.composite
-def pfq_cases(draw):
-    q = draw(st.integers(min_value=0, max_value=3))
-    p = draw(st.integers(min_value=0, max_value=q))
-    upper = draw(st.lists(params, min_size=p, max_size=p))
-    lower = draw(st.lists(params, min_size=q, max_size=q))
-    x = draw(st.fractions(min_value=0, max_value=4, max_denominator=10))
-    return upper, lower, x
-
-
-@settings(max_examples=60, deadline=None)
-@given(pfq_cases())
-def test_certified_hyp_sum_matches_plain_sum_and_mpmath(case):
-    upper, lower, x = case
-    prec = 20
-    value = hyp_sum_adaptive(upper, lower, x, prec)
-    (total,), cert = certified_sum(*pfq_ratio(upper, lower, x),
-                                   closedform._pfq_cap(upper, lower, x),
-                                   Fraction(1, 10 ** (prec + 10)))
-    assert value == total
-    assert value == _plain_partial_sum(upper, lower, x, cert.terms)
-    assert value == _fraction_loop_hyp_sum(upper, lower, x, prec)
-    assert cert.ratio_cap <= Fraction(1, 2)
-    assert cert.tail_bound <= Fraction(1, 10 ** (prec + 10)) * value
-    # the full sum lies in [value, value + tail_bound]
-    with mpmath.workdps(prec + 20):
-        full = mpmath.hyper([_mpf(u) for u in upper], [_mpf(l) for l in lower],
-                            _mpf(x))
-        slack = full * mpmath.mpf(10) ** -(prec + 15)
-        assert _mpf(value) - slack <= full <= _mpf(value + cert.tail_bound) + slack
-
-
-def test_suite_hyp_sums_equal_the_fraction_loop(monkeypatch):
-    # every pFq the suite's five conjecture probes evaluate
-    calls = []
-
-    def recording(upper, lower, x, prec=closedform.DEFAULT_PRECISION, max_terms=200000):
-        out = hyp_sum_adaptive(upper, lower, x, prec, max_terms)
-        calls.append((upper, lower, x, prec, out))
-        return out
-
-    monkeypatch.setattr(closedform, "hyp_sum_adaptive", recording)
-    assert len(run_identity("conjecture", precision=60)) == 5
-    assert len(calls) > 20
-    for upper, lower, x, prec, out in calls:
-        assert out == _fraction_loop_hyp_sum(upper, lower, x, prec)
 
 
 def test_kummer_taylor():
@@ -205,6 +78,33 @@ def test_paper_gamma_form_is_the_bell_polynomial(r):
                     got = _paper_gamma_form(r, M, n, _mpf(x))
                     want = _mpf(bell.eval(x))
                     assert abs(got - want) <= mpmath.mpf(10) ** -40 * abs(want)
+
+
+def test_conjecture_probe_shape():
+    # the five default reports: exact, at r = 4, 5, 6, past the paper's r <= 3
+    reps = run_identity("conjecture")
+    assert len(reps) == 5
+    for rep in reps:
+        assert (rep.identity, rep.mode, rep.status) == ("conjecture", "exact", "pass")
+        assert rep.parameters.keys() == {"r", "M", "n_max"}
+        assert rep.parameters["r"] >= 4
+        assert rep.details["paths"] == ["e^x Bell polynomial", "pFq closed form"]
+
+
+def test_conjecture_fails_on_a_perturbed_coefficient(monkeypatch):
+    real = closedform.phyperq_series
+
+    def planted(upper, lower, order):
+        coeffs = list(real(upper, lower, order).coeffs)
+        if upper == [Fraction(17, 4)] and len(coeffs) > 1:  # r = 4, n = 3, j = 1
+            coeffs[1] += 1
+        return SeriesQ(order, coeffs)
+
+    monkeypatch.setattr(closedform, "phyperq_series", planted)
+    rep = conjecture_check(4, 1, 3)
+    assert rep.status == "fail"
+    first = rep.details["first_mismatch"]
+    assert (first["n"], first["power"]) == (3, 5)  # x^(j + 4k) at j = k = 1
 
 
 def test_closed_form_kind_and_r_must_agree():
@@ -358,21 +258,6 @@ def test_inexact_alternating_sum_is_a_failing_report(monkeypatch):
 def test_bessel_parity():
     rep = bessel_parity_check(8)
     assert rep.status == "pass"
-
-
-def test_conjecture_probe_shape():
-    rep = conjecture_probe(2, 1, 2, (Fraction(1, 2), 1, 2, 3))
-    assert rep.status == "informational"
-    assert rep.identity == "conjecture-probe"
-    assert len(rep.details["fitted_coefficients"]) == 2
-    assert rep.details["residuals"]
-    # residuals are tiny for the shapes the fit actually takes
-    assert Decimal(rep.details["max_rel_residual"]) < Decimal("1e-40")
-
-
-def test_conjecture_probe_needs_enough_samples():
-    with pytest.raises(ValueError):
-        conjecture_probe(3, 1, 1, (1, 2))
 
 
 def test_all_kinds_listed():

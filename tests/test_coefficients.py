@@ -14,10 +14,8 @@ from hypothesis import strategies as st
 
 from normord import backend
 from normord.closedform import (
-    conjecture_probe,
     example_normal_forms,
     hyp_generating_function_check,
-    hyp_sum_adaptive,
 )
 from normord.graphs import enumerate_graphs, explicit_table
 from normord.laguerre import (
@@ -178,8 +176,6 @@ NUMERIC_ENTRIES = {
     "dobinski_adaptive": lambda v: dobinski_adaptive(1, 1, 2, v, TOL),
     "dobinski_adaptive tol": lambda v: dobinski_adaptive(1, 1, 2, 1, v),
     "hyp-generating-function": lambda v: hyp_generating_function_check(1, 1, v, 3),
-    "hyp_sum_adaptive": lambda v: hyp_sum_adaptive([1], [2], v),
-    "conjecture_probe": lambda v: conjecture_probe(1, 1, 2, (Fraction(1, 2), v)),
     "exp-exponential": lambda v: verify_exp_on_exponential(v, 6, 4),
     "exp-kummer": lambda v: verify_exp_on_kummer(v, 6, 4),
     "exp_of": lambda v: HighPrecReal.exp_of(v),
@@ -196,7 +192,6 @@ TOLERANCE_ENTRIES = {
     "kummer-b3half": (lambda tol: example_normal_forms("kummer-b3half", 2,
                                                        tolerance=tol), 1e-30),
     "agrees_with": (lambda tol: HighPrecReal(1, 40).agrees_with(1, tol), 1e-30),
-    "is_zero_within": (lambda tol: HighPrecReal(0, 40).is_zero_within(tol), 1e-30),
 }
 
 

@@ -227,7 +227,7 @@ def test_certified_sum_budget_is_loud():
     # the cap never reaches 1/2
     with pytest.raises(RuntimeError):
         certified_sum(lambda k: 1, lambda k: 1, lambda k: Fraction(1),
-                      Fraction(1, 10), max_terms=50)
+                      Fraction(1, 10), weights=lambda k: (1,), max_terms=50)
     with pytest.raises(RuntimeError):
         certified_sum(lambda k: 50, lambda k: k + 1, lambda k: Fraction(50, k + 2),
-                      Fraction(1, 10**30), max_terms=10)
+                      Fraction(1, 10**30), weights=lambda k: (1,), max_terms=10)

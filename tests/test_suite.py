@@ -12,7 +12,6 @@ from normord.closedform import EXAMPLE_IDS
 from normord.suite import (
     SUITE_IDS,
     IdentityReport,
-    conjecture_probe,
     reports_to_json,
     run_identity,
     run_suite,
@@ -96,11 +95,8 @@ def test_stirling_expansion_compares_three_paths(monkeypatch):
 
 def test_every_compared_report_names_its_paths():
     for rep in run_suite():
-        if rep.mode == "informational":
-            assert "paths" not in rep.details
-        else:
-            paths = rep.details["paths"]
-            assert len(paths) >= 2 and len(set(paths)) == len(paths), rep.identity
+        paths = rep.details["paths"]
+        assert len(paths) >= 2 and len(set(paths)) == len(paths), rep.identity
 
 
 def test_exact_mode_never_carries_tolerance():
@@ -127,9 +123,8 @@ def test_report_contract_enforced():
 
 def test_suite_passed_logic():
     ok = IdentityReport("x", {}, "exact", "pass", {}, 0.0)
-    info = IdentityReport("y", {}, "informational", "informational", {}, 0.0)
     bad = IdentityReport("z", {}, "exact", "fail", {}, 0.0)
-    assert suite_passed([ok, info])
+    assert suite_passed([ok, ok])
     assert not suite_passed([ok, bad])
 
 
@@ -258,11 +253,3 @@ def test_exp_on_monomial_grid():
     rep = verify_exp_on_monomial(6)
     assert rep.status == "pass"
     assert rep.parameters == {"n_max": 6}
-
-
-def test_probe_is_informational_only():
-    rep = conjecture_probe(1, 1, 2)
-    assert rep.status == "informational"
-    assert rep.ok
-    assert (rep.mode, rep.precision, rep.tolerance) == ("informational", 50, None)
-    assert conjecture_probe is normord.conjecture_probe
