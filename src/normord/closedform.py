@@ -38,6 +38,7 @@ import time
 from decimal import ROUND_CEILING, Context, Decimal, localcontext
 from fractions import Fraction
 from functools import partial
+from math import lcm, prod
 
 from .hyperreal import HighPrecReal
 from .laguerre import DotSeries
@@ -50,7 +51,6 @@ from .series import (
     laguerre_poly,
     phyperq_partial,
     phyperq_series,
-    pochhammer,
     series_exp,
 )
 from .stirling import (
@@ -144,21 +144,28 @@ def _check_bell_hyp(r: int, M: int, n_max: int, t0: float,
     # pFq([a+n] x M; [a] x M + [(j+1+i)/r, i < r, save the one equal to 1];
     # x^r/r^r), a = j/r + 1, so the comparison stays rational.  At r = 1
     # this is n!^M mFm([n+1] x M; [1] x M; x).
+    # r^(Mn) ((a)_n)^M = (prod_{1<=i<=n} (ri + j))^M is an int, so the
+    # closed side is built over one denominator: the lcm of the j!-scaled
+    # pFq denominators times r^(rk) for the largest k.
     lhs, rhs = [], []
     for n, row in enumerate(stirling_rows(r, M, n_max)):
         order = M * n + 6
         scaled = series_exp(SeriesQ.x(order)) * SeriesQ(order, row)
-        closed = [0] * order
+        parts = []
         for j in range(r):
             a = 1 + Fraction(j, r)
             lower = [a] * M + [Fraction(i, r) for i in range(j + 1, j + r + 1)
                                if i != r]
             series = phyperq_series([a + n] * M, lower, (order - j + r - 1) // r)
-            scale = Fraction(r ** (M * n) * pochhammer(a, n) ** M, factorial(j))
-            for k, c in enumerate(series.coeffs):
-                closed[j + r * k] = scale * c / r ** (r * k)
+            parts.append((prod(r * i + j for i in range(1, n + 1)) ** M,
+                          factorial(j) * series.den, series.nums))
+        den = lcm(*(d for _, d, _ in parts)) * r ** (r * (len(parts[0][2]) - 1))
+        closed = [0] * order
+        for j, (lead, d, nums) in enumerate(parts):
+            for k, c in enumerate(nums):
+                closed[j + r * k] = lead * c * (den // d // r ** (r * k))
         lhs.append(dict(enumerate(scaled.coeffs)))
-        rhs.append(dict(enumerate(SeriesQ(order, closed).coeffs)))
+        rhs.append(dict(enumerate(SeriesQ._from_ints(order, closed, den).coeffs)))
     _, first = _rows_mismatch(lhs, rhs, "n", ("power",))
     return _finish(identity or f"bell-hyp-r{r}", {"r": r, "M": M, "n_max": n_max},
                    "exact", t0, first, {"first_mismatch": first,

@@ -17,10 +17,14 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 
 from .series import (
     SeriesQ,
     _canonical,
+    _ratio,
+    _reduce,
+    _to_one_den,
     factorial,
     falling_factorial,
     phyperq_series,
@@ -54,13 +58,10 @@ class DxOperator(namedtuple("DxOperator", "r M")):
 def apply_Dx(op: DxOperator, s: SeriesQ) -> SeriesQ:
     """One application; the truncation order drops by r."""
     r, M = op.r, op.M
-    n_out = max(s.order - r, 0)
-    out = [0] * n_out
-    for p in range(r, s.order):
-        c = s.coeffs[p]
-        if c:
-            out[p - r] = c * (falling_factorial(p, r) * p**M)
-    return SeriesQ(n_out, out)
+    return SeriesQ._from_ints(
+        max(s.order - r, 0),
+        [a * falling_factorial(p, r) * p**M for p, a in enumerate(s.nums[r:], r)],
+        s.den)
 
 
 def exp_lambda_Dx_columns(op: DxOperator, s: SeriesQ, m_max: int) -> list:
@@ -86,40 +87,53 @@ def eigenfunction_series(r: int, M: int, order: int) -> SeriesQ:
     lower = [Fraction(j, r) for j in range(1, r)] + [1] * M
     m_max = (order + r - 1) // r
     f = phyperq_series([], lower, m_max)
-    out = [0] * order
-    scale = 1
+    # x^(r m) carries f_m / denom^m, over the last denominator f.den denom^(m_max-1)
     denom = r ** (r + M)
-    for m in range(m_max):
-        if r * m >= order:
-            break
-        out[r * m] = f.coeffs[m] * scale
-        scale = Fraction(scale, denom)
-    return SeriesQ(order, out)
+    out = [0] * order
+    for m, a in enumerate(f.nums):
+        out[r * m] = a * denom ** (m_max - 1 - m)
+    return SeriesQ._from_ints(order, out, f.den * denom ** (m_max - 1))
 
 
 class DotSeries:
     """lambda-series with double-dot word coefficients.
 
-    terms: {(n, dag, ann): coefficient} standing for lambda^n :ad^dag a^ann:,
-    each coefficient canonical (`series._canonical`) as in NormalForm.
-    Inside double dots the two symbols commute, so products just add
-    exponents; `order` is exclusive in lambda.
+    Stored as `nums`, {(n, dag, ann): nonzero int} standing for
+    lambda^n :ad^dag a^ann:, over one reduced int denominator `den`, the
+    layout of `series.SeriesQ`; `terms` reads the coefficients out once,
+    canonical (`series._canonical`) as in NormalForm.  Inside double dots
+    the two symbols commute, so products just add exponents; `order` is
+    exclusive in lambda.
     """
 
-    __slots__ = ("order", "terms")
+    __slots__ = ("order", "nums", "den", "_terms")
 
     def __init__(self, order: int, terms=None):
         if order < 0:
             raise ValueError("order must be >= 0")
+        kept = {key: c for key, c in (terms or {}).items() if key[0] < order}
+        nums, den = _to_one_den(kept.values())
+        self._set(order, dict(zip(kept, nums)), den)
+
+    @classmethod
+    def _from_ints(cls, order: int, nums: dict, den: int) -> "DotSeries":
+        """nums / den, reduced, zero entries dropped; every key below order."""
+        out = object.__new__(cls)
+        out._set(order, nums, den)
+        return out
+
+    def _set(self, order: int, nums: dict, den: int) -> None:
+        nums = {key: a for key, a in nums.items() if a}
+        vals, self.den = _reduce(list(nums.values()), den)
         self.order = order
-        clean: dict = {}
-        if terms:
-            for (n, k, l), c in terms.items():
-                if n < order:
-                    c = _canonical(c)
-                    if c:
-                        clean[(n, k, l)] = c
-        self.terms = clean
+        self.nums = dict(zip(nums, vals))
+        self._terms = None
+
+    @property
+    def terms(self) -> dict:
+        if self._terms is None:
+            self._terms = {key: _ratio(a, self.den) for key, a in self.nums.items()}
+        return self._terms
 
     @classmethod
     def one(cls, order: int) -> "DotSeries":
@@ -133,42 +147,45 @@ class DotSeries:
     def binpow(cls, order: int, coeff, a_power: int, alpha) -> "DotSeries":
         """(1 + coeff * lambda * a^a_power)^alpha, expanded binomially."""
         s = series_binpow(coeff, alpha, order)
-        return cls(order, {(k, 0, a_power * k): s.coeffs[k] for k in range(order)})
+        return cls._from_ints(
+            order, {(k, 0, a_power * k): a for k, a in enumerate(s.nums)}, s.den)
 
     def __add__(self, other: "DotSeries") -> "DotSeries":
         n = min(self.order, other.order)
-        out = {k: v for k, v in self.terms.items() if k[0] < n}
-        for k, v in other.terms.items():
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, den // other.den
+        out = {k: a * f for k, a in self.nums.items() if k[0] < n}
+        for k, a in other.nums.items():
             if k[0] < n:
-                out[k] = out.get(k, 0) + v
-        return DotSeries(n, out)
+                out[k] = out.get(k, 0) + a * g
+        return DotSeries._from_ints(n, out, den)
 
     def __sub__(self, other: "DotSeries") -> "DotSeries":
         return self + other.scale(-1)
 
     def scale(self, c) -> "DotSeries":
         c = _canonical(c)
-        return DotSeries(self.order, {k: c * v for k, v in self.terms.items()})
+        return DotSeries._from_ints(
+            self.order, {k: a * c.numerator for k, a in self.nums.items()},
+            self.den * c.denominator)
 
     def __mul__(self, other: "DotSeries") -> "DotSeries":
         n = min(self.order, other.order)
+        by_power = [[] for _ in range(n)]
+        for (n2, k2, l2), b in other.nums.items():
+            if n2 < n:
+                by_power[n2].append((k2, l2, b))
         out: dict = {}
-        for (n1, k1, l1), c1 in self.terms.items():
-            if n1 >= n:
-                continue
-            for (n2, k2, l2), c2 in other.terms.items():
-                if n1 + n2 >= n:
-                    continue
-                key = (n1 + n2, k1 + k2, l1 + l2)
-                v = out.get(key, 0) + c1 * c2
-                if v:
-                    out[key] = v
-                elif key in out:
-                    del out[key]
-        return DotSeries(n, out)
+        get = out.get
+        for (n1, k1, l1), a in self.nums.items():
+            for m in range(n1, n):
+                for k2, l2, b in by_power[m - n1]:
+                    key = (m, k1 + k2, l1 + l2)
+                    out[key] = get(key, 0) + a * b
+        return DotSeries._from_ints(n, out, self.den * other.den)
 
     def min_lambda_order(self) -> int:
-        return min((k[0] for k in self.terms), default=self.order)
+        return min((k[0] for k in self.nums), default=self.order)
 
     def exp(self) -> "DotSeries":
         """Power-sum exponential; needs every term to carry lambda^1 or higher."""

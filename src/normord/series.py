@@ -2,27 +2,37 @@
 
 Everything here is dense and immutable: degrees and truncation orders stay
 small (a few hundred at most), so dense storage wins on simplicity and is
-fast enough.  Coefficients are canonical (`_canonical`): an int when
+fast enough.  Coefficients read out canonical (`_canonical`): an int when
 integral, a `fractions.Fraction` with denominator > 1 only when not, and
 never a float.  This is the one coefficient rule of the package: the
-normal forms in `normord.weyl`, the graph tables in `normord.graphs` and
-the double-dot series in `normord.laguerre` all store what it returns.
+normal forms in `normord.weyl` and the graph tables in `normord.graphs`
+store what it returns, and the series here and the double-dot series in
+`normord.laguerre` read out by it.
 A true rational division is written `Fraction(a, b)`, since two ints
 would give a float.
 
+`SeriesQ` and `laguerre.DotSeries` store int numerators over one reduced
+int denominator (FLINT's fmpq_poly layout), so their arithmetic is int
+arithmetic plus one gcd pass per result.  `_to_one_den` and `_reduce`
+are the two helpers that keep that layout, and `_ratio` reads a
+coefficient out; `coeffs` and `terms` are built from it once, on first
+read.  `PolyQ` keeps canonical coefficients directly.
+
 `pfq_ratio` is the one place the pFq term ratio is written, and
-`phyperq_series`, its one caller, the one loop over pFq terms
-(`phyperq_partial` sums its coefficients).  `certified_sum` is the one
-place that truncates an infinite series of positive terms with a proven
-tail bound; `stirling.dobinski_sums` is its caller.  Both loops run in
-unreduced integers (see their docstrings).
+`_ratio_chain`, behind `phyperq_series` and `series_binpow` (a 1F0),
+the one loop over pFq terms (`phyperq_partial` sums its coefficients).
+`certified_sum` is the one place that truncates an infinite series of
+positive terms with a proven tail bound; `stirling.dobinski_sums` is its
+caller.  Both loops run in unreduced integers (see their docstrings).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial as _factorial
+from itertools import islice
+from math import comb, factorial as _factorial, gcd, lcm, prod
+from operator import add
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -74,6 +84,32 @@ def _canonical(c):
     if isinstance(c, int):  # bool and other int subclasses
         return int(c)
     raise TypeError(f"coefficient must be rational, got {type(c).__name__}")
+
+
+def _to_one_den(values: Iterable) -> tuple[list, int]:
+    """Rationals as (int numerators, one int denominator), reduced.
+
+    Each value goes through `_canonical`; the denominator is the lcm of
+    theirs, so no common factor is left to divide out.
+    """
+    values = [_canonical(c) for c in values]
+    den = lcm(*(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
+def _reduce(nums: Sequence[int], den: int) -> tuple[Sequence[int], int]:
+    """nums/den with gcd(den, *nums) divided out, den made > 0; all zero gives den 1."""
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return nums, den
+    return [a // g for a in nums], den // g
+
+
+def _ratio(a: int, den: int):
+    """a/den read out by the `_canonical` rule."""
+    return a if den == 1 else _canonical(Fraction(a, den))
 
 
 def pochhammer(a, k: int):
@@ -159,20 +195,41 @@ class PolyQ:
 class SeriesQ:
     """Truncated power series: order N (exclusive) and coefficients c_0..c_{N-1}.
 
+    Stored as int numerators `nums` over one reduced int denominator `den`
+    (den > 0, gcd(den, *nums) = 1), the layout of FLINT's fmpq_poly: a
+    product is one int convolution and one gcd pass, a sum one lcm and an
+    int add.  `coeffs` reads the canonical coefficients out, once.
     Binary operations clamp to the minimum order of the operands; a
     coefficient beyond the order of a series does not exist and is never
     reported as zero.
     """
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "nums", "den", "_coeffs")
 
-    def __init__(self, order: int, coeffs: Sequence = ()):
+    def __init__(self, order: int, coeffs: Iterable = ()):
         if order < 0:
             raise ValueError("order must be >= 0")
-        cs = [_canonical(c) for c in coeffs[:order]]
-        cs.extend([0] * (order - len(cs)))
+        nums, self.den = _to_one_den(islice(coeffs, order))
+        nums.extend([0] * (order - len(nums)))
         self.order = order
-        self.coeffs: tuple = tuple(cs)
+        self.nums: tuple = tuple(nums)
+        self._coeffs = None
+
+    @classmethod
+    def _from_ints(cls, order: int, nums: Sequence[int], den: int) -> "SeriesQ":
+        """nums[:order] / den, reduced; len(nums) >= order and den != 0."""
+        out = object.__new__(cls)
+        out.order = order
+        nums, out.den = _reduce(nums[:order], den)
+        out.nums = tuple(nums)
+        out._coeffs = None
+        return out
+
+    @property
+    def coeffs(self) -> tuple:
+        if self._coeffs is None:
+            self._coeffs = tuple(_ratio(a, self.den) for a in self.nums)
+        return self._coeffs
 
     @classmethod
     def one(cls, order: int) -> "SeriesQ":
@@ -191,34 +248,39 @@ class SeriesQ:
         return (
             isinstance(other, SeriesQ)
             and self.order == other.order
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self) -> int:
         return hash((self.order, self.coeffs))
 
-    def __add__(self, other: "SeriesQ") -> "SeriesQ":
+    def _add(self, other: "SeriesQ", sign: int) -> "SeriesQ":
         n = min(self.order, other.order)
-        return SeriesQ(n, [self.coeffs[i] + other.coeffs[i] for i in range(n)])
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, sign * (den // other.den)
+        return SeriesQ._from_ints(
+            n, [a * f + b * g for a, b in zip(self.nums[:n], other.nums)], den)
+
+    def __add__(self, other: "SeriesQ") -> "SeriesQ":
+        return self._add(other, 1)
 
     def __sub__(self, other: "SeriesQ") -> "SeriesQ":
-        n = min(self.order, other.order)
-        return SeriesQ(n, [self.coeffs[i] - other.coeffs[i] for i in range(n)])
+        return self._add(other, -1)
 
     def __mul__(self, other: "SeriesQ") -> "SeriesQ":
         n = min(self.order, other.order)
         out = [0] * n
-        for i, a in enumerate(self.coeffs[:n]):
+        b = other.nums
+        for i, a in enumerate(self.nums[:n]):
             if a:
-                for j in range(n - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-        return SeriesQ(n, out)
+                out[i:] = map(add, out[i:], map(a.__mul__, b[:n - i]))
+        return SeriesQ._from_ints(n, out, self.den * other.den)
 
     def scale(self, c) -> "SeriesQ":
         c = _canonical(c)
-        return SeriesQ(self.order, [a * c for a in self.coeffs])
+        return SeriesQ._from_ints(self.order, [a * c.numerator for a in self.nums],
+                                  self.den * c.denominator)
 
     def __repr__(self) -> str:
         return f"SeriesQ(order={self.order}, coeffs={list(self.coeffs)!r})"
@@ -234,37 +296,41 @@ def laguerre_poly(n: int) -> PolyQ:
 
 
 def series_exp(s: SeriesQ) -> SeriesQ:
-    """exp of a series with zero constant term, via f' = s'·f."""
-    if s.order > 0 and s.coeffs[0] != 0:
+    """exp of a series with zero constant term, via f' = s'·f, in ints.
+
+    With s = a/d, f_m = N_m / (d^m m!) where N_0 = 1 and
+    N_m = sum_j j a_j d^(j-1) N_(m-j) (m-1)!/(m-j)!, an int.
+    """
+    if s.order > 0 and s.nums[0] != 0:
         raise ValueError("series_exp needs a zero constant term")
-    n = s.order
-    out = [0] * n
+    n, d = s.order, s.den
     if n == 0:
         return SeriesQ(0)
-    out[0] = 1
+    weights = [0] + [j * s.nums[j] * d ** (j - 1) for j in range(1, n)]
+    out = [1]
     for m in range(1, n):
-        acc = 0
+        acc, fall = 0, 1  # fall = (m-1)!/(m-j)!
         for j in range(1, m + 1):
-            if s.coeffs[j]:
-                acc += j * s.coeffs[j] * out[m - j]
-        out[m] = Fraction(acc, m)
-    return SeriesQ(n, out)
+            if weights[j]:
+                acc += weights[j] * out[m - j] * fall
+            fall *= m - j
+        out.append(acc)
+    den = 1  # ends as the last denominator d^(n-1) (n-1)!
+    for m in reversed(range(n)):
+        out[m] *= den
+        if m:
+            den *= m * d
+    return SeriesQ._from_ints(n, out, den)
 
 
 def series_binpow(c, alpha, order: int) -> SeriesQ:
-    """(1 + c·t)^alpha as a series in t, generalized binomial coefficients."""
+    """(1 + c·t)^alpha as a series in t, generalized binomial coefficients.
+
+    The term ratio c (alpha - k)/(k + 1) is that of 1F0(-alpha;; -c t).
+    """
     if order < 1:
         raise ValueError("order must be >= 1")
-    c = _canonical(c)
-    alpha = _canonical(alpha)
-    out = [0] * order
-    coeff = 1
-    ck = 1
-    for k in range(order):
-        out[k] = coeff * ck
-        coeff = Fraction(coeff * (alpha - k), k + 1)
-        ck *= c
-    return SeriesQ(order, out)
+    return _ratio_chain(*pfq_ratio([-_canonical(alpha)], [], -_canonical(c)), order)
 
 
 def pfq_ratio(upper: Sequence, lower: Sequence, x):
@@ -278,12 +344,11 @@ def pfq_ratio(upper: Sequence, lower: Sequence, x):
     """
     upper = [_canonical(u) for u in upper]
     lower = [_canonical(l) for l in lower]
-    c = _canonical(x)
-    for l in lower:
-        c *= l.denominator
-    for u in upper:
-        c = Fraction(c, u.denominator)
-    c_num, c_den = c.numerator, c.denominator
+    x = _canonical(x)
+    c_num = x.numerator * prod(l.denominator for l in lower)
+    c_den = x.denominator * prod(u.denominator for u in upper)
+    g = gcd(c_num, c_den)
+    c_num, c_den = c_num // g, c_den // g
     ups = [(u.numerator, u.denominator) for u in upper]
     lows = [(l.numerator, l.denominator) for l in lower]
 
@@ -302,31 +367,43 @@ def pfq_ratio(upper: Sequence, lower: Sequence, x):
     return ratio_num, ratio_den
 
 
-def phyperq_series(upper: Sequence, lower: Sequence, order: int) -> SeriesQ:
-    """pFq as a series in its argument: c_k = prod(u)_k / (prod(l)_k k!), k < order.
+def _ratio_chain(ratio_num, ratio_den, order: int) -> SeriesQ:
+    """c_0 = 1, c_(k+1) = c_k ratio_num(k) / ratio_den(k), for k < order.
 
-    The one pFq term loop.  It runs the `pfq_ratio` chain in unreduced
-    ints (one gcd per coefficient) and stops at the first zero
-    coefficient: a nonpositive-integer upper parameter ends the series
-    there, and every later coefficient is 0.  A pole (l + k = 0 for a
-    lower parameter l) reached before that raises ZeroDivisionError.
+    The chain runs in unreduced ints and is scaled to its last
+    denominator, so the series is built with one gcd pass.  It stops at
+    the first zero coefficient (every later one is 0); a ratio_den of 0
+    reached before that raises ZeroDivisionError.
     """
-    ratio_num, ratio_den = pfq_ratio(upper, lower, 1)
-    out = []
-    num = den = 1
-    for k in range(order):
-        out.append(Fraction(num, den))
-        if k + 1 == order:
-            break
+    nums, dens = [1], []
+    for k in range(order - 1):
         b = ratio_den(k)
         if b == 0:
             raise ZeroDivisionError(
                 f"lower parameter {-k} hits a pole at term {k + 1}")
-        num *= ratio_num(k)
-        if num == 0:
+        a = nums[-1] * ratio_num(k)
+        if a == 0:
             break
-        den *= b
-    return SeriesQ(order, out)
+        nums.append(a)
+        dens.append(b)
+    den = 1  # ends as the product of dens: the last denominator
+    for k in reversed(range(len(nums))):
+        nums[k] *= den
+        if k:
+            den *= dens[k - 1]
+    nums.extend([0] * (order - len(nums)))
+    return SeriesQ._from_ints(order, nums, den)
+
+
+def phyperq_series(upper: Sequence, lower: Sequence, order: int) -> SeriesQ:
+    """pFq as a series in its argument: c_k = prod(u)_k / (prod(l)_k k!), k < order.
+
+    The one pFq term loop: the `pfq_ratio` chain in `_ratio_chain`.  A
+    nonpositive-integer upper parameter ends the series (every later
+    coefficient is 0); a pole (l + k = 0 for a lower parameter l) reached
+    before that raises ZeroDivisionError.
+    """
+    return _ratio_chain(*pfq_ratio(upper, lower, 1), order)
 
 
 def phyperq_partial(upper: Sequence, lower: Sequence, x, terms: int):
@@ -337,7 +414,13 @@ def phyperq_partial(upper: Sequence, lower: Sequence, x, terms: int):
     """
     x = _canonical(x)
     series = phyperq_series(upper, lower, terms if x else min(terms, 2))
-    return PolyQ(series.coeffs).eval(x)
+    # Horner in ints with x = p/q: acc / (den q^(K-1)) for K coefficients
+    p, q = x.numerator, x.denominator
+    acc, q_pow = 0, 1
+    for a in reversed(series.nums):
+        acc = acc * p + a * q_pow
+        q_pow *= q
+    return _ratio(acc * q, series.den * q_pow)
 
 
 class SumCertificate(NamedTuple):

@@ -277,8 +277,11 @@ def verify_exp_on_exponential(
     params = {"b": str(b), "x_order": x_order, "lambda_order": lambda_order}
     s = SeriesQ(x_order, [Fraction((-b) ** i, factorial(i)) for i in range(x_order)])
     cols = exp_lambda_Dx_columns(DxOperator(1, 1), s, lambda_order)
+    # (-b)^i/i! (-1)^m C(i+m, m) b^m = (-b)^(i+m) C(i+m, m) / i!
+    bn, bd = b.numerator, b.denominator
     refs = [
-        {i: Fraction((-b) ** i * (-1) ** m * binomial(i + m, m) * b**m, factorial(i))
+        {i: Fraction((-bn) ** (i + m) * binomial(i + m, m),
+                     bd ** (i + m) * factorial(i))
          for i in range(col.order)}
         for m, col in enumerate(cols)
     ]
@@ -297,7 +300,8 @@ def verify_exp_on_kummer(
 ) -> IdentityReport:
     """exp(t D_x) 1F1(b;1;x) = (1-t)^(-b) 1F1(b;1;x/(1-t)) coefficientwise.
 
-    Expanded right side: x^i t^m carries (b)_i/(i!)^2 * (b+i)_m / m!.
+    Expanded right side: x^i t^m carries (b)_i/(i!)^2 * (b+i)_m / m!,
+    read as (b)_(i+m) / ((i!)^2 m!).
     Integer b is checked exactly; fractional b runs in numeric mode per
     the rational-inputs-exact / otherwise-tracked-precision contract: the
     sides stay rational, and each entry where they differ is judged by
@@ -312,9 +316,9 @@ def verify_exp_on_kummer(
     s = phyperq_series([b], [1], x_order)
     cols = exp_lambda_Dx_columns(DxOperator(1, 1), s, lambda_order)
     grid = [dict(enumerate(col.coeffs)) for col in cols]
+    rising = [pochhammer(b, k) for k in range(x_order)]
     refs = [
-        {i: Fraction(pochhammer(b, i) * pochhammer(b + i, m),
-                     factorial(i) ** 2 * factorial(m))
+        {i: Fraction(rising[i + m], factorial(i) ** 2 * factorial(m))
          for i in range(col.order)}
         for m, col in enumerate(cols)
     ]

@@ -28,6 +28,7 @@ from normord.laguerre import (
 from normord.series import (
     PolyQ,
     SeriesQ,
+    factorial,
     laguerre_poly,
     phyperq_series,
     pochhammer,
@@ -139,7 +140,11 @@ def test_series_containers_hold_ints_and_refuse_floats():
     ints = [bell, bell * bell, bell.scale(Fraction(6, 3)), (bell + bell) - bell,
             SeriesQ(6, [Fraction(2), 1, 0]), SeriesQ.one(5) * SeriesQ.x(5),
             series_binpow(-2, -1, 8), phyperq_series([3], [], 8),
-            apply_Dx(DxOperator(1, 1), SeriesQ(6, [1, 2, 3, 4, 5, 6]))]
+            apply_Dx(DxOperator(1, 1), SeriesQ(6, [1, 2, 3, 4, 5, 6])),
+            # int numerators over a denominator that divides out
+            series_exp(SeriesQ.x(6)) * series_exp(SeriesQ(6, [0, -1])),
+            SeriesQ(4, [Fraction(1, 2)] * 4) + SeriesQ(4, [Fraction(3, 2)] * 4),
+            eigenfunction_series(1, 1, 6).scale(factorial(5) ** 2)]
     for x in ints:
         assert all(type(c) is int for c in x.coeffs), x
     assert type(bell.eval(Fraction(2))) is int
@@ -151,8 +156,10 @@ def test_series_containers_hold_ints_and_refuse_floats():
         assert all(canonical(c) or c == 0 for c in x.coeffs), x
         assert type(x.coeffs[0]) is int
     ds = DotSeries(4, {(0, 0, 0): Fraction(3, 3), (1, 1, 2): 2})
+    third = DotSeries.monomial(4, 1, 1, 2, Fraction(1, 3))
     for d in (ds, ds * ds, ds.scale(Fraction(2, 2)), ds + ds, ds - ds.scale(2),
-              DotSeries.binpow(4, -1, 1, -1)):
+              DotSeries.binpow(4, -1, 1, -1), third.exp() * third.scale(-1).exp(),
+              DotSeries.binpow(4, Fraction(1, 2), 1, 2).scale(4)):
         assert all(type(c) is int for c in d.terms.values())
     for nf in exp_D_r1_normal_form(2, 4):
         assert all(type(c) is int for c in nf.terms.values())
