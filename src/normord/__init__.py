@@ -40,9 +40,9 @@ from .weyl import (
     diagonal_reduce,
     laguerre_derivative_nf,
     laguerre_derivative_word,
+    normal_order_power,
     normal_order_rewrite,
     normal_order_rook,
-    row_power,
     word_product_normal_form,
     word_to_normal_form,
 )
@@ -102,9 +102,9 @@ __all__ = [
     "diagonal_reduce",
     "laguerre_derivative_nf",
     "laguerre_derivative_word",
+    "normal_order_power",
     "normal_order_rewrite",
     "normal_order_rook",
-    "row_power",
     "word_product_normal_form",
     "word_to_normal_form",
     "CoeffTable",

@@ -19,25 +19,28 @@ N^(k) (N + c) = N^(k+1) + (k + c) N^(k), so new[k] = old[k-1] +
   triangle is not used here: it is the independent oracle
   `stirling.alternating_sum_rows`, which `verify stirling-expansion`
   checks every built row against.
-- `rook_normal_order_word`: the normal form of one word.  Its
-  coefficients are the rook numbers of the word's Ferrers board, and the
-  Goldman-Joichi-White factorization makes the rook polynomial a product
-  of (N + c) factors, one per creator (Varvak, "Rook numbers and the
-  normal ordering problem", JCTA 112, 2005).
+- `graded_step`: a normal form held as one row per shift s = ann - dag,
+  G(N) a^s for s >= 0 and a†^(-s) G(N) for s < 0, right-multiplied by
+  one letter.  A word's row is built left to right, one step per
+  letter, and its entries are the rook numbers of the word's Ferrers
+  board (Varvak, "Rook numbers and the normal ordering problem", JCTA
+  112, 2005); a sum of words and any power of it are sums of such runs.
 
 `normal_order_word` rewrites a a† = a† a + 1 until the word is ordered.
 It is far slower on long words and is kept as the rewriting oracle the
-rook kernel is tested against; `nf_mul` is the contraction product.
+graded kernel is tested against; `nf_mul` is the contraction product.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from math import comb, factorial
+from operator import add, mul
 
 __all__ = [
     "ff_step",
     "normal_order_word",
-    "rook_normal_order_word",
+    "graded_step",
     "nf_mul",
     "stirling_row_update",
     "graph_step",
@@ -138,28 +141,21 @@ def ff_step(row, c):
     return [c * row[0], *middle, row[-1]]
 
 
-def rook_normal_order_word(word):
-    """Normal-order a product word over {0: annihilator, 1: creator}.
+def graded_step(state, letter):
+    """A graded normal form times one letter (0: a, 1: a†), as a new state.
 
-    With m creators and n annihilators, the coefficient of
-    (a†)^j a^(n-m+j) is the (m-j)-rook number of the word's Ferrers
-    board, whose i-th column (the i-th creator from the left) has height
-    h_i = the number of annihilators to its left.  The rook numbers are
-    the falling-factorial coefficients of prod_i (N + h_i - i + 1), so
-    the row is built left to right by one `ff_step` per creator.
-    Returns {(dag, ann): coefficient} with positive integer coefficients,
-    equal to `normal_order_word(word)`.
+    state is {s: row}, s = ann - dag, each row nonempty: G's coefficients
+    on the falling factorials N^(k) of G(N) a^s (s >= 0) or a†^(-s) G(N).
+    Shifts move by one, so rows never merge.  By a: G(N) a^s moves
+    unchanged; a†^t G(N) becomes a†^(t-1) N G(N-1), the row shifted up.
+    By a†: G(N) a^s becomes G(N) (N + s) a^(s-1), `ff_step(row, s)`, and
+    a†^t G(N) becomes a†^(t+1) G(N+1), entries g_k + (k+1) g_(k+1).
     """
-    row = [1]
-    ann = dag = 0
-    for s in word:
-        if s:
-            dag += 1
-            row = ff_step(row, ann - dag + 1)
-        else:
-            ann += 1
-    shift = ann - dag
-    return {(j, j + shift): c for j, c in enumerate(row) if c}
+    if not letter:
+        return {s + 1: row if s >= 0 else [0, *row] for s, row in state.items()}
+    return {s - 1: ff_step(row, s) if s > 0 else
+            [*map(add, row, map(mul, count(1), row[1:])), row[-1]]
+            for s, row in state.items()}
 
 
 def stirling_row_update(r, M, n, prev):

@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Four subcommands: `order` normal-orders an operator expression (by rook
-numbers; a power by falling-factorial rows when the base has one shift,
-else by the contraction fold), `seq` exports Bell numbers or polynomial
-coefficient rows (`--poly` reads its decimal tokens from the disk
-cache file one row at a time and prints them as they are; the Bell
+Four subcommands: `order` normal-orders an expression or a power of it
+(`weyl.normal_order_power`, the graded-row kernel for every word and
+power; `--expectation` is read and the printed size bounded by
+`parser.check_order` before it runs), `seq` exports Bell numbers or
+polynomial coefficient rows (`--poly` reads its decimal tokens from the
+disk cache file one row at a time and prints them as they are; the Bell
 numbers are the sums of one pass of `stirling.stirling_rows`, with no
 cache), `verify` runs identity checks, `cache` manages the disk cache.
 Global flags may appear before or after the subcommand.  Exit codes:
@@ -26,7 +27,7 @@ from pathlib import Path
 
 from .cache import cache_clear, default_cache_dir, load_triangle
 from .closedform import DEFAULT_PRECISION, DEFAULT_TOLERANCE
-from .parser import LimitError, ParseError, check_letters, check_triangle, parse_expr
+from .parser import LimitError, check_order, check_triangle, parse_expr
 from .serialize import (
     iter_poly_rows_json,
     iter_poly_rows_table,
@@ -46,7 +47,7 @@ from .suite import (
     run_suite,
     suite_passed,
 )
-from .weyl import normal_order_rook, row_power
+from .weyl import normal_order_power
 
 __all__ = ["Config", "main", "build_parser"]
 
@@ -219,27 +220,16 @@ def cmd_order(cfg: Config, ns: argparse.Namespace) -> int:
         print("error: --power must be >= 1", file=sys.stderr)
         return 2
     try:
-        result = normal_order_rook(parse_expr(ns.expr))
-        if ns.power > 1:
-            degree = max((k + l for k, l in result.terms), default=0)
-            check_letters(ns.power * max(degree, 1), "the --power result")
-    except (ParseError, LimitError) as exc:
+        z = None if ns.expectation is None else _parse_expectation(ns.expectation)
+        expr = parse_expr(ns.expr)
+        check_order(expr, ns.power)
+    except (ValueError, ZeroDivisionError) as exc:  # ParseError, LimitError too
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if ns.power > 1:
-        base = result
-        result = row_power(base, ns.power)
-        if result is None:  # terms of more than one shift
-            result = base**ns.power
-    if ns.expectation is not None:
-        try:
-            re_part, im_part = _parse_expectation(ns.expectation)
-        except (ValueError, ZeroDivisionError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(_format_complex(*result.coherent_expectation(re_part, im_part)))
-        return 0
-    if cfg.fmt == "json":
+    result = normal_order_power(expr, ns.power)
+    if z is not None:
+        print(_format_complex(*result.coherent_expectation(*z)))
+    elif cfg.fmt == "json":
         print(normal_form_to_json(result))
     else:
         print(normal_form_table(result))

@@ -15,20 +15,21 @@ input is a ParseError rather than a RecursionError.  No word may grow
 past MAX_LETTERS letters, and no product may pair more than MAX_WORDS
 words: a power or product that would exceed either raises LimitError
 before it is built.  A power multiplies one factor at a time, so its
-word count is checked before each factor.  The coefficient triangle
-that `normord seq` builds is bounded the same way, by `check_triangle`.
+word count is checked before each factor.  `check_order` and
+`check_triangle` bound what `normord order` and `seq` print the same way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lgamma, log
+from math import lgamma, log, log10
 
+from .series import _to_one_den
 from .weyl import ANNIHILATOR, CREATOR, BosonExpr
 
-__all__ = ["MAX_LETTERS", "MAX_NESTING", "MAX_TRIANGLE_BYTES", "MAX_WORDS",
-           "LimitError", "ParseError", "check_letters", "check_triangle",
-           "parse_expr", "tokenize"]
+__all__ = ["MAX_LETTERS", "MAX_NESTING", "MAX_ORDER_BYTES", "MAX_TRIANGLE_BYTES",
+           "MAX_WORDS", "LimitError", "ParseError", "check_letters", "check_order",
+           "check_triangle", "parse_expr", "tokenize"]
 
 MAX_NESTING = 200
 # Ten times and more the sizes the package is built to handle fast
@@ -42,6 +43,10 @@ MAX_WORDS = 100_000
 # its JSON output.  `seq` keeps one row at a time, so the limit bounds
 # output, disk and work, not memory.  It is twice (1,1,400)'s estimate.
 MAX_TRIANGLE_BYTES = 64 * 2**20
+# Estimated bytes of the normal form `order` prints (see check_order).  By
+# this count D(3,3)^1000 is 32.7 MB (it prints 16.1 MB), (a + ad)^400 is
+# 95.4 MB (it prints 12.7 MB) and D(3,3)^3000 would be 329 MB.
+MAX_ORDER_BYTES = 128 * 2**20
 
 
 class ParseError(ValueError):
@@ -84,6 +89,29 @@ def check_triangle(r: int, M: int, n_max: int) -> None:
             f"seq {r} {M} {n_max} would print or write about "
             f"{size / 2**20:.1f} MB of rows, "
             f"past the limit of {MAX_TRIANGLE_BYTES // 2**20} MB")
+
+
+def check_order(expr: BosonExpr, p: int) -> None:
+    """Raise LimitError if expr^p would pass MAX_LETTERS or print past MAX_ORDER_BYTES.
+
+    A word with m a† and n a orders to at most min(m, n) + 1 terms per
+    shift, each at most (n + 1)^m (rook numbers).  The words of the power
+    have at most A = p*max m a†, B = p*max n a and T = p*max(m + n)
+    letters: min(A, B) + 1 terms per shift, (T + 1)(T + 2)/2 in all.
+    A term counts 80 bytes and the digits of (B + 1)^A times the p-th
+    powers of the summed numerators and of their common denominator.
+    """
+    check_letters(p * max(_letters(expr), 1), "the --power result")
+    mn = [(sum(w), len(w) - sum(w)) for w in expr.terms] or [(0, 0)]
+    (A, B), T = (p * max(c) for c in zip(*mn)), p * max(map(sum, mn))
+    shifts = [n - m for m, n in mn]
+    terms = min((p * (max(shifts) - min(shifts)) + 1) * (min(A, B) + 1),
+                (T + 1) * (T + 2) // 2)
+    nums, den = _to_one_den(expr.terms.values())
+    size = terms * (80 + A * log10(B + 1) + p * log10(max(sum(map(abs, nums)), 1) * den))
+    if size > MAX_ORDER_BYTES:
+        raise LimitError(f"the normal form would print about {size / 2**20:.1f} MB, "
+                         f"past the limit of {MAX_ORDER_BYTES // 2**20} MB")
 
 
 def _check_words(lhs: BosonExpr, rhs: BosonExpr) -> None:

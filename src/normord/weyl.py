@@ -19,28 +19,28 @@ print the same with `str`.
 There are three independent routes from a word to its normal form, and
 they are tested against each other:
 
-- `normal_order_rook`: rook numbers of the word's Ferrers board, built
-  by the falling-factorial row step `backend.ff_step`.  The CLI uses it.
+- `normal_order_rook`: the graded-row kernel `backend.graded_step`, one
+  step per letter, whose rows are the rook numbers of the word's board.
 - `normal_order_rewrite` / `word_to_normal_form`: the rewriter
   a a† = a† a + 1, kept as the oracle (the criteria and the weyl tests
   call it), with `normal_order_word_rightmost` as its confluence check.
 - `word_product_normal_form`: a fold of single-letter contraction
   products.
 
-Powers have two routes as well.  `row_power` applies when every term
-has the same shift s = ann - dag: then X = G(N) a^s with N = a†a, and
-X^p = prod_{i<p} G(N + i*s) a^(s*p) (Blasiak, Penson and Solomon, Phys.
-Lett. A 309, 2003) is one falling-factorial row.  `NormalForm.__pow__`
-is the `nf_mul` fold, which works for any operator and is the oracle.
+Powers have two routes as well.  `normal_order_power` folds p
+right-multiplications by the base's words through the same kernel, for
+any base: the state is one falling-factorial row per shift, and on a
+one-shift base such as D(r,M) it is the row product of Blasiak, Penson
+and Solomon (Phys. Lett. A 309, 2003).  `NormalForm.__pow__` is the
+`nf_mul` fold, which never touches the kernel and is the oracle.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+from operator import add
 
 from . import backend
-from .series import PolyQ, _canonical
+from .series import PolyQ, _canonical, _ratio, _to_one_den
 
 ANNIHILATOR = 0
 CREATOR = 1
@@ -52,7 +52,7 @@ __all__ = [
     "NormalForm",
     "normal_order_rewrite",
     "normal_order_rook",
-    "row_power",
+    "normal_order_power",
     "word_to_normal_form",
     "normal_order_word_rightmost",
     "word_product_normal_form",
@@ -213,33 +213,23 @@ class NormalForm:
 
         z is given by rational real and imaginary parts; returns a pair
         (real, imag), each canonical: an int when integral, else a
-        Fraction.
+        Fraction.  With z = (x + yi)/d, the Gaussian powers (x + yi)^j
+        are built once (conj(z)^k takes the k-th's conjugate) and summed in
+        ints over L d^(max dag + ann), L the coefficients' denominator.
         """
-        zr = _canonical(z)
-        zi = _canonical(z_imag)
-        out_r = 0
-        out_i = 0
-        pow_cache: dict = {}
-
-        def cpow(re, im, n):
-            key = (re, im, n)
-            hit = pow_cache.get(key)
-            if hit is not None:
-                return hit
-            r, i = 1, 0
-            for _ in range(n):
-                r, i = r * re - i * im, r * im + i * re
-            pow_cache[key] = (r, i)
-            return r, i
-
-        for (k, l), c in self.terms.items():
-            ar, ai = cpow(zr, -zi, k)
-            br, bi = cpow(zr, zi, l)
-            tr = ar * br - ai * bi
-            ti = ar * bi + ai * br
-            out_r += c * tr
-            out_i += c * ti
-        return _canonical(out_r), _canonical(out_i)
+        (x, y), d = _to_one_den((z, z_imag))
+        nums, den = _to_one_den(self.terms.values())
+        top = max((k + l for k, l in self.terms), default=0)
+        gauss = [(1, 0)]
+        for _ in range(max((max(kl) for kl in self.terms), default=0)):
+            a, b = gauss[-1]
+            gauss.append((a * x - b * y, a * y + b * x))
+        re = im = 0
+        for (k, l), c in zip(self.terms, nums):
+            (a, b), (e, f), c = gauss[k], gauss[l], c * d ** (top - k - l)
+            re += c * (a * e + b * f)
+            im += c * (a * f - b * e)
+        return _ratio(re, den * d**top), _ratio(im, den * d**top)
 
     def expectation_at_one(self):
         """Shorthand for the z=1 coherent expectation (sum of coefficients).
@@ -311,56 +301,56 @@ def normal_order_rewrite(expr: BosonExpr) -> NormalForm:
     return out
 
 
+def _graded(words: dict, p: int) -> NormalForm:
+    """(sum c_w w)^p by p right-multiplications through `backend.graded_step`.
+
+    The rows stay in ints: the coefficients are scaled by their common
+    denominator L, and the result is divided by L^p once.
+    """
+    nums, den = _to_one_den(words.values())
+    state = {0: [1]}
+    for _ in range(p):
+        out: dict = {}
+        for w, c in zip(words, nums):
+            part = state
+            for letter in w:
+                part = backend.graded_step(part, letter)
+            for s, row in part.items():
+                if c != 1:
+                    row = [c * g for g in row]
+                have = out.get(s)
+                if have is not None:
+                    if len(have) < len(row):
+                        have, row = row, have
+                    row = [*map(add, have, row), *have[len(row):]]
+                out[s] = row
+        state = {s: row for s, row in out.items() if any(row)}
+    den **= p
+    return NormalForm({(d + max(-s, 0), d + max(s, 0)): _ratio(g, den)
+                       for s, row in state.items() for d, g in enumerate(row) if g})
+
+
 def normal_order_rook(expr: BosonExpr) -> NormalForm:
-    """Normal-order a free-algebra element term by term via rook numbers."""
-    out: dict = {}
-    for w, c in expr.terms.items():
-        for key, v in backend.rook_normal_order_word(w).items():
-            out[key] = out.get(key, 0) + c * v
-    return NormalForm(out)
+    """Normal-order a free-algebra element, one kernel run per word."""
+    return _graded(expr.terms, 1)
 
 
-def row_power(nf: NormalForm, p: int) -> NormalForm | None:
-    """nf^p as one falling-factorial row, or None if nf mixes shifts.
+def normal_order_power(expr: BosonExpr, p: int) -> NormalForm:
+    """expr^p normal-ordered by the graded-row kernel, for any expr.
 
-    Needs every term ad^d a^(d+s) to have the same shift s >= 0 (s < 0
-    goes through the dagger).  Since ad^d a^(d+s) = N^(d) a^s, the base
-    is G(N) a^s with g_d its coefficient on N^(d), and a^s G(N) =
-    G(N+s) a^s gives nf^p = prod_{i<p} G(N + i*s) a^(s*p).  Each factor
-    is Horner in the falling basis, G(N+t) = g_0 + (N+t)(g_1 +
-    (N+t-1)(g_2 + ...)), one `ff_step` per coefficient.  The arithmetic
-    is in ints: G is scaled by the common denominator L of its
-    coefficients, and the final row is divided by L^p.
+    Each factor right-multiplies by the parsed words, or by the normal
+    form's terms ad^k a^l spelled as words when those have fewer letters
+    in all (a sum such as (a + ad)^5 of 32 words has 12 terms).
     """
     if p < 0:
         raise ValueError("negative operator powers are not defined")
-    shifts = {l - k for k, l in nf.terms}
-    if len(shifts) > 1:
-        return None
-    if p == 0:
-        return NormalForm.one()
-    if not shifts:
-        return NormalForm()
-    s = shifts.pop()
-    if s < 0:
-        return row_power(nf.dagger(), p).dagger()
-    g = [nf.terms.get((d, d + s), 0) for d in range(max(nf.terms)[0] + 1)]
-    den = lcm(*(c.denominator for c in g))
-    g = [int(c * den) for c in g]
-    row = [1]
-    for i in range(p):
-        acc = [g[-1] * x for x in row]
-        for j in range(len(g) - 2, -1, -1):
-            acc = backend.ff_step(acc, i * s - j)
-            if g[j]:
-                for k, x in enumerate(row):
-                    acc[k] += g[j] * x
-        row = acc
-    den **= p
-    return NormalForm(
-        {(k, k + s * p): Fraction(c, den) if den > 1 else c
-         for k, c in enumerate(row) if c}
-    )
+    nf = normal_order_rook(expr)
+    if p == 1:
+        return nf
+    words = {(CREATOR,) * k + (ANNIHILATOR,) * l: c for (k, l), c in nf.terms.items()}
+    if sum(map(len, words)) >= sum(map(len, expr.terms)):
+        words = expr.terms
+    return _graded(words, p)
 
 
 def normal_order_word_rightmost(word) -> NormalForm:

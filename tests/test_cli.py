@@ -95,7 +95,8 @@ def test_order_deep_nesting_exits_2():
                                   ("a† a", "--power", "100000"),
                                   ("2", "--power", "100000"),
                                   ("(a + ad)^40",),
-                                  ("(a + ad)" * 40,)])
+                                  ("(a + ad)" * 40,),
+                                  ("(ad a)^15000",)])
 def test_order_size_limits_exit_2(argv):
     # Subprocesses with a timeout: without the limits these run until killed.
     proc = subprocess.run([sys.executable, "-m", "normord.cli", "order", *argv],
@@ -112,8 +113,32 @@ def test_order_rejects_bad_power_and_bfile(capsys):
     assert run(capsys, "order", "a", "--format", "bfile")[0] == 2
 
 
+def test_order_bad_expectation_exits_2_before_the_kernel(capsys, monkeypatch):
+    # Z is read before any normal ordering: a power that takes the kernel
+    # half a second ends at once
+    def kernel(state, letter):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(backend, "graded_step", kernel)
+    code, out, err = run(capsys, "order", "a^3 (ad a)^3", "--power", "300",
+                         "--expectation", "x")
+    assert (code, out) == (2, "")
+    assert err == "error: Invalid literal for Fraction: 'x'\n"
+
+
+def test_order_output_limit_exits_2_before_building():
+    # D(3,3)^3000 is 27000 letters, inside MAX_LETTERS, but would print
+    # about 329 MB; it was still running after 60 s without the bound
+    proc = subprocess.run(
+        [sys.executable, "-m", "normord.cli", "order", "a^3 (ad a)^3",
+         "--power", "3000"], capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("error: the normal form would print about 329.4 MB, "
+                           "past the limit of 128 MB\n")
+
+
 def test_order_power_routes_agree_with_the_fold(capsys):
-    # a negative shift goes through the dagger; mixed shifts keep the fold
+    # a negative shift, and mixed shifts, through the same kernel
     for text in ("ad (ad a)^2 + 1/2 ad", "a + ad"):
         code, out, _ = run(capsys, "order", text, "--power", "5")
         assert code == 0

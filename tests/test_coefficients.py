@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normord import backend
 from normord.closedform import (
     example_normal_forms,
     hyp_generating_function_check,
@@ -44,10 +43,11 @@ from normord.weyl import (
     BosonExpr,
     NormalForm,
     laguerre_derivative_nf,
+    laguerre_derivative_word,
+    normal_order_power,
     normal_order_rewrite,
     normal_order_rook,
     normal_order_word_rightmost,
-    row_power,
     word_product_normal_form,
     word_to_normal_form,
 )
@@ -79,9 +79,7 @@ def test_every_operation_returns_canonical_coefficients(x, y, c, p):
                normal_form_from_json(normal_form_to_json(f))):
         assert all_canonical(nf)
         assert canonical(nf.expectation_at_one())
-    rows = row_power(f, p)
-    if rows is not None:
-        assert all_canonical(rows)
+    assert all_canonical(normal_order_power(x, p))
     if f:
         assert all(canonical(w) for _, w in enumerate_graphs(f, p).table)
 
@@ -89,7 +87,7 @@ def test_every_operation_returns_canonical_coefficients(x, y, c, p):
 @settings(max_examples=100, deadline=None)
 @given(words)
 def test_integer_words_give_int_coefficients(w):
-    for nf in (NormalForm(backend.rook_normal_order_word(w)),
+    for nf in (normal_order_power(BosonExpr.from_word(w), 2),
                normal_order_rook(BosonExpr.from_word(w)),
                word_to_normal_form(w),
                normal_order_word_rightmost(w),
@@ -100,7 +98,8 @@ def test_integer_words_give_int_coefficients(w):
 
 def test_powers_and_graph_counts_stay_int():
     d = laguerre_derivative_nf(2, 2)
-    for nf in (d**6, row_power(d, 6), enumerate_graphs(d, 6).to_normal_form(),
+    word = BosonExpr.from_word(laguerre_derivative_word(2, 2))
+    for nf in (d**6, normal_order_power(word, 6), enumerate_graphs(d, 6).to_normal_form(),
                explicit_table(d, 2).to_normal_form()):
         assert all(type(c) is int for c in nf.terms.values())
     assert type((d**6).expectation_at_one()) is int

@@ -1,10 +1,11 @@
-"""Series over one common denominator against pairwise-Fraction arithmetic.
+"""Sums over one common denominator against pairwise-Fraction arithmetic.
 
 `SeriesQ` and `DotSeries` keep int numerators over one reduced int
-denominator.  The classes below are the pairwise-Fraction arithmetic they
-replaced, kept here as an independent reference: every operation, and
-every builder, must read out the same canonical coefficients as the
-reference, an int when integral and a Fraction only when not.
+denominator, and `NormalForm.coherent_expectation` sums Gaussian-integer
+powers over one.  The classes and functions below are the pairwise-Fraction
+arithmetic they replaced, kept here as an independent reference: every
+operation, and every builder, must read out the same canonical values as
+the reference, an int when integral and a Fraction only when not.
 """
 
 from fractions import Fraction
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from normord.laguerre import DotSeries
 from normord.series import SeriesQ, phyperq_series, series_binpow, series_exp
+from normord.weyl import NormalForm
 
 
 def canon(c):
@@ -276,3 +278,48 @@ def test_dot_series_integral_results_read_out_as_ints():
     assert square.terms == {(0, 0, 0): 4, (1, 0, 1): 4, (2, 0, 2): 1}
     assert all(type(c) is int for c in square.terms.values())
     assert (t - t).terms == {} and (t - t).den == 1
+
+
+def ref_coherent_expectation(nf, zr, zi):
+    """sum c * conj(z)^dag * z^ann, each power built from scratch in Fractions."""
+
+    def cpow(re, im, n):
+        r, i = 1, 0
+        for _ in range(n):
+            r, i = r * re - i * im, r * im + i * re
+        return r, i
+
+    out_r = out_i = 0
+    for (k, l), c in nf.terms.items():
+        ar, ai = cpow(zr, -zi, k)
+        br, bi = cpow(zr, zi, l)
+        out_r += c * (ar * br - ai * bi)
+        out_i += c * (ar * bi + ai * br)
+    return canon(out_r), canon(out_i)
+
+
+normal_forms = st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=6),
+              st.integers(min_value=0, max_value=6)),
+    values, max_size=6).map(NormalForm)
+
+
+@settings(max_examples=300, deadline=None)
+@given(normal_forms, values, st.one_of(st.just(0), values))
+def test_coherent_expectation_equals_the_pairwise_reference(nf, zr, zi):
+    # Im z = 0 drawn often, negative parts and integral z included
+    got = nf.coherent_expectation(zr, zi)
+    want = ref_coherent_expectation(nf, Fraction(zr), Fraction(zi))
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]
+    assert all(is_canonical(c) for c in got)
+
+
+def test_coherent_expectation_reads_out_ints():
+    d = NormalForm({(3, 1): 2, (0, 4): -1, (1, 1): 5})
+    assert d.coherent_expectation(2, -1) == ref_coherent_expectation(d, 2, -1)
+    assert all(type(c) is int for c in d.coherent_expectation(2, -1))
+    half = NormalForm({(1, 0): Fraction(1, 2), (0, 1): Fraction(-1, 2)})
+    # <z| (ad - a)/2 |z> = -i Im z: an int real part at z = 3/2 + 2i
+    assert half.coherent_expectation(Fraction(3, 2), 2) == (0, -2)
+    assert NormalForm().coherent_expectation(Fraction(1, 3), 5) == (0, 0)
