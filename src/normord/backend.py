@@ -34,7 +34,7 @@ graded kernel is tested against; `nf_mul` is the contraction product.
 from __future__ import annotations
 
 from itertools import count
-from math import comb, factorial
+from math import comb
 from operator import add, mul
 
 __all__ = [
@@ -113,14 +113,18 @@ def nf_mul(a, b):
     """Product of two normal forms given as {(dag, ann): coeff} dicts.
 
     (a†)^p a^q (a†)^r a^s = sum_k k! C(q,k) C(r,k) (a†)^{p+r-k} a^{q+s-k}.
+    The weight w_k = k! C(q,k) C(r,k) is kept as a running int product,
+    w_(k+1) = w_k (q-k)(r-k) / (k+1), a division that is exact.
     """
     out: dict = {}
     for (p, q), ca in a.items():
         for (r, s), cb in b.items():
             c0 = ca * cb
             m = q if q < r else r
+            w = 1
             for k in range(m + 1):
-                c = c0 * (factorial(k) * comb(q, k) * comb(r, k))
+                c = c0 * w
+                w = w * (q - k) * (r - k) // (k + 1)
                 key = (p + r - k, q + s - k)
                 v = out.get(key)
                 v = c if v is None else v + c

@@ -9,12 +9,14 @@ and silently recomputed (and rewritten).  Rendering is deterministic, so
 a cache hit is byte-identical to a fresh computation.
 
 The file is the only place a triangle is staged: `load_triangle` hands
-back an iterator that reads the rows, as decimal tokens, one line at a
-time from a file it holds open.  A miss writes each row to a temp file
-as `stirling_rows` yields it, moves the file into place once the last
-row has passed its S(n, 0) check, and reads it back; a hit checks every
-line of the file before the first row is read.  So peak memory is one
-row, whatever n_max is, and a row's entries are turned into text once.
+back an iterator that reads the rows one line at a time from a file it
+holds open, each row as its line of the file without the newline.  A
+miss writes each row to a temp file as `stirling_rows` yields it, moves
+the file into place once the last row has passed its S(n, 0) check, and
+reads it back; a hit checks every line of the file before the first row
+is read.  So peak memory is one row, whatever n_max is, a row's entries
+are turned into text once, and a row reaches its reader as one string,
+never split into entries.
 """
 
 from __future__ import annotations
@@ -60,13 +62,13 @@ def _header(r: int, M: int, count: int) -> str:
 
 
 def _lines(rows):
-    """One line of the file per row; rows hold ints or their decimal tokens."""
+    """One line of the file per row of ints."""
     for row in rows:
         yield " ".join(map(str, row)) + "\n"
 
 
 def render_triangle(r: int, M: int, rows) -> str:
-    """The file text; rows hold ints or their decimal tokens."""
+    """The file text of a list of rows of ints."""
     return _header(r, M, len(rows)) + "".join(_lines(rows))
 
 
@@ -105,10 +107,11 @@ def _open_checked(path: Path, r: int, M: int, n_max: int):
     return fh
 
 
-def _token_rows(fh):
-    """Yield the rows of a checked file from its position on, then close it."""
+def _file_rows(fh):
+    """Yield a checked file's lines from its position on, newline cut; then close it."""
     with fh:
-        yield from map(str.split, fh)
+        for line in fh:
+            yield line[:-1]
 
 
 def _write_failed(warning: str | None, exc: OSError) -> str:
@@ -117,23 +120,25 @@ def _write_failed(warning: str | None, exc: OSError) -> str:
 
 
 def load_triangle(r: int, M: int, n_max: int, cache_dir: Path | None = None):
-    """Return (rows, hit, warning); row n lists S(n, k) as decimal tokens.
+    """Return (rows, hit, warning); row n is the line of S(n, k), k = 0..M*n.
 
-    rows is a one-pass iterator that holds the cache file open until it
-    is drawn to the end or closed, so a concurrent `cache clear` or
-    rewrite cannot change the bytes it checked.  hit is True when the
-    rows come from a valid cache file.  A missing file is a plain miss;
-    an unreadable or corrupt file additionally sets a warning string, and
-    the recomputed rows are written back.  A miss returns only after
-    every row has been built and has passed stirling_rows' S(n, 0)
-    check, and reads the rows back from the file it wrote; if the file
-    cannot be written, the rows come from a second pass of stirling_rows.
+    A row is one string: the entries in decimal, as str(int) writes
+    them, one space apart, with no newline.  rows is a one-pass iterator
+    that holds the cache file open until it is drawn to the end or
+    closed, so a concurrent `cache clear` or rewrite cannot change the
+    bytes it checked.  hit is True when the rows come from a valid cache
+    file.  A missing file is a plain miss; an unreadable or corrupt file
+    additionally sets a warning string, and the recomputed rows are
+    written back.  A miss returns only after every row has been built
+    and has passed stirling_rows' S(n, 0) check, and reads the rows back
+    from the file it wrote; if the file cannot be written, the rows come
+    from a second pass of stirling_rows.
     """
     cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     path = triangle_path(cache_dir, r, M, n_max)
     warning = None
     try:
-        return _token_rows(_open_checked(path, r, M, n_max)), True, None
+        return _file_rows(_open_checked(path, r, M, n_max)), True, None
     except (FileNotFoundError, NotADirectoryError):
         pass
     except (OSError, ValueError) as exc:
@@ -165,14 +170,14 @@ def load_triangle(r: int, M: int, n_max: int, cache_dir: Path | None = None):
         # any row is handed out
         for _ in rows:
             pass
-        rows = (list(map(str, row)) for row in stirling_rows(r, M, n_max))
+        rows = (" ".join(map(str, row)) for row in stirling_rows(r, M, n_max))
         return rows, False, _write_failed(warning, exc)
     try:
         os.replace(tmp, path)
     except OSError as exc:
         tmp.unlink(missing_ok=True)
         warning = _write_failed(warning, exc)
-    return _token_rows(fh), False, warning
+    return _file_rows(fh), False, warning
 
 
 def cache_clear(cache_dir: Path | None = None) -> int:

@@ -4,10 +4,12 @@ Four subcommands: `order` normal-orders an expression or a power of it
 (`weyl.normal_order_power`, the graded-row kernel for every word and
 power; `--expectation` is read and the printed size bounded by
 `parser.check_order` before it runs), `seq` exports Bell numbers or
-polynomial coefficient rows (`--poly` reads its decimal tokens from the
-disk cache file one row at a time and prints them as they are; the Bell
-numbers are the sums of one pass of `stirling.stirling_rows`, with no
-cache), `verify` runs identity checks, `cache` manages the disk cache.
+polynomial coefficient rows (`--poly` reads the disk cache file one
+line, that is one row, at a time and prints each line whole, never split
+into entries: JSON turns each space into the text between two quoted
+entries; the Bell numbers are the sums of one pass of
+`stirling.stirling_rows`, with no cache), `verify` runs identity checks,
+`cache` manages the disk cache.
 Global flags may appear before or after the subcommand.  Exit codes:
 0 ok, 1 verification failure, 2 usage or parse error, or an input past
 a size limit (`parser.LimitError`), 141 (128 + SIGPIPE) when the reader

@@ -14,15 +14,18 @@ most MAX_NESTING deep: the parser recurses once per level, and a deeper
 input is a ParseError rather than a RecursionError.  No word may grow
 past MAX_LETTERS letters, and no product may pair more than MAX_WORDS
 words: a power or product that would exceed either raises LimitError
-before it is built.  A power multiplies one factor at a time, so its
-word count is checked before each factor.  `check_order` and
-`check_triangle` bound what `normord order` and `seq` print the same way.
+before it is built.  A term's factors, and a power of one word, are
+multiplied once, each word of the result joined in one pass; a power of
+a sum multiplies one factor at a time, so its word count is checked
+before each factor.  `check_order` and `check_triangle` bound what
+`normord order` and `seq` print the same way.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lgamma, log, log10
+from itertools import chain, product
+from math import lgamma, log, log10, prod
 
 from .series import _to_one_den
 from .weyl import ANNIHILATOR, CREATOR, BosonExpr
@@ -114,8 +117,9 @@ def check_order(expr: BosonExpr, p: int) -> None:
                          f"past the limit of {MAX_ORDER_BYTES // 2**20} MB")
 
 
-def _check_words(lhs: BosonExpr, rhs: BosonExpr) -> None:
-    pairs = len(lhs.terms) * len(rhs.terms)
+def _check_words(lhs: int, rhs: int) -> None:
+    """Raise LimitError if a product of lhs words by rhs words pairs too many."""
+    pairs = lhs * rhs
     if pairs > MAX_WORDS:
         raise LimitError(
             f"a product would pair {pairs} words, past the limit of {MAX_WORDS}; "
@@ -124,6 +128,19 @@ def _check_words(lhs: BosonExpr, rhs: BosonExpr) -> None:
 
 def _letters(expr: BosonExpr) -> int:
     return max(map(len, expr.terms), default=0)
+
+
+def _product(factors) -> BosonExpr:
+    """The product of factors; unless one is zero, at most one has several words.
+
+    Each word of the result is built once, by joining one word of each
+    factor, so a product of m letters costs O(m), not O(m^2).
+    """
+    terms = {}
+    for choice in product(*(f.terms.items() for f in factors)):
+        word = tuple(chain.from_iterable(w for w, _ in choice))
+        terms[word] = prod(c for _, c in choice)
+    return BosonExpr(terms)
 
 
 _PUNCT = set("+-*^()/")
@@ -220,17 +237,29 @@ class _Parser:
                 return out
 
     def term(self) -> BosonExpr:
-        out = self.factor()
+        # The factors are kept and multiplied once at the end, with the
+        # bounds checked as each one is read, on the product so far: its
+        # longest word is the sum of the factors' (words do not cancel in
+        # the free algebra), and its word count is known unless two
+        # factors of several words meet, where the product is formed.
+        factors = [self.factor()]
+        letters, words = _letters(factors[0]), len(factors[0].terms)
         while True:
             kind, _, _ = self.peek()
             if kind == "*":
                 self.take()
             elif kind not in _ATOM_STARTS:
-                return out
+                return _product(factors)
             rhs = self.factor()
-            check_letters(_letters(out) + _letters(rhs), "a product")
-            _check_words(out, rhs)
-            out = out * rhs
+            check_letters(letters + _letters(rhs), "a product")
+            _check_words(words, len(rhs.terms))
+            if words > 1 and len(rhs.terms) > 1:
+                factors = [_product(factors) * rhs]
+                words = len(factors[0].terms)
+            else:
+                factors.append(rhs)
+                words *= len(rhs.terms)
+            letters = letters + _letters(rhs) if words else 0
 
     def factor(self) -> BosonExpr:
         out = self.atom()
@@ -243,9 +272,11 @@ class _Parser:
             tok = self.expect("int")
             # a scalar's power costs one step per unit of exponent too
             check_letters(tok[1] * max(_letters(out), 1), "a power")
+            if len(out.terms) <= 1:  # one word: no product can pass MAX_WORDS
+                return _product([out] * tok[1])
             base, out = out, BosonExpr.scalar(1)
             for _ in range(tok[1]):
-                _check_words(out, base)
+                _check_words(len(out.terms), len(base.terms))
                 out = out * base
         return out
 

@@ -3,14 +3,18 @@
 All integer payloads are emitted as decimal strings so arbitrarily large
 values survive any JSON reader; term lists are sorted by (dag desc,
 ann desc) so equal normal forms always serialize to identical bytes.
-Polynomial rows take ints or their decimal tokens (as the triangle cache
-returns them) and are written in pieces, one per row, by
-`iter_poly_rows_json` and `iter_poly_rows_table`.
+A normal form's JSON is built from one template per term, the text
+json.dumps(..., indent=2) would write.  Polynomial rows reach
+`iter_poly_rows_json` and `iter_poly_rows_table` as the triangle cache
+hands them out, one line of space-separated decimals per row, and are
+written in pieces, one per row, with no entry split out of its line.
+`order` and `seq --poly` print from templates alone, so `json`, which
+costs about 2 ms of a cold start, is imported only by the functions
+that still read or write through it.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from fractions import Fraction
 
@@ -49,8 +53,20 @@ def normal_form_to_dict(nf: NormalForm) -> dict:
     return {"terms": terms, "order": "dag desc, ann desc"}
 
 
-def normal_form_to_json(nf: NormalForm, indent: int | None = 2) -> str:
-    return json.dumps(normal_form_to_dict(nf), indent=indent)
+def normal_form_to_json(nf: NormalForm) -> str:
+    """json.dumps(normal_form_to_dict(nf), indent=2), one f-string per term.
+
+    Coefficients are str() of ints and Fractions, which need no escaping.
+    """
+    if not nf.terms:
+        return '{\n  "terms": [],\n  "order": "dag desc, ann desc"\n}'
+    # one join of three parts: the terms' text is copied once more, not twice
+    return "".join([
+        '{\n  "terms": [',
+        ",".join(f'\n    {{\n      "dag": {dag},\n      "ann": {ann},'
+                 f'\n      "coeff": "{coeff}"\n    }}'
+                 for (dag, ann), coeff in sorted(nf.terms.items(), reverse=True)),
+        '\n  ],\n  "order": "dag desc, ann desc"\n}'])
 
 
 def normal_form_from_dict(data: dict) -> NormalForm:
@@ -64,6 +80,8 @@ def normal_form_from_dict(data: dict) -> NormalForm:
 
 
 def normal_form_from_json(text: str) -> NormalForm:
+    import json
+
     return normal_form_from_dict(json.loads(text))
 
 
@@ -95,10 +113,14 @@ def sequence_to_dict(r: int, M: int, values) -> dict:
 
 
 def sequence_to_json(r: int, M: int, values, indent: int | None = 2) -> str:
+    import json
+
     return json.dumps(sequence_to_dict(r, M, values), indent=indent)
 
 
 def sequence_from_json(text: str) -> dict:
+    import json
+
     data = json.loads(text)
     if data.get("kind") == "poly":
         return poly_rows_from_dict(data)
@@ -145,33 +167,34 @@ def poly_rows_from_dict(data: dict) -> dict:
     return data
 
 
-def iter_poly_rows_json(r: int, M: int, rows):
-    """The text of json.dumps(poly_rows_to_dict(r, M, rows), indent=2), in pieces.
+def iter_poly_rows_json(r: int, M: int, lines):
+    """json.dumps(poly_rows_to_dict(r, M, rows), indent=2), in pieces, from row lines.
 
-    rows is read once, one row per piece, so it may be an iterator such
-    as load_triangle's rows; it and each row are non-empty.  Entries are
-    ints or canonical decimal tokens, which need no escaping; each token
-    is quoted as it is, so a token row is written with no conversion.
-    One piece per row keeps a large triangle's output from being held as
-    one string.
+    lines is read once, one row per piece, so it may be an iterator such
+    as load_triangle's rows; it is non-empty.  A line is a row's entries
+    in canonical decimal, one space apart, as the triangle cache holds
+    it; decimals need no escaping, so each space becomes the text between
+    two quoted entries and the line is never split.  One piece per row
+    keeps a large triangle's output from being held as one string.
     """
-    head = _metadata(r, M)
-    head["kind"] = "poly"
-    # the metadata object, reopened after its last member for "rows"
-    yield json.dumps(head, indent=2)[:-2] + ',\n  "rows": ['
+    tag = OEIS_ANNOTATIONS.get((r, M))
+    oeis = "" if tag is None else f'\n  "oeis": "{tag}",'
+    # the metadata members in _metadata's order, then "kind" and "rows"
+    yield f'{{\n  "r": {r},\n  "M": {M},\n  "offset": 0,{oeis}\n  "kind": "poly",\n  "rows": ['
     sep = "\n    "
-    for row in rows:
-        yield sep + '[\n      "' + '",\n      "'.join(map(str, row)) + '"\n    ]'
+    for line in lines:
+        yield sep + '[\n      "' + line.replace(" ", '",\n      "') + '"\n    ]'
         sep = ",\n    "
     yield "\n  ]\n}"
 
 
-def iter_poly_rows_table(r: int, M: int, rows):
+def iter_poly_rows_table(r: int, M: int, lines):
     """The coefficient rows as text, in pieces: the header, then one per row.
 
-    Row n reads "n: " and its entries, one space apart; pieces after the
+    lines holds each row's entries one space apart, as load_triangle
+    yields them.  Row n reads "n: " and its line; pieces after the
     header begin with their newline, and the text ends without one.
     """
     yield f"# r={r} M={M} coefficient rows (x^0 .. x^(M*n))"
-    for n, row in enumerate(rows):
-        yield f"\n{n}: " + " ".join(map(str, row))
+    for n, line in enumerate(lines):
+        yield f"\n{n}: " + line

@@ -18,7 +18,6 @@ CLI help lists the table.
 
 from __future__ import annotations
 
-import json
 import time
 from collections.abc import Callable
 from fractions import Fraction
@@ -589,6 +588,8 @@ def run_suite(
     tolerance=DEFAULT_TOLERANCE,
 ) -> list[IdentityReport]:
     """Default verification sweep; deterministic report order."""
+    import json
+
     reports = [rep for identity in SUITE_IDS
                for rep in run_identity(identity, precision=precision,
                                        tolerance=tolerance)]
@@ -606,4 +607,6 @@ def suite_passed(reports) -> bool:
 
 
 def reports_to_json(reports) -> str:
+    import json
+
     return json.dumps([rep.to_json_dict() for rep in reports], indent=2)

@@ -443,13 +443,13 @@ LAYERS = ("backend", "parser", "weyl", "stirling", "graphs", "laguerre",
 
 
 def test_import_loads_every_layer_and_no_dataclasses():
-    probe = ("import json, sys, normord.cli; "
-             "print(json.dumps(sorted(sys.modules)))")
+    # json too stays unloaded: order and seq --poly print from templates
+    probe = "import sys, normord.cli; print(*sorted(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout))
-    assert not loaded & {"dataclasses", "inspect", "dis", "ast"}
+    loaded = set(proc.stdout.split())
+    assert not loaded & {"dataclasses", "inspect", "dis", "ast", "json"}
     assert {f"normord.{layer}" for layer in LAYERS} <= loaded
 
 
@@ -530,12 +530,22 @@ def test_row_regex_accepts_exactly_canonical_tokens(line):
         map(_canonical, line.split(" ")))
 
 
-def test_load_triangle_returns_the_file_tokens(tmp_path):
-    want = [[str(c) for c in row] for row in stirling_rows(0, 2, 6)]
+def _row_lines(r, M, n_max):
+    return [" ".join(map(str, row)) for row in stirling_rows(r, M, n_max)]
+
+
+def test_load_triangle_returns_the_file_tokens(tmp_path, monkeypatch):
+    # a miss, a hit, and the second pass of a write that fails all yield
+    # each row as one line of decimals, as the file holds it
+    want = _row_lines(0, 2, 6)
     rows, hit, warning = cache.load_triangle(0, 2, 6, tmp_path)
     assert (list(rows), hit, warning) == (want, False, None)
     rows, hit, warning = cache.load_triangle(0, 2, 6, tmp_path)
     assert (list(rows), hit, warning) == (want, True, None)
+    _write_fails_midway(monkeypatch)
+    rows, hit, warning = cache.load_triangle(0, 2, 6, tmp_path / "fails")
+    assert (list(rows), hit) == (want, False)
+    assert warning.startswith("cache write failed (")
 
 
 @pytest.mark.parametrize("change", ["clear", "rewrite"])
@@ -543,7 +553,7 @@ def test_load_triangle_returns_the_file_tokens(tmp_path):
 def test_load_triangle_rows_outlive_a_change_to_the_file(tmp_path, hit, change):
     # the rows hold the file they checked or wrote, so neither a cache
     # clear nor another writer's replace changes what they read
-    want = [[str(c) for c in row] for row in stirling_rows(1, 1, 8)]
+    want = _row_lines(1, 1, 8)
     if hit:
         list(cache.load_triangle(1, 1, 8, tmp_path)[0])
     rows, was_hit, _ = cache.load_triangle(1, 1, 8, tmp_path)

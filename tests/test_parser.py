@@ -1,9 +1,14 @@
 """Expression grammar: tokens, precedence, and positioned errors."""
 
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from normord import parser
 from normord.parser import (
     MAX_LETTERS,
     MAX_NESTING,
@@ -122,3 +127,78 @@ def test_word_limit():
     assert MAX_WORDS < 512 * 512
     with pytest.raises(LimitError, match="--power"):
         parse_expr("(a + ad)^9 (a + ad)^9")  # a product of two 512-word sums
+
+
+_A, _AD = BosonExpr.from_word((0,)), BosonExpr.from_word((1,))
+
+
+def _one(c):
+    return BosonExpr.scalar(Fraction(c))
+
+
+def _power(base, k):
+    return reduce(mul, [base] * k, _one(1))
+
+
+# Atoms as written, and as built one letter or factor at a time.
+_ATOMS = [
+    ("a", _A), ("ad", _AD), ("a†", _AD), ("n", _AD * _A),
+    ("3", _one(3)), ("1/2", _one(Fraction(1, 2))), ("0", _one(0)),
+    ("(a + ad)", _A + _AD), ("(1 - a)", _one(1) - _A), ("(a - a)", _one(0)),
+    ("(ad a)^3", _power(_AD * _A, 3)), ("a^0", _one(1)),
+    ("(2 a ad)^2", _power(_one(2) * _A * _AD, 2)),
+    ("(a + ad)^6", _power(_A + _AD, 6)), ("(1 + a)^5", _power(_one(1) + _A, 5)),
+    ("(ad - 1/3 a)^2", _power(_AD - _one(Fraction(1, 3)) * _A, 2)),
+]
+
+
+def _per_factor(factors):
+    """A term's value and bounds as a product taken one factor at a time."""
+    out = factors[0]
+    for rhs in factors[1:]:
+        longest = max(map(len, out.terms), default=0) + max(map(len, rhs.terms), default=0)
+        if longest > parser.MAX_LETTERS:
+            return f"a product would reach {longest} letters"
+        if len(out.terms) * len(rhs.terms) > parser.MAX_WORDS:
+            return f"a product would pair {len(out.terms) * len(rhs.terms)} words"
+        out = out * rhs
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.tuples(st.sampled_from(range(len(_ATOMS))),
+                                   st.sampled_from([" ", " * ", ""])),
+                         min_size=1, max_size=14),
+                min_size=1, max_size=3),
+       st.sampled_from([" + ", " - "]))
+def test_parsed_term_is_the_per_factor_product(terms, joiner):
+    # small limits, so that products past either bound are drawn often;
+    # the same first bound is hit, with the same message, at the same factor
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parser, "MAX_LETTERS", 24)
+        mp.setattr(parser, "MAX_WORDS", 300)
+        text, want = [], _one(0)
+        for i, term in enumerate(terms):
+            # "" joins only before a parenthesis, where no letters run together
+            text.append(_ATOMS[term[0][0]][0] + "".join(
+                (sep if _ATOMS[k][0][0] == "(" else " ") + _ATOMS[k][0]
+                for k, sep in term[1:]))
+            if isinstance(want, str):
+                continue
+            value = _per_factor([_ATOMS[k][1] for k, _ in term])
+            if isinstance(value, str):
+                want = value
+            else:
+                want = want - value if i and joiner == " - " else want + value
+        if isinstance(want, str):
+            with pytest.raises(LimitError, match=want):
+                parse_expr(joiner.join(text))
+        else:
+            assert parse_expr(joiner.join(text)) == want
+
+
+def test_long_word_parses_to_one_word():
+    # 20000 one-letter factors, joined once (one factor at a time, the
+    # product copied about 2e8 letters)
+    word = parse_expr("ad a " * 10_000)
+    assert word.terms == {(1, 0) * 10_000: 1}

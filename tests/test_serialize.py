@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from normord.serialize import (
     OEIS_ANNOTATIONS,
@@ -41,6 +43,24 @@ def test_normal_form_round_trip_huge_coeff():
     assert back == nf
     d = normal_form_to_dict(nf)
     assert d["terms"][0]["coeff"] == str(Fraction(10**40, 7))
+
+
+_COEFFS = st.one_of(
+    st.integers(-10**30, 10**30),
+    st.fractions().filter(lambda q: q.denominator > 1),
+)
+
+
+@given(st.dictionaries(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                       _COEFFS, max_size=12))
+@example({})
+@example({(0, 0): 0})
+@example({(3, 1): -2, (0, 2): Fraction(-5, 3), (0, 0): Fraction(1, 2)})
+def test_normal_form_json_template_matches_json_dumps(terms):
+    # the zero form, negative and Fraction coefficients all print the
+    # bytes of the encoder the template replaces
+    nf = NormalForm(terms)
+    assert normal_form_to_json(nf) == json.dumps(normal_form_to_dict(nf), indent=2)
 
 
 def test_normal_form_term_order():
@@ -131,9 +151,9 @@ def test_poly_writers_match_json_dumps_and_table(r, M, n_max):
     rows = list(stirling_rows(r, M, n_max))
     want_json = json.dumps(poly_rows_to_dict(r, M, rows), indent=2)
     want_table = _table_reference(r, M, rows)
-    tokens = [[str(c) for c in row] for row in rows]
-    for given in (rows, tokens):
-        assert "".join(iter_poly_rows_json(r, M, given)) == want_json
-        assert "".join(iter_poly_rows_table(r, M, given)) == want_table
+    # the writers take each row as its cache-file line
+    lines = [" ".join(map(str, row)) for row in rows]
+    assert "".join(iter_poly_rows_json(r, M, iter(lines))) == want_json
+    assert "".join(iter_poly_rows_table(r, M, iter(lines))) == want_table
     # one piece for the head and the tail, one per row between
-    assert len(list(iter_poly_rows_json(r, M, tokens))) == n_max + 3
+    assert len(list(iter_poly_rows_json(r, M, lines))) == n_max + 3

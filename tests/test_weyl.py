@@ -3,11 +3,13 @@ number-state action, coherent expectations, diagonal reduction."""
 
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normord.backend import nf_mul
 from normord.series import PolyQ, falling_factorial
 from normord.weyl import (
     NormalForm,
@@ -149,3 +151,28 @@ def test_normal_order_rewrite_handles_sums():
 def test_sorted_terms_order():
     f = NormalForm({(0, 1): Fraction(1), (2, 0): Fraction(1), (2, 3): Fraction(1)})
     assert [(d, a) for d, a, _ in f.sorted_terms()] == [(2, 3), (2, 0), (0, 1)]
+
+
+def _nf_mul_by_closed_weights(a, b):
+    """nf_mul with each weight k! C(q,k) C(r,k) formed on its own."""
+    out = {}
+    for (p, q), ca in a.items():
+        for (r, s), cb in b.items():
+            for k in range(min(q, r) + 1):
+                key = (p + r - k, q + s - k)
+                out[key] = out.get(key, 0) + ca * cb * (factorial(k) * comb(q, k) * comb(r, k))
+    return {k: v for k, v in out.items() if v}
+
+
+_forms = st.dictionaries(
+    st.tuples(st.integers(0, 7), st.integers(0, 7)),
+    st.one_of(st.integers(-50, 50), st.fractions(max_denominator=12)),
+    max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_forms, _forms)
+def test_nf_mul_running_weight_matches_closed_weights(a, b):
+    # Fraction and negative coefficients: the running weight is an int,
+    # and the coefficient product is never floor-divided
+    assert nf_mul(a, b) == _nf_mul_by_closed_weights(a, b)
