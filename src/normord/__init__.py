@@ -5,10 +5,10 @@ with exact rational coefficients, builds the generalized Stirling and
 Bell objects attached to operators of the form a^r (ad a)^M, and checks
 every closed-form identity it ships against independent oracles: a
 rewriting system, single-contraction products, weighted-graph counting,
-and high-precision numerics for the transcendental closed forms.
+and, for the Bell generating function, proven rational enclosures of
+e^-x and of the Dobinski sums.
 """
 
-from .hyperreal import HighPrecReal
 from .parser import LimitError, ParseError, parse_expr
 from .series import (
     PolyQ,
@@ -25,7 +25,6 @@ from .stirling import (
     bell_sequence,
     classical_bell,
     classical_stirling2,
-    dobinski_adaptive,
     gen_bell_number,
     gen_bell_poly,
     gen_stirling,
@@ -73,7 +72,6 @@ from .cache import load_triangle
 __version__ = "0.1.0"
 
 __all__ = [
-    "HighPrecReal",
     "LimitError",
     "ParseError",
     "parse_expr",
@@ -89,7 +87,6 @@ __all__ = [
     "bell_sequence",
     "classical_bell",
     "classical_stirling2",
-    "dobinski_adaptive",
     "gen_bell_number",
     "gen_bell_poly",
     "gen_stirling",

@@ -4,26 +4,28 @@ Every check here cross-checks two independently computed objects:
 one side comes from the exact combinatorial machinery (operator rewrite
 oracle, Stirling rows, Bell polynomials), the other from a closed form
 assembled out of hypergeometric series, Bessel/Laguerre/Kummer pieces,
-or double-dot series. The comparison itself lives in `normord.report`:
-rational cases go through its exact scan, row by row; the Bell
-generating function and `kummer-b3half` go through HighPrecReal and
-its `DeviationTally`, which reports the worst relative and absolute
-deviation. The Bell closed forms for r = 1, 2, 3 are one exact check,
+or double-dot series. Every side that is rational is compared in
+`normord.report`'s exact scan, row by row, `kummer-b3half` included.
+The one numeric check is the Bell generating function: its e^-x and its
+l-sums are enclosed between exact rationals (`normord.hyperreal`), and
+it passes on a proven bound on the relative deviation, never on a
+rounded value. The Bell closed forms for r = 1, 2, 3 are one exact check,
 `_check_bell_hyp`: the √π, Γ(1/3) and Γ(2/3) prefactors of the
 paper's form cancel, leaving r rational pFq series in x^r/r^r.
 `conjecture_check` runs the same check at any r >= 1, where the
 generalized Dobinski relation gives the same r-term form.
 Operator powers come from `_oracle_powers`, the one fold of
 D(r,M)^0..n that the suite drivers use too. The Bell generating
-function's outer l-sum is `stirling.dobinski_sums`, the one user of
-`series.certified_sum`.
+function's outer l-sum is `stirling.dobinski_sums`; it and
+`hyperreal.exp_bounds` are the users of `series.certified_sum`.
 Sample points, pFq parameters and tolerances go through
 `series._canonical`, so a float raises TypeError. The worked examples
 read one implementation of each formula: left sides are
 `_scaled_powers` (Taylor coefficients times oracle powers);
 `eigen-operator`'s rows are `stirling.alternating_sum_rows` and
 `hyp-compact`'s are e^-y times `series.phyperq_series`; the dot series
-share `_resolvent` ((1-t·a)^-1 and t·a†a²(1-t·a)^-1) and `_bessel_dot`;
+share `_resolvent` ((1-t·a)^-1 and t·a†a²(1-t·a)^-1) and `_bessel_dot`,
+and are read out by `DotSeries.lambda_coefficients`;
 `_laguerre_rows` also serves `suite.verify_laguerre_normal_form`. Each
 public check times itself and returns an IdentityReport whose
 parameters include the orders it ran to (n_max or lambda_order) and
@@ -40,9 +42,9 @@ from fractions import Fraction
 from functools import partial
 from math import lcm, prod
 
-from .hyperreal import HighPrecReal
+from .hyperreal import exp_bounds, rel_dev_bound
 from .laguerre import DotSeries
-from .report import DeviationTally, IdentityReport, _finish, _rows_mismatch
+from .report import IdentityReport, _finish, _rows_mismatch
 from .series import (
     PolyQ,
     SeriesQ,
@@ -237,46 +239,52 @@ def hyp_generating_function_check(
 
     The common 1/(n!)^(M+1) is cancelled before comparing. Row n's
     coefficient is the outer sum over l of x^l/l! * W(n,l), W(n,l) =
-    prod_{i<=n} (l+ir)^M, summed by `stirling.dobinski_sums`; if
-    the tail cannot be certified within the term budget the report says
-    so instead of passing. Passing reports record the certificate:
-    outer_terms, ratio_cap and tail_bound (both rounded up; the bound is
-    on the top row's l-sum, before the e^-x factor).
+    prod_{i<=n} (l+ir)^M, summed by `stirling.dobinski_sums` to the
+    cutoff 10^-(precision+10); e^-x is enclosed to the same cutoff by
+    `hyperreal.exp_bounds`.  Row n passes iff the proven bound on
+    |e^-x L - B(n,x)| / max(B(n,x), 1) over both enclosures is at most
+    tolerance (`hyperreal.rel_dev_bound`); no rounded value is compared.
+    If a tail cannot be certified within the term budget the report says
+    so instead of passing. Reports record the certificate: outer_terms,
+    ratio_cap and tail_bound (rounded up; the bound is on the top row's
+    l-sum, before the e^-x factor), exp_terms, the terms of the e^x sum,
+    and rel_dev_bound, the largest row's proven bound, rounded up.
     """
     t0 = time.perf_counter()
-    if r < 1 or M < 0 or lambda_order < 0:
-        raise ValueError("need r >= 1, M >= 0, lambda_order >= 0")
+    if r < 1 or M < 0 or lambda_order < 0 or precision < 1:
+        raise ValueError("need r >= 1, M >= 0, lambda_order >= 0, precision >= 1")
     x, tolerance = _canonical(x), _canonical(tolerance)
     params = {"r": r, "M": M, "x": str(x), "lambda_order": lambda_order}
     numctx = {"precision": precision, "tolerance": str(tolerance)}
     paths = ("certified l-sum", "Bell polynomial")
+    cutoff = Fraction(1, 10 ** (precision + 10))
     try:
-        totals, cert = dobinski_sums(r, M, lambda_order, x,
-                                     Fraction(1, 10 ** (precision + 10)), max_terms)
+        totals, cert = dobinski_sums(r, M, lambda_order, x, cutoff, max_terms)
+        emx_lo, emx_hi, exp_cert = exp_bounds(-x, cutoff, max_terms)
     except RuntimeError:
         first = {"reason": "tail bound not certified within term budget"}
         return _finish("hyp-generating-function", params, "numeric", t0, first,
                        {"first_mismatch": first, "outer_terms": max_terms + 1},
                        paths=paths, **numctx)
-    emx = HighPrecReal.exp_of(-x, precision)
-    tally = DeviationTally(precision, tolerance)
+    worst, first = 0, None
     for n, (total, row) in enumerate(zip(totals, stirling_rows(r, M, lambda_order))):
-        tally.add(emx * HighPrecReal(total, precision),
-                  HighPrecReal(PolyQ(row).eval(x), precision), {"n": n})
-    details = {"first_mismatch": tally.first, "outer_terms": cert.terms,
+        # row n's full l-sum lies in [total, total + cutoff * max(total, 1)]
+        dev = rel_dev_bound(emx_lo * total,
+                            emx_hi * (total + cutoff * max(total, 1)),
+                            PolyQ(row).eval(x))
+        worst = max(worst, dev)
+        if first is None and dev > tolerance:
+            first = {"n": n, "rel_dev_bound": _bound_str(dev)}
+    details = {"first_mismatch": first, "outer_terms": cert.terms,
                "ratio_cap": _bound_str(cert.ratio_cap),
                "tail_bound": _bound_str(cert.tail_bound),
-               "max_rel_dev": tally.max_rel_dev, "max_abs_dev": tally.max_abs_dev}
-    return _finish("hyp-generating-function", params, "numeric", t0, tally.first,
+               "exp_terms": exp_cert.terms, "rel_dev_bound": _bound_str(worst)}
+    return _finish("hyp-generating-function", params, "numeric", t0, first,
                    details, paths=paths, **numctx)
 
 
 # ---------------------------------------------------------------------------
 # Normally ordered expansions of functions of the first-order operator
-
-
-def _dot_nf_list(ds: DotSeries, n_max: int) -> list:
-    return [ds.lambda_coefficient(n) for n in range(n_max + 1)]
 
 
 def _resolvent(order: int):
@@ -305,7 +313,7 @@ def _example_laguerre_ogf(lambda_order: int, t0: float, **_) -> IdentityReport:
     order = lambda_order + 1
     lhs = _scaled_powers(1, [Fraction(1, factorial(n)) for n in range(order)])
     inv, arg = _resolvent(order)
-    rhs = _dot_nf_list(inv * arg.exp(), lambda_order)
+    rhs = (inv * arg.exp()).lambda_coefficients()
     checks, first = _rows_mismatch(lhs, rhs, "lambda")
     notes = []
     if first is None:
@@ -329,12 +337,11 @@ def _example_kummer_b3(lambda_order: int, t0: float, **_) -> IdentityReport:
         + arg.scale(2)
         + (arg * arg).scale(Fraction(1, 2))
     )
-    rhs = _dot_nf_list(inv_cubed * l2 * arg.exp(), lambda_order)
+    rhs = (inv_cubed * l2 * arg.exp()).lambda_coefficients()
     checks, first = _rows_mismatch(lhs, rhs, "lambda")
     notes = []
     if first is None:
-        more, first = _rows_mismatch(lhs, _dot_nf_list(rhs_generic, lambda_order),
-                                     "lambda")
+        more, first = _rows_mismatch(lhs, rhs_generic.lambda_coefficients(), "lambda")
         checks += more
         if first is None:
             notes.append("generic Kummer dot form agrees as well")
@@ -345,8 +352,7 @@ def _example_kummer_b3(lambda_order: int, t0: float, **_) -> IdentityReport:
                    paths=("power fold", "b=3 dot form", "generic Kummer dot form"))
 
 
-def _example_kummer_b3half(lambda_order: int, t0: float, precision: int,
-                           tolerance, **_) -> IdentityReport:
+def _example_kummer_b3half(lambda_order: int, t0: float, **_) -> IdentityReport:
     b = Fraction(3, 2)
     order = lambda_order + 1
     lhs, rhs_generic, arg = _kummer_sides(b, lambda_order)
@@ -355,16 +361,13 @@ def _example_kummer_b3half(lambda_order: int, t0: float, precision: int,
     i1 = arg.apply_function(_bessel_half_taylor(1, order))
     bracket = (DotSeries.one(order) + arg) * i0 + arg * i1
     rhs = DotSeries.binpow(order, -1, 1, -b) * half_arg.exp() * bracket
-    # every entry that differs exactly must agree within tolerance
-    tally = DeviationTally(precision, tolerance)
-    for n in range(order):
-        for cand in (rhs_generic.lambda_coefficient(n), rhs.lambda_coefficient(n)):
-            tally.compare(lhs[n], cand, {"lambda": n})
+    checks, first = _rows_mismatch(lhs, rhs_generic.lambda_coefficients(), "lambda")
+    if first is None:
+        more, first = _rows_mismatch(lhs, rhs.lambda_coefficients(), "lambda")
+        checks += more
     details = {
-        "first_mismatch": tally.first,
-        "checks": 2 * order,
-        "max_abs_dev": tally.max_abs_dev,
-        "max_rel_dev": tally.max_rel_dev,
+        "first_mismatch": first,
+        "checks": checks,
         "notes": [
             "Bessel assembly uses the prefactor (1-ta)^(-3/2) and the factor"
             " u multiplying I1, both required for the bracket to reduce the"
@@ -373,9 +376,8 @@ def _example_kummer_b3half(lambda_order: int, t0: float, precision: int,
     }
     return _finish("kummer-b3half",
                    {"r": 1, "M": 1, "b": "3/2", "lambda_order": lambda_order},
-                   "numeric", t0, tally.first, details,
-                   paths=("power fold", "generic Kummer dot form", "Bessel dot form"),
-                   precision=precision, tolerance=str(tolerance))
+                   "exact", t0, first, details,
+                   paths=("power fold", "generic Kummer dot form", "Bessel dot form"))
 
 
 def _example_laguerre_shifted(lambda_order: int, t0: float, p: int,
@@ -393,7 +395,7 @@ def _example_laguerre_shifted(lambda_order: int, t0: float, p: int,
         lp = lp * w + DotSeries.monomial(order, 0, 0, 0, lag.coeff(j) * (-1) ** j)
     pref = DotSeries.binpow(order, -1, 1, -(p + 1))
     shift = DotSeries.monomial(order, p, 0, p)
-    rhs = _dot_nf_list(pref * arg.exp() * lp * shift, lambda_order)
+    rhs = (pref * arg.exp() * lp * shift).lambda_coefficients()
     checks, first = _rows_mismatch(lhs, rhs, "lambda")
     return _finish("laguerre-shifted",
                    {"r": 1, "M": 1, "p": p, "lambda_order": lambda_order},
@@ -407,7 +409,7 @@ def _example_bessel(example_id: str, lambda_order: int, t0: float,
     sign = 1 if example_id == "bessel-i0" else -1
     lhs = _scaled_powers(1, [Fraction(sign**n, factorial(n) ** 2)
                              for n in range(order)])
-    rhs = _dot_nf_list(_bessel_dot(order, sign, sign), lambda_order)
+    rhs = _bessel_dot(order, sign, sign).lambda_coefficients()
     checks, first = _rows_mismatch(lhs, rhs, "lambda")
     notes = []
     if example_id == "bessel-j0" and first is None and lambda_order >= 1:
@@ -415,8 +417,7 @@ def _example_bessel(example_id: str, lambda_order: int, t0: float,
         # at t^1, which pins the corrected inner argument as the real form.
         # At lambda_order 0 the two agree by construction: nothing to test.
         wrong = _bessel_dot(order, -1, 1)
-        _, wrong_first = _rows_mismatch(lhs, _dot_nf_list(wrong, lambda_order),
-                                        "lambda")
+        _, wrong_first = _rows_mismatch(lhs, wrong.lambda_coefficients(), "lambda")
         if wrong_first is None:
             first = {"lambda": None, "note": "sign-dropped variant unexpectedly agreed"}
         else:
@@ -436,8 +437,8 @@ def bessel_parity_check(lambda_order: int) -> IdentityReport:
     order = lambda_order + 1
     i0 = _bessel_dot(order, 1, 1)
     checks, first = _rows_mismatch(
-        _dot_nf_list(_bessel_dot(order, -1, -1), lambda_order),
-        [i0.lambda_coefficient(n).scale((-1) ** n) for n in range(order)],
+        _bessel_dot(order, -1, -1).lambda_coefficients(),
+        [c.scale((-1) ** n) for n, c in enumerate(i0.lambda_coefficients())],
         "lambda",
     )
     return _finish("bessel-parity", {"r": 1, "M": 1, "lambda_order": lambda_order},
@@ -508,8 +509,6 @@ def example_normal_forms(
     lambda_order: int,
     p: int = 2,
     M: int = 2,
-    precision: int = DEFAULT_PRECISION,
-    tolerance=DEFAULT_TOLERANCE,
 ) -> IdentityReport:
     """Verify one assembled normally ordered expansion per lambda power.
 
@@ -523,5 +522,4 @@ def example_normal_forms(
         raise ValueError("lambda_order must be >= 0")
     if example_id not in EXAMPLES:
         raise ValueError(f"unknown example id {example_id!r}")
-    return EXAMPLES[example_id](lambda_order, t0, p=p, M=M, precision=precision,
-                                tolerance=tolerance)
+    return EXAMPLES[example_id](lambda_order, t0, p=p, M=M)

@@ -10,7 +10,8 @@ numbers.
 whose coefficients are words in which the creator and annihilator are
 treated as commuting symbols.  Expanding a double-dot closed form with it
 and reading off a lambda coefficient yields a NormalForm directly, which
-is what lets the closed forms be compared against the rewriting oracle.
+is what lets the closed forms be compared against the rewriting oracle;
+`lambda_coefficients` reads every lambda power out in one pass.
 """
 
 from __future__ import annotations
@@ -214,13 +215,16 @@ class DotSeries:
                 acc = acc + term.scale(taylor[k])
         return acc
 
-    def lambda_coefficient(self, n: int) -> NormalForm:
-        """The lambda^n coefficient, reinterpreted as a normally ordered operator."""
-        if not (0 <= n < self.order):
-            raise IndexError(f"lambda^{n} beyond truncation order {self.order}")
-        return NormalForm(
-            {(k, l): c for (m, k, l), c in self.terms.items() if m == n}
-        )
+    def lambda_coefficients(self) -> list:
+        """NormalForms of the lambda^0 .. lambda^(order-1) coefficients.
+
+        One pass over the terms buckets them by lambda power; each bucket,
+        its words reinterpreted as normally ordered operators, is one entry.
+        """
+        rows = [{} for _ in range(self.order)]
+        for (m, k, l), c in self.terms.items():
+            rows[m][(k, l)] = c
+        return [NormalForm(row) for row in rows]
 
     def __repr__(self) -> str:
         return f"DotSeries(order={self.order}, {len(self.terms)} terms)"
@@ -243,9 +247,7 @@ def exp_D_r1_normal_form(r: int, n_max: int) -> list:
         {(k, 1, r * k + 1): bt.coeffs[k] for k in range(1, order)},
     )
     full = g * arg.exp()
-    return [
-        full.lambda_coefficient(n).scale(factorial(n)) for n in range(n_max + 1)
-    ]
+    return [c.scale(factorial(n)) for n, c in enumerate(full.lambda_coefficients())]
 
 
 def egf_bell_r1(r: int, order: int) -> SeriesQ:

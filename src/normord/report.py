@@ -1,25 +1,22 @@
 """The one report type every identity check returns, and how checks compare.
 
 `IdentityReport` is the record; `_finish` times and closes one from a
-check's parameters, mode and first mismatch.  Every check compares two
-independently built sides through one of two paths written here:
-`_nf_mismatch` is the one exact scan, the first differing entry of two
-keyed tables (normal-form terms, coefficient grids, triangle rows), keys
-from high to low, tagged with the row it belongs to, and
-`_rows_mismatch` is its row-by-row form; `DeviationTally` is the one
-numeric comparison, which keeps the worst relative and absolute
-deviation and the first pair outside tolerance.  The suite drivers and
-the closed-form checks build their reports here, through `_finish`, and
-nowhere else.
+check's parameters, mode and first mismatch.  Every exact check compares
+two independently built sides through the one exact scan written here:
+`_nf_mismatch` finds the first differing entry of two keyed tables
+(normal-form terms, coefficient grids, triangle rows), keys from high to
+low, tagged with the row it belongs to, and `_rows_mismatch` is its
+row-by-row form.  The one numeric check, `hyp-generating-function`,
+decides on proven rational enclosures (`normord.hyperreal`) and hands
+its first failing row to `_finish` like any other.  The suite drivers
+and the closed-form checks build their reports here, through `_finish`,
+and nowhere else.
 """
 
 from __future__ import annotations
 
 import time
 from collections import namedtuple
-
-from .hyperreal import HighPrecReal
-from .series import _canonical
 
 __all__ = ["IdentityReport"]
 
@@ -30,8 +27,8 @@ class IdentityReport(namedtuple(
     """Outcome of one identity check over one parameter set.
 
     mode is "exact" (rational/integer comparison, no tolerance exists)
-    or "numeric" (high-precision reals; precision and tolerance are
-    always recorded); status is "pass" or "fail".
+    or "numeric" (a proven bound judged against a tolerance; precision
+    and tolerance are always recorded); status is "pass" or "fail".
     An immutable record; details default to a fresh empty dict.
     """
 
@@ -103,12 +100,16 @@ def _finish(identity, parameters, mode, t0, mismatch, details=None, *, paths,
     )
 
 
-def _differences(lhs, rhs):
-    """(key, left, right) for each key where two keyed tables differ.
+def _nf_mismatch(lhs, rhs, at: dict, names=("dag", "ann")):
+    """First differing entry of two keyed tables, or None: the one exact scan.
 
     A table is a dict or anything holding one as `.terms` (a NormalForm);
     a missing key reads 0.  Keys are scanned from the highest down, the
-    order in which normal forms print.
+    order in which normal forms print.  The record leads with `at`, the
+    row being compared (e.g. {"n": 3}, or {} for a table keyed by the row
+    itself), then names the key's parts (normal-form terms are keyed
+    (dag, ann); a triangle row or a coefficient list {k: v} takes one
+    name), then "left" and "right".
     """
     lhs = getattr(lhs, "terms", lhs)
     rhs = getattr(rhs, "terms", rhs)
@@ -116,24 +117,8 @@ def _differences(lhs, rhs):
         lv = lhs.get(key, 0)
         rv = rhs.get(key, 0)
         if lv != rv:
-            yield key, lv, rv
-
-
-def _where(at: dict, names, key) -> dict:
-    keys = key if isinstance(key, tuple) else (key,)
-    return {**at, **dict(zip(names, keys))}
-
-
-def _nf_mismatch(lhs, rhs, at: dict, names=("dag", "ann")):
-    """First differing entry of two keyed tables, or None: the one exact scan.
-
-    The record leads with `at`, the row being compared (e.g. {"n": 3},
-    or {} for a table keyed by the row itself), then names the key's
-    parts (normal-form terms are keyed (dag, ann); a triangle row or a
-    coefficient list {k: v} takes one name), then "left" and "right".
-    """
-    for key, lv, rv in _differences(lhs, rhs):
-        return {**_where(at, names, key), "left": str(lv), "right": str(rv)}
+            keys = key if isinstance(key, tuple) else (key,)
+            return {**at, **dict(zip(names, keys)), "left": str(lv), "right": str(rv)}
     return None
 
 
@@ -150,51 +135,3 @@ def _rows_mismatch(lhs_rows, rhs_rows, tag: str, names=("dag", "ann"), start=0):
         if miss is not None:
             return checks, miss
     return checks, None
-
-
-class DeviationTally:
-    """The one numeric comparison: worst deviations and the first disagreement.
-
-    Each pair is judged by `HighPrecReal.agrees_with` at the tolerance;
-    the tally keeps the worst relative and absolute deviation over all
-    pairs and the record of the first pair that does not agree.  Rational
-    pairs that are exactly equal deviate by nothing and are not converted;
-    with no deviating pair both worsts read "0".
-    """
-
-    def __init__(self, precision: int, tolerance):
-        self.precision = precision
-        self.tolerance = _canonical(tolerance)
-        self.first = None
-        self._rel = None
-        self._abs = None
-
-    def add(self, left, right, at: dict) -> None:
-        """Compare one pair; a first disagreement is recorded as {**at, left, right}."""
-        cl, cr = left, right
-        if not isinstance(left, HighPrecReal):
-            if left == right:
-                return
-            cl = HighPrecReal(left, self.precision)
-            cr = HighPrecReal(right, self.precision)
-        rel = cl.rel_deviation(cr)
-        dev = abs(cl - cr).value
-        if self._rel is None or rel > self._rel:
-            self._rel = rel
-        if self._abs is None or dev > self._abs:
-            self._abs = dev
-        if self.first is None and not cl.agrees_with(cr, self.tolerance):
-            self.first = {**at, "left": str(left), "right": str(right)}
-
-    def compare(self, lhs, rhs, at: dict, names=("dag", "ann")) -> None:
-        """Add every differing entry of two keyed tables (see `_nf_mismatch`)."""
-        for key, lv, rv in _differences(lhs, rhs):
-            self.add(lv, rv, _where(at, names, key))
-
-    @property
-    def max_rel_dev(self) -> str:
-        return "0" if self._rel is None else str(self._rel)
-
-    @property
-    def max_abs_dev(self) -> str:
-        return "0" if self._abs is None else str(self._abs)

@@ -22,9 +22,9 @@ as a cross-check at r=0, M=1.
 
 The generalized Dobinski relation B_r^(M)(n,x) = e^{-x} sum_l x^l/l!
 [prod_{i<=n} (l+ir)]^M is summed in one place, `dobinski_sums`, for rows
-0..n at once with a `certified_sum` tail bound; `dobinski_adaptive` is
-its last row times e^{-x}, and `hyp-generating-function` checks its rows
-against the Bell polynomials.
+0..n at once with a `certified_sum` tail bound that holds for every row,
+and `hyp-generating-function` checks its rows, times a proven enclosure
+of e^{-x}, against the Bell polynomials.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from fractions import Fraction
 from math import factorial, prod
 
 from . import backend
-from .hyperreal import HighPrecReal
 from .series import PolyQ, _canonical, certified_sum
 from .weyl import NormalForm
 
@@ -50,7 +49,6 @@ __all__ = [
     "stirling1_signless",
     "product_poly",
     "dobinski_sums",
-    "dobinski_adaptive",
     "b_pp",
 ]
 
@@ -214,7 +212,9 @@ def dobinski_sums(r: int, M: int, n_max: int, x, cutoff, max_terms: int):
     lower rows stop with the top one: W(n_max,l)/W(n,l) =
     prod_{n<i<=n_max} (l+ir)^M is >= 1 and does not fall for l >= 1, so
     no lower row's tail exceeds the top row's, absolutely or relative to
-    its partial sum.
+    its partial sum.  So every row's full sum lies in [S_n, S_n + cutoff *
+    max(S_n, 1)], S_n its partial sum: `hyp-generating-function` encloses
+    it so, where the certificate's tail_bound holds for the top row only.
     Returns (one exact partial sum per row, SumCertificate of the top row);
     raises RuntimeError if max_terms terms do not certify.
     """
@@ -240,18 +240,6 @@ def dobinski_sums(r: int, M: int, n_max: int, x, cutoff, max_terms: int):
 
     return certified_sum(lambda l: p, lambda l: q * (l + 1), ratio_cap,
                          cutoff, weights, max_terms)
-
-
-def dobinski_adaptive(r: int, M: int, n: int, x, tol, prec: int = 50):
-    """B_r^(M)(n,x) = e^{-x} times the last row of `dobinski_sums`.
-
-    The sum stops once its tail is at most tol * max(partial sum, 1); as
-    e^{-x} <= 1, the reported value is then within tol * max(value, 1) of
-    the full sum: the scale at which `HighPrecReal.agrees_with` compares.
-    Returns (value: HighPrecReal, terms_used: int, exact_partial: Fraction).
-    """
-    sums, cert = dobinski_sums(r, M, n, x, tol, 100000)
-    return HighPrecReal.exp_of(-x, prec) * sums[-1], cert.terms, sums[-1]
 
 
 def b_pp(p: int, n: int) -> int:

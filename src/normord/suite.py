@@ -3,10 +3,11 @@
 Every check returns an IdentityReport (see `normord.report`): the
 drivers here, and the closed-form checks of `normord.closedform`, which
 `run_identity` calls directly.  Each driver builds its two (or three)
-sides independently and hands them to `normord.report` to compare:
-exact-mode checks go through its one exact scan with no tolerance at
-all, numeric-mode checks through `DeviationTally` and always record the
-working precision and tolerance they used.  Every report names its
+sides independently and hands them to `normord.report`'s one exact
+scan, with no tolerance at all: every side here is rational, at
+fractional parameters too.  The one numeric check,
+`hyp-generating-function`, decides on a proven bound and records the
+precision and tolerance it used.  Every report names its
 paths in `details.paths`.  Operator powers D(r,M)^0..n come
 from one fold, `closedform._oracle_powers`.  `IDENTITIES` is the one
 table of what `verify` runs: for every id it holds the driver, the
@@ -47,13 +48,7 @@ from .laguerre import (
     exp_D_r1_normal_form,
     exp_lambda_Dx_columns,
 )
-from .report import (
-    DeviationTally,
-    IdentityReport,
-    _finish,
-    _nf_mismatch,
-    _rows_mismatch,
-)
+from .report import IdentityReport, _finish, _nf_mismatch, _rows_mismatch
 from .series import (
     PolyQ,
     SeriesQ,
@@ -290,55 +285,30 @@ def verify_exp_on_exponential(
                    paths=("Dx columns", "closed grid"))
 
 
-def verify_exp_on_kummer(
-    b,
-    x_order: int = 16,
-    lambda_order: int = 8,
-    precision: int = DEFAULT_PRECISION,
-    tolerance=DEFAULT_TOLERANCE,
-) -> IdentityReport:
+def verify_exp_on_kummer(b, x_order: int = 16, lambda_order: int = 8) -> IdentityReport:
     """exp(t D_x) 1F1(b;1;x) = (1-t)^(-b) 1F1(b;1;x/(1-t)) coefficientwise.
 
     Expanded right side: x^i t^m carries (b)_i/(i!)^2 * (b+i)_m / m!,
-    read as (b)_(i+m) / ((i!)^2 m!).
-    Integer b is checked exactly; fractional b runs in numeric mode per
-    the rational-inputs-exact / otherwise-tracked-precision contract: the
-    sides stay rational, and each entry where they differ is judged by
-    `DeviationTally` at the given precision and tolerance.  As in
-    `verify_exp_on_exponential`, lambda_order may not pass x_order.
+    read as (b)_(i+m) / ((i!)^2 m!).  Both sides are rational at any
+    rational b, so every entry is compared exactly, b = 3/2 included.
+    As in `verify_exp_on_exponential`, lambda_order may not pass x_order.
     """
     _columns_fit(x_order, lambda_order)
     t0 = time.perf_counter()
     b = _canonical(b)
     params = {"b": str(b), "x_order": x_order, "lambda_order": lambda_order}
-    exact = b.denominator == 1
     s = phyperq_series([b], [1], x_order)
     cols = exp_lambda_Dx_columns(DxOperator(1, 1), s, lambda_order)
-    grid = [dict(enumerate(col.coeffs)) for col in cols]
     rising = [pochhammer(b, k) for k in range(x_order)]
     refs = [
         {i: Fraction(rising[i + m], factorial(i) ** 2 * factorial(m))
          for i in range(col.order)}
         for m, col in enumerate(cols)
     ]
-    paths = ("Dx columns", "Kummer expansion")
-    if exact:
-        _, mismatch = _rows_mismatch(grid, refs, "lambda_power", ("x_power",))
-        return _finish("exp-kummer", params, "exact", t0, mismatch, paths=paths)
-    tally = DeviationTally(precision, tolerance)
-    for m, (col, ref) in enumerate(zip(grid, refs)):
-        tally.compare(col, ref, {"lambda_power": m}, ("x_power",))
-    return _finish(
-        "exp-kummer",
-        params,
-        "numeric",
-        t0,
-        tally.first,
-        {"max_rel_dev": tally.max_rel_dev},
-        paths=paths,
-        precision=precision,
-        tolerance=str(tolerance),
-    )
+    _, mismatch = _rows_mismatch([dict(enumerate(col.coeffs)) for col in cols],
+                                 refs, "lambda_power", ("x_power",))
+    return _finish("exp-kummer", params, "exact", t0, mismatch,
+                   paths=("Dx columns", "Kummer expansion"))
 
 
 def verify_exp_on_monomial(n_max: int = 6) -> IdentityReport:
@@ -470,7 +440,6 @@ class Check(NamedTuple):
 _R3 = ("r", (1, 2, 3))
 _M3 = ("M", (1, 2, 3))
 _R4 = ("r", (1, 2, 3, 4))
-_NUMERIC = ("precision", "tolerance")
 _SHEFFER = Check(verify_sheffer, (_R3,), ("n", 5))
 
 
@@ -479,9 +448,9 @@ def _closed_form(kind: str, Ms: tuple) -> Check:
                  ("n", CLOSED_FORMS[kind][1]))
 
 
-def _example(example_id: str, lambda_order: int, axes=(), numeric=()) -> Check:
+def _example(example_id: str, lambda_order: int, axes=()) -> Check:
     return Check(partial(example_normal_forms, example_id), axes,
-                 ("lambda_order", lambda_order), numeric, in_suite=False)
+                 ("lambda_order", lambda_order), in_suite=False)
 
 
 IDENTITIES = {
@@ -493,7 +462,7 @@ IDENTITIES = {
     "exp-exponential": Check(verify_exp_on_exponential,
                              (("b", (1, 2, Fraction(1, 3))),), ("lambda_order", 8)),
     "exp-kummer": Check(verify_exp_on_kummer, (("b", (1, 2, 3, Fraction(3, 2))),),
-                        ("lambda_order", 8), _NUMERIC),
+                        ("lambda_order", 8)),
     "exp-monomial": Check(verify_exp_on_monomial, size=("n", 6)),
     "sheffer": _SHEFFER,
     "egf": Check(verify_egf, (_R4,), ("n", 8)),
@@ -507,13 +476,14 @@ IDENTITIES = {
     "bell-hyp-r3": _closed_form("bell-hyp-r3", (1,)),
     "hyp-generating-function": Check(
         hyp_generating_function_check, (("r", (1, 2)), ("M", (1, 2))),
-        ("lambda_order", 6), _NUMERIC, points=((1, 1), (1, 2), (2, 2))),
+        ("lambda_order", 6), ("precision", "tolerance"),
+        points=((1, 1), (1, 2), (2, 2))),
     "graphs": Check(verify_graph_enumeration, (("r", (1, 2)), ("M", (1, 2))), ("n", 4)),
     "conjecture": Check(conjecture_check, (("r", (4, 5, 6)), ("M", (1, 2))),
                         ("n", 3), points=((4, 1), (4, 2), (5, 1), (5, 2), (6, 1))),
     "laguerre-ogf": _example("laguerre-ogf", 6),
     "kummer-b3": _example("kummer-b3", 6),
-    "kummer-b3half": _example("kummer-b3half", 6, numeric=_NUMERIC),
+    "kummer-b3half": _example("kummer-b3half", 6),
     # its p is read from n
     "laguerre-shifted": Check(
         lambda n, **kw: example_normal_forms("laguerre-shifted", p=n, **kw),

@@ -17,7 +17,7 @@ from math import comb, factorial
 from normord.cache import load_triangle, render_triangle, triangle_path
 from normord.closedform import hyp_closed_form_check, hyp_generating_function_check
 from normord.graphs import enumerate_graphs
-from normord.hyperreal import HighPrecReal
+from normord.hyperreal import exp_bounds, rel_dev_bound
 from normord.laguerre import exp_D_r1_normal_form
 from normord.serialize import (
     normal_form_from_json,
@@ -30,7 +30,7 @@ from normord.stirling import (
     b_pp,
     bell_sequence,
     classical_bell,
-    dobinski_adaptive,
+    dobinski_sums,
     gen_bell_number,
     gen_stirling,
     product_poly,
@@ -118,6 +118,20 @@ def _dobinski_reduction(r, M, n):
     return sum(c * b for c, b in zip(coeffs, _bell_numbers(len(coeffs))))
 
 
+def _dobinski_deviation(r, M, n, exact):
+    """Proven bound on |e^-1 sum_l W(n,l)/l! - exact| / max(exact, 1).
+
+    Both factors are enclosed to cutoff TOL/4, so the bound, about twice
+    the cutoff, falls within TOL: the l-sum lies in [S, S + cutoff *
+    max(S, 1)] (the `dobinski_sums` stop) and e^-1 in the `exp_bounds`
+    enclosure; no value is rounded.
+    """
+    cutoff = TOL / 4
+    total = dobinski_sums(r, M, n, 1, cutoff, 100000)[0][-1]
+    lo, hi, _ = exp_bounds(-1, cutoff)
+    return rel_dev_bound(lo * total, hi * (total + cutoff * max(total, 1)), exact)
+
+
 def _corroborate_1_1_6(computed):
     """Library witnesses for B at (r,M)=(1,1), n=6, where the pin is 13327."""
     nf = laguerre_derivative_nf(1, 1)
@@ -128,11 +142,10 @@ def _corroborate_1_1_6(computed):
     )
     diag = b_pp(6, 2)
     closed = sum(factorial(k) * comb(6, k) ** 2 for k in range(7))
-    dob, _, _ = dobinski_adaptive(1, 1, 6, 1, TOL)
     dob_note = (
-        f"adaptive exponential sum within 1e-30 of {closed}"
-        if dob.agrees_with(HighPrecReal(closed, 50), TOL)
-        else f"adaptive exponential sum NOT within 1e-30 of {closed}"
+        f"Dobinski sum proven within 1e-30 of {closed}"
+        if _dobinski_deviation(1, 1, 6, closed) <= TOL
+        else f"Dobinski sum NOT proven within 1e-30 of {closed}"
     )
     return (
         f"witnesses at (1,1), n=6 against bell_sequence's {computed}: "
@@ -349,8 +362,7 @@ def test_criterion_9_property_suites(tmp_path):
     for (r, M), pinned in sorted(PINNED_SEQUENCES.items()):
         for n in range(len(pinned)):
             exact = gen_bell_number(r, M, n)
-            val, _, _ = dobinski_adaptive(r, M, n, 1, TOL)
-            if not val.agrees_with(HighPrecReal(exact, 50), TOL):
+            if _dobinski_deviation(r, M, n, exact) > TOL:
                 bad.append(("dobinski", r, M, n))
 
     nf = laguerre_derivative_nf(2, 3) ** 2

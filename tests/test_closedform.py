@@ -128,12 +128,69 @@ def test_generating_function_records_its_certificate():
     assert Decimal(details["ratio_cap"]) <= Decimal("0.5")
     # the cutoff 10^-60 relative to the top row's sum e * B(6, 1) < 3 * 130922
     assert 0 < Decimal(details["tail_bound"]) <= Decimal("1e-60") * 3 * 130922
+    # e^1 summed to the same cutoff: 1/0! .. 1/47!, tail bound 2/48! < 10^-60
+    assert details["exp_terms"] == 48
+    assert 0 < Decimal(details["rel_dev_bound"]) <= Decimal("1.1e-60")
 
 
 def test_generating_function_budget_report():
     rep = hyp_generating_function_check(1, 1, Fraction(1), 5, max_terms=3)
     assert rep.status == "fail"
     assert "tail bound" in rep.details["first_mismatch"]["reason"]
+
+
+def _plant_in_bell_row(monkeypatch, n_bad, rel_error):
+    """Scale row n_bad of the triangle, so B(n_bad, x), by 1 + rel_error."""
+    real = closedform.stirling_rows
+
+    def planted(r, M, n_max):
+        for n, row in enumerate(real(r, M, n_max)):
+            yield [c * (1 + rel_error) for c in row] if n == n_bad else row
+
+    monkeypatch.setattr(closedform, "stirling_rows", planted)
+
+
+def test_generating_function_fails_a_planted_relative_error(monkeypatch):
+    # 10^-25 is far above the default tolerance 10^-30 and the proven bound
+    _plant_in_bell_row(monkeypatch, 4, Fraction(1, 10**25))
+    rep = hyp_generating_function_check(1, 2, Fraction(1), 6)
+    assert rep.status == "fail"
+    assert rep.details["first_mismatch"]["n"] == 4
+    assert Decimal(rep.details["first_mismatch"]["rel_dev_bound"]) >= Decimal("1e-25")
+    assert rep.details["rel_dev_bound"] == rep.details["first_mismatch"]["rel_dev_bound"]
+
+
+def test_generating_function_passes_an_error_below_tolerance(monkeypatch):
+    # 10^-45 at precision 50: the cutoff 10^-60 leaves it inside 10^-30
+    _plant_in_bell_row(monkeypatch, 4, Fraction(1, 10**45))
+    rep = hyp_generating_function_check(1, 2, Fraction(1), 6, precision=50)
+    assert rep.status == "pass"
+    assert Decimal("1e-45") <= Decimal(rep.details["rel_dev_bound"]) < Decimal("1e-44")
+
+
+@pytest.mark.parametrize("precision, tolerance", [(30, Fraction(1, 10**20)),
+                                                  (1000, Fraction(1, 10**990))])
+def test_generating_function_decides_at_the_cli_floor(precision, tolerance):
+    # the tightest tolerance the CLI takes, 10^-(precision-10), still leaves
+    # 20 digits between it and the proven bound, about 10^-(precision+10)
+    reps = run_identity("hyp-generating-function", lambda_order=12,
+                        precision=precision, tolerance=tolerance)
+    assert len(reps) == 3
+    for rep in reps:
+        assert rep.status == "pass", rep.parameters
+        assert (rep.precision, rep.tolerance) == (precision, str(tolerance))
+        assert Fraction(Decimal(rep.details["rel_dev_bound"])) <= tolerance
+        assert Decimal(rep.details["rel_dev_bound"]) < Decimal(10) ** -(precision + 9)
+
+
+def test_generating_function_fails_a_tolerance_below_its_bound():
+    # a library call may ask for less than the cutoff proves: it fails and
+    # the report records the bound it did prove
+    rep = hyp_generating_function_check(1, 1, Fraction(1), 6, precision=50,
+                                        tolerance=Fraction(1, 10**70))
+    assert rep.status == "fail"
+    assert rep.details["first_mismatch"]["n"] == 0
+    assert Decimal(rep.details["rel_dev_bound"]) > Decimal("1e-70")
 
 
 @pytest.mark.parametrize("example_id", EXAMPLE_IDS)
@@ -178,27 +235,32 @@ def test_example_failure_reports_first_mismatch(monkeypatch):
 
 
 def test_kummer_b3half_judges_every_differing_entry(monkeypatch):
-    # a fault within tolerance on the highest entry must not hide a gross
-    # one on the lowest entry of the same lambda power
+    # the check is exact: a 10^-40 fault on the highest entry fails it as
+    # surely as a gross one on the lowest entry of the same lambda power
     real = closedform._kummer_sides
+    tiny, gross = (-1, Fraction(1, 10**40)), (0, 1)
 
-    def planted(b, lambda_order):
-        lhs, rhs, arg = real(b, lambda_order)
-        terms = dict(lhs[2].terms)
-        keys = sorted(terms)
-        terms[keys[-1]] += Fraction(1, 10**40)
-        terms[keys[0]] += 1
-        lhs[2] = NormalForm(terms)
-        return lhs, rhs, arg
+    def planting(*plants):
+        def planted(b, lambda_order):
+            lhs, rhs, arg = real(b, lambda_order)
+            terms = dict(lhs[2].terms)
+            keys = sorted(terms)
+            for index, delta in plants:
+                terms[keys[index]] += delta
+            lhs[2] = NormalForm(terms)
+            return lhs, rhs, arg
+        return planted
 
-    monkeypatch.setattr(closedform, "_kummer_sides", planted)
-    rep = example_normal_forms("kummer-b3half", 4)
-    assert rep.status == "fail"
-    first = rep.details["first_mismatch"]
-    assert (first["lambda"], first["dag"], first["ann"]) == (2, 0, 2)
-    assert Decimal(rep.details["max_rel_dev"]) > Decimal("0.5")
-    # the planted +1 is the largest absolute deviation, reported as such
-    assert Decimal(rep.details["max_abs_dev"]) == 1
+    # plants -> (dag, ann) and size of the first mismatch; keys scan high to low
+    for plants, (dag, ann, delta) in (((tiny,), (2, 4, tiny[1])),
+                                      ((gross,), (0, 2, 1)),
+                                      ((tiny, gross), (2, 4, tiny[1]))):
+        monkeypatch.setattr(closedform, "_kummer_sides", planting(*plants))
+        rep = example_normal_forms("kummer-b3half", 4)
+        assert (rep.mode, rep.status) == ("exact", "fail")
+        first = rep.details["first_mismatch"]
+        assert (first["lambda"], first["dag"], first["ann"]) == (2, dag, ann)
+        assert Fraction(first["left"]) - Fraction(first["right"]) == delta
 
 
 # eigen-operator's right side is the alternating sum, hyp-compact's is

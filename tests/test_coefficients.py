@@ -12,10 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normord.closedform import (
-    example_normal_forms,
-    hyp_generating_function_check,
-)
+from normord.closedform import hyp_generating_function_check
 from normord.graphs import enumerate_graphs, explicit_table
 from normord.laguerre import (
     DotSeries,
@@ -34,9 +31,9 @@ from normord.series import (
     series_binpow,
     series_exp,
 )
-from normord.hyperreal import HighPrecReal
-from normord.report import DeviationTally, IdentityReport
-from normord.stirling import dobinski_adaptive, dobinski_sums, gen_bell_poly
+from normord.hyperreal import exp_bounds, rel_dev_bound
+from normord.report import IdentityReport
+from normord.stirling import dobinski_sums, gen_bell_poly
 from normord.suite import verify_exp_on_exponential, verify_exp_on_kummer
 from normord.serialize import normal_form_from_json, normal_form_to_json
 from normord.weyl import (
@@ -179,25 +176,20 @@ TOL = Fraction(1, 10**30)
 NUMERIC_ENTRIES = {
     "dobinski_sums": lambda v: dobinski_sums(1, 1, 2, v, TOL, 1000),
     "dobinski_sums cutoff": lambda v: dobinski_sums(1, 1, 2, 1, v, 1000),
-    "dobinski_adaptive": lambda v: dobinski_adaptive(1, 1, 2, v, TOL),
-    "dobinski_adaptive tol": lambda v: dobinski_adaptive(1, 1, 2, 1, v),
     "hyp-generating-function": lambda v: hyp_generating_function_check(1, 1, v, 3),
     "exp-exponential": lambda v: verify_exp_on_exponential(v, 6, 4),
     "exp-kummer": lambda v: verify_exp_on_kummer(v, 6, 4),
-    "exp_of": lambda v: HighPrecReal.exp_of(v),
+    "exp_bounds": lambda v: exp_bounds(v, TOL),
+    "exp_bounds cutoff": lambda v: exp_bounds(1, v),
+    "rel_dev_bound": lambda v: rel_dev_bound(v, 2, 1),
+    "rel_dev_bound exact": lambda v: rel_dev_bound(0, 2, v),
 }
 
 
 # entry -> (call, a float it must refuse)
 TOLERANCE_ENTRIES = {
-    "DeviationTally": (lambda tol: DeviationTally(50, tol), 1e-30),
     "hyp-generating-function": (
         lambda tol: hyp_generating_function_check(1, 1, 1, 3, tolerance=tol), 1e-30),
-    "exp-kummer": (lambda tol: verify_exp_on_kummer(Fraction(3, 2), tolerance=tol),
-                   1e-30),
-    "kummer-b3half": (lambda tol: example_normal_forms("kummer-b3half", 2,
-                                                       tolerance=tol), 1e-30),
-    "agrees_with": (lambda tol: HighPrecReal(1, 40).agrees_with(1, tol), 1e-30),
 }
 
 
@@ -212,11 +204,9 @@ def test_tolerances_refuse_floats(entry):
 
 
 def _timeless(out):
-    """out with report timings dropped and reals spelled out, for ==."""
+    """out with report timings dropped, for ==."""
     if isinstance(out, IdentityReport):
         return out._replace(elapsed=None)
-    if isinstance(out, HighPrecReal):
-        return (out.value, out.prec)
     if isinstance(out, tuple):
         return tuple(map(_timeless, out))
     return out

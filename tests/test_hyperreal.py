@@ -1,51 +1,58 @@
-"""High-precision reals: exp at rationals and the comparison contract."""
+"""Proven rational enclosures: e^x at rationals and the relative-deviation bound."""
 
-from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from normord.hyperreal import HighPrecReal
+from normord.hyperreal import exp_bounds, rel_dev_bound
+
+DIGITS = 300
 
 
-def _against_mpmath(value: HighPrecReal, mp_thunk, digits: int):
-    mpmath.mp.dps = digits + 10
-    ref = Decimal(mpmath.nstr(mp_thunk(), digits + 5))
-    got = value.value
-    scale = max(abs(ref), Decimal(1))
-    assert abs(got - ref) / scale < Decimal(10) ** -(digits - 2)
+def _check_enclosure(x: Fraction, cutoff: Fraction):
+    lo, hi, cert = exp_bounds(x, cutoff)
+    assert type(lo) in (int, Fraction) and type(hi) in (int, Fraction)
+    assert 0 <= hi - lo <= cutoff * hi
+    assert cert.terms >= 1
+    # every gap here is far wider than 10^-DIGITS, so rounding the endpoints
+    # to DIGITS digits cannot turn a wrong order into a right one
+    with mpmath.workdps(DIGITS):
+        true = mpmath.exp(mpmath.mpf(x.numerator) / x.denominator)
+        assert mpmath.mpf(lo.numerator) / lo.denominator <= true
+        assert true <= mpmath.mpf(hi.numerator) / hi.denominator
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(min_value=0, max_value=20, max_denominator=1000),
+       st.integers(min_value=5, max_value=250))
+def test_exp_enclosure_against_mpmath(x, digits):
+    _check_enclosure(Fraction(x), Fraction(1, 10**digits))
 
 
 @pytest.mark.parametrize("x", [Fraction(0), Fraction(1), Fraction(-3, 2),
                                Fraction(7, 5)])
 def test_exp_against_mpmath(x):
-    e = HighPrecReal.exp_of(x, 50)
-    _against_mpmath(
-        e, lambda: mpmath.exp(mpmath.mpf(x.numerator) / x.denominator), 45
-    )
+    # a negative x is enclosed by the reciprocals of e^|x|'s bounds
+    _check_enclosure(x, Fraction(1, 10**60))
+
+
+def test_exp_enclosure_is_exact_at_zero():
+    assert exp_bounds(0, Fraction(1, 10**30))[:2] == (1, 1)
+    with pytest.raises(ValueError):
+        exp_bounds(1, 0)
 
 
 def test_comparison_contract():
-    a = HighPrecReal(Fraction(1, 3), 50)
-    b = HighPrecReal(Fraction(1, 3) + Fraction(1, 10**45), 50)
-    assert a.agrees_with(b, Fraction(1, 10**30))
-    assert not a.agrees_with(b, Fraction(1, 10**46))
-    dev = a.rel_deviation(b)
-    assert Decimal(0) < dev < Decimal("1e-40")
-
-
-def test_constructor_accepts_strings_and_decimals():
-    a = HighPrecReal("1.25", 40)
-    b = HighPrecReal(Fraction(5, 4), 40)
-    assert a.agrees_with(b, Fraction(1, 10**30))
-
-
-def test_int_is_rounded_as_the_equal_fraction():
-    # an exact rational value reads the same whatever its type
-    big = 3**150 + 1
-    a = HighPrecReal(big, 50)
-    b = HighPrecReal(Fraction(big), 50)
-    assert a.value == b.value
-    assert len(a.value.as_tuple().digits) == 65
-    assert a.rel_deviation(b) == 0
+    # the most any point of [lo, hi] can deviate from the exact value,
+    # relative to max(|exact|, 1): absolute below 1, relative above
+    third = Fraction(1, 3)
+    assert rel_dev_bound(third, third + Fraction(1, 10**45), third) == Fraction(
+        1, 10**45)
+    assert rel_dev_bound(99, 101, 100) == Fraction(1, 100)
+    assert rel_dev_bound(100, 100, 100) == 0
+    # an interval that misses the exact value is judged by its far end
+    assert rel_dev_bound(110, 120, 100) == Fraction(1, 5)
+    assert rel_dev_bound(-3, -1, 0) == 3

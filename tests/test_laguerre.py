@@ -71,12 +71,12 @@ def test_dot_series_algebra():
     order = 6
     x = DotSeries.monomial(order, 1, 0, 1)  # lambda * a
     e = x.exp()
-    assert e.lambda_coefficient(3).terms == {(0, 3): Fraction(1, 6)}
+    assert e.lambda_coefficients()[3].terms == {(0, 3): Fraction(1, 6)}
     # binpow additivity in the exponent
     a = DotSeries.binpow(order, -1, 1, Fraction(-1, 2))
     b = DotSeries.binpow(order, -1, 1, Fraction(-3, 2))
     c = DotSeries.binpow(order, -1, 1, Fraction(-2))
-    assert (a * b).lambda_coefficient(4) == c.lambda_coefficient(4)
+    assert (a * b).lambda_coefficients() == c.lambda_coefficients()
 
 
 def test_dot_series_exp_needs_positive_lambda_order():
@@ -87,9 +87,13 @@ def test_dot_series_exp_needs_positive_lambda_order():
 
 
 def test_dot_series_lambda_coefficient_bounds():
-    s = DotSeries.one(3)
+    # one NormalForm per power below the truncation order, none past it
+    s = DotSeries.one(3) + DotSeries.monomial(3, 2, 1, 4, Fraction(1, 2))
+    coeffs = s.lambda_coefficients()
+    assert len(coeffs) == 3
+    assert [c.terms for c in coeffs] == [{(0, 0): 1}, {}, {(1, 4): Fraction(1, 2)}]
     with pytest.raises(IndexError):
-        s.lambda_coefficient(3)
+        coeffs[3]
 
 
 def test_laguerre_connection():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normord.cache import render_triangle
+from normord.hyperreal import exp_bounds, rel_dev_bound
 from normord.series import PolyQ, binomial, factorial
 from normord.stirling import (
     alternating_sum_rows,
@@ -17,7 +18,6 @@ from normord.stirling import (
     bell_sequence,
     classical_bell,
     classical_stirling2,
-    dobinski_adaptive,
     dobinski_sums,
     gen_bell_number,
     gen_bell_poly,
@@ -196,55 +196,67 @@ def test_b_pp_frozen():
         b_pp(0, 2)
 
 
+TOL = Fraction(1, 10**30)
+# the sums and e^-x are enclosed to a quarter of TOL, so that the proven
+# bound on the relative deviation, about twice the cutoff, is within TOL
+CUTOFF = TOL / 4
+
+
+def _deviation(total, x, exact):
+    """Proven bound on |e^-x L - exact| / max(exact, 1) for the l-sum L whose
+    `dobinski_sums` partial sum is total: L lies in [total, total + CUTOFF *
+    max(total, 1)] and e^-x in its `exp_bounds` enclosure."""
+    lo, hi, _ = exp_bounds(-x, CUTOFF)
+    return rel_dev_bound(lo * total, hi * (total + CUTOFF * max(total, 1)), exact)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3),
        st.integers(min_value=0, max_value=6),
        st.fractions(min_value=0, max_value=3, max_denominator=6))
 def test_dobinski_sums_rows_are_bell_polynomials(r, M, n_max, x):
-    from normord.hyperreal import HighPrecReal
-
-    cutoff = Fraction(1, 10**30)
-    sums, cert = dobinski_sums(r, M, n_max, x, cutoff, 100000)
+    sums, cert = dobinski_sums(r, M, n_max, x, CUTOFF, 100000)
     assert len(sums) == n_max + 1
-    emx = HighPrecReal.exp_of(-x, 50)
     for n, total in enumerate(sums):
         ref = gen_bell_poly(r, M, n).eval(x)
-        assert (emx * total).agrees_with(HighPrecReal(ref, 50), cutoff), (r, M, n, x)
+        assert _deviation(total, x, ref) <= TOL, (r, M, n, x)
         if x == 0:
             assert total == (factorial(n) * r**n) ** M
         if (r, M) == (0, 1):  # Touchard polynomials, from the classical triangle
             touchard = sum(classical_stirling2(n, k) * x**k for k in range(n + 1))
-            assert (emx * total).agrees_with(HighPrecReal(touchard, 50), cutoff)
+            assert _deviation(total, x, touchard) <= TOL
     assert cert.ratio_cap <= Fraction(1, 2)
-    assert cert.tail_bound <= cutoff * max(sums[-1], 1)
+    assert cert.tail_bound <= CUTOFF * max(sums[-1], 1)
 
 
-def test_dobinski_adaptive_hits_bell_values():
-    from normord.hyperreal import HighPrecReal
-
-    tol = Fraction(1, 10**30)
-    # r = 0 gives the classical Bell numbers and a zero first term
+def test_dobinski_sums_hit_bell_values():
+    # r = 0 gives the classical Bell numbers and a zero first term; every
+    # row of every call is enclosed, the lower rows by the top row's stop
     cases = {**SEQUENCES, (0, 1): [classical_bell(n) for n in range(8)]}
     for (r, M), ref in cases.items():
-        for n, bell in enumerate(ref):
-            val, terms, _ = dobinski_adaptive(r, M, n, 1, tol)
-            assert terms >= 1
-            assert val.agrees_with(HighPrecReal(bell, 50), tol), (r, M, n)
+        for n in range(len(ref)):
+            sums, cert = dobinski_sums(r, M, n, 1, CUTOFF, 100000)
+            assert cert.terms >= 1
+            for j, total in enumerate(sums):
+                assert _deviation(total, 1, ref[j]) <= TOL, (r, M, n, j)
 
 
-def test_dobinski_adaptive_polynomial_argument():
-    tol = Fraction(1, 10**30)
+def test_dobinski_sums_polynomial_argument():
     for x in (Fraction(1, 2), Fraction(2)):
-        val, _, _ = dobinski_adaptive(2, 2, 3, x, tol)
-        ref = gen_bell_poly(2, 2, 3).eval(x)
-        assert val.agrees_with(type(val)(ref, 50), tol)
+        sums, _ = dobinski_sums(2, 2, 3, x, CUTOFF, 100000)
+        for n, total in enumerate(sums):
+            assert _deviation(total, x, gen_bell_poly(2, 2, n).eval(x)) <= TOL
 
 
 def test_dobinski_rejects_bad_input():
     with pytest.raises(ValueError):
-        dobinski_adaptive(1, 1, 2, -1, Fraction(1, 10**30))
+        dobinski_sums(1, 1, 2, -1, TOL, 1000)
     with pytest.raises(ValueError):
-        dobinski_adaptive(1, 1, 2, 1, 0)
+        dobinski_sums(1, 1, 2, 1, 0, 1000)
+    with pytest.raises(ValueError):
+        dobinski_sums(-1, 1, 2, 1, TOL, 1000)
+    with pytest.raises(RuntimeError):
+        dobinski_sums(1, 1, 2, 1, TOL, 3)
 
 
 def test_oeis_anchor_a002720():

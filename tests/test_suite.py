@@ -242,11 +242,20 @@ def test_commutator_covers_m_zero():
     assert rep.status == "pass"
 
 
-def test_kummer_numeric_mode_for_half_integer():
+def test_kummer_exact_mode_for_half_integer(monkeypatch):
+    # both sides are rational at b = 3/2: compared exactly, no tolerance
     rep = verify_exp_on_kummer(Fraction(3, 2), x_order=10, lambda_order=4)
-    assert rep.mode == "numeric"
+    assert rep.mode == "exact"
     assert rep.status == "pass"
-    assert rep.precision is not None and rep.tolerance is not None
+    assert rep.precision is None and rep.tolerance is None
+    # so an error far below any numeric tolerance fails it
+    real = suite.pochhammer
+    monkeypatch.setattr(suite, "pochhammer", lambda b, k: real(b, k) + (
+        Fraction(1, 10**60) if k == 7 else 0))
+    rep = verify_exp_on_kummer(Fraction(3, 2), x_order=10, lambda_order=4)
+    assert rep.status == "fail"
+    first = rep.details["first_mismatch"]
+    assert first["lambda_power"] + first["x_power"] == 7
 
 
 def test_exp_on_monomial_grid():
