@@ -193,27 +193,36 @@ class DotSeries:
         m0 = self.min_lambda_order()
         if m0 < 1:
             raise ValueError("exp needs a series with no lambda^0 part")
-        acc = DotSeries.one(self.order)
-        term = DotSeries.one(self.order)
         kmax = (self.order - 1) // m0
-        for k in range(1, kmax + 1):
-            term = (term * self).scale(Fraction(1, k))
-            acc = acc + term
-        return acc
+        return self.apply_function([Fraction(1, factorial(k)) for k in range(kmax + 1)])
 
     def apply_function(self, taylor) -> "DotSeries":
-        """sum_m taylor[m] * self^m, for self with min lambda order >= 1."""
+        """sum_m taylor[m] * self^m, for self with min lambda order >= 1.
+
+        Powers past the truncation order or past `taylor` are never built;
+        the kept terms are summed once, into one int dict over the lcm of
+        their denominators.
+        """
         m0 = self.min_lambda_order()
         if m0 < 1:
             raise ValueError("function application needs lambda^1 or higher")
-        kmax = (self.order - 1) // m0
-        acc = DotSeries(self.order, {(0, 0, 0): taylor[0]}) if taylor else DotSeries(self.order)
-        term = DotSeries.one(self.order)
-        for k in range(1, kmax + 1):
-            term = term * self
-            if k < len(taylor) and taylor[k]:
-                acc = acc + term.scale(taylor[k])
-        return acc
+        kmax = min((self.order - 1) // m0, len(taylor) - 1)
+        parts = []
+        power = DotSeries.one(self.order)
+        for k in range(kmax + 1):
+            if k:
+                power = power * self
+            c = _canonical(taylor[k])
+            if c:
+                parts.append((power, c))
+        den = lcm(*(p.den * c.denominator for p, c in parts))
+        out: dict = {}
+        get = out.get
+        for p, c in parts:
+            f = den // (p.den * c.denominator) * c.numerator
+            for key, a in p.nums.items():
+                out[key] = get(key, 0) + a * f
+        return DotSeries._from_ints(self.order, out, den)
 
     def lambda_coefficients(self) -> list:
         """NormalForms of the lambda^0 .. lambda^(order-1) coefficients.

@@ -1,5 +1,6 @@
 """End-to-end CLI contract: output formats, exit codes, cache behavior."""
 
+import gc
 import json
 import math
 import os
@@ -451,6 +452,67 @@ def test_import_loads_every_layer_and_no_dataclasses():
     loaded = set(proc.stdout.split())
     assert not loaded & {"dataclasses", "inspect", "dis", "ast", "json"}
     assert {f"normord.{layer}" for layer in LAYERS} <= loaded
+
+
+# --- process entry -------------------------------------------------------
+
+# One request of each kind, in order: the two `seq --poly` requests are a
+# miss and then its hit on one cache directory, which `cache clear` empties.
+PARITY_REQUESTS = [
+    ("order", "a (ad a)^2 + 1/2 ad"),
+    ("order", "(ad a)^3", "--expectation", "1/2,1"),
+    ("seq", "1", "1", "30", "--number", "--format", "bfile"),
+    ("seq", "2", "2", "12", "--poly", "--cache-dir", "{dir}"),
+    ("seq", "2", "2", "12", "--poly", "--cache-dir", "{dir}"),
+    # table, because the JSON report records its elapsed time
+    ("verify", "commutator", "--r", "1", "--M", "1", "--format", "table"),
+    ("cache", "clear", "--cache-dir", "{dir}"),
+    ("order", "a^"),
+    ("--help",),
+]
+
+
+def _files(path):
+    return {f.name: f.read_bytes() for f in path.iterdir()} if path.exists() else {}
+
+
+def test_process_entry_prints_what_main_prints(capsys, tmp_path, monkeypatch):
+    # `python -m normord.cli` exits through `run`, which freezes the
+    # collector after `main`: no byte of stdout, stderr or the cache file
+    # and no exit code may differ from an in-process `main` call
+    monkeypatch.setenv("COLUMNS", "80")  # the --help layout
+    env = dict(os.environ, PYTHONIOENCODING="utf-8")
+    env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as by default
+    codes = []
+    for request in PARITY_REQUESTS:
+        argv = [a.format(dir=tmp_path / "process") for a in request]
+        proc = subprocess.run([sys.executable, "-m", "normord.cli", *argv],
+                              capture_output=True, env=env, timeout=60)
+        argv = [a.format(dir=tmp_path / "main") for a in request]
+        code, out, err = run(capsys, *argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, out.encode(), err.encode()), request
+        assert _files(tmp_path / "process") == _files(tmp_path / "main"), request
+        codes.append(code)
+    assert codes == [0, 0, 0, 0, 0, 0, 0, 2, 0]
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    frozen = gc.get_freeze_count()
+    assert run(capsys, "order", "a (ad a)^2")[0] == 0
+    assert run(capsys, "order", "a^")[0] == 2
+    assert gc.get_freeze_count() == frozen
+    assert gc.isenabled()
+
+
+def test_run_returns_the_code_of_main_and_freezes():
+    probe = ("import gc, normord.cli as cli\n"
+             "code = cli.run(['order', 'a^'])\n"
+             "print(code, gc.get_freeze_count() > 0, gc.isenabled())")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "2 True True\n"
 
 
 # --- cache ---------------------------------------------------------------
