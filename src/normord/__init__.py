@@ -13,7 +13,6 @@ from .parser import LimitError, ParseError, parse_expr
 from .series import (
     PolyQ,
     SeriesQ,
-    binomial,
     factorial,
     falling_factorial,
     laguerre_poly,
@@ -26,17 +25,13 @@ from .stirling import (
     classical_bell,
     classical_stirling2,
     gen_bell_number,
-    gen_bell_poly,
     gen_stirling,
-    product_poly,
     stirling1_signless,
     stirling_rows,
 )
 from .weyl import (
     BosonExpr,
     NormalForm,
-    dagger_word,
-    diagonal_reduce,
     laguerre_derivative_nf,
     laguerre_derivative_word,
     normal_order_power,
@@ -45,7 +40,7 @@ from .weyl import (
     word_product_normal_form,
     word_to_normal_form,
 )
-from .graphs import CoeffTable, enumerate_graphs, explicit_graphs
+from .graphs import enumerate_graphs
 from .laguerre import (
     DotSeries,
     DxOperator,
@@ -62,7 +57,6 @@ from .closedform import (
 from .report import IdentityReport
 from .suite import run_identity, run_suite, suite_passed
 from .serialize import (
-    normal_form_from_json,
     normal_form_to_json,
     sequence_bfile,
     sequence_to_json,
@@ -77,7 +71,6 @@ __all__ = [
     "parse_expr",
     "PolyQ",
     "SeriesQ",
-    "binomial",
     "factorial",
     "falling_factorial",
     "laguerre_poly",
@@ -88,15 +81,11 @@ __all__ = [
     "classical_bell",
     "classical_stirling2",
     "gen_bell_number",
-    "gen_bell_poly",
     "gen_stirling",
-    "product_poly",
     "stirling1_signless",
     "stirling_rows",
     "BosonExpr",
     "NormalForm",
-    "dagger_word",
-    "diagonal_reduce",
     "laguerre_derivative_nf",
     "laguerre_derivative_word",
     "normal_order_power",
@@ -104,9 +93,7 @@ __all__ = [
     "normal_order_rook",
     "word_product_normal_form",
     "word_to_normal_form",
-    "CoeffTable",
     "enumerate_graphs",
-    "explicit_graphs",
     "DotSeries",
     "DxOperator",
     "apply_Dx",
@@ -120,7 +107,6 @@ __all__ = [
     "run_identity",
     "run_suite",
     "suite_passed",
-    "normal_form_from_json",
     "normal_form_to_json",
     "sequence_bfile",
     "sequence_to_json",

@@ -32,7 +32,6 @@ __all__ = [
     "CACHE_VERSION",
     "default_cache_dir",
     "triangle_path",
-    "render_triangle",
     "load_triangle",
     "cache_clear",
 ]
@@ -67,11 +66,6 @@ def _lines(rows):
         yield " ".join(map(str, row)) + "\n"
 
 
-def render_triangle(r: int, M: int, rows) -> str:
-    """The file text of a list of rows of ints."""
-    return _header(r, M, len(rows)) + "".join(_lines(rows))
-
-
 def _open(path: Path, mode: str):
     # newline="\n": no line-end translation, so a line is checked as the
     # bytes hold it
@@ -83,7 +77,7 @@ def _open_checked(path: Path, r: int, M: int, n_max: int):
 
     Raises OSError, or ValueError on any defect, a token that is not
     canonical included, so the rows read afterwards are exactly the ones
-    render_triangle would write.
+    `_lines` writes.
     """
     fh = _open(path, "r")
     try:

@@ -1,4 +1,4 @@
-"""Deterministic JSON / table / b-file rendering and the inverse parsers.
+"""Deterministic JSON / table / b-file rendering.
 
 All integer payloads are emitted as decimal strings so arbitrarily large
 values survive any JSON reader; term lists are sorted by (dag desc,
@@ -9,14 +9,13 @@ json.dumps(..., indent=2) would write.  Polynomial rows reach
 hands them out, one line of space-separated decimals per row, and are
 written in pieces, one per row, with no entry split out of its line.
 `order` and `seq --poly` print from templates alone, so `json`, which
-costs about 2 ms of a cold start, is imported only by the functions
-that still read or write through it.
+costs about 2 ms of a cold start, is imported here only by
+`sequence_to_json`.
 """
 
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .weyl import NormalForm
 
@@ -24,16 +23,12 @@ __all__ = [
     "OEIS_ANNOTATIONS",
     "normal_form_to_dict",
     "normal_form_to_json",
-    "normal_form_from_dict",
-    "normal_form_from_json",
     "normal_form_table",
     "sequence_to_dict",
     "sequence_to_json",
-    "sequence_from_json",
     "sequence_bfile",
     "sequence_table",
     "poly_rows_to_dict",
-    "poly_rows_from_dict",
     "iter_poly_rows_json",
     "iter_poly_rows_table",
 ]
@@ -69,22 +64,6 @@ def normal_form_to_json(nf: NormalForm) -> str:
         '\n  ],\n  "order": "dag desc, ann desc"\n}'])
 
 
-def normal_form_from_dict(data: dict) -> NormalForm:
-    terms = {}
-    for entry in data["terms"]:
-        key = (int(entry["dag"]), int(entry["ann"]))
-        if key in terms:
-            raise ValueError(f"duplicate term {key}")
-        terms[key] = Fraction(entry["coeff"])
-    return NormalForm(terms)
-
-
-def normal_form_from_json(text: str) -> NormalForm:
-    import json
-
-    return normal_form_from_dict(json.loads(text))
-
-
 def normal_form_table(nf: NormalForm) -> str:
     """Aligned three-column text rendering, same order as the JSON."""
     rows = [("dag", "ann", "coeff")]
@@ -118,16 +97,6 @@ def sequence_to_json(r: int, M: int, values, indent: int | None = 2) -> str:
     return json.dumps(sequence_to_dict(r, M, values), indent=indent)
 
 
-def sequence_from_json(text: str) -> dict:
-    import json
-
-    data = json.loads(text)
-    if data.get("kind") == "poly":
-        return poly_rows_from_dict(data)
-    data["values"] = [int(v) for v in data["values"]]
-    return data
-
-
 def sequence_bfile(values) -> str:
     """OEIS-style b-file body: `n value` per line, n starting at 0."""
     lines = []
@@ -159,12 +128,6 @@ def poly_rows_to_dict(r: int, M: int, rows) -> dict:
     out["kind"] = "poly"
     out["rows"] = [[str(int(c)) for c in row] for row in rows]
     return out
-
-
-def poly_rows_from_dict(data: dict) -> dict:
-    data = dict(data)
-    data["rows"] = [[int(c) for c in row] for row in data["rows"]]
-    return data
 
 
 def iter_poly_rows_json(r: int, M: int, lines):

@@ -5,9 +5,9 @@ small (a few hundred at most), so dense storage wins on simplicity and is
 fast enough.  Coefficients read out canonical (`_canonical`): an int when
 integral, a `fractions.Fraction` with denominator > 1 only when not, and
 never a float.  This is the one coefficient rule of the package: the
-normal forms in `normord.weyl` and the graph tables in `normord.graphs`
-store what it returns, and the series here and the double-dot series in
-`normord.laguerre` read out by it.
+normal forms in `normord.weyl` (the graph tables of `normord.graphs`
+among them) store what it returns, and the series here and the
+double-dot series in `normord.laguerre` read out by it.
 A true rational division is written `Fraction(a, b)`, since two ints
 would give a float.
 
@@ -39,7 +39,6 @@ __all__ = [
     "PolyQ",
     "SeriesQ",
     "factorial",
-    "binomial",
     "falling_factorial",
     "laguerre_poly",
     "series_exp",
@@ -59,10 +58,6 @@ def factorial(n: int) -> int:
     if n < 0:
         raise ValueError("factorial of negative argument")
     return _factorial(n)
-
-
-def binomial(n: int, k: int) -> int:
-    return comb(n, k)
 
 
 def falling_factorial(p, r: int):
@@ -291,7 +286,7 @@ def laguerre_poly(n: int) -> PolyQ:
     if n < 0:
         raise ValueError("Laguerre index must be >= 0")
     return PolyQ(
-        Fraction((-1) ** k * binomial(n, k), factorial(k)) for k in range(n + 1)
+        Fraction((-1) ** k * comb(n, k), factorial(k)) for k in range(n + 1)
     )
 
 

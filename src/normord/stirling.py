@@ -34,20 +34,18 @@ from fractions import Fraction
 from math import factorial, prod
 
 from . import backend
-from .series import PolyQ, _canonical, certified_sum
+from .series import _canonical, certified_sum
 from .weyl import NormalForm
 
 __all__ = [
     "stirling_rows",
     "gen_stirling",
     "alternating_sum_rows",
-    "gen_bell_poly",
     "gen_bell_number",
     "bell_sequence",
     "classical_stirling2",
     "classical_bell",
     "stirling1_signless",
-    "product_poly",
     "dobinski_sums",
     "b_pp",
 ]
@@ -119,11 +117,6 @@ def alternating_sum_rows(r: int, M: int, n_max: int):
         yield row
 
 
-def gen_bell_poly(r: int, M: int, n: int) -> PolyQ:
-    """B_r^(M)(n,x) = sum_k S_r^(M)(n,k) x^k."""
-    return PolyQ(_row(r, M, n))
-
-
 def gen_bell_number(r: int, M: int, n: int) -> int:
     """B_r^(M)(n) = B_r^(M)(n,1), the row sum."""
     return sum(_row(r, M, n))
@@ -187,16 +180,6 @@ def stirling1_signless(n: int, k: int) -> int:
                 [(prev[j - 1] if j else 0) + (m * prev[j] if j <= m else 0)
                  for j in range(m + 2)])
         return _FIRST_KIND_ROWS[n][k]
-
-
-def product_poly(r: int) -> PolyQ:
-    """prod_{p=1}^{r} (x+p); its x^{k-1} coefficient is |sigma(r+1,k)|."""
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    out = PolyQ.one()
-    for p in range(1, r + 1):
-        out = out * PolyQ((p, 1))
-    return out
 
 
 def dobinski_sums(r: int, M: int, n_max: int, x, cutoff, max_terms: int):

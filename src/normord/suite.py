@@ -24,8 +24,10 @@ from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
 from itertools import product
+from math import comb
 from typing import NamedTuple
 
+from . import backend
 from .closedform import (
     CLOSED_FORMS,
     DEFAULT_PRECISION,
@@ -39,7 +41,6 @@ from .closedform import (
     hyp_closed_form_check,
     hyp_generating_function_check,
 )
-from .graphs import CoeffTable, blocks_from, enumerate_step
 from .laguerre import (
     DxOperator,
     apply_Dx,
@@ -53,7 +54,6 @@ from .series import (
     PolyQ,
     SeriesQ,
     _canonical,
-    binomial,
     factorial,
     laguerre_poly,
     phyperq_series,
@@ -67,7 +67,7 @@ from .stirling import (
     stirling1_signless,
     stirling_rows,
 )
-from .weyl import diagonal_reduce, laguerre_derivative_nf
+from .weyl import NormalForm, laguerre_derivative_nf
 
 __all__ = [
     "IdentityReport",
@@ -132,7 +132,7 @@ def verify_commutator(r: int, M: int) -> IdentityReport:
     params = {"r": r, "M": M}
     d = laguerre_derivative_nf(r, M)
     dd = d.dagger()
-    oracle = diagonal_reduce(d * dd - dd * d)
+    oracle = (d * dd - dd * d).diagonal_polynomial()
     x = PolyQ((0, 1))
     shifted = PolyQ((r, 1))
     left = PolyQ.one()
@@ -274,7 +274,7 @@ def verify_exp_on_exponential(
     # (-b)^i/i! (-1)^m C(i+m, m) b^m = (-b)^(i+m) C(i+m, m) / i!
     bn, bd = b.numerator, b.denominator
     refs = [
-        {i: Fraction((-bn) ** (i + m) * binomial(i + m, m),
+        {i: Fraction((-bn) ** (i + m) * comb(i + m, m),
                      bd ** (i + m) * factorial(i))
          for i in range(col.order)}
         for m, col in enumerate(cols)
@@ -394,15 +394,14 @@ def verify_graph_enumeration(r: int, M: int, n_max: int) -> IdentityReport:
     _nonnegative(r=r, M=M, n_max=n_max)
     t0 = time.perf_counter()
     params = {"r": r, "M": M, "n_max": n_max}
-    blocks = blocks_from(laguerre_derivative_nf(r, M))
+    blocks = laguerre_derivative_nf(r, M).sorted_terms()
     states = {(0, 0): 1}
     tables = []
-    for n in range(1, n_max + 1):
-        states = enumerate_step(states, blocks)
-        tables.append(CoeffTable.from_dict(n, states))
-    _, mismatch = _rows_mismatch([t.to_normal_form() for t in tables],
-                                 _oracle_powers(r, M, n_max)[1:], "n", start=1)
-    totals = [int(t.total_weight) for t in tables]
+    for _ in range(n_max):
+        states = backend.graph_step(states, blocks)
+        tables.append(NormalForm(states))
+    _, mismatch = _rows_mismatch(tables, _oracle_powers(r, M, n_max)[1:], "n", start=1)
+    totals = [t.expectation_at_one() for t in tables]
     return _finish("graphs", params, "exact", t0, mismatch,
                    {"totals": totals}, paths=("power fold", "graph count"))
 

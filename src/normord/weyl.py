@@ -23,7 +23,7 @@ they are tested against each other:
   step per letter, whose rows are the rook numbers of the word's board.
 - `normal_order_rewrite` / `word_to_normal_form`: the rewriter
   a a† = a† a + 1, kept as the oracle (the criteria and the weyl tests
-  call it), with `normal_order_word_rightmost` as its confluence check.
+  call it; the tests also check its confluence).
 - `word_product_normal_form`: a fold of single-letter contraction
   products.
 
@@ -54,12 +54,9 @@ __all__ = [
     "normal_order_rook",
     "normal_order_power",
     "word_to_normal_form",
-    "normal_order_word_rightmost",
     "word_product_normal_form",
-    "dagger_word",
     "laguerre_derivative_word",
     "laguerre_derivative_nf",
-    "diagonal_reduce",
     "apply_word_to_monomial",
 ]
 
@@ -353,41 +350,12 @@ def normal_order_power(expr: BosonExpr, p: int) -> NormalForm:
     return _graded(words, p)
 
 
-def normal_order_word_rightmost(word) -> NormalForm:
-    """Rewriter variant that always attacks the rightmost inversion.
-
-    Exists only to exercise the confluence property in tests; the result
-    must equal word_to_normal_form on every input.
-    """
-    pending = {tuple(word): 1}
-    done: dict = {}
-    while pending:
-        w, c = pending.popitem()
-        pos = -1
-        for i in range(len(w) - 2, -1, -1):
-            if w[i] == 0 and w[i + 1] == 1:
-                pos = i
-                break
-        if pos < 0:
-            dag = sum(w)
-            key = (dag, len(w) - dag)
-            done[key] = done.get(key, 0) + c
-            continue
-        for nw in (w[:pos] + (1, 0) + w[pos + 2:], w[:pos] + w[pos + 2:]):
-            pending[nw] = pending.get(nw, 0) + c
-    return NormalForm(done)
-
-
 def word_product_normal_form(word) -> NormalForm:
     """Fold of single-letter contraction products; independent of the rewriter."""
     out = NormalForm.one()
     for s in word:
         out = out * (NormalForm.creator() if s else NormalForm.annihilator())
     return out
-
-
-def dagger_word(word) -> tuple:
-    return tuple(1 - s for s in reversed(tuple(word)))
 
 
 def laguerre_derivative_word(r: int, M: int) -> tuple:
@@ -399,11 +367,6 @@ def laguerre_derivative_word(r: int, M: int) -> tuple:
 
 def laguerre_derivative_nf(r: int, M: int) -> NormalForm:
     return word_to_normal_form(laguerre_derivative_word(r, M))
-
-
-def diagonal_reduce(nf: NormalForm) -> PolyQ:
-    """Free-function form of NormalForm.diagonal_polynomial."""
-    return nf.diagonal_polynomial()
 
 
 def apply_word_to_monomial(word, p: int) -> dict:

@@ -1,6 +1,7 @@
 """End-to-end CLI contract: output formats, exit codes, cache behavior."""
 
 import gc
+import importlib
 import json
 import math
 import os
@@ -13,13 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normord import backend, cache
-from normord.cli import main
+from normord.cli import MAX_EXPONENT, MAX_PRECISION, main
 from normord.closedform import EXAMPLE_IDS
 from normord.parser import LimitError, check_triangle, parse_expr
-from normord.serialize import normal_form_from_json
 from normord.stirling import gen_stirling, stirling_rows
 from normord.suite import SUITE_IDS
 from normord.weyl import normal_order_rewrite
+from oracles import normal_form_from_json
 
 
 def ordered(text):
@@ -454,6 +455,38 @@ def test_import_loads_every_layer_and_no_dataclasses():
     assert {f"normord.{layer}" for layer in LAYERS} <= loaded
 
 
+# The package root's public names: one production path per job, plus the
+# entry points the README's quick tour shows.
+PUBLIC = [
+    "LimitError", "ParseError", "parse_expr",
+    "PolyQ", "SeriesQ", "factorial", "falling_factorial", "laguerre_poly",
+    "phyperq_partial", "phyperq_series", "pochhammer",
+    "bell_sequence", "classical_bell", "classical_stirling2",
+    "gen_bell_number", "gen_stirling", "stirling1_signless", "stirling_rows",
+    "BosonExpr", "NormalForm", "laguerre_derivative_nf",
+    "laguerre_derivative_word", "normal_order_power", "normal_order_rewrite",
+    "normal_order_rook", "word_product_normal_form", "word_to_normal_form",
+    "enumerate_graphs",
+    "DotSeries", "DxOperator", "apply_Dx", "egf_bell_r1",
+    "eigenfunction_series", "exp_D_r1_normal_form",
+    "example_normal_forms", "hyp_closed_form_check",
+    "hyp_generating_function_check",
+    "IdentityReport", "run_identity", "run_suite", "suite_passed",
+    "normal_form_to_json", "sequence_bfile", "sequence_to_json",
+    "load_triangle", "__version__",
+]
+
+
+def test_every_exported_name_resolves():
+    import normord
+
+    assert normord.__all__ == PUBLIC
+    for module in (normord, *(importlib.import_module(f"normord.{name}")
+                              for name in (*LAYERS, "series", "report"))):
+        for name in getattr(module, "__all__", ()):  # closedform has none
+            assert hasattr(module, name), (module.__name__, name)
+
+
 # --- process entry -------------------------------------------------------
 
 # One request of each kind, in order: the two `seq --poly` requests are a
@@ -624,9 +657,9 @@ def test_load_triangle_rows_outlive_a_change_to_the_file(tmp_path, hit, change):
     if change == "clear":
         assert cache.cache_clear(tmp_path) == 1
     else:
-        other = tmp_path / "other.tmp"
-        other.write_text(cache.render_triangle(2, 2, list(stirling_rows(2, 2, 8))))
-        os.replace(other, path)
+        other = tmp_path / "other"
+        list(cache.load_triangle(2, 2, 8, other)[0])
+        os.replace(cache.triangle_path(other, 2, 2, 8), path)
     assert list(rows) == want
 
 
@@ -831,6 +864,38 @@ def test_config_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "--precision", "20", *base)[0] == 2
     assert run(capsys, "--tolerance", "1e-100", *base)[0] == 2
     assert run(capsys, "--tolerance", "zero", *base)[0] == 2
+
+
+def test_number_flag_bounds_are_inclusive(capsys, tmp_path):
+    base = ("seq", "1", "1", "2", "--cache-dir", str(tmp_path))
+    assert run(capsys, "--precision", str(MAX_PRECISION),
+               "--tolerance", f"1e-{MAX_PRECISION - 10}", *base)[0] == 0
+    assert run(capsys, "--tolerance", f"1e{MAX_EXPONENT}", *base)[0] == 0
+    assert run(capsys, "--tolerance", "1_0e0_0", *base)[0] == 0
+    assert run(capsys, "--precision", str(MAX_PRECISION + 1), *base)[0] == 2
+    code, _, err = run(capsys, "--tolerance", f"1e{MAX_EXPONENT + 1}", *base)
+    assert (code, err) == (2, f"error: decimal exponent past {MAX_EXPONENT} "
+                              f"in '1e{MAX_EXPONENT + 1}'\n")
+    code, _, err = run(capsys, "--tolerance", "1/0", *base)
+    assert (code, err) == (2, "error: zero denominator in '1/0'\n")
+
+
+@pytest.mark.parametrize("argv", [
+    # not a number Fraction reads: Decimal's inf, NaN and 1__0 are refused
+    ("verify", "commutator", "--tolerance", "inf"),
+    # each would build 10**exponent or 10**(precision - 10)
+    ("verify", "commutator", "--tolerance", "1e999999999999"),
+    ("verify", "commutator", "--tolerance", "1e-99999999999"),
+    ("verify", "commutator", "--precision", "100000000000"),
+    ("order", "a", "--expectation", "1e99999999999"),
+])
+def test_number_flags_past_their_bounds_exit_2(argv):
+    proc = subprocess.run([sys.executable, "-m", "normord.cli", *argv],
+                          capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_loose_tolerance_with_high_precision_ok(capsys, tmp_path):

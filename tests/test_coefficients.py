@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normord.closedform import hyp_generating_function_check
-from normord.graphs import enumerate_graphs, explicit_table
+from normord.graphs import enumerate_graphs
 from normord.laguerre import (
     DotSeries,
     DxOperator,
@@ -33,9 +33,9 @@ from normord.series import (
 )
 from normord.hyperreal import exp_bounds, rel_dev_bound
 from normord.report import IdentityReport
-from normord.stirling import dobinski_sums, gen_bell_poly
+from normord.stirling import dobinski_sums, stirling_rows
 from normord.suite import verify_exp_on_exponential, verify_exp_on_kummer
-from normord.serialize import normal_form_from_json, normal_form_to_json
+from normord.serialize import normal_form_to_json
 from normord.weyl import (
     BosonExpr,
     NormalForm,
@@ -44,10 +44,10 @@ from normord.weyl import (
     normal_order_power,
     normal_order_rewrite,
     normal_order_rook,
-    normal_order_word_rightmost,
     word_product_normal_form,
     word_to_normal_form,
 )
+from oracles import explicit_table, normal_form_from_json, normal_order_word_rightmost
 
 
 def canonical(c) -> bool:
@@ -78,7 +78,7 @@ def test_every_operation_returns_canonical_coefficients(x, y, c, p):
         assert canonical(nf.expectation_at_one())
     assert all_canonical(normal_order_power(x, p))
     if f:
-        assert all(canonical(w) for _, w in enumerate_graphs(f, p).table)
+        assert all_canonical(enumerate_graphs(f, p))
 
 
 @settings(max_examples=100, deadline=None)
@@ -96,11 +96,11 @@ def test_integer_words_give_int_coefficients(w):
 def test_powers_and_graph_counts_stay_int():
     d = laguerre_derivative_nf(2, 2)
     word = BosonExpr.from_word(laguerre_derivative_word(2, 2))
-    for nf in (d**6, normal_order_power(word, 6), enumerate_graphs(d, 6).to_normal_form(),
-               explicit_table(d, 2).to_normal_form()):
+    for nf in (d**6, normal_order_power(word, 6), enumerate_graphs(d, 6),
+               explicit_table(d, 2)):
         assert all(type(c) is int for c in nf.terms.values())
     assert type((d**6).expectation_at_one()) is int
-    assert type(enumerate_graphs(d, 6).total_weight) is int
+    assert type(enumerate_graphs(d, 6).expectation_at_one()) is int
     assert all(type(c) is int for c in (d**3).coherent_expectation(2, 1))
 
 
@@ -132,7 +132,8 @@ def test_non_rational_coefficients_are_refused(bad):
 def test_series_containers_hold_ints_and_refuse_floats():
     p = PolyQ((Fraction(4, 2), 3, Fraction(1, 2)))
     assert p.coeffs == (2, 3, Fraction(1, 2)) and type(p.coeffs[0]) is int
-    bell = gen_bell_poly(2, 2, 3)
+    *_, row = stirling_rows(2, 2, 3)
+    bell = PolyQ(row)
     ints = [bell, bell * bell, bell.scale(Fraction(6, 3)), (bell + bell) - bell,
             SeriesQ(6, [Fraction(2), 1, 0]), SeriesQ.one(5) * SeriesQ.x(5),
             series_binpow(-2, -1, 8), phyperq_series([3], [], 8),

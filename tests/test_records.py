@@ -8,10 +8,10 @@ import pytest
 
 from normord.cli import Config
 from normord.closedform import DEFAULT_PRECISION, DEFAULT_TOLERANCE
-from normord.graphs import BuildingBlock, CoeffTable, ExplicitGraph
 from normord.laguerre import DxOperator
 from normord.report import IdentityReport
 from normord.series import SumCertificate
+from oracles import ExplicitGraph
 
 # (class, positional args, the same args by keyword)
 RECORDS = [
@@ -21,9 +21,6 @@ RECORDS = [
      {"identity": "x", "parameters": {"r": 1}, "mode": "numeric",
       "status": "pass", "details": {}, "elapsed": 0.5, "precision": 50,
       "tolerance": "1/10"}),
-    (BuildingBlock, (1, 2, Fraction(1, 3)),
-     {"out_lines": 1, "in_lines": 2, "weight": Fraction(1, 3)}),
-    (CoeffTable, (2, (((1, 1), 3),)), {"n": 2, "table": (((1, 1), 3),)}),
     (ExplicitGraph, ((1,), 2, (0,), 1),
      {"steps": (1,), "weight": 2, "free_out": (0,), "free_in": 1}),
     (DxOperator, (2, 1), {"r": 2, "M": 1}),

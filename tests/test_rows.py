@@ -22,10 +22,10 @@ from normord.weyl import (
     normal_order_power,
     normal_order_rewrite,
     normal_order_rook,
-    normal_order_word_rightmost,
     word_product_normal_form,
     word_to_normal_form,
 )
+from oracles import normal_order_word_rightmost
 
 words = st.lists(st.integers(min_value=0, max_value=1), max_size=14).map(tuple)
 coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=6)

@@ -3,15 +3,15 @@ the recurrence-built triangle against its defining alternating sum,
 first-kind identities, and the Dobinski sums."""
 
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normord.cache import render_triangle
+from normord.cache import load_triangle, triangle_path
 from normord.hyperreal import exp_bounds, rel_dev_bound
-from normord.series import PolyQ, binomial, factorial
+from normord.series import PolyQ, factorial
 from normord.stirling import (
     alternating_sum_rows,
     b_pp,
@@ -20,13 +20,11 @@ from normord.stirling import (
     classical_stirling2,
     dobinski_sums,
     gen_bell_number,
-    gen_bell_poly,
     gen_stirling,
-    product_poly,
     stirling1_signless,
     stirling_rows,
 )
-from normord.weyl import diagonal_reduce, word_to_normal_form
+from normord.weyl import word_to_normal_form
 
 # self-consistent values (every internal oracle and the catalogued
 # A002720 entry give 13327 at n = 6)
@@ -63,7 +61,7 @@ def test_r1_m1_closed_form():
     for n in range(9):
         for k in range(n + 2):
             assert gen_stirling(1, 1, n, k) == (
-                factorial(n) // factorial(k) * binomial(n, k) if k <= n else 0
+                factorial(n) // factorial(k) * comb(n, k) if k <= n else 0
             )
 
 
@@ -95,7 +93,7 @@ def test_recurrence_r0_m1_is_classical_stirling2():
 def _defining_sum(r, M, n):
     """Row n by (1/k!) sum_j C(k,j) (-1)^(k-j) P(j)^M, P(j) = prod_i (j + i*r)."""
     P = [prod(j + i * r for i in range(1, n + 1)) for j in range(M * n + 1)]
-    return [Fraction(sum(binomial(k, j) * (-1) ** (k - j) * P[j] ** M
+    return [Fraction(sum(comb(k, j) * (-1) ** (k - j) * P[j] ** M
                          for j in range(k + 1)), factorial(k))
             for k in range(M * n + 1)]
 
@@ -129,17 +127,29 @@ def test_compute_triangle_matches_gen_stirling():
             assert row == [gen_stirling(r, M, n, k) for k in range(M * n + 1)]
 
 
-def test_render_triangle_pinned():
+def test_render_triangle_pinned(tmp_path):
     # rendered by the alternating-sum build before rows came from the
     # recurrence; the cache format must not change with the builder
-    assert render_triangle(2, 2, list(stirling_rows(2, 2, 3))) == (
-        "normord-triangle-cache 1\nr 2\nM 2\nrows 4\n1\n4 5 1\n"
-        "64 161 95 18 1\n2304 8721 8559 3234 537 39 1\n"
+    list(load_triangle(2, 2, 3, tmp_path)[0])
+    assert triangle_path(tmp_path, 2, 2, 3).read_bytes() == (
+        b"normord-triangle-cache 1\nr 2\nM 2\nrows 4\n1\n4 5 1\n"
+        b"64 161 95 18 1\n2304 8721 8559 3234 537 39 1\n"
     )
 
 
+def _bell_poly(r, M, n):
+    """B_r^(M)(n, x) = sum_k S_r^(M)(n, k) x^k, over row n of the triangle."""
+    *_, row = stirling_rows(r, M, n)
+    return PolyQ(row)
+
+
+def _rising_product(r):
+    """prod_{p=1}^{r} (x + p); its x^(k-1) coefficient is |sigma(r+1, k)|."""
+    return prod((PolyQ((p, 1)) for p in range(1, r + 1)), start=PolyQ.one())
+
+
 def test_gen_bell_poly_structure():
-    p = gen_bell_poly(2, 1, 2)
+    p = _bell_poly(2, 1, 2)
     # row n=2 of S_2^(1): k = 0..2
     assert p.coeffs == tuple(
         Fraction(gen_stirling(2, 1, 2, k)) for k in range(3)
@@ -149,10 +159,10 @@ def test_gen_bell_poly_structure():
 
 def test_first_kind_signless():
     assert [stirling1_signless(4, k) for k in range(1, 5)] == [6, 11, 6, 1]
-    assert product_poly(3) == PolyQ((6, 11, 6, 1))
-    # product_poly coefficients are the signless first-kind numbers
+    assert _rising_product(3) == PolyQ((6, 11, 6, 1))
+    # the product's coefficients are the signless first-kind numbers
     for r in range(1, 9):
-        assert product_poly(r) == PolyQ(
+        assert _rising_product(r) == PolyQ(
             stirling1_signless(r + 1, k) for k in range(1, r + 2)
         )
 
@@ -161,7 +171,7 @@ def test_first_kind_rows_are_kept():
     # rows grown once for a large n serve every smaller n unchanged
     assert sum(stirling1_signless(60, k) for k in range(1, 61)) == factorial(60)
     for r in (1, 5, 20):
-        assert product_poly(r) == PolyQ(
+        assert _rising_product(r) == PolyQ(
             stirling1_signless(r + 1, k) for k in range(1, r + 2)
         )
     for n, k in ((0, 0), (3, 0), (3, 4), (-1, 1)):
@@ -174,12 +184,9 @@ def test_rising_product_three_ways():
     # (n+1)...(n+r), and the signless first-kind sum, for r <= 8
     for r in range(1, 9):
         word = (0,) * r + (1,) * r
-        reduced = diagonal_reduce(word_to_normal_form(word))
-        assert reduced == product_poly(r)
-        direct = PolyQ((1,))
-        for p in range(1, r + 1):
-            direct = direct * PolyQ((p, 1))
-        assert reduced == direct
+        reduced = word_to_normal_form(word).diagonal_polynomial()
+        assert reduced == _rising_product(r)
+        assert reduced == PolyQ(stirling1_signless(r + 1, k) for k in range(1, r + 2))
 
 
 def test_bell_diagonal_powers():
@@ -218,7 +225,7 @@ def test_dobinski_sums_rows_are_bell_polynomials(r, M, n_max, x):
     sums, cert = dobinski_sums(r, M, n_max, x, CUTOFF, 100000)
     assert len(sums) == n_max + 1
     for n, total in enumerate(sums):
-        ref = gen_bell_poly(r, M, n).eval(x)
+        ref = _bell_poly(r, M, n).eval(x)
         assert _deviation(total, x, ref) <= TOL, (r, M, n, x)
         if x == 0:
             assert total == (factorial(n) * r**n) ** M
@@ -245,7 +252,7 @@ def test_dobinski_sums_polynomial_argument():
     for x in (Fraction(1, 2), Fraction(2)):
         sums, _ = dobinski_sums(2, 2, 3, x, CUTOFF, 100000)
         for n, total in enumerate(sums):
-            assert _deviation(total, x, gen_bell_poly(2, 2, n).eval(x)) <= TOL
+            assert _deviation(total, x, _bell_poly(2, 2, n).eval(x)) <= TOL
 
 
 def test_dobinski_rejects_bad_input():
