@@ -245,7 +245,7 @@ def cmd_order(cfg: Config, ns: argparse.Namespace) -> int:
     try:
         z = None if ns.expectation is None else _parse_expectation(ns.expectation)
         expr = parse_expr(ns.expr)
-        check_order(expr, ns.power)
+        check_order(expr, ns.power, z)
     except ValueError as exc:  # ParseError, LimitError too
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -30,9 +30,9 @@ from math import lgamma, log, log10, prod
 from .series import _to_one_den
 from .weyl import ANNIHILATOR, CREATOR, BosonExpr
 
-__all__ = ["MAX_LETTERS", "MAX_NESTING", "MAX_ORDER_BYTES", "MAX_TRIANGLE_BYTES",
-           "MAX_WORDS", "LimitError", "ParseError", "check_letters", "check_order",
-           "check_triangle", "parse_expr", "tokenize"]
+__all__ = ["MAX_EXPECTATION_WORK", "MAX_LETTERS", "MAX_NESTING", "MAX_ORDER_BYTES",
+           "MAX_TRIANGLE_BYTES", "MAX_WORDS", "LimitError", "ParseError", "check_letters",
+           "check_order", "check_triangle", "parse_expr", "tokenize"]
 
 MAX_NESTING = 200
 # Ten times and more the sizes the package is built to handle fast
@@ -50,6 +50,11 @@ MAX_TRIANGLE_BYTES = 64 * 2**20
 # this count D(3,3)^1000 is 32.7 MB (it prints 16.1 MB), (a + ad)^400 is
 # 95.4 MB (it prints 12.7 MB) and D(3,3)^3000 would be 329 MB.
 MAX_ORDER_BYTES = 128 * 2**20
+# Estimated digit operations of `order --expectation` (see check_order).
+# By this count `order "a + ad" --power 200 --expectation 1e100` is 4.1e8
+# (1.6 s in process on a 2-core x86 VM) and 1e1000 would be 4.1e9; the
+# benchmark's expectation requests count below 1e4.
+MAX_EXPECTATION_WORK = 5 * 10**8
 
 
 class ParseError(ValueError):
@@ -94,7 +99,7 @@ def check_triangle(r: int, M: int, n_max: int) -> None:
             f"past the limit of {MAX_TRIANGLE_BYTES // 2**20} MB")
 
 
-def check_order(expr: BosonExpr, p: int) -> None:
+def check_order(expr: BosonExpr, p: int, z=None) -> None:
     """Raise LimitError if expr^p would pass MAX_LETTERS or print past MAX_ORDER_BYTES.
 
     A word with m a† and n a orders to at most min(m, n) + 1 terms per
@@ -103,6 +108,11 @@ def check_order(expr: BosonExpr, p: int) -> None:
     letters: min(A, B) + 1 terms per shift, (T + 1)(T + 2)/2 in all.
     A term counts 80 bytes and the digits of (B + 1)^A times the p-th
     powers of the summed numerators and of their common denominator.
+
+    With z, the (real, imag) point of `order --expectation`, also raise
+    LimitError past MAX_EXPECTATION_WORK: the coherent sum takes powers
+    of z up to degree T, so its work counts the term bound times T times
+    the digits of z's numerators and common denominator.
     """
     check_letters(p * max(_letters(expr), 1), "the --power result")
     mn = [(sum(w), len(w) - sum(w)) for w in expr.terms] or [(0, 0)]
@@ -115,6 +125,13 @@ def check_order(expr: BosonExpr, p: int) -> None:
     if size > MAX_ORDER_BYTES:
         raise LimitError(f"the normal form would print about {size / 2**20:.1f} MB, "
                          f"past the limit of {MAX_ORDER_BYTES // 2**20} MB")
+    if z is None:
+        return
+    (x, y), d = _to_one_den(z)
+    work = terms * T * max(log10(max(abs(x), abs(y), 1) * d), 1)
+    if work > MAX_EXPECTATION_WORK:
+        raise LimitError(f"the expectation would take about {work:.2g} digit operations, "
+                         f"past the limit of {MAX_EXPECTATION_WORK:.0e}")
 
 
 def _check_words(lhs: int, rhs: int) -> None:

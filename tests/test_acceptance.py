@@ -12,6 +12,7 @@ on every pinned entry before it compares with the library.
 import json
 import random
 import time
+import zlib
 from fractions import Fraction
 from math import comb, factorial
 
@@ -373,11 +374,12 @@ def test_criterion_9_property_suites(tmp_path):
     blob = triangle_path(tmp_path, 2, 2, 6).read_bytes()
     rows_warm, hit_warm, warn_warm = load_triangle(2, 2, 6, tmp_path)
     rows_warm = list(rows_warm)
+    body = "".join(" ".join(map(str, row)) + "\n" for row in stirling_rows(2, 2, 6))
     if (hit_cold or not hit_warm or warn_cold or warn_warm
             or rows_cold != rows_warm
             or blob != triangle_path(tmp_path, 2, 2, 6).read_bytes()
-            or blob.decode() != "normord-triangle-cache 1\nr 2\nM 2\nrows 7\n" + "".join(
-                " ".join(map(str, row)) + "\n" for row in stirling_rows(2, 2, 6))):
+            or blob.decode() != "normord-triangle-cache 2\nr 2\nM 2\nrows 7\n" + body
+            + f"crc32 {zlib.crc32(body.encode()):08x}\n"):
         bad.append(("cache-bytes",))
 
     elapsed = time.perf_counter() - t0

@@ -2,16 +2,16 @@
 
 import gc
 import importlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import threading
+import zlib
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from normord import backend, cache
 from normord.cli import MAX_EXPONENT, MAX_PRECISION, main
@@ -98,7 +98,8 @@ def test_order_deep_nesting_exits_2():
                                   ("2", "--power", "100000"),
                                   ("(a + ad)^40",),
                                   ("(a + ad)" * 40,),
-                                  ("(ad a)^15000",)])
+                                  ("(ad a)^15000",),
+                                  ("a + ad", "--power", "200", "--expectation", "1e1000")])
 def test_order_size_limits_exit_2(argv):
     # Subprocesses with a timeout: without the limits these run until killed.
     proc = subprocess.run([sys.executable, "-m", "normord.cli", "order", *argv],
@@ -558,13 +559,21 @@ def test_cache_cold_then_warm_identical(capsys, tmp_path):
     assert code1 == code2 == 0
     assert out1 == out2
     assert err1 == err2 == ""
-    files = list(tmp_path.glob("triangle-v1-*.txt"))
-    assert len(files) == 1
+    assert list(tmp_path.iterdir()) == [cache.triangle_path(tmp_path, 2, 2, 6)]
 
 
 def _row_1(line: str):
     """Replace row 1 of the (1,1) file, "1 1", with line."""
     return lambda b: b.replace(b"\n1 1\n", f"\n{line}\n".encode(), 1)
+
+
+def _resealed(old: bytes, new: bytes):
+    """Replace old by new in the (1,1,6) file's rows and write a fresh CRC."""
+    def mangle(b):
+        head, sep, rest = b.partition(b"\nrows 7\n")
+        body = rest[: rest.index(b"crc32 ")].replace(old, new, 1)
+        return head + sep + body + b"crc32 %08x\n" % zlib.crc32(body)
+    return mangle
 
 
 @pytest.mark.parametrize("mangle", [
@@ -579,12 +588,20 @@ def _row_1(line: str):
     _row_1("1 \u0661"),               # ARABIC-INDIC DIGIT ONE
     _row_1("1  1"),                  # double space
     _row_1("1 1 "),                  # trailing space
-    lambda b: b[:-1] + b" \n",       # trailing space on the last row only
+    # trailing space on the last row only, before the trailer line
+    lambda b: b.replace(b"\ncrc32 ", b" \ncrc32 ", 1),
+    lambda b: b[: b.index(b"crc32 ")],                      # no trailer
+    lambda b: b[:-2] + b"X\n",                              # garbled CRC
+    lambda b: b.replace(b"crc32 ", b"CRC32 "),             # garbled tag
+    lambda b: b + b[b.index(b"crc32 "):],                   # trailer twice
+    lambda b: b + b"\n",                                    # a byte after it
+    # a foreign file that passes the CRC but holds a byte past ASCII
+    _resealed(b"\n1 1\n", "\n1 \u0661\n".encode()),
 ])
 def test_cache_corruption_recovers(capsys, tmp_path, mangle):
     _, clean_out, _ = run(capsys, "seq", "1", "1", "6", "--poly",
                           "--cache-dir", str(tmp_path))
-    (cache_file,) = tmp_path.glob("triangle-v1-*.txt")
+    cache_file = cache.triangle_path(tmp_path, 1, 1, 6)
     good = cache_file.read_bytes()
 
     cache_file.write_bytes(mangle(good))
@@ -597,32 +614,68 @@ def test_cache_corruption_recovers(capsys, tmp_path, mangle):
     assert cache_file.read_bytes() == good
 
 
-def _canonical(token: str) -> bool:
-    try:
-        return str(int(token)) == token
-    except ValueError:
-        return False
+def test_cache_hit_detects_a_changed_digit(capsys, tmp_path):
+    # the changed file keeps every token canonical and every row its
+    # width, so only the digits' CRC tells it from the one written
+    _, clean_out, _ = run(capsys, "seq", "1", "1", "12", "--poly",
+                          "--cache-dir", str(tmp_path))
+    cache_file = cache.triangle_path(tmp_path, 1, 1, 12)
+    good = cache_file.read_bytes()
+    lines = good.split(b"\n")
+    tokens = lines[4 + 6].split(b" ")  # row 6, after the 4 header lines
+    k = len(tokens) // 2
+    tokens[k] = tokens[k][:-1] + b"%d" % ((int(tokens[k][-1:]) + 1) % 10)
+    lines[4 + 6] = b" ".join(tokens)
+    cache_file.write_bytes(b"\n".join(lines))
+    assert cache_file.read_bytes() != good
+    code, out, err = run(capsys, "seq", "1", "1", "12", "--poly",
+                         "--cache-dir", str(tmp_path))
+    assert (code, out) == (0, clean_out)
+    assert "corrupt" in err
+    assert cache_file.read_bytes() == good
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.one_of(
-    st.lists(st.integers(-10**30, 10**30).map(str), max_size=4).map(" ".join),
-    st.text(alphabet="0123456789-+_ \t\u0661\u0966\uff11", max_size=8),
-    st.text(max_size=6)))
-@example("-0")
-@example("0 -0")
-@example("01")
-@example("+1")
-@example("1_0")
-@example("\u0661")
-@example("1  1")
-@example("1 1 ")
-@example("-12 0 7")
-def test_row_regex_accepts_exactly_canonical_tokens(line):
-    # a line passes when every space-separated token is what str(int)
-    # writes for it, with an int() error counted as a reject
-    assert bool(cache._ROW_LINE.fullmatch(line)) == all(
-        map(_canonical, line.split(" ")))
+def test_cache_check_detects_every_single_byte_change(tmp_path):
+    list(cache.load_triangle(2, 2, 3, tmp_path)[0])
+    path = cache.triangle_path(tmp_path, 2, 2, 3)
+    good = path.read_bytes()
+    cache._open_checked(path, 2, 2, 3).close()
+    passed = []
+    for i, old in enumerate(good):
+        for new in range(256):
+            if new == old:
+                continue
+            path.write_bytes(good[:i] + bytes((new,)) + good[i + 1:])
+            try:
+                cache._open_checked(path, 2, 2, 3).close()
+            except ValueError:
+                continue
+            passed.append((i, new))
+    assert passed == []
+
+
+def test_cache_hit_check_holds_one_bounded_chunk(tmp_path, monkeypatch):
+    want = _row_lines(1, 1, 200)
+    list(cache.load_triangle(1, 1, 200, tmp_path)[0])
+    assert cache.triangle_path(tmp_path, 1, 1, 200).stat().st_size > 4 * cache._CHUNK
+    reads = []
+
+    class Recording(io.BufferedReader):
+        def read(self, size=-1):
+            data = super().read(size)
+            reads.append((size, len(data)))
+            return data
+
+    def recording_open(file, mode):
+        assert mode == "rb"
+        return Recording(io.FileIO(file))
+
+    monkeypatch.setattr(cache, "open", recording_open, raising=False)
+    rows, hit, warning = cache.load_triangle(1, 1, 200, tmp_path)
+    assert (hit, warning) == (True, None)
+    assert len(reads) > 4
+    assert all(0 <= size <= cache._CHUNK and got <= size for size, got in reads)
+    assert list(rows) == want
 
 
 def _row_lines(r, M, n_max):
@@ -769,7 +822,26 @@ def test_cache_clear_counts(capsys, tmp_path):
     code, out, _ = run(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
     assert code == 0
     assert out.strip() == "removed 2 cache file(s)"
-    assert not list(tmp_path.glob("triangle-v1-*.txt"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_clear_removes_every_version_and_nothing_else(capsys, tmp_path):
+    v1 = tmp_path / "triangle-v1-r1-M1-n3.txt"
+    v1.write_bytes(b"normord-triangle-cache 1\nr 1\nM 1\nrows 4\n"
+                   b"1\n1 1\n2 4 1\n6 18 9 1\n")
+    # the hit reads only its own version's file
+    rows, hit, warning = cache.load_triangle(1, 1, 3, tmp_path)
+    assert (list(rows), hit, warning) == (_row_lines(1, 1, 3), False, None)
+    assert list(cache.load_triangle(1, 1, 3, tmp_path)[0]) == _row_lines(1, 1, 3)
+    others = ["triangle-v1-r1-M1-n3.txt.bak", "triangle-vX-r1-M1-n3.txt",
+              "triangle-v2-r1-M1-n\u0663.txt", "triangle-v2-r1-M1.txt",
+              "triangle-v2-r1-M1-n3-x.txt", "notes.txt",
+              ".triangle-v2-r1-M1-n3.txt.1-ab.tmp"]
+    for name in others:
+        (tmp_path / name).write_bytes(b"")
+    code, out, _ = run(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
+    assert (code, out) == (0, "removed 2 cache file(s)\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(others)
 
 
 def test_cache_concurrent_writers(tmp_path, monkeypatch):
@@ -854,7 +926,7 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("NORMORD_CACHE_DIR", str(tmp_path))
     code, _, _ = run(capsys, "seq", "3", "1", "2", "--poly")
     assert code == 0
-    assert list(tmp_path.glob("triangle-v1-r3-M1-n2.txt"))
+    assert cache.triangle_path(tmp_path, 3, 1, 2).is_file()
 
 
 # --- config validation ---------------------------------------------------

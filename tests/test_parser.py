@@ -15,6 +15,7 @@ from normord.parser import (
     MAX_WORDS,
     LimitError,
     ParseError,
+    check_order,
     parse_expr,
     tokenize,
 )
@@ -118,6 +119,33 @@ def test_letter_limit():
         with pytest.raises(LimitError):
             parse_expr(text)
     assert issubclass(LimitError, ValueError)
+
+
+# The benchmark's `order --expectation` requests at their largest (its
+# points are a/b + (c/e)i with one-digit parts), the CI smoke run, and
+# (a + ad)^200 at 1e100, which takes about 1.6 s.
+_POINT = (Fraction(9, 7), Fraction(-9, 8))
+
+
+@pytest.mark.parametrize("text,p,z", [
+    ("(ad a)^40", 1, _POINT),
+    ("a (ad a)", 30, _POINT),
+    ("a (ad a)^2", 15, _POINT),
+    ("a^2 (ad a)^2", 15, _POINT),
+    ("a^2 (ad a)^3", 10, _POINT),
+    ("a^3 (ad a)^2", 15, _POINT),
+    ("(ad a)^3", 1, (Fraction(1, 2), Fraction(1))),
+    ("a + ad", 200, (Fraction(10**100), Fraction(0))),
+])
+def test_expectation_work_within_the_limit(text, p, z):
+    check_order(parse_expr(text), p, z)
+
+
+def test_expectation_work_past_the_limit():
+    # (a + ad)^200 at 1e1000 ran past 10 s before the limit
+    with pytest.raises(LimitError, match=r"about 4\.1e\+09 digit operations, "
+                                         r"past the limit of 5e\+08"):
+        check_order(parse_expr("a + ad"), 200, (Fraction(10**1000), Fraction(0)))
 
 
 def test_word_limit():

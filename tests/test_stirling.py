@@ -132,8 +132,8 @@ def test_render_triangle_pinned(tmp_path):
     # recurrence; the cache format must not change with the builder
     list(load_triangle(2, 2, 3, tmp_path)[0])
     assert triangle_path(tmp_path, 2, 2, 3).read_bytes() == (
-        b"normord-triangle-cache 1\nr 2\nM 2\nrows 4\n1\n4 5 1\n"
-        b"64 161 95 18 1\n2304 8721 8559 3234 537 39 1\n"
+        b"normord-triangle-cache 2\nr 2\nM 2\nrows 4\n1\n4 5 1\n"
+        b"64 161 95 18 1\n2304 8721 8559 3234 537 39 1\ncrc32 aa4eca7a\n"
     )
 
 
