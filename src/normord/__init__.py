@@ -49,11 +49,7 @@ from .laguerre import (
     eigenfunction_series,
     exp_D_r1_normal_form,
 )
-from .closedform import (
-    example_normal_forms,
-    hyp_closed_form_check,
-    hyp_generating_function_check,
-)
+from .closedform import hyp_generating_function_check
 from .report import IdentityReport
 from .suite import run_identity, run_suite, suite_passed
 from .serialize import (
@@ -100,8 +96,6 @@ __all__ = [
     "egf_bell_r1",
     "eigenfunction_series",
     "exp_D_r1_normal_form",
-    "example_normal_forms",
-    "hyp_closed_form_check",
     "hyp_generating_function_check",
     "IdentityReport",
     "run_identity",

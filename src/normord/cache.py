@@ -73,10 +73,15 @@ def _trailer(crc: int) -> bytes:
     return b"crc32 %08x\n" % crc
 
 
+def _row_text(row) -> str:
+    """A row of ints as its line of the file, without the newline."""
+    return " ".join(map(str, row))
+
+
 def _lines(rows):
     """One line of the file per row of ints, as bytes."""
     for row in rows:
-        yield (" ".join(map(str, row)) + "\n").encode()
+        yield (_row_text(row) + "\n").encode()
 
 
 def _open_checked(path: Path, r: int, M: int, n_max: int):
@@ -182,7 +187,7 @@ def load_triangle(r: int, M: int, n_max: int, cache_dir: Path | None = None):
         # any row is handed out
         for _ in rows:
             pass
-        rows = (" ".join(map(str, row)) for row in stirling_rows(r, M, n_max))
+        rows = (_row_text(row) for row in stirling_rows(r, M, n_max))
         return rows, False, _write_failed(warning, exc)
     try:
         os.replace(tmp, path)

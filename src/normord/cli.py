@@ -69,16 +69,18 @@ MAX_EXPONENT = MAX_PRECISION
 
 
 class Config(namedtuple("Config", "lambda_order precision tolerance cache_dir fmt")):
-    """The global options, checked; cache_dir defaults to `default_cache_dir()`."""
+    """The global options, checked; lambda_order None leaves each identity at
+    its own order, and cache_dir defaults to `default_cache_dir()`."""
 
     __slots__ = ()
 
-    def __new__(cls, lambda_order: int = 8, precision: int = DEFAULT_PRECISION,
+    def __new__(cls, lambda_order: int | None = None,
+                precision: int = DEFAULT_PRECISION,
                 tolerance: Fraction = DEFAULT_TOLERANCE,
                 cache_dir: Path | None = None, fmt: str = "json"):
         if fmt not in ("json", "table", "bfile"):
             raise ValueError(f"unknown output format {fmt!r}")
-        if lambda_order < 0:
+        if lambda_order is not None and lambda_order < 0:
             raise ValueError("lambda order must be >= 0")
         if precision < 30:
             raise ValueError("precision must be at least 30 digits")
@@ -292,7 +294,6 @@ def cmd_verify(cfg: Config, ns: argparse.Namespace) -> int:
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return 2
-    lam = ns.lambda_order if hasattr(ns, "lambda_order") else None
     try:
         if ns.identity == "all":
             reports = run_suite(precision=cfg.precision, tolerance=cfg.tolerance)
@@ -302,7 +303,7 @@ def cmd_verify(cfg: Config, ns: argparse.Namespace) -> int:
                 r=ns.r,
                 M=ns.M,
                 n=ns.n,
-                lambda_order=lam,
+                lambda_order=cfg.lambda_order,
                 precision=cfg.precision,
                 tolerance=cfg.tolerance,
             )

@@ -9,9 +9,10 @@ or double-dot series. Every side that is rational is compared in
 The one numeric check is the Bell generating function: its e^-x and its
 l-sums are enclosed between exact rationals (`normord.hyperreal`), and
 it passes on a proven bound on the relative deviation, never on a
-rounded value. The Bell closed forms for r = 1, 2, 3 are one exact check,
-`_check_bell_hyp`: the √π, Γ(1/3) and Γ(2/3) prefactors of the
-paper's form cancel, leaving r rational pFq series in x^r/r^r.
+rounded value. `stirling_hyp_check` compares the rows of S with their
+terminating pFq sums.  The Bell closed forms for r = 1, 2, 3 are one
+exact check, `bell_hyp_check`: the √π, Γ(1/3) and Γ(2/3) prefactors of
+the paper's form cancel, leaving r rational pFq series in x^r/r^r.
 `conjecture_check` runs the same check at any r >= 1, where the
 generalized Dobinski relation gives the same r-term form.
 Operator powers come from `_oracle_powers`, the one fold of
@@ -27,19 +28,17 @@ read one implementation of each formula: left sides are
 share `_resolvent` ((1-t·a)^-1 and t·a†a²(1-t·a)^-1) and `_bessel_dot`,
 and are read out by `DotSeries.lambda_coefficients`;
 `_laguerre_rows` also serves `suite.verify_laguerre_normal_form`. Each
-public check times itself and returns an IdentityReport whose
-parameters include the orders it ran to (n_max or lambda_order) and
-whose details name the paths it compared.
-`hyp_closed_form_check` finds a kind's family and default
-n_max in `CLOSED_FORMS`, and `example_normal_forms` finds an example's
-builder in `EXAMPLES`; which of them `verify` runs, and over what grid,
-is `normord.suite.IDENTITIES`.
+check, the private example builders included, takes only the options it
+reads, times itself and returns an IdentityReport whose parameters
+include the orders it ran to (n_max or lambda_order) and whose details
+name the paths it compared.  `normord.suite.IDENTITIES` calls each of
+them directly, with its grid and default size; `run_identity` is the one
+entry that refuses an unknown id or a negative order.
 """
 
 import time
 from decimal import ROUND_CEILING, Context, Decimal, localcontext
 from fractions import Fraction
-from functools import partial
 from math import lcm, prod
 
 from .hyperreal import exp_bounds, rel_dev_bound
@@ -65,15 +64,6 @@ from .weyl import NormalForm, laguerre_derivative_nf
 
 DEFAULT_PRECISION = 50
 DEFAULT_TOLERANCE = Fraction(1, 10**30)
-
-# kind -> (r of its operator family, default highest row n_max)
-CLOSED_FORMS = {
-    "stirling-hyp": (1, 5),
-    "bell-hyp-r1": (1, 5),
-    "bell-hyp-r2": (2, 3),
-    "bell-hyp-r3": (3, 2),
-}
-CLOSED_FORM_KINDS = tuple(CLOSED_FORMS)
 
 
 def _bound_str(q: Fraction) -> str:
@@ -123,7 +113,11 @@ def _laguerre_rows(n_max: int) -> list:
 # Stirling / Bell closed forms
 
 
-def _check_stirling_hyp(M: int, n_max: int, t0: float) -> IdentityReport:
+def stirling_hyp_check(M: int, n_max: int) -> IdentityReport:
+    """Rows 0..n_max of S_1^(M) against their terminating pFq sums, exactly."""
+    t0 = time.perf_counter()
+    if M < 1 or n_max < 0:
+        raise ValueError("need M >= 1 and n_max >= 0")
     # two k past each row's width, where the triangle holds 0
     closed = [
         {k: Fraction((-1) ** k * factorial(n) ** M, factorial(k))
@@ -140,7 +134,7 @@ def _check_stirling_hyp(M: int, n_max: int, t0: float) -> IdentityReport:
 
 
 def _check_bell_hyp(r: int, M: int, n_max: int, t0: float,
-                    identity: str | None = None) -> IdentityReport:
+                    identity: str) -> IdentityReport:
     # Dobinski: [x^l] e^x B(n,x) = prod_{i<=n} (l+ir)^M / l!.  Split l = rk + j:
     # the k-sum for each j is x^j r^(Mn) ((a)_n)^M / j! times
     # pFq([a+n] x M; [a] x M + [(j+1+i)/r, i < r, save the one equal to 1];
@@ -169,46 +163,26 @@ def _check_bell_hyp(r: int, M: int, n_max: int, t0: float,
         lhs.append(dict(enumerate(scaled.coeffs)))
         rhs.append(dict(enumerate(SeriesQ._from_ints(order, closed, den).coeffs)))
     _, first = _rows_mismatch(lhs, rhs, "n", ("power",))
-    return _finish(identity or f"bell-hyp-r{r}", {"r": r, "M": M, "n_max": n_max},
+    return _finish(identity, {"r": r, "M": M, "n_max": n_max},
                    "exact", t0, first, {"first_mismatch": first,
                            "checks": sum(len(row) for row in lhs)},
                    paths=("e^x Bell polynomial",
                           "mFm series" if r == 1 else "pFq closed form"))
 
 
-def hyp_closed_form_check(
-    kind: str,
-    r: int | None = None,
-    M: int = 1,
-    n_max: int | None = None,
-) -> IdentityReport:
-    """Check one hypergeometric closed form exactly against the triangle rows.
-
-    kind selects the identity (a key of CLOSED_FORMS); r, when given,
-    must match the kind's operator family (1 for stirling-hyp and
-    bell-hyp-r1, 2 for bell-hyp-r2, 3 for bell-hyp-r3). n_max is the
-    highest row checked, by default the kind's own. stirling-hyp
-    compares the rows of S with their terminating pFq sums; the Bell
-    kinds compare e^x B(n,x) with the sum of r pFq series in x^r/r^r,
-    coefficient by coefficient through x^(Mn+5).
-    """
+def bell_hyp_check(r: int, M: int, n_max: int) -> IdentityReport:
+    """The paper's Bell closed form (r = 1, 2, 3, M >= 1) as bell-hyp-r{r}: e^x B(n,x)
+    against r pFq series in x^r/r^r, exactly through x^(Mn+5), n <= n_max."""
     t0 = time.perf_counter()
-    if kind not in CLOSED_FORMS:
-        raise ValueError(f"unknown closed-form kind {kind!r}")
-    family_r, default_n_max = CLOSED_FORMS[kind]
-    if r is not None and r != family_r:
-        raise ValueError(f"kind {kind} is the r={family_r} closed form, got r={r}")
-    if n_max is None:
-        n_max = default_n_max
+    if r < 1:
+        raise ValueError("need r >= 1")
     if M < 1 or n_max < 0:
         raise ValueError("need M >= 1 and n_max >= 0")
-    if kind == "stirling-hyp":
-        return _check_stirling_hyp(M, n_max, t0)
-    return _check_bell_hyp(family_r, M, n_max, t0)
+    return _check_bell_hyp(r, M, n_max, t0, f"bell-hyp-r{r}")
 
 
 def conjecture_check(r: int, M: int, n_max: int) -> IdentityReport:
-    """The Bell closed form of `bell-hyp-r1/2/3` at any r >= 1 and M >= 0.
+    """The Bell closed form of `bell_hyp_check` at any r >= 1 and M >= 0.
 
     The paper writes e^x B(n,x) as r pFq series in x^r/r^r for r = 1, 2, 3;
     splitting the Dobinski sum's l = rk + j gives the same r-term form at
@@ -309,7 +283,8 @@ def _kummer_sides(b: Fraction, lambda_order: int):
     return _scaled_powers(1, taylor), rhs, arg
 
 
-def _example_laguerre_ogf(lambda_order: int, t0: float, **_) -> IdentityReport:
+def _example_laguerre_ogf(lambda_order: int) -> IdentityReport:
+    t0 = time.perf_counter()
     order = lambda_order + 1
     lhs = _scaled_powers(1, [Fraction(1, factorial(n)) for n in range(order)])
     inv, arg = _resolvent(order)
@@ -328,7 +303,8 @@ def _example_laguerre_ogf(lambda_order: int, t0: float, **_) -> IdentityReport:
                    paths=("power fold", "dot series", "Laguerre polynomial"))
 
 
-def _example_kummer_b3(lambda_order: int, t0: float, **_) -> IdentityReport:
+def _example_kummer_b3(lambda_order: int) -> IdentityReport:
+    t0 = time.perf_counter()
     order = lambda_order + 1
     lhs, rhs_generic, arg = _kummer_sides(3, lambda_order)
     inv_cubed = DotSeries.binpow(order, -1, 1, -3)
@@ -352,7 +328,8 @@ def _example_kummer_b3(lambda_order: int, t0: float, **_) -> IdentityReport:
                    paths=("power fold", "b=3 dot form", "generic Kummer dot form"))
 
 
-def _example_kummer_b3half(lambda_order: int, t0: float, **_) -> IdentityReport:
+def _example_kummer_b3half(lambda_order: int) -> IdentityReport:
+    t0 = time.perf_counter()
     b = Fraction(3, 2)
     order = lambda_order + 1
     lhs, rhs_generic, arg = _kummer_sides(b, lambda_order)
@@ -380,8 +357,9 @@ def _example_kummer_b3half(lambda_order: int, t0: float, **_) -> IdentityReport:
                    paths=("power fold", "generic Kummer dot form", "Bessel dot form"))
 
 
-def _example_laguerre_shifted(lambda_order: int, t0: float, p: int,
-                              **_) -> IdentityReport:
+def _example_laguerre_shifted(n: int, lambda_order: int) -> IdentityReport:
+    t0 = time.perf_counter()
+    p = n  # the shift, read from the one size override, `verify --n`
     if p < 1:
         raise ValueError("p must be >= 1")
     order = lambda_order + 1
@@ -403,8 +381,8 @@ def _example_laguerre_shifted(lambda_order: int, t0: float, p: int,
                    paths=("power fold", "dot series"))
 
 
-def _example_bessel(example_id: str, lambda_order: int, t0: float,
-                    **_) -> IdentityReport:
+def _example_bessel(example_id: str, lambda_order: int) -> IdentityReport:
+    t0 = time.perf_counter()
     order = lambda_order + 1
     sign = 1 if example_id == "bessel-i0" else -1
     lhs = _scaled_powers(1, [Fraction(sign**n, factorial(n) ** 2)
@@ -446,8 +424,8 @@ def bessel_parity_check(lambda_order: int) -> IdentityReport:
                    paths=("J0 dot series", "I0 dot series at -t"))
 
 
-def _example_eigen_operator(lambda_order: int, t0: float, M: int,
-                            **_) -> IdentityReport:
+def _example_eigen_operator(M: int, lambda_order: int) -> IdentityReport:
+    t0 = time.perf_counter()
     scales = [Fraction(1, factorial(n) ** (M + 1)) for n in range(lambda_order + 1)]
     lhs = _scaled_powers(M, scales)
     # The alternating sum gives row n of S_1^(M), the coefficients of
@@ -475,7 +453,8 @@ def _example_eigen_operator(lambda_order: int, t0: float, M: int,
                    paths=("power fold", "alternating sum", "triangle row sum"))
 
 
-def _example_hyp_compact(lambda_order: int, t0: float, M: int, **_) -> IdentityReport:
+def _example_hyp_compact(M: int, lambda_order: int) -> IdentityReport:
+    t0 = time.perf_counter()
     rhs = []
     for n in range(lambda_order + 1):
         # (n!)^M : e^{-y} mFm([n+1 x M],[1 x M], y) a^n : with y = ad a
@@ -487,39 +466,3 @@ def _example_hyp_compact(lambda_order: int, t0: float, M: int, **_) -> IdentityR
     return _finish("hyp-compact", {"r": 1, "M": M, "lambda_order": lambda_order},
                    "exact", t0, first, {"first_mismatch": first, "checks": checks},
                    paths=("power fold", "mFm weights"))
-
-
-# example id -> builder(lambda_order, t0, **options): each builder takes
-# the options of example_normal_forms it names and ignores the rest
-EXAMPLES = {
-    "laguerre-ogf": _example_laguerre_ogf,
-    "kummer-b3": _example_kummer_b3,
-    "kummer-b3half": _example_kummer_b3half,
-    "laguerre-shifted": _example_laguerre_shifted,
-    "bessel-i0": partial(_example_bessel, "bessel-i0"),
-    "bessel-j0": partial(_example_bessel, "bessel-j0"),
-    "eigen-operator": _example_eigen_operator,
-    "hyp-compact": _example_hyp_compact,
-}
-EXAMPLE_IDS = tuple(EXAMPLES)
-
-
-def example_normal_forms(
-    example_id: str,
-    lambda_order: int,
-    p: int = 2,
-    M: int = 2,
-) -> IdentityReport:
-    """Verify one assembled normally ordered expansion per lambda power.
-
-    The left side is always Taylor coefficients applied to oracle powers
-    of the operator; the right side is an independently assembled
-    double-dot series. p feeds laguerre-shifted, M the two family-wide
-    identities.
-    """
-    t0 = time.perf_counter()
-    if lambda_order < 0:
-        raise ValueError("lambda_order must be >= 0")
-    if example_id not in EXAMPLES:
-        raise ValueError(f"unknown example id {example_id!r}")
-    return EXAMPLES[example_id](lambda_order, t0, p=p, M=M)

@@ -91,10 +91,10 @@ def sequence_to_dict(r: int, M: int, values) -> dict:
     return out
 
 
-def sequence_to_json(r: int, M: int, values, indent: int | None = 2) -> str:
+def sequence_to_json(r: int, M: int, values) -> str:
     import json
 
-    return json.dumps(sequence_to_dict(r, M, values), indent=indent)
+    return json.dumps(sequence_to_dict(r, M, values), indent=2)
 
 
 def sequence_bfile(values) -> str:

@@ -1,17 +1,18 @@
 """Named verification drivers binding each operational identity to oracles.
 
 Every check returns an IdentityReport (see `normord.report`): the
-drivers here, and the closed-form checks of `normord.closedform`, which
-`run_identity` calls directly.  Each driver builds its two (or three)
-sides independently and hands them to `normord.report`'s one exact
-scan, with no tolerance at all: every side here is rational, at
-fractional parameters too.  The one numeric check,
+drivers here, and the closed-form checks and worked-example builders of
+`normord.closedform`, which `IDENTITIES` names directly.  Each driver
+builds its two (or three) sides independently and hands them to
+`normord.report`'s one exact scan, with no tolerance at all: every side
+here is rational, at fractional parameters too.  The one numeric check,
 `hyp-generating-function`, decides on a proven bound and records the
-precision and tolerance it used.  Every report names its
-paths in `details.paths`.  Operator powers D(r,M)^0..n come
+precision and tolerance it used.  Every report names its paths in
+`details.paths`.  Operator powers D(r,M)^0..n come
 from one fold, `closedform._oracle_powers`.  `IDENTITIES` is the one
 table of what `verify` runs: for every id it holds the driver, the
-default grid, the overrides it reads and the default size.
+default grid, the overrides it reads and the default size; `examples`
+runs the `EXAMPLE_IDS` entries in turn.
 `run_identity` runs one id over its grid with optional overrides (the
 CLI entry), `run_suite` runs every suite id at its defaults, and the
 CLI help lists the table.
@@ -29,17 +30,22 @@ from typing import NamedTuple
 
 from . import backend
 from .closedform import (
-    CLOSED_FORMS,
     DEFAULT_PRECISION,
     DEFAULT_TOLERANCE,
-    EXAMPLE_IDS,
+    _example_bessel,
+    _example_eigen_operator,
+    _example_hyp_compact,
+    _example_kummer_b3,
+    _example_kummer_b3half,
+    _example_laguerre_ogf,
+    _example_laguerre_shifted,
     _laguerre_rows,
     _oracle_powers,
+    bell_hyp_check,
     bessel_parity_check,
     conjecture_check,
-    example_normal_forms,
-    hyp_closed_form_check,
     hyp_generating_function_check,
+    stirling_hyp_check,
 )
 from .laguerre import (
     DxOperator,
@@ -88,6 +94,7 @@ __all__ = [
     "suite_passed",
     "reports_to_json",
     "SUITE_IDS",
+    "EXAMPLE_IDS",
 ]
 
 
@@ -440,17 +447,11 @@ _R3 = ("r", (1, 2, 3))
 _M3 = ("M", (1, 2, 3))
 _R4 = ("r", (1, 2, 3, 4))
 _SHEFFER = Check(verify_sheffer, (_R3,), ("n", 5))
+_LAMBDA6 = ("lambda_order", 6)
 
-
-def _closed_form(kind: str, Ms: tuple) -> Check:
-    return Check(partial(hyp_closed_form_check, kind), (("M", Ms),),
-                 ("n", CLOSED_FORMS[kind][1]))
-
-
-def _example(example_id: str, lambda_order: int, axes=()) -> Check:
-    return Check(partial(example_normal_forms, example_id), axes,
-                 ("lambda_order", lambda_order), in_suite=False)
-
+# the worked examples, which `examples` runs in this order
+EXAMPLE_IDS = ("laguerre-ogf", "kummer-b3", "kummer-b3half", "laguerre-shifted",
+               "bessel-i0", "bessel-j0", "eigen-operator", "hyp-compact")
 
 IDENTITIES = {
     "commutator": Check(verify_commutator, (_R3, ("M", (0, 1, 2, 3)))),
@@ -469,10 +470,10 @@ IDENTITIES = {
                            points=((1, 1), (1, 2), (2, 1), (2, 2), (3, 3))),
     "examples": Check(parts=EXAMPLE_IDS),
     "bessel-parity": Check(bessel_parity_check, size=("lambda_order", 8)),
-    "stirling-hyp": _closed_form("stirling-hyp", (1, 2, 3)),
-    "bell-hyp-r1": _closed_form("bell-hyp-r1", (1, 2, 3)),
-    "bell-hyp-r2": _closed_form("bell-hyp-r2", (1, 2)),
-    "bell-hyp-r3": _closed_form("bell-hyp-r3", (1,)),
+    "stirling-hyp": Check(stirling_hyp_check, (_M3,), ("n", 5)),
+    "bell-hyp-r1": Check(partial(bell_hyp_check, 1), (_M3,), ("n", 5)),
+    "bell-hyp-r2": Check(partial(bell_hyp_check, 2), (("M", (1, 2)),), ("n", 3)),
+    "bell-hyp-r3": Check(partial(bell_hyp_check, 3), (("M", (1,)),), ("n", 2)),
     "hyp-generating-function": Check(
         hyp_generating_function_check, (("r", (1, 2)), ("M", (1, 2))),
         ("lambda_order", 6), ("precision", "tolerance"),
@@ -480,17 +481,20 @@ IDENTITIES = {
     "graphs": Check(verify_graph_enumeration, (("r", (1, 2)), ("M", (1, 2))), ("n", 4)),
     "conjecture": Check(conjecture_check, (("r", (4, 5, 6)), ("M", (1, 2))),
                         ("n", 3), points=((4, 1), (4, 2), (5, 1), (5, 2), (6, 1))),
-    "laguerre-ogf": _example("laguerre-ogf", 6),
-    "kummer-b3": _example("kummer-b3", 6),
-    "kummer-b3half": _example("kummer-b3half", 6),
-    # its p is read from n
-    "laguerre-shifted": Check(
-        lambda n, **kw: example_normal_forms("laguerre-shifted", p=n, **kw),
-        (("n", (1, 2, 3)),), ("lambda_order", 6), in_suite=False),
-    "bessel-i0": _example("bessel-i0", 6),
-    "bessel-j0": _example("bessel-j0", 6),
-    "eigen-operator": _example("eigen-operator", 5, (_M3,)),
-    "hyp-compact": _example("hyp-compact", 5, (_M3,)),
+    "laguerre-ogf": Check(_example_laguerre_ogf, size=_LAMBDA6, in_suite=False),
+    "kummer-b3": Check(_example_kummer_b3, size=_LAMBDA6, in_suite=False),
+    "kummer-b3half": Check(_example_kummer_b3half, size=_LAMBDA6, in_suite=False),
+    # its shift p is read from n
+    "laguerre-shifted": Check(_example_laguerre_shifted, (("n", (1, 2, 3)),),
+                              _LAMBDA6, in_suite=False),
+    "bessel-i0": Check(partial(_example_bessel, "bessel-i0"), size=_LAMBDA6,
+                       in_suite=False),
+    "bessel-j0": Check(partial(_example_bessel, "bessel-j0"), size=_LAMBDA6,
+                       in_suite=False),
+    "eigen-operator": Check(_example_eigen_operator, (_M3,), ("lambda_order", 5),
+                            in_suite=False),
+    "hyp-compact": Check(_example_hyp_compact, (_M3,), ("lambda_order", 5),
+                         in_suite=False),
     "shef": _SHEFFER._replace(in_suite=False),  # alias
 }
 SUITE_IDS = tuple(name for name, check in IDENTITIES.items() if check.in_suite)

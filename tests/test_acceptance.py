@@ -17,7 +17,11 @@ from fractions import Fraction
 from math import comb, factorial
 
 from normord.cache import load_triangle, triangle_path
-from normord.closedform import hyp_closed_form_check, hyp_generating_function_check
+from normord.closedform import (
+    bell_hyp_check,
+    hyp_generating_function_check,
+    stirling_hyp_check,
+)
 from normord.graphs import enumerate_graphs
 from normord.hyperreal import exp_bounds, rel_dev_bound
 from normord.laguerre import exp_D_r1_normal_form
@@ -323,12 +327,12 @@ def test_criterion_7_operational_calculus():
 def test_criterion_8_hypergeometric_closed_forms():
     t0 = time.perf_counter()
     bad = []
-    for kind in ("stirling-hyp", "bell-hyp-r1", "bell-hyp-r2", "bell-hyp-r3"):
-        for M in (1, 2, 3):
-            rep = hyp_closed_form_check(kind, M=M, n_max=5)
+    for M in (1, 2, 3):
+        for rep in (stirling_hyp_check(M, 5),
+                    *(bell_hyp_check(r, M, 5) for r in (1, 2, 3))):
             if (rep.status != "pass" or rep.mode != "exact"
                     or rep.tolerance is not None):
-                bad.append((kind, M))
+                bad.append((rep.identity, M))
     for r, M in ((1, 1), (1, 2), (2, 2)):
         rep = hyp_generating_function_check(r, M, 1, 6,
                                             precision=50, tolerance=TOL)

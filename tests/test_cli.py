@@ -15,10 +15,9 @@ import pytest
 
 from normord import backend, cache
 from normord.cli import MAX_EXPONENT, MAX_PRECISION, main
-from normord.closedform import EXAMPLE_IDS
 from normord.parser import LimitError, check_triangle, parse_expr
 from normord.stirling import gen_stirling, stirling_rows
-from normord.suite import SUITE_IDS
+from normord.suite import EXAMPLE_IDS, SUITE_IDS
 from normord.weyl import normal_order_rewrite
 from oracles import normal_form_from_json
 
@@ -368,6 +367,27 @@ def test_verify_conjecture_runs_at_any_r(capsys):
     assert json.loads(out)[0]["parameters"] == {"r": 4, "M": 0, "n_max": 3}
 
 
+@pytest.mark.parametrize("identity", ["stirling-hyp", "bell-hyp-r1"])
+def test_verify_closed_form_refuses_m_below_1(capsys, identity):
+    code, out, err = run(capsys, "verify", identity, "--M", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: need M >= 1 and n_max >= 0\n"
+
+
+def test_verify_conjecture_refusal_is_its_own(capsys):
+    # the conjecture check refuses r = 0 in its own words and, unlike
+    # bell-hyp-r*, runs at M = 0
+    code, out, err = run(capsys, "verify", "conjecture", "--r", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: need r >= 1, M >= 0 and n_max >= 0\n"
+    code, out, _ = run(capsys, "verify", "conjecture", "--r", "4", "--M", "0",
+                       "--n", "2")
+    assert code == 0
+    assert json.loads(out)[0]["parameters"] == {"r": 4, "M": 0, "n_max": 2}
+
+
 @pytest.mark.parametrize("argv,param", [
     (("graphs", "--r", "1", "--M", "1", "--n", "0"), "n_max"),
     (("hyp-generating-function", "--r", "1", "--M", "1",
@@ -470,7 +490,6 @@ PUBLIC = [
     "enumerate_graphs",
     "DotSeries", "DxOperator", "apply_Dx", "egf_bell_r1",
     "eigenfunction_series", "exp_D_r1_normal_form",
-    "example_normal_forms", "hyp_closed_form_check",
     "hyp_generating_function_check",
     "IdentityReport", "run_identity", "run_suite", "suite_passed",
     "normal_form_to_json", "sequence_bfile", "sequence_to_json",

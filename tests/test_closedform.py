@@ -8,17 +8,15 @@ import pytest
 
 from normord import closedform
 from normord.closedform import (
-    CLOSED_FORM_KINDS,
-    EXAMPLE_IDS,
+    bell_hyp_check,
     bessel_parity_check,
     conjecture_check,
-    example_normal_forms,
-    hyp_closed_form_check,
     hyp_generating_function_check,
+    stirling_hyp_check,
 )
 from normord.series import PolyQ, SeriesQ, phyperq_series
 from normord.stirling import stirling_rows
-from normord.suite import run_identity
+from normord.suite import EXAMPLE_IDS, IDENTITIES, SUITE_IDS, run_identity
 from normord.weyl import NormalForm
 
 
@@ -36,7 +34,8 @@ def test_kummer_taylor():
                                     ("bell-hyp-r1", 2), ("bell-hyp-r2", 1),
                                     ("bell-hyp-r3", 1)])
 def test_exact_closed_forms(kind, M):
-    rep = hyp_closed_form_check(kind, closedform.CLOSED_FORMS[kind][0], M, 4)
+    (rep,) = run_identity(kind, M=M, n=4)
+    assert rep.identity == kind
     assert rep.status == "pass"
     assert rep.mode == "exact"
     assert rep.tolerance is None
@@ -106,13 +105,6 @@ def test_conjecture_fails_on_a_perturbed_coefficient(monkeypatch):
     assert rep.status == "fail"
     first = rep.details["first_mismatch"]
     assert (first["n"], first["power"]) == (3, 5)  # x^(j + 4k) at j = k = 1
-
-
-def test_closed_form_kind_and_r_must_agree():
-    with pytest.raises(ValueError):
-        hyp_closed_form_check("bell-hyp-r2", 1, 1, 3)
-    with pytest.raises(ValueError):
-        hyp_closed_form_check("nonsense", 1, 1, 3)
 
 
 def test_generating_function_check_passes():
@@ -196,20 +188,16 @@ def test_generating_function_fails_a_tolerance_below_its_bound():
 
 @pytest.mark.parametrize("example_id", EXAMPLE_IDS)
 def test_examples_pass(example_id):
-    rep = example_normal_forms(example_id, 5)
+    # p = n = 2 for laguerre-shifted and M = 2 for the two family-wide ids
+    (rep,) = run_identity(example_id, M=2, n=2, lambda_order=5)
     assert rep.status == "pass", rep
     assert rep.details["first_mismatch"] is None
-
-
-def test_example_unknown_id():
-    with pytest.raises(ValueError):
-        example_normal_forms("not-an-example", 4)
 
 
 def test_example_mismatch_reporting_shape():
     # shrink the truncation to still-consistent orders; reports carry the
     # identity id and parameter block in every case
-    rep = example_normal_forms("bessel-j0", 3)
+    (rep,) = run_identity("bessel-j0", lambda_order=3)
     assert rep.identity == "bessel-j0"
     assert rep.status == "pass"
     assert rep.parameters == {"r": 1, "M": 1, "lambda_order": 3}
@@ -227,7 +215,7 @@ def test_example_failure_reports_first_mismatch(monkeypatch):
         return powers
 
     monkeypatch.setattr(closedform, "_oracle_powers", planted)
-    rep = example_normal_forms("laguerre-ogf", 4)
+    (rep,) = run_identity("laguerre-ogf", lambda_order=4)
     assert rep.status == "fail"
     # entries are scanned from the highest (dag, ann) down; the row leads
     first = rep.details["first_mismatch"]
@@ -257,7 +245,7 @@ def test_kummer_b3half_judges_every_differing_entry(monkeypatch):
                                       ((gross,), (0, 2, 1)),
                                       ((tiny, gross), (2, 4, tiny[1]))):
         monkeypatch.setattr(closedform, "_kummer_sides", planting(*plants))
-        rep = example_normal_forms("kummer-b3half", 4)
+        (rep,) = run_identity("kummer-b3half", lambda_order=4)
         assert (rep.mode, rep.status) == ("exact", "fail")
         first = rep.details["first_mismatch"]
         assert (first["lambda"], first["dag"], first["ann"]) == (2, dag, ann)
@@ -278,11 +266,12 @@ def test_alternating_sum_fault_fails_eigen_operator_only(monkeypatch):
             yield row
 
     monkeypatch.setattr(closedform, "alternating_sum_rows", off_by_one)
-    rep = example_normal_forms("eigen-operator", 5, M=2)
+    (rep,) = run_identity("eigen-operator", M=2, lambda_order=5)
     assert rep.status == "fail"
     first = rep.details["first_mismatch"]
     assert (first["lambda"], first["dag"], first["ann"]) == (3, 1, 4)
-    assert example_normal_forms("hyp-compact", 5, M=2).status == "pass"
+    assert [rep.status for rep in run_identity("hyp-compact", M=2, lambda_order=5)] \
+        == ["pass"]
 
 
 def test_pfq_series_fault_fails_hyp_compact_only(monkeypatch):
@@ -295,10 +284,11 @@ def test_pfq_series_fault_fails_hyp_compact_only(monkeypatch):
         return SeriesQ(order, coeffs)
 
     monkeypatch.setattr(closedform, "phyperq_series", planted)
-    rep = example_normal_forms("hyp-compact", 5, M=2)
+    (rep,) = run_identity("hyp-compact", M=2, lambda_order=5)
     assert rep.status == "fail"
     assert rep.details["first_mismatch"]["lambda"] == 3
-    assert example_normal_forms("eigen-operator", 5, M=2).status == "pass"
+    assert [rep.status for rep in run_identity("eigen-operator", M=2, lambda_order=5)] \
+        == ["pass"]
 
 
 def test_inexact_alternating_sum_is_a_failing_report(monkeypatch):
@@ -311,7 +301,7 @@ def test_inexact_alternating_sum_is_a_failing_report(monkeypatch):
             yield row
 
     monkeypatch.setattr(closedform, "alternating_sum_rows", inexact)
-    rep = example_normal_forms("eigen-operator", 4, M=1)
+    (rep,) = run_identity("eigen-operator", M=1, lambda_order=4)
     assert rep.status == "fail"
     assert rep.details["first_mismatch"] == {
         "lambda": 2, "where": "alternating sum",
@@ -324,7 +314,22 @@ def test_bessel_parity():
 
 
 def test_all_kinds_listed():
-    assert set(CLOSED_FORM_KINDS) == {
-        "stirling-hyp", "bell-hyp-r1", "bell-hyp-r2", "bell-hyp-r3",
-    }
+    # the four closed forms run in the suite, the eight worked examples
+    # only through `examples`
+    assert {"stirling-hyp", "bell-hyp-r1", "bell-hyp-r2", "bell-hyp-r3"} \
+        <= set(SUITE_IDS)
     assert len(EXAMPLE_IDS) == 8
+    assert IDENTITIES["examples"].parts == EXAMPLE_IDS
+    assert not set(EXAMPLE_IDS) & set(SUITE_IDS)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: stirling_hyp_check(0, 3), "need M >= 1 and n_max >= 0"),
+    (lambda: stirling_hyp_check(1, -1), "need M >= 1 and n_max >= 0"),
+    (lambda: bell_hyp_check(2, 0, 3), "need M >= 1 and n_max >= 0"),
+    (lambda: bell_hyp_check(0, 1, 3), "need r >= 1"),
+])
+def test_closed_form_checks_refuse_bad_sizes(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message

@@ -68,7 +68,7 @@ def test_defaults():
         {}, 0.0, None, None)
     assert rep.details is not IdentityReport("x", {}, "exact", "pass").details
     cfg = Config(cache_dir=Path("c"))
-    assert cfg == Config(8, DEFAULT_PRECISION, DEFAULT_TOLERANCE, Path("c"), "json")
+    assert cfg == Config(None, DEFAULT_PRECISION, DEFAULT_TOLERANCE, Path("c"), "json")
 
 
 def test_config_cache_dir_defaults_to_the_env_var(monkeypatch, tmp_path):

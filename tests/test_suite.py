@@ -8,8 +8,8 @@ import pytest
 
 import normord
 from normord import suite
-from normord.closedform import EXAMPLE_IDS
 from normord.suite import (
+    EXAMPLE_IDS,
     SUITE_IDS,
     IdentityReport,
     reports_to_json,
