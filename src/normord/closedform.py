@@ -118,18 +118,23 @@ def stirling_hyp_check(M: int, n_max: int) -> IdentityReport:
     t0 = time.perf_counter()
     if M < 1 or n_max < 0:
         raise ValueError("need M >= 1 and n_max >= 0")
-    # two k past each row's width, where the triangle holds 0
-    closed = [
-        {k: Fraction((-1) ** k * factorial(n) ** M, factorial(k))
-         * phyperq_partial([-k] + [n + 1] * M, [1] * M, 1, k + 1)
-         for k in range(M * n + 3)}
-        for n in range(n_max + 1)
-    ]
-    rows = [dict(enumerate(row)) for row in stirling_rows(1, M, n_max)]
+    # two k past each row's width, where the triangle holds 0; entry k is
+    # (-1)^k n!^M / k! times its pFq sum, all over one denominator per row
+    closed = []
+    for n in range(n_max + 1):
+        sums = [phyperq_partial([-k] + [n + 1] * M, [1] * M, 1, k + 1)
+                for k in range(M * n + 3)]
+        dens = [factorial(k) * q.denominator for k, q in enumerate(sums)]
+        den, lead = lcm(*dens), factorial(n) ** M
+        closed.append(SeriesQ._from_ints(len(sums), [
+            (-1) ** k * lead * q.numerator * (den // d)
+            for k, (q, d) in enumerate(zip(sums, dens))], den))
+    rows = [SeriesQ(M * n + 3, row)
+            for n, row in enumerate(stirling_rows(1, M, n_max))]
     _, first = _rows_mismatch(closed, rows, "n", ("k",))
     return _finish("stirling-hyp", {"r": 1, "M": M, "n_max": n_max}, "exact", t0,
                    first, {"first_mismatch": first,
-                           "checks": sum(len(row) for row in closed)},
+                           "checks": sum(row.order for row in closed)},
                    paths=("pFq closed form", "triangle"))
 
 
@@ -143,16 +148,20 @@ def _check_bell_hyp(r: int, M: int, n_max: int, t0: float,
     # r^(Mn) ((a)_n)^M = (prod_{1<=i<=n} (ri + j))^M is an int, so the
     # closed side is built over one denominator: the lcm of the j!-scaled
     # pFq denominators times r^(rk) for the largest k.
+    # The lower parameters do not depend on n, nor does e^x (a product
+    # is truncated to its shorter factor).
+    lowers = [[Fraction(j + r, r)] * M
+              + [Fraction(i, r) for i in range(j + 1, j + r + 1) if i != r]
+              for j in range(r)]
+    exp_x = series_exp(SeriesQ.x(M * n_max + 6))
     lhs, rhs = [], []
     for n, row in enumerate(stirling_rows(r, M, n_max)):
         order = M * n + 6
-        scaled = series_exp(SeriesQ.x(order)) * SeriesQ(order, row)
+        scaled = exp_x * SeriesQ(order, row)
         parts = []
-        for j in range(r):
-            a = 1 + Fraction(j, r)
-            lower = [a] * M + [Fraction(i, r) for i in range(j + 1, j + r + 1)
-                               if i != r]
-            series = phyperq_series([a + n] * M, lower, (order - j + r - 1) // r)
+        for j, lower in enumerate(lowers):
+            series = phyperq_series([Fraction(j + r * (n + 1), r)] * M, lower,
+                                    (order - j + r - 1) // r)
             parts.append((prod(r * i + j for i in range(1, n + 1)) ** M,
                           factorial(j) * series.den, series.nums))
         den = lcm(*(d for _, d, _ in parts)) * r ** (r * (len(parts[0][2]) - 1))
@@ -160,12 +169,12 @@ def _check_bell_hyp(r: int, M: int, n_max: int, t0: float,
         for j, (lead, d, nums) in enumerate(parts):
             for k, c in enumerate(nums):
                 closed[j + r * k] = lead * c * (den // d // r ** (r * k))
-        lhs.append(dict(enumerate(scaled.coeffs)))
-        rhs.append(dict(enumerate(SeriesQ._from_ints(order, closed, den).coeffs)))
+        lhs.append(scaled)
+        rhs.append(SeriesQ._from_ints(order, closed, den))
     _, first = _rows_mismatch(lhs, rhs, "n", ("power",))
     return _finish(identity, {"r": r, "M": M, "n_max": n_max},
                    "exact", t0, first, {"first_mismatch": first,
-                           "checks": sum(len(row) for row in lhs)},
+                           "checks": sum(row.order for row in lhs)},
                    paths=("e^x Bell polynomial",
                           "mFm series" if r == 1 else "pFq closed form"))
 

@@ -3,10 +3,13 @@
 `IdentityReport` is the record; `_finish` times and closes one from a
 check's parameters, mode and first mismatch.  Every exact check compares
 two independently built sides through the one exact scan written here:
-`_nf_mismatch` finds the first differing entry of two keyed tables
-(normal-form terms, coefficient grids, triangle rows), keys from high to
-low, tagged with the row it belongs to, and `_rows_mismatch` is its
-row-by-row form.  The one numeric check, `hyp-generating-function`,
+`_nf_mismatch` finds the first differing entry of two tables (normal
+forms, coefficient grids, triangle rows, series), keys from high to low,
+tagged with the row it belongs to, and `_rows_mismatch` is its
+row-by-row form.  The scan decides by equality first: two equal tables
+(`SeriesQ` rows compare their int numerators and denominator) end it at
+once, and only unequal ones are walked key by key, to name the first
+mismatch.  The one numeric check, `hyp-generating-function`,
 decides on proven rational enclosures (`normord.hyperreal`) and hands
 its first failing row to `_finish` like any other.  The suite drivers
 and the closed-form checks build their reports here, through `_finish`,
@@ -100,19 +103,30 @@ def _finish(identity, parameters, mode, t0, mismatch, details=None, *, paths,
     )
 
 
-def _nf_mismatch(lhs, rhs, at: dict, names=("dag", "ann")):
-    """First differing entry of two keyed tables, or None: the one exact scan.
+def _keyed(table) -> dict:
+    """A table as a dict: as given, or a series' or list's entries by index."""
+    if isinstance(table, dict):
+        return table
+    return dict(enumerate(getattr(table, "coeffs", table)))
 
-    A table is a dict or anything holding one as `.terms` (a NormalForm);
-    a missing key reads 0.  Keys are scanned from the highest down, the
-    order in which normal forms print.  The record leads with `at`, the
-    row being compared (e.g. {"n": 3}, or {} for a table keyed by the row
-    itself), then names the key's parts (normal-form terms are keyed
-    (dag, ann); a triangle row or a coefficient list {k: v} takes one
-    name), then "left" and "right".
+
+def _nf_mismatch(lhs, rhs, at: dict, names=("dag", "ann")):
+    """First differing entry of two tables, or None: the one exact scan.
+
+    A table is a dict, anything holding one as `.terms` (a NormalForm),
+    a `SeriesQ` or a list, the last two keyed by index; a missing key
+    reads 0.  Equal tables return at once.  Otherwise keys are scanned
+    from the highest down, the order in which normal forms print.  The
+    record leads with `at`, the row being compared (e.g. {"n": 3}, or {}
+    for a table keyed by the row itself), then names the key's parts
+    (normal-form terms are keyed (dag, ann); a triangle row or a
+    coefficient list takes one name), then "left" and "right".
     """
     lhs = getattr(lhs, "terms", lhs)
     rhs = getattr(rhs, "terms", rhs)
+    if lhs == rhs:
+        return None
+    lhs, rhs = _keyed(lhs), _keyed(rhs)
     for key in sorted(set(lhs) | set(rhs), reverse=True):
         lv = lhs.get(key, 0)
         rv = rhs.get(key, 0)

@@ -248,7 +248,7 @@ class SeriesQ:
         )
 
     def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.den, self.nums))
 
     def _add(self, other: "SeriesQ", sign: int) -> "SeriesQ":
         n = min(self.order, other.order)

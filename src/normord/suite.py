@@ -60,6 +60,7 @@ from .series import (
     PolyQ,
     SeriesQ,
     _canonical,
+    _to_one_den,
     factorial,
     laguerre_poly,
     phyperq_series,
@@ -104,7 +105,9 @@ def _poly_from_signless_rising(r: int) -> PolyQ:
 
 
 def _poly_from_signed_falling(r: int) -> PolyQ:
-    """n(n-1)...(n-r+1) as the signed first-kind sum; zero constant term."""
+    """n(n-1)...(n-r+1) as the signed first-kind sum; the empty product 1 at r = 0."""
+    if r == 0:
+        return PolyQ.one()
     coeffs = [0] * (r + 1)
     for k in range(1, r + 1):
         coeffs[k] = (-1) ** (r - k) * stirling1_signless(r, k)
@@ -170,11 +173,10 @@ def _alternating_mismatch(r: int, M: int, rows) -> dict | None:
     alternating = []
     try:
         for oracle in alternating_sum_rows(r, M, len(rows)):
-            alternating.append(dict(enumerate(oracle)))
+            alternating.append(oracle)
     except ArithmeticError as exc:
         return {"n": len(alternating), "where": "alternating sum", "error": str(exc)}
-    _, mismatch = _rows_mismatch([dict(enumerate(row)) for row in rows],
-                                 alternating[1:], "n", ("k",), start=1)
+    _, mismatch = _rows_mismatch(rows, alternating[1:], "n", ("k",), start=1)
     if mismatch is not None:
         mismatch["where"] = "triangle vs alternating sum"
     return mismatch
@@ -278,16 +280,17 @@ def verify_exp_on_exponential(
     params = {"b": str(b), "x_order": x_order, "lambda_order": lambda_order}
     s = SeriesQ(x_order, [Fraction((-b) ** i, factorial(i)) for i in range(x_order)])
     cols = exp_lambda_Dx_columns(DxOperator(1, 1), s, lambda_order)
-    # (-b)^i/i! (-1)^m C(i+m, m) b^m = (-b)^(i+m) C(i+m, m) / i!
+    # (-b)^i/i! (-1)^m C(i+m, m) b^m = (-b)^(i+m) C(i+m, m) / i!, over the
+    # column's one denominator bd^(top+m) top!, top its last x power
     bn, bd = b.numerator, b.denominator
-    refs = [
-        {i: Fraction((-bn) ** (i + m) * comb(i + m, m),
-                     bd ** (i + m) * factorial(i))
-         for i in range(col.order)}
-        for m, col in enumerate(cols)
-    ]
-    _, mismatch = _rows_mismatch([dict(enumerate(col.coeffs)) for col in cols],
-                                 refs, "lambda_power", ("x_power",))
+    refs = []
+    for m, col in enumerate(cols):
+        top = max(col.order - 1, 0)
+        refs.append(SeriesQ._from_ints(col.order, [
+            (-bn) ** (i + m) * comb(i + m, m) * bd ** (top - i)
+            * (factorial(top) // factorial(i)) for i in range(col.order)],
+            bd ** (top + m) * factorial(top)))
+    _, mismatch = _rows_mismatch(cols, refs, "lambda_power", ("x_power",))
     return _finish("exp-exponential", params, "exact", t0, mismatch,
                    paths=("Dx columns", "closed grid"))
 
@@ -306,14 +309,17 @@ def verify_exp_on_kummer(b, x_order: int = 16, lambda_order: int = 8) -> Identit
     params = {"b": str(b), "x_order": x_order, "lambda_order": lambda_order}
     s = phyperq_series([b], [1], x_order)
     cols = exp_lambda_Dx_columns(DxOperator(1, 1), s, lambda_order)
-    rising = [pochhammer(b, k) for k in range(x_order)]
-    refs = [
-        {i: Fraction(rising[i + m], factorial(i) ** 2 * factorial(m))
-         for i in range(col.order)}
-        for m, col in enumerate(cols)
-    ]
-    _, mismatch = _rows_mismatch([dict(enumerate(col.coeffs)) for col in cols],
-                                 refs, "lambda_power", ("x_power",))
+    # (b)_k over one denominator: column m is rising[i+m] / (den (i!)^2 m!),
+    # over the column's one denominator den (top!)^2 m!, top its last x power
+    rising, den = _to_one_den(pochhammer(b, k) for k in range(x_order))
+    refs = []
+    for m, col in enumerate(cols):
+        top = max(col.order - 1, 0)
+        scale = factorial(top)
+        refs.append(SeriesQ._from_ints(col.order, [
+            rising[i + m] * (scale // factorial(i)) ** 2 for i in range(col.order)],
+            den * scale**2 * factorial(m)))
+    _, mismatch = _rows_mismatch(cols, refs, "lambda_power", ("x_power",))
     return _finish("exp-kummer", params, "exact", t0, mismatch,
                    paths=("Dx columns", "Kummer expansion"))
 
@@ -365,10 +371,9 @@ def verify_egf(r: int, n_max: int) -> IdentityReport:
     t0 = time.perf_counter()
     params = {"r": r, "n_max": n_max}
     series = egf_bell_r1(r, n_max + 1)
-    egf = {n: factorial(n) * series.coeffs[n] for n in range(n_max + 1)}
-    mismatch = _nf_mismatch(egf, dict(enumerate(bell_sequence(r, 1, n_max))),
-                            {}, ("n",))
-    values = [int(v) for v in egf.values()]
+    egf = [factorial(n) * c for n, c in enumerate(series.coeffs)]
+    mismatch = _nf_mismatch(egf, bell_sequence(r, 1, n_max), {}, ("n",))
+    values = [int(v) for v in egf]
     return _finish("egf", params, "exact", t0, mismatch, {"values": values},
                    paths=("EGF series", "triangle row sum"))
 
@@ -382,8 +387,8 @@ def verify_eigenfunction(r: int, M: int, order: int | None = None) -> IdentityRe
     params = {"r": r, "M": M, "order": order}
     e = eigenfunction_series(r, M, order)
     image = apply_Dx(DxOperator(r, M), e)
-    mismatch = _nf_mismatch(dict(enumerate(image.coeffs)),
-                            dict(enumerate(e.coeffs[:image.order])), {}, ("x_power",))
+    mismatch = _nf_mismatch(image, SeriesQ._from_ints(image.order, e.nums, e.den),
+                            {}, ("x_power",))
     return _finish("eigenfunction", params, "exact", t0, mismatch,
                    paths=("Dx image", "eigenfunction series"))
 

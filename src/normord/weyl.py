@@ -176,7 +176,14 @@ class NormalForm:
 
     def __mul__(self, other) -> "NormalForm":
         if isinstance(other, NormalForm):
-            return NormalForm(backend.nf_mul(self.terms, other.terms))
+            terms = backend.nf_mul(self.terms, other.terms)
+            if {*map(type, terms.values())} <= {int}:
+                # nf_mul drops zeros and its keys are nonnegative: ints
+                # are already canonical
+                out = object.__new__(NormalForm)
+                out.terms = terms
+                return out
+            return NormalForm(terms)
         return self.scale(other)
 
     def __rmul__(self, other) -> "NormalForm":
@@ -245,13 +252,15 @@ class NormalForm:
         for (k, l) in self.terms:
             if k != l:
                 raise ValueError(f"non-diagonal term ad^{k} a^{l}")
-        out = PolyQ.zero()
-        for (k, _), c in self.terms.items():
-            ff = PolyQ.one()
-            for i in range(k):
-                ff = ff * PolyQ((-i, 1))
-            out = out + ff.scale(c)
-        return out
+        top = max((k for k, _ in self.terms), default=-1)
+        out = [0] * (top + 1)
+        ff = [1]  # n(n-1)...(n-k+1), lowest power first
+        for k in range(top + 1):
+            c = self.terms.get((k, k))
+            if c:
+                out[:k + 1] = [a + c * f for a, f in zip(out, ff)]
+            ff = [a - k * b for a, b in zip([0, *ff], [*ff, 0])]
+        return PolyQ(out)
 
     def apply_to_monomial(self, p: int) -> dict:
         """Action on x^p in the polynomial model a -> d/dx, ad -> x.

@@ -105,6 +105,28 @@ def test_conjecture_fails_on_a_perturbed_coefficient(monkeypatch):
     assert rep.status == "fail"
     first = rep.details["first_mismatch"]
     assert (first["n"], first["power"]) == (3, 5)  # x^(j + 4k) at j = k = 1
+    assert list(first) == ["n", "power", "left", "right"]
+    assert first == {"n": 3, "power": 5, "left": "663/40", "right": "24141/1280"}
+    assert rep.details["checks"] == 30
+
+
+def test_bell_hyp_r2_names_a_planted_triangle_entry(monkeypatch):
+    real = closedform.stirling_rows
+
+    def planted(r, M, n_max):
+        for n, row in enumerate(real(r, M, n_max)):
+            if n == 2:
+                row = [*row]
+                row[1] += 1
+            yield row
+
+    monkeypatch.setattr(closedform, "stirling_rows", planted)
+    rep = bell_hyp_check(2, 1, 3)
+    assert rep.status == "fail"
+    first = rep.details["first_mismatch"]
+    assert list(first) == ["n", "power", "left", "right"]
+    assert first == {"n": 2, "power": 7, "left": "53/2520", "right": "11/560"}
+    assert rep.details["checks"] == 30
 
 
 def test_generating_function_check_passes():

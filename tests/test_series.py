@@ -192,6 +192,16 @@ def test_results_reproducible():
     assert x == y
 
 
+def test_equal_series_hash_equal():
+    # built from canonical coefficients, from ints, and as a product
+    a = SeriesQ(4, [Fraction(1, 2), 1, Fraction(-3, 4)])
+    b = SeriesQ._from_ints(4, [2, 4, -3, 0], 4)
+    c = SeriesQ(4, [1, 2, Fraction(-3, 2)]) * SeriesQ(4, [Fraction(1, 2)])
+    assert a == b == c
+    assert hash(a) == hash(b) == hash(c)
+    assert len({a, b, c, SeriesQ(3, a.coeffs)}) == 2
+
+
 def test_series_coeff_out_of_range():
     s = SeriesQ(3, [1, 2, 3])
     with pytest.raises(IndexError):

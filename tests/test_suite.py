@@ -8,6 +8,8 @@ import pytest
 
 import normord
 from normord import suite
+from normord.report import _nf_mismatch, _rows_mismatch
+from normord.series import SeriesQ
 from normord.suite import (
     EXAMPLE_IDS,
     SUITE_IDS,
@@ -21,6 +23,7 @@ from normord.suite import (
     verify_exp_on_monomial,
     verify_stirling_expansion,
 )
+from normord.weyl import NormalForm, laguerre_derivative_nf
 
 
 def test_full_suite_green():
@@ -262,3 +265,99 @@ def test_exp_on_monomial_grid():
     rep = verify_exp_on_monomial(6)
     assert rep.status == "pass"
     assert rep.parameters == {"n_max": 6}
+
+
+# The exact scan decides by equality first and walks the keys only to
+# name the first mismatch: each record below is the one the key walk
+# gives on the same tables written as dicts.
+
+
+def test_scan_of_equal_tables_finds_nothing():
+    nf = laguerre_derivative_nf(2, 1)
+    assert _nf_mismatch(nf, NormalForm(dict(nf.terms)), {"n": 1}) is None
+    assert _nf_mismatch(nf, dict(nf.terms), {"n": 1}) is None
+    assert _nf_mismatch({(1, 2): 3, (0, 1): 1}, {(0, 1): 1, (1, 2): 3}, {}) is None
+    assert _rows_mismatch([{0: 1}, {0: 2, 1: Fraction(1, 2)}],
+                          [{0: 1}, {1: Fraction(1, 2), 0: 2}], "n", ("k",)) == (2, None)
+
+
+def test_scan_reads_a_missing_key_as_zero():
+    assert _nf_mismatch({1: 0, 2: 3}, {2: 3}, {"n": 1}, ("k",)) is None
+    assert _nf_mismatch(NormalForm({(1, 1): 2}), {(1, 1): 2, (0, 0): 0}, {}) is None
+    assert _rows_mismatch([{0: 1}, {0: 2, 1: Fraction(1, 2)}],
+                          [{0: 1}, {0: 2, 1: 1}], "n", ("k",)) \
+        == (2, {"n": 1, "k": 1, "left": "1/2", "right": "1"})
+
+
+def _as_dicts(rows):
+    return [dict(enumerate(getattr(row, "coeffs", row))) for row in rows]
+
+
+@pytest.mark.parametrize("lhs, rhs, want", [
+    # the same numerators over another denominator: a mismatch
+    ([SeriesQ._from_ints(3, [1, 2, 0], 1)], [SeriesQ._from_ints(3, [1, 2, 0], 3)],
+     (1, {"n": 0, "k": 1, "left": "2", "right": "2/3"})),
+    # the same coefficients to another order, the tail zero: no mismatch
+    ([SeriesQ(2, [1]), SeriesQ(3, [1, 2])], [SeriesQ(2, [1]), SeriesQ(5, [1, 2])],
+     (2, None)),
+    ([SeriesQ(3, [1, Fraction(1, 2), 5])], [SeriesQ(3, [1, Fraction(1, 3), 5])],
+     (1, {"n": 0, "k": 1, "left": "1/2", "right": "1/3"})),
+    # list rows; a missing entry reads 0
+    ([[1, 2], [1, 3, 3]], [[1, 2], [1, 3, 3, 0]], (2, None)),
+    ([[1, 2], [1, 4, 3]], [[1, 2], [1, 3, 3]],
+     (2, {"n": 1, "k": 1, "left": "4", "right": "3"})),
+    ([[1, 2], [1, 3, 3]], [[1, 2], [1, 3]],
+     (2, {"n": 1, "k": 2, "left": "3", "right": "0"})),
+])
+def test_scan_takes_series_and_list_rows(lhs, rhs, want):
+    assert _rows_mismatch(_as_dicts(lhs), _as_dicts(rhs), "n", ("k",)) == want
+    assert _rows_mismatch(lhs, rhs, "n", ("k",)) == want
+
+
+def test_exp_exponential_names_a_planted_column_entry(monkeypatch):
+    real = suite.exp_lambda_Dx_columns
+
+    def planted(op, s, m_max):
+        cols = real(op, s, m_max)
+        coeffs = list(cols[3].coeffs)
+        coeffs[4] += Fraction(1, 10**40)
+        cols[3] = SeriesQ(cols[3].order, coeffs)
+        return cols
+
+    monkeypatch.setattr(suite, "exp_lambda_Dx_columns", planted)
+    rep = suite.verify_exp_on_exponential(Fraction(1, 3))
+    first = rep.details["first_mismatch"]
+    assert list(first) == ["lambda_power", "x_power", "left", "right"]
+    assert first == {
+        "lambda_power": 3, "x_power": 4,
+        "left": "-43749999999999999999999999999999999993439"
+                "/65610000000000000000000000000000000000000000",
+        "right": "-35/52488"}
+
+
+def test_stirling_expansion_names_a_fraction_in_the_power_fold(monkeypatch):
+    # D^2 (D + 1/2): the fold's product carries a Fraction coefficient
+    real = suite._oracle_powers
+
+    def planted(r, M, n_max):
+        powers = real(r, M, n_max)
+        powers[3] = powers[2] * (laguerre_derivative_nf(r, M)
+                                 + NormalForm.monomial(0, 0, Fraction(1, 2)))
+        return powers
+
+    monkeypatch.setattr(suite, "_oracle_powers", planted)
+    rep = verify_stirling_expansion(1, 1, 4)
+    assert rep.status == "fail"
+    first = rep.details["first_mismatch"]
+    assert list(first) == ["n", "dag", "ann", "left", "right"]
+    assert first == {"n": 3, "dag": 2, "ann": 4, "left": "1/2", "right": "0"}
+    assert rep.details["bell_values"] == [2, 7, 37, 209]
+
+
+@pytest.mark.parametrize("M", [0, 1, 2, 3])
+def test_commutator_at_r_zero(M):
+    # D = (ad a)^M is self-adjoint: the commutator is 0, and the
+    # reference's falling factorial of length 0 is the empty product 1
+    rep = verify_commutator(0, M)
+    assert rep.status == "pass"
+    assert rep.details["polynomial"] == []

@@ -174,3 +174,18 @@ def test_nf_mul_running_weight_matches_closed_weights(a, b):
     # Fraction and negative coefficients: the running weight is an int,
     # and the coefficient product is never floor-divided
     assert nf_mul(a, b) == _nf_mul_by_closed_weights(a, b)
+
+
+def test_product_keeps_the_coefficient_rule():
+    # an all-int product and one that carries a Fraction both read out
+    # as the normal form built from the raw contraction product
+    d = laguerre_derivative_nf(2, 1)
+    half = NormalForm({(1, 0): Fraction(1, 2), (0, 2): Fraction(2, 3)})
+    for a, b in ((d, d), (d, half), (half, half), (d, NormalForm.zero())):
+        got = a * b
+        assert got == NormalForm(nf_mul(a.terms, b.terms))
+        assert all(c and (type(c) is int or c.denominator > 1)
+                   for c in got.terms.values())
+    whole = half * NormalForm({(0, 0): 6})
+    assert whole.terms == {(1, 0): 3, (0, 2): 4}
+    assert {*map(type, whole.terms.values())} == {int}
