@@ -8,27 +8,28 @@ an int when integral, a Fraction only when not), so integer inputs stay
 in ints; the containers built from the results canonicalize them again.
 Loop bookkeeping is exact integer arithmetic throughout.
 
-One primitive carries the row kernels.  `ff_step(row, c)` multiplies a
+One primitive carries the row kernel.  `ff_step(row, c)` multiplies a
 polynomial in the number operator N = a†a, held as its coefficients on
 the falling factorials N^(k) = N(N-1)...(N-k+1), by (N + c):
 N^(k) (N + c) = N^(k+1) + (k + c) N^(k), so new[k] = old[k-1] +
-(k + c) old[k].  On it are built:
+(k + c) old[k].  On it is built `graded_step`: a normal form held as
+one row per shift s = ann - dag, G(N) a^s for s >= 0 and a†^(-s) G(N)
+for s < 0, right-multiplied by one letter.  A word's row is built left
+to right, one step per letter, and its entries are the rook numbers of
+the word's Ferrers board (Varvak, "Rook numbers and the normal ordering
+problem", JCTA 112, 2005); a sum of words and any power of it are sums
+of such runs.  One graded loop, `weyl._graded`, runs it for both the
+triangle and `order`'s powers: row n of the generalized Stirling
+triangle is the one row of D(r,M)^n = (a^r (a†a)^M)^n, row n-1 times
+(N + n*r)^M.  The alternating sum that defines the triangle is not used
+here: it is the independent oracle `stirling.alternating_sum_rows`,
+which `verify stirling-expansion` checks every built row against.
 
-- `stirling_row_update`: row n of the generalized Stirling triangle is
-  row n-1 times (N + n*r)^M.  The alternating sum that defines the
-  triangle is not used here: it is the independent oracle
-  `stirling.alternating_sum_rows`, which `verify stirling-expansion`
-  checks every built row against.
-- `graded_step`: a normal form held as one row per shift s = ann - dag,
-  G(N) a^s for s >= 0 and a†^(-s) G(N) for s < 0, right-multiplied by
-  one letter.  A word's row is built left to right, one step per
-  letter, and its entries are the rook numbers of the word's Ferrers
-  board (Varvak, "Rook numbers and the normal ordering problem", JCTA
-  112, 2005); a sum of words and any power of it are sums of such runs.
-
+The other three kernels are oracles, and none of them calls `ff_step`.
 `normal_order_word` rewrites a a† = a† a + 1 until the word is ordered.
 It is far slower on long words and is kept as the rewriting oracle the
-graded kernel is tested against; `nf_mul` is the contraction product.
+graded kernel is tested against; `nf_mul` is the contraction product,
+and `graph_step` attaches one block to the diagrams of the graph count.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "normal_order_word",
     "graded_step",
     "nf_mul",
-    "stirling_row_update",
     "graph_step",
 ]
 
@@ -160,21 +160,6 @@ def graded_step(state, letter):
     return {s - 1: ff_step(row, s) if s > 0 else
             [*map(add, row, map(mul, count(1), row[1:])), row[-1]]
             for s, row in state.items()}
-
-
-def stirling_row_update(r, M, n, prev):
-    """Row n of the generalized Stirling triangle, from row n-1.
-
-    prev is row n-1 ([1] for n = 1).  Row n holds the coefficients of
-    prod_{i=1}^n (N + i*r)^M on the falling factorials N^(k), so it is
-    row n-1 times (N + n*r), M times over: M calls of `ff_step`.
-    Returns (row, carry); the carry is the row itself.
-    """
-    c = n * r
-    row = list(prev)
-    for _ in range(M):
-        row = ff_step(row, c)
-    return row, row
 
 
 def graph_step(state, blocks):

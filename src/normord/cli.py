@@ -154,8 +154,8 @@ def _flags(names) -> str:
 
 def _identity_list() -> str:
     """Every identity id and the options that change what it runs."""
-    lines = ["identities, each with the options it reads (an --r, --M or --n",
-             "that an identity does not read is an error):"]
+    lines = ["identities, each with the options it reads (an --r, --M, --n or",
+             "--lambda-order that an identity does not read is an error):"]
     for identity in IDENTITIES:
         lines.append(f"  {identity:<24} {_flags(overrides_read(identity))}")
     lines.append(f"  {'all':<24} the suite: {SUITE_IDS[0]} through {SUITE_IDS[-1]}")
@@ -163,17 +163,17 @@ def _identity_list() -> str:
 
 
 def _override_error(ns: argparse.Namespace) -> str | None:
-    """Why `verify`'s --r/--M/--n do not fit its identity, or None.
+    """Why `verify`'s --r/--M/--n/--lambda-order do not fit its id, or None.
 
     `all` reads none of them; an unknown id is left to `run_identity`.
     """
     if ns.identity != "all" and ns.identity not in IDENTITIES:
         return None
     read = () if ns.identity == "all" else overrides_read(ns.identity)
-    for name in ("r", "M", "n"):
-        if getattr(ns, name) is not None and name not in read:
-            return (f"{ns.identity} does not read --{name}; it reads "
-                    f"{_flags(read) or 'none of --r, --M, --n'}")
+    for name in ("r", "M", "n", "lambda_order"):
+        if getattr(ns, name, None) is not None and name not in read:
+            return (f"{ns.identity} does not read {_flags([name])}; it reads "
+                    f"{_flags(read) or 'none of --r, --M, --n, --lambda-order'}")
     if ns.n is not None and ns.n < 1 and "laguerre-shifted" in (
             ns.identity, *IDENTITIES[ns.identity].parts):
         return (f"{ns.identity} needs --n >= 1 (laguerre-shifted takes it "

@@ -464,11 +464,13 @@ def _example_eigen_operator(M: int, lambda_order: int) -> IdentityReport:
 
 def _example_hyp_compact(M: int, lambda_order: int) -> IdentityReport:
     t0 = time.perf_counter()
+    # to the top row's order: a product truncates to its shorter factor
+    exp_minus_y = series_exp(SeriesQ(M * lambda_order + 4, [0, -1]))
     rhs = []
     for n in range(lambda_order + 1):
         # (n!)^M : e^{-y} mFm([n+1 x M],[1 x M], y) a^n : with y = ad a
         order = M * n + 4
-        row = (series_exp(SeriesQ(order, [0, -1]))
+        row = (exp_minus_y
                * phyperq_series([n + 1] * M, [1] * M, order)).scale(factorial(n) ** M)
         rhs.append({(k, k + n): c for k, c in enumerate(row.coeffs)})
     checks, first = _rows_mismatch(_oracle_powers(1, M, lambda_order), rhs, "lambda")

@@ -7,16 +7,16 @@ alternating sum
 
 whose row sums (and x=1 Bell-polynomial values) are the integer sequences
 this package reproduces.  The rows are *built* another way: row n is the
-normal form of D(r,M)^n, i.e. row n-1 times (N + n*r)^M on the falling
-factorials N^(k), which the kernel applies by the three-term recurrence
-new[k] = old[k-1] + (k + n*r) old[k].  Two generators yield rows 0..n
-in order, each keeping only what its next row needs.  `stirling_rows`
-builds them by the kernel and, once the last row is drawn, holds its
-constant term to (n! r^n)^M; every reader of the triangle takes one
-pass of it.  `alternating_sum_rows` is the defining sum, an independent
-oracle whose k! division is asserted, not assumed; `verify
-stirling-expansion` compares it, the triangle, and the operator-power
-fold row by row.  The classical second-kind triangle and Bell numbers
+normal form of D(r,M)^n = (a^r (a†a)^M)^n, row n-1 times (N + n*r)^M
+on the falling factorials N^(k), from the one graded loop
+(`weyl._graded`) that builds `order`'s powers too.  Two generators
+yield rows 0..n in order, each keeping only what its next row needs.
+`stirling_rows` reads them from that loop and, once the last row is
+drawn, holds its constant term to (n! r^n)^M; every reader of the
+triangle takes one pass of it.  `alternating_sum_rows` is the defining
+sum, an independent oracle whose k! division is asserted, not assumed;
+`verify stirling-expansion` compares it, the triangle, and the
+operator-power fold row by row.  The classical second-kind triangle and Bell numbers
 are implemented independently through the textbook recurrence and serve
 as a cross-check at r=0, M=1.
 
@@ -33,9 +33,8 @@ import threading
 from fractions import Fraction
 from math import factorial, prod
 
-from . import backend
 from .series import _canonical, certified_sum
-from .weyl import NormalForm
+from .weyl import NormalForm, _graded, laguerre_derivative_word
 
 __all__ = [
     "stirling_rows",
@@ -54,18 +53,17 @@ __all__ = [
 def stirling_rows(r: int, M: int, n_max: int):
     """Yield rows 0..n_max of S_r^(M); row n lists S(n, k) for k = 0..M*n.
 
-    Row n is built from row n-1 by `backend.stirling_row_update`, so only
-    the current row is kept.  Once the last row has been drawn, its
-    constant term is held to its closed form S(n, 0) = prod_{i<=n}
-    (i*r)^M = (n! r^n)^M, and a kernel fault raises ArithmeticError: a
-    caller that reads every row (`seq`) prints and caches nothing then.
+    Row n is the one row, at shift r*n, of the power D(r,M)^n that
+    `weyl._graded` builds a factor at a time, so only the current row is
+    kept.  Once the last row has been drawn, its constant term is held to
+    its closed form S(n, 0) = prod_{i<=n} (i*r)^M = (n! r^n)^M, and a
+    kernel fault raises ArithmeticError: a caller that reads every row
+    (`seq`) prints and caches nothing then.
     """
     if r < 0 or M < 0 or n_max < 0:
         raise ValueError("r, M and n_max must be nonnegative")
-    row = [1]
-    yield row
-    for n in range(1, n_max + 1):
-        row, _ = backend.stirling_row_update(r, M, n, row)
+    for n, state in enumerate(_graded({laguerre_derivative_word(r, M): 1}, n_max)):
+        row = state[r * n]
         yield row
     if row[0] != (factorial(n_max) * r**n_max) ** M:
         raise ArithmeticError(

@@ -530,7 +530,7 @@ def run_identity(
     `IDENTITIES`, so e.g. the bare commutator id sweeps r in 1..3 and M in
     0..3 while passing r=2 pins the sweep to that single r; an override
     the id does not read is ignored here (the `verify` command rejects an
-    --r, --M or --n that `overrides_read` does not list).  Sizes are
+    --r, --M, --n or --lambda-order that `overrides_read` does not list).  Sizes are
     taken as given (0 included); a negative n or lambda_order raises
     ValueError.
     """

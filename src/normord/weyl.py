@@ -27,11 +27,12 @@ they are tested against each other:
 - `word_product_normal_form`: a fold of single-letter contraction
   products.
 
-Powers have two routes as well.  `normal_order_power` folds p
-right-multiplications by the base's words through the same kernel, for
-any base: the state is one falling-factorial row per shift, and on a
-one-shift base such as D(r,M) it is the row product of Blasiak, Penson
-and Solomon (Phys. Lett. A 309, 2003).  `NormalForm.__pow__` is the
+Powers have two routes as well.  `_graded` folds p right-multiplications
+by the base's words through the same kernel, for any base: the state is
+one falling-factorial row per shift, and on a one-shift base such as
+D(r,M) it is the row product of Blasiak, Penson and Solomon (Phys.
+Lett. A 309, 2003).  This one loop builds `order`'s powers and the
+triangle rows of `stirling.stirling_rows`.  `NormalForm.__pow__` is the
 `nf_mul` fold, which never touches the kernel and is the oracle.
 """
 
@@ -307,17 +308,18 @@ def normal_order_rewrite(expr: BosonExpr) -> NormalForm:
     return out
 
 
-def _graded(words: dict, p: int) -> NormalForm:
-    """(sum c_w w)^p by p right-multiplications through `backend.graded_step`.
+def _graded(words: dict, p: int):
+    """Yield the states of (sum c_w w)^0..p, c_w ints, one factor apart.
 
-    The rows stay in ints: the coefficients are scaled by their common
-    denominator L, and the result is divided by L^p once.
+    A state is {s: row} as in `backend.graded_step`; a row that cancels is
+    dropped.  `normal_order_power` reads the last state, and
+    `stirling.stirling_rows` reads triangle row n from state n.
     """
-    nums, den = _to_one_den(words.values())
     state = {0: [1]}
+    yield state
     for _ in range(p):
         out: dict = {}
-        for w, c in zip(words, nums):
+        for w, c in words.items():
             part = state
             for letter in w:
                 part = backend.graded_step(part, letter)
@@ -331,14 +333,12 @@ def _graded(words: dict, p: int) -> NormalForm:
                     row = [*map(add, have, row), *have[len(row):]]
                 out[s] = row
         state = {s: row for s, row in out.items() if any(row)}
-    den **= p
-    return NormalForm({(d + max(-s, 0), d + max(s, 0)): _ratio(g, den)
-                       for s, row in state.items() for d, g in enumerate(row) if g})
+        yield state
 
 
 def normal_order_rook(expr: BosonExpr) -> NormalForm:
     """Normal-order a free-algebra element, one kernel run per word."""
-    return _graded(expr.terms, 1)
+    return normal_order_power(expr, 1)
 
 
 def normal_order_power(expr: BosonExpr, p: int) -> NormalForm:
@@ -346,17 +346,25 @@ def normal_order_power(expr: BosonExpr, p: int) -> NormalForm:
 
     Each factor right-multiplies by the parsed words, or by the normal
     form's terms ad^k a^l spelled as words when those have fewer letters
-    in all (a sum such as (a + ad)^5 of 32 words has 12 terms).
+    in all (a sum such as (a + ad)^5 of 32 words has 12 terms).  The rows
+    stay in ints, scaled by the coefficients' common denominator L; the
+    last state is divided by L^p once.
     """
     if p < 0:
         raise ValueError("negative operator powers are not defined")
-    nf = normal_order_rook(expr)
-    if p == 1:
-        return nf
-    words = {(CREATOR,) * k + (ANNIHILATOR,) * l: c for (k, l), c in nf.terms.items()}
-    if sum(map(len, words)) >= sum(map(len, expr.terms)):
-        words = expr.terms
-    return _graded(words, p)
+    words = expr.terms
+    if p > 1:
+        nf = normal_order_rook(expr)
+        spelled = {(CREATOR,) * k + (ANNIHILATOR,) * l: c
+                   for (k, l), c in nf.terms.items()}
+        if sum(map(len, spelled)) < sum(map(len, words)):
+            words = spelled
+    nums, den = _to_one_den(words.values())
+    for state in _graded(dict(zip(words, nums)), p):
+        pass
+    den **= p
+    return NormalForm({(d + max(-s, 0), d + max(s, 0)): _ratio(g, den)
+                       for s, row in state.items() for d, g in enumerate(row) if g})
 
 
 def word_product_normal_form(word) -> NormalForm:

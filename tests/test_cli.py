@@ -430,18 +430,28 @@ def test_verify_n_below_one_for_the_shifted_example_exits_2(capsys, identity):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (("eigenfunction", "--n", "50"),
+    (("verify", "eigenfunction", "--n", "50"),
      "eigenfunction does not read --n; it reads --r --M"),
-    (("bell-hyp-r2", "--r", "3"),
+    (("verify", "bell-hyp-r2", "--r", "3"),
      "bell-hyp-r2 does not read --r; it reads --M --n"),
-    (("commutator", "--r", "1", "--n", "2"),
+    (("verify", "commutator", "--r", "1", "--n", "2"),
      "commutator does not read --n; it reads --r --M"),
-    (("laguerre-ogf", "--M", "1"),
+    (("verify", "laguerre-ogf", "--M", "1"),
      "laguerre-ogf does not read --M; it reads --lambda-order"),
-    (("all", "--r", "2"), "all does not read --r; it reads none of --r, --M, --n"),
+    (("verify", "all", "--r", "2"),
+     "all does not read --r; it reads none of --r, --M, --n, --lambda-order"),
+    # a global flag, read before or after the subcommand: an id that does
+    # not read it must not run its default orders instead
+    (("verify", "all", "--lambda-order", "40"),
+     "all does not read --lambda-order; it reads none of --r, --M, --n, "
+     "--lambda-order"),
+    (("--lambda-order", "7", "verify", "commutator"),
+     "commutator does not read --lambda-order; it reads --r --M"),
+    (("verify", "commutator", "--lambda-order", "7"),
+     "commutator does not read --lambda-order; it reads --r --M"),
 ])
 def test_verify_rejects_an_override_the_id_does_not_read(capsys, argv, message):
-    code, out, err = run(capsys, "verify", *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
@@ -455,6 +465,11 @@ def test_verify_accepts_every_override_the_id_reads(capsys):
                        "--format", "table")
     assert code == 0
     assert "laguerre-shifted r=1 M=1 p=2 " in out
+    # --lambda-order through `examples`, whose parts read it
+    code, out, _ = run(capsys, "--lambda-order", "2", "verify", "examples",
+                       "--format", "table")
+    assert code == 0
+    assert "hyp-compact r=1 M=1 lambda_order=2\n" in out
 
 
 # --- startup -------------------------------------------------------------
@@ -820,15 +835,16 @@ def test_seq_refuses_a_wrong_last_constant_term(capsys, tmp_path, monkeypatch, k
     if kind[1:] == ("unwritable",):
         kind, cache_dir = kind[:1], tmp_path / "file"
         cache_dir.write_bytes(b"")
-    real = backend.stirling_row_update
+    real = backend.ff_step
 
-    def faulty(r, M, n, prev):
-        row, carry = real(r, M, n, prev)
-        if n == 6:
+    def faulty(row, c):
+        # seq 2 1 6 builds row n by the step at c = r*n, so row 6 at c = 12
+        row = real(row, c)
+        if c == 12:
             row[0] += 1
-        return row, carry
+        return row
 
-    monkeypatch.setattr(backend, "stirling_row_update", faulty)
+    monkeypatch.setattr(backend, "ff_step", faulty)
     with pytest.raises(ArithmeticError, match=r"S\(n=6, k=0\)"):
         main(["seq", "2", "1", "6", *kind, "--cache-dir", str(cache_dir)])
     assert capsys.readouterr().out == ""
