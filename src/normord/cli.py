@@ -10,10 +10,17 @@ into entries: JSON turns each space into the text between two quoted
 entries; the Bell numbers are the sums of one pass of
 `stirling.stirling_rows`, with no cache), `verify` runs identity checks,
 `cache` manages the disk cache.
-Global flags may appear before or after the subcommand.  Exit codes:
-0 ok, 1 verification failure, 2 usage or parse error, or an input past
-a size limit (`parser.LimitError`), 141 (128 + SIGPIPE) when the reader
-closes stdout before the output is written (`normord ... | head`).
+
+argv is read by one loop over one table (`_GLOBAL_FLAGS`, `_COMMANDS`),
+from which `--help` is rendered too; no argument-parsing module is
+imported, which keeps some 6 ms of imports and parser building off every
+cold request.  Global flags may appear before or after the subcommand,
+as `--flag value` or `--flag=value`; the last one given wins, and a flag
+must be spelled in full.  A bad argv prints one `error:` line.  Exit
+codes: 0 ok, 1 verification failure (a failed identity, or a failed
+S(n, 0) check in `seq`), 2 usage or parse error, or an input past a size
+limit (`parser.LimitError`), 141 (128 + SIGPIPE) when the reader closes
+stdout before the output is written (`normord ... | head`).
 
 `run` is the process entry (`python -m normord.cli` and the installed
 `normord` script): it calls `main` and then `gc.freeze()`, so the
@@ -26,14 +33,15 @@ ordinary collection.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
+import re
 import sys
 from collections import namedtuple
 from contextlib import closing
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 from .cache import cache_clear, default_cache_dir, load_triangle
 from .closedform import DEFAULT_PRECISION, DEFAULT_TOLERANCE
@@ -50,6 +58,7 @@ from .serialize import (
 from .stirling import bell_sequence
 from .suite import (
     IDENTITIES,
+    OVERRIDES,
     SUITE_IDS,
     overrides_read,
     reports_to_json,
@@ -59,7 +68,7 @@ from .suite import (
 )
 from .weyl import normal_order_power
 
-__all__ = ["Config", "main", "run", "build_parser"]
+__all__ = ["Config", "main", "run"]
 
 # Bounds on the number flags, checked before the numbers are built:
 # Config builds 10**(precision - 10), and Fraction("1e<exp>") 10**exp.
@@ -132,48 +141,40 @@ def _format_complex(re_part: Fraction, im_part: Fraction) -> str:
     return f"{re_part} {sign} {abs(im_part)}i"
 
 
-def _add_global_flags(p: argparse.ArgumentParser):
-    g = p.add_argument_group("global options")
-    g.add_argument("--format", choices=("json", "table", "bfile"),
-                   default=argparse.SUPPRESS,
-                   help="output format (default json)")
-    g.add_argument("--lambda-order", dest="lambda_order", type=int,
-                   default=argparse.SUPPRESS,
-                   help="highest retained power of the expansion parameter")
-    g.add_argument("--precision", type=int, default=argparse.SUPPRESS,
-                   help="working decimal digits for numeric checks (>= 30)")
-    g.add_argument("--tolerance", default=argparse.SUPPRESS,
-                   help="numeric tolerance, rational or decimal string")
-    g.add_argument("--cache-dir", dest="cache_dir", default=argparse.SUPPRESS,
-                   help="cache directory (default $NORMORD_CACHE_DIR)")
-
-
 def _flags(names) -> str:
     return " ".join("--" + name.replace("_", "-") for name in names)
 
 
+# The overrides `verify all` reads: `run_suite` takes the precision and
+# tolerance, and every identity keeps its own grid.
+_SUITE_READS = ("precision", "tolerance")
+
+
 def _identity_list() -> str:
     """Every identity id and the options that change what it runs."""
-    lines = ["identities, each with the options it reads (an --r, --M, --n or",
-             "--lambda-order that an identity does not read is an error):"]
+    lines = ["identities, each with the options it reads (an --r, --M, --n,",
+             "--lambda-order, --precision or --tolerance that an identity does",
+             "not read is an error):"]
     for identity in IDENTITIES:
         lines.append(f"  {identity:<24} {_flags(overrides_read(identity))}")
-    lines.append(f"  {'all':<24} the suite: {SUITE_IDS[0]} through {SUITE_IDS[-1]}")
+    lines.append(f"  {'all':<24} {_flags(_SUITE_READS)} (the suite: "
+                 f"{SUITE_IDS[0]} through {SUITE_IDS[-1]})")
     return "\n".join(lines)
 
 
-def _override_error(ns: argparse.Namespace) -> str | None:
-    """Why `verify`'s --r/--M/--n/--lambda-order do not fit its id, or None.
+def _override_error(ns: SimpleNamespace) -> str | None:
+    """Why an override flag given to `verify` does not fit its id, or None.
 
-    `all` reads none of them; an unknown id is left to `run_identity`.
+    The overrides are --r, --M, --n, --lambda-order, --precision and
+    --tolerance; an unknown id is left to `run_identity`.
     """
     if ns.identity != "all" and ns.identity not in IDENTITIES:
         return None
-    read = () if ns.identity == "all" else overrides_read(ns.identity)
-    for name in ("r", "M", "n", "lambda_order"):
+    read = _SUITE_READS if ns.identity == "all" else overrides_read(ns.identity)
+    for name in OVERRIDES:
         if getattr(ns, name, None) is not None and name not in read:
             return (f"{ns.identity} does not read {_flags([name])}; it reads "
-                    f"{_flags(read) or 'none of --r, --M, --n, --lambda-order'}")
+                    f"{_flags(read)}")
     if ns.n is not None and ns.n < 1 and "laguerre-shifted" in (
             ns.identity, *IDENTITIES[ns.identity].parts):
         return (f"{ns.identity} needs --n >= 1 (laguerre-shifted takes it "
@@ -181,51 +182,170 @@ def _override_error(ns: argparse.Namespace) -> str | None:
     return None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="normord",
-        description="Exact normal ordering of boson operator expressions, "
-        "the attached number triangles, and their verification suite.",
-    )
-    _add_global_flags(parser)
-    sub = parser.add_subparsers(dest="command", required=True)
+# The argv table.  A flag is (flag, dest, kind, metavar, help): kind is int
+# or str for a value, a tuple of the values it accepts, or bool for a flag
+# that takes no value and sets dest to True.  The global flags may come
+# before or after the command and set nothing until given (Config holds
+# their defaults), so a given flag stays apart from an absent one.
+_GLOBAL_FLAGS = (
+    ("--format", "format", ("json", "table", "bfile"), "{json,table,bfile}",
+     "output format (default json)"),
+    ("--lambda-order", "lambda_order", int, "N",
+     "highest retained power of the expansion parameter"),
+    ("--precision", "precision", int, "N",
+     "working decimal digits for numeric checks (>= 30)"),
+    ("--tolerance", "tolerance", str, "T",
+     "numeric tolerance, rational or decimal string"),
+    ("--cache-dir", "cache_dir", str, "DIR",
+     "cache directory (default $NORMORD_CACHE_DIR)"),
+)
 
-    p_order = sub.add_parser("order", help="normal-order an operator expression")
-    p_order.add_argument("expr", help="expression over a, ad, rationals, + - * ^ ()")
-    p_order.add_argument("--power", type=int, default=1,
-                         help="raise the expression to this power first")
-    p_order.add_argument("--expectation", metavar="Z",
-                         help="print the coherent expectation at z = RE[,IM]")
-    _add_global_flags(p_order)
+# A command: its help line, its positionals as (dest, kind, help), its own
+# flags, the values it sets before reading argv, and the flags of which at
+# most one may be given.
+_Command = namedtuple("_Command", "help positionals flags defaults exclusive")
 
-    p_seq = sub.add_parser("seq", help="export Bell numbers or polynomial rows")
-    p_seq.add_argument("r", type=int)
-    p_seq.add_argument("M", type=int)
-    p_seq.add_argument("n_max", type=int)
-    kind = p_seq.add_mutually_exclusive_group()
-    kind.add_argument("--number", action="store_true", default=True,
-                      help="weight-one values (default)")
-    kind.add_argument("--poly", action="store_true", default=False,
-                      help="coefficient rows instead of values")
-    _add_global_flags(p_seq)
+_COMMANDS = {
+    "order": _Command(
+        "normal-order an operator expression",
+        (("expr", str, "expression over a, ad, rationals, + - * ^ ()"),),
+        (("--power", "power", int, "N",
+          "raise the expression to this power first (default 1)"),
+         ("--expectation", "expectation", str, "Z",
+          "print the coherent expectation at z = RE[,IM]")),
+        {"power": 1, "expectation": None}, ()),
+    "seq": _Command(
+        "export Bell numbers or polynomial rows",
+        (("r", int, "the r and M of D(r,M) = a^r (ad a)^M"), ("M", int, ""),
+         ("n_max", int, "the last row")),
+        (("--number", "number", bool, "", "weight-one values (default)"),
+         ("--poly", "poly", bool, "",
+          "coefficient rows instead of values (not with --number)")),
+        {"number": True, "poly": False}, ("--number", "--poly")),
+    "verify": _Command(
+        "run identity checks",
+        (("identity", str, 'an identity id (listed below) or "all"'),),
+        tuple((f"--{name}", name, int, "N", f"pin {name} (the ids below that read it)")
+              for name in ("r", "M", "n")),
+        {"r": None, "M": None, "n": None}, ()),
+    "cache": _Command(
+        "manage the triangle cache",
+        (("action", ("clear",), "clear: remove every cache file"),), (), {}, ()),
+}
 
-    p_verify = sub.add_parser(
-        "verify", help="run identity checks", epilog=_identity_list(),
-        formatter_class=argparse.RawDescriptionHelpFormatter)
-    p_verify.add_argument("identity", help='an identity id (listed below) or "all"')
-    p_verify.add_argument("--r", type=int, default=None)
-    p_verify.add_argument("--M", type=int, default=None)
-    p_verify.add_argument("--n", type=int, default=None)
-    _add_global_flags(p_verify)
-
-    p_cache = sub.add_parser("cache", help="manage the triangle cache")
-    p_cache.add_argument("action", choices=("clear",))
-    _add_global_flags(p_cache)
-
-    return parser
+# A token that starts with "-" is a flag, except "-" itself, a negative
+# number (`--M -1`, `seq -1 1 3`) and a token with a space in it (an
+# expression such as "-a + ad"); "--" makes every later token a positional.
+_NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
 
 
-def _config_from_namespace(ns: argparse.Namespace) -> Config:
+class _Help(Exception):
+    """-h or --help: carries the help text of the command read so far."""
+
+
+def _is_flag(arg: str, flags: dict) -> bool:
+    return arg.partition("=")[0] in flags or (
+        arg[:1] == "-" and arg != "-" and " " not in arg
+        and not _NEGATIVE_NUMBER.match(arg))
+
+
+def _value(name: str, kind, text: str):
+    if kind is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"{name} takes an integer, not {text!r}") from None
+    if kind is not str and text not in kind:
+        raise ValueError(f"{name} takes one of {', '.join(kind)}, not {text!r}")
+    return text
+
+
+def _parse_argv(argv) -> SimpleNamespace:
+    """Read argv with the argv table: the command, its positionals and flags.
+
+    A flag takes its value as `--flag value` or `--flag=value`, and the
+    last one given wins.  Raises _Help for -h or --help, and ValueError
+    naming what is wrong with argv.
+    """
+    ns, command, positionals, given, literal = SimpleNamespace(), None, [], set(), False
+    flags = {flag: (dest, kind) for flag, dest, kind, _, _ in _GLOBAL_FLAGS}
+    rest = iter(argv)
+    for arg in rest:
+        if not literal and arg == "--":
+            literal = True
+        elif not literal and _is_flag(arg, flags):
+            flag, eq, text = arg.partition("=")
+            if flag in ("-h", "--help") and not eq:
+                raise _Help(_help(command))
+            if flag not in flags:
+                raise ValueError(f"unrecognized argument {arg!r}")
+            dest, kind = flags[flag]
+            if kind is bool:
+                if eq:
+                    raise ValueError(f"{flag} takes no value")
+                setattr(ns, dest, True)
+            else:
+                if not eq:
+                    text = next(rest, None)
+                    if text is None or _is_flag(text, flags):
+                        raise ValueError(f"{flag} needs a value")
+                setattr(ns, dest, _value(flag, kind, text))
+            given.add(flag)
+        elif command is None:
+            if arg not in _COMMANDS:
+                raise ValueError(f"unknown command {arg!r} (choose from "
+                                 f"{', '.join(_COMMANDS)})")
+            command = ns.command = arg
+            spec = _COMMANDS[arg]
+            positionals = list(spec.positionals)
+            flags.update((flag, (dest, kind)) for flag, dest, kind, _, _ in spec.flags)
+            vars(ns).update(spec.defaults)
+        elif positionals:
+            dest, kind, _ = positionals.pop(0)
+            setattr(ns, dest, _value(dest, kind, arg))
+        else:
+            raise ValueError(f"unexpected argument {arg!r}")
+    if command is None:
+        raise ValueError(f"a command is required: {', '.join(_COMMANDS)}")
+    if positionals:
+        raise ValueError(f"{command} needs {' '.join(p[0] for p in positionals)}")
+    if len(given.intersection(spec.exclusive)) > 1:
+        raise ValueError(f"{' and '.join(spec.exclusive)} exclude each other")
+    return ns
+
+
+def _help(command: str | None) -> str:
+    """The help text of a command, or of normord itself for None."""
+    if command is None:
+        usage = f"normord [global options] {{{','.join(_COMMANDS)}}} ..."
+        about = ("Exact normal ordering of boson operator expressions, the "
+                 "attached number\ntriangles, and their verification suite.")
+        sections = [("commands", [(name, spec.help)
+                                  for name, spec in _COMMANDS.items()])]
+    else:
+        spec = _COMMANDS[command]
+        usage = " ".join(["normord", command, "[options]",
+                          *(dest for dest, _, _ in spec.positionals)])
+        about = spec.help
+        sections = [("arguments", [(dest, text) for dest, _, text in spec.positionals]),
+                    ("options", [(f"{flag} {metavar}".strip(), text)
+                                 for flag, _, _, metavar, text in spec.flags])]
+    sections.append(("global options, before or after the command",
+                     [("-h, --help", "show this help and exit")]
+                     + [(f"{flag} {metavar}", text)
+                        for flag, _, _, metavar, text in _GLOBAL_FLAGS]))
+    width = max(len(left) for _, rows in sections for left, _ in rows)
+    lines = [f"usage: {usage}", "", about]
+    for title, rows in sections:
+        if rows:
+            lines += ["", f"{title}:", *(f"  {left:<{width}}  {text}".rstrip()
+                                          for left, text in rows)]
+    if command == "verify":
+        lines += ["", _identity_list()]
+    return "\n".join(lines)
+
+
+def _config_from_namespace(ns: SimpleNamespace) -> Config:
     kwargs = {}
     if hasattr(ns, "lambda_order"):
         kwargs["lambda_order"] = ns.lambda_order
@@ -240,7 +360,7 @@ def _config_from_namespace(ns: argparse.Namespace) -> Config:
     return Config(**kwargs)
 
 
-def cmd_order(cfg: Config, ns: argparse.Namespace) -> int:
+def cmd_order(cfg: Config, ns: SimpleNamespace) -> int:
     if ns.power < 1:
         print("error: --power must be >= 1", file=sys.stderr)
         return 2
@@ -261,7 +381,7 @@ def cmd_order(cfg: Config, ns: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_seq(cfg: Config, ns: argparse.Namespace) -> int:
+def cmd_seq(cfg: Config, ns: SimpleNamespace) -> int:
     if ns.r < 0 or ns.M < 0 or ns.n_max < 0:
         print("error: r, M, n_max must be nonnegative", file=sys.stderr)
         return 2
@@ -270,8 +390,17 @@ def cmd_seq(cfg: Config, ns: argparse.Namespace) -> int:
     except LimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        if ns.poly:
+            rows, _, warning = load_triangle(ns.r, ns.M, ns.n_max, cfg.cache_dir)
+        else:
+            values = bell_sequence(ns.r, ns.M, ns.n_max)
+    except ArithmeticError as exc:
+        # stirling_rows' S(n_max, 0) check failed: a verification failure,
+        # found before any row is printed or cached
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if ns.poly:
-        rows, _, warning = load_triangle(ns.r, ns.M, ns.n_max, cfg.cache_dir)
         if warning:
             print(f"warning: {warning}", file=sys.stderr)
         pieces = iter_poly_rows_json if cfg.fmt == "json" else iter_poly_rows_table
@@ -279,7 +408,6 @@ def cmd_seq(cfg: Config, ns: argparse.Namespace) -> int:
             sys.stdout.writelines(pieces(ns.r, ns.M, rows))
         sys.stdout.write("\n")
         return 0
-    values = bell_sequence(ns.r, ns.M, ns.n_max)
     if cfg.fmt == "json":
         print(sequence_to_json(ns.r, ns.M, values))
     elif cfg.fmt == "table":
@@ -289,7 +417,7 @@ def cmd_seq(cfg: Config, ns: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(cfg: Config, ns: argparse.Namespace) -> int:
+def cmd_verify(cfg: Config, ns: SimpleNamespace) -> int:
     problem = _override_error(ns)
     if problem:
         print(f"error: {problem}", file=sys.stderr)
@@ -319,7 +447,7 @@ def cmd_verify(cfg: Config, ns: argparse.Namespace) -> int:
     return 0 if suite_passed(reports) else 1
 
 
-def cmd_cache(cfg: Config, ns: argparse.Namespace) -> int:
+def cmd_cache(cfg: Config, ns: SimpleNamespace) -> int:
     removed = cache_clear(cfg.cache_dir)
     print(f"removed {removed} cache file(s)")
     return 0
@@ -329,20 +457,14 @@ _DISPATCH = {"order": cmd_order, "seq": cmd_seq, "verify": cmd_verify,
              "cache": cmd_cache}
 
 
-def main(argv=None) -> int:
-    # The interpreter refuses to print ints past 4300 digits, a guard for
-    # parsing untrusted decimals; normord's exact results pass it routinely.
-    # (Python before 3.10.7 has no such limit and no setter.)
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
-    parser = build_parser()
+def _request(argv) -> int:
+    """Read argv, check the global options and run the command: its exit code."""
     try:
-        ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
-    try:
+        ns = _parse_argv(argv)
         cfg = _config_from_namespace(ns)
+    except _Help as text:
+        print(text)
+        return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -352,8 +474,17 @@ def main(argv=None) -> int:
         print("error: b-file output applies to `seq --number` only",
               file=sys.stderr)
         return 2
+    return _DISPATCH[ns.command](cfg, ns)
+
+
+def main(argv=None) -> int:
+    # The interpreter refuses to print ints past 4300 digits, a guard for
+    # parsing untrusted decimals; normord's exact results pass it routinely.
+    # (Python before 3.10.7 has no such limit and no setter.)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
-        code = _DISPATCH[ns.command](cfg, ns)
+        code = _request(sys.argv[1:] if argv is None else argv)
         sys.stdout.flush()
     except BrokenPipeError:
         # Not a verification failure: the reader stopped reading.  Send

@@ -2,12 +2,15 @@
 
 `normal_order_word_rightmost` checks the rewriter's confluence,
 `explicit_graphs` materializes every labeled diagram that
-`normord.graphs.enumerate_graphs` counts in aggregate, and
-`normal_form_from_json` reads a normal form back from `order`'s JSON.
+`normord.graphs.enumerate_graphs` counts in aggregate,
+`normal_form_from_json` reads a normal form back from `order`'s JSON, and
+`reference_parser` is the argparse parser that `normord.cli`'s argv
+table must read alike.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -111,3 +114,70 @@ def explicit_table(nf: NormalForm, n: int) -> NormalForm:
         key = (len(g.free_out), g.free_in)
         agg[key] = agg.get(key, 0) + g.weight
     return NormalForm(agg)
+
+
+def _add_global_flags(p: argparse.ArgumentParser):
+    g = p.add_argument_group("global options")
+    g.add_argument("--format", choices=("json", "table", "bfile"),
+                   default=argparse.SUPPRESS,
+                   help="output format (default json)")
+    g.add_argument("--lambda-order", dest="lambda_order", type=int,
+                   default=argparse.SUPPRESS,
+                   help="highest retained power of the expansion parameter")
+    g.add_argument("--precision", type=int, default=argparse.SUPPRESS,
+                   help="working decimal digits for numeric checks (>= 30)")
+    g.add_argument("--tolerance", default=argparse.SUPPRESS,
+                   help="numeric tolerance, rational or decimal string")
+    g.add_argument("--cache-dir", dest="cache_dir", default=argparse.SUPPRESS,
+                   help="cache directory (default $NORMORD_CACHE_DIR)")
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser `normord` used, flags spelled in full only.
+
+    A global flag defaults to SUPPRESS, so it is an attribute of the
+    namespace only when given.
+    """
+    parser = argparse.ArgumentParser(
+        prog="normord", allow_abbrev=False,
+        description="Exact normal ordering of boson operator expressions, "
+        "the attached number triangles, and their verification suite.",
+    )
+    _add_global_flags(parser)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_order = sub.add_parser("order", allow_abbrev=False,
+                             help="normal-order an operator expression")
+    p_order.add_argument("expr", help="expression over a, ad, rationals, + - * ^ ()")
+    p_order.add_argument("--power", type=int, default=1,
+                         help="raise the expression to this power first")
+    p_order.add_argument("--expectation", metavar="Z",
+                         help="print the coherent expectation at z = RE[,IM]")
+    _add_global_flags(p_order)
+
+    p_seq = sub.add_parser("seq", allow_abbrev=False,
+                           help="export Bell numbers or polynomial rows")
+    p_seq.add_argument("r", type=int)
+    p_seq.add_argument("M", type=int)
+    p_seq.add_argument("n_max", type=int)
+    kind = p_seq.add_mutually_exclusive_group()
+    kind.add_argument("--number", action="store_true", default=True,
+                      help="weight-one values (default)")
+    kind.add_argument("--poly", action="store_true", default=False,
+                      help="coefficient rows instead of values")
+    _add_global_flags(p_seq)
+
+    p_verify = sub.add_parser("verify", allow_abbrev=False,
+                              help="run identity checks")
+    p_verify.add_argument("identity", help='an identity id or "all"')
+    p_verify.add_argument("--r", type=int, default=None)
+    p_verify.add_argument("--M", type=int, default=None)
+    p_verify.add_argument("--n", type=int, default=None)
+    _add_global_flags(p_verify)
+
+    p_cache = sub.add_parser("cache", allow_abbrev=False,
+                             help="manage the triangle cache")
+    p_cache.add_argument("action", choices=("clear",))
+    _add_global_flags(p_cache)
+
+    return parser

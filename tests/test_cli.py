@@ -10,16 +10,19 @@ import subprocess
 import sys
 import threading
 import zlib
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from normord import backend, cache
+from normord import backend, cache, cli
 from normord.cli import MAX_EXPONENT, MAX_PRECISION, main
 from normord.parser import LimitError, check_triangle, parse_expr
 from normord.stirling import gen_stirling, stirling_rows
 from normord.suite import EXAMPLE_IDS, SUITE_IDS
 from normord.weyl import normal_order_rewrite
-from oracles import normal_form_from_json
+from oracles import normal_form_from_json, reference_parser
 
 
 def ordered(text):
@@ -281,6 +284,126 @@ def test_global_flags_before_or_after_subcommand(capsys, tmp_path):
     assert out_a.splitlines()[0] == "# r=2 M=3"
 
 
+# --- argv ----------------------------------------------------------------
+
+REFERENCE = reference_parser()
+
+# Values each kind of argument is drawn from, good ones and bad ones:
+# negative numbers, flag-like text and text with a space in it included
+TEXTS = {int: (["0", "3", "-1", "-12", "+4", " 7", "1_0"], ["x", "1.5", "-.5", ""]),
+         str: (["a", "-a + ad", "1/2,1", "-1", "-", "", "--bogus=a b", "order"],
+               ["--x", "--format=a b"])}
+# Flags no table lists: a prefix of a real flag included
+UNKNOWN_FLAGS = [("--prec", None, int, "", ""), ("--bogus", None, str, "", ""),
+                 ("-x", None, str, "", "")]
+
+
+@st.composite
+def argvs(draw):
+    """An argv built from the argv table; about one item in ten is bad."""
+    def pick(good, bad):
+        return draw(st.sampled_from(good if draw(st.integers(0, 9)) else bad))
+
+    def flag(table):
+        name, _, kind, _, _ = pick(list(table), UNKNOWN_FLAGS)
+        if kind is bool:
+            return pick([[name]], [[f"{name}=x"]])
+        good, bad = TEXTS.get(kind) or (list(kind), ["xml", ""])
+        value = pick(good, bad)
+        return pick([[name, value], [f"{name}={value}"]], [[name]])
+
+    before = [t for _ in range(draw(st.integers(0, 2)))
+              for t in flag(cli._GLOBAL_FLAGS)]
+    command = pick(list(cli._COMMANDS), ["bogus", None])
+    if command not in cli._COMMANDS:
+        return before + ([command] if command else [])
+    spec = cli._COMMANDS[command]
+    positionals = [pick(*(TEXTS.get(kind) or (list(kind), ["xml"])))
+                   for _, kind, _ in spec.positionals]
+    positionals = pick([positionals], [positionals[1:], positionals + ["3"]])
+    # flags go anywhere between the positionals, which keep their order
+    groups = [(draw(st.integers(0, len(positionals))),
+               flag(cli._GLOBAL_FLAGS + spec.flags))
+              for _ in range(draw(st.integers(0, 4)))]
+    argv = before + [command]
+    for i, value in enumerate([*positionals, None]):
+        argv += [t for at, tokens in groups if at == i for t in tokens]
+        argv += [] if value is None else [value]
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(argvs())
+def test_argv_table_reads_what_the_reference_parser_reads(argv):
+    with redirect_stderr(io.StringIO()):
+        try:
+            expected = vars(REFERENCE.parse_args(argv))
+        except SystemExit as exc:
+            expected = exc.code
+    if expected != 2:
+        assert vars(cli._parse_argv(argv)) == expected
+        return
+    with pytest.raises(ValueError):
+        cli._parse_argv(argv)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue().startswith("error: ")
+    assert len(err.getvalue().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    ((), "a command is required: order, seq, verify, cache"),
+    (("--format", "json"), "a command is required: order, seq, verify, cache"),
+    (("bogus",), "unknown command 'bogus' (choose from order, seq, verify, cache)"),
+    (("order", "a", "--power", "x"), "--power takes an integer, not 'x'"),
+    (("order", "a", "--power"), "--power needs a value"),
+    (("seq", "1", "1", "5", "--bogus"), "unrecognized argument '--bogus'"),
+    (("seq", "1", "x", "5"), "M takes an integer, not 'x'"),
+    (("seq", "1", "1"), "seq needs n_max"),
+    (("seq", "1", "1", "5", "6"), "unexpected argument '6'"),
+    (("seq", "1", "1", "5", "--poly=yes"), "--poly takes no value"),
+    (("seq", "1", "1", "5", "--number", "--poly"),
+     "--number and --poly exclude each other"),
+    (("cache", "empty"), "action takes one of clear, not 'empty'"),
+    (("--format=xml", "cache", "clear"),
+     "--format takes one of json, table, bfile, not 'xml'"),
+    # a flag is spelled in full: no prefix stands for it
+    (("verify", "all", "--prec", "60"), "unrecognized argument '--prec'"),
+    (("order", "-a"), "unrecognized argument '-a'"),
+])
+def test_bad_argv_exits_2_with_one_line(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_argv_values_that_start_with_a_minus(capsys, tmp_path):
+    # a negative number is a value, so the range checks refuse it in their
+    # own words; an expression with a space, or after "--", is a positional
+    assert run(capsys, "seq", "-1", "1", "3") == (
+        2, "", "error: r, M, n_max must be nonnegative\n")
+    assert run(capsys, "verify", "conjecture", "--M", "-1")[0] == 2
+    assert run(capsys, "order", "a", "--power=-2") == (
+        2, "", "error: --power must be >= 1\n")
+    minus_a = normal_form_from_json(run(capsys, "order", "-a + ad")[1])
+    assert minus_a == ordered("ad - a")
+    assert normal_form_from_json(run(capsys, "order", "--", "-a")[1]) == ordered("-a")
+    # the last of a repeated flag wins, = form or not
+    code, out, _ = run(capsys, "--format", "json", "seq", "1", "1", "3",
+                       "--format=table", "--cache-dir", str(tmp_path))
+    assert code == 0 and out.startswith("# r=1 M=1")
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("-h",), ("order", "--help"),
+                                  ("seq", "1", "-h"), ("verify", "-h"),
+                                  ("cache", "--help")])
+def test_help_exits_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: normord")
+    assert "--cache-dir DIR" in out
+
+
 # --- verify --------------------------------------------------------------
 
 def test_verify_single_identity_json(capsys):
@@ -326,9 +449,14 @@ def test_verify_rejects_bfile(capsys):
 
 
 def test_probe_reports_record_only_what_they_used(capsys):
-    # the conjecture check is exact: it records no precision or tolerance
-    code, out, _ = run(capsys, "verify", "conjecture", "--r", "5",
-                       "--precision", "60", "--tolerance", "1e-20")
+    # the conjecture check is exact: it refuses a precision or tolerance,
+    # and its reports record neither
+    code, out, err = run(capsys, "verify", "conjecture", "--r", "5",
+                         "--precision", "60", "--tolerance", "1e-20")
+    assert (code, out) == (2, "")
+    assert err == ("error: conjecture does not read --precision; "
+                   "it reads --r --M --n\n")
+    code, out, _ = run(capsys, "verify", "conjecture", "--r", "5")
     assert code == 0
     reports = json.loads(out)
     assert len(reports) == 2
@@ -439,16 +567,20 @@ def test_verify_n_below_one_for_the_shifted_example_exits_2(capsys, identity):
     (("verify", "laguerre-ogf", "--M", "1"),
      "laguerre-ogf does not read --M; it reads --lambda-order"),
     (("verify", "all", "--r", "2"),
-     "all does not read --r; it reads none of --r, --M, --n, --lambda-order"),
+     "all does not read --r; it reads --precision --tolerance"),
     # a global flag, read before or after the subcommand: an id that does
     # not read it must not run its default orders instead
     (("verify", "all", "--lambda-order", "40"),
-     "all does not read --lambda-order; it reads none of --r, --M, --n, "
-     "--lambda-order"),
+     "all does not read --lambda-order; it reads --precision --tolerance"),
     (("--lambda-order", "7", "verify", "commutator"),
      "commutator does not read --lambda-order; it reads --r --M"),
     (("verify", "commutator", "--lambda-order", "7"),
      "commutator does not read --lambda-order; it reads --r --M"),
+    # --precision and --tolerance too: only `all` and the numeric checks read them
+    (("verify", "commutator", "--precision", "500", "--tolerance", "1e-400"),
+     "commutator does not read --precision; it reads --r --M"),
+    (("--tolerance", "1e-20", "verify", "graphs"),
+     "graphs does not read --tolerance; it reads --r --M --n"),
 ])
 def test_verify_rejects_an_override_the_id_does_not_read(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -481,13 +613,16 @@ LAYERS = ("backend", "parser", "weyl", "stirling", "graphs", "laguerre",
 
 
 def test_import_loads_every_layer_and_no_dataclasses():
-    # json too stays unloaded: order and seq --poly print from templates
+    # json too stays unloaded: order and seq --poly print from templates;
+    # argv is read from cli's own table, so argparse and the gettext and
+    # locale modules it loads stay out too
     probe = "import sys, normord.cli; print(*sorted(sys.modules))"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
-    assert not loaded & {"dataclasses", "inspect", "dis", "ast", "json"}
+    assert not loaded & {"dataclasses", "inspect", "dis", "ast", "json",
+                         "argparse", "gettext", "locale"}
     assert {f"normord.{layer}" for layer in LAYERS} <= loaded
 
 
@@ -544,11 +679,10 @@ def _files(path):
     return {f.name: f.read_bytes() for f in path.iterdir()} if path.exists() else {}
 
 
-def test_process_entry_prints_what_main_prints(capsys, tmp_path, monkeypatch):
+def test_process_entry_prints_what_main_prints(capsys, tmp_path):
     # `python -m normord.cli` exits through `run`, which freezes the
     # collector after `main`: no byte of stdout, stderr or the cache file
     # and no exit code may differ from an in-process `main` call
-    monkeypatch.setenv("COLUMNS", "80")  # the --help layout
     env = dict(os.environ, PYTHONIOENCODING="utf-8")
     env.pop("PYTHONUNBUFFERED", None)  # stdout block-buffered, as by default
     codes = []
@@ -845,10 +979,39 @@ def test_seq_refuses_a_wrong_last_constant_term(capsys, tmp_path, monkeypatch, k
         return row
 
     monkeypatch.setattr(backend, "ff_step", faulty)
-    with pytest.raises(ArithmeticError, match=r"S\(n=6, k=0\)"):
-        main(["seq", "2", "1", "6", *kind, "--cache-dir", str(cache_dir)])
-    assert capsys.readouterr().out == ""
+    code, out, err = run(capsys, "seq", "2", "1", "6", *kind,
+                         "--cache-dir", str(cache_dir))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "S(n=6, k=0)" in err
     assert list(tmp_path.iterdir()) == ([] if cache_dir == tmp_path else [cache_dir])
+
+
+# The fault of the test above, planted in a process that enters through `run`
+_FAULTY_SEQ = """\
+import sys
+from normord import backend, cli
+real = backend.ff_step
+def faulty(row, c):
+    row = real(row, c)
+    if c == 12:
+        row[0] += 1
+    return row
+backend.ff_step = faulty
+sys.exit(cli.run(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("kind", [(), ("--poly",)])
+def test_seq_kernel_fault_exits_1_without_a_traceback(tmp_path, kind):
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULTY_SEQ, "seq", "2", "1", "6", *kind,
+         "--cache-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_clear_counts(capsys, tmp_path):
