@@ -11,7 +11,6 @@ e^-x and of the Dobinski sums.
 
 from .parser import LimitError, ParseError, parse_expr
 from .series import (
-    PolyQ,
     SeriesQ,
     factorial,
     falling_factorial,
@@ -65,7 +64,6 @@ __all__ = [
     "LimitError",
     "ParseError",
     "parse_expr",
-    "PolyQ",
     "SeriesQ",
     "factorial",
     "falling_factorial",

@@ -1,10 +1,13 @@
-"""Exact polynomials and truncated formal power series over the rationals.
+"""Truncated formal power series over the rationals, exact polynomials among them.
 
-Everything here is dense and immutable: degrees and truncation orders stay
-small (a few hundred at most), so dense storage wins on simplicity and is
-fast enough.  Coefficients read out canonical (`_canonical`): an int when
-integral, a `fractions.Fraction` with denominator > 1 only when not, and
-never a float.  This is the one coefficient rule of the package: the
+An exact polynomial is a `SeriesQ` whose order is one past its degree
+(`laguerre_poly`, `weyl.NormalForm.diagonal_polynomial`); there is no
+separate polynomial type.  Everything here is dense and immutable:
+degrees and truncation orders stay small (a few hundred at most), so
+dense storage wins on simplicity and is fast enough.  Coefficients
+read out canonical (`_canonical`): an int when integral, a
+`fractions.Fraction` with denominator > 1 only when not, and never a
+float.  This is the one coefficient rule of the package: the
 normal forms in `normord.weyl` (the graph tables of `normord.graphs`
 among them) store what it returns, and the series here and the
 double-dot series in `normord.laguerre` read out by it.
@@ -16,7 +19,7 @@ int denominator (FLINT's fmpq_poly layout), so their arithmetic is int
 arithmetic plus one gcd pass per result.  `_to_one_den` and `_reduce`
 are the two helpers that keep that layout, and `_ratio` reads a
 coefficient out; `coeffs` and `terms` are built from it once, on first
-read.  `PolyQ` keeps canonical coefficients directly.
+read.
 
 `pfq_ratio` is the one place the pFq term ratio is written, and
 `_ratio_chain`, behind `phyperq_series` and `series_binpow` (a 1F0),
@@ -36,7 +39,6 @@ from operator import add
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 __all__ = [
-    "PolyQ",
     "SeriesQ",
     "factorial",
     "falling_factorial",
@@ -88,7 +90,9 @@ def _to_one_den(values: Iterable) -> tuple[list, int]:
     theirs, so no common factor is left to divide out.
     """
     values = [_canonical(c) for c in values]
-    den = lcm(*(c.denominator for c in values))
+    den = lcm(*[c.denominator for c in values])
+    if den == 1:
+        return values, 1
     return [c.numerator * (den // c.denominator) for c in values], den
 
 
@@ -115,76 +119,6 @@ def pochhammer(a, k: int):
     for i in range(k):
         out *= num + i * den
     return _canonical(Fraction(out, den**k))
-
-
-class PolyQ:
-    """Dense polynomial, canonical coefficients; trailing zeros stripped, zero = ()."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [_canonical(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "PolyQ":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "PolyQ":
-        return cls((1,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coeff(self, i: int):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PolyQ) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __add__(self, other: "PolyQ") -> "PolyQ":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyQ(self.coeff(i) + other.coeff(i) for i in range(n))
-
-    def __sub__(self, other: "PolyQ") -> "PolyQ":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyQ(self.coeff(i) - other.coeff(i) for i in range(n))
-
-    def __mul__(self, other: "PolyQ") -> "PolyQ":
-        if not self.coeffs or not other.coeffs:
-            return PolyQ()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return PolyQ(out)
-
-    def scale(self, c) -> "PolyQ":
-        c = _canonical(c)
-        return PolyQ(a * c for a in self.coeffs)
-
-    def eval(self, x):
-        x = _canonical(x)
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return _canonical(out)
-
-    def __repr__(self) -> str:
-        return f"PolyQ({list(self.coeffs)!r})"
 
 
 class SeriesQ:
@@ -281,13 +215,12 @@ class SeriesQ:
         return f"SeriesQ(order={self.order}, coeffs={list(self.coeffs)!r})"
 
 
-def laguerre_poly(n: int) -> PolyQ:
-    """Laguerre polynomial L_n(y) = sum_k C(n,k) (-y)^k / k!."""
+def laguerre_poly(n: int) -> SeriesQ:
+    """Laguerre polynomial L_n(y) = sum_k C(n,k) (-y)^k / k!: a `SeriesQ` of order n + 1."""
     if n < 0:
         raise ValueError("Laguerre index must be >= 0")
-    return PolyQ(
-        Fraction((-1) ** k * comb(n, k), factorial(k)) for k in range(n + 1)
-    )
+    return SeriesQ(
+        n + 1, (Fraction((-1) ** k * comb(n, k), factorial(k)) for k in range(n + 1)))
 
 
 def series_exp(s: SeriesQ) -> SeriesQ:

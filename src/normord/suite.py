@@ -57,7 +57,6 @@ from .laguerre import (
 )
 from .report import IdentityReport, _finish, _nf_mismatch, _rows_mismatch
 from .series import (
-    PolyQ,
     SeriesQ,
     _canonical,
     _to_one_den,
@@ -99,21 +98,6 @@ __all__ = [
 ]
 
 
-def _poly_from_signless_rising(r: int) -> PolyQ:
-    """prod_{p=1..r}(n+p) written out of first-kind signless numbers."""
-    return PolyQ(stirling1_signless(r + 1, k) for k in range(1, r + 2))
-
-
-def _poly_from_signed_falling(r: int) -> PolyQ:
-    """n(n-1)...(n-r+1) as the signed first-kind sum; the empty product 1 at r = 0."""
-    if r == 0:
-        return PolyQ.one()
-    coeffs = [0] * (r + 1)
-    for k in range(1, r + 1):
-        coeffs[k] = (-1) ** (r - k) * stirling1_signless(r, k)
-    return PolyQ(coeffs)
-
-
 def _nonnegative(**sizes) -> None:
     """Raise ValueError naming the first negative order or size."""
     for name, value in sizes.items():
@@ -134,7 +118,11 @@ def verify_commutator(r: int, M: int) -> IdentityReport:
 
     The operator side is normal-ordered from scratch and diagonal-reduced;
     the reference polynomial (n+r)^2M * prod(n+p) - n^2M * n-falling-r is
-    assembled purely from signless first-kind numbers.  At (r, M) = (1, 1)
+    assembled purely from signless first-kind numbers, with (n+r)^2M
+    written by the binomial theorem.  The reference is a `SeriesQ` of
+    order 2M + r: the two monic n^(2M+r) terms cancel, so it truncates
+    nothing, and an oracle term at a higher power differs in order and
+    is still found by `_nf_mismatch`'s scan.  At (r, M) = (1, 1)
     this is the 3n^2 + 3n + 1 difference of consecutive odd cubes.
     """
     _nonnegative(r=r, M=M)
@@ -143,20 +131,15 @@ def verify_commutator(r: int, M: int) -> IdentityReport:
     d = laguerre_derivative_nf(r, M)
     dd = d.dagger()
     oracle = (d * dd - dd * d).diagonal_polynomial()
-    x = PolyQ((0, 1))
-    shifted = PolyQ((r, 1))
-    left = PolyQ.one()
-    right = PolyQ.one()
-    for _ in range(2 * M):
-        left = left * shifted
-        right = right * x
-    ref = left * _poly_from_signless_rising(r) - right * _poly_from_signed_falling(r)
-    mismatch = None
-    if oracle != ref:
-        mismatch = {
-            "oracle": [str(c) for c in oracle.coeffs],
-            "first_kind_form": [str(c) for c in ref.coeffs],
-        }
+    order = 2 * M + r
+    shifted = SeriesQ(order, [comb(2 * M, j) * r ** (2 * M - j)
+                              for j in range(2 * M + 1)])
+    rising = SeriesQ(order, [stirling1_signless(r + 1, k) for k in range(1, r + 2)])
+    # n(n-1)...(n-r+1) as the signed first-kind sum, times n^2M
+    falling = [0] * (2 * M) + ([1] if r == 0 else [0] + [
+        (-1) ** (r - k) * stirling1_signless(r, k) for k in range(1, r + 1)])
+    ref = shifted * rising - SeriesQ(order, falling)
+    mismatch = _nf_mismatch(oracle, ref, {}, ("power",))
     return _finish(
         "commutator",
         params,

@@ -41,7 +41,7 @@ from __future__ import annotations
 from operator import add
 
 from . import backend
-from .series import PolyQ, _canonical, _ratio, _to_one_den
+from .series import SeriesQ, _canonical, _ratio, _to_one_den
 
 ANNIHILATOR = 0
 CREATOR = 1
@@ -244,11 +244,12 @@ class NormalForm:
         """
         return _canonical(sum(self.terms.values()))
 
-    def diagonal_polynomial(self) -> PolyQ:
+    def diagonal_polynomial(self) -> SeriesQ:
         """Rewrite a number-conserving operator as a polynomial in n = ad*a.
 
-        Uses ad^k a^k = n(n-1)...(n-k+1).  Raises ValueError if any term
-        has dag != ann.
+        Uses ad^k a^k = n(n-1)...(n-k+1).  Returns a `SeriesQ` of order
+        one past the top power (`SeriesQ(0)` for the zero operator).
+        Raises ValueError if any term has dag != ann.
         """
         for (k, l) in self.terms:
             if k != l:
@@ -261,7 +262,7 @@ class NormalForm:
             if c:
                 out[:k + 1] = [a + c * f for a, f in zip(out, ff)]
             ff = [a - k * b for a, b in zip([0, *ff], [*ff, 0])]
-        return PolyQ(out)
+        return SeriesQ(top + 1, out)
 
     def apply_to_monomial(self, p: int) -> dict:
         """Action on x^p in the polynomial model a -> d/dx, ad -> x.

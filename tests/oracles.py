@@ -3,9 +3,10 @@
 `normal_order_word_rightmost` checks the rewriter's confluence,
 `explicit_graphs` materializes every labeled diagram that
 `normord.graphs.enumerate_graphs` counts in aggregate,
-`normal_form_from_json` reads a normal form back from `order`'s JSON, and
-`reference_parser` is the argparse parser that `normord.cli`'s argv
-table must read alike.
+`normal_form_from_json` reads a normal form back from `order`'s JSON,
+`poly_mul` multiplies two coefficient lists without the library's
+series, and `reference_parser` is the argparse parser that
+`normord.cli`'s argv table must read alike.
 """
 
 from __future__ import annotations
@@ -23,6 +24,17 @@ def normal_form_from_json(text: str) -> NormalForm:
     """The normal form whose `serialize.normal_form_to_json` text is text."""
     return NormalForm({(t["dag"], t["ann"]): Fraction(t["coeff"])
                        for t in json.loads(text)["terms"]})
+
+
+def poly_mul(p, q) -> list:
+    """Product of two coefficient lists, lowest power first; [] is zero."""
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
 
 
 def normal_order_word_rightmost(word) -> NormalForm:

@@ -630,7 +630,7 @@ def test_import_loads_every_layer_and_no_dataclasses():
 # entry points the README's quick tour shows.
 PUBLIC = [
     "LimitError", "ParseError", "parse_expr",
-    "PolyQ", "SeriesQ", "factorial", "falling_factorial", "laguerre_poly",
+    "SeriesQ", "factorial", "falling_factorial", "laguerre_poly",
     "phyperq_partial", "phyperq_series", "pochhammer",
     "bell_sequence", "classical_bell", "classical_stirling2",
     "gen_bell_number", "gen_stirling", "stirling1_signless", "stirling_rows",

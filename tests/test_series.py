@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normord.series import (
-    PolyQ,
     SeriesQ,
     certified_sum,
     factorial,
@@ -35,23 +34,14 @@ def test_factorial_binomial_falling():
     assert pochhammer(Fraction(3), 0) == 1
 
 
-def test_polyq_basics():
-    p = PolyQ((1, 2, 3))
-    q = PolyQ((0, 1))
-    assert (p * q).coeffs == (0, 1, 2, 3)
-    assert (p + q).coeffs == (1, 3, 3)
-    assert p.eval(Fraction(2)) == 1 + 4 + 12
-    assert PolyQ((0, 0)).coeffs == ()
-    assert not PolyQ.zero()
-    assert p.degree == 2
-    assert p.coeff(9) == 0
-
-
 def test_laguerre_poly_frozen():
+    # a polynomial is a SeriesQ one past its degree
     l2 = laguerre_poly(2)
+    assert l2 == SeriesQ(3, [1, -2, Fraction(1, 2)])
     assert l2.coeffs == (1, -2, Fraction(1, 2))
     l3 = laguerre_poly(3)
-    assert l3.eval(Fraction(0)) == 1
+    assert l3.order == 4
+    assert l3.coeff(0) == 1  # L_n(0) = 1
     assert l3.coeff(3) == Fraction(-1, 6)
 
 

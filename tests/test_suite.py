@@ -245,6 +245,27 @@ def test_commutator_covers_m_zero():
     assert rep.status == "pass"
 
 
+def test_commutator_names_a_planted_first_kind_number(monkeypatch):
+    # |sigma(3, 2)| = 3 raised to 4: the rising product (n+1)(n+2) of the
+    # reference side gains 1·n, so (n+2)^2 · n lifts its n^3 term 8 -> 9
+    real = suite.stirling1_signless
+    monkeypatch.setattr(suite, "stirling1_signless",
+                        lambda n, k: real(n, k) + ((n, k) == (3, 2)))
+    rep = verify_commutator(2, 1)
+    assert rep.status == "fail"
+    assert rep.details["first_mismatch"] == {"power": 3, "left": "8", "right": "9"}
+    assert rep.details["polynomial"] == ["8", "20", "18", "8"]
+
+
+def test_commutator_finds_an_oracle_term_past_the_reference(monkeypatch):
+    # the reference stops at n^(2M+r-1); a term above it differs in order
+    real = NormalForm.diagonal_polynomial
+    monkeypatch.setattr(NormalForm, "diagonal_polynomial",
+                        lambda nf: SeriesQ(real(nf).order + 1, [*real(nf).coeffs, 1]))
+    rep = verify_commutator(1, 1)
+    assert rep.details["first_mismatch"] == {"power": 3, "left": "1", "right": "0"}
+
+
 def test_kummer_exact_mode_for_half_integer(monkeypatch):
     # both sides are rational at b = 3/2: compared exactly, no tolerance
     rep = verify_exp_on_kummer(Fraction(3, 2), x_order=10, lambda_order=4)

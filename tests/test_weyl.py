@@ -6,11 +6,11 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normord.backend import nf_mul
-from normord.series import PolyQ, falling_factorial
+from normord.series import SeriesQ, falling_factorial
 from normord.weyl import (
     NormalForm,
     laguerre_derivative_nf,
@@ -128,14 +128,39 @@ def test_coherent_expectation_exact_complex():
 
 
 def test_diagonal_reduce_examples():
-    assert NormalForm.monomial(1, 1).diagonal_polynomial() == PolyQ((0, 1))
+    # a polynomial is a SeriesQ one past its degree
+    assert NormalForm.monomial(1, 1).diagonal_polynomial() == SeriesQ(2, [0, 1])
     two = NormalForm.monomial(2, 2) + NormalForm.monomial(1, 1)
-    assert two.diagonal_polynomial() == PolyQ((0, 0, 1))
+    assert two.diagonal_polynomial() == SeriesQ(3, [0, 0, 1])
     d = laguerre_derivative_nf(1, 1)
     comm = d * d.dagger() - d.dagger() * d
-    assert comm.diagonal_polynomial() == PolyQ((1, 3, 3))
+    assert comm.diagonal_polynomial() == SeriesQ(3, [1, 3, 3])
+    assert NormalForm.zero().diagonal_polynomial() == SeriesQ(0)
     with pytest.raises(ValueError):
         NormalForm.monomial(2, 1).diagonal_polynomial()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(
+    st.integers(0, 6),
+    st.one_of(st.integers(-20, 20), st.fractions(-5, 5, max_denominator=12)),
+    max_size=5), st.integers(0, 9))
+@example({}, 3)
+def test_diagonal_polynomial_is_the_number_state_action(coeffs, p):
+    # second path: ad^k a^k sends x^p to p(p-1)...(p-k+1) x^p, so the
+    # polynomial at n = p is the x^p coefficient of the operator's action
+    nf = NormalForm({(k, k): c for k, c in coeffs.items()})
+    poly = nf.diagonal_polynomial()
+    value = 0
+    for c in reversed(poly.coeffs):
+        value = value * p + c
+    assert value == nf.apply_to_monomial(p).get(p, 0)
+    top = max((k for k, _ in nf.terms), default=-1)
+    assert poly.order == top + 1
+    if nf.terms:
+        assert poly.coeffs[-1] == nf.terms[(top, top)]
+    else:
+        assert poly == SeriesQ(0)
 
 
 def test_normal_order_rewrite_handles_sums():
