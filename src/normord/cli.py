@@ -11,10 +11,12 @@ entries; the Bell numbers are the sums of one pass of
 `stirling.stirling_rows`, with no cache), `verify` runs identity checks,
 `cache` manages the disk cache.
 
-argv is read by one loop over one table (`_GLOBAL_FLAGS`, `_COMMANDS`),
-from which `--help` is rendered too; no argument-parsing module is
-imported, which keeps some 6 ms of imports and parser building off every
-cold request.  Global flags may appear before or after the subcommand,
+argv is read by one loop over one table (`_COMMANDS`), from which `--help`
+is rendered too; no argument-parsing module is imported, which keeps some
+6 ms of imports and parser building off every cold request.  The command
+comes first: `normord COMMAND [arguments and flags]`.  Each command lists
+the flags it reads, and only those: any other flag, and any token before
+the command, is refused before any work or cache write.  A flag is given
 as `--flag value` or `--flag=value`; the last one given wins, and a flag
 must be spelled in full.  A bad argv prints one `error:` line.  Exit
 codes: 0 ok, 1 verification failure (a failed identity, or a failed
@@ -40,10 +42,9 @@ import sys
 from collections import namedtuple
 from contextlib import closing
 from fractions import Fraction
-from pathlib import Path
 from types import SimpleNamespace
 
-from .cache import cache_clear, default_cache_dir, load_triangle
+from .cache import cache_clear, load_triangle
 from .closedform import DEFAULT_PRECISION, DEFAULT_TOLERANCE
 from .parser import LimitError, check_order, check_triangle, parse_expr
 from .serialize import (
@@ -68,45 +69,14 @@ from .suite import (
 )
 from .weyl import normal_order_power
 
-__all__ = ["Config", "main", "run"]
+__all__ = ["main", "run"]
 
 # Bounds on the number flags, checked before the numbers are built:
-# Config builds 10**(precision - 10), and Fraction("1e<exp>") 10**exp.
-# At MAX_PRECISION, `verify all` takes about 1.4 s on a 2-core x86 VM.
+# `_numeric_settings` builds 10**(precision - 10), and Fraction("1e<exp>")
+# 10**exp.  At MAX_PRECISION, `verify all` takes about 1.4 s on a 2-core
+# x86 VM.
 MAX_PRECISION = 10_000
 MAX_EXPONENT = MAX_PRECISION
-
-
-class Config(namedtuple("Config", "lambda_order precision tolerance cache_dir fmt")):
-    """The global options, checked; lambda_order None leaves each identity at
-    its own order, and cache_dir defaults to `default_cache_dir()`."""
-
-    __slots__ = ()
-
-    def __new__(cls, lambda_order: int | None = None,
-                precision: int = DEFAULT_PRECISION,
-                tolerance: Fraction = DEFAULT_TOLERANCE,
-                cache_dir: Path | None = None, fmt: str = "json"):
-        if fmt not in ("json", "table", "bfile"):
-            raise ValueError(f"unknown output format {fmt!r}")
-        if lambda_order is not None and lambda_order < 0:
-            raise ValueError("lambda order must be >= 0")
-        if precision < 30:
-            raise ValueError("precision must be at least 30 digits")
-        if precision > MAX_PRECISION:
-            raise ValueError(f"precision must be at most {MAX_PRECISION} digits")
-        if tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        floor = Fraction(1, 10 ** (precision - 10))
-        if tolerance < floor:
-            raise ValueError(
-                "tolerance tighter than the precision supports "
-                "(need tolerance >= 10^-(precision-10))"
-            )
-        if cache_dir is None:
-            cache_dir = default_cache_dir()
-        return super().__new__(cls, lambda_order, precision, tolerance,
-                               cache_dir, fmt)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -123,6 +93,27 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
+
+
+def _numeric_settings(ns: SimpleNamespace) -> tuple[int, Fraction]:
+    """`verify`'s --precision and --tolerance, defaults filled in, checked.
+
+    Raises ValueError before 10**(precision - 10) is built, so the bounds
+    hold for any input.
+    """
+    tolerance = (DEFAULT_TOLERANCE if ns.tolerance is None
+                 else _parse_fraction(ns.tolerance))
+    precision = DEFAULT_PRECISION if ns.precision is None else ns.precision
+    if precision < 30:
+        raise ValueError("precision must be at least 30 digits")
+    if precision > MAX_PRECISION:
+        raise ValueError(f"precision must be at most {MAX_PRECISION} digits")
+    if tolerance <= 0:
+        raise ValueError("tolerance must be positive")
+    if tolerance < Fraction(1, 10 ** (precision - 10)):
+        raise ValueError("tolerance tighter than the precision supports "
+                         "(need tolerance >= 10^-(precision-10))")
+    return precision, tolerance
 
 
 def _parse_expectation(text: str):
@@ -172,7 +163,7 @@ def _override_error(ns: SimpleNamespace) -> str | None:
         return None
     read = _SUITE_READS if ns.identity == "all" else overrides_read(ns.identity)
     for name in OVERRIDES:
-        if getattr(ns, name, None) is not None and name not in read:
+        if getattr(ns, name) is not None and name not in read:
             return (f"{ns.identity} does not read {_flags([name])}; it reads "
                     f"{_flags(read)}")
     if ns.n is not None and ns.n < 1 and "laguerre-shifted" in (
@@ -182,28 +173,18 @@ def _override_error(ns: SimpleNamespace) -> str | None:
     return None
 
 
-# The argv table.  A flag is (flag, dest, kind, metavar, help): kind is int
-# or str for a value, a tuple of the values it accepts, or bool for a flag
-# that takes no value and sets dest to True.  The global flags may come
-# before or after the command and set nothing until given (Config holds
-# their defaults), so a given flag stays apart from an absent one.
-_GLOBAL_FLAGS = (
-    ("--format", "format", ("json", "table", "bfile"), "{json,table,bfile}",
-     "output format (default json)"),
-    ("--lambda-order", "lambda_order", int, "N",
-     "highest retained power of the expansion parameter"),
-    ("--precision", "precision", int, "N",
-     "working decimal digits for numeric checks (>= 30)"),
-    ("--tolerance", "tolerance", str, "T",
-     "numeric tolerance, rational or decimal string"),
-    ("--cache-dir", "cache_dir", str, "DIR",
-     "cache directory (default $NORMORD_CACHE_DIR)"),
-)
-
-# A command: its help line, its positionals as (dest, kind, help), its own
-# flags, the values it sets before reading argv, and the flags of which at
-# most one may be given.
+# The argv table.  A command: its help line, its positionals as (dest,
+# kind, help), the flags it reads, the values it sets before reading argv,
+# and the flags of which at most one may be given.  A flag is (flag, dest,
+# kind, metavar, help): kind is int or str for a value, a tuple of the
+# values it accepts, or bool for a flag that takes no value and sets dest
+# to True.
 _Command = namedtuple("_Command", "help positionals flags defaults exclusive")
+
+_FORMAT = ("--format", "format", ("json", "table"), "{json,table}",
+           "output format (default json)")
+_CACHE_DIR = ("--cache-dir", "cache_dir", str, "DIR",
+              "cache directory (default $NORMORD_CACHE_DIR)")
 
 _COMMANDS = {
     "order": _Command(
@@ -212,26 +193,43 @@ _COMMANDS = {
         (("--power", "power", int, "N",
           "raise the expression to this power first (default 1)"),
          ("--expectation", "expectation", str, "Z",
-          "print the coherent expectation at z = RE[,IM]")),
-        {"power": 1, "expectation": None}, ()),
+          "print the coherent expectation at z = RE[,IM] (not with --format)"),
+         _FORMAT),
+        {"power": 1, "expectation": None, "format": "json"},
+        ("--expectation", "--format")),
     "seq": _Command(
         "export Bell numbers or polynomial rows",
         (("r", int, "the r and M of D(r,M) = a^r (ad a)^M"), ("M", int, ""),
          ("n_max", int, "the last row")),
         (("--number", "number", bool, "", "weight-one values (default)"),
          ("--poly", "poly", bool, "",
-          "coefficient rows instead of values (not with --number)")),
-        {"number": True, "poly": False}, ("--number", "--poly")),
+          "coefficient rows instead of values (not with --number)"),
+         ("--format", "format", ("json", "table", "bfile"), "{json,table,bfile}",
+          "output format (default json; bfile with --number only)"),
+         _CACHE_DIR),
+        {"number": True, "poly": False, "format": "json", "cache_dir": None},
+        ("--number", "--poly")),
     "verify": _Command(
         "run identity checks",
         (("identity", str, 'an identity id (listed below) or "all"'),),
-        tuple((f"--{name}", name, int, "N", f"pin {name} (the ids below that read it)")
-              for name in ("r", "M", "n")),
-        {"r": None, "M": None, "n": None}, ()),
+        (*((f"--{name}", name, int, "N", f"pin {name} (the ids below that read it)")
+           for name in ("r", "M", "n")),
+         ("--lambda-order", "lambda_order", int, "N",
+          "highest retained power of the expansion parameter"),
+         ("--precision", "precision", int, "N",
+          "working decimal digits for numeric checks (>= 30)"),
+         ("--tolerance", "tolerance", str, "T",
+          "numeric tolerance, rational or decimal string"),
+         _FORMAT),
+        {**dict.fromkeys(OVERRIDES), "format": "json"}, ()),
     "cache": _Command(
         "manage the triangle cache",
-        (("action", ("clear",), "clear: remove every cache file"),), (), {}, ()),
+        (("action", ("clear",), "clear: remove every cache file"),),
+        (_CACHE_DIR,), {"cache_dir": None}, ()),
 }
+
+# Every flag some command reads, to tell an unread flag from an unknown one
+_KNOWN_FLAGS = {flag for spec in _COMMANDS.values() for flag, *_ in spec.flags}
 
 # A token that starts with "-" is a flag, except "-" itself, a negative
 # number (`--M -1`, `seq -1 1 3`) and a token with a space in it (an
@@ -263,13 +261,26 @@ def _value(name: str, kind, text: str):
 def _parse_argv(argv) -> SimpleNamespace:
     """Read argv with the argv table: the command, its positionals and flags.
 
-    A flag takes its value as `--flag value` or `--flag=value`, and the
-    last one given wins.  Raises _Help for -h or --help, and ValueError
-    naming what is wrong with argv.
+    The command comes first.  A flag takes its value as `--flag value` or
+    `--flag=value`, and the last one given wins.  Raises _Help for -h or
+    --help, and ValueError naming what is wrong with argv.
     """
-    ns, command, positionals, given, literal = SimpleNamespace(), None, [], set(), False
-    flags = {flag: (dest, kind) for flag, dest, kind, _, _ in _GLOBAL_FLAGS}
-    rest = iter(argv)
+    if not argv:
+        raise ValueError(f"a command is required: {', '.join(_COMMANDS)}")
+    command, *rest = argv
+    if command in ("-h", "--help"):
+        raise _Help(_help(None))
+    if command not in _COMMANDS:
+        if _is_flag(command, {}):
+            raise ValueError(f"{command!r} comes before the command; the "
+                             f"command comes first: {', '.join(_COMMANDS)}")
+        raise ValueError(f"unknown command {command!r} (choose from "
+                         f"{', '.join(_COMMANDS)})")
+    spec = _COMMANDS[command]
+    ns = SimpleNamespace(command=command, **spec.defaults)
+    flags = {flag: (dest, kind) for flag, dest, kind, _, _ in spec.flags}
+    positionals, given, literal = list(spec.positionals), set(), False
+    rest = iter(rest)
     for arg in rest:
         if not literal and arg == "--":
             literal = True
@@ -277,6 +288,9 @@ def _parse_argv(argv) -> SimpleNamespace:
             flag, eq, text = arg.partition("=")
             if flag in ("-h", "--help") and not eq:
                 raise _Help(_help(command))
+            if flag in _KNOWN_FLAGS and flag not in flags:
+                raise ValueError(f"{command} does not read {flag}; it reads "
+                                 f"{' '.join(flags)}")
             if flag not in flags:
                 raise ValueError(f"unrecognized argument {arg!r}")
             dest, kind = flags[flag]
@@ -291,22 +305,11 @@ def _parse_argv(argv) -> SimpleNamespace:
                         raise ValueError(f"{flag} needs a value")
                 setattr(ns, dest, _value(flag, kind, text))
             given.add(flag)
-        elif command is None:
-            if arg not in _COMMANDS:
-                raise ValueError(f"unknown command {arg!r} (choose from "
-                                 f"{', '.join(_COMMANDS)})")
-            command = ns.command = arg
-            spec = _COMMANDS[arg]
-            positionals = list(spec.positionals)
-            flags.update((flag, (dest, kind)) for flag, dest, kind, _, _ in spec.flags)
-            vars(ns).update(spec.defaults)
         elif positionals:
             dest, kind, _ = positionals.pop(0)
             setattr(ns, dest, _value(dest, kind, arg))
         else:
             raise ValueError(f"unexpected argument {arg!r}")
-    if command is None:
-        raise ValueError(f"a command is required: {', '.join(_COMMANDS)}")
     if positionals:
         raise ValueError(f"{command} needs {' '.join(p[0] for p in positionals)}")
     if len(given.intersection(spec.exclusive)) > 1:
@@ -316,51 +319,35 @@ def _parse_argv(argv) -> SimpleNamespace:
 
 def _help(command: str | None) -> str:
     """The help text of a command, or of normord itself for None."""
+    help_row = ("-h, --help", "show this help and exit")
     if command is None:
-        usage = f"normord [global options] {{{','.join(_COMMANDS)}}} ..."
+        usage = f"normord {{{','.join(_COMMANDS)}}} [arguments and options]"
         about = ("Exact normal ordering of boson operator expressions, the "
-                 "attached number\ntriangles, and their verification suite.")
+                 "attached number\ntriangles, and their verification suite.  "
+                 "Each command reads its own\noptions, given after it: "
+                 "`normord COMMAND --help` lists them.")
         sections = [("commands", [(name, spec.help)
-                                  for name, spec in _COMMANDS.items()])]
+                                  for name, spec in _COMMANDS.items()]),
+                    ("options", [help_row])]
     else:
         spec = _COMMANDS[command]
         usage = " ".join(["normord", command, "[options]",
                           *(dest for dest, _, _ in spec.positionals)])
         about = spec.help
         sections = [("arguments", [(dest, text) for dest, _, text in spec.positionals]),
-                    ("options", [(f"{flag} {metavar}".strip(), text)
-                                 for flag, _, _, metavar, text in spec.flags])]
-    sections.append(("global options, before or after the command",
-                     [("-h, --help", "show this help and exit")]
-                     + [(f"{flag} {metavar}", text)
-                        for flag, _, _, metavar, text in _GLOBAL_FLAGS]))
+                    ("options", [help_row, *((f"{flag} {metavar}".strip(), text)
+                                             for flag, _, _, metavar, text in spec.flags)])]
     width = max(len(left) for _, rows in sections for left, _ in rows)
     lines = [f"usage: {usage}", "", about]
     for title, rows in sections:
-        if rows:
-            lines += ["", f"{title}:", *(f"  {left:<{width}}  {text}".rstrip()
-                                          for left, text in rows)]
+        lines += ["", f"{title}:", *(f"  {left:<{width}}  {text}".rstrip()
+                                      for left, text in rows)]
     if command == "verify":
         lines += ["", _identity_list()]
     return "\n".join(lines)
 
 
-def _config_from_namespace(ns: SimpleNamespace) -> Config:
-    kwargs = {}
-    if hasattr(ns, "lambda_order"):
-        kwargs["lambda_order"] = ns.lambda_order
-    if hasattr(ns, "precision"):
-        kwargs["precision"] = ns.precision
-    if hasattr(ns, "tolerance"):
-        kwargs["tolerance"] = _parse_fraction(ns.tolerance)
-    if hasattr(ns, "cache_dir"):
-        kwargs["cache_dir"] = Path(ns.cache_dir)
-    if hasattr(ns, "format"):
-        kwargs["fmt"] = ns.format
-    return Config(**kwargs)
-
-
-def cmd_order(cfg: Config, ns: SimpleNamespace) -> int:
+def cmd_order(ns: SimpleNamespace) -> int:
     if ns.power < 1:
         print("error: --power must be >= 1", file=sys.stderr)
         return 2
@@ -374,14 +361,19 @@ def cmd_order(cfg: Config, ns: SimpleNamespace) -> int:
     result = normal_order_power(expr, ns.power)
     if z is not None:
         print(_format_complex(*result.coherent_expectation(*z)))
-    elif cfg.fmt == "json":
+    elif ns.format == "json":
         print(normal_form_to_json(result))
     else:
         print(normal_form_table(result))
     return 0
 
 
-def cmd_seq(cfg: Config, ns: SimpleNamespace) -> int:
+def cmd_seq(ns: SimpleNamespace) -> int:
+    # b-file holds one integer sequence: the numbers, not the rows
+    if ns.poly and ns.format == "bfile":
+        print("error: b-file output applies to `seq --number` only",
+              file=sys.stderr)
+        return 2
     if ns.r < 0 or ns.M < 0 or ns.n_max < 0:
         print("error: r, M, n_max must be nonnegative", file=sys.stderr)
         return 2
@@ -392,7 +384,7 @@ def cmd_seq(cfg: Config, ns: SimpleNamespace) -> int:
         return 2
     try:
         if ns.poly:
-            rows, _, warning = load_triangle(ns.r, ns.M, ns.n_max, cfg.cache_dir)
+            rows, _, warning = load_triangle(ns.r, ns.M, ns.n_max, ns.cache_dir)
         else:
             values = bell_sequence(ns.r, ns.M, ns.n_max)
     except ArithmeticError as exc:
@@ -403,42 +395,36 @@ def cmd_seq(cfg: Config, ns: SimpleNamespace) -> int:
     if ns.poly:
         if warning:
             print(f"warning: {warning}", file=sys.stderr)
-        pieces = iter_poly_rows_json if cfg.fmt == "json" else iter_poly_rows_table
+        pieces = iter_poly_rows_json if ns.format == "json" else iter_poly_rows_table
         with closing(rows):  # releases the cache file if the write stops early
             sys.stdout.writelines(pieces(ns.r, ns.M, rows))
         sys.stdout.write("\n")
         return 0
-    if cfg.fmt == "json":
+    if ns.format == "json":
         print(sequence_to_json(ns.r, ns.M, values))
-    elif cfg.fmt == "table":
+    elif ns.format == "table":
         print(sequence_table(ns.r, ns.M, values))
     else:
         sys.stdout.write(sequence_bfile(values))
     return 0
 
 
-def cmd_verify(cfg: Config, ns: SimpleNamespace) -> int:
-    problem = _override_error(ns)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return 2
+def cmd_verify(ns: SimpleNamespace) -> int:
     try:
+        precision, tolerance = _numeric_settings(ns)
+        problem = _override_error(ns)
+        if problem:
+            raise ValueError(problem)
         if ns.identity == "all":
-            reports = run_suite(precision=cfg.precision, tolerance=cfg.tolerance)
+            reports = run_suite(precision=precision, tolerance=tolerance)
         else:
-            reports = run_identity(
-                ns.identity,
-                r=ns.r,
-                M=ns.M,
-                n=ns.n,
-                lambda_order=cfg.lambda_order,
-                precision=cfg.precision,
-                tolerance=cfg.tolerance,
-            )
+            reports = run_identity(ns.identity, r=ns.r, M=ns.M, n=ns.n,
+                                   lambda_order=ns.lambda_order,
+                                   precision=precision, tolerance=tolerance)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cfg.fmt == "json":
+    if ns.format == "json":
         print(reports_to_json(reports))
     else:
         for rep in reports:
@@ -447,8 +433,8 @@ def cmd_verify(cfg: Config, ns: SimpleNamespace) -> int:
     return 0 if suite_passed(reports) else 1
 
 
-def cmd_cache(cfg: Config, ns: SimpleNamespace) -> int:
-    removed = cache_clear(cfg.cache_dir)
+def cmd_cache(ns: SimpleNamespace) -> int:
+    removed = cache_clear(ns.cache_dir)
     print(f"removed {removed} cache file(s)")
     return 0
 
@@ -458,23 +444,16 @@ _DISPATCH = {"order": cmd_order, "seq": cmd_seq, "verify": cmd_verify,
 
 
 def _request(argv) -> int:
-    """Read argv, check the global options and run the command: its exit code."""
+    """Read argv and run the command: its exit code."""
     try:
         ns = _parse_argv(argv)
-        cfg = _config_from_namespace(ns)
     except _Help as text:
         print(text)
         return 0
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # b-file holds one integer sequence: `seq --number` (`cache` prints none)
-    if cfg.fmt == "bfile" and ns.command != "cache" and (
-            ns.command != "seq" or ns.poly):
-        print("error: b-file output applies to `seq --number` only",
-              file=sys.stderr)
-        return 2
-    return _DISPATCH[ns.command](cfg, ns)
+    return _DISPATCH[ns.command](ns)
 
 
 def main(argv=None) -> int:

@@ -434,18 +434,26 @@ def bessel_parity_check(lambda_order: int) -> IdentityReport:
                    paths=("J0 dot series", "I0 dot series at -t"))
 
 
+def _alternating_rows(r: int, M: int, n_max: int, tag: str):
+    """Rows 0..n_max of `alternating_sum_rows` and None; when a row's k!
+    division leaves a remainder, the rows before it and the failure record
+    {tag: that row's n, "where": "alternating sum", "error": ...}."""
+    rows = []
+    try:
+        for row in alternating_sum_rows(r, M, n_max):
+            rows.append(row)
+    except ArithmeticError as exc:
+        return rows, {tag: len(rows), "where": "alternating sum", "error": str(exc)}
+    return rows, None
+
+
 def _example_eigen_operator(M: int, lambda_order: int) -> IdentityReport:
     t0 = time.perf_counter()
     scales = [Fraction(1, factorial(n) ** (M + 1)) for n in range(lambda_order + 1)]
     lhs = _scaled_powers(M, scales)
     # The alternating sum gives row n of S_1^(M), the coefficients of
     # (ad)^k a^(k+n) in D(1,M)^n.
-    rows, error = [], None
-    try:
-        for row in alternating_sum_rows(1, M, lambda_order):
-            rows.append(row)
-    except ArithmeticError as exc:
-        error = {"lambda": len(rows), "where": "alternating sum", "error": str(exc)}
+    rows, error = _alternating_rows(1, M, lambda_order, "lambda")
     rhs = [{(k, k + n): c * scales[n] for k, c in enumerate(row)}
            for n, row in enumerate(rows)]
     checks, first = _rows_mismatch(lhs, rhs, "lambda")

@@ -32,6 +32,7 @@ from . import backend
 from .closedform import (
     DEFAULT_PRECISION,
     DEFAULT_TOLERANCE,
+    _alternating_rows,
     _example_bessel,
     _example_eigen_operator,
     _example_hyp_compact,
@@ -66,7 +67,6 @@ from .series import (
     pochhammer,
 )
 from .stirling import (
-    alternating_sum_rows,
     b_pp,
     bell_sequence,
     classical_bell,
@@ -109,8 +109,8 @@ def _columns_fit(x_order: int, lambda_order: int) -> None:
     """Raise ValueError on a negative size or a lambda_order past x_order."""
     _nonnegative(x_order=x_order, lambda_order=lambda_order)
     if lambda_order > x_order:  # column m keeps x_order - m powers
-        raise ValueError(
-            f"insufficient truncation order: need x-order >= {lambda_order}")
+        raise ValueError(f"insufficient truncation order: lambda_order "
+                         f"{lambda_order} is past x_order {x_order}")
 
 
 def verify_commutator(r: int, M: int) -> IdentityReport:
@@ -153,12 +153,9 @@ def verify_commutator(r: int, M: int) -> IdentityReport:
 
 def _alternating_mismatch(r: int, M: int, rows) -> dict | None:
     """First entry where triangle rows 1, 2, ... differ from the alternating sum."""
-    alternating = []
-    try:
-        for oracle in alternating_sum_rows(r, M, len(rows)):
-            alternating.append(oracle)
-    except ArithmeticError as exc:
-        return {"n": len(alternating), "where": "alternating sum", "error": str(exc)}
+    alternating, error = _alternating_rows(r, M, len(rows), "n")
+    if error is not None:
+        return error
     _, mismatch = _rows_mismatch(rows, alternating[1:], "n", ("k",), start=1)
     if mismatch is not None:
         mismatch["where"] = "triangle vs alternating sum"

@@ -128,34 +128,17 @@ def explicit_table(nf: NormalForm, n: int) -> NormalForm:
     return NormalForm(agg)
 
 
-def _add_global_flags(p: argparse.ArgumentParser):
-    g = p.add_argument_group("global options")
-    g.add_argument("--format", choices=("json", "table", "bfile"),
-                   default=argparse.SUPPRESS,
-                   help="output format (default json)")
-    g.add_argument("--lambda-order", dest="lambda_order", type=int,
-                   default=argparse.SUPPRESS,
-                   help="highest retained power of the expansion parameter")
-    g.add_argument("--precision", type=int, default=argparse.SUPPRESS,
-                   help="working decimal digits for numeric checks (>= 30)")
-    g.add_argument("--tolerance", default=argparse.SUPPRESS,
-                   help="numeric tolerance, rational or decimal string")
-    g.add_argument("--cache-dir", dest="cache_dir", default=argparse.SUPPRESS,
-                   help="cache directory (default $NORMORD_CACHE_DIR)")
-
-
 def reference_parser() -> argparse.ArgumentParser:
-    """The argparse parser `normord` used, flags spelled in full only.
+    """The argparse parser of `normord`'s grammar, flags spelled in full only.
 
-    A global flag defaults to SUPPRESS, so it is an attribute of the
-    namespace only when given.
+    The command comes first, and each command takes exactly the flags it
+    reads.
     """
     parser = argparse.ArgumentParser(
         prog="normord", allow_abbrev=False,
         description="Exact normal ordering of boson operator expressions, "
         "the attached number triangles, and their verification suite.",
     )
-    _add_global_flags(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_order = sub.add_parser("order", allow_abbrev=False,
@@ -163,9 +146,16 @@ def reference_parser() -> argparse.ArgumentParser:
     p_order.add_argument("expr", help="expression over a, ad, rationals, + - * ^ ()")
     p_order.add_argument("--power", type=int, default=1,
                          help="raise the expression to this power first")
-    p_order.add_argument("--expectation", metavar="Z",
-                         help="print the coherent expectation at z = RE[,IM]")
-    _add_global_flags(p_order)
+    # argparse counts a flag as given to a mutually exclusive group only
+    # when its value is not the default object itself, and a "json" read
+    # from argv may be that very (interned) string.  A parser default set
+    # before the flag, with the flag's own default SUPPRESS, keeps them apart.
+    p_order.set_defaults(format="json")
+    shown = p_order.add_mutually_exclusive_group()
+    shown.add_argument("--expectation", metavar="Z",
+                       help="print the coherent expectation at z = RE[,IM]")
+    shown.add_argument("--format", choices=("json", "table"),
+                       default=argparse.SUPPRESS)
 
     p_seq = sub.add_parser("seq", allow_abbrev=False,
                            help="export Bell numbers or polynomial rows")
@@ -177,19 +167,21 @@ def reference_parser() -> argparse.ArgumentParser:
                       help="weight-one values (default)")
     kind.add_argument("--poly", action="store_true", default=False,
                       help="coefficient rows instead of values")
-    _add_global_flags(p_seq)
+    p_seq.add_argument("--format", choices=("json", "table", "bfile"),
+                       default="json")
+    p_seq.add_argument("--cache-dir", dest="cache_dir")
 
     p_verify = sub.add_parser("verify", allow_abbrev=False,
                               help="run identity checks")
     p_verify.add_argument("identity", help='an identity id or "all"')
-    p_verify.add_argument("--r", type=int, default=None)
-    p_verify.add_argument("--M", type=int, default=None)
-    p_verify.add_argument("--n", type=int, default=None)
-    _add_global_flags(p_verify)
+    for name in ("--r", "--M", "--n", "--lambda-order", "--precision"):
+        p_verify.add_argument(name, type=int, default=None)
+    p_verify.add_argument("--tolerance")
+    p_verify.add_argument("--format", choices=("json", "table"), default="json")
 
     p_cache = sub.add_parser("cache", allow_abbrev=False,
                              help="manage the triangle cache")
     p_cache.add_argument("action", choices=("clear",))
-    _add_global_flags(p_cache)
+    p_cache.add_argument("--cache-dir", dest="cache_dir")
 
     return parser

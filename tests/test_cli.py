@@ -275,15 +275,6 @@ def test_seq_size_limit_counts_m():
             check_triangle(1, M, n + 1)
 
 
-def test_global_flags_before_or_after_subcommand(capsys, tmp_path):
-    _, out_a, _ = run(capsys, "--format", "table", "seq", "2", "3", "3",
-                      "--cache-dir", str(tmp_path))
-    _, out_b, _ = run(capsys, "seq", "2", "3", "3", "--format", "table",
-                      "--cache-dir", str(tmp_path))
-    assert out_a == out_b
-    assert out_a.splitlines()[0] == "# r=2 M=3"
-
-
 # --- argv ----------------------------------------------------------------
 
 REFERENCE = reference_parser()
@@ -298,34 +289,40 @@ UNKNOWN_FLAGS = [("--prec", None, int, "", ""), ("--bogus", None, str, "", ""),
                  ("-x", None, str, "", "")]
 
 
+def unread_flags(command):
+    """The flags of the other commands that `command` does not read."""
+    own = {spec[0] for spec in cli._COMMANDS[command].flags}
+    return list(dict.fromkeys(spec for other in cli._COMMANDS.values()
+                              for spec in other.flags if spec[0] not in own))
+
+
 @st.composite
 def argvs(draw):
     """An argv built from the argv table; about one item in ten is bad."""
     def pick(good, bad):
         return draw(st.sampled_from(good if draw(st.integers(0, 9)) else bad))
 
-    def flag(table):
-        name, _, kind, _, _ = pick(list(table), UNKNOWN_FLAGS)
+    def flag(command):
+        name, _, kind, _, _ = pick(list(cli._COMMANDS[command].flags),
+                                   UNKNOWN_FLAGS + unread_flags(command))
         if kind is bool:
             return pick([[name]], [[f"{name}=x"]])
         good, bad = TEXTS.get(kind) or (list(kind), ["xml", ""])
         value = pick(good, bad)
         return pick([[name, value], [f"{name}={value}"]], [[name]])
 
-    before = [t for _ in range(draw(st.integers(0, 2)))
-              for t in flag(cli._GLOBAL_FLAGS)]
     command = pick(list(cli._COMMANDS), ["bogus", None])
     if command not in cli._COMMANDS:
-        return before + ([command] if command else [])
+        return [command] if command else []
     spec = cli._COMMANDS[command]
     positionals = [pick(*(TEXTS.get(kind) or (list(kind), ["xml"])))
                    for _, kind, _ in spec.positionals]
     positionals = pick([positionals], [positionals[1:], positionals + ["3"]])
-    # flags go anywhere between the positionals, which keep their order
-    groups = [(draw(st.integers(0, len(positionals))),
-               flag(cli._GLOBAL_FLAGS + spec.flags))
+    # flags go anywhere after the command, between the positionals, which
+    # keep their order
+    groups = [(draw(st.integers(0, len(positionals))), flag(command))
               for _ in range(draw(st.integers(0, 4)))]
-    argv = before + [command]
+    argv = [command]
     for i, value in enumerate([*positionals, None]):
         argv += [t for at, tokens in groups if at == i for t in tokens]
         argv += [] if value is None else [value]
@@ -355,7 +352,8 @@ def test_argv_table_reads_what_the_reference_parser_reads(argv):
 
 @pytest.mark.parametrize("argv,message", [
     ((), "a command is required: order, seq, verify, cache"),
-    (("--format", "json"), "a command is required: order, seq, verify, cache"),
+    (("--format", "json"), "'--format' comes before the command; the command "
+     "comes first: order, seq, verify, cache"),
     (("bogus",), "unknown command 'bogus' (choose from order, seq, verify, cache)"),
     (("order", "a", "--power", "x"), "--power takes an integer, not 'x'"),
     (("order", "a", "--power"), "--power needs a value"),
@@ -367,7 +365,7 @@ def test_argv_table_reads_what_the_reference_parser_reads(argv):
     (("seq", "1", "1", "5", "--number", "--poly"),
      "--number and --poly exclude each other"),
     (("cache", "empty"), "action takes one of clear, not 'empty'"),
-    (("--format=xml", "cache", "clear"),
+    (("seq", "1", "1", "2", "--format=xml"),
      "--format takes one of json, table, bfile, not 'xml'"),
     # a flag is spelled in full: no prefix stands for it
     (("verify", "all", "--prec", "60"), "unrecognized argument '--prec'"),
@@ -389,7 +387,7 @@ def test_argv_values_that_start_with_a_minus(capsys, tmp_path):
     assert minus_a == ordered("ad - a")
     assert normal_form_from_json(run(capsys, "order", "--", "-a")[1]) == ordered("-a")
     # the last of a repeated flag wins, = form or not
-    code, out, _ = run(capsys, "--format", "json", "seq", "1", "1", "3",
+    code, out, _ = run(capsys, "seq", "1", "1", "3", "--format", "json",
                        "--format=table", "--cache-dir", str(tmp_path))
     assert code == 0 and out.startswith("# r=1 M=1")
 
@@ -401,7 +399,12 @@ def test_help_exits_0(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out.startswith("usage: normord")
-    assert "--cache-dir DIR" in out
+    # a command's help lists the flags it reads and no other
+    listed = {line.split()[0] for line in out.splitlines()
+              if line.startswith("  --")}
+    command = argv[0] if argv[0] in cli._COMMANDS else None
+    assert listed == ({flag for flag, *_ in cli._COMMANDS[command].flags}
+                      if command else set())
 
 
 # --- verify --------------------------------------------------------------
@@ -544,7 +547,8 @@ def test_verify_exp_kummer_past_x_order_exits_2(capsys):
     code, out, err = run(capsys, "verify", "exp-kummer", "--lambda-order", "17")
     assert code == 2
     assert out == ""
-    assert err == "error: insufficient truncation order: need x-order >= 17\n"
+    assert err == ("error: insufficient truncation order: lambda_order 17 "
+                   "is past x_order 16\n")
     assert run(capsys, "verify", "exp-kummer", "--lambda-order", "16")[0] == 0
 
 
@@ -568,18 +572,18 @@ def test_verify_n_below_one_for_the_shifted_example_exits_2(capsys, identity):
      "laguerre-ogf does not read --M; it reads --lambda-order"),
     (("verify", "all", "--r", "2"),
      "all does not read --r; it reads --precision --tolerance"),
-    # a global flag, read before or after the subcommand: an id that does
-    # not read it must not run its default orders instead
+    # an id that does not read --lambda-order must not run its default
+    # orders instead
     (("verify", "all", "--lambda-order", "40"),
      "all does not read --lambda-order; it reads --precision --tolerance"),
-    (("--lambda-order", "7", "verify", "commutator"),
+    (("verify", "commutator", "--M", "2", "--lambda-order", "7"),
      "commutator does not read --lambda-order; it reads --r --M"),
     (("verify", "commutator", "--lambda-order", "7"),
      "commutator does not read --lambda-order; it reads --r --M"),
     # --precision and --tolerance too: only `all` and the numeric checks read them
     (("verify", "commutator", "--precision", "500", "--tolerance", "1e-400"),
      "commutator does not read --precision; it reads --r --M"),
-    (("--tolerance", "1e-20", "verify", "graphs"),
+    (("verify", "graphs", "--tolerance", "1e-20"),
      "graphs does not read --tolerance; it reads --r --M --n"),
 ])
 def test_verify_rejects_an_override_the_id_does_not_read(capsys, argv, message):
@@ -598,7 +602,7 @@ def test_verify_accepts_every_override_the_id_reads(capsys):
     assert code == 0
     assert "laguerre-shifted r=1 M=1 p=2 " in out
     # --lambda-order through `examples`, whose parts read it
-    code, out, _ = run(capsys, "--lambda-order", "2", "verify", "examples",
+    code, out, _ = run(capsys, "verify", "examples", "--lambda-order", "2",
                        "--format", "table")
     assert code == 0
     assert "hyp-compact r=1 M=1 lambda_order=2\n" in out
@@ -1127,26 +1131,42 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
     assert cache.triangle_path(tmp_path, 3, 1, 2).is_file()
 
 
-# --- config validation ---------------------------------------------------
+# --- numeric settings ----------------------------------------------------
 
-def test_config_errors_exit_2(capsys, tmp_path):
-    base = ("seq", "1", "1", "2", "--cache-dir", str(tmp_path))
-    assert run(capsys, "--precision", "20", *base)[0] == 2
-    assert run(capsys, "--tolerance", "1e-100", *base)[0] == 2
-    assert run(capsys, "--tolerance", "zero", *base)[0] == 2
+# The one identity that reads --precision and --tolerance, at its smallest
+NUMERIC = ("verify", "hyp-generating-function", "--r", "1", "--M", "1",
+           "--lambda-order", "0", "--format", "table")
 
 
-def test_number_flag_bounds_are_inclusive(capsys, tmp_path):
-    base = ("seq", "1", "1", "2", "--cache-dir", str(tmp_path))
-    assert run(capsys, "--precision", str(MAX_PRECISION),
-               "--tolerance", f"1e-{MAX_PRECISION - 10}", *base)[0] == 0
-    assert run(capsys, "--tolerance", f"1e{MAX_EXPONENT}", *base)[0] == 0
-    assert run(capsys, "--tolerance", "1_0e0_0", *base)[0] == 0
-    assert run(capsys, "--precision", str(MAX_PRECISION + 1), *base)[0] == 2
-    code, _, err = run(capsys, "--tolerance", f"1e{MAX_EXPONENT + 1}", *base)
+def test_config_errors_exit_2(capsys):
+    # each setting is checked by the command that reads it, in its own words
+    for flags, message in [
+        (("--precision", "29"), "precision must be at least 30 digits"),
+        (("--tolerance", "0"), "tolerance must be positive"),
+        (("--precision", "30", "--tolerance", "1e-21"),
+         "tolerance tighter than the precision supports "
+         "(need tolerance >= 10^-(precision-10))"),
+        # the default tolerance, 1e-30, against a lower precision
+        (("--precision", "35"), "tolerance tighter than the precision "
+         "supports (need tolerance >= 10^-(precision-10))"),
+        (("--tolerance", "zero"), "Invalid literal for Fraction: 'zero'"),
+        (("--lambda-order", "-1"), "lambda_order must be >= 0"),
+        (("--format", "xml"), "--format takes one of json, table, not 'xml'"),
+    ]:
+        assert run(capsys, *NUMERIC, *flags) == (2, "", f"error: {message}\n")
+
+
+def test_number_flag_bounds_are_inclusive(capsys):
+    assert run(capsys, *NUMERIC, "--precision", str(MAX_PRECISION),
+               "--tolerance", f"1e-{MAX_PRECISION - 10}")[0] == 0
+    assert run(capsys, *NUMERIC, "--tolerance", f"1e{MAX_EXPONENT}")[0] == 0
+    assert run(capsys, *NUMERIC, "--tolerance", "1_0e0_0")[0] == 0
+    assert run(capsys, *NUMERIC, "--precision", str(MAX_PRECISION + 1)) == (
+        2, "", f"error: precision must be at most {MAX_PRECISION} digits\n")
+    code, _, err = run(capsys, *NUMERIC, "--tolerance", f"1e{MAX_EXPONENT + 1}")
     assert (code, err) == (2, f"error: decimal exponent past {MAX_EXPONENT} "
                               f"in '1e{MAX_EXPONENT + 1}'\n")
-    code, _, err = run(capsys, "--tolerance", "1/0", *base)
+    code, _, err = run(capsys, *NUMERIC, "--tolerance", "1/0")
     assert (code, err) == (2, "error: zero denominator in '1/0'\n")
 
 
@@ -1168,7 +1188,51 @@ def test_number_flags_past_their_bounds_exit_2(argv):
     assert "Traceback" not in proc.stderr
 
 
-def test_loose_tolerance_with_high_precision_ok(capsys, tmp_path):
-    code, _, _ = run(capsys, "--precision", "120", "--tolerance", "1e-100",
-                     "seq", "1", "1", "2", "--cache-dir", str(tmp_path))
-    assert code == 0
+def test_loose_tolerance_with_high_precision_ok(capsys):
+    code, out, _ = run(capsys, *NUMERIC, "--precision", "120",
+                       "--tolerance", "1e-100")
+    assert (code, out) == (0, "pass          hyp-generating-function "
+                              "r=1 M=1 x=1 lambda_order=0\n")
+
+
+# --- flags each command reads --------------------------------------------
+
+# One value each flag takes; a flag with no value maps to None
+FLAG_VALUES = {"--power": "2", "--expectation": "1", "--format": "table",
+               "--number": None, "--poly": None, "--cache-dir": "{dir}",
+               "--r": "1", "--M": "1", "--n": "2", "--lambda-order": "3",
+               "--precision": "60", "--tolerance": "1e-40"}
+# A request of each command that runs as given; `seq --poly` writes a
+# cache file when it runs
+GOOD = {"order": ("order", "a"), "seq": ("seq", "1", "1", "4", "--poly"),
+        "verify": ("verify", "conjecture"), "cache": ("cache", "clear")}
+
+
+def _flag_tokens(flag):
+    value = FLAG_VALUES[flag]
+    return (flag,) if value is None else (flag, value)
+
+
+def test_flag_values_cover_the_table():
+    assert set(FLAG_VALUES) == cli._KNOWN_FLAGS
+    assert set(GOOD) == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv", [
+    *(GOOD[command] + _flag_tokens(flag) for command in GOOD
+      for flag in FLAG_VALUES
+      if flag not in {spec[0] for spec in cli._COMMANDS[command].flags}),
+    # any token before the command
+    *(_flag_tokens(flag) + GOOD[command] for command in ("order", "seq")
+      for flag in FLAG_VALUES),
+    ("--", "order", "a"),
+    ("order", "a", "--expectation", "2", "--format", "table"),
+], ids=" ".join)
+def test_every_unread_flag_is_refused(capsys, monkeypatch, tmp_path, argv):
+    # refused before any work: nothing printed, and no cache file written,
+    # under --cache-dir or the default
+    monkeypatch.setenv("NORMORD_CACHE_DIR", str(tmp_path))
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []

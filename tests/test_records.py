@@ -1,13 +1,10 @@
 """The immutable records: no assignment, equality and hashing by value,
-readable reprs, and the validation of the three that check their input."""
+readable reprs, and the validation of the two that check their input."""
 
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from normord.cli import Config
-from normord.closedform import DEFAULT_PRECISION, DEFAULT_TOLERANCE
 from normord.laguerre import DxOperator
 from normord.report import IdentityReport
 from normord.series import SumCertificate
@@ -24,9 +21,6 @@ RECORDS = [
     (ExplicitGraph, ((1,), 2, (0,), 1),
      {"steps": (1,), "weight": 2, "free_out": (0,), "free_in": 1}),
     (DxOperator, (2, 1), {"r": 2, "M": 1}),
-    (Config, (3, 60, Fraction(1, 10**40), Path("cache"), "table"),
-     {"lambda_order": 3, "precision": 60, "tolerance": Fraction(1, 10**40),
-      "cache_dir": Path("cache"), "fmt": "table"}),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
@@ -67,13 +61,6 @@ def test_defaults():
     assert (rep.details, rep.elapsed, rep.precision, rep.tolerance) == (
         {}, 0.0, None, None)
     assert rep.details is not IdentityReport("x", {}, "exact", "pass").details
-    cfg = Config(cache_dir=Path("c"))
-    assert cfg == Config(None, DEFAULT_PRECISION, DEFAULT_TOLERANCE, Path("c"), "json")
-
-
-def test_config_cache_dir_defaults_to_the_env_var(monkeypatch, tmp_path):
-    monkeypatch.setenv("NORMORD_CACHE_DIR", str(tmp_path))
-    assert Config().cache_dir == tmp_path
 
 
 @pytest.mark.parametrize("build,message", [
@@ -85,13 +72,6 @@ def test_config_cache_dir_defaults_to_the_env_var(monkeypatch, tmp_path):
     (lambda: IdentityReport("x", {}, "quantum", "pass"), "unknown mode 'quantum'"),
     (lambda: DxOperator(0, 1), "need r >= 1 and M >= 0"),
     (lambda: DxOperator(1, -1), "need r >= 1 and M >= 0"),
-    (lambda: Config(fmt="xml"), "unknown output format 'xml'"),
-    (lambda: Config(lambda_order=-1), "lambda order must be >= 0"),
-    (lambda: Config(precision=29), "precision must be at least 30 digits"),
-    (lambda: Config(tolerance=Fraction(0)), "tolerance must be positive"),
-    (lambda: Config(precision=30, tolerance=Fraction(1, 10**21)),
-     "tolerance tighter than the precision supports "
-     "(need tolerance >= 10^-(precision-10))"),
 ])
 def test_validation_errors_unchanged(build, message):
     with pytest.raises(ValueError) as info:

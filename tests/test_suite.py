@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import normord
-from normord import suite
+from normord import closedform, suite
 from normord.report import _nf_mismatch, _rows_mismatch
 from normord.series import SeriesQ
 from normord.suite import (
@@ -72,8 +72,9 @@ def test_stirling_expansion_compares_three_paths(monkeypatch):
     assert rep.status == "pass"
     assert rep.details["paths"] == ["power fold", "triangle", "alternating sum"]
 
-    # the alternating sum is a path of its own: a fault in it alone fails
-    real = suite.alternating_sum_rows
+    # the alternating sum is a path of its own (read through
+    # closedform._alternating_rows): a fault in it alone fails
+    real = closedform.alternating_sum_rows
 
     def off_by_one(r, M, n_max):
         for n, row in enumerate(real(r, M, n_max)):
@@ -81,7 +82,7 @@ def test_stirling_expansion_compares_three_paths(monkeypatch):
                 row[2] += 1
             yield row
 
-    monkeypatch.setattr(suite, "alternating_sum_rows", off_by_one)
+    monkeypatch.setattr(closedform, "alternating_sum_rows", off_by_one)
     rep = verify_stirling_expansion(2, 3, 6)
     assert rep.status == "fail"
     assert rep.details["first_mismatch"]["where"] == "triangle vs alternating sum"
@@ -90,7 +91,7 @@ def test_stirling_expansion_compares_three_paths(monkeypatch):
     def inexact(r, M, n_max):
         raise ArithmeticError("non-integral generalized Stirling value")
 
-    monkeypatch.setattr(suite, "alternating_sum_rows", inexact)
+    monkeypatch.setattr(closedform, "alternating_sum_rows", inexact)
     rep = verify_stirling_expansion(1, 1, 3)
     assert rep.status == "fail"
     assert rep.details["first_mismatch"]["where"] == "alternating sum"
