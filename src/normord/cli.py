@@ -411,10 +411,10 @@ def cmd_seq(ns: SimpleNamespace) -> int:
 
 def cmd_verify(ns: SimpleNamespace) -> int:
     try:
-        precision, tolerance = _numeric_settings(ns)
         problem = _override_error(ns)
         if problem:
             raise ValueError(problem)
+        precision, tolerance = _numeric_settings(ns)
         if ns.identity == "all":
             reports = run_suite(precision=precision, tolerance=tolerance)
         else:

@@ -10,7 +10,9 @@ The one numeric check is the Bell generating function: its e^-x and its
 l-sums are enclosed between exact rationals (`normord.hyperreal`), and
 it passes on a proven bound on the relative deviation, never on a
 rounded value. `stirling_hyp_check` compares the rows of S with their
-terminating pFq sums.  The Bell closed forms for r = 1, 2, 3 are one
+terminating pFq sums, taken in ints by `series._terminating_sums`: the
+weights C(n+j, j)^M once per row, and the row over one denominator.
+The Bell closed forms for r = 1, 2, 3 are one
 exact check, `bell_hyp_check`: the √π, Γ(1/3) and Γ(2/3) prefactors of
 the paper's form cancel, leaving r rational pFq series in x^r/r^r.
 `conjecture_check` runs the same check at any r >= 1, where the
@@ -20,13 +22,21 @@ D(r,M)^0..n that the suite drivers use too. The Bell generating
 function's outer l-sum is `stirling.dobinski_sums`; it and
 `hyperreal.exp_bounds` are the users of `series.certified_sum`.
 Sample points, pFq parameters and tolerances go through
-`series._canonical`, so a float raises TypeError. The worked examples
+`series._canonical`, so a float raises TypeError; the Bell closed forms
+hand their pFq parameters over as int (numerator, denominator) pairs
+(`series._pair`), so no row builds a Fraction. The worked examples
 read one implementation of each formula: left sides are
-`_scaled_powers` (Taylor coefficients times oracle powers);
+`_scaled_powers` (Taylor coefficients times oracle powers; the two
+Kummer examples take theirs from `_kummer_sides` as scaled normal forms);
 `eigen-operator`'s rows are `stirling.alternating_sum_rows` and
 `hyp-compact`'s are e^-y times `series.phyperq_series`; the dot series
 share `_resolvent` ((1-t·a)^-1 and t·a†a²(1-t·a)^-1) and `_bessel_dot`,
-and are read out by `DotSeries.lambda_coefficients`;
+and are read out by `DotSeries.lambda_rows`.  The lambda rows are
+compared as scaled int tables (`report._scaled_rows_mismatch`): an
+oracle power's int terms times its Taylor coefficient (`_scaled_powers`),
+a dot series' numerators over its one denominator, by cross-multiplying
+with the factor both scales share taken off (all of `eigen-operator`'s
+1/n!^(M+1)); a rational is built only to name a mismatch.
 `_laguerre_rows` also serves `suite.verify_laguerre_normal_form`. Each
 check, the private example builders included, takes only the options it
 reads, times itself and returns an IdentityReport whose parameters
@@ -39,17 +49,17 @@ entry that refuses an unknown id or a negative order.
 import time
 from decimal import ROUND_CEILING, Context, Decimal, localcontext
 from fractions import Fraction
-from math import lcm, prod
+from math import comb, lcm
 
 from .hyperreal import exp_bounds, rel_dev_bound
 from .laguerre import DotSeries
-from .report import IdentityReport, _finish, _rows_mismatch
+from .report import IdentityReport, _finish, _rows_mismatch, _scaled_rows_mismatch
 from .series import (
     SeriesQ,
     _canonical,
+    _terminating_sums,
     factorial,
     laguerre_poly,
-    phyperq_partial,
     phyperq_series,
     series_exp,
 )
@@ -97,14 +107,23 @@ def _oracle_powers(r: int, M: int, n_max: int) -> list:
 
 
 def _scaled_powers(M: int, taylor) -> list:
-    """taylor[n] times the oracle power D(1,M)^n, for n < len(taylor)."""
+    """taylor[n] times the oracle power D(1,M)^n, for n < len(taylor), as
+    scaled int rows (terms, num, den) of `report._scaled_rows_mismatch`."""
     powers = _oracle_powers(1, M, len(taylor) - 1)
-    return [p.scale(c) for p, c in zip(powers, taylor)]
+    return [(p.terms, c.numerator, c.denominator)
+            for p, c in zip(powers, map(_canonical, taylor))]
+
+
+def _nf_rows(forms) -> list:
+    """Normal forms as scaled rows, each over 1."""
+    return [(nf.terms, 1, 1) for nf in forms]
 
 
 def _laguerre_rows(n_max: int) -> list:
-    """Rows {(j, j+n): (-1)^j L_n[j]}, n = 0..n_max: D(1,1)^n / n! in normal order."""
-    return [{(j, j + n): lag.coeff(j) * (-1) ** j for j in range(n + 1)}
+    """Scaled int rows of {(j, j+n): (-1)^j L_n[j]}, n = 0..n_max: D(1,1)^n / n!
+    in normal order, each over the denominator of L_n."""
+    return [({(j, j + n): -a if j % 2 else a for j, a in enumerate(lag.nums)},
+             1, lag.den)
             for n, lag in enumerate(map(laguerre_poly, range(n_max + 1)))]
 
 
@@ -117,17 +136,18 @@ def stirling_hyp_check(M: int, n_max: int) -> IdentityReport:
     t0 = time.perf_counter()
     if M < 1 or n_max < 0:
         raise ValueError("need M >= 1 and n_max >= 0")
-    # two k past each row's width, where the triangle holds 0; entry k is
-    # (-1)^k n!^M / k! times its pFq sum, all over one denominator per row
+    # two k past each row's width, where the triangle holds 0.  Entry k is
+    # (-1)^k n!^M / k! times pFq([-k, (n+1) x M]; [1 x M]; 1), whose terms
+    # are (-1)^j C(k, j) C(n+j, j)^M: one int sum per k over the row's
+    # weights C(n+j, j)^M, and the row over the one denominator (Mn+2)!
     closed = []
     for n in range(n_max + 1):
-        sums = [phyperq_partial([-k] + [n + 1] * M, [1] * M, 1, k + 1)
-                for k in range(M * n + 3)]
-        dens = [factorial(k) * q.denominator for k, q in enumerate(sums)]
-        den, lead = lcm(*dens), factorial(n) ** M
-        closed.append(SeriesQ._from_ints(len(sums), [
-            (-1) ** k * lead * q.numerator * (den // d)
-            for k, (q, d) in enumerate(zip(sums, dens))], den))
+        width = M * n + 3
+        sums = _terminating_sums([comb(n + j, j) ** M for j in range(width)])
+        den, lead = factorial(width - 1), factorial(n) ** M
+        closed.append(SeriesQ._from_ints(width, [
+            (-1) ** k * lead * t * (den // factorial(k)) for k, t in enumerate(sums)],
+            den))
     rows = [SeriesQ(M * n + 3, row)
             for n, row in enumerate(stirling_rows(1, M, n_max))]
     _, first = _rows_mismatch(closed, rows, "n", ("k",))
@@ -148,26 +168,33 @@ def _check_bell_hyp(r: int, M: int, n_max: int, t0: float,
     # closed side is built over one denominator: the lcm of the j!-scaled
     # pFq denominators times r^(rk) for the largest k.
     # The lower parameters do not depend on n, nor does e^x (a product
-    # is truncated to its shorter factor).
-    lowers = [[Fraction(j + r, r)] * M
-              + [Fraction(i, r) for i in range(j + 1, j + r + 1) if i != r]
+    # is truncated to its shorter factor).  Every pFq parameter goes in as
+    # an int pair (numerator, r), not reduced: the lower ones made once per
+    # check, the upper one a + n = (j + r(n+1))/r once per row.
+    lowers = [[(j + r, r)] * M + [(i, r) for i in range(j + 1, j + r + 1) if i != r]
               for j in range(r)]
     exp_x = series_exp(SeriesQ.x(M * n_max + 6))
+    bases = [1] * r  # prod_{1<=i<=n} (ri + j), carried from row to row
+    top = r ** r  # the argument x^r/r^r: each k step divides by r^r
     lhs, rhs = [], []
     for n, row in enumerate(stirling_rows(r, M, n_max)):
         order = M * n + 6
-        scaled = exp_x * SeriesQ(order, row)
+        # row holds M*n + 1 ints: five zeros pad it to the order
+        scaled = exp_x * SeriesQ._from_ints(order, [*row, 0, 0, 0, 0, 0], 1)
+        if n:
+            bases = [b * (r * n + j) for j, b in enumerate(bases)]
         parts = []
         for j, lower in enumerate(lowers):
-            series = phyperq_series([Fraction(j + r * (n + 1), r)] * M, lower,
+            series = phyperq_series([(j + r * (n + 1), r)] * M, lower,
                                     (order - j + r - 1) // r)
-            parts.append((prod(r * i + j for i in range(1, n + 1)) ** M,
-                          factorial(j) * series.den, series.nums))
-        den = lcm(*(d for _, d, _ in parts)) * r ** (r * (len(parts[0][2]) - 1))
+            parts.append((bases[j] ** M, factorial(j) * series.den, series.nums))
+        den = lcm(*(d for _, d, _ in parts)) * top ** (len(parts[0][2]) - 1)
         closed = [0] * order
         for j, (lead, d, nums) in enumerate(parts):
+            f = lead * (den // d)
             for k, c in enumerate(nums):
-                closed[j + r * k] = lead * c * (den // d // r ** (r * k))
+                closed[j + r * k] = c * f
+                f //= top
         lhs.append(scaled)
         rhs.append(SeriesQ._from_ints(order, closed, den))
     _, first = _rows_mismatch(lhs, rhs, "n", ("power",))
@@ -285,12 +312,14 @@ def _bessel_dot(order: int, s: int, sigma: int) -> DotSeries:
 
 
 def _kummer_sides(b: Fraction, lambda_order: int):
-    """Left oracle list and generic dot-form right side for 1F1([b],[1], t*D)."""
+    """Left oracle list (normal forms) and generic dot-form right side for
+    1F1([b],[1], t*D)."""
     order = lambda_order + 1
     taylor = phyperq_series([b], [1], order).coeffs
     _, arg = _resolvent(order)
     rhs = DotSeries.binpow(order, -1, 1, -b) * arg.apply_function(taylor)
-    return _scaled_powers(1, taylor), rhs, arg
+    powers = _oracle_powers(1, 1, lambda_order)
+    return [p.scale(c) for p, c in zip(powers, taylor)], rhs, arg
 
 
 def _example_laguerre_ogf(lambda_order: int) -> IdentityReport:
@@ -298,12 +327,13 @@ def _example_laguerre_ogf(lambda_order: int) -> IdentityReport:
     order = lambda_order + 1
     lhs = _scaled_powers(1, [Fraction(1, factorial(n)) for n in range(order)])
     inv, arg = _resolvent(order)
-    rhs = (inv * arg.exp()).lambda_coefficients()
-    checks, first = _rows_mismatch(lhs, rhs, "lambda")
+    rhs = (inv * arg.exp()).lambda_rows()
+    checks, first = _scaled_rows_mismatch(lhs, rhs, "lambda")
     notes = []
     if first is None:
         # Same coefficients again via the Laguerre polynomial form.
-        more, first = _rows_mismatch(lhs, _laguerre_rows(lambda_order), "lambda")
+        more, first = _scaled_rows_mismatch(lhs, _laguerre_rows(lambda_order),
+                                            "lambda")
         checks += more
         if first is None:
             notes.append("Laguerre-polynomial rows agree with both sides")
@@ -323,11 +353,12 @@ def _example_kummer_b3(lambda_order: int) -> IdentityReport:
         + arg.scale(2)
         + (arg * arg).scale(Fraction(1, 2))
     )
-    rhs = (inv_cubed * l2 * arg.exp()).lambda_coefficients()
-    checks, first = _rows_mismatch(lhs, rhs, "lambda")
+    lhs = _nf_rows(lhs)
+    rhs = (inv_cubed * l2 * arg.exp()).lambda_rows()
+    checks, first = _scaled_rows_mismatch(lhs, rhs, "lambda")
     notes = []
     if first is None:
-        more, first = _rows_mismatch(lhs, rhs_generic.lambda_coefficients(), "lambda")
+        more, first = _scaled_rows_mismatch(lhs, rhs_generic.lambda_rows(), "lambda")
         checks += more
         if first is None:
             notes.append("generic Kummer dot form agrees as well")
@@ -348,9 +379,10 @@ def _example_kummer_b3half(lambda_order: int) -> IdentityReport:
     i1 = arg.apply_function(_bessel_half_taylor(1, order))
     bracket = (DotSeries.one(order) + arg) * i0 + arg * i1
     rhs = DotSeries.binpow(order, -1, 1, -b) * half_arg.exp() * bracket
-    checks, first = _rows_mismatch(lhs, rhs_generic.lambda_coefficients(), "lambda")
+    lhs = _nf_rows(lhs)
+    checks, first = _scaled_rows_mismatch(lhs, rhs_generic.lambda_rows(), "lambda")
     if first is None:
-        more, first = _rows_mismatch(lhs, rhs.lambda_coefficients(), "lambda")
+        more, first = _scaled_rows_mismatch(lhs, rhs.lambda_rows(), "lambda")
         checks += more
     details = {
         "first_mismatch": first,
@@ -383,8 +415,8 @@ def _example_laguerre_shifted(n: int, lambda_order: int) -> IdentityReport:
         lp = lp * w + DotSeries.monomial(order, 0, 0, 0, lag.coeff(j) * (-1) ** j)
     pref = DotSeries.binpow(order, -1, 1, -(p + 1))
     shift = DotSeries.monomial(order, p, 0, p)
-    rhs = (pref * arg.exp() * lp * shift).lambda_coefficients()
-    checks, first = _rows_mismatch(lhs, rhs, "lambda")
+    rhs = (pref * arg.exp() * lp * shift).lambda_rows()
+    checks, first = _scaled_rows_mismatch(lhs, rhs, "lambda")
     return _finish("laguerre-shifted",
                    {"r": 1, "M": 1, "p": p, "lambda_order": lambda_order},
                    "exact", t0, first, {"first_mismatch": first, "checks": checks},
@@ -397,15 +429,15 @@ def _example_bessel(example_id: str, lambda_order: int) -> IdentityReport:
     sign = 1 if example_id == "bessel-i0" else -1
     lhs = _scaled_powers(1, [Fraction(sign**n, factorial(n) ** 2)
                              for n in range(order)])
-    rhs = _bessel_dot(order, sign, sign).lambda_coefficients()
-    checks, first = _rows_mismatch(lhs, rhs, "lambda")
+    rhs = _bessel_dot(order, sign, sign).lambda_rows()
+    checks, first = _scaled_rows_mismatch(lhs, rhs, "lambda")
     notes = []
     if example_id == "bessel-j0" and first is None and lambda_order >= 1:
         # Same series with the inner sign dropped: that variant must break
         # at t^1, which pins the corrected inner argument as the real form.
         # At lambda_order 0 the two agree by construction: nothing to test.
         wrong = _bessel_dot(order, -1, 1)
-        _, wrong_first = _rows_mismatch(lhs, wrong.lambda_coefficients(), "lambda")
+        _, wrong_first = _scaled_rows_mismatch(lhs, wrong.lambda_rows(), "lambda")
         if wrong_first is None:
             first = {"lambda": None, "note": "sign-dropped variant unexpectedly agreed"}
         else:
@@ -423,10 +455,10 @@ def bessel_parity_check(lambda_order: int) -> IdentityReport:
     """The two Bessel expansions are global t -> -t images of each other."""
     t0 = time.perf_counter()
     order = lambda_order + 1
-    i0 = _bessel_dot(order, 1, 1)
-    checks, first = _rows_mismatch(
-        _bessel_dot(order, -1, -1).lambda_coefficients(),
-        [c.scale((-1) ** n) for n, c in enumerate(i0.lambda_coefficients())],
+    i0 = _bessel_dot(order, 1, 1).lambda_rows()
+    checks, first = _scaled_rows_mismatch(
+        _bessel_dot(order, -1, -1).lambda_rows(),
+        [(table, (-1) ** n, den) for n, (table, _, den) in enumerate(i0)],
         "lambda",
     )
     return _finish("bessel-parity", {"r": 1, "M": 1, "lambda_order": lambda_order},
@@ -454,14 +486,15 @@ def _example_eigen_operator(M: int, lambda_order: int) -> IdentityReport:
     # The alternating sum gives row n of S_1^(M), the coefficients of
     # (ad)^k a^(k+n) in D(1,M)^n.
     rows, error = _alternating_rows(1, M, lambda_order, "lambda")
-    rhs = [{(k, k + n): c * scales[n] for k, c in enumerate(row)}
+    rhs = [({(k, k + n): c for k, c in enumerate(row) if c}, 1, scales[n].denominator)
            for n, row in enumerate(rows)]
-    checks, first = _rows_mismatch(lhs, rhs, "lambda")
+    checks, first = _scaled_rows_mismatch(lhs, rhs, "lambda")
     if first is None:
         first = error
+    # both sides carry the same scale, so the Bell check reads the powers
     bells = bell_sequence(1, M, lambda_order)
-    bell_ok = all(p.expectation_at_one() == bells[n] * scales[n]
-                  for n, p in enumerate(lhs))
+    bell_ok = all(sum(table.values()) == bells[n]
+                  for n, (table, _, _) in enumerate(lhs))
     notes = ["weight-one expectations match the Bell numbers"] if bell_ok else []
     if not bell_ok and first is None:
         first = {"lambda": None, "note": "Bell cross-check failed"}
@@ -479,10 +512,11 @@ def _example_hyp_compact(M: int, lambda_order: int) -> IdentityReport:
     for n in range(lambda_order + 1):
         # (n!)^M : e^{-y} mFm([n+1 x M],[1 x M], y) a^n : with y = ad a
         order = M * n + 4
-        row = (exp_minus_y
-               * phyperq_series([n + 1] * M, [1] * M, order)).scale(factorial(n) ** M)
-        rhs.append({(k, k + n): c for k, c in enumerate(row.coeffs)})
-    checks, first = _rows_mismatch(_oracle_powers(1, M, lambda_order), rhs, "lambda")
+        row = exp_minus_y * phyperq_series([n + 1] * M, [1] * M, order)
+        rhs.append(({(k, k + n): a for k, a in enumerate(row.nums) if a},
+                    factorial(n) ** M, row.den))
+    checks, first = _scaled_rows_mismatch(
+        _nf_rows(_oracle_powers(1, M, lambda_order)), rhs, "lambda")
     return _finish("hyp-compact", {"r": 1, "M": M, "lambda_order": lambda_order},
                    "exact", t0, first, {"first_mismatch": first, "checks": checks},
                    paths=("power fold", "mFm weights"))

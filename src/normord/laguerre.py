@@ -11,7 +11,9 @@ whose coefficients are words in which the creator and annihilator are
 treated as commuting symbols.  Expanding a double-dot closed form with it
 and reading off a lambda coefficient yields a NormalForm directly, which
 is what lets the closed forms be compared against the rewriting oracle;
-`lambda_coefficients` reads every lambda power out in one pass.
+`lambda_rows` reads every lambda power out in one pass, as int tables
+over the series' one denominator, and `lambda_coefficients` as normal
+forms.
 """
 
 from __future__ import annotations
@@ -224,38 +226,53 @@ class DotSeries:
                 out[key] = get(key, 0) + a * f
         return DotSeries._from_ints(self.order, out, den)
 
+    def lambda_rows(self) -> list:
+        """The lambda^0 .. lambda^(order-1) coefficients as scaled int rows.
+
+        Row m is (table, 1, den), table {(dag, ann): numerator} over the
+        series' one denominator: the row form of
+        `report._scaled_rows_mismatch`.  One pass over the numerators
+        buckets them by lambda power; no rational is built.
+        """
+        tables = [{} for _ in range(self.order)]
+        for (m, k, l), a in self.nums.items():
+            tables[m][(k, l)] = a
+        return [(table, 1, self.den) for table in tables]
+
     def lambda_coefficients(self) -> list:
         """NormalForms of the lambda^0 .. lambda^(order-1) coefficients.
 
-        One pass over the terms buckets them by lambda power; each bucket,
-        its words reinterpreted as normally ordered operators, is one entry.
+        Each row of `lambda_rows`, its words reinterpreted as normally
+        ordered operators, is one entry.
         """
-        rows = [{} for _ in range(self.order)]
-        for (m, k, l), c in self.terms.items():
-            rows[m][(k, l)] = c
-        return [NormalForm(row) for row in rows]
+        return [NormalForm({key: _ratio(a, den) for key, a in table.items()})
+                for table, _, den in self.lambda_rows()]
 
     def __repr__(self) -> str:
         return f"DotSeries(order={self.order}, {len(self.terms)} terms)"
 
 
-def exp_D_r1_normal_form(r: int, n_max: int) -> list:
-    """NormalForms of n! * [lambda^n] exp(lambda D(r,1)) for n = 0..n_max.
-
-    Expands the double-dot closed form g(lambda,a) * exp(ad*(T(lambda,a)-a))
-    with T = a(1-lambda r a^r)^(-1/r), g = (1-lambda r a^r)^(-1); each
-    lambda coefficient must equal the rewriting oracle's [D(r,1)]^n / n!.
-    """
+def _exp_D_r1_dot(r: int, n_max: int) -> DotSeries:
+    """The double-dot closed form of exp(lambda D(r,1)) through lambda^n_max:
+    g(lambda,a) * exp(ad*(T(lambda,a)-a)) with T = a(1-lambda r a^r)^(-1/r),
+    g = (1-lambda r a^r)^(-1)."""
     if r < 1 or n_max < 0:
         raise ValueError("need r >= 1 and n_max >= 0")
     order = n_max + 1
     g = DotSeries.binpow(order, -r, r, -1)
     bt = series_binpow(-r, Fraction(-1, r), order)
-    arg = DotSeries(
-        order,
-        {(k, 1, r * k + 1): bt.coeffs[k] for k in range(1, order)},
-    )
-    full = g * arg.exp()
+    arg = DotSeries._from_ints(
+        order, {(k, 1, r * k + 1): bt.nums[k] for k in range(1, order)}, bt.den)
+    return g * arg.exp()
+
+
+def exp_D_r1_normal_form(r: int, n_max: int) -> list:
+    """NormalForms of n! * [lambda^n] exp(lambda D(r,1)) for n = 0..n_max.
+
+    Expands the double-dot closed form of `_exp_D_r1_dot`; each lambda
+    coefficient must equal the rewriting oracle's [D(r,1)]^n / n!.
+    """
+    full = _exp_D_r1_dot(r, n_max)
     return [c.scale(factorial(n)) for n, c in enumerate(full.lambda_coefficients())]
 
 

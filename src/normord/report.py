@@ -9,7 +9,10 @@ tagged with the row it belongs to, and `_rows_mismatch` is its
 row-by-row form.  The scan decides by equality first: two equal tables
 (`SeriesQ` rows compare their int numerators and denominator) end it at
 once, and only unequal ones are walked key by key, to name the first
-mismatch.  The one numeric check, `hyp-generating-function`,
+mismatch.  `_scaled_rows_mismatch` is the same scan for rows held as
+scaled int tables (the worked examples' lambda rows): it decides by
+cross-multiplying ints and reads a row out as rationals only to name
+its mismatch.  The one numeric check, `hyp-generating-function`,
 decides on proven rational enclosures (`normord.hyperreal`) and hands
 its first failing row to `_finish` like any other.  The suite drivers
 and the closed-form checks build their reports here, through `_finish`,
@@ -20,6 +23,10 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
+from fractions import Fraction
+from math import gcd
+
+from .series import _canonical
 
 __all__ = ["IdentityReport"]
 
@@ -149,3 +156,41 @@ def _rows_mismatch(lhs_rows, rhs_rows, tag: str, names=("dag", "ann"), start=0):
         if miss is not None:
             return checks, miss
     return checks, None
+
+
+def _scaled_rows_mismatch(lhs_rows, rhs_rows, tag: str, names=("dag", "ann")):
+    """`_rows_mismatch` for rows given as scaled int tables: (rows compared,
+    first mismatch).
+
+    A row is (table, num, den), entry key being table[key] * num / den: a
+    normal form's terms times a Taylor coefficient, or a double-dot
+    series' numerators over its denominator.  Two rows are decided by
+    cross-multiplying into ints, once the factor their two scales share
+    has come off (all of it when the scales are equal); only rows that
+    differ there are read out as rationals, by `_nf_mismatch`, which
+    names the first mismatch and reads a zero entry as a missing one.
+    """
+    checks = 0
+    for n, ((lt, ln, ld), (rt, rn, rd)) in enumerate(zip(lhs_rows, rhs_rows)):
+        checks += 1
+        f, g = ln * rd, rn * ld
+        h = gcd(f, g) or 1
+        f, g = f // h, g // h
+        if _times(lt, f) != _times(rt, g):
+            miss = _nf_mismatch(_read(lt, ln, ld), _read(rt, rn, rd), {tag: n},
+                                names)
+            if miss is not None:
+                return checks, miss
+    return checks, None
+
+
+def _times(table: dict, f: int) -> dict:
+    """table with every entry times f, an int; {} when f is 0."""
+    if f == 1 or not table:
+        return table
+    return {key: a * f for key, a in table.items()} if f else {}
+
+
+def _read(table: dict, num: int, den: int) -> dict:
+    """A scaled table's entries as canonical rationals, to name a mismatch."""
+    return {key: _canonical(Fraction(a * num, den)) for key, a in table.items()}

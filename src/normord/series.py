@@ -23,7 +23,11 @@ read.
 
 `pfq_ratio` is the one place the pFq term ratio is written, and
 `_ratio_chain`, behind `phyperq_series` and `series_binpow` (a 1F0),
-the one loop over pFq terms (`phyperq_partial` sums its coefficients).
+the chain of pFq terms that ratio drives (`phyperq_partial` sums its
+coefficients).  A terminating pFq([-k] + upper; lower; 1) whose other
+terms are ints is written out instead, as the int terminating sums
+sum_j (-1)^j C(k, j) w_j of `_terminating_sums`, every k in one pass
+(`closedform.stirling_hyp_check` reads it).
 `certified_sum` is the one place that truncates an infinite series of
 positive terms with a proven tail bound; `stirling.dobinski_sums` is its
 caller.  Both loops run in unreduced integers (see their docstrings).
@@ -35,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from math import comb, factorial as _factorial, gcd, lcm, prod
-from operator import add
+from operator import add, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -261,24 +265,39 @@ def series_binpow(c, alpha, order: int) -> SeriesQ:
     return _ratio_chain(*pfq_ratio([-_canonical(alpha)], [], -_canonical(c)), order)
 
 
+def _pair(p) -> tuple[int, int]:
+    """A pFq parameter as an int (numerator, denominator) pair, denominator > 0.
+
+    A rational goes through `_canonical`, so a float raises TypeError.  A
+    pair passes as it is, reduced or not (the ratio is the same), so a
+    caller can make its parameters as pairs and build no Fraction
+    (`closedform._check_bell_hyp`).
+    """
+    if type(p) is tuple:
+        if len(p) == 2 and type(p[0]) is int and type(p[1]) is int and p[1] > 0:
+            return p
+        raise TypeError(f"parameter pair must be two ints, denominator > 0, got {p!r}")
+    p = _canonical(p)
+    return p.numerator, p.denominator
+
+
 def pfq_ratio(upper: Sequence, lower: Sequence, x):
     """The pFq term ratio t_{k+1}/t_k as two int-valued functions of k.
 
     t_{k+1}/t_k = x * prod(u+k) / ((k+1) * prod(l+k)) = ratio_num(k) /
     ratio_den(k), with every parameter denominator cleared:
-    u + k = (u.num + k*u.den) / u.den.  ratio_den(k) is 0 exactly when a
-    lower parameter l = -k is a pole.  This is the only place the ratio
-    is written; `phyperq_series` runs on it.
+    u + k = (u.num + k*u.den) / u.den.  Each parameter is a rational or
+    its int (numerator, denominator) pair (`_pair`), split before the
+    functions are made; they read only those pairs.  ratio_den(k) is 0
+    exactly when a lower parameter l = -k is a pole.  This is the only
+    place the ratio is written; `phyperq_series` runs on it.
     """
-    upper = [_canonical(u) for u in upper]
-    lower = [_canonical(l) for l in lower]
     x = _canonical(x)
-    c_num = x.numerator * prod(l.denominator for l in lower)
-    c_den = x.denominator * prod(u.denominator for u in upper)
+    ups, lows = list(map(_pair, upper)), list(map(_pair, lower))
+    c_num = x.numerator * prod(d for _, d in lows)
+    c_den = x.denominator * prod(d for _, d in ups)
     g = gcd(c_num, c_den)
     c_num, c_den = c_num // g, c_den // g
-    ups = [(u.numerator, u.denominator) for u in upper]
-    lows = [(l.numerator, l.denominator) for l in lower]
 
     def ratio_num(k):
         out = c_num
@@ -326,6 +345,8 @@ def _ratio_chain(ratio_num, ratio_den, order: int) -> SeriesQ:
 def phyperq_series(upper: Sequence, lower: Sequence, order: int) -> SeriesQ:
     """pFq as a series in its argument: c_k = prod(u)_k / (prod(l)_k k!), k < order.
 
+    Each parameter is a rational or its int (numerator, denominator) pair.
+
     The one pFq term loop: the `pfq_ratio` chain in `_ratio_chain`.  A
     nonpositive-integer upper parameter ends the series (every later
     coefficient is 0); a pole (l + k = 0 for a lower parameter l) reached
@@ -349,6 +370,22 @@ def phyperq_partial(upper: Sequence, lower: Sequence, x, terms: int):
         acc = acc * p + a * q_pow
         q_pow *= q
     return _ratio(acc * q, series.den * q_pow)
+
+
+def _terminating_sums(weights: Sequence[int]) -> list[int]:
+    """sum_{j<=k} (-1)^j C(k, j) weights[j] for k < len(weights), in ints.
+
+    This is a terminating pFq([-k] + upper; lower; 1) written out term by
+    term, with weights[j] = prod(u)_j / prod(l)_j an int: (-k)_j / j! is
+    (-1)^j C(k, j).  Pascal's row C(k, .) is built from the one before by
+    addition, and each sum is one int dot product with the signed weights.
+    """
+    signed = [-w if j % 2 else w for j, w in enumerate(weights)]
+    sums, row = [], []
+    for _ in signed:
+        row = [1, *map(add, row, row[1:]), 1] if row else [1]
+        sums.append(sum(map(mul, row, signed)))
+    return sums
 
 
 class SumCertificate(NamedTuple):

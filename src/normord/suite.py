@@ -41,6 +41,7 @@ from .closedform import (
     _example_laguerre_ogf,
     _example_laguerre_shifted,
     _laguerre_rows,
+    _nf_rows,
     _oracle_powers,
     bell_hyp_check,
     bessel_parity_check,
@@ -50,13 +51,19 @@ from .closedform import (
 )
 from .laguerre import (
     DxOperator,
+    _exp_D_r1_dot,
     apply_Dx,
     egf_bell_r1,
     eigenfunction_series,
-    exp_D_r1_normal_form,
     exp_lambda_Dx_columns,
 )
-from .report import IdentityReport, _finish, _nf_mismatch, _rows_mismatch
+from .report import (
+    IdentityReport,
+    _finish,
+    _nf_mismatch,
+    _rows_mismatch,
+    _scaled_rows_mismatch,
+)
 from .series import (
     SeriesQ,
     _canonical,
@@ -238,9 +245,10 @@ def verify_laguerre_normal_form(n_max: int) -> IdentityReport:
     _nonnegative(n_max=n_max)
     t0 = time.perf_counter()
     params = {"n_max": n_max}
-    refs = [{key: factorial(n) * c for key, c in row.items()}
-            for n, row in enumerate(_laguerre_rows(n_max))]
-    _, mismatch = _rows_mismatch(_oracle_powers(1, 1, n_max), refs, "n")
+    refs = [(table, factorial(n), den)
+            for n, (table, _, den) in enumerate(_laguerre_rows(n_max))]
+    _, mismatch = _scaled_rows_mismatch(_nf_rows(_oracle_powers(1, 1, n_max)),
+                                        refs, "n")
     return _finish("laguerre-normal-form", params, "exact", t0, mismatch,
                    paths=("power fold", "Laguerre polynomial"))
 
@@ -339,8 +347,11 @@ def verify_sheffer(r: int, n_max: int) -> IdentityReport:
     _nonnegative(r=r, n_max=n_max)
     t0 = time.perf_counter()
     params = {"r": r, "n_max": n_max}
-    _, mismatch = _rows_mismatch(exp_D_r1_normal_form(r, n_max),
-                                 _oracle_powers(r, 1, n_max), "n")
+    # n! times the lambda^n rows of the closed form, still in ints
+    rows = [(table, factorial(n), den) for n, (table, _, den)
+            in enumerate(_exp_D_r1_dot(r, n_max).lambda_rows())]
+    _, mismatch = _scaled_rows_mismatch(rows, _nf_rows(_oracle_powers(r, 1, n_max)),
+                                        "n")
     return _finish("sheffer", params, "exact", t0, mismatch,
                    paths=("substitution kernel", "power fold"))
 

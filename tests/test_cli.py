@@ -593,6 +593,22 @@ def test_verify_rejects_an_override_the_id_does_not_read(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "commutator", "--precision", "29"),
+     "commutator does not read --precision; it reads --r --M"),
+    (("verify", "graphs", "--tolerance", "0"),
+     "graphs does not read --tolerance; it reads --r --M --n"),
+    (("verify", "commutator", "--tolerance", "inf"),
+     "commutator does not read --tolerance; it reads --r --M"),
+    (("verify", "all", "--lambda-order", "3", "--precision", "29"),
+     "all does not read --lambda-order; it reads --precision --tolerance"),
+])
+def test_unread_number_flag_is_refused_before_its_value(capsys, argv, message):
+    # the id's reading is checked first: a --precision or --tolerance it
+    # does not read is refused as unread, whatever its value
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_verify_accepts_every_override_the_id_reads(capsys):
     # the benchmark's verify requests, and an example id through `examples`
     assert run(capsys, "verify", "stirling-expansion", "--n", "2")[0] == 0
@@ -1172,11 +1188,11 @@ def test_number_flag_bounds_are_inclusive(capsys):
 
 @pytest.mark.parametrize("argv", [
     # not a number Fraction reads: Decimal's inf, NaN and 1__0 are refused
-    ("verify", "commutator", "--tolerance", "inf"),
+    ("verify", "hyp-generating-function", "--tolerance", "inf"),
     # each would build 10**exponent or 10**(precision - 10)
-    ("verify", "commutator", "--tolerance", "1e999999999999"),
-    ("verify", "commutator", "--tolerance", "1e-99999999999"),
-    ("verify", "commutator", "--precision", "100000000000"),
+    ("verify", "hyp-generating-function", "--tolerance", "1e999999999999"),
+    ("verify", "hyp-generating-function", "--tolerance", "1e-99999999999"),
+    ("verify", "hyp-generating-function", "--precision", "100000000000"),
     ("order", "a", "--expectation", "1e99999999999"),
 ])
 def test_number_flags_past_their_bounds_exit_2(argv):

@@ -14,6 +14,7 @@ from normord.closedform import (
     hyp_generating_function_check,
     stirling_hyp_check,
 )
+from normord.laguerre import DotSeries
 from normord.series import SeriesQ, phyperq_series
 from normord.stirling import stirling_rows
 from normord.suite import EXAMPLE_IDS, IDENTITIES, SUITE_IDS, run_identity
@@ -82,6 +83,44 @@ def test_paper_gamma_form_is_the_bell_polynomial(r):
                     assert abs(got - want) <= mpmath.mpf(10) ** -40 * abs(want)
 
 
+def test_stirling_hyp_names_a_planted_triangle_entry(monkeypatch):
+    real = closedform.stirling_rows
+
+    def planted(r, M, n_max):
+        for n, row in enumerate(real(r, M, n_max)):
+            if n == 3:
+                row = [*row]
+                row[2] += 1
+            yield row
+
+    monkeypatch.setattr(closedform, "stirling_rows", planted)
+    rep = stirling_hyp_check(2, 4)
+    assert rep.status == "fail"
+    first = rep.details["first_mismatch"]
+    assert list(first) == ["n", "k", "left", "right"]
+    assert first == {"n": 3, "k": 2, "left": "1242", "right": "1243"}
+    assert rep.details["checks"] == 35
+
+
+def test_stirling_hyp_names_a_planted_closed_form_term(monkeypatch):
+    # one more in the terminating sum of row n = 3, k = 4 at M = 2 moves
+    # the closed entry by 3!^2 / 4! = 3/2
+    real = closedform._terminating_sums
+
+    def planted(weights):
+        sums = real(weights)
+        if len(weights) == 9:  # width 2n + 3 at n = 3
+            sums[4] += 1
+        return sums
+
+    monkeypatch.setattr(closedform, "_terminating_sums", planted)
+    rep = stirling_hyp_check(2, 4)
+    assert rep.status == "fail"
+    first = rep.details["first_mismatch"]
+    assert list(first) == ["n", "k", "left", "right"]
+    assert first == {"n": 3, "k": 4, "left": "489/2", "right": "243"}
+
+
 def test_conjecture_probe_shape():
     # the five default reports: exact, at r = 4, 5, 6, past the paper's r <= 3
     reps = run_identity("conjecture")
@@ -98,7 +137,7 @@ def test_conjecture_fails_on_a_perturbed_coefficient(monkeypatch):
 
     def planted(upper, lower, order):
         coeffs = list(real(upper, lower, order).coeffs)
-        if upper == [Fraction(17, 4)] and len(coeffs) > 1:  # r = 4, n = 3, j = 1
+        if upper == [(17, 4)] and len(coeffs) > 1:  # 17/4 at r = 4, n = 3, j = 1
             coeffs[1] += 1
         return SeriesQ(order, coeffs)
 
@@ -313,6 +352,49 @@ def test_pfq_series_fault_fails_hyp_compact_only(monkeypatch):
     assert rep.details["first_mismatch"]["lambda"] == 3
     assert [rep.status for rep in run_identity("eigen-operator", M=2, lambda_order=5)] \
         == ["pass"]
+
+
+# The lambda rows are compared as scaled int tables; a planted term's
+# record still names its entries, "left" and "right", as rationals
+
+
+@pytest.mark.parametrize("p, want", [
+    (1, {"lambda": 3, "dag": 1, "ann": 4, "left": "9", "right": "64/7"}),
+    (2, {"lambda": 4, "dag": 2, "ann": 6, "left": "18", "right": "127/7"}),
+    (3, {"lambda": 5, "dag": 3, "ann": 8, "left": "50/3", "right": "703/42"}),
+])
+def test_laguerre_shifted_names_a_planted_dot_series_term(monkeypatch, p, want):
+    # (1 - t a)^-1 with its t^2 a^2 term 8/7 instead of 1
+    real = closedform._resolvent
+
+    def planted(order):
+        inv, arg = real(order)
+        return inv + DotSeries.monomial(order, 2, 0, 2, Fraction(1, 7)), arg
+
+    monkeypatch.setattr(closedform, "_resolvent", planted)
+    (rep,) = run_identity("laguerre-shifted", n=p, lambda_order=6)
+    assert rep.status == "fail"
+    assert rep.details["first_mismatch"] == want
+    assert rep.details["checks"] == want["lambda"] + 1
+
+
+def test_eigen_operator_names_a_planted_alternating_term(monkeypatch):
+    # both sides carry 1/4!^3 at lambda^4: it comes off for the comparison
+    # and is put back to name the entries
+    real = closedform.alternating_sum_rows
+
+    def planted(r, M, n_max):
+        for n, row in enumerate(real(r, M, n_max)):
+            if n == 4:
+                row[2] += 1
+            yield row
+
+    monkeypatch.setattr(closedform, "alternating_sum_rows", planted)
+    (rep,) = run_identity("eigen-operator", M=2, lambda_order=5)
+    assert rep.status == "fail"
+    assert rep.details["first_mismatch"] == {
+        "lambda": 4, "dag": 2, "ann": 6, "left": "11/3", "right": "50689/13824"}
+    assert rep.details["checks"] == 5
 
 
 def test_inexact_alternating_sum_is_a_failing_report(monkeypatch):

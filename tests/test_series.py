@@ -1,6 +1,7 @@
 """Exact series arithmetic: frozen values plus algebraic property tests."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from normord.series import (
     SeriesQ,
+    _terminating_sums,
     certified_sum,
     factorial,
     falling_factorial,
@@ -142,6 +144,42 @@ def test_phyperq_equals_the_plain_recurrence(upper, lower, x, count):
     plain = _outcome(lambda: sum(_plain_pfq_terms(upper, lower, x, count),
                                  Fraction(0)))
     assert partial == plain
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(pfq_params, max_size=3), st.lists(pfq_params, max_size=3),
+       st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=8))
+def test_parameter_pairs_are_their_rationals(upper, lower, scale, count):
+    # a parameter may come as an int (numerator, denominator) pair, in
+    # lowest terms or not: the series is that of the rational
+    def pairs(params):
+        return [(p.numerator * scale, p.denominator * scale) for p in params]
+    series = _outcome(lambda: phyperq_series(upper, lower, count + 1))
+    assert _outcome(lambda: phyperq_series(pairs(upper), pairs(lower), count + 1)) \
+        == series
+
+
+@pytest.mark.parametrize("bad", [(0.5, 1), (1, 0), (1, -2), (1, 2, 3), (Fraction(1, 2), 1)])
+def test_bad_parameter_pair_raises(bad):
+    with pytest.raises(TypeError):
+        phyperq_series([bad], [1], 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=12),
+       st.data())
+def test_terminating_sums_are_the_pfq_partial_sums(M, n, data):
+    # stirling-hyp's int sums against the generic pFq chain: one row's
+    # weights C(n+j, j)^M, to two past the row's width Mn
+    k = data.draw(st.integers(min_value=0, max_value=M * n + 2))
+    sums = _terminating_sums([comb(n + j, j) ** M for j in range(M * n + 3)])
+    assert sums[k] == phyperq_partial([-k] + [n + 1] * M, [1] * M, 1, k + 1)
+
+
+def test_terminating_sums_frozen():
+    # sum_j (-1)^j C(k, j) w_j for w = 1, 3, 6: 1, 1 - 3, 1 - 6 + 6
+    assert _terminating_sums([1, 3, 6]) == [1, -2, 1]
+    assert _terminating_sums([]) == []
 
 
 @settings(max_examples=60)

@@ -8,7 +8,7 @@ import pytest
 
 import normord
 from normord import closedform, suite
-from normord.report import _nf_mismatch, _rows_mismatch
+from normord.report import _nf_mismatch, _rows_mismatch, _scaled_rows_mismatch
 from normord.series import SeriesQ
 from normord.suite import (
     EXAMPLE_IDS,
@@ -334,6 +334,27 @@ def _as_dicts(rows):
 def test_scan_takes_series_and_list_rows(lhs, rhs, want):
     assert _rows_mismatch(_as_dicts(lhs), _as_dicts(rhs), "n", ("k",)) == want
     assert _rows_mismatch(lhs, rhs, "n", ("k",)) == want
+
+
+@pytest.mark.parametrize("lhs, rhs, want", [
+    # 6/4 and 3/2 over other denominators, and a shared scale: equal
+    ([({(1, 2): 6}, 1, 4), ({(0, 0): 5}, 7, 35)],
+     [({(1, 2): 3}, 1, 2), ({(0, 0): 1}, 1, 1)], (2, None)),
+    # a zero scale is the zero row, whatever its table holds
+    ([({(1, 2): 6}, 0, 1)], [({}, 1, 3)], (1, None)),
+    ([({(1, 2): 6}, 0, 1)], [({(1, 2): 1}, 1, 3)],
+     (1, {"n": 0, "dag": 1, "ann": 2, "left": "0", "right": "1/3"})),
+    # named as rationals, keys high to low, a missing key read as 0
+    ([({(2, 4): 3, (0, 2): 1}, -1, 6)], [({(2, 4): -1, (1, 3): 1}, 1, 2)],
+     (1, {"n": 0, "dag": 1, "ann": 3, "left": "0", "right": "1/2"})),
+    # rational table values, as a scaled normal form holds
+    ([({(0, 1): Fraction(1, 3)}, 1, 1)], [({(0, 1): 2}, 1, 6)], (1, None)),
+    # a zero entry reads as a missing one, and the scan goes on past it
+    ([({(1, 2): 0}, 1, 1), ({(0, 0): 1}, 1, 1)], [({}, 1, 1), ({(0, 0): 2}, 1, 1)],
+     (2, {"n": 1, "dag": 0, "ann": 0, "left": "1", "right": "2"})),
+])
+def test_scaled_rows_decide_by_cross_multiplication(lhs, rhs, want):
+    assert _scaled_rows_mismatch(lhs, rhs, "n") == want
 
 
 def test_exp_exponential_names_a_planted_column_entry(monkeypatch):
