@@ -25,18 +25,17 @@ Sample points, pFq parameters and tolerances go through
 `series._canonical`, so a float raises TypeError; the Bell closed forms
 hand their pFq parameters over as int (numerator, denominator) pairs
 (`series._pair`), so no row builds a Fraction. The worked examples
-read one implementation of each formula: left sides are
-`_scaled_powers` (Taylor coefficients times oracle powers; the two
-Kummer examples take theirs from `_kummer_sides` as scaled normal forms);
+read one implementation of each formula: left sides are oracle powers
+scaled by Taylor coefficients (`_scaled_powers` for D(1,1), the two
+Kummer examples' through `_kummer_sides`);
 `eigen-operator`'s rows are `stirling.alternating_sum_rows` and
 `hyp-compact`'s are e^-y times `series.phyperq_series`; the dot series
 share `_resolvent` ((1-t·a)^-1 and t·a†a²(1-t·a)^-1) and `_bessel_dot`,
-and are read out by `DotSeries.lambda_rows`.  The lambda rows are
-compared as scaled int tables (`report._scaled_rows_mismatch`): an
-oracle power's int terms times its Taylor coefficient (`_scaled_powers`),
-a dot series' numerators over its one denominator, by cross-multiplying
-with the factor both scales share taken off (all of `eigen-operator`'s
-1/n!^(M+1)); a rational is built only to name a mismatch.
+and are read out by `DotSeries.lambda_rows`.  Every lambda row is a
+`NormalForm`, int numerators over one reduced denominator, whether it
+is a scaled oracle power, a dot series' row or a row built from a
+Laguerre polynomial or mFm series; `report._rows_mismatch` decides each
+by comparing those ints and builds a rational only to name a mismatch.
 `_laguerre_rows` also serves `suite.verify_laguerre_normal_form`. Each
 check, the private example builders included, takes only the options it
 reads, times itself and returns an IdentityReport whose parameters
@@ -53,7 +52,7 @@ from math import comb, lcm
 
 from .hyperreal import exp_bounds, rel_dev_bound
 from .laguerre import DotSeries
-from .report import IdentityReport, _finish, _rows_mismatch, _scaled_rows_mismatch
+from .report import IdentityReport, _finish, _rows_mismatch
 from .series import (
     SeriesQ,
     _canonical,
@@ -106,24 +105,18 @@ def _oracle_powers(r: int, M: int, n_max: int) -> list:
     return out
 
 
-def _scaled_powers(M: int, taylor) -> list:
-    """taylor[n] times the oracle power D(1,M)^n, for n < len(taylor), as
-    scaled int rows (terms, num, den) of `report._scaled_rows_mismatch`."""
-    powers = _oracle_powers(1, M, len(taylor) - 1)
-    return [(p.terms, c.numerator, c.denominator)
-            for p, c in zip(powers, map(_canonical, taylor))]
-
-
-def _nf_rows(forms) -> list:
-    """Normal forms as scaled rows, each over 1."""
-    return [(nf.terms, 1, 1) for nf in forms]
+def _scaled_powers(taylor) -> list:
+    """taylor[n] times the oracle power D(1,1)^n, for n < len(taylor)."""
+    powers = _oracle_powers(1, 1, len(taylor) - 1)
+    return [p.scale(c) for p, c in zip(powers, taylor)]
 
 
 def _laguerre_rows(n_max: int) -> list:
-    """Scaled int rows of {(j, j+n): (-1)^j L_n[j]}, n = 0..n_max: D(1,1)^n / n!
+    """NormalForms sum_j (-1)^j L_n[j] (ad)^j a^(j+n), n = 0..n_max: D(1,1)^n / n!
     in normal order, each over the denominator of L_n."""
-    return [({(j, j + n): -a if j % 2 else a for j, a in enumerate(lag.nums)},
-             1, lag.den)
+    return [NormalForm._from_ints(
+                {(j, j + n): -a if j % 2 else a for j, a in enumerate(lag.nums)},
+                lag.den)
             for n, lag in enumerate(map(laguerre_poly, range(n_max + 1)))]
 
 
@@ -318,22 +311,20 @@ def _kummer_sides(b: Fraction, lambda_order: int):
     taylor = phyperq_series([b], [1], order).coeffs
     _, arg = _resolvent(order)
     rhs = DotSeries.binpow(order, -1, 1, -b) * arg.apply_function(taylor)
-    powers = _oracle_powers(1, 1, lambda_order)
-    return [p.scale(c) for p, c in zip(powers, taylor)], rhs, arg
+    return _scaled_powers(taylor), rhs, arg
 
 
 def _example_laguerre_ogf(lambda_order: int) -> IdentityReport:
     t0 = time.perf_counter()
     order = lambda_order + 1
-    lhs = _scaled_powers(1, [Fraction(1, factorial(n)) for n in range(order)])
+    lhs = _scaled_powers([Fraction(1, factorial(n)) for n in range(order)])
     inv, arg = _resolvent(order)
     rhs = (inv * arg.exp()).lambda_rows()
-    checks, first = _scaled_rows_mismatch(lhs, rhs, "lambda")
+    checks, first = _rows_mismatch(lhs, rhs, "lambda")
     notes = []
     if first is None:
         # Same coefficients again via the Laguerre polynomial form.
-        more, first = _scaled_rows_mismatch(lhs, _laguerre_rows(lambda_order),
-                                            "lambda")
+        more, first = _rows_mismatch(lhs, _laguerre_rows(lambda_order), "lambda")
         checks += more
         if first is None:
             notes.append("Laguerre-polynomial rows agree with both sides")
@@ -353,12 +344,11 @@ def _example_kummer_b3(lambda_order: int) -> IdentityReport:
         + arg.scale(2)
         + (arg * arg).scale(Fraction(1, 2))
     )
-    lhs = _nf_rows(lhs)
     rhs = (inv_cubed * l2 * arg.exp()).lambda_rows()
-    checks, first = _scaled_rows_mismatch(lhs, rhs, "lambda")
+    checks, first = _rows_mismatch(lhs, rhs, "lambda")
     notes = []
     if first is None:
-        more, first = _scaled_rows_mismatch(lhs, rhs_generic.lambda_rows(), "lambda")
+        more, first = _rows_mismatch(lhs, rhs_generic.lambda_rows(), "lambda")
         checks += more
         if first is None:
             notes.append("generic Kummer dot form agrees as well")
@@ -379,10 +369,9 @@ def _example_kummer_b3half(lambda_order: int) -> IdentityReport:
     i1 = arg.apply_function(_bessel_half_taylor(1, order))
     bracket = (DotSeries.one(order) + arg) * i0 + arg * i1
     rhs = DotSeries.binpow(order, -1, 1, -b) * half_arg.exp() * bracket
-    lhs = _nf_rows(lhs)
-    checks, first = _scaled_rows_mismatch(lhs, rhs_generic.lambda_rows(), "lambda")
+    checks, first = _rows_mismatch(lhs, rhs_generic.lambda_rows(), "lambda")
     if first is None:
-        more, first = _scaled_rows_mismatch(lhs, rhs.lambda_rows(), "lambda")
+        more, first = _rows_mismatch(lhs, rhs.lambda_rows(), "lambda")
         checks += more
     details = {
         "first_mismatch": first,
@@ -405,8 +394,8 @@ def _example_laguerre_shifted(n: int, lambda_order: int) -> IdentityReport:
     if p < 1:
         raise ValueError("p must be >= 1")
     order = lambda_order + 1
-    lhs = _scaled_powers(1, [Fraction(1, factorial(m - p) * factorial(p)) if m >= p
-                             else 0 for m in range(order)])
+    lhs = _scaled_powers([Fraction(1, factorial(m - p) * factorial(p)) if m >= p
+                          else 0 for m in range(order)])
     inv, arg = _resolvent(order)
     w = DotSeries.monomial(order, 0, 1, 1) * inv
     lag = laguerre_poly(p)
@@ -416,7 +405,7 @@ def _example_laguerre_shifted(n: int, lambda_order: int) -> IdentityReport:
     pref = DotSeries.binpow(order, -1, 1, -(p + 1))
     shift = DotSeries.monomial(order, p, 0, p)
     rhs = (pref * arg.exp() * lp * shift).lambda_rows()
-    checks, first = _scaled_rows_mismatch(lhs, rhs, "lambda")
+    checks, first = _rows_mismatch(lhs, rhs, "lambda")
     return _finish("laguerre-shifted",
                    {"r": 1, "M": 1, "p": p, "lambda_order": lambda_order},
                    "exact", t0, first, {"first_mismatch": first, "checks": checks},
@@ -427,17 +416,16 @@ def _example_bessel(example_id: str, lambda_order: int) -> IdentityReport:
     t0 = time.perf_counter()
     order = lambda_order + 1
     sign = 1 if example_id == "bessel-i0" else -1
-    lhs = _scaled_powers(1, [Fraction(sign**n, factorial(n) ** 2)
-                             for n in range(order)])
+    lhs = _scaled_powers([Fraction(sign**n, factorial(n) ** 2) for n in range(order)])
     rhs = _bessel_dot(order, sign, sign).lambda_rows()
-    checks, first = _scaled_rows_mismatch(lhs, rhs, "lambda")
+    checks, first = _rows_mismatch(lhs, rhs, "lambda")
     notes = []
     if example_id == "bessel-j0" and first is None and lambda_order >= 1:
         # Same series with the inner sign dropped: that variant must break
         # at t^1, which pins the corrected inner argument as the real form.
         # At lambda_order 0 the two agree by construction: nothing to test.
         wrong = _bessel_dot(order, -1, 1)
-        _, wrong_first = _scaled_rows_mismatch(lhs, wrong.lambda_rows(), "lambda")
+        _, wrong_first = _rows_mismatch(lhs, wrong.lambda_rows(), "lambda")
         if wrong_first is None:
             first = {"lambda": None, "note": "sign-dropped variant unexpectedly agreed"}
         else:
@@ -456,9 +444,9 @@ def bessel_parity_check(lambda_order: int) -> IdentityReport:
     t0 = time.perf_counter()
     order = lambda_order + 1
     i0 = _bessel_dot(order, 1, 1).lambda_rows()
-    checks, first = _scaled_rows_mismatch(
+    checks, first = _rows_mismatch(
         _bessel_dot(order, -1, -1).lambda_rows(),
-        [(table, (-1) ** n, den) for n, (table, _, den) in enumerate(i0)],
+        [row.scale((-1) ** n) for n, row in enumerate(i0)],
         "lambda",
     )
     return _finish("bessel-parity", {"r": 1, "M": 1, "lambda_order": lambda_order},
@@ -482,19 +470,19 @@ def _alternating_rows(r: int, M: int, n_max: int, tag: str):
 def _example_eigen_operator(M: int, lambda_order: int) -> IdentityReport:
     t0 = time.perf_counter()
     scales = [Fraction(1, factorial(n) ** (M + 1)) for n in range(lambda_order + 1)]
-    lhs = _scaled_powers(M, scales)
+    powers = _oracle_powers(1, M, lambda_order)
+    lhs = [p.scale(c) for p, c in zip(powers, scales)]
     # The alternating sum gives row n of S_1^(M), the coefficients of
     # (ad)^k a^(k+n) in D(1,M)^n.
     rows, error = _alternating_rows(1, M, lambda_order, "lambda")
-    rhs = [({(k, k + n): c for k, c in enumerate(row) if c}, 1, scales[n].denominator)
+    rhs = [NormalForm._from_ints({(k, k + n): c for k, c in enumerate(row) if c},
+                                 scales[n].denominator)
            for n, row in enumerate(rows)]
-    checks, first = _scaled_rows_mismatch(lhs, rhs, "lambda")
+    checks, first = _rows_mismatch(lhs, rhs, "lambda")
     if first is None:
         first = error
-    # both sides carry the same scale, so the Bell check reads the powers
     bells = bell_sequence(1, M, lambda_order)
-    bell_ok = all(sum(table.values()) == bells[n]
-                  for n, (table, _, _) in enumerate(lhs))
+    bell_ok = all(p.expectation_at_one() == b for p, b in zip(powers, bells))
     notes = ["weight-one expectations match the Bell numbers"] if bell_ok else []
     if not bell_ok and first is None:
         first = {"lambda": None, "note": "Bell cross-check failed"}
@@ -513,10 +501,10 @@ def _example_hyp_compact(M: int, lambda_order: int) -> IdentityReport:
         # (n!)^M : e^{-y} mFm([n+1 x M],[1 x M], y) a^n : with y = ad a
         order = M * n + 4
         row = exp_minus_y * phyperq_series([n + 1] * M, [1] * M, order)
-        rhs.append(({(k, k + n): a for k, a in enumerate(row.nums) if a},
-                    factorial(n) ** M, row.den))
-    checks, first = _scaled_rows_mismatch(
-        _nf_rows(_oracle_powers(1, M, lambda_order)), rhs, "lambda")
+        lead = factorial(n) ** M
+        rhs.append(NormalForm._from_ints(
+            {(k, k + n): lead * a for k, a in enumerate(row.nums) if a}, row.den))
+    checks, first = _rows_mismatch(_oracle_powers(1, M, lambda_order), rhs, "lambda")
     return _finish("hyp-compact", {"r": 1, "M": M, "lambda_order": lambda_order},
                    "exact", t0, first, {"first_mismatch": first, "checks": checks},
                    paths=("power fold", "mFm weights"))

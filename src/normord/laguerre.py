@@ -10,10 +10,10 @@ numbers.
 whose coefficients are words in which the creator and annihilator are
 treated as commuting symbols.  Expanding a double-dot closed form with it
 and reading off a lambda coefficient yields a NormalForm directly, which
-is what lets the closed forms be compared against the rewriting oracle;
-`lambda_rows` reads every lambda power out in one pass, as int tables
-over the series' one denominator, and `lambda_coefficients` as normal
-forms.
+is what lets the closed forms be compared against the rewriting oracle.
+A `DotSeries` and a `NormalForm` share one layout, int numerators over
+one reduced denominator, so `lambda_rows` reads every lambda power out in
+one pass of ints, and builds no rational.
 """
 
 from __future__ import annotations
@@ -103,10 +103,10 @@ class DotSeries:
 
     Stored as `nums`, {(n, dag, ann): nonzero int} standing for
     lambda^n :ad^dag a^ann:, over one reduced int denominator `den`, the
-    layout of `series.SeriesQ`; `terms` reads the coefficients out once,
-    canonical (`series._canonical`) as in NormalForm.  Inside double dots
-    the two symbols commute, so products just add exponents; `order` is
-    exclusive in lambda.
+    layout of `series.SeriesQ` and `weyl.NormalForm`; `terms` reads the
+    coefficients out once, canonical (`series._canonical`).  No power is
+    negative.  Inside double dots the two symbols commute, so products
+    just add exponents; `order` is exclusive in lambda.
     """
 
     __slots__ = ("order", "nums", "den", "_terms")
@@ -116,6 +116,9 @@ class DotSeries:
             raise ValueError("order must be >= 0")
         kept = {key: c for key, c in (terms or {}).items() if key[0] < order}
         nums, den = _to_one_den(kept.values())
+        for key, a in zip(kept, nums):
+            if a and min(key) < 0:
+                raise ValueError(f"negative power in key {key}")
         self._set(order, dict(zip(kept, nums)), den)
 
     @classmethod
@@ -149,6 +152,8 @@ class DotSeries:
     @classmethod
     def binpow(cls, order: int, coeff, a_power: int, alpha) -> "DotSeries":
         """(1 + coeff * lambda * a^a_power)^alpha, expanded binomially."""
+        if a_power < 0:
+            raise ValueError(f"negative power a^{a_power}")
         s = series_binpow(coeff, alpha, order)
         return cls._from_ints(
             order, {(k, 0, a_power * k): a for k, a in enumerate(s.nums)}, s.den)
@@ -227,35 +232,28 @@ class DotSeries:
         return DotSeries._from_ints(self.order, out, den)
 
     def lambda_rows(self) -> list:
-        """The lambda^0 .. lambda^(order-1) coefficients as scaled int rows.
+        """NormalForms of the lambda^0 .. lambda^(order-1) coefficients.
 
-        Row m is (table, 1, den), table {(dag, ann): numerator} over the
-        series' one denominator: the row form of
-        `report._scaled_rows_mismatch`.  One pass over the numerators
-        buckets them by lambda power; no rational is built.
+        One pass over the numerators buckets them by lambda power; each
+        bucket, its words read as normally ordered operators over the
+        series' one denominator, is one row.
         """
         tables = [{} for _ in range(self.order)]
         for (m, k, l), a in self.nums.items():
             tables[m][(k, l)] = a
-        return [(table, 1, self.den) for table in tables]
-
-    def lambda_coefficients(self) -> list:
-        """NormalForms of the lambda^0 .. lambda^(order-1) coefficients.
-
-        Each row of `lambda_rows`, its words reinterpreted as normally
-        ordered operators, is one entry.
-        """
-        return [NormalForm({key: _ratio(a, den) for key, a in table.items()})
-                for table, _, den in self.lambda_rows()]
+        return [NormalForm._from_ints(table, self.den) for table in tables]
 
     def __repr__(self) -> str:
         return f"DotSeries(order={self.order}, {len(self.terms)} terms)"
 
 
-def _exp_D_r1_dot(r: int, n_max: int) -> DotSeries:
-    """The double-dot closed form of exp(lambda D(r,1)) through lambda^n_max:
-    g(lambda,a) * exp(ad*(T(lambda,a)-a)) with T = a(1-lambda r a^r)^(-1/r),
-    g = (1-lambda r a^r)^(-1)."""
+def exp_D_r1_normal_form(r: int, n_max: int) -> list:
+    """NormalForms of n! * [lambda^n] exp(lambda D(r,1)) for n = 0..n_max.
+
+    Expands the double-dot closed form g(lambda,a) * exp(ad*(T(lambda,a)-a))
+    with T = a(1-lambda r a^r)^(-1/r), g = (1-lambda r a^r)^(-1); each
+    lambda coefficient must equal the rewriting oracle's [D(r,1)]^n / n!.
+    """
     if r < 1 or n_max < 0:
         raise ValueError("need r >= 1 and n_max >= 0")
     order = n_max + 1
@@ -263,17 +261,8 @@ def _exp_D_r1_dot(r: int, n_max: int) -> DotSeries:
     bt = series_binpow(-r, Fraction(-1, r), order)
     arg = DotSeries._from_ints(
         order, {(k, 1, r * k + 1): bt.nums[k] for k in range(1, order)}, bt.den)
-    return g * arg.exp()
-
-
-def exp_D_r1_normal_form(r: int, n_max: int) -> list:
-    """NormalForms of n! * [lambda^n] exp(lambda D(r,1)) for n = 0..n_max.
-
-    Expands the double-dot closed form of `_exp_D_r1_dot`; each lambda
-    coefficient must equal the rewriting oracle's [D(r,1)]^n / n!.
-    """
-    full = _exp_D_r1_dot(r, n_max)
-    return [c.scale(factorial(n)) for n, c in enumerate(full.lambda_coefficients())]
+    full = g * arg.exp()
+    return [row.scale(factorial(n)) for n, row in enumerate(full.lambda_rows())]
 
 
 def egf_bell_r1(r: int, order: int) -> SeriesQ:

@@ -6,27 +6,23 @@ two independently built sides through the one exact scan written here:
 `_nf_mismatch` finds the first differing entry of two tables (normal
 forms, coefficient grids, triangle rows, series), keys from high to low,
 tagged with the row it belongs to, and `_rows_mismatch` is its
-row-by-row form.  The scan decides by equality first: two equal tables
-(`SeriesQ` rows compare their int numerators and denominator) end it at
-once, and only unequal ones are walked key by key, to name the first
-mismatch.  `_scaled_rows_mismatch` is the same scan for rows held as
-scaled int tables (the worked examples' lambda rows): it decides by
-cross-multiplying ints and reads a row out as rationals only to name
-its mismatch.  The one numeric check, `hyp-generating-function`,
-decides on proven rational enclosures (`normord.hyperreal`) and hands
-its first failing row to `_finish` like any other.  The suite drivers
-and the closed-form checks build their reports here, through `_finish`,
-and nowhere else.
+row-by-row form.  A scaled row (an oracle power times a Taylor
+coefficient, a double-dot series' lambda row) is itself a normal form,
+so there is no second scan.  The scan decides by equality first: the
+exact containers (`NormalForm`, `SeriesQ`) share one layout, int
+numerators over one reduced denominator, so two equal ones compare
+their ints and end it at once; only unequal tables are read out as
+rationals and walked key by key, to name the first mismatch.  The one
+numeric check, `hyp-generating-function`, decides on proven rational
+enclosures (`normord.hyperreal`) and hands its first failing row to
+`_finish` like any other.  The suite drivers and the closed-form checks
+build their reports here, through `_finish`, and nowhere else.
 """
 
 from __future__ import annotations
 
 import time
 from collections import namedtuple
-from fractions import Fraction
-from math import gcd
-
-from .series import _canonical
 
 __all__ = ["IdentityReport"]
 
@@ -111,26 +107,28 @@ def _finish(identity, parameters, mode, t0, mismatch, details=None, *, paths,
 
 
 def _keyed(table) -> dict:
-    """A table as a dict: as given, or a series' or list's entries by index."""
+    """A table as a dict: as given, a normal form's terms, or a series' or
+    list's entries by index."""
     if isinstance(table, dict):
         return table
+    if hasattr(table, "terms"):
+        return table.terms
     return dict(enumerate(getattr(table, "coeffs", table)))
 
 
 def _nf_mismatch(lhs, rhs, at: dict, names=("dag", "ann")):
     """First differing entry of two tables, or None: the one exact scan.
 
-    A table is a dict, anything holding one as `.terms` (a NormalForm),
-    a `SeriesQ` or a list, the last two keyed by index; a missing key
-    reads 0.  Equal tables return at once.  Otherwise keys are scanned
-    from the highest down, the order in which normal forms print.  The
-    record leads with `at`, the row being compared (e.g. {"n": 3}, or {}
-    for a table keyed by the row itself), then names the key's parts
+    A table is a dict, a `NormalForm` (read by its `.terms`), a `SeriesQ`
+    or a list, the last two keyed by index; a missing key reads 0.  Equal
+    tables return at once: two containers are equal when their
+    denominators and int numerators are.  Otherwise keys are scanned from
+    the highest down, the order in which normal forms print.  The record
+    leads with `at`, the row being compared (e.g. {"n": 3}, or {} for a
+    table keyed by the row itself), then names the key's parts
     (normal-form terms are keyed (dag, ann); a triangle row or a
     coefficient list takes one name), then "left" and "right".
     """
-    lhs = getattr(lhs, "terms", lhs)
-    rhs = getattr(rhs, "terms", rhs)
     if lhs == rhs:
         return None
     lhs, rhs = _keyed(lhs), _keyed(rhs)
@@ -156,41 +154,3 @@ def _rows_mismatch(lhs_rows, rhs_rows, tag: str, names=("dag", "ann"), start=0):
         if miss is not None:
             return checks, miss
     return checks, None
-
-
-def _scaled_rows_mismatch(lhs_rows, rhs_rows, tag: str, names=("dag", "ann")):
-    """`_rows_mismatch` for rows given as scaled int tables: (rows compared,
-    first mismatch).
-
-    A row is (table, num, den), entry key being table[key] * num / den: a
-    normal form's terms times a Taylor coefficient, or a double-dot
-    series' numerators over its denominator.  Two rows are decided by
-    cross-multiplying into ints, once the factor their two scales share
-    has come off (all of it when the scales are equal); only rows that
-    differ there are read out as rationals, by `_nf_mismatch`, which
-    names the first mismatch and reads a zero entry as a missing one.
-    """
-    checks = 0
-    for n, ((lt, ln, ld), (rt, rn, rd)) in enumerate(zip(lhs_rows, rhs_rows)):
-        checks += 1
-        f, g = ln * rd, rn * ld
-        h = gcd(f, g) or 1
-        f, g = f // h, g // h
-        if _times(lt, f) != _times(rt, g):
-            miss = _nf_mismatch(_read(lt, ln, ld), _read(rt, rn, rd), {tag: n},
-                                names)
-            if miss is not None:
-                return checks, miss
-    return checks, None
-
-
-def _times(table: dict, f: int) -> dict:
-    """table with every entry times f, an int; {} when f is 0."""
-    if f == 1 or not table:
-        return table
-    return {key: a * f for key, a in table.items()} if f else {}
-
-
-def _read(table: dict, num: int, den: int) -> dict:
-    """A scaled table's entries as canonical rationals, to name a mismatch."""
-    return {key: _canonical(Fraction(a * num, den)) for key, a in table.items()}

@@ -7,19 +7,19 @@ degrees and truncation orders stay small (a few hundred at most), so
 dense storage wins on simplicity and is fast enough.  Coefficients
 read out canonical (`_canonical`): an int when integral, a
 `fractions.Fraction` with denominator > 1 only when not, and never a
-float.  This is the one coefficient rule of the package: the
-normal forms in `normord.weyl` (the graph tables of `normord.graphs`
-among them) store what it returns, and the series here and the
-double-dot series in `normord.laguerre` read out by it.
-A true rational division is written `Fraction(a, b)`, since two ints
-would give a float.
+float.  This is the one coefficient rule of the package: the series
+here, the normal forms in `normord.weyl` (the graph tables of
+`normord.graphs` among them) and the double-dot series in
+`normord.laguerre` all read out by it.  A true rational division is
+written `Fraction(a, b)`, since two ints would give a float.
 
-`SeriesQ` and `laguerre.DotSeries` store int numerators over one reduced
+The three exact containers, `SeriesQ`, `weyl.NormalForm` and
+`laguerre.DotSeries`, share one layout: int numerators over one reduced
 int denominator (FLINT's fmpq_poly layout), so their arithmetic is int
-arithmetic plus one gcd pass per result.  `_to_one_den` and `_reduce`
-are the two helpers that keep that layout, and `_ratio` reads a
-coefficient out; `coeffs` and `terms` are built from it once, on first
-read.
+arithmetic plus one gcd pass per result, and equality compares ints.
+`_to_one_den` and `_reduce` are the two helpers that keep that layout,
+and `_ratio` reads a coefficient out; `coeffs` and `terms` are built
+from it once, on first read.
 
 `pfq_ratio` is the one place the pFq term ratio is written, and
 `_ratio_chain`, behind `phyperq_series` and `series_binpow` (a 1F0),

@@ -41,7 +41,6 @@ from .closedform import (
     _example_laguerre_ogf,
     _example_laguerre_shifted,
     _laguerre_rows,
-    _nf_rows,
     _oracle_powers,
     bell_hyp_check,
     bessel_parity_check,
@@ -51,19 +50,13 @@ from .closedform import (
 )
 from .laguerre import (
     DxOperator,
-    _exp_D_r1_dot,
     apply_Dx,
     egf_bell_r1,
     eigenfunction_series,
+    exp_D_r1_normal_form,
     exp_lambda_Dx_columns,
 )
-from .report import (
-    IdentityReport,
-    _finish,
-    _nf_mismatch,
-    _rows_mismatch,
-    _scaled_rows_mismatch,
-)
+from .report import IdentityReport, _finish, _nf_mismatch, _rows_mismatch
 from .series import (
     SeriesQ,
     _canonical,
@@ -185,7 +178,8 @@ def verify_stirling_expansion(r: int, M: int, n_max: int) -> IdentityReport:
     params = {"r": r, "M": M, "n_max": n_max}
     powers = _oracle_powers(r, M, n_max)[1:]
     rows = list(stirling_rows(r, M, n_max))[1:]
-    triangle = [{(k, k + r * n): v for k, v in enumerate(row)}
+    triangle = [NormalForm._from_ints(
+                    {(k, k + r * n): v for k, v in enumerate(row) if v}, 1)
                 for n, row in enumerate(rows, 1)]
     _, mismatch = _rows_mismatch(powers, triangle, "n", start=1)
     if mismatch is None:
@@ -245,10 +239,8 @@ def verify_laguerre_normal_form(n_max: int) -> IdentityReport:
     _nonnegative(n_max=n_max)
     t0 = time.perf_counter()
     params = {"n_max": n_max}
-    refs = [(table, factorial(n), den)
-            for n, (table, _, den) in enumerate(_laguerre_rows(n_max))]
-    _, mismatch = _scaled_rows_mismatch(_nf_rows(_oracle_powers(1, 1, n_max)),
-                                        refs, "n")
+    refs = [row.scale(factorial(n)) for n, row in enumerate(_laguerre_rows(n_max))]
+    _, mismatch = _rows_mismatch(_oracle_powers(1, 1, n_max), refs, "n")
     return _finish("laguerre-normal-form", params, "exact", t0, mismatch,
                    paths=("power fold", "Laguerre polynomial"))
 
@@ -347,11 +339,8 @@ def verify_sheffer(r: int, n_max: int) -> IdentityReport:
     _nonnegative(r=r, n_max=n_max)
     t0 = time.perf_counter()
     params = {"r": r, "n_max": n_max}
-    # n! times the lambda^n rows of the closed form, still in ints
-    rows = [(table, factorial(n), den) for n, (table, _, den)
-            in enumerate(_exp_D_r1_dot(r, n_max).lambda_rows())]
-    _, mismatch = _scaled_rows_mismatch(rows, _nf_rows(_oracle_powers(r, 1, n_max)),
-                                        "n")
+    _, mismatch = _rows_mismatch(exp_D_r1_normal_form(r, n_max),
+                                 _oracle_powers(r, 1, n_max), "n")
     return _finish("sheffer", params, "exact", t0, mismatch,
                    paths=("substitution kernel", "power fold"))
 

@@ -7,14 +7,17 @@ right as an operator product.  `BosonExpr` is a free-algebra element
 fully ordered object, a map (dag, ann) -> coefficient standing for
 sum c * ad^dag a^ann.
 
-Coefficients are canonical by `series._canonical`, the package's one
-coefficient rule: an int when integral, a Fraction (with denominator
-> 1) only when not.  The normal forms of words (rook numbers) and of
-powers of D(r,M) (generalized Stirling numbers) have integer
-coefficients, so their arithmetic stays in ints; a Fraction appears only
-when a rational scalar brings one in.  `Fraction(3) == 3` and both hash
-alike, so equality and hashing do not depend on the type, and both
-print the same with `str`.
+A `NormalForm` stores int numerators over one reduced int denominator,
+the layout `series.SeriesQ` and `laguerre.DotSeries` share: a product
+is one `backend.nf_mul` fold of the numerators over the product of the
+denominators and one gcd pass, and two normal forms are equal when their
+denominators and numerators are.  `terms` reads the coefficients out
+canonical by `series._canonical`, the package's one coefficient rule: an
+int when integral, a Fraction (with denominator > 1) only when not.  The
+normal forms of words (rook numbers) and of powers of D(r,M)
+(generalized Stirling numbers) have denominator 1, so their arithmetic
+stays in ints and skips the gcd pass; a denominator appears only when a
+rational scalar brings one in.
 
 There are three independent routes from a word to its normal form, and
 they are tested against each other:
@@ -38,10 +41,11 @@ triangle rows of `stirling.stirling_rows`.  `NormalForm.__pow__` is the
 
 from __future__ import annotations
 
+from math import lcm
 from operator import add
 
 from . import backend
-from .series import SeriesQ, _canonical, _ratio, _to_one_den
+from .series import SeriesQ, _canonical, _ratio, _reduce, _to_one_den
 
 ANNIHILATOR = 0
 CREATOR = 1
@@ -119,20 +123,48 @@ class BosonExpr:
 
 
 class NormalForm:
-    """Normally ordered operator: {(dag, ann): coeff} for sum c ad^k a^l."""
+    """Normally ordered operator sum c ad^k a^l.
 
-    __slots__ = ("terms",)
+    Stored as `nums`, {(dag, ann): nonzero int}, over one reduced int
+    denominator `den`, the layout of `series.SeriesQ` and
+    `laguerre.DotSeries`; `terms` reads the coefficients out once,
+    {(dag, ann): canonical coefficient}.
+    """
+
+    __slots__ = ("nums", "den", "_terms")
 
     def __init__(self, terms=None):
-        clean: dict = {}
-        if terms:
-            for (k, l), c in terms.items():
-                c = _canonical(c)
-                if c:
-                    if k < 0 or l < 0:
-                        raise ValueError(f"negative operator power in key ({k},{l})")
-                    clean[(k, l)] = c
-        self.terms = clean
+        terms = terms or {}
+        vals, den = _to_one_den(terms.values())
+        nums = {}
+        for (k, l), a in zip(terms, vals):
+            if a:
+                if k < 0 or l < 0:
+                    raise ValueError(f"negative operator power in key ({k},{l})")
+                nums[(k, l)] = a
+        self._set(nums, den)
+
+    @classmethod
+    def _from_ints(cls, nums: dict, den: int) -> "NormalForm":
+        """nums / den, reduced; no entry of nums is zero and no key negative."""
+        out = object.__new__(cls)
+        out._set(nums, den)
+        return out
+
+    def _set(self, nums: dict, den: int) -> None:
+        if den != 1:
+            vals, reduced = _reduce(nums.values(), den)
+            if reduced != den:
+                nums, den = dict(zip(nums, vals)), reduced
+        self.nums = nums
+        self.den = den
+        self._terms = None
+
+    @property
+    def terms(self) -> dict:
+        if self._terms is None:
+            self._terms = {key: _ratio(a, self.den) for key, a in self.nums.items()}
+        return self._terms
 
     @classmethod
     def zero(cls) -> "NormalForm":
@@ -155,36 +187,37 @@ class NormalForm:
         return cls({(dag, ann): coeff})
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
+
+    def _add(self, other: "NormalForm", sign: int) -> "NormalForm":
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, sign * (den // other.den)
+        out = {k: a * f for k, a in self.nums.items()}
+        for k, b in other.nums.items():
+            out[k] = out.get(k, 0) + b * g
+        return NormalForm._from_ints({k: a for k, a in out.items() if a}, den)
 
     def __add__(self, other: "NormalForm") -> "NormalForm":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return NormalForm(out)
+        return self._add(other, 1)
 
     def __sub__(self, other: "NormalForm") -> "NormalForm":
-        return self + (-other)
+        return self._add(other, -1)
 
     def __neg__(self) -> "NormalForm":
-        return NormalForm({k: -c for k, c in self.terms.items()})
+        return self.scale(-1)
 
     def scale(self, c) -> "NormalForm":
         c = _canonical(c)
         if not c:
             return NormalForm()
-        return NormalForm({k: c * v for k, v in self.terms.items()})
+        return NormalForm._from_ints(
+            {k: a * c.numerator for k, a in self.nums.items()},
+            self.den * c.denominator)
 
     def __mul__(self, other) -> "NormalForm":
         if isinstance(other, NormalForm):
-            terms = backend.nf_mul(self.terms, other.terms)
-            if {*map(type, terms.values())} <= {int}:
-                # nf_mul drops zeros and its keys are nonnegative: ints
-                # are already canonical
-                out = object.__new__(NormalForm)
-                out.terms = terms
-                return out
-            return NormalForm(terms)
+            return NormalForm._from_ints(backend.nf_mul(self.nums, other.nums),
+                                         self.den * other.den)
         return self.scale(other)
 
     def __rmul__(self, other) -> "NormalForm":
@@ -204,7 +237,8 @@ class NormalForm:
     def dagger(self) -> "NormalForm":
         # (ad^k a^l)+ = ad^l a^k, already ordered; rational coefficients
         # are their own conjugates
-        return NormalForm({(l, k): c for (k, l), c in self.terms.items()})
+        return NormalForm._from_ints(
+            {(l, k): a for (k, l), a in self.nums.items()}, self.den)
 
     def sorted_terms(self):
         """Terms as (dag, ann, coeff), sorted dag descending, ann descending."""
@@ -220,21 +254,21 @@ class NormalForm:
         (real, imag), each canonical: an int when integral, else a
         Fraction.  With z = (x + yi)/d, the Gaussian powers (x + yi)^j
         are built once (conj(z)^k takes the k-th's conjugate) and summed in
-        ints over L d^(max dag + ann), L the coefficients' denominator.
+        ints over den d^(max dag + ann), den the coefficients' denominator.
         """
         (x, y), d = _to_one_den((z, z_imag))
-        nums, den = _to_one_den(self.terms.values())
-        top = max((k + l for k, l in self.terms), default=0)
+        top = max((k + l for k, l in self.nums), default=0)
         gauss = [(1, 0)]
-        for _ in range(max((max(kl) for kl in self.terms), default=0)):
+        for _ in range(max((max(kl) for kl in self.nums), default=0)):
             a, b = gauss[-1]
             gauss.append((a * x - b * y, a * y + b * x))
         re = im = 0
-        for (k, l), c in zip(self.terms, nums):
+        for (k, l), c in self.nums.items():
             (a, b), (e, f), c = gauss[k], gauss[l], c * d ** (top - k - l)
             re += c * (a * e + b * f)
             im += c * (a * f - b * e)
-        return _ratio(re, den * d**top), _ratio(im, den * d**top)
+        den = self.den * d**top
+        return _ratio(re, den), _ratio(im, den)
 
     def expectation_at_one(self):
         """Shorthand for the z=1 coherent expectation (sum of coefficients).
@@ -242,7 +276,7 @@ class NormalForm:
         An int when the sum is integral (always, for integer
         coefficients), else a Fraction.
         """
-        return _canonical(sum(self.terms.values()))
+        return _ratio(sum(self.nums.values()), self.den)
 
     def diagonal_polynomial(self) -> SeriesQ:
         """Rewrite a number-conserving operator as a polynomial in n = ad*a.
@@ -251,18 +285,18 @@ class NormalForm:
         one past the top power (`SeriesQ(0)` for the zero operator).
         Raises ValueError if any term has dag != ann.
         """
-        for (k, l) in self.terms:
+        for (k, l) in self.nums:
             if k != l:
                 raise ValueError(f"non-diagonal term ad^{k} a^{l}")
-        top = max((k for k, _ in self.terms), default=-1)
+        top = max((k for k, _ in self.nums), default=-1)
         out = [0] * (top + 1)
         ff = [1]  # n(n-1)...(n-k+1), lowest power first
         for k in range(top + 1):
-            c = self.terms.get((k, k))
+            c = self.nums.get((k, k))
             if c:
                 out[:k + 1] = [a + c * f for a, f in zip(out, ff)]
             ff = [a - k * b for a, b in zip([0, *ff], [*ff, 0])]
-        return SeriesQ(top + 1, out)
+        return SeriesQ._from_ints(top + 1, out, self.den)
 
     def apply_to_monomial(self, p: int) -> dict:
         """Action on x^p in the polynomial model a -> d/dx, ad -> x.
@@ -286,10 +320,11 @@ class NormalForm:
         return out
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, NormalForm) and self.terms == other.terms
+        return (isinstance(other, NormalForm) and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.nums.items())))
 
     def __repr__(self) -> str:
         bits = [f"({k},{l}): {c}" for k, l, c in self.sorted_terms()]
@@ -298,7 +333,7 @@ class NormalForm:
 
 def word_to_normal_form(word) -> NormalForm:
     """Rewrite-based normal ordering of a single word (the oracle path)."""
-    return NormalForm(backend.normal_order_word(tuple(word)))
+    return NormalForm._from_ints(backend.normal_order_word(tuple(word)), 1)
 
 
 def normal_order_rewrite(expr: BosonExpr) -> NormalForm:
@@ -363,9 +398,9 @@ def normal_order_power(expr: BosonExpr, p: int) -> NormalForm:
     nums, den = _to_one_den(words.values())
     for state in _graded(dict(zip(words, nums)), p):
         pass
-    den **= p
-    return NormalForm({(d + max(-s, 0), d + max(s, 0)): _ratio(g, den)
-                       for s, row in state.items() for d, g in enumerate(row) if g})
+    return NormalForm._from_ints(
+        {(d + max(-s, 0), d + max(s, 0)): g
+         for s, row in state.items() for d, g in enumerate(row) if g}, den**p)
 
 
 def word_product_normal_form(word) -> NormalForm:

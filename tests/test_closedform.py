@@ -354,8 +354,8 @@ def test_pfq_series_fault_fails_hyp_compact_only(monkeypatch):
         == ["pass"]
 
 
-# The lambda rows are compared as scaled int tables; a planted term's
-# record still names its entries, "left" and "right", as rationals
+# The lambda rows are compared as normal forms over one denominator; a
+# planted term's record names its entries, "left" and "right", as rationals
 
 
 @pytest.mark.parametrize("p, want", [
@@ -379,8 +379,7 @@ def test_laguerre_shifted_names_a_planted_dot_series_term(monkeypatch, p, want):
 
 
 def test_eigen_operator_names_a_planted_alternating_term(monkeypatch):
-    # both sides carry 1/4!^3 at lambda^4: it comes off for the comparison
-    # and is put back to name the entries
+    # both sides carry 1/4!^3 at lambda^4, and the entries are named with it
     real = closedform.alternating_sum_rows
 
     def planted(r, M, n_max):

@@ -1,16 +1,19 @@
 """Sums over one common denominator against pairwise-Fraction arithmetic.
 
-`SeriesQ` and `DotSeries` keep int numerators over one reduced int
-denominator, and `NormalForm.coherent_expectation` sums Gaussian-integer
-powers over one.  The classes and functions below are the pairwise-Fraction
-arithmetic they replaced, kept here as an independent reference: every
-operation, and every builder, must read out the same canonical values as
-the reference, an int when integral and a Fraction only when not.
+`SeriesQ`, `DotSeries` and `NormalForm` keep int numerators over one
+reduced int denominator, and `NormalForm.coherent_expectation` sums
+Gaussian-integer powers over one.  The classes and functions below are
+the pairwise-Fraction arithmetic they replaced, kept here as an
+independent reference: every operation, and every builder, must read out
+the same canonical values as the reference, an int when integral and a
+Fraction only when not.
 """
 
 from fractions import Fraction
 from itertools import count
+from math import comb, factorial, lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -144,6 +147,55 @@ class RefDot:
         return acc
 
 
+class RefNF:
+    """{(dag, ann): canonical coefficient}, multiplied by the contraction formula
+    (a†)^p a^q (a†)^r a^s = sum_k k! C(q,k) C(r,k) (a†)^(p+r-k) a^(q+s-k)."""
+
+    def __init__(self, terms=None):
+        self.terms = {key: canon(c) for key, c in (terms or {}).items() if c}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            out[k] = out.get(k, 0) + v
+        return RefNF(out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        return RefNF({k: c * v for k, v in self.terms.items()})
+
+    def __mul__(self, other):
+        out = {}
+        for (p, q), a in self.terms.items():
+            for (r, s), b in other.terms.items():
+                for k in range(min(q, r) + 1):
+                    key = (p + r - k, q + s - k)
+                    w = factorial(k) * comb(q, k) * comb(r, k)
+                    out[key] = out.get(key, 0) + a * b * w
+        return RefNF(out)
+
+    def dagger(self):
+        return RefNF({(l, k): c for (k, l), c in self.terms.items()})
+
+    def expectation_at_one(self):
+        return canon(sum(self.terms.values()))
+
+    def diagonal_polynomial(self):
+        if any(k != l for k, l in self.terms):
+            raise ValueError("non-diagonal")
+        top = max((k for k, _ in self.terms), default=-1)
+        out = [Fraction(0)] * (top + 1)
+        for (k, _), c in self.terms.items():
+            ff = [1]  # n(n-1)...(n-k+1), lowest power first
+            for i in range(k):
+                ff = [a - i * b for a, b in zip([0, *ff], [*ff, 0])]
+            for j, f in enumerate(ff):
+                out[j] += c * f
+        return RefSeries(top + 1, out)
+
+
 def assert_same_series(got, ref):
     assert got.order == ref.order
     assert got.coeffs == ref.coeffs
@@ -160,6 +212,17 @@ def assert_same_dot(got, ref):
     assert all(is_canonical(c) for c in got.terms.values()), got.terms
     rebuilt = DotSeries(ref.order, ref.terms)
     assert (rebuilt.nums, rebuilt.den) == (got.nums, got.den)
+
+
+def assert_same_nf(got, ref):
+    assert got.terms == ref.terms
+    assert all(is_canonical(c) for c in got.terms.values()), got.terms
+    # the layout rebuilt from the reference: one reduced denominator
+    den = lcm(*(Fraction(c).denominator for c in ref.terms.values()))
+    assert (got.nums, got.den) == ({k: int(c * den) for k, c in ref.terms.items()},
+                                   den)
+    rebuilt = NormalForm(ref.terms)
+    assert rebuilt == got and hash(rebuilt) == hash(got)
 
 
 values = st.one_of(
@@ -313,6 +376,38 @@ def test_coherent_expectation_equals_the_pairwise_reference(nf, zr, zi):
     assert got == want
     assert [type(c) for c in got] == [type(c) for c in want]
     assert all(is_canonical(c) for c in got)
+
+
+diagonal_forms = st.dictionaries(
+    st.integers(min_value=0, max_value=5).map(lambda k: (k, k)), values, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(normal_forms, normal_forms, diagonal_forms, values, values,
+       st.one_of(st.just(0), values))
+def test_normal_form_arithmetic_equals_the_reference(x, y, diag, c, zr, zi):
+    rx, ry = RefNF(x.terms), RefNF(y.terms)
+    assert_same_nf(x, rx)
+    assert_same_nf(x + y, rx + ry)
+    assert_same_nf(x - y, rx - ry)
+    assert_same_nf(x * y, rx * ry)
+    assert_same_nf(x.scale(c), rx.scale(canon(c)))
+    assert_same_nf(x.dagger(), rx.dagger())
+    assert_same_nf(x - x, RefNF())
+    assert x + y == y + x and hash(x + y) == hash(y + x)
+    assert (x == y) == (rx.terms == ry.terms)
+    got, want = x.expectation_at_one(), rx.expectation_at_one()
+    assert got == want and type(got) is type(want)
+    got = x.coherent_expectation(zr, zi)
+    want = ref_coherent_expectation(rx, Fraction(zr), Fraction(zi))
+    assert got == want and [type(v) for v in got] == [type(v) for v in want]
+    d = NormalForm(diag)
+    assert_same_series(d.diagonal_polynomial(), RefNF(diag).diagonal_polynomial())
+    if any(k != l for k, l in x.terms):
+        with pytest.raises(ValueError):
+            x.diagonal_polynomial()
+    else:
+        assert_same_series(x.diagonal_polynomial(), rx.diagonal_polynomial())
 
 
 def test_coherent_expectation_reads_out_ints():

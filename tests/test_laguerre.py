@@ -71,12 +71,27 @@ def test_dot_series_algebra():
     order = 6
     x = DotSeries.monomial(order, 1, 0, 1)  # lambda * a
     e = x.exp()
-    assert e.lambda_coefficients()[3].terms == {(0, 3): Fraction(1, 6)}
+    assert e.lambda_rows()[3].terms == {(0, 3): Fraction(1, 6)}
     # binpow additivity in the exponent
     a = DotSeries.binpow(order, -1, 1, Fraction(-1, 2))
     b = DotSeries.binpow(order, -1, 1, Fraction(-3, 2))
     c = DotSeries.binpow(order, -1, 1, Fraction(-2))
-    assert (a * b).lambda_coefficients() == c.lambda_coefficients()
+    assert (a * b).lambda_rows() == c.lambda_rows()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: DotSeries.monomial(3, -1, 0, 0),
+    lambda: DotSeries.monomial(3, 0, -1, 2),
+    lambda: DotSeries.monomial(3, 1, 2, -1, Fraction(1, 2)),
+    lambda: DotSeries.binpow(3, 1, -1, 2),
+])
+def test_dot_series_refuses_a_negative_power(build):
+    with pytest.raises(ValueError, match="negative power"):
+        build()
+
+
+def test_dot_series_zero_term_at_a_negative_key_is_dropped():
+    assert DotSeries(3, {(0, -1, 0): 0}).nums == {}
 
 
 def test_dot_series_exp_needs_positive_lambda_order():
@@ -89,7 +104,7 @@ def test_dot_series_exp_needs_positive_lambda_order():
 def test_dot_series_lambda_coefficient_bounds():
     # one NormalForm per power below the truncation order, none past it
     s = DotSeries.one(3) + DotSeries.monomial(3, 2, 1, 4, Fraction(1, 2))
-    coeffs = s.lambda_coefficients()
+    coeffs = s.lambda_rows()
     assert len(coeffs) == 3
     assert [c.terms for c in coeffs] == [{(0, 0): 1}, {}, {(1, 4): Fraction(1, 2)}]
     with pytest.raises(IndexError):

@@ -8,7 +8,7 @@ import pytest
 
 import normord
 from normord import closedform, suite
-from normord.report import _nf_mismatch, _rows_mismatch, _scaled_rows_mismatch
+from normord.report import _nf_mismatch, _rows_mismatch
 from normord.series import SeriesQ
 from normord.suite import (
     EXAMPLE_IDS,
@@ -312,7 +312,12 @@ def test_scan_reads_a_missing_key_as_zero():
 
 
 def _as_dicts(rows):
-    return [dict(enumerate(getattr(row, "coeffs", row))) for row in rows]
+    return [row.terms if isinstance(row, NormalForm)
+            else dict(enumerate(getattr(row, "coeffs", row))) for row in rows]
+
+
+def _scaled(terms, c):
+    return NormalForm(terms).scale(c)
 
 
 @pytest.mark.parametrize("lhs, rhs, want", [
@@ -330,31 +335,30 @@ def _as_dicts(rows):
      (2, {"n": 1, "k": 1, "left": "4", "right": "3"})),
     ([[1, 2], [1, 3, 3]], [[1, 2], [1, 3]],
      (2, {"n": 1, "k": 2, "left": "3", "right": "0"})),
-])
-def test_scan_takes_series_and_list_rows(lhs, rhs, want):
-    assert _rows_mismatch(_as_dicts(lhs), _as_dicts(rhs), "n", ("k",)) == want
-    assert _rows_mismatch(lhs, rhs, "n", ("k",)) == want
-
-
-@pytest.mark.parametrize("lhs, rhs, want", [
-    # 6/4 and 3/2 over other denominators, and a shared scale: equal
-    ([({(1, 2): 6}, 1, 4), ({(0, 0): 5}, 7, 35)],
-     [({(1, 2): 3}, 1, 2), ({(0, 0): 1}, 1, 1)], (2, None)),
-    # a zero scale is the zero row, whatever its table holds
-    ([({(1, 2): 6}, 0, 1)], [({}, 1, 3)], (1, None)),
-    ([({(1, 2): 6}, 0, 1)], [({(1, 2): 1}, 1, 3)],
+    # normal-form rows, keyed (dag, ann).  6/4 and 3/2 over other
+    # denominators, and a scaled row: equal
+    ([NormalForm._from_ints({(1, 2): 6}, 4), _scaled({(0, 0): 5}, Fraction(7, 35))],
+     [NormalForm._from_ints({(1, 2): 3}, 2), NormalForm.one()], (2, None)),
+    # a zero scale is the zero row, whatever it scaled
+    ([_scaled({(1, 2): 6}, 0)], [NormalForm._from_ints({}, 3)], (1, None)),
+    ([_scaled({(1, 2): 6}, 0)], [NormalForm._from_ints({(1, 2): 1}, 3)],
      (1, {"n": 0, "dag": 1, "ann": 2, "left": "0", "right": "1/3"})),
     # named as rationals, keys high to low, a missing key read as 0
-    ([({(2, 4): 3, (0, 2): 1}, -1, 6)], [({(2, 4): -1, (1, 3): 1}, 1, 2)],
+    ([_scaled({(2, 4): 3, (0, 2): 1}, Fraction(-1, 6))],
+     [NormalForm._from_ints({(2, 4): -1, (1, 3): 1}, 2)],
      (1, {"n": 0, "dag": 1, "ann": 3, "left": "0", "right": "1/2"})),
-    # rational table values, as a scaled normal form holds
-    ([({(0, 1): Fraction(1, 3)}, 1, 1)], [({(0, 1): 2}, 1, 6)], (1, None)),
+    # a rational coefficient against ints over a denominator
+    ([NormalForm({(0, 1): Fraction(1, 3)})], [NormalForm._from_ints({(0, 1): 2}, 6)],
+     (1, None)),
     # a zero entry reads as a missing one, and the scan goes on past it
-    ([({(1, 2): 0}, 1, 1), ({(0, 0): 1}, 1, 1)], [({}, 1, 1), ({(0, 0): 2}, 1, 1)],
+    ([NormalForm({(1, 2): 0}), NormalForm.one()],
+     [NormalForm(), NormalForm.monomial(0, 0, 2)],
      (2, {"n": 1, "dag": 0, "ann": 0, "left": "1", "right": "2"})),
 ])
-def test_scaled_rows_decide_by_cross_multiplication(lhs, rhs, want):
-    assert _scaled_rows_mismatch(lhs, rhs, "n") == want
+def test_scan_takes_series_and_list_rows(lhs, rhs, want):
+    names = ("dag", "ann") if isinstance(lhs[0], NormalForm) else ("k",)
+    assert _rows_mismatch(_as_dicts(lhs), _as_dicts(rhs), "n", names) == want
+    assert _rows_mismatch(lhs, rhs, "n", names) == want
 
 
 def test_exp_exponential_names_a_planted_column_entry(monkeypatch):
