@@ -459,8 +459,10 @@ def _request(argv) -> int:
 def main(argv=None) -> int:
     # The interpreter refuses to print ints past 4300 digits, a guard for
     # parsing untrusted decimals; normord's exact results pass it routinely.
+    # Lifted for this call only, so an embedding program keeps its limit.
     # (Python before 3.10.7 has no such limit and no setter.)
     if hasattr(sys, "set_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
     try:
         code = _request(sys.argv[1:] if argv is None else argv)
@@ -471,6 +473,9 @@ def main(argv=None) -> int:
         # at exit does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    finally:
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(limit)
     return code
 
 

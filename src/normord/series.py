@@ -31,14 +31,14 @@ sum_j (-1)^j C(k, j) w_j of `_terminating_sums`, every k in one pass
 `certified_sum` is the one place that truncates an infinite series of
 positive terms with a proven tail bound; `stirling.dobinski_sums` is its
 caller.  Both loops run in unreduced integers (see their docstrings).
+`factorial` is `math.factorial`, re-exported; nothing here keeps a memo.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
-from math import comb, factorial as _factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import add, mul
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -56,14 +56,6 @@ __all__ = [
     "SumCertificate",
     "certified_sum",
 ]
-
-
-@lru_cache(maxsize=1024)
-def factorial(n: int) -> int:
-    """n! with a bounded process-local memo."""
-    if n < 0:
-        raise ValueError("factorial of negative argument")
-    return _factorial(n)
 
 
 def falling_factorial(p, r: int):

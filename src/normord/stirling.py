@@ -16,9 +16,9 @@ drawn, holds its constant term to (n! r^n)^M; every reader of the
 triangle takes one pass of it.  `alternating_sum_rows` is the defining
 sum, an independent oracle whose k! division is asserted, not assumed;
 `verify stirling-expansion` compares it, the triangle, and the
-operator-power fold row by row.  The classical second-kind triangle and Bell numbers
-are implemented independently through the textbook recurrence and serve
-as a cross-check at r=0, M=1.
+operator-power fold row by row.  The classical tables, `classical_rows`
+(second kind) and `first_kind_rows` (signless first kind), are row
+generators too; each check draws one once, and no table outlives a call.
 
 The generalized Dobinski relation B_r^(M)(n,x) = e^{-x} sum_l x^l/l!
 [prod_{i<=n} (l+ir)]^M is summed in one place, `dobinski_sums`, for rows
@@ -29,7 +29,6 @@ of e^{-x}, against the Bell polynomials.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import factorial, prod
 
@@ -42,8 +41,10 @@ __all__ = [
     "alternating_sum_rows",
     "gen_bell_number",
     "bell_sequence",
+    "classical_rows",
     "classical_stirling2",
     "classical_bell",
+    "first_kind_rows",
     "stirling1_signless",
     "dobinski_sums",
     "b_pp",
@@ -70,8 +71,9 @@ def stirling_rows(r: int, M: int, n_max: int):
             f"S(n={n_max}, k=0) at r={r} M={M} differs from (n! r^n)^M")
 
 
-def _row(r: int, M: int, n: int) -> list[int]:
-    for row in stirling_rows(r, M, n):
+def _last(rows) -> list[int]:
+    """The last row a row generator yields."""
+    for row in rows:
         pass
     return row
 
@@ -80,7 +82,7 @@ def gen_stirling(r: int, M: int, n: int, k: int) -> int:
     """S_r^(M)(n,k), exact; 0 for k beyond the row width M*n."""
     if k < 0:
         raise ValueError(f"k={k} out of range")
-    row = _row(r, M, n)
+    row = _last(stirling_rows(r, M, n))
     # past the width: the k-th difference of a lower-degree polynomial
     return row[k] if k < len(row) else 0
 
@@ -117,7 +119,7 @@ def alternating_sum_rows(r: int, M: int, n_max: int):
 
 def gen_bell_number(r: int, M: int, n: int) -> int:
     """B_r^(M)(n) = B_r^(M)(n,1), the row sum."""
-    return sum(_row(r, M, n))
+    return sum(_last(stirling_rows(r, M, n)))
 
 
 def bell_sequence(r: int, M: int, n_max: int) -> list[int]:
@@ -125,59 +127,50 @@ def bell_sequence(r: int, M: int, n_max: int) -> list[int]:
     return list(map(sum, stirling_rows(r, M, n_max)))
 
 
-_CLASSICAL_ROWS: list[list[int]] = [[1]]
-_CLASSICAL_LOCK = threading.Lock()
+def classical_rows(n_max: int):
+    """Yield rows 0..n_max of S(m, k), k = 0..m, by S(m,k) = k S(m-1,k) + S(m-1,k-1):
+    independent of `stirling_rows` and its kernel, so r=0, M=1 is a cross-check."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    row = [1]
+    yield row
+    for _ in range(n_max):
+        row = [k * s + t for k, (s, t) in enumerate(zip(row + [0], [0] + row))]
+        yield row
 
 
 def classical_stirling2(n: int, k: int) -> int:
-    """Second-kind S(n,k) by the recurrence S(n,k) = k S(n-1,k) + S(n-1,k-1).
-
-    Deliberately independent of gen_stirling so the r=0, M=1 reduction is
-    a genuine cross-check.
-    """
+    """Second-kind S(n,k): row n of `classical_rows`; 0 for k > n."""
     if n < 0 or k < 0:
         raise ValueError("indices must be nonnegative")
-    with _CLASSICAL_LOCK:
-        while len(_CLASSICAL_ROWS) <= n:
-            prev = _CLASSICAL_ROWS[-1]
-            m = len(_CLASSICAL_ROWS)
-            row = [0] * (m + 1)
-            for j in range(m + 1):
-                acc = 0
-                if j <= m - 1:
-                    acc += j * prev[j]
-                if 1 <= j <= m:
-                    acc += prev[j - 1]
-                row[j] = acc
-            _CLASSICAL_ROWS.append(row)
-        row = _CLASSICAL_ROWS[n]
+    row = _last(classical_rows(n))
     return row[k] if k < len(row) else 0
 
 
 def classical_bell(n: int) -> int:
-    return sum(classical_stirling2(n, k) for k in range(n + 1))
+    """The Bell number B(n): the sum of row n of one `classical_rows` pass."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return sum(_last(classical_rows(n)))
 
 
-_FIRST_KIND_ROWS: list[list[int]] = [[1]]
-_FIRST_KIND_LOCK = threading.Lock()
+def first_kind_rows(n_max: int):
+    """Yield rows 0..n_max of |sigma(m, k)|, k = 0..m, by
+    |sigma(m,k)| = |sigma(m-1,k-1)| + (m-1)|sigma(m-1,k)|."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    row = [1]
+    yield row
+    for m in range(n_max):
+        row = [m * s + t for s, t in zip(row + [0], [0] + row)]
+        yield row
 
 
 def stirling1_signless(n: int, k: int) -> int:
-    """Signless first-kind |sigma(n,k)| for 1 <= k <= n.
-
-    By |sigma(n+1,k)| = |sigma(n,k-1)| + n|sigma(n,k)|; the rows are grown
-    once and kept, as in classical_stirling2, row m holding k = 0..m.
-    """
+    """Signless first-kind |sigma(n,k)| for 1 <= k <= n: row n of `first_kind_rows`."""
     if n < 1 or k < 1 or k > n:
         raise ValueError(f"stirling1_signless({n},{k}) out of range")
-    with _FIRST_KIND_LOCK:
-        while len(_FIRST_KIND_ROWS) <= n:
-            prev = _FIRST_KIND_ROWS[-1]
-            m = len(prev) - 1
-            _FIRST_KIND_ROWS.append(
-                [(prev[j - 1] if j else 0) + (m * prev[j] if j <= m else 0)
-                 for j in range(m + 2)])
-        return _FIRST_KIND_ROWS[n][k]
+    return _last(first_kind_rows(n))[k]
 
 
 def dobinski_sums(r: int, M: int, n_max: int, x, cutoff, max_terms: int):

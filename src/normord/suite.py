@@ -24,7 +24,7 @@ import time
 from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import islice, product
 from math import comb
 from typing import NamedTuple
 
@@ -69,8 +69,8 @@ from .series import (
 from .stirling import (
     b_pp,
     bell_sequence,
-    classical_bell,
-    stirling1_signless,
+    classical_rows,
+    first_kind_rows,
     stirling_rows,
 )
 from .weyl import NormalForm, laguerre_derivative_nf
@@ -118,8 +118,9 @@ def verify_commutator(r: int, M: int) -> IdentityReport:
 
     The operator side is normal-ordered from scratch and diagonal-reduced;
     the reference polynomial (n+r)^2M * prod(n+p) - n^2M * n-falling-r is
-    assembled purely from signless first-kind numbers, with (n+r)^2M
-    written by the binomial theorem.  The reference is a `SeriesQ` of
+    assembled purely from signless first-kind numbers (rows r and r + 1
+    of one `first_kind_rows` pass), with (n+r)^2M written by the
+    binomial theorem.  The reference is a `SeriesQ` of
     order 2M + r: the two monic n^(2M+r) terms cancel, so it truncates
     nothing, and an oracle term at a higher power differs in order and
     is still found by `_nf_mismatch`'s scan.  At (r, M) = (1, 1)
@@ -134,10 +135,10 @@ def verify_commutator(r: int, M: int) -> IdentityReport:
     order = 2 * M + r
     shifted = SeriesQ(order, [comb(2 * M, j) * r ** (2 * M - j)
                               for j in range(2 * M + 1)])
-    rising = SeriesQ(order, [stirling1_signless(r + 1, k) for k in range(1, r + 2)])
+    *_, low, high = first_kind_rows(r + 1)
+    rising = SeriesQ(order, high[1:])
     # n(n-1)...(n-r+1) as the signed first-kind sum, times n^2M
-    falling = [0] * (2 * M) + ([1] if r == 0 else [0] + [
-        (-1) ** (r - k) * stirling1_signless(r, k) for k in range(1, r + 1)])
+    falling = [0] * (2 * M) + [(-1) ** (r - k) * c for k, c in enumerate(low)]
     ref = shifted * rising - SeriesQ(order, falling)
     mismatch = _nf_mismatch(oracle, ref, {}, ("power",))
     return _finish(
@@ -207,11 +208,11 @@ def verify_bell_first_kind(r: int, n_max: int) -> IdentityReport:
     t0 = time.perf_counter()
     params = {"r": r, "n_max": n_max}
     values = bell_sequence(r, 1, n_max)
-    bells = [classical_bell(p) for p in range(n_max + 1)]
+    bells = list(map(sum, classical_rows(n_max)))
+    # row n + 1 of the first-kind triangle weighs B(p - 1) for p = 1..n + 1
     transform = [
-        sum(stirling1_signless(n + 1, p) * r ** (n - p + 1) * bells[p - 1]
-            for p in range(1, n + 2))
-        for n in range(n_max + 1)
+        sum(c * r ** (n - p + 1) * bells[p - 1] for p, c in enumerate(row[1:], 1))
+        for n, row in enumerate(islice(first_kind_rows(n_max + 1), 1, None))
     ]
     mismatch = _nf_mismatch(dict(enumerate(values)), dict(enumerate(transform)),
                             {}, ("n",))

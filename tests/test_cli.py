@@ -196,6 +196,22 @@ def test_order_row_power_past_the_digit_limit(no_digit_limit):
     assert terms[(1800, 2400)] == "1"
 
 
+def test_main_restores_the_int_digit_limit(capsys):
+    # main lifts the interpreter's digit guard for its own call only, so
+    # an embedding program keeps its limit, after a result past it too
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        code, out, _ = run(capsys, "order", "2^20000 ad")  # 6021 digits
+        assert code == 0 and sys.get_int_max_str_digits() == 5000
+        assert run(capsys, "order", "a^")[0] == 2
+        assert sys.get_int_max_str_digits() == 5000
+        sys.set_int_max_str_digits(0)
+        assert json.loads(out)["terms"] == [{"dag": 1, "ann": 0, "coeff": str(2**20000)}]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 # --- seq -----------------------------------------------------------------
 
 def test_seq_bfile_known_values(capsys, tmp_path):

@@ -1,4 +1,5 @@
-"""Every name a package module imports at module level is used or exported.
+"""Every name a package module imports at module level is used or exported,
+and no module keeps a memo that outlives a call.
 
 A stdlib-`ast` scan of each module under src/normord but `__init__.py`
 (which imports to re-export): a name bound by a module-level import must
@@ -6,6 +7,8 @@ be read somewhere in the module or listed in its `__all__`.
 """
 
 import ast
+import importlib
+import threading
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,14 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_module_import(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_process_global_memo(module):
+    # a result must not depend on what the process computed before: no
+    # functools cache and no lock guarding a table grown across calls
+    names = vars(importlib.import_module(f"normord.{module[:-3]}"))
+    lock = type(threading.Lock())
+    assert "threading" not in names
+    assert [name for name, value in names.items()
+            if hasattr(value, "cache_info") or isinstance(value, lock)] == []

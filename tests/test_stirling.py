@@ -18,8 +18,10 @@ from normord.stirling import (
     b_pp,
     bell_sequence,
     classical_bell,
+    classical_rows,
     classical_stirling2,
     dobinski_sums,
+    first_kind_rows,
     gen_bell_number,
     gen_stirling,
     stirling1_signless,
@@ -172,14 +174,37 @@ def test_first_kind_signless():
         assert _rising_product(r) == [stirling1_signless(r + 1, k) for k in range(1, r + 2)]
 
 
-def test_first_kind_rows_are_kept():
-    # rows grown once for a large n serve every smaller n unchanged
+def test_first_kind_row_sums_and_range():
     assert sum(stirling1_signless(60, k) for k in range(1, 61)) == factorial(60)
     for r in (1, 5, 20):
         assert _rising_product(r) == [stirling1_signless(r + 1, k) for k in range(1, r + 2)]
     for n, k in ((0, 0), (3, 0), (3, 4), (-1, 1)):
         with pytest.raises(ValueError, match="out of range"):
             stirling1_signless(n, k)
+
+
+def test_classical_tables_are_row_generators():
+    # rows 0..n in order, row m holding k = 0..m; a drawn table is the
+    # caller's own, so changing it changes no later draw
+    second, first = list(classical_rows(30)), list(first_kind_rows(30))
+    assert [len(row) for row in second] == [len(row) for row in first] == list(range(1, 32))
+    assert list(map(sum, second)) == [classical_bell(n) for n in range(31)]
+    assert list(map(sum, first)) == [factorial(n) for n in range(31)]
+    assert second[30] == [classical_stirling2(30, k) for k in range(31)]
+    assert first[30][1:] == [stirling1_signless(30, k) for k in range(1, 31)]
+    second[4][2] += 1
+    first[3][2] += 1
+    assert classical_stirling2(4, 2) == 7 and stirling1_signless(3, 2) == 3
+    assert list(classical_rows(4))[4] == [0, 1, 7, 6, 1]
+    assert list(first_kind_rows(3))[3] == [0, 2, 3, 1]
+
+
+def test_classical_tables_refuse_a_negative_index():
+    for call in (lambda: classical_bell(-1), lambda: classical_stirling2(-1, 0),
+                 lambda: classical_stirling2(2, -1), lambda: next(classical_rows(-1)),
+                 lambda: next(first_kind_rows(-1))):
+        with pytest.raises(ValueError, match="nonnegative"):
+            call()
 
 
 def test_rising_product_three_ways():

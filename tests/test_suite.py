@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import normord
-from normord import closedform, suite
+from normord import closedform, stirling, suite
 from normord.report import _nf_mismatch, _rows_mismatch
 from normord.series import SeriesQ
 from normord.suite import (
@@ -246,16 +246,77 @@ def test_commutator_covers_m_zero():
     assert rep.status == "pass"
 
 
+def _planted(rows, m, k):
+    """The row generator `rows` with 1 added to entry k of row m."""
+    def planted(n_max):
+        for i, row in enumerate(rows(n_max)):
+            yield [v + (i == m and j == k) for j, v in enumerate(row)]
+    return planted
+
+
 def test_commutator_names_a_planted_first_kind_number(monkeypatch):
     # |sigma(3, 2)| = 3 raised to 4: the rising product (n+1)(n+2) of the
     # reference side gains 1·n, so (n+2)^2 · n lifts its n^3 term 8 -> 9
-    real = suite.stirling1_signless
-    monkeypatch.setattr(suite, "stirling1_signless",
-                        lambda n, k: real(n, k) + ((n, k) == (3, 2)))
+    monkeypatch.setattr(suite, "first_kind_rows",
+                        _planted(stirling.first_kind_rows, 3, 2))
     rep = verify_commutator(2, 1)
     assert rep.status == "fail"
     assert rep.details["first_mismatch"] == {"power": 3, "left": "8", "right": "9"}
     assert rep.details["polynomial"] == ["8", "20", "18", "8"]
+
+
+def _classical_failures():
+    """(id, *parameters) -> first_mismatch of each failing report of the
+    two ids that read the classical tables, at their default sizes."""
+    return {(rep.identity, *rep.parameters.values()): rep.details["first_mismatch"]
+            for identity in ("bell-first-kind", "commutator")
+            for rep in run_identity(identity) if rep.status == "fail"}
+
+
+def test_a_planted_classical_row_lasts_one_call(monkeypatch):
+    # each call draws its tables afresh: a plant made after warm calls
+    # shows at once, and once undone, the same process passes again
+    assert _classical_failures() == {}
+    with monkeypatch.context() as plant:
+        # |sigma(3, 2)| = 3 -> 4: row 3 is bell-first-kind's n = 2 and
+        # commutator's rising product at r = 2, its falling one at r = 3
+        planted = _planted(stirling.first_kind_rows, 3, 2)
+        for module in (suite, stirling):
+            plant.setattr(module, "first_kind_rows", planted)
+        assert stirling.stirling1_signless(3, 2) == 4
+        assert _classical_failures() == {
+            ("bell-first-kind", 1, 8): {"n": 2, "left": "7", "right": "8"},
+            ("bell-first-kind", 2, 8): {"n": 2, "left": "16", "right": "18"},
+            ("bell-first-kind", 3, 8): {"n": 2, "left": "29", "right": "32"},
+            ("bell-first-kind", 4, 8): {"n": 2, "left": "46", "right": "50"},
+            ("commutator", 2, 0): {"power": 1, "left": "4", "right": "5"},
+            ("commutator", 2, 1): {"power": 3, "left": "8", "right": "9"},
+            ("commutator", 2, 2): {"power": 5, "left": "12", "right": "13"},
+            ("commutator", 2, 3): {"power": 7, "left": "16", "right": "17"},
+            ("commutator", 3, 0): {"power": 2, "left": "9", "right": "10"},
+            ("commutator", 3, 1): {"power": 4, "left": "15", "right": "16"},
+            ("commutator", 3, 2): {"power": 6, "left": "21", "right": "22"},
+            ("commutator", 3, 3): {"power": 8, "left": "27", "right": "28"},
+        }
+    assert stirling.stirling1_signless(3, 2) == 3
+    assert _classical_failures() == {}
+    with monkeypatch.context() as plant:
+        # S(4, 2) = 7 -> 8, so B(4) = 15 -> 16; the scan names the highest
+        # differing n of bell-first-kind, whose transform reads B(4) from
+        # n = 4 on
+        planted = _planted(stirling.classical_rows, 4, 2)
+        for module in (suite, stirling):
+            plant.setattr(module, "classical_rows", planted)
+        assert stirling.classical_bell(4) == 16
+        assert _classical_failures() == {
+            ("bell-first-kind", 1, 8): {"n": 8, "left": "1441729", "right": "1464178"},
+            ("bell-first-kind", 2, 8): {"n": 8, "left": "58019356", "right": "58378540"},
+            ("bell-first-kind", 3, 8): {"n": 8, "left": "792915057", "right": "794733426"},
+            ("bell-first-kind", 4, 8): {"n": 8, "left": "5853205468",
+                                        "right": "5858952412"},
+        }
+    assert stirling.classical_bell(4) == 15
+    assert _classical_failures() == {}
 
 
 def test_commutator_finds_an_oracle_term_past_the_reference(monkeypatch):
