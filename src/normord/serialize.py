@@ -8,9 +8,10 @@ json.dumps(..., indent=2) would write.  Polynomial rows reach
 `iter_poly_rows_json` and `iter_poly_rows_table` as the triangle cache
 hands them out, one line of space-separated decimals per row, and are
 written in pieces, one per row, with no entry split out of its line.
-`order` and `seq --poly` print from templates alone, so `json`, which
-costs about 2 ms of a cold start, is imported here only by
-`sequence_to_json`.
+Every JSON output here, `seq --number`'s included, is printed from
+templates alone, so no command loads `json`, which costs about 2 ms of
+a cold start (`verify`'s reports have their own writer,
+`suite.reports_to_json`).
 """
 
 from __future__ import annotations
@@ -92,9 +93,17 @@ def sequence_to_dict(r: int, M: int, values) -> dict:
 
 
 def sequence_to_json(r: int, M: int, values) -> str:
-    import json
+    """json.dumps(sequence_to_dict(r, M, values), indent=2), from a template.
 
-    return json.dumps(sequence_to_dict(r, M, values), indent=2)
+    The values are quoted decimals, which need no escaping.
+    """
+    tag = OEIS_ANNOTATIONS.get((r, M))
+    oeis = "" if tag is None else f'\n  "oeis": "{tag}",'
+    entries = [f'"{int(v)}"' for v in values]
+    body = "[\n    " + ",\n    ".join(entries) + "\n  ]" if entries else "[]"
+    # the metadata members in _metadata's order, then "kind" and "values"
+    return (f'{{\n  "r": {r},\n  "M": {M},\n  "offset": 0,{oeis}'
+            f'\n  "kind": "number",\n  "values": {body}\n}}')
 
 
 def sequence_bfile(values) -> str:

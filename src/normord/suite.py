@@ -8,24 +8,30 @@ builds its two (or three) sides independently and hands them to
 here is rational, at fractional parameters too.  The one numeric check,
 `hyp-generating-function`, decides on a proven bound and records the
 precision and tolerance it used.  Every report names its paths in
-`details.paths`.  Operator powers D(r,M)^0..n come
-from one fold, `closedform._oracle_powers`.  `IDENTITIES` is the one
-table of what `verify` runs: for every id it holds the driver, the
-default grid, the overrides it reads and the default size; `examples`
-runs the `EXAMPLE_IDS` entries in turn.
+`details.paths`.  Operator powers D(r,M)^0..n come from one fold per
+sweep, `closedform._oracle_powers`: a run of several ids (`run_suite`,
+or `run_identity` on `examples`) opens the sweep's table and closes it
+when it returns (see `closedform._sweep`), and the drivers here read
+the rewriter's D(r,M) and the triangle rows through it too.
+`IDENTITIES` is the one table of what `verify` runs: for every id it
+holds the driver, the default grid, the overrides it reads and the
+default size; `examples` runs the `EXAMPLE_IDS` entries in turn.
 `run_identity` runs one id over its grid with optional overrides (the
 CLI entry), `run_suite` runs every suite id at its defaults, and the
-CLI help lists the table.
+CLI help lists the table.  `reports_to_json` prints the reports with
+this module's own writer, the bytes json.dumps(..., indent=2) gives,
+so `verify` never loads `json`.
 """
 
 from __future__ import annotations
 
+import re
 import time
 from collections.abc import Callable
 from fractions import Fraction
 from functools import partial
 from itertools import islice, product
-from math import comb
+from math import comb, isinf
 from typing import NamedTuple
 
 from . import backend
@@ -42,6 +48,9 @@ from .closedform import (
     _example_laguerre_shifted,
     _laguerre_rows,
     _oracle_powers,
+    _shared,
+    _shared_rows,
+    _sweep,
     bell_hyp_check,
     bessel_parity_check,
     conjecture_check,
@@ -129,7 +138,7 @@ def verify_commutator(r: int, M: int) -> IdentityReport:
     _nonnegative(r=r, M=M)
     t0 = time.perf_counter()
     params = {"r": r, "M": M}
-    d = laguerre_derivative_nf(r, M)
+    d = _shared(laguerre_derivative_nf, r, M)
     dd = d.dagger()
     oracle = (d * dd - dd * d).diagonal_polynomial()
     order = 2 * M + r
@@ -178,7 +187,7 @@ def verify_stirling_expansion(r: int, M: int, n_max: int) -> IdentityReport:
     t0 = time.perf_counter()
     params = {"r": r, "M": M, "n_max": n_max}
     powers = _oracle_powers(r, M, n_max)[1:]
-    rows = list(stirling_rows(r, M, n_max))[1:]
+    rows = list(_shared_rows(stirling_rows, r, M, n_max))[1:]
     triangle = [NormalForm._from_ints(
                     {(k, k + r * n): v for k, v in enumerate(row) if v}, 1)
                 for n, row in enumerate(rows, 1)]
@@ -387,7 +396,7 @@ def verify_graph_enumeration(r: int, M: int, n_max: int) -> IdentityReport:
     _nonnegative(r=r, M=M, n_max=n_max)
     t0 = time.perf_counter()
     params = {"r": r, "M": M, "n_max": n_max}
-    blocks = laguerre_derivative_nf(r, M).sorted_terms()
+    blocks = _shared(laguerre_derivative_nf, r, M).sorted_terms()
     states = {(0, 0): 1}
     tables = []
     for _ in range(n_max):
@@ -523,9 +532,10 @@ def run_identity(
         raise ValueError(f"unknown identity {identity!r}")
     check = IDENTITIES[identity]
     if check.parts:
-        return [rep for part in check.parts
-                for rep in run_identity(part, r, M, n, lambda_order, precision,
-                                        tolerance)]
+        with _sweep():
+            return [rep for part in check.parts
+                    for rep in run_identity(part, r, M, n, lambda_order, precision,
+                                            tolerance)]
     given = {name: value for name, value in
              (("r", r), ("M", M), ("n", n), ("lambda_order", lambda_order))
              if value is not None}
@@ -539,6 +549,10 @@ def run_identity(
         grid = product(*((given[name],) if name in given else values
                          for name, values in check.axes))
     names = [name for name, _ in check.axes]
+    # no sweep table for one id: its grid points share almost nothing
+    # (only laguerre-shifted's three read one fold, D(1,1)^0..6), and
+    # keeping each point's fold to the end raised the peak RSS of
+    # `verify stirling-expansion --n 21` (nine folds) from 14.9 to 15.6 MB
     return [check.driver(**dict(zip(names, point)), **kwargs) for point in grid]
 
 
@@ -546,18 +560,16 @@ def run_suite(
     precision: int = DEFAULT_PRECISION,
     tolerance=DEFAULT_TOLERANCE,
 ) -> list[IdentityReport]:
-    """Default verification sweep; deterministic report order."""
-    import json
+    """Default verification sweep; deterministic report order.
 
-    reports = [rep for identity in SUITE_IDS
-               for rep in run_identity(identity, precision=precision,
-                                       tolerance=tolerance)]
-    reports.sort(
-        key=lambda rep: (
-            rep.identity,
-            json.dumps(rep.parameters, sort_keys=True, default=str),
-        )
-    )
+    Reports sort by identity, then by the text
+    json.dumps(parameters, sort_keys=True, default=str) would give.
+    """
+    with _sweep():
+        reports = [rep for identity in SUITE_IDS
+                   for rep in run_identity(identity, precision=precision,
+                                           tolerance=tolerance)]
+    reports.sort(key=lambda rep: (rep.identity, _compact(rep.parameters)))
     return reports
 
 
@@ -566,6 +578,120 @@ def suite_passed(reports) -> bool:
 
 
 def reports_to_json(reports) -> str:
-    import json
+    """json.dumps([rep.to_json_dict() for rep in reports], indent=2), exactly."""
+    return _json_text([rep.to_json_dict() for rep in reports])
 
-    return json.dumps([rep.to_json_dict() for rep in reports], indent=2)
+
+# ---------------------------------------------------------------------------
+# the JSON writer: json.dumps's text, byte for byte, with no json import
+
+# what json.dumps (ensure_ascii) escapes: '"', backslash, and every
+# character outside printable ASCII.  A pattern string, which `re`
+# compiles on first use, and only text that is not plain ASCII reaches
+# it; the class written out as ranges up to U+10FFFF took 4.5 ms to
+# compile, this negated one 0.1 ms.
+_UNSAFE = r'["\\]|[^ -~]'
+_SHORT = {"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f", "\n": "\\n",
+          "\r": "\\r", "\t": "\\t"}
+
+
+def _escape(match) -> str:
+    """One character as JSON escapes it: a short form, else \\uXXXX, an
+    astral character as its surrogate pair."""
+    char = match.group()
+    short = _SHORT.get(char)
+    if short is not None:
+        return short
+    code = ord(char)
+    if code < 0x10000:
+        return f"\\u{code:04x}"
+    code -= 0x10000
+    return f"\\u{0xd800 | code >> 10:04x}\\u{0xdc00 | code & 0x3ff:04x}"
+
+
+def _quote(text: str) -> str:
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return '"' + text + '"'
+    return '"' + re.sub(_UNSAFE, _escape, text) + '"'
+
+
+def _scalar(value) -> str | None:
+    """The JSON text of a str, None, bool, int or float; None for any other value."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if isinf(value):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    return None
+
+
+def _key(key) -> str:
+    """A dict key as JSON writes it: always a string."""
+    text = _scalar(key)
+    if text is None:
+        raise TypeError("keys must be str, int, float, bool or None, "
+                        f"not {type(key).__name__}")
+    return text if isinstance(key, str) else '"' + text + '"'
+
+
+def _compact(value) -> str:
+    """json.dumps(value, sort_keys=True, default=str): one line, keys sorted,
+    a value JSON has no form for written as its str."""
+    text = _scalar(value)
+    if text is not None:
+        return text
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_compact, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(_key(key) + ": " + _compact(item)
+                               for key, item in sorted(value.items())) + "}"
+    return _quote(str(value))
+
+
+def _json_text(value) -> str:
+    """json.dumps(value, indent=2), exactly: the same bytes, and a TypeError
+    wherever json.dumps raises one.
+
+    Lists and tuples, dicts in their own order, and the scalars of
+    `_scalar`; each nesting level indents two spaces more.
+    """
+    keys = {}  # the text of each str key met so far, with its ": "
+
+    def text(value, pad):
+        scalar = _scalar(value)
+        if scalar is not None:
+            return scalar
+        inner = pad + "  "
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            return ("[\n" + inner + (",\n" + inner).join([text(v, inner) for v in value])
+                    + "\n" + pad + "]")
+        if not isinstance(value, dict):
+            raise TypeError(f"Object of type {type(value).__name__} "
+                            "is not JSON serializable")
+        if not value:
+            return "{}"
+        parts = []
+        for key, item in value.items():
+            if type(key) is str:
+                head = keys.get(key)
+                if head is None:
+                    head = keys[key] = _quote(key) + ": "
+            else:
+                head = _key(key) + ": "
+            parts.append(head + text(item, inner))
+        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
+
+    return text(value, "")

@@ -735,6 +735,34 @@ def test_process_entry_prints_what_main_prints(capsys, tmp_path):
     assert codes == [0, 0, 0, 0, 0, 0, 0, 2, 0]
 
 
+# Requests PARITY_REQUESTS leaves out: the whole default sweep, the
+# worked examples, one scaled oracle, and the Bell numbers as JSON
+MODULE_REQUESTS = [
+    *PARITY_REQUESTS,
+    ("verify", "all"),
+    ("verify", "examples"),
+    ("verify", "graphs", "--n", "4"),
+    ("seq", "1", "1", "30", "--number", "--format", "json"),
+]
+
+_MODULES_PROBE = ("import sys, normord.cli as cli\n"
+                  "cli.main(sys.argv[1:])\n"
+                  "print('loaded:', *(name for name in ('json', 'contextvars')\n"
+                  "                   if name in sys.modules), file=sys.stderr)")
+
+
+def test_no_command_loads_json(tmp_path):
+    # every output is printed from templates or by suite's own writer; only
+    # a run of several ids opens the sweep table, which loads contextvars
+    for request in MODULE_REQUESTS:
+        argv = [a.format(dir=tmp_path) for a in request]
+        proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *argv],
+                              capture_output=True, text=True, timeout=60)
+        loaded = proc.stderr.rpartition("loaded:")[2].split()
+        sweep = request[:2] in (("verify", "all"), ("verify", "examples"))
+        assert loaded == (["contextvars"] if sweep else []), request
+
+
 def test_main_leaves_the_collector_alone(capsys):
     frozen = gc.get_freeze_count()
     assert run(capsys, "order", "a (ad a)^2")[0] == 0

@@ -86,6 +86,16 @@ def test_sequence_round_trip():
     assert back["r"] == 1 and back["M"] == 1
 
 
+@given(st.integers(0, 4), st.integers(0, 4),
+       st.lists(st.integers(-10**40, 10**40), max_size=12))
+@example(1, 1, [])
+@example(2, 1, [1, 3, 15])
+def test_sequence_json_template_matches_json_dumps(r, M, values):
+    # with and without an OEIS tag, and the empty sequence
+    assert sequence_to_json(r, M, values) == json.dumps(
+        sequence_to_dict(r, M, values), indent=2)
+
+
 def test_sequence_json_large_ints_as_strings():
     values = [117428972441699060660584977]
     d = sequence_to_dict(3, 4, values)

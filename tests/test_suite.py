@@ -1,10 +1,14 @@
 """The verification-suite plumbing: report contract, determinism, dispatch."""
 
 import json
+import re
+import threading
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import normord
 from normord import closedform, stirling, suite
@@ -59,12 +63,19 @@ def test_suite_deterministic_and_sorted():
                  id="examples"),
 ])
 def test_suite_matches_the_golden_report(golden, run):
-    # the reports as JSON, elapsed removed, byte for byte
-    golden = Path(__file__).parent / "data" / golden
-    reports = [rep.to_json_dict() for rep in run()]
-    for rep in reports:
+    # the reports as JSON, elapsed removed, byte for byte: through the
+    # test's own encoder, and in the bytes `verify` prints
+    golden = (Path(__file__).parent / "data" / golden).read_text()
+    reports = run()
+    dicts = [rep.to_json_dict() for rep in reports]
+    for rep in dicts:
         rep.pop("elapsed")
-    assert json.dumps(reports, indent=2) + "\n" == golden.read_text()
+    assert json.dumps(dicts, indent=2) + "\n" == golden
+    # elapsed follows details: it closes a report or precedes its precision
+    shipped, dropped = re.subn(r',\n    "elapsed": [^,\n]*', "",
+                               reports_to_json(reports))
+    assert dropped == len(reports)
+    assert shipped + "\n" == golden
 
 
 def test_stirling_expansion_compares_three_paths(monkeypatch):
@@ -469,3 +480,177 @@ def test_commutator_at_r_zero(M):
     rep = verify_commutator(0, M)
     assert rep.status == "pass"
     assert rep.details["polynomial"] == []
+
+
+# ---------------------------------------------------------------------------
+# the report writer against json, and the sweep table
+
+# printable ASCII, which has the writer's fast path, and any code point
+_TEXT = st.one_of(st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e)),
+                  st.text(st.characters(codec=None, exclude_categories=()), max_size=8))
+_SCALARS = st.one_of(_TEXT, st.integers(), st.booleans(), st.none(), st.floats())
+_KEYS = st.one_of(_TEXT, st.integers(), st.booleans(), st.none(), st.floats())
+
+
+def _trees(leaves, keys):
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=3).map(tuple),
+        st.dictionaries(keys, kids, max_size=4)), max_leaves=24)
+
+
+def _report_tree():
+    rep = IdentityReport("commutator", {"r": 1, "M": 0}, "numeric", "fail",
+                         {"paths": ["a", "b"], "first_mismatch": {"n": 3, "left": "1/2"},
+                          "notes": [], "totals": [2, 7], "x": {}}, 6e-05, 50, "1/10")
+    return [rep.to_json_dict()]
+
+
+@given(_trees(_SCALARS, _KEYS))
+@example(_report_tree())
+@example(['printable "quotes"', "printable back\\slash",
+          'quote " backslash \\ controls \x00\x1f\b\f\n\r\t del \x7f',
+          "non-ASCII \xe9 \u20ac \ufeff, astral \U0001f600 \U0010ffff",
+          "a lone surrogate \ud800"])
+@example([6e-05, 1e16, 1e-07, -0.0, 0.1, 1.5e300, float("inf"), float("-inf"),
+          float("nan"), 10**40, -7, True, False, None])
+@example({"": {}, "e": [], "n": [[], {}, [[{}]]], 1.5: 0, 2: 1, None: 2, False: 3,
+          float("nan"): 4, float("-inf"): 5})
+def test_writer_prints_the_bytes_of_json(tree):
+    assert suite._json_text(tree) == json.dumps(tree, indent=2)
+
+
+def _outcome(dump, tree):
+    """What dump(tree) prints, or the TypeError it raises."""
+    try:
+        return dump(tree)
+    except TypeError as exc:
+        return TypeError, str(exc)
+
+
+_UNWRITABLE = st.sampled_from([Fraction(1, 2), {1, 2}, b"x", 1j, object(), ...])
+
+
+@given(_trees(st.one_of(_SCALARS, _UNWRITABLE),
+              st.one_of(_KEYS, st.sampled_from([(1, 2), frozenset(), b"k", 1j]))))
+@example({"a": 1, "b": [Fraction(1, 3)]})
+@example([{"ok": 1}, {(1, 2): "tuple key"}])
+@example(Fraction(1, 2))
+def test_writer_raises_where_json_does(tree):
+    assert _outcome(suite._json_text, tree) == _outcome(
+        lambda t: json.dumps(t, indent=2), tree)
+
+
+@given(_trees(st.one_of(_SCALARS, _UNWRITABLE), _TEXT))
+@example({"r": 10, "M": 2, "b": Fraction(1, 3), "x": "1"})
+def test_sort_key_is_the_compact_sorted_json(tree):
+    assert suite._compact(tree) == json.dumps(tree, sort_keys=True, default=str)
+
+
+def test_the_sweep_table_closes_with_the_sweep():
+    assert closedform._table() is None
+    with closedform._sweep():
+        table = closedform._table()
+        with closedform._sweep():  # an inner sweep reads the outer table
+            assert closedform._table() is table
+        assert table == {}
+        d = closedform._shared(laguerre_derivative_nf, 2, 1)
+        assert closedform._shared(laguerre_derivative_nf, 2, 1) is d
+    assert closedform._table() is None
+    run_suite()
+    assert closedform._table() is None
+    run_identity("examples")
+    assert closedform._table() is None
+
+
+def test_only_a_run_of_several_ids_opens_the_table(monkeypatch):
+    # one id's grid points share almost nothing: no table keeps their folds
+    opened = []
+
+    def spy(r, M, n_max):
+        opened.append(closedform._table() is not None)
+        return closedform._oracle_powers(r, M, n_max)
+
+    monkeypatch.setattr(suite, "_oracle_powers", spy)
+    run_identity("stirling-expansion")
+    assert opened == [False] * 9
+    opened.clear()
+    run_suite()
+    assert opened and all(opened)
+
+
+def test_each_thread_has_its_own_table():
+    seen = []
+    with closedform._sweep():
+        closedform._shared(laguerre_derivative_nf, 1, 1)
+        other = threading.Thread(target=lambda: seen.append(closedform._table()))
+        other.start()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert seen == [None]
+
+
+def test_a_sweep_hands_out_fresh_powers_and_rows():
+    fresh = closedform._oracle_powers(2, 1, 6)
+    rows = list(stirling.stirling_rows(2, 1, 6))
+    # outside a sweep the row helper is the generator itself
+    assert not isinstance(closedform._shared_rows(stirling.stirling_rows, 2, 1, 6), list)
+    with closedform._sweep():
+        for n_max in (3, 6, 2, 6):
+            powers = closedform._oracle_powers(2, 1, n_max)
+            assert powers == fresh[:n_max + 1]
+            powers[-1] = None  # the caller's own list
+            drawn = closedform._shared_rows(stirling.stirling_rows, 2, 1, n_max)
+            assert drawn == rows[:n_max + 1]
+            drawn[-1][0] += 1  # and its own rows
+        # one fold, extended in place to the largest n asked for
+        fold = closedform._table()[("powers", laguerre_derivative_nf, 2, 1)]
+        assert fold == fresh
+
+
+def _plus_one(rows):
+    """The row generator `rows` with 1 added to entry 1 of row 2."""
+    def planted(r, M, n_max):
+        for n, row in enumerate(rows(r, M, n_max)):
+            yield [v + (n == 2 and k == 1) for k, v in enumerate(row)]
+    return planted
+
+
+def test_a_planted_triangle_row_lasts_one_sweep(monkeypatch):
+    # the table dies with its sweep: a plant made between two sweeps fails
+    # the second at once, and once undone, the next sweep passes again
+    assert suite_passed(run_suite())
+    with monkeypatch.context() as plant:
+        planted = _plus_one(stirling.stirling_rows)
+        for module in (suite, closedform):
+            plant.setattr(module, "stirling_rows", planted)
+        failed = {rep.identity for rep in run_suite() if not rep.ok}
+    # every id that reads the triangle rows through suite or closedform
+    assert failed == {"stirling-expansion", "stirling-hyp", "bell-hyp-r1",
+                      "bell-hyp-r2", "bell-hyp-r3", "conjecture",
+                      "hyp-generating-function"}
+    assert suite_passed(run_suite())
+    # the table keys rows by the generator each module names, so a plant
+    # in one module is read by that module alone
+    with monkeypatch.context() as plant:
+        plant.setattr(suite, "stirling_rows", _plus_one(stirling.stirling_rows))
+        failed = {rep.identity for rep in run_suite() if not rep.ok}
+    assert failed == {"stirling-expansion"}
+    # the same fault in the loop `stirling_rows` reads, beneath the function
+    # the table keys its rows by: a table kept from the sweep before would
+    # hide it.  `bell_sequence` reads it too.
+    real = stirling._graded
+
+    def graded(words, p):
+        for n, state in enumerate(real(words, p)):
+            yield state if n != 2 else {
+                s: [v + (k == 1) for k, v in enumerate(row)] for s, row in state.items()}
+
+    with monkeypatch.context() as plant:
+        plant.setattr(stirling, "_graded", graded)
+        failed = {rep.identity for rep in run_suite() if not rep.ok}
+    assert failed == {"stirling-expansion", "stirling-hyp", "bell-hyp-r1",
+                      "bell-hyp-r2", "bell-hyp-r3", "conjecture",
+                      "hyp-generating-function", "bell-diagonal-powers",
+                      "bell-first-kind", "egf", "eigen-operator"}
+    assert suite_passed(run_suite())
