@@ -255,6 +255,9 @@ def _value(name: str, kind, text: str):
             raise ValueError(f"{name} takes an integer, not {text!r}") from None
     if kind is not str and text not in kind:
         raise ValueError(f"{name} takes one of {', '.join(kind)}, not {text!r}")
+    if name == "--cache-dir" and not text:
+        # an empty path would mean the current directory
+        raise ValueError("--cache-dir takes a directory, not ''")
     return text
 
 
@@ -424,6 +427,10 @@ def cmd_verify(ns: SimpleNamespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        # stirling_rows' S(n, 0) check failed: a verification failure
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if ns.format == "json":
         print(reports_to_json(reports))
     else:

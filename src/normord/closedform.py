@@ -21,13 +21,12 @@ Operator powers come from `_oracle_powers`, the one fold of
 D(r,M)^0..n that the suite drivers use too, one fold per sweep: a run
 of several ids (`suite.run_suite`, or `suite.run_identity` on
 `examples`) opens a table (`_sweep`), held in a ContextVar so that each
-thread has its own, and closes it when it returns.  In it the
-rewriter's D(r,M), its fold (extended in place to the largest n asked
-for) and the rows drawn from `stirling_rows` are made once per (r, M);
-callers get fresh lists of them and change no shared object.  Outside a
-sweep each call builds its own, and no table outlives the call. The
-Bell generating
-function's outer l-sum is `stirling.dobinski_sums`; it and
+thread has its own, and closes it when it returns.  The table holds
+the folds alone, one per (r, M), each extended in place to the largest
+n asked for; callers get fresh slices and change no shared power.
+Outside a sweep each call folds its own, and no table outlives the
+call.  Every reader of the triangle draws `stirling_rows` itself.  The
+Bell generating function's outer l-sum is `stirling.dobinski_sums`; it and
 `hyperreal.exp_bounds` are the users of `series.certified_sum`.
 Sample points, pFq parameters and tolerances go through
 `series._canonical`, so a float raises TypeError; the Bell closed forms
@@ -106,7 +105,7 @@ def _bessel_half_taylor(kind: int, n_terms: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# The sweep table: oracle objects that many reports of one sweep read
+# The sweep table: the power folds that many reports of one sweep read
 
 
 _SWEEP = None  # the ContextVar holding the open sweep's table; see _sweep
@@ -118,8 +117,9 @@ def _sweep():
     close it on exit: the outermost run of several ids holds it.
 
     The ContextVar is made on the first sweep, so of all commands only
-    `verify all` and `verify examples` load `contextvars`.  Two threads making it at once is harmless: a sweep
-    whose var was replaced finds no table and builds everything afresh.
+    `verify all` and `verify examples` load `contextvars`.  Two threads
+    making it at once is harmless: a sweep whose var was replaced finds
+    no table and folds afresh.
     """
     global _SWEEP
     if _SWEEP is None:
@@ -142,42 +142,6 @@ def _table():
     return None if _SWEEP is None else _SWEEP.get()
 
 
-def _shared(build, *args):
-    """build(*args), made once per sweep (no caller may change it); a
-    fresh build outside one.
-
-    The key is the function itself, read by the caller from its own
-    module's globals, so a test that replaces it in one module changes
-    what that module reads and nothing else.
-    """
-    table = _table()
-    if table is None:
-        return build(*args)
-    key = (build, *args)
-    made = table.get(key)
-    if made is None:
-        made = table[key] = build(*args)
-    return made
-
-
-def _shared_rows(rows, r: int, M: int, n_max: int):
-    """Rows 0..n_max of `rows(r, M, n_max)`, `stirling_rows` as the caller's
-    module names it: outside a sweep, that generator itself.
-
-    In a sweep the table keeps the longest draw so far as tuples, and
-    each call gets fresh lists; a longer request draws again, to its end,
-    where `stirling_rows` checks S(n, 0).
-    """
-    table = _table()
-    if table is None:
-        return rows(r, M, n_max)
-    key = (rows, r, M)
-    drawn = table.get(key)
-    if drawn is None or len(drawn) <= n_max:
-        drawn = table[key] = tuple(map(tuple, rows(r, M, n_max)))
-    return [list(row) for row in drawn[:n_max + 1]]
-
-
 def _oracle_powers(r: int, M: int, n_max: int) -> list:
     """NormalForms of the n-th operator power for n = 0..n_max, a fresh list.
 
@@ -186,14 +150,12 @@ def _oracle_powers(r: int, M: int, n_max: int) -> list:
     shared and never changed, and each call gets its own slice.
     """
     table = _table()
-    d = _shared(laguerre_derivative_nf, r, M)
-    if table is None:
-        out = [NormalForm.one()]
-    else:
-        out = table.setdefault(("powers", laguerre_derivative_nf, r, M),
-                               [NormalForm.one()])
-    for _ in range(len(out) - 1, n_max):
-        out.append(out[-1] * d)
+    out = [NormalForm.one()] if table is None else table.setdefault(
+        (r, M), [NormalForm.one()])
+    if len(out) <= n_max:
+        d = out[1] if len(out) > 1 else laguerre_derivative_nf(r, M)
+        for _ in range(len(out) - 1, n_max):
+            out.append(out[-1] * d)
     return out[:n_max + 1]
 
 
@@ -234,7 +196,7 @@ def stirling_hyp_check(M: int, n_max: int) -> IdentityReport:
             (-1) ** k * lead * t * (den // factorial(k)) for k, t in enumerate(sums)],
             den))
     rows = [SeriesQ(M * n + 3, row)
-            for n, row in enumerate(_shared_rows(stirling_rows, 1, M, n_max))]
+            for n, row in enumerate(stirling_rows(1, M, n_max))]
     _, first = _rows_mismatch(closed, rows, "n", ("k",))
     return _finish("stirling-hyp", {"r": 1, "M": M, "n_max": n_max}, "exact", t0,
                    first, {"first_mismatch": first,
@@ -262,7 +224,7 @@ def _check_bell_hyp(r: int, M: int, n_max: int, t0: float,
     bases = [1] * r  # prod_{1<=i<=n} (ri + j), carried from row to row
     top = r ** r  # the argument x^r/r^r: each k step divides by r^r
     lhs, rhs = [], []
-    for n, row in enumerate(_shared_rows(stirling_rows, r, M, n_max)):
+    for n, row in enumerate(stirling_rows(r, M, n_max)):
         order = M * n + 6
         # row holds M*n + 1 ints: five zeros pad it to the order
         scaled = exp_x * SeriesQ._from_ints(order, [*row, 0, 0, 0, 0, 0], 1)
@@ -361,7 +323,8 @@ def hyp_generating_function_check(
                        {"first_mismatch": first, "outer_terms": max_terms + 1},
                        paths=paths, **numctx)
     worst, first = 0, None
-    rows = _shared_rows(stirling_rows, r, M, lambda_order)
+    # drawn to the end, where `stirling_rows` checks S(n, 0)
+    rows = list(stirling_rows(r, M, lambda_order))
     for n, (total, row) in enumerate(zip(totals, rows)):
         bell = 0  # B(n, x) by Horner's rule over the int row
         for c in reversed(row):

@@ -130,9 +130,12 @@ class DotSeries:
 
     def _set(self, order: int, nums: dict, den: int) -> None:
         nums = {key: a for key, a in nums.items() if a}
-        vals, self.den = _reduce(list(nums.values()), den)
+        vals, reduced = _reduce(nums.values(), den)
+        if reduced != den:
+            nums, den = dict(zip(nums, vals)), reduced
         self.order = order
-        self.nums = dict(zip(nums, vals))
+        self.nums = nums
+        self.den = den
         self._terms = None
 
     @property

@@ -11,16 +11,17 @@ precision and tolerance it used.  Every report names its paths in
 `details.paths`.  Operator powers D(r,M)^0..n come from one fold per
 sweep, `closedform._oracle_powers`: a run of several ids (`run_suite`,
 or `run_identity` on `examples`) opens the sweep's table and closes it
-when it returns (see `closedform._sweep`), and the drivers here read
-the rewriter's D(r,M) and the triangle rows through it too.
+when it returns (see `closedform._sweep`).  The table holds those folds
+alone: `commutator` and `graphs` read D(r,M) as a fold's first power,
+and every reader of the triangle draws `stirling_rows` itself.
 `IDENTITIES` is the one table of what `verify` runs: for every id it
 holds the driver, the default grid, the overrides it reads and the
 default size; `examples` runs the `EXAMPLE_IDS` entries in turn.
 `run_identity` runs one id over its grid with optional overrides (the
-CLI entry), `run_suite` runs every suite id at its defaults, and the
-CLI help lists the table.  `reports_to_json` prints the reports with
-this module's own writer, the bytes json.dumps(..., indent=2) gives,
-so `verify` never loads `json`.
+CLI entry), `run_suite` runs every suite id at its defaults, sorted by
+id and then by parameters, and the CLI help lists the table.
+`reports_to_json` prints the reports with this module's own writer, the
+bytes json.dumps(..., indent=2) gives, so `verify` never loads `json`.
 """
 
 from __future__ import annotations
@@ -48,8 +49,6 @@ from .closedform import (
     _example_laguerre_shifted,
     _laguerre_rows,
     _oracle_powers,
-    _shared,
-    _shared_rows,
     _sweep,
     bell_hyp_check,
     bessel_parity_check,
@@ -82,7 +81,7 @@ from .stirling import (
     first_kind_rows,
     stirling_rows,
 )
-from .weyl import NormalForm, laguerre_derivative_nf
+from .weyl import NormalForm
 
 __all__ = [
     "IdentityReport",
@@ -138,7 +137,7 @@ def verify_commutator(r: int, M: int) -> IdentityReport:
     _nonnegative(r=r, M=M)
     t0 = time.perf_counter()
     params = {"r": r, "M": M}
-    d = _shared(laguerre_derivative_nf, r, M)
+    d = _oracle_powers(r, M, 1)[1]
     dd = d.dagger()
     oracle = (d * dd - dd * d).diagonal_polynomial()
     order = 2 * M + r
@@ -187,7 +186,7 @@ def verify_stirling_expansion(r: int, M: int, n_max: int) -> IdentityReport:
     t0 = time.perf_counter()
     params = {"r": r, "M": M, "n_max": n_max}
     powers = _oracle_powers(r, M, n_max)[1:]
-    rows = list(_shared_rows(stirling_rows, r, M, n_max))[1:]
+    rows = list(stirling_rows(r, M, n_max))[1:]
     triangle = [NormalForm._from_ints(
                     {(k, k + r * n): v for k, v in enumerate(row) if v}, 1)
                 for n, row in enumerate(rows, 1)]
@@ -396,7 +395,7 @@ def verify_graph_enumeration(r: int, M: int, n_max: int) -> IdentityReport:
     _nonnegative(r=r, M=M, n_max=n_max)
     t0 = time.perf_counter()
     params = {"r": r, "M": M, "n_max": n_max}
-    blocks = _shared(laguerre_derivative_nf, r, M).sorted_terms()
+    blocks = _oracle_powers(r, M, 1)[1].sorted_terms()
     states = {(0, 0): 1}
     tables = []
     for _ in range(n_max):
@@ -562,14 +561,15 @@ def run_suite(
 ) -> list[IdentityReport]:
     """Default verification sweep; deterministic report order.
 
-    Reports sort by identity, then by the text
-    json.dumps(parameters, sort_keys=True, default=str) would give.
+    Reports sort by identity, then by their parameters' (name, value)
+    pairs in name order; each id's names and value types are fixed, so
+    its pairs compare.
     """
     with _sweep():
         reports = [rep for identity in SUITE_IDS
                    for rep in run_identity(identity, precision=precision,
                                            tolerance=tolerance)]
-    reports.sort(key=lambda rep: (rep.identity, _compact(rep.parameters)))
+    reports.sort(key=lambda rep: (rep.identity, sorted(rep.parameters.items())))
     return reports
 
 
@@ -643,20 +643,6 @@ def _key(key) -> str:
         raise TypeError("keys must be str, int, float, bool or None, "
                         f"not {type(key).__name__}")
     return text if isinstance(key, str) else '"' + text + '"'
-
-
-def _compact(value) -> str:
-    """json.dumps(value, sort_keys=True, default=str): one line, keys sorted,
-    a value JSON has no form for written as its str."""
-    text = _scalar(value)
-    if text is not None:
-        return text
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(map(_compact, value)) + "]"
-    if isinstance(value, dict):
-        return "{" + ", ".join(_key(key) + ": " + _compact(item)
-                               for key, item in sorted(value.items())) + "}"
-    return _quote(str(value))
 
 
 def _json_text(value) -> str:

@@ -128,6 +128,14 @@ def explicit_table(nf: NormalForm, n: int) -> NormalForm:
     return NormalForm(agg)
 
 
+def _directory(text: str) -> str:
+    """A --cache-dir value; an empty one, which would name the current
+    directory, is refused."""
+    if not text:
+        raise argparse.ArgumentTypeError("empty directory")
+    return text
+
+
 def reference_parser() -> argparse.ArgumentParser:
     """The argparse parser of `normord`'s grammar, flags spelled in full only.
 
@@ -169,7 +177,7 @@ def reference_parser() -> argparse.ArgumentParser:
                       help="coefficient rows instead of values")
     p_seq.add_argument("--format", choices=("json", "table", "bfile"),
                        default="json")
-    p_seq.add_argument("--cache-dir", dest="cache_dir")
+    p_seq.add_argument("--cache-dir", dest="cache_dir", type=_directory)
 
     p_verify = sub.add_parser("verify", allow_abbrev=False,
                               help="run identity checks")
@@ -182,6 +190,6 @@ def reference_parser() -> argparse.ArgumentParser:
     p_cache = sub.add_parser("cache", allow_abbrev=False,
                              help="manage the triangle cache")
     p_cache.add_argument("action", choices=("clear",))
-    p_cache.add_argument("--cache-dir", dest="cache_dir")
+    p_cache.add_argument("--cache-dir", dest="cache_dir", type=_directory)
 
     return parser

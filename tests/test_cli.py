@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normord import backend, cache, cli
+from normord import backend, cache, cli, stirling
 from normord.cli import MAX_EXPONENT, MAX_PRECISION, main
 from normord.parser import LimitError, check_triangle, parse_expr
 from normord.stirling import gen_stirling, stirling_rows
@@ -1078,6 +1078,24 @@ def test_seq_kernel_fault_exits_1_without_a_traceback(tmp_path, kind):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_verify_ends_a_failed_row_check_in_one_line(capsys, monkeypatch):
+    # 1 added to S(n, 0) of the last row every triangle draw builds: the
+    # check `stirling_rows` makes past its last row fires, for every id
+    # that draws the rows to their end, and `verify` reports it in one line
+    real = stirling._graded
+
+    def graded(words, p):
+        for n, state in enumerate(real(words, p)):
+            yield state if n < p else {
+                s: [row[0] + 1, *row[1:]] for s, row in state.items()}
+
+    monkeypatch.setattr(stirling, "_graded", graded)
+    for identity in ("stirling-hyp", "hyp-generating-function", "all"):
+        code, out, err = run(capsys, "verify", identity)
+        assert (code, out) == (1, ""), identity
+        assert err.startswith("error: S(n=") and len(err.splitlines()) == 1
+
+
 def test_cache_clear_counts(capsys, tmp_path):
     run(capsys, "seq", "1", "1", "3", "--poly", "--cache-dir", str(tmp_path))
     run(capsys, "seq", "2", "1", "3", "--poly", "--cache-dir", str(tmp_path))
@@ -1189,6 +1207,24 @@ def test_cache_env_var(capsys, tmp_path, monkeypatch):
     code, _, _ = run(capsys, "seq", "3", "1", "2", "--poly")
     assert code == 0
     assert cache.triangle_path(tmp_path, 3, 1, 2).is_file()
+
+
+@pytest.mark.parametrize("argv", [
+    ("seq", "1", "1", "3", "--poly", "--cache-dir", ""),
+    ("cache", "clear", "--cache-dir", ""),
+    ("cache", "clear", "--cache-dir="),
+])
+def test_an_empty_cache_dir_exits_2_and_touches_nothing(capsys, monkeypatch,
+                                                         tmp_path, argv):
+    # an empty path would name the current directory: refused before any
+    # file is read, written or removed
+    monkeypatch.chdir(tmp_path)
+    kept = cache.triangle_path(tmp_path, 1, 1, 3)
+    kept.write_bytes(b"not a cache file\n")
+    assert run(capsys, *argv) == (
+        2, "", "error: --cache-dir takes a directory, not ''\n")
+    assert list(tmp_path.iterdir()) == [kept]
+    assert kept.read_bytes() == b"not a cache file\n"
 
 
 # --- numeric settings ----------------------------------------------------

@@ -541,12 +541,6 @@ def test_writer_raises_where_json_does(tree):
         lambda t: json.dumps(t, indent=2), tree)
 
 
-@given(_trees(st.one_of(_SCALARS, _UNWRITABLE), _TEXT))
-@example({"r": 10, "M": 2, "b": Fraction(1, 3), "x": "1"})
-def test_sort_key_is_the_compact_sorted_json(tree):
-    assert suite._compact(tree) == json.dumps(tree, sort_keys=True, default=str)
-
-
 def test_the_sweep_table_closes_with_the_sweep():
     assert closedform._table() is None
     with closedform._sweep():
@@ -554,8 +548,8 @@ def test_the_sweep_table_closes_with_the_sweep():
         with closedform._sweep():  # an inner sweep reads the outer table
             assert closedform._table() is table
         assert table == {}
-        d = closedform._shared(laguerre_derivative_nf, 2, 1)
-        assert closedform._shared(laguerre_derivative_nf, 2, 1) is d
+        closedform._oracle_powers(2, 1, 3)
+        assert list(table) == [(2, 1)]  # the fold, keyed by (r, M)
     assert closedform._table() is None
     run_suite()
     assert closedform._table() is None
@@ -581,31 +575,35 @@ def test_only_a_run_of_several_ids_opens_the_table(monkeypatch):
 
 def test_each_thread_has_its_own_table():
     seen = []
+
+    def other_sweep():
+        seen.append(closedform._table())
+        with closedform._sweep():
+            closedform._oracle_powers(2, 1, 2)
+            seen.append(list(closedform._table()))
+
     with closedform._sweep():
-        closedform._shared(laguerre_derivative_nf, 1, 1)
-        other = threading.Thread(target=lambda: seen.append(closedform._table()))
+        closedform._oracle_powers(1, 1, 2)
+        other = threading.Thread(target=other_sweep)
         other.start()
         other.join(timeout=10)
+        assert list(closedform._table()) == [(1, 1)]
     assert not other.is_alive()
-    assert seen == [None]
+    assert seen == [None, [(2, 1)]]
 
 
-def test_a_sweep_hands_out_fresh_powers_and_rows():
+def test_a_sweep_hands_out_fresh_slices_of_one_fold():
     fresh = closedform._oracle_powers(2, 1, 6)
-    rows = list(stirling.stirling_rows(2, 1, 6))
-    # outside a sweep the row helper is the generator itself
-    assert not isinstance(closedform._shared_rows(stirling.stirling_rows, 2, 1, 6), list)
     with closedform._sweep():
         for n_max in (3, 6, 2, 6):
             powers = closedform._oracle_powers(2, 1, n_max)
             assert powers == fresh[:n_max + 1]
             powers[-1] = None  # the caller's own list
-            drawn = closedform._shared_rows(stirling.stirling_rows, 2, 1, n_max)
-            assert drawn == rows[:n_max + 1]
-            drawn[-1][0] += 1  # and its own rows
         # one fold, extended in place to the largest n asked for
-        fold = closedform._table()[("powers", laguerre_derivative_nf, 2, 1)]
+        fold = closedform._table()[(2, 1)]
         assert fold == fresh
+        # and each power is the fold's own: a second call reads, not folds
+        assert all(a is b for a, b in zip(closedform._oracle_powers(2, 1, 6), fold))
 
 
 def _plus_one(rows):
@@ -617,8 +615,8 @@ def _plus_one(rows):
 
 
 def test_a_planted_triangle_row_lasts_one_sweep(monkeypatch):
-    # the table dies with its sweep: a plant made between two sweeps fails
-    # the second at once, and once undone, the next sweep passes again
+    # no sweep keeps a row: a plant made between two sweeps fails the
+    # second at once, and once undone, the next sweep passes again
     assert suite_passed(run_suite())
     with monkeypatch.context() as plant:
         planted = _plus_one(stirling.stirling_rows)
@@ -630,15 +628,14 @@ def test_a_planted_triangle_row_lasts_one_sweep(monkeypatch):
                       "bell-hyp-r2", "bell-hyp-r3", "conjecture",
                       "hyp-generating-function"}
     assert suite_passed(run_suite())
-    # the table keys rows by the generator each module names, so a plant
+    # each module draws the rows through the name it imports, so a plant
     # in one module is read by that module alone
     with monkeypatch.context() as plant:
         plant.setattr(suite, "stirling_rows", _plus_one(stirling.stirling_rows))
         failed = {rep.identity for rep in run_suite() if not rep.ok}
     assert failed == {"stirling-expansion"}
-    # the same fault in the loop `stirling_rows` reads, beneath the function
-    # the table keys its rows by: a table kept from the sweep before would
-    # hide it.  `bell_sequence` reads it too.
+    # the same fault in the loop beneath `stirling_rows`, which
+    # `bell_sequence` reads too: every id that reads either fails
     real = stirling._graded
 
     def graded(words, p):
