@@ -31,6 +31,17 @@ the imports, 5-7 ms of every cold request.  Finalization still runs:
 the standard streams are flushed, atexit handlers run and the exit code
 is kept.  `main` never freezes, so a library or test caller keeps
 ordinary collection.
+
+No module loads `fractions` (nor the `decimal` and `numbers` it pulls
+in) on import.  Here a Fraction is built only by `_parse_fraction`, for
+--expectation and --tolerance, and by `_numeric_settings`, which runs
+only when --precision or --tolerance is given; the library builds one
+only for a rational coefficient, an expectation or a check that needs
+one.  So `seq`, `cache`, `--help` and an integer `order` never load
+it, nor do the 13 `verify` ids whose sides are integers or are built
+from int pairs (`graphs`, `stirling-expansion`, the Bell closed forms
+among them); an id whose sides hold non-integer rationals, the numeric
+check and `verify all` do.
 """
 
 from __future__ import annotations
@@ -41,11 +52,10 @@ import re
 import sys
 from collections import namedtuple
 from contextlib import closing
-from fractions import Fraction
 from types import SimpleNamespace
 
 from .cache import cache_clear, load_triangle
-from .closedform import DEFAULT_PRECISION, DEFAULT_TOLERANCE
+from .closedform import DEFAULT_PRECISION, default_tolerance
 from .parser import LimitError, check_order, check_triangle, parse_expr
 from .serialize import (
     iter_poly_rows_json,
@@ -84,6 +94,8 @@ def _parse_fraction(text: str) -> Fraction:
 
     Raises ValueError, a zero denominator included.
     """
+    from fractions import Fraction
+
     _, e, exponent = text.lower().partition("e")
     digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
     if e and (len(digits) > len(str(MAX_EXPONENT))
@@ -95,13 +107,16 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _numeric_settings(ns: SimpleNamespace) -> tuple[int, Fraction]:
-    """`verify`'s --precision and --tolerance, defaults filled in, checked.
+def _numeric_settings(ns: SimpleNamespace) -> dict:
+    """`verify`'s --precision and --tolerance, defaults filled in, checked,
+    as the keywords `run_identity` and `run_suite` take.
 
-    Raises ValueError before 10**(precision - 10) is built, so the bounds
-    hold for any input.
+    Run only when one of the two is given: `_override_error` has then
+    refused an id that reads neither, and with neither given the library
+    defaults apply as they are.  Raises ValueError before
+    10**(precision - 10) is built, so the bounds hold for any input.
     """
-    tolerance = (DEFAULT_TOLERANCE if ns.tolerance is None
+    tolerance = (default_tolerance() if ns.tolerance is None
                  else _parse_fraction(ns.tolerance))
     precision = DEFAULT_PRECISION if ns.precision is None else ns.precision
     if precision < 30:
@@ -110,10 +125,10 @@ def _numeric_settings(ns: SimpleNamespace) -> tuple[int, Fraction]:
         raise ValueError(f"precision must be at most {MAX_PRECISION} digits")
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    if tolerance < Fraction(1, 10 ** (precision - 10)):
+    if tolerance * 10 ** (precision - 10) < 1:
         raise ValueError("tolerance tighter than the precision supports "
                          "(need tolerance >= 10^-(precision-10))")
-    return precision, tolerance
+    return {"precision": precision, "tolerance": tolerance}
 
 
 def _parse_expectation(text: str):
@@ -121,7 +136,7 @@ def _parse_expectation(text: str):
     if len(parts) > 2:
         raise ValueError("expectation takes RE or RE,IM")
     re_part = _parse_fraction(parts[0])
-    im_part = _parse_fraction(parts[1]) if len(parts) == 2 else Fraction(0)
+    im_part = _parse_fraction(parts[1]) if len(parts) == 2 else 0
     return re_part, im_part
 
 
@@ -417,13 +432,13 @@ def cmd_verify(ns: SimpleNamespace) -> int:
         problem = _override_error(ns)
         if problem:
             raise ValueError(problem)
-        precision, tolerance = _numeric_settings(ns)
+        numeric = ({} if ns.precision is None and ns.tolerance is None
+                   else _numeric_settings(ns))
         if ns.identity == "all":
-            reports = run_suite(precision=precision, tolerance=tolerance)
+            reports = run_suite(**numeric)
         else:
             reports = run_identity(ns.identity, r=ns.r, M=ns.M, n=ns.n,
-                                   lambda_order=ns.lambda_order,
-                                   precision=precision, tolerance=tolerance)
+                                   lambda_order=ns.lambda_order, **numeric)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -31,7 +31,10 @@ Bell generating function's outer l-sum is `stirling.dobinski_sums`; it and
 Sample points, pFq parameters and tolerances go through
 `series._canonical`, so a float raises TypeError; the Bell closed forms
 hand their pFq parameters over as int (numerator, denominator) pairs
-(`series._pair`), so no row builds a Fraction. The worked examples
+(`series._pair`), so no row builds a Fraction.  Nothing here is built
+when the module loads: the default tolerance is `default_tolerance()`,
+each check or example that takes a Fraction imports it itself, and
+`_bound_str` is the one user of `decimal`. The worked examples
 read one implementation of each formula: left sides are oracle powers
 scaled by Taylor coefficients (`_scaled_powers` for D(1,1), the two
 Kummer examples' through `_kummer_sides`);
@@ -52,10 +55,10 @@ them directly, with its grid and default size; `run_identity` is the one
 entry that refuses an unknown id or a negative order.
 """
 
+from __future__ import annotations
+
 import time
 from contextlib import contextmanager
-from decimal import ROUND_CEILING, Context, Decimal, localcontext
-from fractions import Fraction
 from math import comb, lcm
 
 from .hyperreal import exp_bounds, rel_dev_bound
@@ -64,6 +67,7 @@ from .report import IdentityReport, _finish, _rows_mismatch
 from .series import (
     SeriesQ,
     _canonical,
+    _ratio,
     _terminating_sums,
     factorial,
     laguerre_poly,
@@ -79,11 +83,23 @@ from .stirling import (
 from .weyl import NormalForm, laguerre_derivative_nf
 
 DEFAULT_PRECISION = 50
-DEFAULT_TOLERANCE = Fraction(1, 10**30)
+
+
+def default_tolerance() -> Fraction:
+    """The numeric checks' tolerance when none is given, 10^-30.
+
+    A Fraction, so it is built on use: only a request that runs a numeric
+    check, or reads --precision or --tolerance, loads `fractions`.
+    """
+    from fractions import Fraction
+
+    return Fraction(1, 10**30)
 
 
 def _bound_str(q: Fraction) -> str:
     """q as a 6-digit decimal rounded up, so that a bound stays a bound."""
+    from decimal import ROUND_CEILING, Context, Decimal, localcontext
+
     with localcontext(Context(prec=6, rounding=ROUND_CEILING)):
         return str(Decimal(q.numerator) / Decimal(q.denominator))
 
@@ -91,6 +107,8 @@ def _bound_str(q: Fraction) -> str:
 def _bessel_half_taylor(kind: int, n_terms: int) -> list:
     # Coefficients of I_kind(y/2) as a series in y; only every other
     # power appears.
+    from fractions import Fraction
+
     out = []
     for k in range(n_terms):
         if kind == 0 and k % 2 == 0:
@@ -286,7 +304,7 @@ def hyp_generating_function_check(
     x=1,
     lambda_order: int = 6,
     precision: int = DEFAULT_PRECISION,
-    tolerance=DEFAULT_TOLERANCE,
+    tolerance=None,
     max_terms: int = 200000,
 ) -> IdentityReport:
     """exp(-x) sum_l x^l/l! mFm([l/r+1 x M],[1 x M], r^M t) against the
@@ -299,7 +317,8 @@ def hyp_generating_function_check(
     cutoff 10^-(precision+10); e^-x is enclosed to the same cutoff by
     `hyperreal.exp_bounds`.  Row n passes iff the proven bound on
     |e^-x L - B(n,x)| / max(B(n,x), 1) over both enclosures is at most
-    tolerance (`hyperreal.rel_dev_bound`); no rounded value is compared.
+    tolerance (`hyperreal.rel_dev_bound`), `default_tolerance()` when it
+    is None; no rounded value is compared.
     If a tail cannot be certified within the term budget the report says
     so instead of passing. Reports record the certificate: outer_terms,
     ratio_cap and tail_bound (rounded up; the bound is on the top row's
@@ -309,11 +328,12 @@ def hyp_generating_function_check(
     t0 = time.perf_counter()
     if r < 1 or M < 0 or lambda_order < 0 or precision < 1:
         raise ValueError("need r >= 1, M >= 0, lambda_order >= 0, precision >= 1")
-    x, tolerance = _canonical(x), _canonical(tolerance)
+    x = _canonical(x)
+    tolerance = default_tolerance() if tolerance is None else _canonical(tolerance)
     params = {"r": r, "M": M, "x": str(x), "lambda_order": lambda_order}
     numctx = {"precision": precision, "tolerance": str(tolerance)}
     paths = ("certified l-sum", "Bell polynomial")
-    cutoff = Fraction(1, 10 ** (precision + 10))
+    cutoff = _ratio(1, 10 ** (precision + 10))
     try:
         totals, cert = dobinski_sums(r, M, lambda_order, x, cutoff, max_terms)
         emx_lo, emx_hi, exp_cert = exp_bounds(-x, cutoff, max_terms)
@@ -355,6 +375,8 @@ def _resolvent(order: int):
 
 def _bessel_dot(order: int, s: int, sigma: int) -> DotSeries:
     """:exp(s·t·a) sum_m sigma^m/(m!)^2 (t·a†a²)^m:; I0 is (1, 1), J0 (-1, -1)."""
+    from fractions import Fraction
+
     taylor = [Fraction(sigma**m, factorial(m) ** 2) for m in range(order)]
     return (DotSeries.monomial(order, 1, 0, 1, s).exp()
             * DotSeries.monomial(order, 1, 1, 2).apply_function(taylor))
@@ -371,6 +393,8 @@ def _kummer_sides(b: Fraction, lambda_order: int):
 
 
 def _example_laguerre_ogf(lambda_order: int) -> IdentityReport:
+    from fractions import Fraction
+
     t0 = time.perf_counter()
     order = lambda_order + 1
     lhs = _scaled_powers([Fraction(1, factorial(n)) for n in range(order)])
@@ -398,7 +422,7 @@ def _example_kummer_b3(lambda_order: int) -> IdentityReport:
     l2 = (
         DotSeries.one(order)
         + arg.scale(2)
-        + (arg * arg).scale(Fraction(1, 2))
+        + (arg * arg).scale(_ratio(1, 2))
     )
     rhs = (inv_cubed * l2 * arg.exp()).lambda_rows()
     checks, first = _rows_mismatch(lhs, rhs, "lambda")
@@ -417,10 +441,10 @@ def _example_kummer_b3(lambda_order: int) -> IdentityReport:
 
 def _example_kummer_b3half(lambda_order: int) -> IdentityReport:
     t0 = time.perf_counter()
-    b = Fraction(3, 2)
+    b = _ratio(3, 2)
     order = lambda_order + 1
     lhs, rhs_generic, arg = _kummer_sides(b, lambda_order)
-    half_arg = arg.scale(Fraction(1, 2))
+    half_arg = arg.scale(_ratio(1, 2))
     i0 = arg.apply_function(_bessel_half_taylor(0, order))
     i1 = arg.apply_function(_bessel_half_taylor(1, order))
     bracket = (DotSeries.one(order) + arg) * i0 + arg * i1
@@ -445,6 +469,8 @@ def _example_kummer_b3half(lambda_order: int) -> IdentityReport:
 
 
 def _example_laguerre_shifted(n: int, lambda_order: int) -> IdentityReport:
+    from fractions import Fraction
+
     t0 = time.perf_counter()
     p = n  # the shift, read from the one size override, `verify --n`
     if p < 1:
@@ -469,6 +495,8 @@ def _example_laguerre_shifted(n: int, lambda_order: int) -> IdentityReport:
 
 
 def _example_bessel(example_id: str, lambda_order: int) -> IdentityReport:
+    from fractions import Fraction
+
     t0 = time.perf_counter()
     order = lambda_order + 1
     sign = 1 if example_id == "bessel-i0" else -1
@@ -524,6 +552,8 @@ def _alternating_rows(r: int, M: int, n_max: int, tag: str):
 
 
 def _example_eigen_operator(M: int, lambda_order: int) -> IdentityReport:
+    from fractions import Fraction
+
     t0 = time.perf_counter()
     scales = [Fraction(1, factorial(n) ** (M + 1)) for n in range(lambda_order + 1)]
     powers = _oracle_powers(1, M, lambda_order)

@@ -9,7 +9,7 @@ proven rather than rounded: ball arithmetic (Johansson's Arb, van der
 Hoeven's "Ball arithmetic") with rational endpoints.
 """
 
-from fractions import Fraction
+from __future__ import annotations
 
 from .series import _canonical, certified_sum
 
@@ -23,6 +23,8 @@ def exp_bounds(x, cutoff, max_terms: int = 200000):
     T <= cutoff * E (E >= 1), so e^|x| lies in [E, E + T] and e^-|x| in
     [1/(E + T), 1/E].  Raises RuntimeError if max_terms terms do not certify.
     """
+    from fractions import Fraction
+
     x, cutoff = _canonical(x), _canonical(cutoff)
     if cutoff <= 0:
         raise ValueError("cutoff must be positive")
@@ -38,5 +40,7 @@ def exp_bounds(x, cutoff, max_terms: int = 200000):
 
 def rel_dev_bound(lo, hi, exact) -> Fraction:
     """The most |v - exact| / max(|exact|, 1) can be for any v in [lo, hi]."""
+    from fractions import Fraction
+
     lo, hi, exact = _canonical(lo), _canonical(hi), _canonical(exact)
     return Fraction(max(hi - exact, exact - lo), max(abs(exact), 1))

@@ -19,13 +19,13 @@ one pass of ints, and builds no rational.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import lcm
 
 from .series import (
     SeriesQ,
     _canonical,
     _ratio,
+    _ratios,
     _reduce,
     _to_one_den,
     factorial,
@@ -73,7 +73,8 @@ def exp_lambda_Dx_columns(op: DxOperator, s: SeriesQ, m_max: int) -> list:
     t = s
     for m in range(1, m_max + 1):
         t = apply_Dx(op, t)
-        cols.append(t.scale(Fraction(1, factorial(m))))
+        # t / m!, in ints: the denominator takes the m!
+        cols.append(SeriesQ._from_ints(t.order, t.nums, t.den * factorial(m)))
     return cols
 
 
@@ -87,7 +88,7 @@ def eigenfunction_series(r: int, M: int, order: int) -> SeriesQ:
         raise ValueError("need r >= 1 and M >= 0")
     if order < 1:
         raise ValueError("order must be >= 1")
-    lower = [Fraction(j, r) for j in range(1, r)] + [1] * M
+    lower = [(j, r) for j in range(1, r)] + [1] * M  # j/r as int pairs
     m_max = (order + r - 1) // r
     f = phyperq_series([], lower, m_max)
     # x^(r m) carries f_m / denom^m, over the last denominator f.den denom^(m_max-1)
@@ -141,7 +142,7 @@ class DotSeries:
     @property
     def terms(self) -> dict:
         if self._terms is None:
-            self._terms = {key: _ratio(a, self.den) for key, a in self.nums.items()}
+            self._terms = dict(zip(self.nums, _ratios(self.nums.values(), self.den)))
         return self._terms
 
     @classmethod
@@ -203,6 +204,8 @@ class DotSeries:
         m0 = self.min_lambda_order()
         if m0 < 1:
             raise ValueError("exp needs a series with no lambda^0 part")
+        from fractions import Fraction
+
         kmax = (self.order - 1) // m0
         return self.apply_function([Fraction(1, factorial(k)) for k in range(kmax + 1)])
 
@@ -261,7 +264,7 @@ def exp_D_r1_normal_form(r: int, n_max: int) -> list:
         raise ValueError("need r >= 1 and n_max >= 0")
     order = n_max + 1
     g = DotSeries.binpow(order, -r, r, -1)
-    bt = series_binpow(-r, Fraction(-1, r), order)
+    bt = series_binpow(-r, _ratio(-1, r), order)
     arg = DotSeries._from_ints(
         order, {(k, 1, r * k + 1): bt.nums[k] for k in range(1, order)}, bt.den)
     full = g * arg.exp()
@@ -275,5 +278,5 @@ def egf_bell_r1(r: int, order: int) -> SeriesQ:
     if order < 1:
         raise ValueError("order must be >= 1")
     pref = series_binpow(-r, -1, order)
-    inner = series_binpow(-r, Fraction(-1, r), order) - SeriesQ.one(order)
+    inner = series_binpow(-r, _ratio(-1, r), order) - SeriesQ.one(order)
     return pref * series_exp(inner)

@@ -23,11 +23,10 @@ before each factor.  `check_order` and `check_triangle` bound what
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, product
 from math import lgamma, log, log10, prod
 
-from .series import _to_one_den
+from .series import _ratio, _to_one_den
 from .weyl import ANNIHILATOR, CREATOR, BosonExpr
 
 __all__ = ["MAX_EXPECTATION_WORK", "MAX_LETTERS", "MAX_NESTING", "MAX_ORDER_BYTES",
@@ -81,7 +80,12 @@ def check_letters(letters: int, what: str) -> None:
 
 
 def check_triangle(r: int, M: int, n_max: int) -> None:
-    """Raise LimitError if rows 0..n_max of S_r^(M) would pass MAX_TRIANGLE_BYTES.
+    """Raise LimitError if D(r,M) = a^r (ad a)^M would pass MAX_LETTERS, or
+    rows 0..n_max of S_r^(M) MAX_TRIANGLE_BYTES.
+
+    D(r,M) has r + 2M letters.  They are counted first, against the bound
+    `order` applies to a word, so no r or M past it reaches the size
+    estimate or the row build.
 
     Row m is a list, counted at 128 bytes, of M*m + 1 ints, each counted
     at 36 bytes plus the size of the top row's first entry
@@ -89,6 +93,7 @@ def check_triangle(r: int, M: int, n_max: int) -> None:
     printed one at a time, so this bounds the output, the cache file and
     the work, not memory: (1,1,400) counts 32 MB and writes a 29 MB file.
     """
+    check_letters(r + 2 * M, f"D({r},{M})")
     entries = (n_max + 1) * (M * n_max + 2) // 2
     top_bits = M * (lgamma(n_max + 1) + n_max * log(max(r, 1))) / log(2)
     size = (n_max + 1) * 128 + entries * (36 + top_bits / 8)
@@ -306,8 +311,8 @@ class _Parser:
                 tok = self.expect("int")
                 if tok[1] == 0:
                     raise ParseError("zero denominator", tok[2])
-                return BosonExpr.scalar(Fraction(value, tok[1]))
-            return BosonExpr.scalar(Fraction(value))
+                return BosonExpr.scalar(_ratio(value, tok[1]))
+            return BosonExpr.scalar(value)
         if kind == "name":
             return {"a": _A, "ad": _AD, "n": _N}[value]
         if kind == "(":

@@ -13,6 +13,16 @@ here, the normal forms in `normord.weyl` (the graph tables of
 `normord.laguerre` all read out by it.  A true rational division is
 written `Fraction(a, b)`, since two ints would give a float.
 
+No module of the package imports `fractions` when it loads.  A Fraction
+is built only by the function that needs one, which imports it there,
+at its top or on its non-int branch, never inside a per-term loop: here
+`_ratio` reads one value out, `_ratios` a container's whole readout
+with one import, and `certified_sum` builds its sums at its stop.
+`_canonical` recognizes a Fraction without importing anything, since
+one exists only once `fractions` is loaded.  So integer work, the
+triangle S_r^(M)(n,k) and the normal forms of D(r,M)^n among it, never
+loads `fractions`, nor the `decimal` and `numbers` modules it pulls in.
+
 The three exact containers, `SeriesQ`, `weyl.NormalForm` and
 `laguerre.DotSeries`, share one layout: int numerators over one reduced
 int denominator (FLINT's fmpq_poly layout), so their arithmetic is int
@@ -36,7 +46,7 @@ caller.  Both loops run in unreduced integers (see their docstrings).
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from itertools import islice
 from math import comb, factorial, gcd, lcm, prod
 from operator import add, mul
@@ -72,10 +82,12 @@ def _canonical(c):
     """c as an int when it is integral, else as a Fraction (denominator > 1)."""
     if type(c) is int:
         return c
-    if isinstance(c, Fraction):
-        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):  # bool and other int subclasses
         return int(c)
+    # looked up, not imported: a Fraction exists only once `fractions` is loaded
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(c, fractions.Fraction):
+        return c.numerator if c.denominator == 1 else c
     raise TypeError(f"coefficient must be rational, got {type(c).__name__}")
 
 
@@ -104,7 +116,21 @@ def _reduce(nums: Sequence[int], den: int) -> tuple[Sequence[int], int]:
 
 def _ratio(a: int, den: int):
     """a/den read out by the `_canonical` rule."""
-    return a if den == 1 else _canonical(Fraction(a, den))
+    return a if den == 1 else _ratios((a,), den)[0]
+
+
+def _ratios(nums: Iterable[int], den: int) -> list:
+    """Each a/den of nums read out by the `_canonical` rule, with one
+    import of Fraction for them all."""
+    if den == 1:
+        return list(nums)
+    from fractions import Fraction
+
+    out = []
+    for a in nums:
+        q = Fraction(a, den)
+        out.append(q.numerator if q.denominator == 1 else q)
+    return out
 
 
 def pochhammer(a, k: int):
@@ -114,7 +140,7 @@ def pochhammer(a, k: int):
     out = 1
     for i in range(k):
         out *= num + i * den
-    return _canonical(Fraction(out, den**k))
+    return _ratio(out, den**k)
 
 
 class SeriesQ:
@@ -153,7 +179,7 @@ class SeriesQ:
     @property
     def coeffs(self) -> tuple:
         if self._coeffs is None:
-            self._coeffs = tuple(_ratio(a, self.den) for a in self.nums)
+            self._coeffs = tuple(_ratios(self.nums, self.den))
         return self._coeffs
 
     @classmethod
@@ -215,8 +241,10 @@ def laguerre_poly(n: int) -> SeriesQ:
     """Laguerre polynomial L_n(y) = sum_k C(n,k) (-y)^k / k!: a `SeriesQ` of order n + 1."""
     if n < 0:
         raise ValueError("Laguerre index must be >= 0")
-    return SeriesQ(
-        n + 1, (Fraction((-1) ** k * comb(n, k), factorial(k)) for k in range(n + 1)))
+    top = factorial(n)  # over the one denominator n!
+    return SeriesQ._from_ints(
+        n + 1, [(-1) ** k * comb(n, k) * (top // factorial(k)) for k in range(n + 1)],
+        top)
 
 
 def series_exp(s: SeriesQ) -> SeriesQ:
@@ -443,6 +471,8 @@ def certified_sum(
             if scale < den_next:
                 scale = den_next
             if 2 * nxt * cut_den <= cut_num * scale:
+                from fractions import Fraction
+
                 return [Fraction(s, den) for s in sums], SumCertificate(
                     k + 1, ratio_cap(k), Fraction(2 * nxt, den_next)
                 )

@@ -29,7 +29,6 @@ of e^{-x}, against the Bell polynomials.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial, prod
 
 from .series import _canonical, certified_sum
@@ -192,6 +191,8 @@ def dobinski_sums(r: int, M: int, n_max: int, x, cutoff, max_terms: int):
     Returns (one exact partial sum per row, SumCertificate of the top row);
     raises RuntimeError if max_terms terms do not certify.
     """
+    from fractions import Fraction
+
     if r < 0 or M < 0 or n_max < 0:
         raise ValueError("need r, M, n_max >= 0")
     x, cutoff = _canonical(x), _canonical(cutoff)

@@ -29,7 +29,6 @@ from __future__ import annotations
 import re
 import time
 from collections.abc import Callable
-from fractions import Fraction
 from functools import partial
 from itertools import islice, product
 from math import comb, isinf
@@ -38,7 +37,6 @@ from typing import NamedTuple
 from . import backend
 from .closedform import (
     DEFAULT_PRECISION,
-    DEFAULT_TOLERANCE,
     _alternating_rows,
     _example_bessel,
     _example_eigen_operator,
@@ -64,10 +62,12 @@ from .laguerre import (
     exp_D_r1_normal_form,
     exp_lambda_Dx_columns,
 )
+from .parser import check_letters
 from .report import IdentityReport, _finish, _nf_mismatch, _rows_mismatch
 from .series import (
     SeriesQ,
     _canonical,
+    _ratio,
     _to_one_den,
     factorial,
     laguerre_poly,
@@ -263,6 +263,8 @@ def verify_exp_on_exponential(
     power each column retains (a staircase, not a rectangle) against
     (-b)^i/i! * (-1)^m C(i+m, m) b^m.
     """
+    from fractions import Fraction
+
     _columns_fit(x_order, lambda_order)
     t0 = time.perf_counter()
     b = _canonical(b)
@@ -418,7 +420,10 @@ class Check(NamedTuple):
     """How `run_identity` runs one id: a driver over a default grid.
 
     The grid is the product of `axes`, each (name, default values), where
-    an override of that name pins its axis to the one value given; while
+    an override of that name pins its axis to the one value given.  The
+    values may be given as a function that returns them, called when the
+    grid is built: a Fraction among them is made then, not when the
+    module loads (the b axes of `exp-exponential` and `exp-kummer`).  While
     neither r nor M is given, `points` (value tuples over the axes) stand
     in for the product.  The driver is called once per
     point with the point's values, the size and the numeric settings
@@ -454,8 +459,8 @@ IDENTITIES = {
     "bell-diagonal-powers": Check(verify_bell_diagonal_powers, (_M3,), ("n", 4)),
     "laguerre-normal-form": Check(verify_laguerre_normal_form, size=("n", 6)),
     "exp-exponential": Check(verify_exp_on_exponential,
-                             (("b", (1, 2, Fraction(1, 3))),), ("lambda_order", 8)),
-    "exp-kummer": Check(verify_exp_on_kummer, (("b", (1, 2, 3, Fraction(3, 2))),),
+                             (("b", lambda: (1, 2, _ratio(1, 3))),), ("lambda_order", 8)),
+    "exp-kummer": Check(verify_exp_on_kummer, (("b", lambda: (1, 2, 3, _ratio(3, 2))),),
                         ("lambda_order", 8)),
     "exp-monomial": Check(verify_exp_on_monomial, size=("n", 6)),
     "sheffer": _SHEFFER,
@@ -511,7 +516,7 @@ def run_identity(
     n: int | None = None,
     lambda_order: int | None = None,
     precision: int = DEFAULT_PRECISION,
-    tolerance=DEFAULT_TOLERANCE,
+    tolerance=None,
 ) -> list[IdentityReport]:
     """Run one named identity (or one worked example) with overrides.
 
@@ -521,8 +526,12 @@ def run_identity(
     the id does not read is ignored here (the `verify` command rejects an
     --r, --M, --n or --lambda-order that `overrides_read` does not list).  Sizes are
     taken as given (0 included); a negative n or lambda_order raises
-    ValueError.
+    ValueError.  An r and M whose D(r,M) = a^r (ad a)^M would pass
+    `parser.MAX_LETTERS` letters raise LimitError before anything is
+    built, an r or M not given counted as 0.  A tolerance of None is
+    `closedform.default_tolerance()`.
     """
+    check_letters((r or 0) + 2 * (M or 0), f"D({r or 0},{M or 0})")
     if n is not None and n < 0:
         raise ValueError("n must be >= 0")
     if lambda_order is not None and lambda_order < 0:
@@ -545,7 +554,8 @@ def run_identity(
         kwargs["n_max" if name == "n" else name] = given.get(name, default)
     grid = check.points
     if grid is None or given.keys() & {"r", "M"}:
-        grid = product(*((given[name],) if name in given else values
+        grid = product(*((given[name],) if name in given
+                         else values() if callable(values) else values
                          for name, values in check.axes))
     names = [name for name, _ in check.axes]
     # no sweep table for one id: its grid points share almost nothing
@@ -557,7 +567,7 @@ def run_identity(
 
 def run_suite(
     precision: int = DEFAULT_PRECISION,
-    tolerance=DEFAULT_TOLERANCE,
+    tolerance=None,
 ) -> list[IdentityReport]:
     """Default verification sweep; deterministic report order.
 

@@ -45,7 +45,7 @@ from math import lcm
 from operator import add
 
 from . import backend
-from .series import SeriesQ, _canonical, _ratio, _reduce, _to_one_den
+from .series import SeriesQ, _canonical, _ratio, _ratios, _reduce, _to_one_den
 
 ANNIHILATOR = 0
 CREATOR = 1
@@ -163,7 +163,7 @@ class NormalForm:
     @property
     def terms(self) -> dict:
         if self._terms is None:
-            self._terms = {key: _ratio(a, self.den) for key, a in self.nums.items()}
+            self._terms = dict(zip(self.nums, _ratios(self.nums.values(), self.den)))
         return self._terms
 
     @classmethod
@@ -268,7 +268,7 @@ class NormalForm:
             re += c * (a * e + b * f)
             im += c * (a * f - b * e)
         den = self.den * d**top
-        return _ratio(re, den), _ratio(im, den)
+        return tuple(_ratios((re, im), den))
 
     def expectation_at_one(self):
         """Shorthand for the z=1 coherent expectation (sum of coefficients).

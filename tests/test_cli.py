@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from normord import backend, cache, cli, stirling
 from normord.cli import MAX_EXPONENT, MAX_PRECISION, main
-from normord.parser import LimitError, check_triangle, parse_expr
+from normord.parser import MAX_LETTERS, LimitError, check_triangle, parse_expr
 from normord.stirling import gen_stirling, stirling_rows
-from normord.suite import EXAMPLE_IDS, SUITE_IDS
+from normord.suite import EXAMPLE_IDS, SUITE_IDS, run_identity
 from normord.weyl import normal_order_rewrite
 from oracles import normal_form_from_json, reference_parser
 
@@ -289,6 +289,54 @@ def test_seq_size_limit_counts_m():
         check_triangle(1, M, n)
         with pytest.raises(LimitError):
             check_triangle(1, M, n + 1)
+
+
+_HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize("argv", [
+    ("seq", _HUGE, "1", "3"),
+    ("seq", _HUGE, "1", "3", "--poly"),
+    ("seq", "9223372036854775807", "1", "1"),
+    ("seq", "3000000", "1", "1"),
+    ("seq", "1", "15001", "0", "--poly"),
+    ("verify", "egf", "--r", _HUGE, "--n", "2"),
+    ("verify", "graphs", "--r", _HUGE, "--n", "2"),
+    ("verify", "commutator", "--r", _HUGE),
+    ("verify", "bell-first-kind", "--r", _HUGE, "--n", "2"),
+    ("verify", "stirling-expansion", "--M", _HUGE, "--n", "2"),
+    ("verify", "hyp-generating-function", "--r", _HUGE, "--lambda-order", "2"),
+    ("verify", "conjecture", "--r", _HUGE, "--n", "2"),
+])
+def test_r_or_m_past_the_letter_bound_exits_2_before_building(argv, tmp_path):
+    # D(r,M) = a^r (ad a)^M has r + 2M letters, bounded as `order` bounds
+    # a word.  Unbounded, these exited 1 on an OverflowError reported as a
+    # verification failure, died of a MemoryError, or ran with time and
+    # memory growing in r (conjecture until it was killed).
+    if argv[0] == "seq":
+        argv += ("--cache-dir", str(tmp_path))
+    proc = subprocess.run([sys.executable, "-m", "normord.cli", *argv],
+                          capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: D(")
+    assert proc.stderr.endswith(f" letters, past the limit of {MAX_LETTERS}\n")
+    assert proc.stderr.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_letter_bound_counts_r_plus_2m(capsys):
+    check_triangle(MAX_LETTERS - 2, 1, 1)
+    check_triangle(0, MAX_LETTERS // 2, 0)
+    for r, M in ((MAX_LETTERS - 1, 1), (1, MAX_LETTERS // 2)):
+        with pytest.raises(LimitError, match=f"D\\({r},{M}\\) would reach"):
+            check_triangle(r, M, 0)
+    # an r or M not given counts as 0
+    with pytest.raises(LimitError, match="D\\(30001,0\\) would reach 30001"):
+        run_identity("egf", r=MAX_LETTERS + 1, n=2)
+    with pytest.raises(LimitError, match="D\\(0,15001\\) would reach 30002"):
+        run_identity("stirling-expansion", M=MAX_LETTERS // 2 + 1, n=2)
+    code, out, err = run(capsys, "seq", "29998", "1", "1", "--format", "bfile")
+    assert (code, out, err) == (0, "0 1\n1 29999\n", "")
 
 
 # --- argv ----------------------------------------------------------------
@@ -747,6 +795,8 @@ MODULE_REQUESTS = [
 
 _MODULES_PROBE = ("import sys, normord.cli as cli\n"
                   "cli.main(sys.argv[1:])\n"
+                  "print('rational:', *(name for name in ('fractions', 'decimal', 'numbers')\n"
+                  "                     if name in sys.modules), file=sys.stderr)\n"
                   "print('loaded:', *(name for name in ('json', 'contextvars')\n"
                   "                   if name in sys.modules), file=sys.stderr)")
 
@@ -761,6 +811,45 @@ def test_no_command_loads_json(tmp_path):
         loaded = proc.stderr.rpartition("loaded:")[2].split()
         sweep = request[:2] in (("verify", "all"), ("verify", "examples"))
         assert loaded == (["contextvars"] if sweep else []), request
+
+
+# No integer request builds a Fraction: the triangle, the normal forms of
+# D(r,M)^n and the graph tables are integers, and no exact id reads a
+# tolerance.  `fractions` loads `decimal` and `numbers` with it.
+_INTEGER_REQUESTS = [
+    *(("seq", "2", "1", "12", *opts) for opts in (
+        (), ("--number", "--format", "table"), ("--format", "bfile"))),
+    *(("seq", "2", "1", "12", "--poly", "--format", fmt, "--cache-dir", "{dir}")
+      for fmt in ("json", "table", "json")),  # a miss, a miss, then a hit
+    ("cache", "clear", "--cache-dir", "{dir}"),
+    ("--help",),
+    ("verify", "--help"),
+    ("order", "a (ad a)^2 + 2 ad - 3"),
+    ("order", "a^2 (ad a)^2", "--power", "12", "--format", "table"),
+    ("order", "(2 a + ad)^3 (a ad)", "--power", "2"),
+    ("verify", "graphs", "--n", "4"),
+    ("verify", "stirling-expansion", "--format", "table"),
+]
+_RATIONAL_REQUESTS = [
+    ("order", "a (ad a)^2 + 1/2 ad"),
+    ("order", "a ad", "--expectation", "2"),
+    ("order", "(ad a)^3", "--expectation", "1/2,1"),
+    ("verify", "all"),
+]
+
+
+def test_which_requests_load_the_rational_stack(tmp_path):
+    probe = "import sys, normord.cli; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=60)
+    assert not set(proc.stdout.split()) & {"fractions", "decimal", "_decimal", "numbers"}
+    for request in [*_INTEGER_REQUESTS, *_RATIONAL_REQUESTS]:
+        argv = [a.format(dir=tmp_path) for a in request]
+        proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *argv],
+                              capture_output=True, text=True, timeout=60)
+        loaded = proc.stderr.rpartition("rational:")[2].partition("\n")[0].split()
+        rational = request in _RATIONAL_REQUESTS
+        assert loaded[:1] == (["fractions"] if rational else []), request
 
 
 def test_main_leaves_the_collector_alone(capsys):
