@@ -48,16 +48,16 @@ Laguerre polynomial or mFm series; `report._rows_mismatch` decides each
 by comparing those ints and builds a rational only to name a mismatch.
 `_laguerre_rows` also serves `suite.verify_laguerre_normal_form`. Each
 check, the private example builders included, takes only the options it
-reads, times itself and returns an IdentityReport whose parameters
-include the orders it ran to (n_max or lambda_order) and whose details
-name the paths it compared.  `normord.suite.IDENTITIES` calls each of
-them directly, with its grid and default size; `run_identity` is the one
-entry that refuses an unknown id or a negative order.
+reads and returns an IdentityReport whose parameters include the orders
+it ran to (n_max or lambda_order) and whose details name the paths it
+compared.  `normord.suite.IDENTITIES` calls each of them directly, with
+its grid and default size; `run_identity` is the one entry that refuses
+an unknown id or a negative order, and it times each check (one called
+directly reports elapsed 0.0).
 """
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from math import comb, lcm
 
@@ -198,7 +198,6 @@ def _laguerre_rows(n_max: int) -> list:
 
 def stirling_hyp_check(M: int, n_max: int) -> IdentityReport:
     """Rows 0..n_max of S_1^(M) against their terminating pFq sums, exactly."""
-    t0 = time.perf_counter()
     if M < 1 or n_max < 0:
         raise ValueError("need M >= 1 and n_max >= 0")
     # two k past each row's width, where the triangle holds 0.  Entry k is
@@ -216,14 +215,12 @@ def stirling_hyp_check(M: int, n_max: int) -> IdentityReport:
     rows = [SeriesQ(M * n + 3, row)
             for n, row in enumerate(stirling_rows(1, M, n_max))]
     _, first = _rows_mismatch(closed, rows, "n", ("k",))
-    return _finish("stirling-hyp", {"r": 1, "M": M, "n_max": n_max}, "exact", t0,
-                   first, {"first_mismatch": first,
-                           "checks": sum(row.order for row in closed)},
+    return _finish("stirling-hyp", {"r": 1, "M": M, "n_max": n_max}, first,
+                   {"first_mismatch": first, "checks": sum(row.order for row in closed)},
                    paths=("pFq closed form", "triangle"))
 
 
-def _check_bell_hyp(r: int, M: int, n_max: int, t0: float,
-                    identity: str) -> IdentityReport:
+def _check_bell_hyp(r: int, M: int, n_max: int, identity: str) -> IdentityReport:
     # Dobinski: [x^l] e^x B(n,x) = prod_{i<=n} (l+ir)^M / l!.  Split l = rk + j:
     # the k-sum for each j is x^j r^(Mn) ((a)_n)^M / j! times
     # pFq([a+n] x M; [a] x M + [(j+1+i)/r, i < r, save the one equal to 1];
@@ -263,9 +260,8 @@ def _check_bell_hyp(r: int, M: int, n_max: int, t0: float,
         lhs.append(scaled)
         rhs.append(SeriesQ._from_ints(order, closed, den))
     _, first = _rows_mismatch(lhs, rhs, "n", ("power",))
-    return _finish(identity, {"r": r, "M": M, "n_max": n_max},
-                   "exact", t0, first, {"first_mismatch": first,
-                           "checks": sum(row.order for row in lhs)},
+    return _finish(identity, {"r": r, "M": M, "n_max": n_max}, first,
+                   {"first_mismatch": first, "checks": sum(row.order for row in lhs)},
                    paths=("e^x Bell polynomial",
                           "mFm series" if r == 1 else "pFq closed form"))
 
@@ -273,12 +269,11 @@ def _check_bell_hyp(r: int, M: int, n_max: int, t0: float,
 def bell_hyp_check(r: int, M: int, n_max: int) -> IdentityReport:
     """The paper's Bell closed form (r = 1, 2, 3, M >= 1) as bell-hyp-r{r}: e^x B(n,x)
     against r pFq series in x^r/r^r, exactly through x^(Mn+5), n <= n_max."""
-    t0 = time.perf_counter()
     if r < 1:
         raise ValueError("need r >= 1")
     if M < 1 or n_max < 0:
         raise ValueError("need M >= 1 and n_max >= 0")
-    return _check_bell_hyp(r, M, n_max, t0, f"bell-hyp-r{r}")
+    return _check_bell_hyp(r, M, n_max, f"bell-hyp-r{r}")
 
 
 def conjecture_check(r: int, M: int, n_max: int) -> IdentityReport:
@@ -288,10 +283,9 @@ def conjecture_check(r: int, M: int, n_max: int) -> IdentityReport:
     splitting the Dobinski sum's l = rk + j gives the same r-term form at
     every r.  The check is `_check_bell_hyp`'s, reported as "conjecture".
     """
-    t0 = time.perf_counter()
     if r < 1 or M < 0 or n_max < 0:
         raise ValueError("need r >= 1, M >= 0 and n_max >= 0")
-    return _check_bell_hyp(r, M, n_max, t0, "conjecture")
+    return _check_bell_hyp(r, M, n_max, "conjecture")
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +319,6 @@ def hyp_generating_function_check(
     l-sum, before the e^-x factor), exp_terms, the terms of the e^x sum,
     and rel_dev_bound, the largest row's proven bound, rounded up.
     """
-    t0 = time.perf_counter()
     if r < 1 or M < 0 or lambda_order < 0 or precision < 1:
         raise ValueError("need r >= 1, M >= 0, lambda_order >= 0, precision >= 1")
     x = _canonical(x)
@@ -339,7 +332,7 @@ def hyp_generating_function_check(
         emx_lo, emx_hi, exp_cert = exp_bounds(-x, cutoff, max_terms)
     except RuntimeError:
         first = {"reason": "tail bound not certified within term budget"}
-        return _finish("hyp-generating-function", params, "numeric", t0, first,
+        return _finish("hyp-generating-function", params, first,
                        {"first_mismatch": first, "outer_terms": max_terms + 1},
                        paths=paths, **numctx)
     worst, first = 0, None
@@ -359,8 +352,8 @@ def hyp_generating_function_check(
                "ratio_cap": _bound_str(cert.ratio_cap),
                "tail_bound": _bound_str(cert.tail_bound),
                "exp_terms": exp_cert.terms, "rel_dev_bound": _bound_str(worst)}
-    return _finish("hyp-generating-function", params, "numeric", t0, first,
-                   details, paths=paths, **numctx)
+    return _finish("hyp-generating-function", params, first, details, paths=paths,
+                   **numctx)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +388,6 @@ def _kummer_sides(b: Fraction, lambda_order: int):
 def _example_laguerre_ogf(lambda_order: int) -> IdentityReport:
     from fractions import Fraction
 
-    t0 = time.perf_counter()
     order = lambda_order + 1
     lhs = _scaled_powers([Fraction(1, factorial(n)) for n in range(order)])
     inv, arg = _resolvent(order)
@@ -408,14 +400,12 @@ def _example_laguerre_ogf(lambda_order: int) -> IdentityReport:
         checks += more
         if first is None:
             notes.append("Laguerre-polynomial rows agree with both sides")
-    return _finish("laguerre-ogf", {"r": 1, "M": 1, "lambda_order": lambda_order},
-                   "exact", t0, first,
+    return _finish("laguerre-ogf", {"r": 1, "M": 1, "lambda_order": lambda_order}, first,
                    {"first_mismatch": first, "checks": checks, "notes": notes},
                    paths=("power fold", "dot series", "Laguerre polynomial"))
 
 
 def _example_kummer_b3(lambda_order: int) -> IdentityReport:
-    t0 = time.perf_counter()
     order = lambda_order + 1
     lhs, rhs_generic, arg = _kummer_sides(3, lambda_order)
     inv_cubed = DotSeries.binpow(order, -1, 1, -3)
@@ -433,14 +423,12 @@ def _example_kummer_b3(lambda_order: int) -> IdentityReport:
         if first is None:
             notes.append("generic Kummer dot form agrees as well")
     return _finish("kummer-b3",
-                   {"r": 1, "M": 1, "b": "3", "lambda_order": lambda_order},
-                   "exact", t0, first,
+                   {"r": 1, "M": 1, "b": "3", "lambda_order": lambda_order}, first,
                    {"first_mismatch": first, "checks": checks, "notes": notes},
                    paths=("power fold", "b=3 dot form", "generic Kummer dot form"))
 
 
 def _example_kummer_b3half(lambda_order: int) -> IdentityReport:
-    t0 = time.perf_counter()
     b = _ratio(3, 2)
     order = lambda_order + 1
     lhs, rhs_generic, arg = _kummer_sides(b, lambda_order)
@@ -464,14 +452,13 @@ def _example_kummer_b3half(lambda_order: int) -> IdentityReport:
     }
     return _finish("kummer-b3half",
                    {"r": 1, "M": 1, "b": "3/2", "lambda_order": lambda_order},
-                   "exact", t0, first, details,
+                   first, details,
                    paths=("power fold", "generic Kummer dot form", "Bessel dot form"))
 
 
 def _example_laguerre_shifted(n: int, lambda_order: int) -> IdentityReport:
     from fractions import Fraction
 
-    t0 = time.perf_counter()
     p = n  # the shift, read from the one size override, `verify --n`
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -490,14 +477,13 @@ def _example_laguerre_shifted(n: int, lambda_order: int) -> IdentityReport:
     checks, first = _rows_mismatch(lhs, rhs, "lambda")
     return _finish("laguerre-shifted",
                    {"r": 1, "M": 1, "p": p, "lambda_order": lambda_order},
-                   "exact", t0, first, {"first_mismatch": first, "checks": checks},
+                   first, {"first_mismatch": first, "checks": checks},
                    paths=("power fold", "dot series"))
 
 
 def _example_bessel(example_id: str, lambda_order: int) -> IdentityReport:
     from fractions import Fraction
 
-    t0 = time.perf_counter()
     order = lambda_order + 1
     sign = 1 if example_id == "bessel-i0" else -1
     lhs = _scaled_powers([Fraction(sign**n, factorial(n) ** 2) for n in range(order)])
@@ -517,15 +503,13 @@ def _example_bessel(example_id: str, lambda_order: int) -> IdentityReport:
                 "inner argument needs the global sign flip; the variant without"
                 f" it first differs at lambda^{wrong_first['lambda']}"
             )
-    return _finish(example_id, {"r": 1, "M": 1, "lambda_order": lambda_order},
-                   "exact", t0, first,
+    return _finish(example_id, {"r": 1, "M": 1, "lambda_order": lambda_order}, first,
                    {"first_mismatch": first, "checks": checks, "notes": notes},
                    paths=("power fold", "dot series"))
 
 
 def bessel_parity_check(lambda_order: int) -> IdentityReport:
     """The two Bessel expansions are global t -> -t images of each other."""
-    t0 = time.perf_counter()
     order = lambda_order + 1
     i0 = _bessel_dot(order, 1, 1).lambda_rows()
     checks, first = _rows_mismatch(
@@ -534,7 +518,7 @@ def bessel_parity_check(lambda_order: int) -> IdentityReport:
         "lambda",
     )
     return _finish("bessel-parity", {"r": 1, "M": 1, "lambda_order": lambda_order},
-                   "exact", t0, first, {"first_mismatch": first, "checks": checks},
+                   first, {"first_mismatch": first, "checks": checks},
                    paths=("J0 dot series", "I0 dot series at -t"))
 
 
@@ -554,7 +538,6 @@ def _alternating_rows(r: int, M: int, n_max: int, tag: str):
 def _example_eigen_operator(M: int, lambda_order: int) -> IdentityReport:
     from fractions import Fraction
 
-    t0 = time.perf_counter()
     scales = [Fraction(1, factorial(n) ** (M + 1)) for n in range(lambda_order + 1)]
     powers = _oracle_powers(1, M, lambda_order)
     lhs = [p.scale(c) for p, c in zip(powers, scales)]
@@ -573,13 +556,12 @@ def _example_eigen_operator(M: int, lambda_order: int) -> IdentityReport:
     if not bell_ok and first is None:
         first = {"lambda": None, "note": "Bell cross-check failed"}
     return _finish("eigen-operator", {"r": 1, "M": M, "lambda_order": lambda_order},
-                   "exact", t0, first,
+                   first,
                    {"first_mismatch": first, "checks": checks, "notes": notes},
                    paths=("power fold", "alternating sum", "triangle row sum"))
 
 
 def _example_hyp_compact(M: int, lambda_order: int) -> IdentityReport:
-    t0 = time.perf_counter()
     # to the top row's order: a product truncates to its shorter factor
     exp_minus_y = series_exp(SeriesQ(M * lambda_order + 4, [0, -1]))
     rhs = []
@@ -592,5 +574,5 @@ def _example_hyp_compact(M: int, lambda_order: int) -> IdentityReport:
             {(k, k + n): lead * a for k, a in enumerate(row.nums) if a}, row.den))
     checks, first = _rows_mismatch(_oracle_powers(1, M, lambda_order), rhs, "lambda")
     return _finish("hyp-compact", {"r": 1, "M": M, "lambda_order": lambda_order},
-                   "exact", t0, first, {"first_mismatch": first, "checks": checks},
+                   first, {"first_mismatch": first, "checks": checks},
                    paths=("power fold", "mFm weights"))

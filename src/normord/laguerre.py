@@ -204,10 +204,8 @@ class DotSeries:
         m0 = self.min_lambda_order()
         if m0 < 1:
             raise ValueError("exp needs a series with no lambda^0 part")
-        from fractions import Fraction
-
         kmax = (self.order - 1) // m0
-        return self.apply_function([Fraction(1, factorial(k)) for k in range(kmax + 1)])
+        return self.apply_function(series_exp(SeriesQ.x(kmax + 1)).coeffs)
 
     def apply_function(self, taylor) -> "DotSeries":
         """sum_m taylor[m] * self^m, for self with min lambda order >= 1.

@@ -166,10 +166,12 @@ def _product(factors) -> BosonExpr:
 
 
 _PUNCT = set("+-*^()/")
+_DIGITS = set("0123456789")
 
 
 def tokenize(text: str):
-    """Yield (kind, value, position); kinds: int, name, or a punct char."""
+    """Yield (kind, value, position); kinds: int (ASCII digits only, so a
+    ² or ٣ is an unexpected character), name, or a punct char."""
     out = []
     i = 0
     n = len(text)
@@ -182,9 +184,9 @@ def tokenize(text: str):
             out.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             out.append(("int", int(text[i:j]), i))
             i = j
@@ -225,7 +227,7 @@ class _Parser:
     def peek(self):
         if self.pos < len(self.tokens):
             return self.tokens[self.pos]
-        return ("end", None, len(self.text))
+        return ("end", "end of input", len(self.text))
 
     def take(self):
         tok = self.peek()

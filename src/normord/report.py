@@ -1,16 +1,16 @@
 """The one report type every identity check returns, and how checks compare.
 
-`IdentityReport` is the record; `_finish` times and closes one from a
-check's parameters, mode and first mismatch.  Every exact check compares
-two independently built sides through the one exact scan written here:
-`_nf_mismatch` finds the first differing entry of two tables (normal
-forms, coefficient grids, triangle rows, series), keys from high to low,
-tagged with the row it belongs to, and `_rows_mismatch` is its
-row-by-row form.  A scaled row (an oracle power times a Taylor
-coefficient, a double-dot series' lambda row) is itself a normal form,
-so there is no second scan.  The scan decides by equality first: the
-exact containers (`NormalForm`, `SeriesQ`) share one layout, int
-numerators over one reduced denominator, so two equal ones compare
+`IdentityReport` is the record; `_finish` closes one from a check's
+parameters and first mismatch, and `suite.run_identity` times it.  Every
+exact check compares two independently built sides through the one exact
+scan written here: `_nf_mismatch` finds the first differing entry of two
+tables (normal forms, coefficient grids, triangle rows, series), keys
+from high to low, tagged with the row it belongs to, and
+`_rows_mismatch` is its row-by-row form.  A scaled row (an oracle power
+times a Taylor coefficient, a double-dot series' lambda row) is itself a
+normal form, so there is no second scan.  The scan decides by equality
+first: the exact containers (`NormalForm`, `SeriesQ`) share one layout,
+int numerators over one reduced denominator, so two equal ones compare
 their ints and end it at once; only unequal tables are read out as
 rationals and walked key by key, to name the first mismatch.  The one
 numeric check, `hyp-generating-function`, decides on proven rational
@@ -21,7 +21,6 @@ build their reports here, through `_finish`, and nowhere else.
 
 from __future__ import annotations
 
-import time
 from collections import namedtuple
 
 __all__ = ["IdentityReport"]
@@ -35,7 +34,9 @@ class IdentityReport(namedtuple(
     mode is "exact" (rational/integer comparison, no tolerance exists)
     or "numeric" (a proven bound judged against a tolerance; precision
     and tolerance are always recorded); status is "pass" or "fail".
-    An immutable record; details default to a fresh empty dict.
+    elapsed is set by `suite.run_identity`, the time of the check that
+    built it; a check called directly reports 0.0.  An immutable record;
+    details default to a fresh empty dict.
     """
 
     __slots__ = ()
@@ -83,26 +84,25 @@ def _jsonable(value):
     return str(value)
 
 
-def _finish(identity, parameters, mode, t0, mismatch, details=None, *, paths,
-            **numctx):
-    """Close a check started at perf_counter() t0: it fails iff mismatch is set.
+def _finish(identity, parameters, mismatch, details=None, *, paths, **numctx):
+    """Close a check's report: it fails iff mismatch is set.
 
     details open with "paths", the names of the independent paths the
     check compared, and gain a trailing "first_mismatch" unless they
-    already hold one; numctx carries the precision and tolerance of a
-    numeric check.
+    already hold one.  The report is numeric iff numctx carries the
+    check's precision and tolerance; elapsed is left 0.0 for
+    `suite.run_identity` to set.
     """
     details = {"paths": list(paths), **(details or {})}
     details.setdefault("first_mismatch", mismatch)
     return IdentityReport(
         identity,
         parameters,
-        mode,
+        "numeric" if numctx else "exact",
         "fail" if mismatch is not None else "pass",
         details,
-        time.perf_counter() - t0,
-        numctx.get("precision"),
-        numctx.get("tolerance"),
+        precision=numctx.get("precision"),
+        tolerance=numctx.get("tolerance"),
     )
 
 

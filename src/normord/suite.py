@@ -18,8 +18,9 @@ and every reader of the triangle draws `stirling_rows` itself.
 holds the driver, the default grid, the overrides it reads and the
 default size; `examples` runs the `EXAMPLE_IDS` entries in turn.
 `run_identity` runs one id over its grid with optional overrides (the
-CLI entry), `run_suite` runs every suite id at its defaults, sorted by
-id and then by parameters, and the CLI help lists the table.
+CLI entry) and times each check (one called directly reports elapsed
+0.0), `run_suite` runs every suite id at its defaults, sorted by id and
+then by parameters, and the CLI help lists the table.
 `reports_to_json` prints the reports with this module's own writer, the
 bytes json.dumps(..., indent=2) gives, so `verify` never loads `json`.
 """
@@ -73,6 +74,7 @@ from .series import (
     laguerre_poly,
     phyperq_series,
     pochhammer,
+    series_exp,
 )
 from .stirling import (
     b_pp,
@@ -135,8 +137,6 @@ def verify_commutator(r: int, M: int) -> IdentityReport:
     this is the 3n^2 + 3n + 1 difference of consecutive odd cubes.
     """
     _nonnegative(r=r, M=M)
-    t0 = time.perf_counter()
-    params = {"r": r, "M": M}
     d = _oracle_powers(r, M, 1)[1]
     dd = d.dagger()
     oracle = (d * dd - dd * d).diagonal_polynomial()
@@ -149,15 +149,9 @@ def verify_commutator(r: int, M: int) -> IdentityReport:
     falling = [0] * (2 * M) + [(-1) ** (r - k) * c for k, c in enumerate(low)]
     ref = shifted * rising - SeriesQ(order, falling)
     mismatch = _nf_mismatch(oracle, ref, {}, ("power",))
-    return _finish(
-        "commutator",
-        params,
-        "exact",
-        t0,
-        mismatch,
-        {"polynomial": [str(c) for c in oracle.coeffs]},
-        paths=("rewritten commutator", "first-kind polynomial"),
-    )
+    return _finish("commutator", {"r": r, "M": M}, mismatch,
+                   {"polynomial": [str(c) for c in oracle.coeffs]},
+                   paths=("rewritten commutator", "first-kind polynomial"))
 
 
 def _alternating_mismatch(r: int, M: int, rows) -> dict | None:
@@ -183,8 +177,6 @@ def verify_stirling_expansion(r: int, M: int, n_max: int) -> IdentityReport:
     pass of `stirling_rows`; each path is compared in full before the next.
     """
     _nonnegative(r=r, M=M, n_max=n_max)
-    t0 = time.perf_counter()
-    params = {"r": r, "M": M, "n_max": n_max}
     powers = _oracle_powers(r, M, n_max)[1:]
     rows = list(stirling_rows(r, M, n_max))[1:]
     triangle = [NormalForm._from_ints(
@@ -199,22 +191,14 @@ def verify_stirling_expansion(r: int, M: int, n_max: int) -> IdentityReport:
                                 dict(enumerate(map(sum, rows), 1)), {}, ("n",))
         if mismatch is not None:
             mismatch["where"] = "weight-one expectation"
-    return _finish(
-        "stirling-expansion",
-        params,
-        "exact",
-        t0,
-        mismatch,
-        {"bell_values": bells},
-        paths=("power fold", "triangle", "alternating sum"),
-    )
+    return _finish("stirling-expansion", {"r": r, "M": M, "n_max": n_max}, mismatch,
+                   {"bell_values": bells},
+                   paths=("power fold", "triangle", "alternating sum"))
 
 
 def verify_bell_first_kind(r: int, n_max: int) -> IdentityReport:
     """B_r(n) as a signless-first-kind transform of the classical Bells."""
     _nonnegative(r=r, n_max=n_max)
-    t0 = time.perf_counter()
-    params = {"r": r, "n_max": n_max}
     values = bell_sequence(r, 1, n_max)
     bells = list(map(sum, classical_rows(n_max)))
     # row n + 1 of the first-kind triangle weighs B(p - 1) for p = 1..n + 1
@@ -224,33 +208,28 @@ def verify_bell_first_kind(r: int, n_max: int) -> IdentityReport:
     ]
     mismatch = _nf_mismatch(dict(enumerate(values)), dict(enumerate(transform)),
                             {}, ("n",))
-    return _finish(
-        "bell-first-kind", params, "exact", t0, mismatch, {"values": values},
-        paths=("triangle row sum", "first-kind transform"))
+    return _finish("bell-first-kind", {"r": r, "n_max": n_max}, mismatch,
+                   {"values": values}, paths=("triangle row sum", "first-kind transform"))
 
 
 def verify_bell_diagonal_powers(M: int, n_max: int) -> IdentityReport:
     """B_1^(M)(n) equals the weight-one expectation of ((ad)^n a^n)^(M+1)."""
     _nonnegative(M=M, n_max=n_max)
-    t0 = time.perf_counter()
-    params = {"M": M, "n_max": n_max}
     values = bell_sequence(1, M, n_max)[1:]
     mismatch = _nf_mismatch(dict(enumerate(values, 1)),
                             {n: b_pp(n, M + 1) for n in range(1, n_max + 1)},
                             {}, ("n",))
-    return _finish(
-        "bell-diagonal-powers", params, "exact", t0, mismatch, {"values": values},
-        paths=("triangle row sum", "diagonal power expectation"))
+    return _finish("bell-diagonal-powers", {"M": M, "n_max": n_max}, mismatch,
+                   {"values": values},
+                   paths=("triangle row sum", "diagonal power expectation"))
 
 
 def verify_laguerre_normal_form(n_max: int) -> IdentityReport:
     """[D(1,1)]^n = n! sum_j L_n-coefficients (ad)^j a^(j+n), sign-adjusted."""
     _nonnegative(n_max=n_max)
-    t0 = time.perf_counter()
-    params = {"n_max": n_max}
     refs = [row.scale(factorial(n)) for n, row in enumerate(_laguerre_rows(n_max))]
     _, mismatch = _rows_mismatch(_oracle_powers(1, 1, n_max), refs, "n")
-    return _finish("laguerre-normal-form", params, "exact", t0, mismatch,
+    return _finish("laguerre-normal-form", {"n_max": n_max}, mismatch,
                    paths=("power fold", "Laguerre polynomial"))
 
 
@@ -263,13 +242,9 @@ def verify_exp_on_exponential(
     power each column retains (a staircase, not a rectangle) against
     (-b)^i/i! * (-1)^m C(i+m, m) b^m.
     """
-    from fractions import Fraction
-
     _columns_fit(x_order, lambda_order)
-    t0 = time.perf_counter()
     b = _canonical(b)
-    params = {"b": str(b), "x_order": x_order, "lambda_order": lambda_order}
-    s = SeriesQ(x_order, [Fraction((-b) ** i, factorial(i)) for i in range(x_order)])
+    s = series_exp(SeriesQ(x_order, [0, -b]))
     cols = exp_lambda_Dx_columns(DxOperator(1, 1), s, lambda_order)
     # (-b)^i/i! (-1)^m C(i+m, m) b^m = (-b)^(i+m) C(i+m, m) / i!, over the
     # column's one denominator bd^(top+m) top!, top its last x power
@@ -282,8 +257,9 @@ def verify_exp_on_exponential(
             * (factorial(top) // factorial(i)) for i in range(col.order)],
             bd ** (top + m) * factorial(top)))
     _, mismatch = _rows_mismatch(cols, refs, "lambda_power", ("x_power",))
-    return _finish("exp-exponential", params, "exact", t0, mismatch,
-                   paths=("Dx columns", "closed grid"))
+    return _finish("exp-exponential",
+                   {"b": str(b), "x_order": x_order, "lambda_order": lambda_order},
+                   mismatch, paths=("Dx columns", "closed grid"))
 
 
 def verify_exp_on_kummer(b, x_order: int = 16, lambda_order: int = 8) -> IdentityReport:
@@ -295,9 +271,7 @@ def verify_exp_on_kummer(b, x_order: int = 16, lambda_order: int = 8) -> Identit
     As in `verify_exp_on_exponential`, lambda_order may not pass x_order.
     """
     _columns_fit(x_order, lambda_order)
-    t0 = time.perf_counter()
     b = _canonical(b)
-    params = {"b": str(b), "x_order": x_order, "lambda_order": lambda_order}
     s = phyperq_series([b], [1], x_order)
     cols = exp_lambda_Dx_columns(DxOperator(1, 1), s, lambda_order)
     # (b)_k over one denominator: column m is rising[i+m] / (den (i!)^2 m!),
@@ -311,8 +285,9 @@ def verify_exp_on_kummer(b, x_order: int = 16, lambda_order: int = 8) -> Identit
             rising[i + m] * (scale // factorial(i)) ** 2 for i in range(col.order)],
             den * scale**2 * factorial(m)))
     _, mismatch = _rows_mismatch(cols, refs, "lambda_power", ("x_power",))
-    return _finish("exp-kummer", params, "exact", t0, mismatch,
-                   paths=("Dx columns", "Kummer expansion"))
+    return _finish("exp-kummer",
+                   {"b": str(b), "x_order": x_order, "lambda_order": lambda_order},
+                   mismatch, paths=("Dx columns", "Kummer expansion"))
 
 
 def verify_exp_on_monomial(n_max: int = 6) -> IdentityReport:
@@ -323,8 +298,6 @@ def verify_exp_on_monomial(n_max: int = 6) -> IdentityReport:
     n! y^n, landing on the same (x, y) grid.
     """
     _nonnegative(n_max=n_max)
-    t0 = time.perf_counter()
-    params = {"n_max": n_max}
     op = DxOperator(1, 1)
     lhs, rhs = [], []
     for n in range(n_max + 1):
@@ -336,7 +309,7 @@ def verify_exp_on_monomial(n_max: int = 6) -> IdentityReport:
         rhs.append({(k, n - k): factorial(n) * lag.coeff(k) * (-1) ** k
                     for k in range(n + 1)})
     _, mismatch = _rows_mismatch(lhs, rhs, "n", ("x_power", "y_power"))
-    return _finish("exp-monomial", params, "exact", t0, mismatch,
+    return _finish("exp-monomial", {"n_max": n_max}, mismatch,
                    paths=("Dx columns", "Laguerre polynomial"))
 
 
@@ -348,39 +321,41 @@ def verify_sheffer(r: int, n_max: int) -> IdentityReport:
     [D(r,1)]^n produced by the contraction oracle.
     """
     _nonnegative(r=r, n_max=n_max)
-    t0 = time.perf_counter()
-    params = {"r": r, "n_max": n_max}
     _, mismatch = _rows_mismatch(exp_D_r1_normal_form(r, n_max),
                                  _oracle_powers(r, 1, n_max), "n")
-    return _finish("sheffer", params, "exact", t0, mismatch,
+    return _finish("sheffer", {"r": r, "n_max": n_max}, mismatch,
                    paths=("substitution kernel", "power fold"))
 
 
 def verify_egf(r: int, n_max: int) -> IdentityReport:
     """(1-rt)^(-1) exp((1-rt)^(-1/r) - 1) as the Bell-number EGF."""
     _nonnegative(r=r, n_max=n_max)
-    t0 = time.perf_counter()
-    params = {"r": r, "n_max": n_max}
     series = egf_bell_r1(r, n_max + 1)
     egf = [factorial(n) * c for n, c in enumerate(series.coeffs)]
     mismatch = _nf_mismatch(egf, bell_sequence(r, 1, n_max), {}, ("n",))
     values = [int(v) for v in egf]
-    return _finish("egf", params, "exact", t0, mismatch, {"values": values},
+    return _finish("egf", {"r": r, "n_max": n_max}, mismatch, {"values": values},
                    paths=("EGF series", "triangle row sum"))
 
 
 def verify_eigenfunction(r: int, M: int, order: int | None = None) -> IdentityReport:
-    """D_x(r,M) fixes its 0F_(M+r-1) eigenfunction through the truncation."""
-    t0 = time.perf_counter()
+    """D_x(r,M) fixes its 0F_(M+r-1) eigenfunction through the truncation.
+
+    order defaults to 32 - r.  The image keeps order - r powers, so an
+    order of r or less, which would compare nothing, raises ValueError.
+    """
+    _nonnegative(r=r, M=M)
     if order is None:
         order = 32 - r
-    _nonnegative(r=r, M=M, order=order)
-    params = {"r": r, "M": M, "order": order}
+    if order <= r:
+        raise ValueError(f"eigenfunction at r = {r}, order {order} compares nothing: "
+                         "the image keeps order - r x powers (the default order "
+                         "32 - r needs r <= 15)")
     e = eigenfunction_series(r, M, order)
     image = apply_Dx(DxOperator(r, M), e)
     mismatch = _nf_mismatch(image, SeriesQ._from_ints(image.order, e.nums, e.den),
                             {}, ("x_power",))
-    return _finish("eigenfunction", params, "exact", t0, mismatch,
+    return _finish("eigenfunction", {"r": r, "M": M, "order": order}, mismatch,
                    paths=("Dx image", "eigenfunction series"))
 
 
@@ -395,8 +370,6 @@ def verify_graph_enumeration(r: int, M: int, n_max: int) -> IdentityReport:
     from the empty diagram and gives the same table).
     """
     _nonnegative(r=r, M=M, n_max=n_max)
-    t0 = time.perf_counter()
-    params = {"r": r, "M": M, "n_max": n_max}
     blocks = _oracle_powers(r, M, 1)[1].sorted_terms()
     states = {(0, 0): 1}
     tables = []
@@ -405,7 +378,7 @@ def verify_graph_enumeration(r: int, M: int, n_max: int) -> IdentityReport:
         tables.append(NormalForm(states))
     _, mismatch = _rows_mismatch(tables, _oracle_powers(r, M, n_max)[1:], "n", start=1)
     totals = [t.expectation_at_one() for t in tables]
-    return _finish("graphs", params, "exact", t0, mismatch,
+    return _finish("graphs", {"r": r, "M": M, "n_max": n_max}, mismatch,
                    {"totals": totals}, paths=("power fold", "graph count"))
 
 
@@ -529,7 +502,8 @@ def run_identity(
     ValueError.  An r and M whose D(r,M) = a^r (ad a)^M would pass
     `parser.MAX_LETTERS` letters raise LimitError before anything is
     built, an r or M not given counted as 0.  A tolerance of None is
-    `closedform.default_tolerance()`.
+    `closedform.default_tolerance()`.  A report's elapsed is the time of
+    the driver call that built it, argument checks included.
     """
     check_letters((r or 0) + 2 * (M or 0), f"D({r or 0},{M or 0})")
     if n is not None and n < 0:
@@ -562,7 +536,12 @@ def run_identity(
     # (only laguerre-shifted's three read one fold, D(1,1)^0..6), and
     # keeping each point's fold to the end raised the peak RSS of
     # `verify stirling-expansion --n 21` (nine folds) from 14.9 to 15.6 MB
-    return [check.driver(**dict(zip(names, point)), **kwargs) for point in grid]
+    reports = []
+    for point in grid:
+        t0 = time.perf_counter()
+        rep = check.driver(**dict(zip(names, point)), **kwargs)
+        reports.append(rep._replace(elapsed=time.perf_counter() - t0))
+    return reports
 
 
 def run_suite(

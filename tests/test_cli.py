@@ -84,6 +84,15 @@ def test_order_parse_error_exits_2(capsys):
     assert "position 2" in out + err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("a²", "unexpected character '²' (at position 1)"),
+    ("(", "unexpected 'end of input' (at position 1)"),
+    ("a^", "expected 'int', found 'end of input' (at position 2)"),
+])
+def test_order_parse_error_names_its_position(capsys, text, message):
+    assert run(capsys, "order", text) == (2, "", f"error: {message}\n")
+
+
 def test_order_deep_nesting_exits_2():
     # A subprocess, because an uncaught RecursionError would exit with 1.
     text = "(" * 1500 + "a" + ")" * 1500
@@ -614,6 +623,17 @@ def test_verify_exp_kummer_past_x_order_exits_2(capsys):
     assert err == ("error: insufficient truncation order: lambda_order 17 "
                    "is past x_order 16\n")
     assert run(capsys, "verify", "exp-kummer", "--lambda-order", "16")[0] == 0
+
+
+def test_verify_eigenfunction_that_would_compare_nothing_exits_2(capsys):
+    # the default order 32 - r leaves the image 32 - 2r powers: none at r = 20
+    code, out, err = run(capsys, "verify", "eigenfunction", "--r", "20", "--M", "1")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: eigenfunction at r = 20, order 12 compares nothing: the "
+                   "image keeps order - r x powers (the default order 32 - r needs "
+                   "r <= 15)\n")
+    assert run(capsys, "verify", "eigenfunction", "--r", "15", "--M", "1")[0] == 0
 
 
 @pytest.mark.parametrize("identity", ["examples", "laguerre-shifted"])

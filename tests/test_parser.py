@@ -88,12 +88,28 @@ def test_error_positions():
         parse_expr("b*a")
     with pytest.raises(ParseError):
         parse_expr("a^x")
+    # the end token is named, not printed as None
+    with pytest.raises(ParseError, match="unexpected 'end of input'") as ei:
+        parse_expr("(")
+    assert ei.value.position == 1
+    with pytest.raises(ParseError, match="expected 'int', found 'end of input'") as ei:
+        parse_expr("a^")
+    assert ei.value.position == 2
+    # an int is ASCII digits: an Arabic-Indic three is no integer
+    with pytest.raises(ParseError) as ei:
+        parse_expr("٣")
+    assert ei.value.position == 0
 
 
 def test_tokenizer_reports_bad_character():
     with pytest.raises(ParseError) as ei:
         tokenize("a $ a")
     assert ei.value.position == 2
+    # str.isdigit holds for these, and int() refuses the superscript
+    for text, position in (("a²", 1), ("𝟙a", 0), ("2٣", 1)):
+        with pytest.raises(ParseError, match="unexpected character") as ei:
+            tokenize(text)
+        assert ei.value.position == position
 
 
 def test_whitespace_insensitive():

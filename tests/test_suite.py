@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import normord
 from normord import closedform, stirling, suite
-from normord.report import _nf_mismatch, _rows_mismatch
+from normord.report import _finish, _nf_mismatch, _rows_mismatch
 from normord.series import SeriesQ
 from normord.suite import (
     EXAMPLE_IDS,
@@ -124,6 +124,29 @@ def test_exact_mode_never_carries_tolerance():
             assert rep.tolerance is not None
 
 
+def test_run_identity_times_every_report():
+    reports = run_suite() + run_identity("examples")
+    assert reports
+    assert all(rep.elapsed > 0 for rep in reports)
+
+
+def test_a_check_called_directly_reports_elapsed_zero():
+    # the clock is in run_identity alone
+    assert verify_commutator(1, 1).elapsed == 0.0
+    assert closedform.bessel_parity_check(3).elapsed == 0.0
+    assert closedform.hyp_generating_function_check(1, 1, lambda_order=2).elapsed == 0.0
+
+
+def test_finish_is_numeric_exactly_when_given_precision_and_tolerance():
+    exact = _finish("x", {}, None, paths=("p", "q"))
+    assert (exact.mode, exact.status, exact.precision, exact.tolerance,
+            exact.elapsed) == ("exact", "pass", None, None, 0.0)
+    numeric = _finish("x", {}, {"n": 1}, paths=("p", "q"), precision=50,
+                      tolerance="1/10")
+    assert (numeric.mode, numeric.status, numeric.precision,
+            numeric.tolerance) == ("numeric", "fail", 50, "1/10")
+
+
 def test_report_contract_enforced():
     with pytest.raises(ValueError):
         IdentityReport("x", {}, "numeric", "pass", {}, 0.0)
@@ -176,6 +199,31 @@ def test_drivers_reject_negative_sizes():
         suite.verify_exp_on_exponential(1, x_order=4, lambda_order=5)
     with pytest.raises(ValueError, match="order"):
         suite.verify_eigenfunction(1, 1, order=-1)
+
+
+def test_eigenfunction_refuses_an_order_that_compares_nothing():
+    # the image keeps order - r powers: at the default order 32 - r, every
+    # r from 16 on would compare two empty series and pass
+    with pytest.raises(ValueError, match="r = 16, order 16 compares nothing"):
+        suite.verify_eigenfunction(16, 1)
+    with pytest.raises(ValueError, match="r = 3, order 3 compares nothing"):
+        suite.verify_eigenfunction(3, 1, order=3)
+    assert suite.verify_eigenfunction(15, 1).parameters["order"] == 17
+
+
+def test_eigenfunction_at_r_15_compares_what_it_keeps(monkeypatch):
+    # order 17 leaves the image x^0 and x^1, and x^0 is read from the
+    # series' x^15: a value planted there fails the report
+    real = suite.eigenfunction_series
+
+    def planted(r, M, order):
+        e = real(r, M, order)
+        return SeriesQ(order, [c + (i == r) for i, c in enumerate(e.coeffs)])
+
+    monkeypatch.setattr(suite, "eigenfunction_series", planted)
+    rep = suite.verify_eigenfunction(15, 1)
+    assert rep.status == "fail"
+    assert rep.details["first_mismatch"]["x_power"] == 0
 
 
 def test_exp_kummer_rejects_columns_without_x_powers():
