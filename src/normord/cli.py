@@ -34,14 +34,16 @@ ordinary collection.
 
 No module loads `fractions` (nor the `decimal` and `numbers` it pulls
 in) on import.  Here a Fraction is built only by `_parse_fraction`, for
---expectation and --tolerance, and by `_numeric_settings`, which runs
-only when --precision or --tolerance is given; the library builds one
-only for a rational coefficient, an expectation or a check that needs
-one.  So `seq`, `cache`, `--help` and an integer `order` never load
-it, nor do the 13 `verify` ids whose sides are integers or are built
-from int pairs (`graphs`, `stirling-expansion`, the Bell closed forms
-among them); an id whose sides hold non-integer rationals, the numeric
-check and `verify all` do.
+--expectation and --tolerance; `_numeric_settings` reads the default
+tolerance and the bounds as int pairs.  The library builds one only for
+a rational coefficient or an expectation that `order` prints: every
+check keeps its rationals as int pairs or as a container's ints over one
+denominator.  So `seq`, `cache`, `--help`, an integer `order`,
+`verify all`, `verify examples` and every `verify` id without
+--tolerance never load it.
+
+An integer argument is ASCII digits with an optional sign, the digits an
+expression's tokenizer reads.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from types import SimpleNamespace
 from .cache import cache_clear, load_triangle
 from .closedform import DEFAULT_PRECISION, default_tolerance
 from .parser import LimitError, check_order, check_triangle, parse_expr
+from .series import _pair
 from .serialize import (
     iter_poly_rows_json,
     iter_poly_rows_table,
@@ -123,9 +126,10 @@ def _numeric_settings(ns: SimpleNamespace) -> dict:
         raise ValueError("precision must be at least 30 digits")
     if precision > MAX_PRECISION:
         raise ValueError(f"precision must be at most {MAX_PRECISION} digits")
-    if tolerance <= 0:
+    tol_num, tol_den = _pair(tolerance)
+    if tol_num <= 0:
         raise ValueError("tolerance must be positive")
-    if tolerance * 10 ** (precision - 10) < 1:
+    if tol_num * 10 ** (precision - 10) < tol_den:
         raise ValueError("tolerance tighter than the precision supports "
                          "(need tolerance >= 10^-(precision-10))")
     return {"precision": precision, "tolerance": tolerance}
@@ -264,10 +268,12 @@ def _is_flag(arg: str, flags: dict) -> bool:
 
 def _value(name: str, kind, text: str):
     if kind is int:
-        try:
-            return int(text)
-        except ValueError:
-            raise ValueError(f"{name} takes an integer, not {text!r}") from None
+        # ASCII digits with an optional sign, the digits an expression's
+        # tokenizer reads; int() would also take "1_0", " 1" and "٣"
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"{name} takes an integer, not {text!r}")
+        return int(text)
     if kind is not str and text not in kind:
         raise ValueError(f"{name} takes one of {', '.join(kind)}, not {text!r}")
     if name == "--cache-dir" and not text:

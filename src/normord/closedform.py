@@ -28,16 +28,15 @@ Outside a sweep each call folds its own, and no table outlives the
 call.  Every reader of the triangle draws `stirling_rows` itself.  The
 Bell generating function's outer l-sum is `stirling.dobinski_sums`; it and
 `hyperreal.exp_bounds` are the users of `series.certified_sum`.
-Sample points, pFq parameters and tolerances go through
-`series._canonical`, so a float raises TypeError; the Bell closed forms
-hand their pFq parameters over as int (numerator, denominator) pairs
-(`series._pair`), so no row builds a Fraction.  Nothing here is built
-when the module loads: the default tolerance is `default_tolerance()`,
-each check or example that takes a Fraction imports it itself, and
-`_bound_str` is the one user of `decimal`. The worked examples
-read one implementation of each formula: left sides are oracle powers
-scaled by Taylor coefficients (`_scaled_powers` for D(1,1), the two
-Kummer examples' through `_kummer_sides`);
+Every rational scalar here, a sample point, a pFq parameter, a bound or
+a tolerance, is an int (numerator, denominator) pair, read by
+`series._pair` from a rational or a pair (so a float raises TypeError),
+and every Taylor list is a `SeriesQ`, int numerators over one
+denominator (`_reciprocals`): no check builds a Fraction, and
+`_bound_str` prints a bound as `decimal` would without loading it.  The
+worked examples read one implementation of each formula: left sides are
+oracle powers scaled by Taylor coefficients (`_scaled_powers` for
+D(1,1), the two Kummer examples' through `_kummer_sides`);
 `eigen-operator`'s rows are `stirling.alternating_sum_rows` and
 `hyp-compact`'s are e^-y times `series.phyperq_series`; the dot series
 share `_resolvent` ((1-t·a)^-1 and t·a†a²(1-t·a)^-1) and `_bessel_dot`,
@@ -66,9 +65,10 @@ from .laguerre import DotSeries
 from .report import IdentityReport, _finish, _rows_mismatch
 from .series import (
     SeriesQ,
-    _canonical,
-    _ratio,
+    _pair,
+    _pair_str,
     _terminating_sums,
+    _to_one_den,
     factorial,
     laguerre_poly,
     phyperq_series,
@@ -85,41 +85,73 @@ from .weyl import NormalForm, laguerre_derivative_nf
 DEFAULT_PRECISION = 50
 
 
-def default_tolerance() -> Fraction:
-    """The numeric checks' tolerance when none is given, 10^-30.
+def default_tolerance() -> tuple[int, int]:
+    """The numeric checks' tolerance when none is given, 10^-30, as an int pair."""
+    return 1, 10**30
 
-    A Fraction, so it is built on use: only a request that runs a numeric
-    check, or reads --precision or --tolerance, loads `fractions`.
+
+def _bound_str(q) -> str:
+    """q, a rational or int pair, as a 6-digit decimal rounded up, so that a
+    bound stays a bound.
+
+    The text of str(Decimal(num) / Decimal(den)) at precision 6 with
+    ROUND_CEILING, written in ints: the quotient rounded up to 6
+    significant digits, except that an exact quotient drops its trailing
+    zeros down to the units digit (Decimal's ideal exponent 0).  It is
+    written plain, or in scientific form past the units or below 10^-6.
     """
-    from fractions import Fraction
+    num, den = _pair(q)
+    if num == 0:
+        return "0"
+    sign, num = ("-", -num) if num < 0 else ("", num)
 
-    return Fraction(1, 10**30)
+    def times_ten(k):  # num/den * 10^k as an int pair
+        return (num * 10**k, den) if k >= 0 else (num, den * 10**-k)
 
-
-def _bound_str(q: Fraction) -> str:
-    """q as a 6-digit decimal rounded up, so that a bound stays a bound."""
-    from decimal import ROUND_CEILING, Context, Decimal, localcontext
-
-    with localcontext(Context(prec=6, rounding=ROUND_CEILING)):
-        return str(Decimal(q.numerator) / Decimal(q.denominator))
-
-
-def _bessel_half_taylor(kind: int, n_terms: int) -> list:
-    # Coefficients of I_kind(y/2) as a series in y; only every other
-    # power appears.
-    from fractions import Fraction
-
-    out = []
-    for k in range(n_terms):
-        if kind == 0 and k % 2 == 0:
-            m = k // 2
-            out.append(Fraction(1, 4**k * factorial(m) ** 2))
-        elif kind == 1 and k % 2 == 1:
-            m = (k - 1) // 2
-            out.append(Fraction(1, 4**k * factorial(m) * factorial(m + 1)))
+    # top = floor(log10(num/den)), estimated from the bit lengths, then exact
+    top = int((num.bit_length() - den.bit_length()) * 0.30103)
+    while True:
+        a, b = times_ten(-top)
+        if a < b:
+            top -= 1
+        elif a >= 10 * b:
+            top += 1
         else:
-            out.append(0)
-    return out
+            break
+    exp = top - 5
+    coeff, rem = divmod(*times_ten(-exp))  # 6 digits
+    if not rem:
+        while exp < 0 and coeff % 10 == 0:
+            coeff //= 10
+            exp += 1
+    elif not sign:  # ROUND_CEILING: up, or toward 0 below 0
+        coeff += 1
+        if coeff == 10**6:
+            coeff, exp = 10**5, exp + 1
+    digits = str(coeff)
+    left = exp + len(digits)  # the digits left of the point, unscaled
+    point = left if exp <= 0 and left > -6 else 1
+    if point <= 0:
+        text = "0." + "0" * -point + digits
+    elif point >= len(digits):
+        text = digits + "0" * (point - len(digits))
+    else:
+        text = digits[:point] + "." + digits[point:]
+    return sign + text + ("" if left == point else f"E{left - point:+d}")
+
+
+def _reciprocals(weights) -> SeriesQ:
+    """sum_n x^n / weights[n] over one int denominator; a weight 0 is a term 0."""
+    den = lcm(*filter(None, weights))
+    return SeriesQ._from_ints(len(weights), [den // w if w else 0 for w in weights],
+                              den)
+
+
+def _bessel_half_taylor(kind: int, n_terms: int) -> SeriesQ:
+    # I_kind(y/2) as a series in y; only every other power appears.
+    return _reciprocals([
+        4**k * factorial(k // 2) * factorial(k // 2 + kind) if k % 2 == kind else 0
+        for k in range(n_terms)])
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +209,10 @@ def _oracle_powers(r: int, M: int, n_max: int) -> list:
     return out[:n_max + 1]
 
 
-def _scaled_powers(taylor) -> list:
-    """taylor[n] times the oracle power D(1,1)^n, for n < len(taylor)."""
-    powers = _oracle_powers(1, 1, len(taylor) - 1)
-    return [p.scale(c) for p, c in zip(powers, taylor)]
+def _scaled_powers(taylor: SeriesQ) -> list:
+    """taylor's x^n coefficient times the oracle power D(1,1)^n, n < taylor.order."""
+    powers = _oracle_powers(1, 1, taylor.order - 1)
+    return [p.scale((a, taylor.den)) for p, a in zip(powers, taylor.nums)]
 
 
 def _laguerre_rows(n_max: int) -> list:
@@ -321,32 +353,40 @@ def hyp_generating_function_check(
     """
     if r < 1 or M < 0 or lambda_order < 0 or precision < 1:
         raise ValueError("need r >= 1, M >= 0, lambda_order >= 0, precision >= 1")
-    x = _canonical(x)
-    tolerance = default_tolerance() if tolerance is None else _canonical(tolerance)
-    params = {"r": r, "M": M, "x": str(x), "lambda_order": lambda_order}
-    numctx = {"precision": precision, "tolerance": str(tolerance)}
+    x_num, x_den = _pair(x)
+    tol_num, tol_den = default_tolerance() if tolerance is None else _pair(tolerance)
+    params = {"r": r, "M": M, "x": _pair_str(x), "lambda_order": lambda_order}
+    numctx = {"precision": precision, "tolerance": _pair_str((tol_num, tol_den))}
     paths = ("certified l-sum", "Bell polynomial")
-    cutoff = _ratio(1, 10 ** (precision + 10))
+    cut = 10 ** (precision + 10)  # the cutoff is 1/cut
     try:
-        totals, cert = dobinski_sums(r, M, lambda_order, x, cutoff, max_terms)
-        emx_lo, emx_hi, exp_cert = exp_bounds(-x, cutoff, max_terms)
+        totals, cert = dobinski_sums(r, M, lambda_order, x, (1, cut), max_terms)
+        (lo_num, lo_den), (hi_num, hi_den), exp_cert = exp_bounds(
+            (-x_num, x_den), (1, cut), max_terms)
     except RuntimeError:
         first = {"reason": "tail bound not certified within term budget"}
         return _finish("hyp-generating-function", params, first,
                        {"first_mismatch": first, "outer_terms": max_terms + 1},
                        paths=paths, **numctx)
-    worst, first = 0, None
+    worst, first = (0, 1), None
     # drawn to the end, where `stirling_rows` checks S(n, 0)
     rows = list(stirling_rows(r, M, lambda_order))
-    for n, (total, row) in enumerate(zip(totals, rows)):
-        bell = 0  # B(n, x) by Horner's rule over the int row
-        for c in reversed(row):
-            bell = bell * x + c
-        # row n's full l-sum lies in [total, total + cutoff * max(total, 1)]
-        dev = rel_dev_bound(emx_lo * total,
-                            emx_hi * (total + cutoff * max(total, 1)), bell)
-        worst = max(worst, dev)
-        if first is None and dev > tolerance:
+    for n, ((t_num, t_den), row) in enumerate(zip(totals, rows)):
+        # B(n, x) by Horner's rule over the row, in ints over
+        # b_den x_den^(len(row) - 1)
+        nums, b_den = _to_one_den(row)
+        b_num, x_pow = 0, 1
+        for c in reversed(nums):
+            b_num = b_num * x_num + c * x_pow
+            x_pow *= x_den
+        # row n's full l-sum lies in [total, total + max(total, 1) / cut]
+        dev = rel_dev_bound(
+            (lo_num * t_num, lo_den * t_den),
+            (hi_num * (t_num * cut + max(t_num, t_den)), hi_den * t_den * cut),
+            (b_num * x_den, b_den * x_pow))
+        if dev[0] * worst[1] > worst[0] * dev[1]:
+            worst = dev
+        if first is None and dev[0] * tol_den > tol_num * dev[1]:
             first = {"n": n, "rel_dev_bound": _bound_str(dev)}
     details = {"first_mismatch": first, "outer_terms": cert.terms,
                "ratio_cap": _bound_str(cert.ratio_cap),
@@ -368,28 +408,25 @@ def _resolvent(order: int):
 
 def _bessel_dot(order: int, s: int, sigma: int) -> DotSeries:
     """:exp(s·t·a) sum_m sigma^m/(m!)^2 (t·a†a²)^m:; I0 is (1, 1), J0 (-1, -1)."""
-    from fractions import Fraction
-
-    taylor = [Fraction(sigma**m, factorial(m) ** 2) for m in range(order)]
+    taylor = _reciprocals([sigma**m * factorial(m) ** 2 for m in range(order)])
     return (DotSeries.monomial(order, 1, 0, 1, s).exp()
             * DotSeries.monomial(order, 1, 1, 2).apply_function(taylor))
 
 
-def _kummer_sides(b: Fraction, lambda_order: int):
+def _kummer_sides(b, lambda_order: int):
     """Left oracle list (normal forms) and generic dot-form right side for
-    1F1([b],[1], t*D)."""
+    1F1([b],[1], t*D); b is a rational or an int pair."""
     order = lambda_order + 1
-    taylor = phyperq_series([b], [1], order).coeffs
+    b_num, b_den = _pair(b)
+    taylor = phyperq_series([b], [1], order)
     _, arg = _resolvent(order)
-    rhs = DotSeries.binpow(order, -1, 1, -b) * arg.apply_function(taylor)
+    rhs = DotSeries.binpow(order, -1, 1, (-b_num, b_den)) * arg.apply_function(taylor)
     return _scaled_powers(taylor), rhs, arg
 
 
 def _example_laguerre_ogf(lambda_order: int) -> IdentityReport:
-    from fractions import Fraction
-
     order = lambda_order + 1
-    lhs = _scaled_powers([Fraction(1, factorial(n)) for n in range(order)])
+    lhs = _scaled_powers(_reciprocals([factorial(n) for n in range(order)]))
     inv, arg = _resolvent(order)
     rhs = (inv * arg.exp()).lambda_rows()
     checks, first = _rows_mismatch(lhs, rhs, "lambda")
@@ -412,7 +449,7 @@ def _example_kummer_b3(lambda_order: int) -> IdentityReport:
     l2 = (
         DotSeries.one(order)
         + arg.scale(2)
-        + (arg * arg).scale(_ratio(1, 2))
+        + (arg * arg).scale((1, 2))
     )
     rhs = (inv_cubed * l2 * arg.exp()).lambda_rows()
     checks, first = _rows_mismatch(lhs, rhs, "lambda")
@@ -429,14 +466,13 @@ def _example_kummer_b3(lambda_order: int) -> IdentityReport:
 
 
 def _example_kummer_b3half(lambda_order: int) -> IdentityReport:
-    b = _ratio(3, 2)
     order = lambda_order + 1
-    lhs, rhs_generic, arg = _kummer_sides(b, lambda_order)
-    half_arg = arg.scale(_ratio(1, 2))
+    lhs, rhs_generic, arg = _kummer_sides((3, 2), lambda_order)
+    half_arg = arg.scale((1, 2))
     i0 = arg.apply_function(_bessel_half_taylor(0, order))
     i1 = arg.apply_function(_bessel_half_taylor(1, order))
     bracket = (DotSeries.one(order) + arg) * i0 + arg * i1
-    rhs = DotSeries.binpow(order, -1, 1, -b) * half_arg.exp() * bracket
+    rhs = DotSeries.binpow(order, -1, 1, (-3, 2)) * half_arg.exp() * bracket
     checks, first = _rows_mismatch(lhs, rhs_generic.lambda_rows(), "lambda")
     if first is None:
         more, first = _rows_mismatch(lhs, rhs.lambda_rows(), "lambda")
@@ -457,20 +493,23 @@ def _example_kummer_b3half(lambda_order: int) -> IdentityReport:
 
 
 def _example_laguerre_shifted(n: int, lambda_order: int) -> IdentityReport:
-    from fractions import Fraction
-
     p = n  # the shift, read from the one size override, `verify --n`
     if p < 1:
         raise ValueError("p must be >= 1")
+    if p > lambda_order:
+        raise ValueError(f"laguerre-shifted at p = {p}, lambda order {lambda_order} "
+                         "compares nothing: both sides start at lambda^p "
+                         "(need p <= lambda_order)")
     order = lambda_order + 1
-    lhs = _scaled_powers([Fraction(1, factorial(m - p) * factorial(p)) if m >= p
-                          else 0 for m in range(order)])
+    lhs = _scaled_powers(_reciprocals([factorial(m - p) * factorial(p) if m >= p
+                                       else 0 for m in range(order)]))
     inv, arg = _resolvent(order)
     w = DotSeries.monomial(order, 0, 1, 1) * inv
     lag = laguerre_poly(p)
     lp = DotSeries(order)
-    for j in reversed(range(p + 1)):  # L_p(-w) by Horner's rule
-        lp = lp * w + DotSeries.monomial(order, 0, 0, 0, lag.coeff(j) * (-1) ** j)
+    for j in reversed(range(p + 1)):  # L_p(-w) by Horner's rule, times lag.den
+        lp = lp * w + DotSeries.monomial(order, 0, 0, 0, lag.nums[j] * (-1) ** j)
+    lp = lp.scale((1, lag.den))
     pref = DotSeries.binpow(order, -1, 1, -(p + 1))
     shift = DotSeries.monomial(order, p, 0, p)
     rhs = (pref * arg.exp() * lp * shift).lambda_rows()
@@ -482,11 +521,10 @@ def _example_laguerre_shifted(n: int, lambda_order: int) -> IdentityReport:
 
 
 def _example_bessel(example_id: str, lambda_order: int) -> IdentityReport:
-    from fractions import Fraction
-
     order = lambda_order + 1
     sign = 1 if example_id == "bessel-i0" else -1
-    lhs = _scaled_powers([Fraction(sign**n, factorial(n) ** 2) for n in range(order)])
+    lhs = _scaled_powers(_reciprocals([sign**n * factorial(n) ** 2
+                                       for n in range(order)]))
     rhs = _bessel_dot(order, sign, sign).lambda_rows()
     checks, first = _rows_mismatch(lhs, rhs, "lambda")
     notes = []
@@ -536,16 +574,14 @@ def _alternating_rows(r: int, M: int, n_max: int, tag: str):
 
 
 def _example_eigen_operator(M: int, lambda_order: int) -> IdentityReport:
-    from fractions import Fraction
-
-    scales = [Fraction(1, factorial(n) ** (M + 1)) for n in range(lambda_order + 1)]
+    weights = [factorial(n) ** (M + 1) for n in range(lambda_order + 1)]
     powers = _oracle_powers(1, M, lambda_order)
-    lhs = [p.scale(c) for p, c in zip(powers, scales)]
+    lhs = [p.scale((1, w)) for p, w in zip(powers, weights)]
     # The alternating sum gives row n of S_1^(M), the coefficients of
     # (ad)^k a^(k+n) in D(1,M)^n.
     rows, error = _alternating_rows(1, M, lambda_order, "lambda")
     rhs = [NormalForm._from_ints({(k, k + n): c for k, c in enumerate(row) if c},
-                                 scales[n].denominator)
+                                 weights[n])
            for n, row in enumerate(rows)]
     checks, first = _rows_mismatch(lhs, rhs, "lambda")
     if first is None:

@@ -23,8 +23,7 @@ from math import lcm
 
 from .series import (
     SeriesQ,
-    _canonical,
-    _ratio,
+    _pair,
     _ratios,
     _reduce,
     _to_one_den,
@@ -176,10 +175,9 @@ class DotSeries:
         return self + other.scale(-1)
 
     def scale(self, c) -> "DotSeries":
-        c = _canonical(c)
+        num, den = _pair(c)
         return DotSeries._from_ints(
-            self.order, {k: a * c.numerator for k, a in self.nums.items()},
-            self.den * c.denominator)
+            self.order, {k: a * num for k, a in self.nums.items()}, self.den * den)
 
     def __mul__(self, other: "DotSeries") -> "DotSeries":
         n = min(self.order, other.order)
@@ -205,35 +203,38 @@ class DotSeries:
         if m0 < 1:
             raise ValueError("exp needs a series with no lambda^0 part")
         kmax = (self.order - 1) // m0
-        return self.apply_function(series_exp(SeriesQ.x(kmax + 1)).coeffs)
+        return self.apply_function(series_exp(SeriesQ.x(kmax + 1)))
 
     def apply_function(self, taylor) -> "DotSeries":
         """sum_m taylor[m] * self^m, for self with min lambda order >= 1.
 
-        Powers past the truncation order or past `taylor` are never built;
-        the kept terms are summed once, into one int dict over the lcm of
-        their denominators.
+        taylor is a `SeriesQ`, read as its int numerators over its one
+        denominator, or a sequence of rationals.  Powers past the
+        truncation order or past `taylor` are never built; the kept terms
+        are summed once, into one int dict over the lcm of their
+        denominators times taylor's.
         """
         m0 = self.min_lambda_order()
         if m0 < 1:
             raise ValueError("function application needs lambda^1 or higher")
-        kmax = min((self.order - 1) // m0, len(taylor) - 1)
+        nums, t_den = ((taylor.nums, taylor.den) if isinstance(taylor, SeriesQ)
+                       else _to_one_den(taylor))
+        kmax = min((self.order - 1) // m0, len(nums) - 1)
         parts = []
         power = DotSeries.one(self.order)
         for k in range(kmax + 1):
             if k:
                 power = power * self
-            c = _canonical(taylor[k])
-            if c:
-                parts.append((power, c))
-        den = lcm(*(p.den * c.denominator for p, c in parts))
+            if nums[k]:
+                parts.append((power, nums[k]))
+        den = lcm(*(p.den for p, _ in parts))
         out: dict = {}
         get = out.get
         for p, c in parts:
-            f = den // (p.den * c.denominator) * c.numerator
+            f = den // p.den * c
             for key, a in p.nums.items():
                 out[key] = get(key, 0) + a * f
-        return DotSeries._from_ints(self.order, out, den)
+        return DotSeries._from_ints(self.order, out, den * t_den)
 
     def lambda_rows(self) -> list:
         """NormalForms of the lambda^0 .. lambda^(order-1) coefficients.
@@ -262,7 +263,7 @@ def exp_D_r1_normal_form(r: int, n_max: int) -> list:
         raise ValueError("need r >= 1 and n_max >= 0")
     order = n_max + 1
     g = DotSeries.binpow(order, -r, r, -1)
-    bt = series_binpow(-r, _ratio(-1, r), order)
+    bt = series_binpow(-r, (-1, r), order)
     arg = DotSeries._from_ints(
         order, {(k, 1, r * k + 1): bt.nums[k] for k in range(1, order)}, bt.den)
     full = g * arg.exp()
@@ -276,5 +277,5 @@ def egf_bell_r1(r: int, order: int) -> SeriesQ:
     if order < 1:
         raise ValueError("order must be >= 1")
     pref = series_binpow(-r, -1, order)
-    inner = series_binpow(-r, _ratio(-1, r), order) - SeriesQ.one(order)
+    inner = series_binpow(-r, (-1, r), order) - SeriesQ.one(order)
     return pref * series_exp(inner)

@@ -14,14 +14,19 @@ here, the normal forms in `normord.weyl` (the graph tables of
 written `Fraction(a, b)`, since two ints would give a float.
 
 No module of the package imports `fractions` when it loads.  A Fraction
-is built only by the function that needs one, which imports it there,
-at its top or on its non-int branch, never inside a per-term loop: here
-`_ratio` reads one value out, `_ratios` a container's whole readout
-with one import, and `certified_sum` builds its sums at its stop.
+is built only where a rational is read out for a caller: `_ratio` reads
+one value out and `_ratios` a container's whole readout, with one import
+(`coeffs`, `terms`, `pochhammer`, a mismatch record).  A rational scalar
+that the package only computes with is an int (numerator, denominator)
+pair, read by `_pair` from a rational or a pair, compared by integer
+cross-multiplication and printed by `_pair_str` as str(Fraction) would
+print it: `certified_sum`'s sums and certificate, the enclosures of
+`normord.hyperreal`, the tolerances and pFq parameters of the checks.
 `_canonical` recognizes a Fraction without importing anything, since
-one exists only once `fractions` is loaded.  So integer work, the
-triangle S_r^(M)(n,k) and the normal forms of D(r,M)^n among it, never
-loads `fractions`, nor the `decimal` and `numbers` modules it pulls in.
+one exists only once `fractions` is loaded.  So the triangle
+S_r^(M)(n,k), the normal forms of D(r,M)^n and every check of
+`verify all` and `verify examples` run without loading `fractions`, nor
+the `decimal` and `numbers` modules it pulls in.
 
 The three exact containers, `SeriesQ`, `weyl.NormalForm` and
 `laguerre.DotSeries`, share one layout: int numerators over one reduced
@@ -91,6 +96,28 @@ def _canonical(c):
     raise TypeError(f"coefficient must be rational, got {type(c).__name__}")
 
 
+def _pair(p) -> tuple[int, int]:
+    """A rational as an int (numerator, denominator) pair, denominator > 0.
+
+    A rational goes through `_canonical`, so a float raises TypeError.  A
+    pair passes as it is, reduced or not (the value is the same), so a
+    caller can make its scalars as pairs and build no Fraction.
+    """
+    if type(p) is tuple:
+        if len(p) == 2 and type(p[0]) is int and type(p[1]) is int and p[1] > 0:
+            return p
+        raise TypeError(f"rational pair must be two ints, denominator > 0, got {p!r}")
+    p = _canonical(p)
+    return p.numerator, p.denominator
+
+
+def _pair_str(p) -> str:
+    """A rational or pair as str(Fraction) prints it: reduced, "n" or "n/d"."""
+    num, den = _pair(p)
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
 def _to_one_den(values: Iterable) -> tuple[list, int]:
     """Rationals as (int numerators, one int denominator), reduced.
 
@@ -133,14 +160,18 @@ def _ratios(nums: Iterable[int], den: int) -> list:
     return out
 
 
-def pochhammer(a, k: int):
-    """Rising factorial (a)_k = a(a+1)...(a+k-1), as int products over a's denominator."""
-    a = _canonical(a)
-    num, den = a.numerator, a.denominator
+def _rising(a, k: int) -> tuple[int, int]:
+    """(a)_k = a(a+1)...(a+k-1) as an int pair: products over a's denominator^k."""
+    num, den = _pair(a)
     out = 1
     for i in range(k):
         out *= num + i * den
-    return _ratio(out, den**k)
+    return out, den**k
+
+
+def pochhammer(a, k: int):
+    """Rising factorial (a)_k = a(a+1)...(a+k-1), read out from `_rising`."""
+    return _ratio(*_rising(a, k))
 
 
 class SeriesQ:
@@ -229,9 +260,9 @@ class SeriesQ:
         return SeriesQ._from_ints(n, out, self.den * other.den)
 
     def scale(self, c) -> "SeriesQ":
-        c = _canonical(c)
-        return SeriesQ._from_ints(self.order, [a * c.numerator for a in self.nums],
-                                  self.den * c.denominator)
+        num, den = _pair(c)
+        return SeriesQ._from_ints(self.order, [a * num for a in self.nums],
+                                  self.den * den)
 
     def __repr__(self) -> str:
         return f"SeriesQ(order={self.order}, coeffs={list(self.coeffs)!r})"
@@ -278,27 +309,13 @@ def series_exp(s: SeriesQ) -> SeriesQ:
 def series_binpow(c, alpha, order: int) -> SeriesQ:
     """(1 + c·t)^alpha as a series in t, generalized binomial coefficients.
 
-    The term ratio c (alpha - k)/(k + 1) is that of 1F0(-alpha;; -c t).
+    c and alpha are rationals or int pairs (`_pair`).  The term ratio
+    c (alpha - k)/(k + 1) is that of 1F0(-alpha;; -c t).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    return _ratio_chain(*pfq_ratio([-_canonical(alpha)], [], -_canonical(c)), order)
-
-
-def _pair(p) -> tuple[int, int]:
-    """A pFq parameter as an int (numerator, denominator) pair, denominator > 0.
-
-    A rational goes through `_canonical`, so a float raises TypeError.  A
-    pair passes as it is, reduced or not (the ratio is the same), so a
-    caller can make its parameters as pairs and build no Fraction
-    (`closedform._check_bell_hyp`).
-    """
-    if type(p) is tuple:
-        if len(p) == 2 and type(p[0]) is int and type(p[1]) is int and p[1] > 0:
-            return p
-        raise TypeError(f"parameter pair must be two ints, denominator > 0, got {p!r}")
-    p = _canonical(p)
-    return p.numerator, p.denominator
+    (a_num, a_den), (c_num, c_den) = _pair(alpha), _pair(c)
+    return _ratio_chain(*pfq_ratio([(-a_num, a_den)], [], (-c_num, c_den)), order)
 
 
 def pfq_ratio(upper: Sequence, lower: Sequence, x):
@@ -307,15 +324,15 @@ def pfq_ratio(upper: Sequence, lower: Sequence, x):
     t_{k+1}/t_k = x * prod(u+k) / ((k+1) * prod(l+k)) = ratio_num(k) /
     ratio_den(k), with every parameter denominator cleared:
     u + k = (u.num + k*u.den) / u.den.  Each parameter is a rational or
-    its int (numerator, denominator) pair (`_pair`), split before the
-    functions are made; they read only those pairs.  ratio_den(k) is 0
+    its int (numerator, denominator) pair (`_pair`), x too, split before
+    the functions are made; they read only those pairs.  ratio_den(k) is 0
     exactly when a lower parameter l = -k is a pole.  This is the only
     place the ratio is written; `phyperq_series` runs on it.
     """
-    x = _canonical(x)
+    x_num, x_den = _pair(x)
     ups, lows = list(map(_pair, upper)), list(map(_pair, lower))
-    c_num = x.numerator * prod(d for _, d in lows)
-    c_den = x.denominator * prod(d for _, d in ups)
+    c_num = x_num * prod(d for _, d in lows)
+    c_den = x_den * prod(d for _, d in ups)
     g = gcd(c_num, c_den)
     c_num, c_den = c_num // g, c_den // g
 
@@ -415,45 +432,47 @@ class SumCertificate(NamedTuple):
     ratio_cap: a bound on every term ratio t_{j+1}/t_j with j >= terms;
     tail_bound: 2 * t_terms, which bounds the discarded tail
     t_terms + t_{terms+1} + ... because ratio_cap <= 1/2.
+    Both bounds are int (numerator, denominator) pairs, not reduced.
     """
 
     terms: int
-    ratio_cap: Fraction
-    tail_bound: Fraction
+    ratio_cap: tuple[int, int]
+    tail_bound: tuple[int, int]
 
 
 def certified_sum(
     ratio_num: Callable[[int], int],
     ratio_den: Callable[[int], int],
-    ratio_cap: Callable[[int], Fraction],
-    cutoff: Fraction,
+    ratio_cap: Callable[[int], tuple[int, int]],
+    cutoff,
     weights: Callable[[int], Sequence[int]],
     max_terms: int = 200000,
-) -> tuple[list[Fraction], SumCertificate]:
+) -> tuple[list[tuple[int, int]], SumCertificate]:
     """Sum rows of positive terms t_k = w(k) c_k with a proven tail bound.
 
     The chain c_0 = 1, c_{k+1} = c_k * ratio_num(k) / ratio_den(k) has
     int-valued ratio functions (ratio_num >= 0, ratio_den > 0), and row
     j's term k is weights(k)[j] * c_k with int weights >= 0.  The last
-    row governs the stop: ratio_cap(k) must bound every ratio t_{j+1}/t_j of
-    that row for j > k and must not increase with k.  After term k the
-    sum stops once ratio_cap(k) <= 1/2 and 2 * t_{k+1} <= cutoff *
-    max(S_k, 1), S_k being the last row's partial sum.  All later ratios
-    are then at most 1/2, so the discarded tail t_{k+1} + t_{k+2} + ...
-    is below 2 * t_{k+1}: within cutoff of S_k relative to it, or
-    absolutely when S_k < 1.  This is the only place that argument is
-    made.  Other rows need their own reason to share the stop.
+    row governs the stop: ratio_cap(k), an int pair, must bound every
+    ratio t_{j+1}/t_j of that row for j > k and must not increase with k.
+    After term k the sum stops once ratio_cap(k) <= 1/2 and 2 * t_{k+1}
+    <= cutoff * max(S_k, 1), S_k being the last row's partial sum.  All
+    later ratios are then at most 1/2, so the discarded tail t_{k+1} +
+    t_{k+2} + ... is below 2 * t_{k+1}: within cutoff of S_k relative to
+    it, or absolutely when S_k < 1.  This is the only place that argument
+    is made.  Other rows need their own reason to share the stop.
 
     c_k is kept as num/den and each row's partial sum as sums[j]/den in
     unreduced ints (num <- num*a, sums[j] <- sums[j]*b + num*w[j],
-    den <- den*b for a/b the ratio at k), every stopping test is an exact
-    integer cross-multiplication, and the only gcds are those of the
-    returned Fractions.  The cap is evaluated only until it first
-    certifies <= 1/2 (it cannot rise again), and once more at the stop for
-    the certificate.  Returns (one exact partial sum per row, certificate);
-    raises RuntimeError if terms t_0 .. t_{max_terms} do not certify.
+    den <- den*b for a/b the ratio at k), and every stopping test is an
+    exact integer cross-multiplication; nothing is reduced.  The cutoff
+    is a rational or an int pair (`_pair`).  The cap is evaluated only
+    until it first certifies <= 1/2 (it cannot rise again), and once more
+    at the stop for the certificate.  Returns (one exact partial sum per
+    row, as an int pair (sums[j], den), certificate); raises RuntimeError
+    if terms t_0 .. t_{max_terms} do not certify.
     """
-    cut_num, cut_den = cutoff.numerator, cutoff.denominator
+    cut_num, cut_den = _pair(cutoff)
     num = den = 1
     sums = list(weights(0))
     capped = False
@@ -465,17 +484,15 @@ def certified_sum(
         w = weights(k + 1)
         nxt = num * w[-1]
         if not capped:
-            capped = 2 * ratio_cap(k) <= 1
+            cap_num, cap_den = ratio_cap(k)
+            capped = 2 * cap_num <= cap_den
         if capped:
             scale = sums[-1] * b
             if scale < den_next:
                 scale = den_next
             if 2 * nxt * cut_den <= cut_num * scale:
-                from fractions import Fraction
-
-                return [Fraction(s, den) for s in sums], SumCertificate(
-                    k + 1, ratio_cap(k), Fraction(2 * nxt, den_next)
-                )
+                return [(s, den) for s in sums], SumCertificate(
+                    k + 1, ratio_cap(k), (2 * nxt, den_next))
         sums = [s * b + num * wj for s, wj in zip(sums, w)]
         den = den_next
     raise RuntimeError("certified sum failed to reach its tail bound")

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from math import factorial, prod
 
-from .series import _canonical, certified_sum
+from .series import _pair, certified_sum
 from .weyl import NormalForm, _graded, laguerre_derivative_word
 
 __all__ = [
@@ -188,19 +188,18 @@ def dobinski_sums(r: int, M: int, n_max: int, x, cutoff, max_terms: int):
     its partial sum.  So every row's full sum lies in [S_n, S_n + cutoff *
     max(S_n, 1)], S_n its partial sum: `hyp-generating-function` encloses
     it so, where the certificate's tail_bound holds for the top row only.
-    Returns (one exact partial sum per row, SumCertificate of the top row);
-    raises RuntimeError if max_terms terms do not certify.
+    Returns (one exact partial sum per row, an int pair, and the
+    SumCertificate of the top row); raises RuntimeError if max_terms terms
+    do not certify.  x and cutoff are rationals or int pairs (`series._pair`).
     """
-    from fractions import Fraction
-
     if r < 0 or M < 0 or n_max < 0:
         raise ValueError("need r, M, n_max >= 0")
-    x, cutoff = _canonical(x), _canonical(cutoff)
-    if x < 0:
+    p, q = _pair(x)
+    if p < 0:
         raise ValueError("x must be >= 0")
-    if cutoff <= 0:
+    if _pair(cutoff)[0] <= 0:
         raise ValueError("tolerance must be positive")
-    p, q = x.numerator, x.denominator
+    power = n_max * M
 
     def weights(l):
         out = [1]
@@ -211,7 +210,8 @@ def dobinski_sums(r: int, M: int, n_max: int, x, cutoff, max_terms: int):
         return out
 
     def ratio_cap(l):
-        return Fraction(p, q * (l + 2)) * (1 + Fraction(1, l + 1 + r)) ** (n_max * M)
+        # x/(l+2) * (1 + 1/(l+1+r))^power, as one int pair
+        return p * (l + 2 + r) ** power, q * (l + 2) * (l + 1 + r) ** power
 
     return certified_sum(lambda l: p, lambda l: q * (l + 1), ratio_cap,
                          cutoff, weights, max_terms)

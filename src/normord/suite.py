@@ -32,7 +32,7 @@ import time
 from collections.abc import Callable
 from functools import partial
 from itertools import islice, product
-from math import comb, isinf
+from math import comb, isinf, lcm
 from typing import NamedTuple
 
 from . import backend
@@ -67,13 +67,12 @@ from .parser import check_letters
 from .report import IdentityReport, _finish, _nf_mismatch, _rows_mismatch
 from .series import (
     SeriesQ,
-    _canonical,
-    _ratio,
-    _to_one_den,
+    _pair,
+    _pair_str,
+    _rising,
     factorial,
     laguerre_poly,
     phyperq_series,
-    pochhammer,
     series_exp,
 )
 from .stirling import (
@@ -243,12 +242,11 @@ def verify_exp_on_exponential(
     (-b)^i/i! * (-1)^m C(i+m, m) b^m.
     """
     _columns_fit(x_order, lambda_order)
-    b = _canonical(b)
-    s = series_exp(SeriesQ(x_order, [0, -b]))
+    bn, bd = _pair(b)
+    s = series_exp(SeriesQ._from_ints(x_order, [0, -bn] + [0] * x_order, bd))
     cols = exp_lambda_Dx_columns(DxOperator(1, 1), s, lambda_order)
     # (-b)^i/i! (-1)^m C(i+m, m) b^m = (-b)^(i+m) C(i+m, m) / i!, over the
     # column's one denominator bd^(top+m) top!, top its last x power
-    bn, bd = b.numerator, b.denominator
     refs = []
     for m, col in enumerate(cols):
         top = max(col.order - 1, 0)
@@ -258,7 +256,7 @@ def verify_exp_on_exponential(
             bd ** (top + m) * factorial(top)))
     _, mismatch = _rows_mismatch(cols, refs, "lambda_power", ("x_power",))
     return _finish("exp-exponential",
-                   {"b": str(b), "x_order": x_order, "lambda_order": lambda_order},
+                   {"b": _pair_str(b), "x_order": x_order, "lambda_order": lambda_order},
                    mismatch, paths=("Dx columns", "closed grid"))
 
 
@@ -269,14 +267,16 @@ def verify_exp_on_kummer(b, x_order: int = 16, lambda_order: int = 8) -> Identit
     read as (b)_(i+m) / ((i!)^2 m!).  Both sides are rational at any
     rational b, so every entry is compared exactly, b = 3/2 included.
     As in `verify_exp_on_exponential`, lambda_order may not pass x_order.
+    b is a rational or an int pair.
     """
     _columns_fit(x_order, lambda_order)
-    b = _canonical(b)
     s = phyperq_series([b], [1], x_order)
     cols = exp_lambda_Dx_columns(DxOperator(1, 1), s, lambda_order)
     # (b)_k over one denominator: column m is rising[i+m] / (den (i!)^2 m!),
     # over the column's one denominator den (top!)^2 m!, top its last x power
-    rising, den = _to_one_den(pochhammer(b, k) for k in range(x_order))
+    pairs = [_rising(b, k) for k in range(x_order)]
+    den = lcm(*(d for _, d in pairs))
+    rising = [a * (den // d) for a, d in pairs]
     refs = []
     for m, col in enumerate(cols):
         top = max(col.order - 1, 0)
@@ -286,7 +286,7 @@ def verify_exp_on_kummer(b, x_order: int = 16, lambda_order: int = 8) -> Identit
             den * scale**2 * factorial(m)))
     _, mismatch = _rows_mismatch(cols, refs, "lambda_power", ("x_power",))
     return _finish("exp-kummer",
-                   {"b": str(b), "x_order": x_order, "lambda_order": lambda_order},
+                   {"b": _pair_str(b), "x_order": x_order, "lambda_order": lambda_order},
                    mismatch, paths=("Dx columns", "Kummer expansion"))
 
 
@@ -295,19 +295,22 @@ def verify_exp_on_monomial(n_max: int = 6) -> IdentityReport:
 
     Per y power the left side carries (n falling m)^2 / m! on x^(n-m);
     the right side expands the Laguerre polynomial at -x/y and scales by
-    n! y^n, landing on the same (x, y) grid.
+    n! y^n, landing on the same (x, y) grid.  Each grid is an int table
+    over one denominator, keyed (x_power, y_power): a `NormalForm`'s layout.
     """
     _nonnegative(n_max=n_max)
     op = DxOperator(1, 1)
     lhs, rhs = [], []
     for n in range(n_max + 1):
-        mono = SeriesQ(n + 1, [0] * n + [1])
-        lhs.append({(i, m): c
-                    for m, col in enumerate(exp_lambda_Dx_columns(op, mono, n))
-                    for i, c in enumerate(col.coeffs)})
+        cols = exp_lambda_Dx_columns(op, SeriesQ._from_ints(n + 1, [0] * n + [1], 1), n)
+        den = lcm(*(col.den for col in cols))
+        lhs.append(NormalForm._from_ints({(i, m): a * (den // col.den)
+                                          for m, col in enumerate(cols)
+                                          for i, a in enumerate(col.nums) if a}, den))
         lag = laguerre_poly(n)
-        rhs.append({(k, n - k): factorial(n) * lag.coeff(k) * (-1) ** k
-                    for k in range(n + 1)})
+        rhs.append(NormalForm._from_ints({(k, n - k): factorial(n) * a * (-1) ** k
+                                          for k, a in enumerate(lag.nums) if a},
+                                         lag.den))
     _, mismatch = _rows_mismatch(lhs, rhs, "n", ("x_power", "y_power"))
     return _finish("exp-monomial", {"n_max": n_max}, mismatch,
                    paths=("Dx columns", "Laguerre polynomial"))
@@ -331,9 +334,11 @@ def verify_egf(r: int, n_max: int) -> IdentityReport:
     """(1-rt)^(-1) exp((1-rt)^(-1/r) - 1) as the Bell-number EGF."""
     _nonnegative(r=r, n_max=n_max)
     series = egf_bell_r1(r, n_max + 1)
-    egf = [factorial(n) * c for n, c in enumerate(series.coeffs)]
-    mismatch = _nf_mismatch(egf, bell_sequence(r, 1, n_max), {}, ("n",))
-    values = [int(v) for v in egf]
+    egf = SeriesQ._from_ints(n_max + 1, [factorial(n) * a for n, a in
+                                         enumerate(series.nums)], series.den)
+    mismatch = _nf_mismatch(egf, SeriesQ(n_max + 1, bell_sequence(r, 1, n_max)),
+                            {}, ("n",))
+    values = [int(v) for v in egf.coeffs]
     return _finish("egf", {"r": r, "n_max": n_max}, mismatch, {"values": values},
                    paths=("EGF series", "triangle row sum"))
 
@@ -393,10 +398,9 @@ class Check(NamedTuple):
     """How `run_identity` runs one id: a driver over a default grid.
 
     The grid is the product of `axes`, each (name, default values), where
-    an override of that name pins its axis to the one value given.  The
-    values may be given as a function that returns them, called when the
-    grid is built: a Fraction among them is made then, not when the
-    module loads (the b axes of `exp-exponential` and `exp-kummer`).  While
+    an override of that name pins its axis to the one value given; a
+    rational value is an int (numerator, denominator) pair (the b axes of
+    `exp-exponential` and `exp-kummer`).  While
     neither r nor M is given, `points` (value tuples over the axes) stand
     in for the product.  The driver is called once per
     point with the point's values, the size and the numeric settings
@@ -432,8 +436,8 @@ IDENTITIES = {
     "bell-diagonal-powers": Check(verify_bell_diagonal_powers, (_M3,), ("n", 4)),
     "laguerre-normal-form": Check(verify_laguerre_normal_form, size=("n", 6)),
     "exp-exponential": Check(verify_exp_on_exponential,
-                             (("b", lambda: (1, 2, _ratio(1, 3))),), ("lambda_order", 8)),
-    "exp-kummer": Check(verify_exp_on_kummer, (("b", lambda: (1, 2, 3, _ratio(3, 2))),),
+                             (("b", (1, 2, (1, 3))),), ("lambda_order", 8)),
+    "exp-kummer": Check(verify_exp_on_kummer, (("b", (1, 2, 3, (3, 2))),),
                         ("lambda_order", 8)),
     "exp-monomial": Check(verify_exp_on_monomial, size=("n", 6)),
     "sheffer": _SHEFFER,
@@ -528,9 +532,12 @@ def run_identity(
         kwargs["n_max" if name == "n" else name] = given.get(name, default)
     grid = check.points
     if grid is None or given.keys() & {"r", "M"}:
-        grid = product(*((given[name],) if name in given
-                         else values() if callable(values) else values
+        grid = product(*((given[name],) if name in given else values
                          for name, values in check.axes))
+    if identity == "laguerre-shifted" and n is None:
+        # its default shifts stop at the lambda order, past which a shift
+        # compares nothing and raises; at lambda order 0 the first one does
+        grid = [point for point in grid if point[0] <= max(kwargs["lambda_order"], 1)]
     names = [name for name, _ in check.axes]
     # no sweep table for one id: its grid points share almost nothing
     # (only laguerre-shifted's three read one fold, D(1,1)^0..6), and

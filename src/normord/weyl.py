@@ -45,7 +45,7 @@ from math import lcm
 from operator import add
 
 from . import backend
-from .series import SeriesQ, _canonical, _ratio, _ratios, _reduce, _to_one_den
+from .series import SeriesQ, _canonical, _pair, _ratio, _ratios, _reduce, _to_one_den
 
 ANNIHILATOR = 0
 CREATOR = 1
@@ -207,12 +207,11 @@ class NormalForm:
         return self.scale(-1)
 
     def scale(self, c) -> "NormalForm":
-        c = _canonical(c)
-        if not c:
+        num, den = _pair(c)
+        if not num:
             return NormalForm()
-        return NormalForm._from_ints(
-            {k: a * c.numerator for k, a in self.nums.items()},
-            self.den * c.denominator)
+        return NormalForm._from_ints({k: a * num for k, a in self.nums.items()},
+                                     self.den * den)
 
     def __mul__(self, other) -> "NormalForm":
         if isinstance(other, NormalForm):

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
+from decimal import ROUND_CEILING, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import NamedTuple
@@ -128,12 +130,26 @@ def explicit_table(nf: NormalForm, n: int) -> NormalForm:
     return NormalForm(agg)
 
 
+def decimal_bound_str(q: Fraction) -> str:
+    """q as a 6-digit decimal rounded up, printed by `decimal`: the text
+    `closedform._bound_str` writes in ints."""
+    with localcontext(Context(prec=6, rounding=ROUND_CEILING)):
+        return str(Decimal(q.numerator) / Decimal(q.denominator))
+
+
 def _directory(text: str) -> str:
     """A --cache-dir value; an empty one, which would name the current
     directory, is refused."""
     if not text:
         raise argparse.ArgumentTypeError("empty directory")
     return text
+
+
+def ascii_int(text: str) -> int:
+    """An integer argument as `normord` reads it: ASCII digits, optional sign."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def reference_parser() -> argparse.ArgumentParser:
@@ -152,7 +168,7 @@ def reference_parser() -> argparse.ArgumentParser:
     p_order = sub.add_parser("order", allow_abbrev=False,
                              help="normal-order an operator expression")
     p_order.add_argument("expr", help="expression over a, ad, rationals, + - * ^ ()")
-    p_order.add_argument("--power", type=int, default=1,
+    p_order.add_argument("--power", type=ascii_int, default=1,
                          help="raise the expression to this power first")
     # argparse counts a flag as given to a mutually exclusive group only
     # when its value is not the default object itself, and a "json" read
@@ -167,9 +183,9 @@ def reference_parser() -> argparse.ArgumentParser:
 
     p_seq = sub.add_parser("seq", allow_abbrev=False,
                            help="export Bell numbers or polynomial rows")
-    p_seq.add_argument("r", type=int)
-    p_seq.add_argument("M", type=int)
-    p_seq.add_argument("n_max", type=int)
+    p_seq.add_argument("r", type=ascii_int)
+    p_seq.add_argument("M", type=ascii_int)
+    p_seq.add_argument("n_max", type=ascii_int)
     kind = p_seq.add_mutually_exclusive_group()
     kind.add_argument("--number", action="store_true", default=True,
                       help="weight-one values (default)")
@@ -183,7 +199,7 @@ def reference_parser() -> argparse.ArgumentParser:
                               help="run identity checks")
     p_verify.add_argument("identity", help='an identity id or "all"')
     for name in ("--r", "--M", "--n", "--lambda-order", "--precision"):
-        p_verify.add_argument(name, type=int, default=None)
+        p_verify.add_argument(name, type=ascii_int, default=None)
     p_verify.add_argument("--tolerance")
     p_verify.add_argument("--format", choices=("json", "table"), default="json")
 

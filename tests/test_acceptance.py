@@ -125,9 +125,10 @@ def _dobinski_deviation(r, M, n, exact):
     enclosure; no value is rounded.
     """
     cutoff = TOL / 4
-    total = dobinski_sums(r, M, n, 1, cutoff, 100000)[0][-1]
-    lo, hi, _ = exp_bounds(-1, cutoff)
-    return rel_dev_bound(lo * total, hi * (total + cutoff * max(total, 1)), exact)
+    total = Fraction(*dobinski_sums(r, M, n, 1, cutoff, 100000)[0][-1])
+    lo, hi = (Fraction(*b) for b in exp_bounds(-1, cutoff)[:2])
+    return Fraction(*rel_dev_bound(lo * total, hi * (total + cutoff * max(total, 1)),
+                                   exact))
 
 
 def _corroborate_1_1_6(computed):

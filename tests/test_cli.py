@@ -354,7 +354,8 @@ REFERENCE = reference_parser()
 
 # Values each kind of argument is drawn from, good ones and bad ones:
 # negative numbers, flag-like text and text with a space in it included
-TEXTS = {int: (["0", "3", "-1", "-12", "+4", " 7", "1_0"], ["x", "1.5", "-.5", ""]),
+TEXTS = {int: (["0", "3", "-1", "-12", "+4"],
+               ["x", "1.5", "-.5", "", " 7", "1_0", "\u0663", "-\u0663"]),
          str: (["a", "-a + ad", "1/2,1", "-1", "-", "", "--bogus=a b", "order"],
                ["--x", "--format=a b"])}
 # Flags no table lists: a prefix of a real flag included
@@ -443,6 +444,11 @@ def test_argv_table_reads_what_the_reference_parser_reads(argv):
     # a flag is spelled in full: no prefix stands for it
     (("verify", "all", "--prec", "60"), "unrecognized argument '--prec'"),
     (("order", "-a"), "unrecognized argument '-a'"),
+    # an integer is ASCII digits with an optional sign, as in an expression
+    (("verify", "graphs", "--n", "1_0"), "--n takes an integer, not '1_0'"),
+    (("verify", "graphs", "--n", "\u0663"), "--n takes an integer, not '\u0663'"),
+    (("verify", "graphs", "--n", " 1"), "--n takes an integer, not ' 1'"),
+    (("order", "a", "--power", "\u0663"), "--power takes an integer, not '\u0663'"),
 ])
 def test_bad_argv_exits_2_with_one_line(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -634,6 +640,27 @@ def test_verify_eigenfunction_that_would_compare_nothing_exits_2(capsys):
                    "image keeps order - r x powers (the default order 32 - r needs "
                    "r <= 15)\n")
     assert run(capsys, "verify", "eigenfunction", "--r", "15", "--M", "1")[0] == 0
+
+
+@pytest.mark.parametrize("identity", ["examples", "laguerre-shifted"])
+def test_verify_shift_past_the_lambda_order_exits_2(capsys, identity):
+    # both sides of laguerre-shifted start at lambda^p: at p = 7 and lambda
+    # order 6 every compared row would be empty
+    code, out, err = run(capsys, "verify", identity, "--n", "7")
+    assert (code, out) == (2, "")
+    assert err == ("error: laguerre-shifted at p = 7, lambda order 6 compares "
+                   "nothing: both sides start at lambda^p (need p <= lambda_order)\n")
+    # its default shifts 1..3 stop at a lower lambda order, and none is left
+    # at lambda order 0
+    code, out, _ = run(capsys, "verify", "laguerre-shifted", "--lambda-order", "2",
+                       "--format", "table")
+    assert code == 0
+    assert [line.split()[4] for line in out.splitlines()] == ["p=1", "p=2"]
+    code, out, err = run(capsys, "verify", "laguerre-shifted", "--lambda-order", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: laguerre-shifted at p = 1, lambda order 0 compares")
+    assert len(err.splitlines()) == 1
+    assert run(capsys, "verify", identity, "--n", "6")[0] == 0
 
 
 @pytest.mark.parametrize("identity", ["examples", "laguerre-shifted"])
@@ -835,7 +862,10 @@ def test_no_command_loads_json(tmp_path):
 
 # No integer request builds a Fraction: the triangle, the normal forms of
 # D(r,M)^n and the graph tables are integers, and no exact id reads a
-# tolerance.  `fractions` loads `decimal` and `numbers` with it.
+# tolerance.  Nor does a check: every rational of the suite is an int pair
+# or a container's ints over one denominator, the numeric check and its
+# default tolerance included; only a --tolerance is parsed as a Fraction.
+# `fractions` loads `decimal` and `numbers` with it.
 _INTEGER_REQUESTS = [
     *(("seq", "2", "1", "12", *opts) for opts in (
         (), ("--number", "--format", "table"), ("--format", "bfile"))),
@@ -849,12 +879,17 @@ _INTEGER_REQUESTS = [
     ("order", "(2 a + ad)^3 (a ad)", "--power", "2"),
     ("verify", "graphs", "--n", "4"),
     ("verify", "stirling-expansion", "--format", "table"),
+    ("verify", "all"),
+    ("verify", "all", "--precision", "100"),
+    ("verify", "examples"),
+    ("verify", "hyp-generating-function"),
+    ("verify", "exp-kummer"),
 ]
 _RATIONAL_REQUESTS = [
     ("order", "a (ad a)^2 + 1/2 ad"),
     ("order", "a ad", "--expectation", "2"),
     ("order", "(ad a)^3", "--expectation", "1/2,1"),
-    ("verify", "all"),
+    ("verify", "hyp-generating-function", "--tolerance", "1e-40"),
 ]
 
 

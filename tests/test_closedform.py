@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from normord import closedform
 from normord.closedform import (
@@ -19,10 +21,37 @@ from normord.series import SeriesQ, phyperq_series
 from normord.stirling import stirling_rows
 from normord.suite import EXAMPLE_IDS, IDENTITIES, SUITE_IDS, run_identity
 from normord.weyl import NormalForm
+from oracles import decimal_bound_str
 
 
 def _mpf(q):
     return mpmath.mpf(q.numerator) / q.denominator
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 10**30), st.integers(1, 10**30), st.integers(-1200, 1200),
+       st.booleans())
+@example(1, 1, 30, False)            # 1E+30: six digits, trailing zeros kept
+@example(1234567, 1, 0, False)       # seven digits, rounded up
+@example(1234560, 1, 0, False)       # six significant digits past the units
+@example(9999995, 10, 0, False)      # the carry to 1.00000E+6
+@example(1, 3, 0, True)              # below 0, rounded toward 0
+@example(1, 8, 0, False)             # an exact short quotient, 0.125
+@example(1, 1, -7, False)            # 1E-7, past six leading zeros
+@example(1, 1, -6, False)            # 0.000001
+@example(123, 1, 1001, False)
+@example(7, 3, -1001, False)
+def test_bound_str_prints_what_decimal_prints(num, den, exp, negative):
+    # random rationals, and exact short quotients k / (2^a 5^b) among them,
+    # at decimal exponents past +-1000
+    scale = Fraction(10) ** exp
+    short = Fraction(num, 2 ** (den % 40) * 5 ** (num % 30))
+    for q in (Fraction(num, den) * scale, short * scale):
+        q = -q if negative else q
+        assert closedform._bound_str(q) == decimal_bound_str(q), q
+        assert closedform._bound_str((q.numerator * 3, q.denominator * 3)) == (
+            decimal_bound_str(q))
+    assert closedform._bound_str(0) == decimal_bound_str(Fraction(0)) == "0"
 
 
 def test_kummer_taylor():

@@ -14,7 +14,8 @@ DIGITS = 300
 
 def _check_enclosure(x: Fraction, cutoff: Fraction):
     lo, hi, cert = exp_bounds(x, cutoff)
-    assert type(lo) in (int, Fraction) and type(hi) in (int, Fraction)
+    assert all(type(v) is int for v in (*lo, *hi)) and lo[1] > 0 and hi[1] > 0
+    lo, hi = Fraction(*lo), Fraction(*hi)
     assert 0 <= hi - lo <= cutoff * hi
     assert cert.terms >= 1
     # every gap here is far wider than 10^-DIGITS, so rounding the endpoints
@@ -40,7 +41,7 @@ def test_exp_against_mpmath(x):
 
 
 def test_exp_enclosure_is_exact_at_zero():
-    assert exp_bounds(0, Fraction(1, 10**30))[:2] == (1, 1)
+    assert [Fraction(*b) for b in exp_bounds(0, Fraction(1, 10**30))[:2]] == [1, 1]
     with pytest.raises(ValueError):
         exp_bounds(1, 0)
 
@@ -48,11 +49,16 @@ def test_exp_enclosure_is_exact_at_zero():
 def test_comparison_contract():
     # the most any point of [lo, hi] can deviate from the exact value,
     # relative to max(|exact|, 1): absolute below 1, relative above
+    # (an int pair, read as the Fraction it stands for)
+    def bound(lo, hi, exact):
+        return Fraction(*rel_dev_bound(lo, hi, exact))
+
     third = Fraction(1, 3)
-    assert rel_dev_bound(third, third + Fraction(1, 10**45), third) == Fraction(
-        1, 10**45)
-    assert rel_dev_bound(99, 101, 100) == Fraction(1, 100)
-    assert rel_dev_bound(100, 100, 100) == 0
+    assert bound(third, third + Fraction(1, 10**45), third) == Fraction(1, 10**45)
+    assert bound(99, 101, 100) == Fraction(1, 100)
+    assert bound(100, 100, 100) == 0
     # an interval that misses the exact value is judged by its far end
-    assert rel_dev_bound(110, 120, 100) == Fraction(1, 5)
-    assert rel_dev_bound(-3, -1, 0) == 3
+    assert bound(110, 120, 100) == Fraction(1, 5)
+    assert bound(-3, -1, 0) == 3
+    # the endpoints may be given as int pairs, reduced or not
+    assert bound((-6, 2), (-2, 2), (0, 5)) == 3

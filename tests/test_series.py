@@ -239,18 +239,21 @@ def test_series_coeff_out_of_range():
 def test_certified_sum_rows_stop_with_the_last_row():
     # rows k^0, k^1, k^2 times 3^k/k!: e^3 * (1, 3, 12); the last row's
     # ratio 3(j+1)/j^2 falls with j, so its value at j = k+1 is the cap
+    # the cap, the sums and the certificate's bounds are int pairs
     cutoff = Fraction(1, 10**30)
     cap = lambda k: Fraction(3 * (k + 2), (k + 1) ** 2)
-    totals, cert = certified_sum(lambda k: 3, lambda k: k + 1, cap, cutoff,
+    totals, cert = certified_sum(lambda k: 3, lambda k: k + 1,
+                                 lambda k: (3 * (k + 2), (k + 1) ** 2), cutoff,
                                  weights=lambda k: (1, k, k * k))
+    totals = [Fraction(*total) for total in totals]
     plain = [sum(Fraction(k**j * 3**k, factorial(k)) for k in range(cert.terms))
              for j in range(3)]
     assert totals == plain
-    assert cert.ratio_cap == cap(cert.terms - 1) <= Fraction(1, 2)
+    assert Fraction(*cert.ratio_cap) == cap(cert.terms - 1) <= Fraction(1, 2)
     nxt = Fraction(cert.terms**2 * 3**cert.terms, factorial(cert.terms))
-    assert cert.tail_bound == 2 * nxt <= cutoff * totals[-1]
+    assert Fraction(*cert.tail_bound) == 2 * nxt <= cutoff * totals[-1]
     long = sum(Fraction(k * k * 3**k, factorial(k)) for k in range(cert.terms + 80))
-    assert 0 < long - totals[-1] <= cert.tail_bound
+    assert 0 < long - totals[-1] <= Fraction(*cert.tail_bound)
     # and it stops at the first term where the rule holds
     partial = Fraction(0)
     for k in range(cert.terms - 1):
@@ -262,8 +265,8 @@ def test_certified_sum_rows_stop_with_the_last_row():
 def test_certified_sum_budget_is_loud():
     # the cap never reaches 1/2
     with pytest.raises(RuntimeError):
-        certified_sum(lambda k: 1, lambda k: 1, lambda k: Fraction(1),
+        certified_sum(lambda k: 1, lambda k: 1, lambda k: (1, 1),
                       Fraction(1, 10), weights=lambda k: (1,), max_terms=50)
     with pytest.raises(RuntimeError):
-        certified_sum(lambda k: 50, lambda k: k + 1, lambda k: Fraction(50, k + 2),
+        certified_sum(lambda k: 50, lambda k: k + 1, lambda k: (50, k + 2),
                       Fraction(1, 10**30), weights=lambda k: (1,), max_terms=10)

@@ -241,9 +241,12 @@ CUTOFF = TOL / 4
 def _deviation(total, x, exact):
     """Proven bound on |e^-x L - exact| / max(exact, 1) for the l-sum L whose
     `dobinski_sums` partial sum is total: L lies in [total, total + CUTOFF *
-    max(total, 1)] and e^-x in its `exp_bounds` enclosure."""
-    lo, hi, _ = exp_bounds(-x, CUTOFF)
-    return rel_dev_bound(lo * total, hi * (total + CUTOFF * max(total, 1)), exact)
+    max(total, 1)] and e^-x in its `exp_bounds` enclosure.  The sums, the
+    enclosure and the bound are int pairs, read here as Fractions."""
+    total = Fraction(*total)
+    lo, hi = (Fraction(*b) for b in exp_bounds(-x, CUTOFF)[:2])
+    return Fraction(*rel_dev_bound(lo * total, hi * (total + CUTOFF * max(total, 1)),
+                                   exact))
 
 
 @settings(max_examples=40, deadline=None)
@@ -257,12 +260,12 @@ def test_dobinski_sums_rows_are_bell_polynomials(r, M, n_max, x):
         ref = _bell_poly(r, M, n, x)
         assert _deviation(total, x, ref) <= TOL, (r, M, n, x)
         if x == 0:
-            assert total == (factorial(n) * r**n) ** M
+            assert Fraction(*total) == (factorial(n) * r**n) ** M
         if (r, M) == (0, 1):  # Touchard polynomials, from the classical triangle
             touchard = sum(classical_stirling2(n, k) * x**k for k in range(n + 1))
             assert _deviation(total, x, touchard) <= TOL
-    assert cert.ratio_cap <= Fraction(1, 2)
-    assert cert.tail_bound <= CUTOFF * max(sums[-1], 1)
+    assert Fraction(*cert.ratio_cap) <= Fraction(1, 2)
+    assert Fraction(*cert.tail_bound) <= CUTOFF * max(Fraction(*sums[-1]), 1)
 
 
 def test_dobinski_sums_hit_bell_values():

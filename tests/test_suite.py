@@ -61,6 +61,11 @@ def test_suite_deterministic_and_sorted():
     # the worked examples alone; verify all runs them too (14 of its 85 reports)
     pytest.param("verify_examples.json", lambda: run_identity("examples"),
                  id="examples"),
+    # the bounds printed at exponents past -1000
+    pytest.param("verify_hyp_generating_function_precision1000.json",
+                 lambda: run_identity("hyp-generating-function", lambda_order=12,
+                                      precision=1000, tolerance=Fraction(1, 10**990)),
+                 id="hyp-generating-function-precision1000"),
 ])
 def test_suite_matches_the_golden_report(golden, run):
     # the reports as JSON, elapsed removed, byte for byte: through the
@@ -209,6 +214,19 @@ def test_eigenfunction_refuses_an_order_that_compares_nothing():
     with pytest.raises(ValueError, match="r = 3, order 3 compares nothing"):
         suite.verify_eigenfunction(3, 1, order=3)
     assert suite.verify_eigenfunction(15, 1).parameters["order"] == 17
+
+
+def test_laguerre_shift_past_the_lambda_order_raises(monkeypatch):
+    # with L_p planted as 2 L_p, p = 3 fails; p = 7 at lambda order 6, where
+    # both sides are empty, used to pass and now raises
+    real = closedform.laguerre_poly
+    monkeypatch.setattr(closedform, "laguerre_poly", lambda p: real(p).scale(2))
+    (rep,) = run_identity("laguerre-shifted", n=3)
+    assert rep.status == "fail"
+    with pytest.raises(ValueError, match="p = 7, lambda order 6 compares nothing"):
+        run_identity("laguerre-shifted", n=7)
+    with pytest.raises(ValueError, match="p = 7, lambda order 6 compares nothing"):
+        run_identity("examples", n=7)
 
 
 def test_eigenfunction_at_r_15_compares_what_it_keeps(monkeypatch):
@@ -394,9 +412,13 @@ def test_kummer_exact_mode_for_half_integer(monkeypatch):
     assert rep.status == "pass"
     assert rep.precision is None and rep.tolerance is None
     # so an error far below any numeric tolerance fails it
-    real = suite.pochhammer
-    monkeypatch.setattr(suite, "pochhammer", lambda b, k: real(b, k) + (
-        Fraction(1, 10**60) if k == 7 else 0))
+    real = suite._rising  # (b)_k as an int pair
+
+    def planted(b, k):
+        num, den = real(b, k)
+        return (num * 10**60 + den, den * 10**60) if k == 7 else (num, den)
+
+    monkeypatch.setattr(suite, "_rising", planted)
     rep = verify_exp_on_kummer(Fraction(3, 2), x_order=10, lambda_order=4)
     assert rep.status == "fail"
     first = rep.details["first_mismatch"]
