@@ -18,11 +18,15 @@ comes first: `normord COMMAND [arguments and flags]`.  Each command lists
 the flags it reads, and only those: any other flag, and any token before
 the command, is refused before any work or cache write.  A flag is given
 as `--flag value` or `--flag=value`; the last one given wins, and a flag
-must be spelled in full.  A bad argv prints one `error:` line.  Exit
-codes: 0 ok, 1 verification failure (a failed identity, or a failed
-S(n, 0) check in `seq`), 2 usage or parse error, or an input past a size
-limit (`parser.LimitError`), 141 (128 + SIGPIPE) when the reader closes
-stdout before the output is written (`normord ... | head`).
+must be spelled in full.
+
+Exit codes: 0 ok; 1 a failed identity, or a failed S(n, 0) check of
+`stirling_rows` (an ArithmeticError); 2 a bad argv or a bad or oversized
+input (a ValueError, `parser.ParseError` and `parser.LimitError`
+included); 141 (128 + SIGPIPE) when the reader closes stdout before the
+output is written (`normord ... | head`).  The commands raise, and
+`_request` alone turns an exception into its one `error:` line and its
+exit code.
 
 `run` is the process entry (`python -m normord.cli` and the installed
 `normord` script): it calls `main` and then `gc.freeze()`, so the
@@ -43,7 +47,8 @@ denominator.  So `seq`, `cache`, `--help`, an integer `order`,
 --tolerance never load it.
 
 An integer argument is ASCII digits with an optional sign, the digits an
-expression's tokenizer reads.
+expression's tokenizer reads; --tolerance and --expectation read
+Fraction's grammar in the same digits (`_FRACTION`).
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from types import SimpleNamespace
 
 from .cache import cache_clear, load_triangle
 from .closedform import DEFAULT_PRECISION, default_tolerance
-from .parser import LimitError, check_order, check_triangle, parse_expr
+from .parser import check_order, check_triangle, parse_expr
 from .series import _pair
 from .serialize import (
     iter_poly_rows_json,
@@ -92,29 +97,39 @@ MAX_PRECISION = 10_000
 MAX_EXPONENT = MAX_PRECISION
 
 
+# Fraction's grammar in ASCII digits: a sign, then digits and /digits, or
+# digits with .digits and e±digits (Fraction(text) also takes Unicode
+# digits, "_" separators and surrounding spaces).  No two adjacent parts
+# match the same character, so a match takes time linear in the text.
+# Compiled at its first use: a request with neither flag does not pay.
+_FRACTION = (r"[-+]?(?=\.?[0-9])[0-9]*(?:/(?P<den>[0-9]+)"
+             r"|(?:\.[0-9]*)?(?:[eE][-+]?(?P<exponent>[0-9]+))?)")
+
+
 def _parse_fraction(text: str) -> Fraction:
-    """Fraction(text), its decimal exponent refused past MAX_EXPONENT first.
+    """`text` read by `_FRACTION`, its decimal exponent refused past
+    MAX_EXPONENT before the Fraction is built.
 
     Raises ValueError, a zero denominator included.
     """
+    match = re.fullmatch(_FRACTION, text)
+    if not match:
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    exponent = (match["exponent"] or "").lstrip("0")
+    if len(exponent) > len(str(MAX_EXPONENT)) or int(exponent or 0) > MAX_EXPONENT:
+        raise ValueError(f"decimal exponent past {MAX_EXPONENT} in {text!r}")
+    if match["den"] and not match["den"].strip("0"):
+        raise ValueError(f"zero denominator in {text!r}")
     from fractions import Fraction
 
-    _, e, exponent = text.lower().partition("e")
-    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
-    if e and (len(digits) > len(str(MAX_EXPONENT))
-              or digits.isdecimal() and int(digits) > MAX_EXPONENT):
-        raise ValueError(f"decimal exponent past {MAX_EXPONENT} in {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    return Fraction(text)
 
 
 def _numeric_settings(ns: SimpleNamespace) -> dict:
     """`verify`'s --precision and --tolerance, defaults filled in, checked,
     as the keywords `run_identity` and `run_suite` take.
 
-    Run only when one of the two is given: `_override_error` has then
+    Run only when one of the two is given: `_check_overrides` has then
     refused an id that reads neither, and with neither given the library
     defaults apply as they are.  Raises ValueError before
     10**(precision - 10) is built, so the bounds hold for any input.
@@ -172,24 +187,23 @@ def _identity_list() -> str:
     return "\n".join(lines)
 
 
-def _override_error(ns: SimpleNamespace) -> str | None:
-    """Why an override flag given to `verify` does not fit its id, or None.
+def _check_overrides(ns: SimpleNamespace) -> None:
+    """Raise ValueError if an override flag given to `verify` does not fit its id.
 
     The overrides are --r, --M, --n, --lambda-order, --precision and
     --tolerance; an unknown id is left to `run_identity`.
     """
     if ns.identity != "all" and ns.identity not in IDENTITIES:
-        return None
+        return
     read = _SUITE_READS if ns.identity == "all" else overrides_read(ns.identity)
     for name in OVERRIDES:
         if getattr(ns, name) is not None and name not in read:
-            return (f"{ns.identity} does not read {_flags([name])}; it reads "
-                    f"{_flags(read)}")
+            raise ValueError(f"{ns.identity} does not read {_flags([name])}; "
+                             f"it reads {_flags(read)}")
     if ns.n is not None and ns.n < 1 and "laguerre-shifted" in (
             ns.identity, *IDENTITIES[ns.identity].parts):
-        return (f"{ns.identity} needs --n >= 1 (laguerre-shifted takes it "
-                "as its p)")
-    return None
+        raise ValueError(f"{ns.identity} needs --n >= 1 (laguerre-shifted "
+                         "takes it as its p)")
 
 
 # The argv table.  A command: its help line, its positionals as (dest,
@@ -373,15 +387,10 @@ def _help(command: str | None) -> str:
 
 def cmd_order(ns: SimpleNamespace) -> int:
     if ns.power < 1:
-        print("error: --power must be >= 1", file=sys.stderr)
-        return 2
-    try:
-        z = None if ns.expectation is None else _parse_expectation(ns.expectation)
-        expr = parse_expr(ns.expr)
-        check_order(expr, ns.power, z)
-    except ValueError as exc:  # ParseError, LimitError too
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError("--power must be >= 1")
+    z = None if ns.expectation is None else _parse_expectation(ns.expectation)
+    expr = parse_expr(ns.expr)
+    check_order(expr, ns.power, z)
     result = normal_order_power(expr, ns.power)
     if z is not None:
         print(_format_complex(*result.coherent_expectation(*z)))
@@ -395,28 +404,14 @@ def cmd_order(ns: SimpleNamespace) -> int:
 def cmd_seq(ns: SimpleNamespace) -> int:
     # b-file holds one integer sequence: the numbers, not the rows
     if ns.poly and ns.format == "bfile":
-        print("error: b-file output applies to `seq --number` only",
-              file=sys.stderr)
-        return 2
+        raise ValueError("b-file output applies to `seq --number` only")
     if ns.r < 0 or ns.M < 0 or ns.n_max < 0:
-        print("error: r, M, n_max must be nonnegative", file=sys.stderr)
-        return 2
-    try:
-        check_triangle(ns.r, ns.M, ns.n_max)
-    except LimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if ns.poly:
-            rows, _, warning = load_triangle(ns.r, ns.M, ns.n_max, ns.cache_dir)
-        else:
-            values = bell_sequence(ns.r, ns.M, ns.n_max)
-    except ArithmeticError as exc:
-        # stirling_rows' S(n_max, 0) check failed: a verification failure,
-        # found before any row is printed or cached
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError("r, M, n_max must be nonnegative")
+    check_triangle(ns.r, ns.M, ns.n_max)
+    # A failed S(n_max, 0) check of `stirling_rows` raises in `load_triangle`
+    # or `bell_sequence`, before any row is printed or cached
     if ns.poly:
+        rows, _, warning = load_triangle(ns.r, ns.M, ns.n_max, ns.cache_dir)
         if warning:
             print(f"warning: {warning}", file=sys.stderr)
         pieces = iter_poly_rows_json if ns.format == "json" else iter_poly_rows_table
@@ -424,6 +419,7 @@ def cmd_seq(ns: SimpleNamespace) -> int:
             sys.stdout.writelines(pieces(ns.r, ns.M, rows))
         sys.stdout.write("\n")
         return 0
+    values = bell_sequence(ns.r, ns.M, ns.n_max)
     if ns.format == "json":
         print(sequence_to_json(ns.r, ns.M, values))
     elif ns.format == "table":
@@ -434,24 +430,14 @@ def cmd_seq(ns: SimpleNamespace) -> int:
 
 
 def cmd_verify(ns: SimpleNamespace) -> int:
-    try:
-        problem = _override_error(ns)
-        if problem:
-            raise ValueError(problem)
-        numeric = ({} if ns.precision is None and ns.tolerance is None
-                   else _numeric_settings(ns))
-        if ns.identity == "all":
-            reports = run_suite(**numeric)
-        else:
-            reports = run_identity(ns.identity, r=ns.r, M=ns.M, n=ns.n,
-                                   lambda_order=ns.lambda_order, **numeric)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ArithmeticError as exc:
-        # stirling_rows' S(n, 0) check failed: a verification failure
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    _check_overrides(ns)
+    numeric = ({} if ns.precision is None and ns.tolerance is None
+               else _numeric_settings(ns))
+    if ns.identity == "all":
+        reports = run_suite(**numeric)
+    else:
+        reports = run_identity(ns.identity, r=ns.r, M=ns.M, n=ns.n,
+                               lambda_order=ns.lambda_order, **numeric)
     if ns.format == "json":
         print(reports_to_json(reports))
     else:
@@ -472,16 +458,24 @@ _DISPATCH = {"order": cmd_order, "seq": cmd_seq, "verify": cmd_verify,
 
 
 def _request(argv) -> int:
-    """Read argv and run the command: its exit code."""
+    """Read argv and run the command: its exit code.
+
+    The one place a failure turns into its exit code and its one `error:`
+    line on stderr: a ValueError (bad argv, or a bad or oversized input,
+    ParseError and LimitError included) exits 2, an ArithmeticError (a
+    failed S(n, 0) check of `stirling_rows`: a verification failure)
+    exits 1.  Each is raised before the command prints anything, so stdout
+    stays empty.
+    """
     try:
         ns = _parse_argv(argv)
+        return _DISPATCH[ns.command](ns)
     except _Help as text:
         print(text)
         return 0
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _DISPATCH[ns.command](ns)
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 def main(argv=None) -> int:

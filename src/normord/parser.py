@@ -92,9 +92,17 @@ def check_triangle(r: int, M: int, n_max: int) -> None:
     (n_max! r^n_max)^M (r = 0 counted as 1).  The rows are built and
     printed one at a time, so this bounds the output, the cache file and
     the work, not memory: (1,1,400) counts 32 MB and writes a 29 MB file.
+    The rows and entries alone are counted first, in ints: past 2^512
+    bytes they are refused before the float estimate, which would overflow.
     """
     check_letters(r + 2 * M, f"D({r},{M})")
     entries = (n_max + 1) * (M * n_max + 2) // 2
+    floor_bits = ((n_max + 1) * 128 + entries * 36).bit_length()
+    if floor_bits > 512:
+        raise LimitError(
+            f"seq {r} {M} {n_max} would print or write more than "
+            f"2^{floor_bits - 21} MB of rows, "
+            f"past the limit of {MAX_TRIANGLE_BYTES // 2**20} MB")
     top_bits = M * (lgamma(n_max + 1) + n_max * log(max(r, 1))) / log(2)
     size = (n_max + 1) * 128 + entries * (36 + top_bits / 8)
     if size > MAX_TRIANGLE_BYTES:

@@ -274,7 +274,11 @@ def test_seq_rejects_negative_args(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [("1", "1", "509"), ("1", "3", "258"),
-                                  ("1", "0", "409200"), ("2", "2", "10000000000")])
+                                  ("1", "0", "409200"), ("2", "2", "10000000000"),
+                                  # past any float the estimate could form
+                                  ("1", "1", "1" + "0" * 400),
+                                  ("1", "1", "1" + "0" * 400, "--poly"),
+                                  ("0", "1", "1" + "0" * 400)])
 def test_seq_size_limit_exits_2(argv, tmp_path):
     # Subprocesses with a timeout: past the limit no row may be built, and
     # the cache directory stays empty.
@@ -298,6 +302,26 @@ def test_seq_size_limit_counts_m():
         check_triangle(1, M, n)
         with pytest.raises(LimitError):
             check_triangle(1, M, n + 1)
+
+
+@pytest.mark.parametrize("r,M", [(0, 0), (1, 1), (0, MAX_LETTERS // 2),
+                                 (MAX_LETTERS, 0)])
+def test_seq_size_limit_forms_no_float_past_2_to_the_512(r, M):
+    # rows and entries past 2^512 bytes are refused on those ints alone;
+    # below, the float estimate holds for any r and M inside the letter bound
+    def floor_bits(n):
+        return ((n + 1) * 128 + (n + 1) * (M * n + 2) // 2 * 36).bit_length()
+
+    n = 2 ** 600
+    for step in range(600, -1, -1):  # the largest n with floor_bits(n) <= 512
+        if floor_bits(n - 2 ** step) > 512:
+            n -= 2 ** step
+    n -= 1
+    with pytest.raises(LimitError, match=r"write about \d+\.\d MB of rows"):
+        check_triangle(r, M, n)
+    for n_max in (n + 1, 10 ** 400):
+        with pytest.raises(LimitError, match=r"write more than 2\^\d+ MB of rows"):
+            check_triangle(r, M, n_max)
 
 
 _HUGE = "99999999999999999999"
@@ -449,6 +473,17 @@ def test_argv_table_reads_what_the_reference_parser_reads(argv):
     (("verify", "graphs", "--n", "\u0663"), "--n takes an integer, not '\u0663'"),
     (("verify", "graphs", "--n", " 1"), "--n takes an integer, not ' 1'"),
     (("order", "a", "--power", "\u0663"), "--power takes an integer, not '\u0663'"),
+    (("order", "a", "--power", "0"), "--power must be >= 1"),
+    # a number flag is Fraction's grammar in ASCII digits: no other digit,
+    # no "_" and no surrounding space
+    (("verify", "hyp-generating-function", "--tolerance", " \u0661e-4_0"),
+     "Invalid literal for Fraction: ' \u0661e-4_0'"),
+    (("verify", "hyp-generating-function", "--tolerance", "1_0e0_0"),
+     "Invalid literal for Fraction: '1_0e0_0'"),
+    (("order", "ad a", "--expectation", "\u0663"),
+     "Invalid literal for Fraction: '\u0663'"),
+    (("order", "ad a", "--expectation", " 1_0 "),
+     "Invalid literal for Fraction: ' 1_0 '"),
 ])
 def test_bad_argv_exits_2_with_one_line(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -1400,7 +1435,7 @@ def test_number_flag_bounds_are_inclusive(capsys):
     assert run(capsys, *NUMERIC, "--precision", str(MAX_PRECISION),
                "--tolerance", f"1e-{MAX_PRECISION - 10}")[0] == 0
     assert run(capsys, *NUMERIC, "--tolerance", f"1e{MAX_EXPONENT}")[0] == 0
-    assert run(capsys, *NUMERIC, "--tolerance", "1_0e0_0")[0] == 0
+    assert run(capsys, *NUMERIC, "--tolerance", "10e0000")[0] == 0
     assert run(capsys, *NUMERIC, "--precision", str(MAX_PRECISION + 1)) == (
         2, "", f"error: precision must be at most {MAX_PRECISION} digits\n")
     code, _, err = run(capsys, *NUMERIC, "--tolerance", f"1e{MAX_EXPONENT + 1}")
@@ -1418,6 +1453,9 @@ def test_number_flag_bounds_are_inclusive(capsys):
     ("verify", "hyp-generating-function", "--tolerance", "1e-99999999999"),
     ("verify", "hyp-generating-function", "--precision", "100000000000"),
     ("order", "a", "--expectation", "1e99999999999"),
+    # read in linear time: a grammar whose exponent parts overlap backtracks
+    # quadratically here, for minutes
+    ("order", "a", "--expectation", "1e" + "0" * 100_000 + "x"),
 ])
 def test_number_flags_past_their_bounds_exit_2(argv):
     proc = subprocess.run([sys.executable, "-m", "normord.cli", *argv],
