@@ -36,19 +36,24 @@ the standard streams are flushed, atexit handlers run and the exit code
 is kept.  `main` never freezes, so a library or test caller keeps
 ordinary collection.
 
-No module loads `fractions` (nor the `decimal` and `numbers` it pulls
-in) on import.  Here a Fraction is built only by `_parse_fraction`, for
---expectation and --tolerance; `_numeric_settings` reads the default
-tolerance and the bounds as int pairs.  The library builds one only for
-a rational coefficient or an expectation that `order` prints: every
-check keeps its rationals as int pairs or as a container's ints over one
-denominator.  So `seq`, `cache`, `--help`, an integer `order`,
-`verify all`, `verify examples` and every `verify` id without
---tolerance never load it.
+No command loads `fractions` (nor the `decimal` and `numbers` it pulls
+in): every rational read or printed here is an int (numerator,
+denominator) pair.  `_parse_fraction` reads --expectation and
+--tolerance as the reduced pair of Fraction(text), `_numeric_settings`
+checks the tolerance as a pair, and `_format_complex` prints the pairs
+of `NormalForm._coherent_pairs` as str(Fraction) would.  A rational
+coefficient is parsed, raised to its power and printed as ints over one
+denominator (`weyl.BosonExpr`, `weyl.NormalForm`), and every check
+keeps its rationals as int pairs or as a container's ints over one
+denominator.  A Fraction is built only for a library caller that reads
+`coeffs`, `terms`, `pochhammer` or `coherent_expectation`.
 
 An integer argument is ASCII digits with an optional sign, the digits an
 expression's tokenizer reads; --tolerance and --expectation read
-Fraction's grammar in the same digits (`_FRACTION`).
+Fraction's grammar in the same digits (`_FRACTION`).  A value that
+starts with "-" is a flag unless it is -digits or -digits.digits, as
+argparse reads it, so a negative -1/2 or -1e-3 is given as
+`--expectation=-1/2,1`; the error for the other form names it.
 """
 
 from __future__ import annotations
@@ -59,12 +64,13 @@ import re
 import sys
 from collections import namedtuple
 from contextlib import closing
+from math import gcd
 from types import SimpleNamespace
 
 from .cache import cache_clear, load_triangle
 from .closedform import DEFAULT_PRECISION, default_tolerance
 from .parser import check_order, check_triangle, parse_expr
-from .series import _pair
+from .series import _pair_str
 from .serialize import (
     iter_poly_rows_json,
     iter_poly_rows_table,
@@ -90,9 +96,9 @@ from .weyl import normal_order_power
 __all__ = ["main", "run"]
 
 # Bounds on the number flags, checked before the numbers are built:
-# `_numeric_settings` builds 10**(precision - 10), and Fraction("1e<exp>")
-# 10**exp.  At MAX_PRECISION, `verify all` takes about 1.4 s on a 2-core
-# x86 VM.
+# `_numeric_settings` builds 10**(precision - 10), and `_parse_fraction`
+# 10**exp for "1e<exp>".  At MAX_PRECISION, `verify all` takes about
+# 1.4 s on a 2-core x86 VM.
 MAX_PRECISION = 10_000
 MAX_EXPONENT = MAX_PRECISION
 
@@ -102,27 +108,38 @@ MAX_EXPONENT = MAX_PRECISION
 # digits, "_" separators and surrounding spaces).  No two adjacent parts
 # match the same character, so a match takes time linear in the text.
 # Compiled at its first use: a request with neither flag does not pay.
-_FRACTION = (r"[-+]?(?=\.?[0-9])[0-9]*(?:/(?P<den>[0-9]+)"
-             r"|(?:\.[0-9]*)?(?:[eE][-+]?(?P<exponent>[0-9]+))?)")
+_FRACTION = (r"(?P<sign>[-+]?)(?=\.?[0-9])(?P<num>[0-9]*)(?:/(?P<den>[0-9]+)"
+             r"|(?:\.(?P<decimals>[0-9]*))?(?:[eE](?P<exponent>[-+]?[0-9]+))?)")
 
 
-def _parse_fraction(text: str) -> Fraction:
-    """`text` read by `_FRACTION`, its decimal exponent refused past
-    MAX_EXPONENT before the Fraction is built.
+def _parse_fraction(text: str) -> tuple[int, int]:
+    """`text` read by `_FRACTION`: the reduced int pair of Fraction(text),
+    its decimal exponent refused past MAX_EXPONENT before 10**exponent is
+    built.
 
     Raises ValueError, a zero denominator included.
     """
     match = re.fullmatch(_FRACTION, text)
     if not match:
         raise ValueError(f"Invalid literal for Fraction: {text!r}")
-    exponent = (match["exponent"] or "").lstrip("0")
-    if len(exponent) > len(str(MAX_EXPONENT)) or int(exponent or 0) > MAX_EXPONENT:
+    sign, num, den, decimals, exponent = match.group(
+        "sign", "num", "den", "decimals", "exponent")
+    digits = (exponent or "").lstrip("+-").lstrip("0")
+    if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
         raise ValueError(f"decimal exponent past {MAX_EXPONENT} in {text!r}")
-    if match["den"] and not match["den"].strip("0"):
-        raise ValueError(f"zero denominator in {text!r}")
-    from fractions import Fraction
-
-    return Fraction(text)
+    if den is not None:
+        if not den.strip("0"):
+            raise ValueError(f"zero denominator in {text!r}")
+        num, den = int(num), int(den)
+    else:
+        decimals = decimals or ""
+        num, den = int(num + decimals), 10 ** len(decimals)
+        if exponent and exponent[0] == "-":
+            den *= 10 ** int(digits or 0)
+        else:
+            num *= 10 ** int(digits or 0)
+    g = gcd(num, den)
+    return (-num if sign == "-" else num) // g, den // g
 
 
 def _numeric_settings(ns: SimpleNamespace) -> dict:
@@ -134,14 +151,13 @@ def _numeric_settings(ns: SimpleNamespace) -> dict:
     defaults apply as they are.  Raises ValueError before
     10**(precision - 10) is built, so the bounds hold for any input.
     """
-    tolerance = (default_tolerance() if ns.tolerance is None
-                 else _parse_fraction(ns.tolerance))
+    tol_num, tol_den = tolerance = (default_tolerance() if ns.tolerance is None
+                                    else _parse_fraction(ns.tolerance))
     precision = DEFAULT_PRECISION if ns.precision is None else ns.precision
     if precision < 30:
         raise ValueError("precision must be at least 30 digits")
     if precision > MAX_PRECISION:
         raise ValueError(f"precision must be at most {MAX_PRECISION} digits")
-    tol_num, tol_den = _pair(tolerance)
     if tol_num <= 0:
         raise ValueError("tolerance must be positive")
     if tol_num * 10 ** (precision - 10) < tol_den:
@@ -150,20 +166,23 @@ def _numeric_settings(ns: SimpleNamespace) -> dict:
     return {"precision": precision, "tolerance": tolerance}
 
 
-def _parse_expectation(text: str):
+def _parse_expectation(text: str) -> tuple[tuple[int, int], tuple[int, int]]:
     parts = text.split(",")
     if len(parts) > 2:
         raise ValueError("expectation takes RE or RE,IM")
     re_part = _parse_fraction(parts[0])
-    im_part = _parse_fraction(parts[1]) if len(parts) == 2 else 0
+    im_part = _parse_fraction(parts[1]) if len(parts) == 2 else (0, 1)
     return re_part, im_part
 
 
-def _format_complex(re_part: Fraction, im_part: Fraction) -> str:
-    if im_part == 0:
-        return str(re_part)
-    sign = "+" if im_part >= 0 else "-"
-    return f"{re_part} {sign} {abs(im_part)}i"
+def _format_complex(re_part: tuple[int, int], im_part: tuple[int, int]) -> str:
+    """Two int pairs as `RE`, `RE + IMi` or `RE - IMi`, each printed as
+    str(Fraction) prints it."""
+    im_num, im_den = im_part
+    if im_num == 0:
+        return _pair_str(re_part)
+    sign = "+" if im_num > 0 else "-"
+    return f"{_pair_str(re_part)} {sign} {_pair_str((abs(im_num), im_den))}i"
 
 
 def _flags(names) -> str:
@@ -267,7 +286,12 @@ _KNOWN_FLAGS = {flag for spec in _COMMANDS.values() for flag, *_ in spec.flags}
 # A token that starts with "-" is a flag, except "-" itself, a negative
 # number (`--M -1`, `seq -1 1 3`) and a token with a space in it (an
 # expression such as "-a + ad"); "--" makes every later token a positional.
+# A negative number is argparse's: -1/2 and -1e-3 read as flags.
 _NEGATIVE_NUMBER = re.compile(r"-\d+$|-\d*\.\d+$")
+
+# The number flags and how many "," separated `_FRACTION` parts each
+# reads: a value of theirs that reads as a flag is told the = form.
+_NUMBER_PARTS = {"--expectation": 2, "--tolerance": 1}
 
 
 class _Help(Exception):
@@ -278,6 +302,16 @@ def _is_flag(arg: str, flags: dict) -> bool:
     return arg.partition("=")[0] in flags or (
         arg[:1] == "-" and arg != "-" and " " not in arg
         and not _NEGATIVE_NUMBER.match(arg))
+
+
+def _equals_hint(flag: str, text: str | None) -> str:
+    """For a value of a number flag's grammar that reads as a flag (one
+    that starts with "-"), the --flag=VALUE form that reads it; else ""."""
+    parts = (text or "").split(",")
+    if text and len(parts) <= _NUMBER_PARTS.get(flag, 0) and all(
+            re.fullmatch(_FRACTION, part) for part in parts):
+        return f"; give a value that starts with '-' as {flag}={text}"
+    return ""
 
 
 def _value(name: str, kind, text: str):
@@ -340,7 +374,8 @@ def _parse_argv(argv) -> SimpleNamespace:
                 if not eq:
                     text = next(rest, None)
                     if text is None or _is_flag(text, flags):
-                        raise ValueError(f"{flag} needs a value")
+                        raise ValueError(f"{flag} needs a value"
+                                         + _equals_hint(flag, text))
                 setattr(ns, dest, _value(flag, kind, text))
             given.add(flag)
         elif positionals:
@@ -393,7 +428,7 @@ def cmd_order(ns: SimpleNamespace) -> int:
     check_order(expr, ns.power, z)
     result = normal_order_power(expr, ns.power)
     if z is not None:
-        print(_format_complex(*result.coherent_expectation(*z)))
+        print(_format_complex(*result._coherent_pairs(*z)))
     elif ns.format == "json":
         print(normal_form_to_json(result))
     else:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from itertools import chain, product
 from math import lgamma, log, log10, prod
 
-from .series import _ratio, _to_one_den
+from .series import _to_one_den
 from .weyl import ANNIHILATOR, CREATOR, BosonExpr
 
 __all__ = ["MAX_EXPECTATION_WORK", "MAX_LETTERS", "MAX_NESTING", "MAX_ORDER_BYTES",
@@ -128,13 +128,13 @@ def check_order(expr: BosonExpr, p: int, z=None) -> None:
     the digits of z's numerators and common denominator.
     """
     check_letters(p * max(_letters(expr), 1), "the --power result")
-    mn = [(sum(w), len(w) - sum(w)) for w in expr.terms] or [(0, 0)]
+    mn = [(sum(w), len(w) - sum(w)) for w in expr.nums] or [(0, 0)]
     (A, B), T = (p * max(c) for c in zip(*mn)), p * max(map(sum, mn))
     shifts = [n - m for m, n in mn]
     terms = min((p * (max(shifts) - min(shifts)) + 1) * (min(A, B) + 1),
                 (T + 1) * (T + 2) // 2)
-    nums, den = _to_one_den(expr.terms.values())
-    size = terms * (80 + A * log10(B + 1) + p * log10(max(sum(map(abs, nums)), 1) * den))
+    top = max(sum(map(abs, expr.nums.values())), 1) * expr.den
+    size = terms * (80 + A * log10(B + 1) + p * log10(top))
     if size > MAX_ORDER_BYTES:
         raise LimitError(f"the normal form would print about {size / 2**20:.1f} MB, "
                          f"past the limit of {MAX_ORDER_BYTES // 2**20} MB")
@@ -157,7 +157,7 @@ def _check_words(lhs: int, rhs: int) -> None:
 
 
 def _letters(expr: BosonExpr) -> int:
-    return max(map(len, expr.terms), default=0)
+    return max(map(len, expr.nums), default=0)
 
 
 def _product(factors) -> BosonExpr:
@@ -166,11 +166,11 @@ def _product(factors) -> BosonExpr:
     Each word of the result is built once, by joining one word of each
     factor, so a product of m letters costs O(m), not O(m^2).
     """
-    terms = {}
-    for choice in product(*(f.terms.items() for f in factors)):
+    nums = {}
+    for choice in product(*(f.nums.items() for f in factors)):
         word = tuple(chain.from_iterable(w for w, _ in choice))
-        terms[word] = prod(c for _, c in choice)
-    return BosonExpr(terms)
+        nums[word] = prod(a for _, a in choice)
+    return BosonExpr._from_ints(nums, prod([f.den for f in factors]))
 
 
 _PUNCT = set("+-*^()/")
@@ -275,7 +275,7 @@ class _Parser:
         # the free algebra), and its word count is known unless two
         # factors of several words meet, where the product is formed.
         factors = [self.factor()]
-        letters, words = _letters(factors[0]), len(factors[0].terms)
+        letters, words = _letters(factors[0]), len(factors[0].nums)
         while True:
             kind, _, _ = self.peek()
             if kind == "*":
@@ -283,15 +283,16 @@ class _Parser:
             elif kind not in _ATOM_STARTS:
                 return _product(factors)
             rhs = self.factor()
-            check_letters(letters + _letters(rhs), "a product")
-            _check_words(words, len(rhs.terms))
-            if words > 1 and len(rhs.terms) > 1:
+            rhs_letters = _letters(rhs)
+            check_letters(letters + rhs_letters, "a product")
+            _check_words(words, len(rhs.nums))
+            if words > 1 and len(rhs.nums) > 1:
                 factors = [_product(factors) * rhs]
-                words = len(factors[0].terms)
+                words = len(factors[0].nums)
             else:
                 factors.append(rhs)
-                words *= len(rhs.terms)
-            letters = letters + _letters(rhs) if words else 0
+                words *= len(rhs.nums)
+            letters = letters + rhs_letters if words else 0
 
     def factor(self) -> BosonExpr:
         out = self.atom()
@@ -304,11 +305,11 @@ class _Parser:
             tok = self.expect("int")
             # a scalar's power costs one step per unit of exponent too
             check_letters(tok[1] * max(_letters(out), 1), "a power")
-            if len(out.terms) <= 1:  # one word: no product can pass MAX_WORDS
+            if len(out.nums) <= 1:  # one word: no product can pass MAX_WORDS
                 return _product([out] * tok[1])
             base, out = out, BosonExpr.scalar(1)
             for _ in range(tok[1]):
-                _check_words(len(out.terms), len(base.terms))
+                _check_words(len(out.nums), len(base.nums))
                 out = out * base
         return out
 
@@ -321,7 +322,7 @@ class _Parser:
                 tok = self.expect("int")
                 if tok[1] == 0:
                     raise ParseError("zero denominator", tok[2])
-                return BosonExpr.scalar(_ratio(value, tok[1]))
+                return BosonExpr.scalar((value, tok[1]))
             return BosonExpr.scalar(value)
         if kind == "name":
             return {"a": _A, "ad": _AD, "n": _N}[value]

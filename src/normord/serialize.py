@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 
+from .series import _pair_str
 from .weyl import NormalForm
 
 __all__ = [
@@ -49,27 +50,35 @@ def normal_form_to_dict(nf: NormalForm) -> dict:
     return {"terms": terms, "order": "dag desc, ann desc"}
 
 
+def _coeff_texts(nf: NormalForm):
+    """(dag, ann, coefficient text) per term, dag and ann descending: the
+    text str() gives the canonical coefficient, printed from the ints."""
+    text = str if nf.den == 1 else (lambda a: _pair_str((a, nf.den)))
+    return ((dag, ann, text(a))
+            for (dag, ann), a in sorted(nf.nums.items(), reverse=True))
+
+
 def normal_form_to_json(nf: NormalForm) -> str:
     """json.dumps(normal_form_to_dict(nf), indent=2), one f-string per term.
 
-    Coefficients are str() of ints and Fractions, which need no escaping.
+    Coefficients are decimal ints and "n/d" text, which need no escaping.
     """
-    if not nf.terms:
+    if not nf.nums:
         return '{\n  "terms": [],\n  "order": "dag desc, ann desc"\n}'
     # one join of three parts: the terms' text is copied once more, not twice
     return "".join([
         '{\n  "terms": [',
         ",".join(f'\n    {{\n      "dag": {dag},\n      "ann": {ann},'
                  f'\n      "coeff": "{coeff}"\n    }}'
-                 for (dag, ann), coeff in sorted(nf.terms.items(), reverse=True)),
+                 for dag, ann, coeff in _coeff_texts(nf)),
         '\n  ],\n  "order": "dag desc, ann desc"\n}'])
 
 
 def normal_form_table(nf: NormalForm) -> str:
     """Aligned three-column text rendering, same order as the JSON."""
     rows = [("dag", "ann", "coeff")]
-    for (dag, ann), coeff in sorted(nf.terms.items(), reverse=True):
-        rows.append((str(dag), str(ann), str(coeff)))
+    for dag, ann, coeff in _coeff_texts(nf):
+        rows.append((str(dag), str(ann), coeff))
     widths = [max(len(row[i]) for row in rows) for i in range(3)]
     return "\n".join(
         "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row))

@@ -14,24 +14,27 @@ here, the normal forms in `normord.weyl` (the graph tables of
 written `Fraction(a, b)`, since two ints would give a float.
 
 No module of the package imports `fractions` when it loads.  A Fraction
-is built only where a rational is read out for a caller: `_ratio` reads
-one value out and `_ratios` a container's whole readout, with one import
-(`coeffs`, `terms`, `pochhammer`, a mismatch record).  A rational scalar
-that the package only computes with is an int (numerator, denominator)
+is built only where a rational is read out for a library caller:
+`_ratio` reads one value out and `_ratios` a container's whole readout,
+with one import (`coeffs`, `terms`, `pochhammer`,
+`coherent_expectation`, a mismatch record).  A rational scalar that the
+package only computes with or prints is an int (numerator, denominator)
 pair, read by `_pair` from a rational or a pair, compared by integer
 cross-multiplication and printed by `_pair_str` as str(Fraction) would
 print it: `certified_sum`'s sums and certificate, the enclosures of
-`normord.hyperreal`, the tolerances and pFq parameters of the checks.
-`_canonical` recognizes a Fraction without importing anything, since
-one exists only once `fractions` is loaded.  So the triangle
-S_r^(M)(n,k), the normal forms of D(r,M)^n and every check of
-`verify all` and `verify examples` run without loading `fractions`, nor
+`normord.hyperreal`, the tolerances and pFq parameters of the checks,
+the CLI's --tolerance and --expectation and the expectation it prints.
+`_to_one_den` takes such pairs as well as rationals, so a parsed 1/2
+enters `weyl.BosonExpr` as the pair (1, 2).  `_canonical` recognizes a
+Fraction without importing anything, since one exists only once
+`fractions` is loaded.  So no `normord` command loads `fractions`, nor
 the `decimal` and `numbers` modules it pulls in.
 
-The three exact containers, `SeriesQ`, `weyl.NormalForm` and
-`laguerre.DotSeries`, share one layout: int numerators over one reduced
-int denominator (FLINT's fmpq_poly layout), so their arithmetic is int
-arithmetic plus one gcd pass per result, and equality compares ints.
+The exact containers, `SeriesQ`, `weyl.BosonExpr`, `weyl.NormalForm`
+and `laguerre.DotSeries`, share one layout: int numerators over one
+reduced int denominator (FLINT's fmpq_poly layout), so their arithmetic
+is int arithmetic plus one gcd pass per result, and equality compares
+ints.
 `_to_one_den` and `_reduce` are the two helpers that keep that layout,
 and `_ratio` reads a coefficient out; `coeffs` and `terms` are built
 from it once, on first read.
@@ -119,16 +122,16 @@ def _pair_str(p) -> str:
 
 
 def _to_one_den(values: Iterable) -> tuple[list, int]:
-    """Rationals as (int numerators, one int denominator), reduced.
+    """Rationals or int pairs as (int numerators, one int denominator), reduced.
 
-    Each value goes through `_canonical`; the denominator is the lcm of
-    theirs, so no common factor is left to divide out.
+    Each value goes through `_pair`; the denominator is the lcm of theirs,
+    and one gcd pass divides out what a pair not reduced leaves over.
     """
-    values = [_canonical(c) for c in values]
-    den = lcm(*[c.denominator for c in values])
+    pairs = [_pair(c) for c in values]
+    den = lcm(*[d for _, d in pairs])
     if den == 1:
-        return values, 1
-    return [c.numerator * (den // c.denominator) for c in values], den
+        return [n for n, _ in pairs], 1
+    return _reduce([n * (den // d) for n, d in pairs], den)
 
 
 def _reduce(nums: Sequence[int], den: int) -> tuple[Sequence[int], int]:

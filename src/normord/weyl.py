@@ -7,17 +7,19 @@ right as an operator product.  `BosonExpr` is a free-algebra element
 fully ordered object, a map (dag, ann) -> coefficient standing for
 sum c * ad^dag a^ann.
 
-A `NormalForm` stores int numerators over one reduced int denominator,
-the layout `series.SeriesQ` and `laguerre.DotSeries` share: a product
-is one `backend.nf_mul` fold of the numerators over the product of the
-denominators and one gcd pass, and two normal forms are equal when their
+A `BosonExpr` and a `NormalForm` store int numerators over one reduced
+int denominator (`_OneDen`), the layout `series.SeriesQ` and
+`laguerre.DotSeries` share: a product of normal forms is one
+`backend.nf_mul` fold of the numerators over the product of the
+denominators and one gcd pass, and two are equal when their
 denominators and numerators are.  `terms` reads the coefficients out
 canonical by `series._canonical`, the package's one coefficient rule: an
-int when integral, a Fraction (with denominator > 1) only when not.  The
-normal forms of words (rook numbers) and of powers of D(r,M)
-(generalized Stirling numbers) have denominator 1, so their arithmetic
-stays in ints and skips the gcd pass; a denominator appears only when a
-rational scalar brings one in.
+int when integral, a Fraction (with denominator > 1) only when not; the
+parser, `normal_order_power` and `order`'s printers read the ints, so
+no Fraction is built for them.  The normal forms of words (rook
+numbers) and of powers of D(r,M) (generalized Stirling numbers) have
+denominator 1, so their arithmetic stays in ints and skips the gcd
+pass; a denominator appears only when a rational scalar brings one in.
 
 There are three independent routes from a word to its normal form, and
 they are tested against each other:
@@ -45,7 +47,7 @@ from math import lcm
 from operator import add
 
 from . import backend
-from .series import SeriesQ, _canonical, _pair, _ratio, _ratios, _reduce, _to_one_den
+from .series import SeriesQ, _pair, _ratio, _ratios, _reduce, _to_one_den
 
 ANNIHILATOR = 0
 CREATOR = 1
@@ -66,87 +68,18 @@ __all__ = [
 ]
 
 
-class BosonExpr:
-    """Finite linear combination of operator words; no relations applied."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean: dict = {}
-        if terms:
-            for w, c in terms.items():
-                c = _canonical(c)
-                if c:
-                    clean[tuple(w)] = c
-        self.terms = clean
-
-    @classmethod
-    def scalar(cls, c) -> "BosonExpr":
-        return cls({(): c})
-
-    @classmethod
-    def from_word(cls, word, coeff=1) -> "BosonExpr":
-        return cls({tuple(word): coeff})
-
-    def __add__(self, other: "BosonExpr") -> "BosonExpr":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return BosonExpr(out)
-
-    def __sub__(self, other: "BosonExpr") -> "BosonExpr":
-        return self + (-other)
-
-    def __neg__(self) -> "BosonExpr":
-        return BosonExpr({w: -c for w, c in self.terms.items()})
-
-    def scale(self, c) -> "BosonExpr":
-        c = _canonical(c)
-        return BosonExpr({w: c * v for w, v in self.terms.items()})
-
-    def __mul__(self, other: "BosonExpr") -> "BosonExpr":
-        out: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                out[w] = out.get(w, 0) + c1 * c2
-        return BosonExpr(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BosonExpr) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self) -> str:
-        return f"BosonExpr({self.terms!r})"
-
-
-class NormalForm:
-    """Normally ordered operator sum c ad^k a^l.
-
-    Stored as `nums`, {(dag, ann): nonzero int}, over one reduced int
-    denominator `den`, the layout of `series.SeriesQ` and
-    `laguerre.DotSeries`; `terms` reads the coefficients out once,
-    {(dag, ann): canonical coefficient}.
+class _OneDen:
+    """Int numerators `nums`, {key: nonzero int}, over one reduced int
+    denominator `den` (den > 0, gcd(den, *nums) = 1): the layout of
+    `series.SeriesQ`, shared by `BosonExpr` and `NormalForm`.  `terms`
+    reads the coefficients out once, {key: canonical coefficient}.
     """
 
     __slots__ = ("nums", "den", "_terms")
 
-    def __init__(self, terms=None):
-        terms = terms or {}
-        vals, den = _to_one_den(terms.values())
-        nums = {}
-        for (k, l), a in zip(terms, vals):
-            if a:
-                if k < 0 or l < 0:
-                    raise ValueError(f"negative operator power in key ({k},{l})")
-                nums[(k, l)] = a
-        self._set(nums, den)
-
     @classmethod
-    def _from_ints(cls, nums: dict, den: int) -> "NormalForm":
-        """nums / den, reduced; no entry of nums is zero and no key negative."""
+    def _from_ints(cls, nums: dict, den: int):
+        """nums / den, reduced; no entry of nums is zero."""
         out = object.__new__(cls)
         out._set(nums, den)
         return out
@@ -165,6 +98,94 @@ class NormalForm:
         if self._terms is None:
             self._terms = dict(zip(self.nums, _ratios(self.nums.values(), self.den)))
         return self._terms
+
+    def _add(self, other, sign: int):
+        den = lcm(self.den, other.den)
+        f, g = den // self.den, sign * (den // other.den)
+        out = {k: a * f for k, a in self.nums.items()}
+        for k, b in other.nums.items():
+            out[k] = out.get(k, 0) + b * g
+        return self._from_ints({k: a for k, a in out.items() if a}, den)
+
+    def __add__(self, other):
+        return self._add(other, 1)
+
+    def __sub__(self, other):
+        return self._add(other, -1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c):
+        num, den = _pair(c)
+        if not num:
+            return type(self)()
+        return self._from_ints({k: a * num for k, a in self.nums.items()},
+                               self.den * den)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, type(self)) and self.den == other.den
+                and self.nums == other.nums)
+
+    def __hash__(self):
+        return hash((self.den, frozenset(self.nums.items())))
+
+
+class BosonExpr(_OneDen):
+    """Finite linear combination of operator words; no relations applied.
+
+    Its `nums` map words to ints over `den`; a coefficient given is a
+    rational or an int (numerator, denominator) pair.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, terms=None):
+        terms = terms or {}
+        vals, den = _to_one_den(terms.values())
+        self._set({tuple(w): a for w, a in zip(terms, vals) if a}, den)
+
+    @classmethod
+    def scalar(cls, c) -> "BosonExpr":
+        return cls({(): c})
+
+    @classmethod
+    def from_word(cls, word, coeff=1) -> "BosonExpr":
+        return cls({tuple(word): coeff})
+
+    def __mul__(self, other: "BosonExpr") -> "BosonExpr":
+        out: dict = {}
+        for w1, a in self.nums.items():
+            for w2, b in other.nums.items():
+                w = w1 + w2
+                out[w] = out.get(w, 0) + a * b
+        return BosonExpr._from_ints({w: a for w, a in out.items() if a},
+                                    self.den * other.den)
+
+    def __repr__(self) -> str:
+        return f"BosonExpr({self.terms!r})"
+
+
+class NormalForm(_OneDen):
+    """Normally ordered operator sum c ad^k a^l.
+
+    Its `nums` map (dag, ann) to ints over `den`, the layout
+    `laguerre.DotSeries` shares too; `terms` reads {(dag, ann): canonical
+    coefficient} out.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, terms=None):
+        terms = terms or {}
+        vals, den = _to_one_den(terms.values())
+        nums = {}
+        for (k, l), a in zip(terms, vals):
+            if a:
+                if k < 0 or l < 0:
+                    raise ValueError(f"negative operator power in key ({k},{l})")
+                nums[(k, l)] = a
+        self._set(nums, den)
 
     @classmethod
     def zero(cls) -> "NormalForm":
@@ -188,30 +209,6 @@ class NormalForm:
 
     def __bool__(self) -> bool:
         return bool(self.nums)
-
-    def _add(self, other: "NormalForm", sign: int) -> "NormalForm":
-        den = lcm(self.den, other.den)
-        f, g = den // self.den, sign * (den // other.den)
-        out = {k: a * f for k, a in self.nums.items()}
-        for k, b in other.nums.items():
-            out[k] = out.get(k, 0) + b * g
-        return NormalForm._from_ints({k: a for k, a in out.items() if a}, den)
-
-    def __add__(self, other: "NormalForm") -> "NormalForm":
-        return self._add(other, 1)
-
-    def __sub__(self, other: "NormalForm") -> "NormalForm":
-        return self._add(other, -1)
-
-    def __neg__(self) -> "NormalForm":
-        return self.scale(-1)
-
-    def scale(self, c) -> "NormalForm":
-        num, den = _pair(c)
-        if not num:
-            return NormalForm()
-        return NormalForm._from_ints({k: a * num for k, a in self.nums.items()},
-                                     self.den * den)
 
     def __mul__(self, other) -> "NormalForm":
         if isinstance(other, NormalForm):
@@ -251,9 +248,18 @@ class NormalForm:
 
         z is given by rational real and imaginary parts; returns a pair
         (real, imag), each canonical: an int when integral, else a
-        Fraction.  With z = (x + yi)/d, the Gaussian powers (x + yi)^j
-        are built once (conj(z)^k takes the k-th's conjugate) and summed in
-        ints over den d^(max dag + ann), den the coefficients' denominator.
+        Fraction, read out of `_coherent_pairs`.
+        """
+        (re, den), (im, _) = self._coherent_pairs(z, z_imag)
+        return tuple(_ratios((re, im), den))
+
+    def _coherent_pairs(self, z, z_imag=0):
+        """<z| self |z> as (real, imag), two int pairs over one denominator,
+        not reduced; z's parts are rationals or int pairs (`_pair`).
+
+        With z = (x + yi)/d, the Gaussian powers (x + yi)^j are built once
+        (conj(z)^k takes the k-th's conjugate) and summed in ints over den
+        d^(max dag + ann), den the coefficients' denominator.
         """
         (x, y), d = _to_one_den((z, z_imag))
         top = max((k + l for k, l in self.nums), default=0)
@@ -267,7 +273,7 @@ class NormalForm:
             re += c * (a * e + b * f)
             im += c * (a * f - b * e)
         den = self.den * d**top
-        return tuple(_ratios((re, im), den))
+        return (re, den), (im, den)
 
     def expectation_at_one(self):
         """Shorthand for the z=1 coherent expectation (sum of coefficients).
@@ -318,13 +324,6 @@ class NormalForm:
                 del out[q]
         return out
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, NormalForm) and self.den == other.den
-                and self.nums == other.nums)
-
-    def __hash__(self):
-        return hash((self.den, frozenset(self.nums.items())))
-
     def __repr__(self) -> str:
         bits = [f"({k},{l}): {c}" for k, l, c in self.sorted_terms()]
         return "NormalForm({" + ", ".join(bits) + "})"
@@ -338,9 +337,9 @@ def word_to_normal_form(word) -> NormalForm:
 def normal_order_rewrite(expr: BosonExpr) -> NormalForm:
     """Normal-order a free-algebra element term by term via the rewriter."""
     out = NormalForm.zero()
-    for w, c in expr.terms.items():
-        out = out + word_to_normal_form(w).scale(c)
-    return out
+    for w, a in expr.nums.items():
+        out = out + word_to_normal_form(w).scale(a)
+    return out.scale((1, expr.den))
 
 
 def _graded(words: dict, p: int):
@@ -382,20 +381,19 @@ def normal_order_power(expr: BosonExpr, p: int) -> NormalForm:
     Each factor right-multiplies by the parsed words, or by the normal
     form's terms ad^k a^l spelled as words when those have fewer letters
     in all (a sum such as (a + ad)^5 of 32 words has 12 terms).  The rows
-    stay in ints, scaled by the coefficients' common denominator L; the
-    last state is divided by L^p once.
+    stay in ints, the numerators over the one denominator L of the words
+    or terms; the last state is divided by L^p once.
     """
     if p < 0:
         raise ValueError("negative operator powers are not defined")
-    words = expr.terms
+    words, den = expr.nums, expr.den
     if p > 1:
         nf = normal_order_rook(expr)
-        spelled = {(CREATOR,) * k + (ANNIHILATOR,) * l: c
-                   for (k, l), c in nf.terms.items()}
+        spelled = {(CREATOR,) * k + (ANNIHILATOR,) * l: a
+                   for (k, l), a in nf.nums.items()}
         if sum(map(len, spelled)) < sum(map(len, words)):
-            words = spelled
-    nums, den = _to_one_den(words.values())
-    for state in _graded(dict(zip(words, nums)), p):
+            words, den = spelled, nf.den
+    for state in _graded(words, p):
         pass
     return NormalForm._from_ints(
         {(d + max(-s, 0), d + max(s, 0)): g

@@ -5,7 +5,9 @@
 `normord.graphs.enumerate_graphs` counts in aggregate,
 `normal_form_from_json` reads a normal form back from `order`'s JSON,
 `poly_mul` multiplies two coefficient lists without the library's
-series, and `reference_parser` is the argparse parser that
+series, `decimal_bound_str` and `format_complex` print bounds and
+expectations by `decimal` and `fractions`, as the library did before it
+printed them in ints, and `reference_parser` is the argparse parser that
 `normord.cli`'s argv table must read alike.
 """
 
@@ -135,6 +137,15 @@ def decimal_bound_str(q: Fraction) -> str:
     `closedform._bound_str` writes in ints."""
     with localcontext(Context(prec=6, rounding=ROUND_CEILING)):
         return str(Decimal(q.numerator) / Decimal(q.denominator))
+
+
+def format_complex(re_part: Fraction, im_part: Fraction) -> str:
+    """re + im i as `order --expectation` prints it, by str(Fraction): the
+    text `cli._format_complex` writes from int pairs."""
+    if im_part == 0:
+        return str(re_part)
+    sign = "+" if im_part >= 0 else "-"
+    return f"{re_part} {sign} {abs(im_part)}i"
 
 
 def _directory(text: str) -> str:

@@ -11,9 +11,10 @@ import sys
 import threading
 import zlib
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from normord import backend, cache, cli, stirling
@@ -22,7 +23,7 @@ from normord.parser import MAX_LETTERS, LimitError, check_triangle, parse_expr
 from normord.stirling import gen_stirling, stirling_rows
 from normord.suite import EXAMPLE_IDS, SUITE_IDS, run_identity
 from normord.weyl import normal_order_rewrite
-from oracles import normal_form_from_json, reference_parser
+from oracles import format_complex, normal_form_from_json, reference_parser
 
 
 def ordered(text):
@@ -484,6 +485,18 @@ def test_argv_table_reads_what_the_reference_parser_reads(argv):
      "Invalid literal for Fraction: '\u0663'"),
     (("order", "ad a", "--expectation", " 1_0 "),
      "Invalid literal for Fraction: ' 1_0 '"),
+    # a negative number outside argparse's -digits and -digits.digits reads
+    # as a flag; a value of the number flag's grammar is told the = form
+    (("order", "ad a", "--expectation", "-1/2,1"), "--expectation needs a value; "
+     "give a value that starts with '-' as --expectation=-1/2,1"),
+    (("order", "ad a", "--expectation", "-1e-3"), "--expectation needs a value; "
+     "give a value that starts with '-' as --expectation=-1e-3"),
+    (("verify", "hyp-generating-function", "--tolerance", "-1e-40"),
+     "--tolerance needs a value; give a value that starts with '-' as "
+     "--tolerance=-1e-40"),
+    (("order", "ad a", "--expectation", "-1/2,1,3"), "--expectation needs a value"),
+    (("verify", "hyp-generating-function", "--tolerance", "-1/2,1"),
+     "--tolerance needs a value"),
 ])
 def test_bad_argv_exits_2_with_one_line(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -500,6 +513,8 @@ def test_argv_values_that_start_with_a_minus(capsys, tmp_path):
     minus_a = normal_form_from_json(run(capsys, "order", "-a + ad")[1])
     assert minus_a == ordered("ad - a")
     assert normal_form_from_json(run(capsys, "order", "--", "-a")[1]) == ordered("-a")
+    assert run(capsys, "order", "ad a", "--expectation=-1/2,1") == (0, "5/4\n", "")
+    assert run(capsys, "order", "ad a", "--expectation", "-0.5") == (0, "1/4\n", "")
     # the last of a repeated flag wins, = form or not
     code, out, _ = run(capsys, "seq", "1", "1", "3", "--format", "json",
                        "--format=table", "--cache-dir", str(tmp_path))
@@ -895,13 +910,13 @@ def test_no_command_loads_json(tmp_path):
         assert loaded == (["contextvars"] if sweep else []), request
 
 
-# No integer request builds a Fraction: the triangle, the normal forms of
-# D(r,M)^n and the graph tables are integers, and no exact id reads a
-# tolerance.  Nor does a check: every rational of the suite is an int pair
-# or a container's ints over one denominator, the numeric check and its
-# default tolerance included; only a --tolerance is parsed as a Fraction.
-# `fractions` loads `decimal` and `numbers` with it.
-_INTEGER_REQUESTS = [
+# No request builds a Fraction: the triangle, the normal forms of D(r,M)^n
+# and the graph tables are integers, a rational coefficient, an
+# expectation and a tolerance are int pairs or a container's ints over one
+# denominator, and so is every rational of the suite, the numeric check and
+# its default tolerance included.  `fractions` loads `decimal` and
+# `numbers` with it.
+_NO_RATIONAL_STACK_REQUESTS = [
     *(("seq", "2", "1", "12", *opts) for opts in (
         (), ("--number", "--format", "table"), ("--format", "bfile"))),
     *(("seq", "2", "1", "12", "--poly", "--format", fmt, "--cache-dir", "{dir}")
@@ -912,19 +927,20 @@ _INTEGER_REQUESTS = [
     ("order", "a (ad a)^2 + 2 ad - 3"),
     ("order", "a^2 (ad a)^2", "--power", "12", "--format", "table"),
     ("order", "(2 a + ad)^3 (a ad)", "--power", "2"),
+    ("order", "a (ad a)^2 + 1/2 ad"),
+    ("order", "(1/2 a + ad)^2", "--power", "3", "--format", "table"),
+    ("order", "a ad", "--expectation", "2"),
+    ("order", "(ad a)^3", "--expectation", "1/2,1"),
+    ("order", "a^3 (ad a)^2", "--power", "15", "--expectation", "1/2,-3/4"),
+    ("order", "ad a", "--expectation", "0.5,-1e-2"),
     ("verify", "graphs", "--n", "4"),
     ("verify", "stirling-expansion", "--format", "table"),
     ("verify", "all"),
     ("verify", "all", "--precision", "100"),
     ("verify", "examples"),
     ("verify", "hyp-generating-function"),
-    ("verify", "exp-kummer"),
-]
-_RATIONAL_REQUESTS = [
-    ("order", "a (ad a)^2 + 1/2 ad"),
-    ("order", "a ad", "--expectation", "2"),
-    ("order", "(ad a)^3", "--expectation", "1/2,1"),
     ("verify", "hyp-generating-function", "--tolerance", "1e-40"),
+    ("verify", "exp-kummer"),
 ]
 
 
@@ -933,13 +949,13 @@ def test_which_requests_load_the_rational_stack(tmp_path):
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, timeout=60)
     assert not set(proc.stdout.split()) & {"fractions", "decimal", "_decimal", "numbers"}
-    for request in [*_INTEGER_REQUESTS, *_RATIONAL_REQUESTS]:
+    for request in _NO_RATIONAL_STACK_REQUESTS:
         argv = [a.format(dir=tmp_path) for a in request]
         proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, *argv],
                               capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, (request, proc.stderr)
         loaded = proc.stderr.rpartition("rational:")[2].partition("\n")[0].split()
-        rational = request in _RATIONAL_REQUESTS
-        assert loaded[:1] == (["fractions"] if rational else []), request
+        assert loaded == [], request
 
 
 def test_main_leaves_the_collector_alone(capsys):
@@ -1464,6 +1480,56 @@ def test_number_flags_past_their_bounds_exit_2(argv):
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@st.composite
+def fraction_texts(draw):
+    """A text of `cli._FRACTION`'s grammar: a sign, then digits and /digits
+    (a nonzero denominator), or digits with .digits and e±digits, the
+    exponent padded with zeros at times and at most MAX_EXPONENT."""
+    digits = st.text("0123456789", min_size=1, max_size=14)
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    if draw(st.booleans()):
+        return f"{sign}{draw(digits)}/{draw(digits.filter(lambda d: d.strip('0')))}"
+    whole = draw(st.text("0123456789", max_size=14))
+    decimals = draw(st.none() | st.text("0123456789", max_size=14))
+    if not whole and not decimals:
+        whole = draw(digits)
+    text = sign + whole + ("" if decimals is None else "." + decimals)
+    if draw(st.booleans()):
+        text += (draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+", "-"]))
+                 + "0" * draw(st.integers(0, 3))
+                 + str(draw(st.integers(0, 60) | st.just(MAX_EXPONENT))))
+    return text
+
+
+@example("-0")
+@example("+5/10")
+@example("3.")
+@example(".5")
+@example("1E+2")
+@example("007e-0003")
+@example("0/3")
+@example(f"-2.5e-{MAX_EXPONENT}")
+@example(f"1e+{MAX_EXPONENT}")
+@settings(max_examples=400, deadline=None)
+@given(fraction_texts())
+def test_number_flag_reads_the_pair_of_fraction(text):
+    want = Fraction(text)
+    assert cli._parse_fraction(text) == (want.numerator, want.denominator)
+
+
+@example(0, 0, 7)
+@example(-6, 0, 4)
+@example(0, -9, 3)
+@example(6, 4, 2)
+@settings(max_examples=400, deadline=None)
+@given(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12),
+       st.integers(1, 10**6))
+def test_expectation_prints_as_fraction_prints_it(re_num, im_num, den):
+    # `_coherent_pairs` hands back two pairs over one denominator, not reduced
+    assert cli._format_complex((re_num, den), (im_num, den)) == format_complex(
+        Fraction(re_num, den), Fraction(im_num, den))
 
 
 def test_loose_tolerance_with_high_precision_ok(capsys):
